@@ -140,6 +140,7 @@ impl FsmMonitor {
             scan_stmt(&c.body, &mut vec![], design, &mut facts, false);
         }
 
+        let consts = ConstIndex::new(design);
         let mut out = Vec::new();
         for (name, f) in &facts {
             let Some(sig) = design.signals.get(name) else {
@@ -159,7 +160,7 @@ impl FsmMonitor {
                 out.push(FsmInfo {
                     signal: name.clone(),
                     width: sig.width,
-                    states: recover_state_names(design, sig.width, &f.const_values, name),
+                    states: consts.state_names(sig.width, &f.const_values, name),
                 });
             }
         }
@@ -172,6 +173,7 @@ impl FsmMonitor {
             .into_iter()
             .filter(|f| !self.filtered.contains(&f.signal))
             .collect();
+        let consts = ConstIndex::new(design);
         for name in &self.extra {
             if fsms.iter().any(|f| &f.signal == name) {
                 continue;
@@ -180,7 +182,7 @@ impl FsmMonitor {
                 fsms.push(FsmInfo {
                     signal: name.clone(),
                     width: sig.width,
-                    states: recover_state_names(design, sig.width, &BTreeSet::new(), name),
+                    states: consts.state_names(sig.width, &BTreeSet::new(), name),
                 });
             }
         }
@@ -507,37 +509,70 @@ fn scan_stmt(
     }
 }
 
-/// Maps constant state values back to localparam names of matching value.
-/// On collisions (two localparams with the same value), prefers the name
-/// sharing the longest prefix with the FSM signal's name, so `wr_state`
-/// resolves 1 to `WR_DATA` rather than `RD_DATA`.
-fn recover_state_names(
-    design: &Design,
-    width: u32,
-    values: &BTreeSet<u64>,
-    signal: &str,
-) -> BTreeMap<u64, String> {
-    let affinity = |candidate: &str| -> usize {
-        let a = candidate.to_ascii_lowercase();
-        let b = signal.to_ascii_lowercase();
-        a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count()
-    };
-    let mut out = BTreeMap::new();
-    for (name, v) in &design.consts {
-        let val = v.resize(width.max(1)).to_u64();
-        if (values.is_empty() || values.contains(&val)) && v.to_u64() == val {
-            out.entry(val)
-                .and_modify(|cur: &mut String| {
-                    let better = (affinity(name), std::cmp::Reverse(name.len()))
-                        > (affinity(cur), std::cmp::Reverse(cur.len()));
-                    if better {
-                        *cur = name.clone();
-                    }
-                })
-                .or_insert_with(|| name.clone());
+/// The design's constants grouped by value, each group in
+/// `design.consts` (name) order. Built once per detection, so recovering
+/// the state names of an FSM looks up its values instead of scanning every
+/// constant.
+struct ConstIndex<'d> {
+    by_value: BTreeMap<u64, Vec<(&'d str, &'d Bits)>>,
+}
+
+impl<'d> ConstIndex<'d> {
+    fn new(design: &'d Design) -> Self {
+        let mut by_value: BTreeMap<u64, Vec<(&str, &Bits)>> = BTreeMap::new();
+        for (name, v) in &design.consts {
+            by_value.entry(v.to_u64()).or_default().push((name, v));
         }
+        ConstIndex { by_value }
     }
-    out
+
+    /// Maps constant state values back to localparam names of matching
+    /// value (every constant that fits `width` when `values` is empty). On
+    /// collisions (two localparams with the same value), prefers the name
+    /// sharing the longest case-insensitive prefix with the FSM signal's
+    /// name, then the shorter name, then the first in name order, so
+    /// `wr_state` resolves 1 to `WR_DATA` rather than `RD_DATA`.
+    fn state_names(
+        &self,
+        width: u32,
+        values: &BTreeSet<u64>,
+        signal: &str,
+    ) -> BTreeMap<u64, String> {
+        let rank = |name: &str| {
+            let affinity = name
+                .bytes()
+                .zip(signal.bytes())
+                .take_while(|(x, y)| x.eq_ignore_ascii_case(y))
+                .count();
+            (affinity, std::cmp::Reverse(name.len()))
+        };
+        let mut out = BTreeMap::new();
+        let mut name_group = |val: u64, group: &[(&str, &Bits)]| {
+            let mut best: Option<&str> = None;
+            for &(name, v) in group {
+                if v.resize(width.max(1)).to_u64() == val
+                    && best.is_none_or(|cur| rank(name) > rank(cur))
+                {
+                    best = Some(name);
+                }
+            }
+            if let Some(name) = best {
+                out.insert(val, name.to_owned());
+            }
+        };
+        if values.is_empty() {
+            for (&val, group) in &self.by_value {
+                name_group(val, group);
+            }
+        } else {
+            for &val in values {
+                if let Some(group) = self.by_value.get(&val) {
+                    name_group(val, group);
+                }
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -660,6 +695,41 @@ mod tests {
         };
         let found = FsmMonitor::detect_with_config(&d, &relaxed);
         assert!(found.iter().any(|f| f.signal == "phase"), "{found:?}");
+    }
+
+    #[test]
+    fn state_names_prefer_shared_prefix_then_shorter_name() {
+        // Both instances declare the same localparams, so after flattening
+        // every state value has candidates from `rd__` and `wr__`, and
+        // value 2 has two names per instance (`STEP_DONE` sorts first).
+        let src = "module fsm(input clk, input go, output reg [1:0] state);
+            localparam IDLE = 2'd0;
+            localparam RUN = 2'd1;
+            localparam STEP_DONE = 2'd2;
+            localparam STOP = 2'd2;
+            always @(posedge clk)
+                case (state)
+                    IDLE: if (go) state <= RUN;
+                    RUN: if (go) state <= STOP;
+                    default: state <= IDLE;
+                endcase
+        endmodule
+        module top(input clk, input go, output [1:0] a, output [1:0] b);
+            fsm rd (.clk(clk), .go(go), .state(a));
+            fsm wr (.clk(clk), .go(go), .state(b));
+        endmodule";
+        let d = elaborate(&hwdbg_rtl::parse(src).unwrap(), "top", &NoBlackboxes).unwrap();
+        let fsms = FsmMonitor::detect(&d);
+        let names = |signal: &str| -> Vec<String> {
+            let f = fsms.iter().find(|f| f.signal == signal).unwrap();
+            (0..3).map(|v| f.state_name(v)).collect()
+        };
+        // The longest shared prefix wins, ignoring case: `wr__STOP` beats
+        // `rd__STOP` for `wr__state` although it sorts later. Among equal
+        // prefixes (`STOP` and `STEP_DONE` both share `__st`), the shorter
+        // name wins.
+        assert_eq!(names("rd__state"), ["rd__IDLE", "rd__RUN", "rd__STOP"]);
+        assert_eq!(names("wr__state"), ["wr__IDLE", "wr__RUN", "wr__STOP"]);
     }
 
     #[test]

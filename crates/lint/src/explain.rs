@@ -43,11 +43,12 @@ hardware and retains stale data.",
     LintExplanation {
         code: "L0102",
         summary: "A clocked (sequential) process uses a blocking assignment \
-(`=`). Later statements in the same process observe the new value within the \
-same cycle, so behaviour depends on statement order and diverges between \
-simulators and synthesized hardware.",
+(`=`) to a signal that is read outside the process: by another process, a \
+combinational driver, a blackbox input, or an output port. Whether those \
+readers see the old or the new value depends on evaluation order, which \
+diverges between simulators and synthesized hardware.",
         subclass: "Erroneous Expression",
-        example: "always @(posedge clk) begin\n  a = in;   // blocking in sequential process\n  b <= a;   // reads the *new* a\nend",
+        example: "always @(posedge clk) begin\n  a = in;   // blocking in sequential process\nend\nalways @(posedge clk) b <= a; // old or new a?",
     },
     LintExplanation {
         code: "L0103",

@@ -6,9 +6,9 @@ use crate::analysis::{self, Guard};
 use crate::{LintPass, LintSink};
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{Expr, Span, Stmt};
+use hwdbg_rtl::{CaseArm, Expr, Span, Stmt};
 use hwdbg_tools::FsmMonitor;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which case arm (over the state register) encloses an assignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,6 +55,36 @@ impl LintPass for FsmLintPass {
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
         let resets = analysis::reset_inputs(design);
+
+        // Index the design once. Per identifier: the bodies (clocked
+        // processes, then comb drivers) holding a `case` over it, and the
+        // clocked processes assigning it, each in design order. A per-FSM
+        // scan then visits only those bodies.
+        let bodies: Vec<&Stmt> = design
+            .procs
+            .iter()
+            .map(|p| &p.body)
+            .chain(design.combs.iter().map(|c| &c.body))
+            .collect();
+        let mut case_bodies: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (b, &body) in bodies.iter().enumerate() {
+            for_each_case(body, &mut |selector, _, _, _| {
+                if let Expr::Ident(n) = selector {
+                    push_once(case_bodies.entry(n).or_default(), b);
+                }
+            });
+        }
+        let mut writers: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (i, proc) in design.procs.iter().enumerate() {
+            analysis::walk(&proc.body, &mut Vec::new(), &mut |_, stmt| {
+                if let Stmt::Assign { lhs, .. } = stmt {
+                    for target in lhs.target_names() {
+                        push_once(writers.entry(target).or_default(), i);
+                    }
+                }
+            });
+        }
+
         for fsm in FsmMonitor::detect(design) {
             if fsm.width > 64 {
                 continue;
@@ -66,9 +96,18 @@ impl LintPass for FsmLintPass {
             let mut arm_union: BTreeSet<u64> = BTreeSet::new();
             let mut has_default = false;
             let mut case_span: Option<Span> = None;
-            for body in proc_bodies(design) {
-                scan_cases(design, body, state, fsm.width, &mut |labels, default, span| {
-                    arm_union.extend(labels);
+            for &b in indexed(&case_bodies, state) {
+                for_each_case(bodies[b], &mut |selector, arms, default, span| {
+                    if !matches!(selector, Expr::Ident(n) if n == state) {
+                        return;
+                    }
+                    for label in arms.iter().flat_map(|arm| &arm.labels) {
+                        if let Some(v) = analysis::const_value(label, design) {
+                            if v.width() <= 64 {
+                                arm_union.insert(v.resize(fsm.width).to_u64());
+                            }
+                        }
+                    }
                     has_default |= default;
                     case_span.get_or_insert(span);
                 });
@@ -82,9 +121,9 @@ impl LintPass for FsmLintPass {
             // Every whole assignment to the state register.
             let mut sites: Vec<Site> = Vec::new();
             let mut analyzable = true;
-            for proc in &design.procs {
+            for &i in indexed(&writers, state) {
                 let mut guards = Vec::new();
-                analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+                analysis::walk(&design.procs[i].body, &mut guards, &mut |guards, stmt| {
                     let Stmt::Assign { lhs, rhs, .. } = stmt else {
                         return;
                     };
@@ -182,43 +221,42 @@ impl LintPass for FsmLintPass {
     }
 }
 
-fn state_name(states: &std::collections::BTreeMap<u64, String>, v: u64) -> String {
+fn state_name(states: &BTreeMap<u64, String>, v: u64) -> String {
     match states.get(&v) {
         Some(n) => format!("`{n}` ({v})"),
         None => format!("{v}"),
     }
 }
 
-fn proc_bodies(design: &Design) -> impl Iterator<Item = &Stmt> {
-    design
-        .procs
-        .iter()
-        .map(|p| &p.body)
-        .chain(design.combs.iter().map(|c| &c.body))
+/// The design-order positions indexed under `name`.
+fn indexed<'m>(index: &'m BTreeMap<&str, Vec<usize>>, name: &str) -> &'m [usize] {
+    index.get(name).map_or(&[], Vec::as_slice)
 }
 
-/// Finds every `case` whose selector is exactly the state register and
-/// reports (const arm label values, has-default, span).
-fn scan_cases(
-    design: &Design,
-    stmt: &Stmt,
-    state: &str,
-    width: u32,
-    f: &mut impl FnMut(Vec<u64>, bool, Span),
-) {
+/// Appends `i` unless it is already the last entry (indices arrive in
+/// order, so this keeps each list free of duplicates).
+fn push_once(list: &mut Vec<usize>, i: usize) {
+    if list.last() != Some(&i) {
+        list.push(i);
+    }
+}
+
+/// Calls `f(selector, arms, has_default, span)` on every `case` in `stmt`,
+/// each case before the cases nested in its arms.
+fn for_each_case<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr, &'a [CaseArm], bool, Span)) {
     match stmt {
         Stmt::Block(stmts) => {
             for s in stmts {
-                scan_cases(design, s, state, width, f);
+                for_each_case(s, f);
             }
         }
         Stmt::If { then, els, .. } => {
-            scan_cases(design, then, state, width, f);
+            for_each_case(then, f);
             if let Some(e) = els {
-                scan_cases(design, e, state, width, f);
+                for_each_case(e, f);
             }
         }
-        Stmt::For { body, .. } => scan_cases(design, body, state, width, f),
+        Stmt::For { body, .. } => for_each_case(body, f),
         Stmt::Case {
             expr,
             arms,
@@ -226,24 +264,12 @@ fn scan_cases(
             span,
             ..
         } => {
-            if matches!(expr, Expr::Ident(n) if n == state) {
-                let mut labels = Vec::new();
-                for arm in arms {
-                    for l in &arm.labels {
-                        if let Some(v) = analysis::const_value(l, design) {
-                            if v.width() <= 64 {
-                                labels.push(v.resize(width).to_u64());
-                            }
-                        }
-                    }
-                }
-                f(labels, default.is_some(), *span);
-            }
+            f(expr, arms, default.is_some(), *span);
             for arm in arms {
-                scan_cases(design, &arm.body, state, width, f);
+                for_each_case(&arm.body, f);
             }
             if let Some(d) = default {
-                scan_cases(design, d, state, width, f);
+                for_each_case(d, f);
             }
         }
         _ => {}

@@ -124,25 +124,40 @@ impl LintPass for AssignStylePass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
+        // Readers outside every clocked process: comb drivers, blackbox
+        // inputs and output ports.
         let outputs = analysis::output_ports(design);
+        let mut non_proc: BTreeSet<&str> = outputs.iter().map(String::as_str).collect();
+        for comb in &design.combs {
+            non_proc.extend(comb.reads.iter().map(String::as_str));
+        }
+        for bb in &design.blackboxes {
+            for conn in bb.in_conns.values() {
+                non_proc.extend(conn.idents());
+            }
+        }
+        // Per signal, the first two clocked processes that read it: enough
+        // to tell whether some process other than `i` is a reader.
+        let mut proc_readers: BTreeMap<&str, (usize, Option<usize>)> = BTreeMap::new();
         for (i, proc) in design.procs.iter().enumerate() {
-            // Signals visible outside process `i`.
-            let mut external: BTreeSet<&str> = BTreeSet::new();
-            for (j, other) in design.procs.iter().enumerate() {
-                if j != i {
-                    external.extend(other.reads.iter().map(String::as_str));
-                }
+            for r in &proc.reads {
+                proc_readers
+                    .entry(r.as_str())
+                    .and_modify(|(_, second)| {
+                        second.get_or_insert(i);
+                    })
+                    .or_insert((i, None));
             }
-            for comb in &design.combs {
-                external.extend(comb.reads.iter().map(String::as_str));
-            }
-            for bb in &design.blackboxes {
-                for conn in bb.in_conns.values() {
-                    external.extend(conn.idents());
-                }
-            }
-            external.extend(outputs.iter().map(String::as_str));
+        }
 
+        for (i, proc) in design.procs.iter().enumerate() {
+            // Visible outside process `i`.
+            let external = |s: &str| {
+                non_proc.contains(s)
+                    || proc_readers
+                        .get(s)
+                        .is_some_and(|&(first, second)| first != i || second.is_some())
+            };
             let mut guards = Vec::new();
             analysis::walk(&proc.body, &mut guards, &mut |_, stmt| {
                 let Stmt::Assign {
@@ -155,7 +170,7 @@ impl LintPass for AssignStylePass {
                     return;
                 };
                 for target in lhs.target_names() {
-                    if external.contains(target) {
+                    if external(target) {
                         sink.emit(
                             HwdbgError::warning(
                                 ErrorCode::LintBlockingInSeq,

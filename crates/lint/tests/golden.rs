@@ -77,6 +77,77 @@ fn l0102_blocking_in_seq() {
     assert_golden(&f, &src, "L0102", "r = d;", "r = d;");
 }
 
+/// The signals of every `L0102` finding, in report order.
+fn blocking_in_seq_signals(src: &str) -> Vec<String> {
+    let file = hwdbg_rtl::parse(src).expect("repro parses");
+    let d = hwdbg_dataflow::elaborate(&file, "t", &hwdbg_ip::StdIpLib::new())
+        .expect("repro elaborates");
+    hwdbg_lint::run_default(&d)
+        .into_iter()
+        .filter(|f| f.code.as_str() == "L0102")
+        .flat_map(|f| f.signals)
+        .collect()
+}
+
+#[test]
+fn l0102_needs_a_reader_outside_the_block() {
+    // Read only by the process that writes it: no race, no finding.
+    let own = "module t(input clk, input [7:0] d, output reg [7:0] y);\n\
+               reg [7:0] r;\n\
+               always @(posedge clk) begin\n\
+               \x20 r = d;\n\
+               \x20 y <= r;\n\
+               end\nendmodule\n";
+    assert!(blocking_in_seq_signals(own).is_empty());
+
+    // The writer reading its own target does not hide a later reader.
+    let own_and_other = "module t(input clk, input [7:0] d, output reg [7:0] y);\n\
+                         reg [7:0] r;\n\
+                         always @(posedge clk) r = r ^ d;\n\
+                         always @(posedge clk) y <= r;\n\
+                         endmodule\n";
+    assert_eq!(blocking_in_seq_signals(own_and_other), ["r"]);
+
+    // Each kind of outside reader makes the same write a finding.
+    let readers = [
+        (
+            "another process",
+            "output reg [7:0] y);\n reg [7:0] r;\n always @(posedge clk) y <= r;",
+        ),
+        (
+            "a comb driver",
+            "output [7:0] y);\n reg [7:0] r;\n assign y = r;",
+        ),
+        (
+            "a blackbox input",
+            "output [7:0] y);\n reg [7:0] r;\n assign y = d;\n \
+             trace_buffer #(.WIDTH(8), .DEPTH(4)) tb (.clock(clk), .enable(1'b1), .din(r));",
+        ),
+        ("an output port", "output reg [7:0] r);"),
+    ];
+    for (reader, decls) in readers {
+        let src = format!(
+            "module t(input clk, input [7:0] d, {decls}\n\
+             always @(posedge clk) begin\n\
+             \x20 r = d;\n\
+             end\nendmodule\n"
+        );
+        assert_eq!(blocking_in_seq_signals(&src), ["r"], "read by {reader}");
+    }
+}
+
+#[test]
+fn l0102_flags_both_processes_of_a_mutual_read() {
+    let src = "module t(input clk, input [7:0] d, output [7:0] y);\n\
+               reg [7:0] a;\n\
+               reg [7:0] b;\n\
+               assign y = d;\n\
+               always @(posedge clk) a = b ^ d;\n\
+               always @(posedge clk) b = a;\n\
+               endmodule\n";
+    assert_eq!(blocking_in_seq_signals(src), ["a", "b"]);
+}
+
 #[test]
 fn l0103_nonblocking_in_comb() {
     let (f, src) = lint(
@@ -199,6 +270,76 @@ fn l0303_undeclared_state() {
         "t",
     );
     assert_golden(&f, &src, "L0303", "case (s)", "case (s)");
+}
+
+#[test]
+fn l0301_case_in_comb_block_with_clocked_writes() {
+    // Two-process style: the clocked process assigns the state register,
+    // a combinational block dispatches on it. Arm `C` is never entered.
+    let (f, src) = lint(
+        "module t(input clk, input rst, input go, output reg [1:0] s, output reg [7:0] y);\n\
+         localparam A = 2'd0;\n\
+         localparam B = 2'd1;\n\
+         localparam C = 2'd2;\n\
+         always @(*) begin\n\
+         \x20 case (s)\n\
+         \x20   A: y = 8'd1;\n\
+         \x20   B: y = 8'd2;\n\
+         \x20   C: y = 8'd3;\n\
+         \x20   default: y = 8'd0;\n\
+         \x20 endcase\n\
+         end\n\
+         always @(posedge clk) begin\n\
+         \x20 if (rst) s <= A;\n\
+         \x20 else if (go) s <= B;\n\
+         \x20 else if (s == B) s <= A;\n\
+         end\nendmodule\n",
+        "t",
+    );
+    assert_golden(&f, &src, "L0301", "case (s)", "case (s)");
+}
+
+#[test]
+fn fsm_findings_stay_with_their_own_fsm() {
+    // Two FSMs with the same encodings: each finding names its own
+    // register and its own `case`, and the trap state's name comes from
+    // its own localparams (`WR_DONE`, not `RD_DONE`, which sorts first).
+    let src = "module t(input clk, input rst, input go, output reg [1:0] rd_state, output reg [1:0] wr_state);\n\
+               localparam RD_IDLE = 2'd0;\n\
+               localparam RD_BUSY = 2'd1;\n\
+               localparam RD_DONE = 2'd2;\n\
+               localparam WR_IDLE = 2'd0;\n\
+               localparam WR_BUSY = 2'd1;\n\
+               localparam WR_DONE = 2'd2;\n\
+               always @(posedge clk) begin\n\
+               \x20 if (rst) rd_state <= RD_IDLE;\n\
+               \x20 else case (rd_state)\n\
+               \x20   RD_IDLE: if (go) rd_state <= RD_BUSY;\n\
+               \x20   RD_BUSY: if (go) rd_state <= 2'd3;\n\
+               \x20 endcase\n\
+               end\n\
+               always @(posedge clk) begin\n\
+               \x20 if (rst) wr_state <= WR_IDLE;\n\
+               \x20 else case (wr_state)\n\
+               \x20   WR_IDLE: if (go) wr_state <= WR_BUSY;\n\
+               \x20   WR_BUSY: if (go) wr_state <= WR_DONE;\n\
+               \x20   WR_DONE: wr_state <= WR_DONE;\n\
+               \x20 endcase\n\
+               end\nendmodule\n";
+    let d = design(src, "t");
+    let mut cfg = LintConfig::new();
+    cfg.set("L0302", Level::Warn);
+    let mut timer = StageTimer::new();
+    let mut counters = SimCounters::default();
+    let f = hwdbg_lint::run_all(&d, &cfg, &mut timer, &mut counters);
+    assert_golden(&f, src, "L0302", "case (wr_state)", "case (wr_state)");
+    assert_golden(&f, src, "L0303", "case (rd_state)", "case (rd_state)");
+    assert!(f.iter().all(|e| e.code.as_str() != "L0301"));
+    let by_code = |code: &str| f.iter().find(|e| e.code.as_str() == code).unwrap();
+    assert_eq!(by_code("L0302").signals, ["wr_state"]);
+    assert!(by_code("L0302").message.contains("`WR_DONE` (2)"));
+    assert_eq!(by_code("L0303").signals, ["rd_state"]);
+    assert!(by_code("L0303").message.contains("encoding 3"));
 }
 
 #[test]

@@ -372,7 +372,12 @@ pub struct Simulator {
     state: SimState,
     config: SimConfig,
     blackboxes: Vec<Box<dyn Blackbox + Send>>,
+    /// Captured `$display` records; the visible log is
+    /// `logs[log_start..]`. Evicting the oldest record advances
+    /// `log_start`, and the dead prefix is compacted away once it reaches
+    /// `log_capacity`, so eviction costs O(1) amortized.
     logs: Vec<LogRecord>,
+    log_start: usize,
     dropped_logs: u64,
     time: u64,
     cycles: BTreeMap<String, u64>,
@@ -449,7 +454,8 @@ pub struct Checkpoint {
     time: u64,
     cycles: BTreeMap<String, u64>,
     finished: bool,
-    logs_len: usize,
+    /// Records emitted up to the checkpoint: dropped plus visible.
+    logs_total: u64,
     bb_states: Vec<Box<dyn std::any::Any + Send>>,
     /// Active [`Simulator::force`] pins at capture time. Restoring puts the
     /// pin set back exactly: forces applied after the checkpoint (e.g. a
@@ -553,6 +559,7 @@ impl Simulator {
             config,
             blackboxes,
             logs: Vec::new(),
+            log_start: 0,
             dropped_logs: 0,
             time: 0,
             cycles: BTreeMap::new(),
@@ -630,7 +637,7 @@ impl Simulator {
 
     /// Captured `$display` records.
     pub fn logs(&self) -> &[LogRecord] {
-        &self.logs
+        &self.logs[self.log_start..]
     }
 
     /// How many log records were dropped due to `log_capacity`.
@@ -1431,11 +1438,7 @@ impl Simulator {
         self.nb_scratch = nb;
 
         for rec in new_logs.drain(..) {
-            if self.logs.len() >= self.config.log_capacity {
-                self.dropped_logs += 1;
-                self.logs.remove(0);
-            }
-            self.logs.push(rec);
+            self.push_log(rec);
         }
         self.logs_scratch = new_logs;
         if finished {
@@ -1455,6 +1458,24 @@ impl Simulator {
             }
         }
         Ok(())
+    }
+
+    /// Appends one `$display` record, evicting the oldest visible record
+    /// once `log_capacity` are retained.
+    fn push_log(&mut self, rec: LogRecord) {
+        let cap = self.config.log_capacity;
+        if self.logs.len() - self.log_start >= cap {
+            self.dropped_logs += 1;
+            if cap == 0 {
+                return;
+            }
+            self.log_start += 1;
+            if self.log_start >= cap {
+                self.logs.drain(..self.log_start);
+                self.log_start = 0;
+            }
+        }
+        self.logs.push(rec);
     }
 
     /// Runs `n` cycles of `clock` (stops early at `$finish`).
@@ -1498,7 +1519,7 @@ impl Simulator {
             time: self.time,
             cycles: self.cycles.clone(),
             finished: self.finished,
-            logs_len: self.logs.len(),
+            logs_total: self.dropped_logs + self.logs().len() as u64,
             bb_states,
             forces: self.forces.clone(),
         })
@@ -1526,7 +1547,12 @@ impl Simulator {
         self.time = cp.time;
         self.cycles = cp.cycles.clone();
         self.finished = cp.finished;
-        self.logs.truncate(cp.logs_len);
+        // Keep the records that existed at the checkpoint and are still
+        // retained; any evicted since then stay counted as dropped.
+        let kept = cp.logs_total.saturating_sub(self.dropped_logs) as usize;
+        let visible = kept.min(self.logs().len());
+        self.logs.truncate(self.log_start + visible);
+        self.dropped_logs = self.dropped_logs.min(cp.logs_total);
         // Force pins are simulation state too: a stuck-at applied after the
         // checkpoint would otherwise keep pinning the signal after rewind.
         self.forces = cp.forces.clone();
@@ -1591,6 +1617,7 @@ impl Simulator {
         };
         self.config = config;
         self.logs.clear();
+        self.log_start = 0;
         self.logs_scratch.clear();
         self.nb_scratch.clear();
         self.dropped_logs = 0;

@@ -498,6 +498,59 @@ fn log_capacity_drops_oldest() {
     assert_eq!(s.logs().len(), 3);
     assert_eq!(s.dropped_logs(), 7);
     assert_eq!(s.logs()[0].message, "n=7");
+
+    // A long run keeps only the newest `log_capacity` records, in order.
+    let design = elaborate(
+        &parse(
+            r#"module m(input clk, output reg [31:0] n);
+                always @(posedge clk) begin
+                    n <= n + 32'd1;
+                    $display("n=%0d", n);
+                end
+             endmodule"#,
+        )
+        .unwrap(),
+        "m",
+        &NoBlackboxes,
+    )
+    .unwrap();
+    let config = SimConfig {
+        log_capacity: 1_000,
+        init: RegInit::Zero,
+        ..SimConfig::default()
+    };
+    let mut s = Simulator::new(design, &NoModels, config.clone()).unwrap();
+    let messages =
+        |s: &Simulator| -> Vec<String> { s.logs().iter().map(|r| r.message.clone()).collect() };
+    let expect =
+        |from: u32, to: u32| -> Vec<String> { (from..to).map(|n| format!("n={n}")).collect() };
+    s.run("clk", 100_000).unwrap();
+    assert_eq!(s.dropped_logs(), 99_000);
+    assert_eq!(messages(&s), expect(99_000, 100_000));
+
+    // Restore discards records emitted after the checkpoint and keeps
+    // those still retained from before it.
+    let cp = s.checkpoint().unwrap();
+    s.run("clk", 500).unwrap();
+    assert_eq!(messages(&s), expect(99_500, 100_500));
+    s.restore(&cp).unwrap();
+    assert_eq!(s.dropped_logs(), 99_500);
+    assert_eq!(messages(&s), expect(99_500, 100_000));
+
+    // Every record present at the checkpoint was evicted since: the log
+    // restores empty, and the dropped count is the checkpoint's total.
+    s.run("clk", 1_500).unwrap();
+    s.restore(&cp).unwrap();
+    assert_eq!(s.dropped_logs(), 100_000);
+    assert!(s.logs().is_empty());
+    s.run("clk", 3).unwrap();
+    assert_eq!(messages(&s), expect(100_000, 100_003));
+
+    s.reset(&NoModels, config).unwrap();
+    assert_eq!(s.dropped_logs(), 0);
+    assert!(s.logs().is_empty());
+    s.run("clk", 2).unwrap();
+    assert_eq!(messages(&s), expect(0, 2));
 }
 
 #[test]
