@@ -132,6 +132,8 @@ pub enum ErrorCode {
     DeadlineExceeded,
     /// A part-select whose constant bounds are reversed (`msb < lsb`).
     ReversedRange,
+    /// A `$display` directive requests an unbounded field width.
+    FieldWidth,
     // E05xx: tools.
     /// The design has no clocked logic to instrument.
     NoClock,
@@ -260,6 +262,7 @@ impl ErrorCode {
             EarlyFinish => "E0406",
             DeadlineExceeded => "E0407",
             ReversedRange => "E0408",
+            FieldWidth => "E0409",
             NoClock => "E0501",
             NothingToInstrument => "E0502",
             ToolElaboration => "E0503",
@@ -491,7 +494,8 @@ mod tests {
             BadOutputConnection, ConflictingDrivers, DuplicateDriver,
             UndrivenSignal, RecursionLimit, Unsupported, NoModel,
             WidthMismatch, NonConstSelect, CombLoop, LoopCap, Watchdog,
-            OutOfBounds, EarlyFinish, DeadlineExceeded, ReversedRange, NoClock,
+            OutOfBounds, EarlyFinish, DeadlineExceeded, ReversedRange, FieldWidth,
+            NoClock,
             NothingToInstrument, ToolElaboration,
             NoPath, DegradedOutput, BadFaultTarget, BadFaultPlan, Io,
             Internal, CampaignSpec, CampaignDesign, CampaignWorker,

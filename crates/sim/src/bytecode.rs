@@ -35,7 +35,8 @@
 use crate::compile::{CCaseArm, CExec, CExpr, CLValue, CNbWrite, CStmt, EvalScratch, Flow};
 use crate::eval::{apply_binary_signed_into, effective_mem_addr};
 use crate::state::SimState;
-use crate::{LogRecord, SimError};
+use crate::format::Arg;
+use crate::SimError;
 use hwdbg_bits::{fixed, Bits};
 use hwdbg_dataflow::{apply_binary_into, SigId};
 use hwdbg_rtl::{BinaryOp, UnaryOp};
@@ -1940,13 +1941,8 @@ pub(crate) fn run(prog: &BcProgram, exec: &mut CExec<'_>) -> Result<Flow, SimErr
             }
             // ---- stores ----
             Op::StSigN { sig, src } => {
-                if let Some(f) = exec.forced {
-                    if f.contains_key(&sig) {
-                        if let Some(c) = exec.counters.as_deref_mut() {
-                            c.force_hits += 1;
-                        }
-                        continue;
-                    }
+                if exec.pinned(sig) {
+                    continue;
                 }
                 let v = nr(exec, src);
                 if exec.state.set_id_u64(sig, v) {
@@ -1956,18 +1952,20 @@ pub(crate) fn run(prog: &BcProgram, exec: &mut CExec<'_>) -> Result<Flow, SimErr
             Op::StFlushN { sig, src } => {
                 exec.state.store_id_u64(sig, nr(exec, src));
             }
-            Op::StSig { sig, w, src, nb } => {
-                let mut t = exec.scratch.take();
-                match src {
-                    Src::N(r) => t.set_u64(w, nr(exec, r)),
-                    Src::W(r) => {
-                        let s = take_w(exec, r);
-                        t.assign_resized(&s, w);
-                        put_w(exec, r, s);
-                    }
+            Op::StSig { sig, w, src, nb } => match src {
+                Src::N(r) => {
+                    // Wider stores zero-extend the `u64`, like `set_u64`.
+                    let v = if w >= 64 { nr(exec, r) } else { nr(exec, r) & mask_of(w) };
+                    sink_write(exec, nb, CNbWrite::SigN(sig, v));
                 }
-                sink_write(exec, nb, CNbWrite::Sig(sig, t));
-            }
+                Src::W(r) => {
+                    let mut t = exec.scratch.take();
+                    let s = take_w(exec, r);
+                    t.assign_resized(&s, w);
+                    put_w(exec, r, s);
+                    sink_write(exec, nb, CNbWrite::Sig(sig, t));
+                }
+            },
             Op::StBit { sig, width, idx, src, nb } => {
                 let i = nr(exec, idx);
                 if i < u64::from(width) {
@@ -2042,25 +2040,19 @@ pub(crate) fn run(prog: &BcProgram, exec: &mut CExec<'_>) -> Result<Flow, SimErr
                 }
             }
             Op::Display { spec } => {
-                if let Some((sink, time, cycle)) = &mut exec.logs {
+                if let Some(sink) = exec.logs.as_deref_mut() {
                     let spec = &prog.displays[spec as usize];
-                    let mut vals = Vec::with_capacity(spec.args.len());
-                    let mut signs = Vec::with_capacity(spec.args.len());
-                    for &(src, w, signed) in &spec.args {
-                        vals.push(match src {
-                            Src::N(r) => {
-                                Bits::from_u64(w, exec.scratch.nregs[r as usize])
-                            }
-                            Src::W(r) => exec.scratch.wregs[r as usize].clone(),
-                        });
-                        signs.push(signed);
-                    }
-                    let message = crate::format::render_signed(&spec.format, &vals, &signs);
-                    sink.push(LogRecord {
-                        time: *time,
-                        cycle: *cycle,
-                        message,
-                    });
+                    let (nregs, wregs) = (&exec.scratch.nregs, &exec.scratch.wregs);
+                    sink.stage_rendered(
+                        &spec.format,
+                        spec.args.iter().map(|&(src, w, signed)| {
+                            let arg = match src {
+                                Src::N(r) => Arg::Narrow(nregs[r as usize], w),
+                                Src::W(r) => Arg::Wide(&wregs[r as usize]),
+                            };
+                            (arg, signed)
+                        }),
+                    );
                 }
             }
             Op::Finish => return Ok(Flow::Finished),

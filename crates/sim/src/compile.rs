@@ -599,17 +599,20 @@ impl Ctx<'_> {
                     body: Box::new(self.stmt(body)?),
                 }
             }
-            Stmt::Display { format, args, .. } => CStmt::Display {
-                format: format.clone(),
-                args: args
-                    .iter()
-                    .map(|a| self.expr(a))
-                    .collect::<Result<_, _>>()?,
-                signs: args
-                    .iter()
-                    .map(|a| crate::eval::is_signed(a, self.design))
-                    .collect(),
-            },
+            Stmt::Display { format, args, .. } => {
+                crate::format::check_field_widths(format)?;
+                CStmt::Display {
+                    format: format.clone(),
+                    args: args
+                        .iter()
+                        .map(|a| self.expr(a))
+                        .collect::<Result<_, _>>()?,
+                    signs: args
+                        .iter()
+                        .map(|a| crate::eval::is_signed(a, self.design))
+                        .collect(),
+                }
+            }
             Stmt::Finish => CStmt::Finish,
             Stmt::Empty => CStmt::Empty,
         })
@@ -848,12 +851,71 @@ pub(crate) fn eval_into(
     Ok(())
 }
 
+/// Per-engine `$display` staging. Records emitted by one clocked step
+/// collect in `staged` until the step commits. Production backends render
+/// into one reusable buffer and copy the text into an exact-length
+/// message, taking its storage from `pool`: the engine returns evicted
+/// records' buffers there, so a full log allocates nothing per record.
+#[derive(Debug, Default)]
+pub(crate) struct LogSink {
+    /// Global step counter stamped on new records.
+    pub time: u64,
+    /// Cycle of the stepping clock stamped on new records.
+    pub cycle: u64,
+    /// Records emitted by the current step, oldest first.
+    pub staged: Vec<LogRecord>,
+    /// Message buffers recycled from evicted records.
+    pool: Vec<String>,
+    renderer: crate::format::Renderer,
+}
+
+impl LogSink {
+    /// Stages an already-rendered message (the tree-walker's path).
+    pub fn stage(&mut self, message: String) {
+        self.staged.push(LogRecord {
+            time: self.time,
+            cycle: self.cycle,
+            message,
+        });
+    }
+
+    /// Renders `fmt` in place and stages the text as a new record.
+    pub fn stage_rendered<'a>(
+        &mut self,
+        fmt: &str,
+        args: impl IntoIterator<Item = (crate::format::Arg<'a>, bool)>,
+    ) {
+        let text = self.renderer.render(fmt, args);
+        let message = match self.pool.pop() {
+            Some(mut buf) => {
+                buf.clear();
+                buf.reserve_exact(text.len());
+                buf.push_str(text);
+                buf
+            }
+            None => text.to_owned(),
+        };
+        self.stage(message);
+    }
+
+    /// Returns an evicted record's buffer to the pool, keeping at most
+    /// `cap` buffers.
+    pub fn recycle(&mut self, message: String, cap: usize) {
+        if self.pool.len() < cap {
+            self.pool.push(message);
+        }
+    }
+}
+
 /// A deferred (nonblocking) write, resolved to a concrete target at the
 /// time the assignment executed.
 #[derive(Debug, Clone)]
 pub(crate) enum CNbWrite {
     /// Whole signal.
     Sig(SigId, Bits),
+    /// Whole signal from a narrow value, already masked to the store
+    /// width (the bytecode backend's `u64` path: no pooled `Bits`).
+    SigN(SigId, u64),
     /// Bit range `[lo +: width]` of a signal.
     Slice(SigId, u32, Bits),
     /// One memory element.
@@ -882,8 +944,8 @@ pub(crate) struct CExec<'a> {
     pub scratch: &'a mut EvalScratch,
     /// `Some` in clocked context: nonblocking writes defer here.
     pub nb: Option<&'a mut Vec<CNbWrite>>,
-    /// `Some((sink, time, cycle))` in clocked context: `$display` records.
-    pub logs: Option<(&'a mut Vec<LogRecord>, u64, u64)>,
+    /// `Some` in clocked context: `$display` records stage here.
+    pub logs: Option<&'a mut LogSink>,
     pub for_cap: u64,
     pub changed: &'a mut Vec<SigId>,
     /// Fault-injection pins: writes to these signals are discarded.
@@ -996,17 +1058,13 @@ impl CExec<'_> {
                 args,
                 signs,
             } => {
-                if let Some((sink, time, cycle)) = &mut self.logs {
+                if let Some(sink) = &mut self.logs {
                     let mut vals = Vec::new();
                     for a in args {
                         vals.push(eval(self.state, a)?);
                     }
                     let message = crate::format::render_signed(format, &vals, signs);
-                    sink.push(LogRecord {
-                        time: *time,
-                        cycle: *cycle,
-                        message,
-                    });
+                    sink.stage(message);
                 }
                 Ok(Flow::Continue)
             }
@@ -1015,16 +1073,27 @@ impl CExec<'_> {
         }
     }
 
+    /// Whether `id` is fault-pinned, counting the discarded write as a
+    /// force hit when it is.
+    #[inline]
+    pub fn pinned(&mut self, id: SigId) -> bool {
+        let Some(f) = self.forced else {
+            return false;
+        };
+        if !f.contains_key(&id) {
+            return false;
+        }
+        if let Some(c) = self.counters.as_deref_mut() {
+            c.force_hits += 1;
+        }
+        true
+    }
+
     /// Sets a scalar, recording the change for the scheduler. Writes to
     /// forced (fault-pinned) signals are discarded.
     fn set_sig(&mut self, id: SigId, value: &Bits) {
-        if let Some(f) = self.forced {
-            if f.contains_key(&id) {
-                if let Some(c) = self.counters.as_deref_mut() {
-                    c.force_hits += 1;
-                }
-                return;
-            }
+        if self.pinned(id) {
+            return;
         }
         if self.state.set_id(id, value) {
             self.changed.push(id);
@@ -1057,17 +1126,13 @@ impl CExec<'_> {
                 self.set_sig(id, &v);
                 self.scratch.put(v);
             }
-            CNbWrite::Slice(id, lo, v) => {
-                if let Some(f) = self.forced {
-                    if f.contains_key(&id) {
-                        if let Some(c) = self.counters.as_deref_mut() {
-                            c.force_hits += 1;
-                        }
-                        self.scratch.put(v);
-                        return;
-                    }
+            CNbWrite::SigN(id, v) => {
+                if !self.pinned(id) && self.state.set_id_u64(id, v) {
+                    self.changed.push(id);
                 }
-                if self.state.splice_id(id, lo, &v) {
+            }
+            CNbWrite::Slice(id, lo, v) => {
+                if !self.pinned(id) && self.state.splice_id(id, lo, &v) {
                     self.changed.push(id);
                 }
                 self.scratch.put(v);

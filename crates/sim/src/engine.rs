@@ -9,7 +9,7 @@
 //! re-executed.
 
 use crate::bytecode::{lower_unit, BcProgram, NO_PROMOTION};
-use crate::compile::{eval_into, CExec, CNbWrite, Compiled, EvalScratch, Flow};
+use crate::compile::{eval_into, CExec, CNbWrite, Compiled, EvalScratch, Flow, LogSink};
 use crate::eval::eval_expr;
 use crate::sched::{build_schedule, Schedule};
 use crate::state::{RegInit, SimState};
@@ -17,8 +17,7 @@ use crate::{Blackbox, BlackboxFactory, LogRecord, SimError};
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::{Design, SigId};
 use hwdbg_obs::SimCounters;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Combinational settling strategy.
@@ -395,16 +394,13 @@ pub struct Simulator {
     changed_scratch: Vec<SigId>,
     /// Reusable `Bits` temporaries + resolved-write buffer for evaluation.
     scratch: EvalScratch,
-    /// Settle work-list: a min-heap of unit indices (lowest first, matching
-    /// full-pass sweep order) with `queued` dedup flags — together they
-    /// behave like an ordered set without per-settle allocation.
-    settle_heap: BinaryHeap<Reverse<u32>>,
-    /// Per unit: currently sitting in `settle_heap`.
-    queued: Vec<bool>,
+    /// Settle work-list: the ordered set of queued unit (or levelized
+    /// node) indices, popped lowest first to match full-pass sweep order.
+    worklist: Worklist,
     /// Nonblocking-write queue reused across steps.
     nb_scratch: Vec<CNbWrite>,
-    /// `$display` record buffer reused across steps.
-    logs_scratch: Vec<LogRecord>,
+    /// `$display` staging, render buffer, and recycled message buffers.
+    log_sink: LogSink,
     /// Per blackbox: its input port map, keys prebuilt at compile time and
     /// values refreshed in place before each eval/tick.
     bb_input_scratch: Vec<BTreeMap<String, Bits>>,
@@ -573,10 +569,9 @@ impl Simulator {
             force_full: true,
             changed_scratch: Vec::with_capacity(n_sigs),
             scratch,
-            settle_heap: BinaryHeap::with_capacity(n_units),
-            queued: vec![false; n_units],
+            worklist: Worklist::new(n_units),
             nb_scratch: Vec::with_capacity(16),
-            logs_scratch: Vec::new(),
+            log_sink: LogSink::default(),
             bb_input_scratch,
             forces: BTreeMap::new(),
             region_demoted: vec![0; n_regions],
@@ -1085,20 +1080,17 @@ impl Simulator {
     /// `max_comb_iters × n_units`, so combinational loops are still caught.
     fn settle_event(&mut self) -> Result<(), SimError> {
         let n_units = self.shared.compiled.n_units() as u32;
-        // The heap + `queued` flags act as an ordered set of unit indices:
-        // a unit sits in the heap at most once, and pops come lowest-first.
-        // Both live on the simulator, so settling allocates nothing. The
-        // reset guards against stale entries left by an aborted settle.
-        self.settle_heap.clear();
-        self.queued.fill(false);
+        // The worklist lives on the simulator, so settling allocates
+        // nothing. The reset guards against stale entries left by an
+        // aborted settle.
+        self.worklist.clear();
         // Push counts accumulate in a local and flush to the counters once
         // at the end, so the loop itself carries no metrics branch.
         let mut pushes = 0u64;
         let was_full = self.force_full;
         if self.force_full {
             for u in 0..n_units {
-                self.settle_heap.push(Reverse(u));
-                self.queued[u as usize] = true;
+                self.worklist.insert(u);
             }
             pushes += u64::from(n_units);
         } else {
@@ -1107,20 +1099,14 @@ impl Simulator {
                 let readers = &self.shared.compiled.readers[id.index()];
                 pushes += readers.len() as u64;
                 for &u in readers {
-                    if !self.queued[u as usize] {
-                        self.queued[u as usize] = true;
-                        self.settle_heap.push(Reverse(u));
-                    }
+                    self.worklist.insert(u);
                 }
             }
             self.dirty_sigs = dirty;
             pushes += self.dirty_units.len() as u64;
             let units = std::mem::take(&mut self.dirty_units);
             for &u in &units {
-                if !self.queued[u as usize] {
-                    self.queued[u as usize] = true;
-                    self.settle_heap.push(Reverse(u));
-                }
+                self.worklist.insert(u);
             }
             self.dirty_units = units;
         }
@@ -1136,8 +1122,7 @@ impl Simulator {
         let tail_start = budget.saturating_sub(u64::from(n_units.max(1)));
         let mut unstable: BTreeSet<SigId> = BTreeSet::new();
         let mut runs = 0u64;
-        while let Some(Reverse(u)) = self.settle_heap.pop() {
-            self.queued[u as usize] = false;
+        while let Some(u) = self.worklist.pop() {
             runs += 1;
             if runs > budget {
                 return Err(self.comb_loop_error(unstable));
@@ -1157,10 +1142,7 @@ impl Simulator {
                 let readers = &self.shared.compiled.readers[id.index()];
                 pushes += readers.len() as u64;
                 for &ru in readers {
-                    if !self.queued[ru as usize] {
-                        self.queued[ru as usize] = true;
-                        self.settle_heap.push(Reverse(ru));
-                    }
+                    self.worklist.insert(ru);
                 }
             }
             self.changed_scratch = changed;
@@ -1191,14 +1173,12 @@ impl Simulator {
         let n_units = shared.compiled.n_units() as u32;
         let n_regions = sched.regions.len() as u32;
         let n_nodes = sched.n_nodes() as u32;
-        self.settle_heap.clear();
-        self.queued.fill(false);
+        self.worklist.clear();
         let mut pushes = 0u64;
         let was_full = self.force_full;
         if self.force_full {
             for nd in 0..n_nodes {
-                self.settle_heap.push(Reverse(nd));
-                self.queued[nd as usize] = true;
+                self.worklist.insert(nd);
             }
             pushes += u64::from(n_nodes);
         } else {
@@ -1207,21 +1187,14 @@ impl Simulator {
                 let readers = &sched.node_readers[id.index()];
                 pushes += readers.len() as u64;
                 for &nd in readers {
-                    if !self.queued[nd as usize] {
-                        self.queued[nd as usize] = true;
-                        self.settle_heap.push(Reverse(nd));
-                    }
+                    self.worklist.insert(nd);
                 }
             }
             self.dirty_sigs = dirty;
             pushes += self.dirty_units.len() as u64;
             let units = std::mem::take(&mut self.dirty_units);
             for &u in &units {
-                let nd = sched.unit_node[u as usize];
-                if !self.queued[nd as usize] {
-                    self.queued[nd as usize] = true;
-                    self.settle_heap.push(Reverse(nd));
-                }
+                self.worklist.insert(sched.unit_node[u as usize]);
             }
             self.dirty_units = units;
         }
@@ -1235,8 +1208,7 @@ impl Simulator {
         let mut unstable: BTreeSet<SigId> = BTreeSet::new();
         let mut runs = 0u64;
         let mut region_pops = 0u64;
-        while let Some(Reverse(nd)) = self.settle_heap.pop() {
-            self.queued[nd as usize] = false;
+        while let Some(nd) = self.worklist.pop() {
             let is_region = nd < n_regions;
             let prev_runs = runs;
             runs += if is_region {
@@ -1275,10 +1247,7 @@ impl Simulator {
                     if is_region && rn == nd {
                         continue;
                     }
-                    if !self.queued[rn as usize] {
-                        self.queued[rn as usize] = true;
-                        self.settle_heap.push(Reverse(rn));
-                    }
+                    self.worklist.insert(rn);
                 }
             }
             self.changed_scratch = changed;
@@ -1379,8 +1348,9 @@ impl Simulator {
         };
 
         let mut nb = std::mem::take(&mut self.nb_scratch);
-        let mut new_logs = std::mem::take(&mut self.logs_scratch);
-        debug_assert!(nb.is_empty() && new_logs.is_empty());
+        debug_assert!(nb.is_empty() && self.log_sink.staged.is_empty());
+        self.log_sink.time = self.time;
+        self.log_sink.cycle = cycle;
         let mut finished = false;
         for &pi in &plan.procs {
             let body = &self.shared.compiled.procs[pi].body;
@@ -1392,7 +1362,7 @@ impl Simulator {
                 state: &mut self.state,
                 scratch: &mut self.scratch,
                 nb: Some(&mut nb),
-                logs: Some((&mut new_logs, self.time, cycle)),
+                logs: Some(&mut self.log_sink),
                 for_cap: self.config.for_cap,
                 changed: &mut self.dirty_sigs,
                 forced: forced_view(&self.forces),
@@ -1437,10 +1407,11 @@ impl Simulator {
         }
         self.nb_scratch = nb;
 
-        for rec in new_logs.drain(..) {
+        let mut staged = std::mem::take(&mut self.log_sink.staged);
+        for rec in staged.drain(..) {
             self.push_log(rec);
         }
-        self.logs_scratch = new_logs;
+        self.log_sink.staged = staged;
         if finished {
             self.finished = true;
         }
@@ -1461,7 +1432,8 @@ impl Simulator {
     }
 
     /// Appends one `$display` record, evicting the oldest visible record
-    /// once `log_capacity` are retained.
+    /// once `log_capacity` are retained. Compaction hands the evicted
+    /// records' message buffers back to the log sink for reuse.
     fn push_log(&mut self, rec: LogRecord) {
         let cap = self.config.log_capacity;
         if self.logs.len() - self.log_start >= cap {
@@ -1471,7 +1443,9 @@ impl Simulator {
             }
             self.log_start += 1;
             if self.log_start >= cap {
-                self.logs.drain(..self.log_start);
+                for old in self.logs.drain(..self.log_start) {
+                    self.log_sink.recycle(old.message, cap);
+                }
                 self.log_start = 0;
             }
         }
@@ -1618,7 +1592,7 @@ impl Simulator {
         self.config = config;
         self.logs.clear();
         self.log_start = 0;
-        self.logs_scratch.clear();
+        self.log_sink.staged.clear();
         self.nb_scratch.clear();
         self.dropped_logs = 0;
         self.time = 0;
@@ -1686,6 +1660,52 @@ impl Simulator {
         Err(SimError::Watchdog {
             cycles: max_cycles,
         })
+    }
+}
+
+/// An ordered set of unit (or node) indices: a bitset plus a cursor at
+/// the lowest word that may hold a member. [`pop`](Self::pop) takes the
+/// lowest member, so a settle pops in exactly the order a min-heap with
+/// dedup flags would, without the heap's sift costs.
+struct Worklist {
+    words: Vec<u64>,
+    /// Every word below this index is zero.
+    low: usize,
+}
+
+impl Worklist {
+    /// An empty set over indices `0..n`.
+    fn new(n: usize) -> Self {
+        let words = vec![0; n.div_ceil(64)];
+        let low = words.len();
+        Worklist { words, low }
+    }
+
+    fn clear(&mut self) {
+        self.words[self.low..].fill(0);
+        self.low = self.words.len();
+    }
+
+    /// Adds `i`; a member already queued stays queued once.
+    #[inline]
+    fn insert(&mut self, i: u32) {
+        let w = (i / 64) as usize;
+        self.words[w] |= 1 << (i % 64);
+        self.low = self.low.min(w);
+    }
+
+    /// Removes and returns the lowest member.
+    #[inline]
+    fn pop(&mut self) -> Option<u32> {
+        while let Some(word) = self.words.get_mut(self.low) {
+            if *word != 0 {
+                let bit = word.trailing_zeros();
+                *word &= *word - 1;
+                return Some(self.low as u32 * 64 + bit);
+            }
+            self.low += 1;
+        }
+        None
     }
 }
 

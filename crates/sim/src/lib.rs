@@ -203,6 +203,15 @@ pub enum SimError {
         /// The legal depth (memories) or width (vectors).
         depth: u64,
     },
+    /// A `$display` directive requests a field width above
+    /// [`format::MAX_FIELD_WIDTH`] (or one too large to parse). Raised when
+    /// the design compiles, before any cycle runs.
+    FieldWidth {
+        /// The whole format string.
+        format: String,
+        /// The offending width, as written.
+        width: String,
+    },
     /// A fault plan names an impossible target (unknown signal, bit out of
     /// range, value wider than the signal).
     BadFault(String),
@@ -255,6 +264,11 @@ impl fmt::Display for SimError {
                 f,
                 "out-of-bounds access to `{signal}`: index {index}, depth {depth}"
             ),
+            SimError::FieldWidth { format, width } => write!(
+                f,
+                "$display format {format:?} requests field width {width}, above the limit of {}",
+                format::MAX_FIELD_WIDTH
+            ),
             SimError::BadFault(m) => write!(f, "invalid fault: {m}"),
             SimError::Internal(m) => write!(f, "internal simulator error: {m}"),
         }
@@ -283,6 +297,7 @@ impl From<SimError> for hwdbg_diag::HwdbgError {
             SimError::OutOfBounds { signal, .. } => {
                 (ErrorCode::OutOfBounds, vec![signal.clone()])
             }
+            SimError::FieldWidth { .. } => (ErrorCode::FieldWidth, vec![]),
             SimError::BadFault(_) => (ErrorCode::BadFaultPlan, vec![]),
             SimError::Internal(_) => (ErrorCode::Internal, vec![]),
         };

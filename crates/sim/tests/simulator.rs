@@ -553,6 +553,47 @@ fn log_capacity_drops_oldest() {
     assert_eq!(messages(&s), expect(0, 2));
 }
 
+/// `$display` field widths come from RTL source: an unbounded one used to
+/// pad every record to its width (20 MB per record for `%20000000d`). The
+/// design is now refused at compile time, under every backend, before any
+/// cycle runs — while ordinary widths render as before.
+#[test]
+fn display_field_width_is_bounded_at_compile_time() {
+    use hwdbg_sim::Backend;
+    let design_with = |fmt: &str| {
+        let src = format!(
+            "module m(input clk, input [7:0] a);
+                always @(posedge clk) $display(\"{fmt}\", a, a, a);
+             endmodule"
+        );
+        elaborate(&parse(&src).unwrap(), "m", &NoBlackboxes).unwrap()
+    };
+    for backend in [Backend::Tree, Backend::Bytecode, Backend::Levelized] {
+        let config = SimConfig::default().with_backend(backend);
+        for (fmt, width) in [
+            ("v=%20000000d", "20000000"),
+            ("v=%2000000000d", "2000000000"),
+            ("%0d %99999999999999999999999h", "99999999999999999999999"),
+        ] {
+            let err = Simulator::new(design_with(fmt), &NoModels, config.clone()).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::FieldWidth {
+                    format: fmt.to_owned(),
+                    width: width.to_owned(),
+                }
+            );
+            let diag = hwdbg_diag::HwdbgError::from(err);
+            assert_eq!(diag.code.as_str(), "E0409");
+            assert!(diag.message.contains(fmt), "{}", diag.message);
+        }
+        let mut s = Simulator::new(design_with("[%0d|%5d|%05t]"), &NoModels, config).unwrap();
+        s.poke_u64("a", 42).unwrap();
+        s.step("clk").unwrap();
+        assert_eq!(s.logs()[0].message, "[42|   42|00042]");
+    }
+}
+
 #[test]
 fn poke_and_peek_unknown_signal_error() {
     let mut s = sim(

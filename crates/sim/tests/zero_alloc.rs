@@ -253,8 +253,8 @@ fn shared_compiled_design_steady_state_allocates_nothing() {
 /// register files (narrow `u64`s and pre-spilled wide `Bits`) are sized
 /// once at build time, its `$display` path is only reached when a log
 /// sink is attached, wide-register moves recycle the same heap buffers,
-/// and the levelized dispatcher's node heap and region programs are all
-/// compile-time artifacts — so per-cycle allocations stay at zero under
+/// and the levelized dispatcher's node worklist and region programs are
+/// all compile-time artifacts — so per-cycle allocations stay at zero under
 /// any backend. (The other tests in this file run the default backend;
 /// this one pins all of them down even if the default changes.)
 #[test]
@@ -286,7 +286,7 @@ fn all_backends_steady_state_allocate_nothing() {
 /// levelized backend, with the schedule asserted non-trivial (one region,
 /// promoted internal links) so an accidentally-empty schedule cannot pass
 /// by falling back to the worklist. Region programs, pinned registers,
-/// and the node heap are all sized at compile time; running a region is a
+/// and the node worklist bitset are all sized at compile time; running a region is a
 /// single straight-line interpreter pass with blind flushes — nothing in
 /// it may allocate.
 #[test]
@@ -370,4 +370,56 @@ fn bytecode_wide_settle_allocates_nothing() {
         allocs, 0,
         "bytecode wide settle allocated {allocs} times over 1000 settles"
     );
+}
+
+/// `$display` on every cycle into a small log: narrow and wide, signed and
+/// unsigned arguments through every directive. Production backends render
+/// each record in place into one reusable buffer and copy it into an
+/// exact-length message; once the log has compacted, new records reuse
+/// the evicted records' message buffers, so a full log allocates nothing.
+/// Field widths are fixed so every message has the same length.
+#[test]
+fn display_heavy_full_log_allocates_nothing() {
+    use hwdbg_sim::Backend;
+    let src = "module m(input clk, input [15:0] d, output reg [15:0] n,
+                        output reg [95:0] acc, output reg signed [7:0] s);
+                 always @(posedge clk) begin
+                   n <= n + 16'd1;
+                   acc <= {acc[79:0], d} ^ {d, 80'd12345};
+                   s <= s - 8'd3;
+                   $display(\"n=%d d=%h acc=%d/%h s=%4d %b %c %5t %%\",
+                            n, d, acc, acc, s, d[3:0], 8'd65, n);
+                 end
+               endmodule";
+    for backend in [Backend::Bytecode, Backend::Levelized] {
+        let design = hwdbg_dataflow::elaborate(
+            &hwdbg_rtl::parse(src).unwrap(),
+            "m",
+            &hwdbg_dataflow::NoBlackboxes,
+        )
+        .unwrap();
+        let mut config = SimConfig::default().with_backend(backend);
+        config.log_capacity = 64;
+        let mut sim = Simulator::new(design, &hwdbg_sim::NoModels, config).unwrap();
+        let (lowered, total) = sim.compiled_design().lowering_coverage();
+        assert_eq!(lowered, total, "the display process must lower");
+        // Warmup: past the first compaction (2 × capacity records), so
+        // the message pool is stocked.
+        for t in 0..200u64 {
+            sim.poke_u64("d", t.wrapping_mul(0x9E37)).unwrap();
+            sim.step("clk").unwrap();
+        }
+        let before = thread_allocs();
+        for t in 200..1200u64 {
+            sim.poke_u64("d", t.wrapping_mul(0x9E37)).unwrap();
+            sim.step("clk").unwrap();
+        }
+        let allocs = thread_allocs() - before;
+        assert_eq!(sim.logs().len(), 64);
+        assert_eq!(sim.dropped_logs(), 1200 - 64);
+        assert_eq!(
+            allocs, 0,
+            "{backend:?} display-heavy steady state allocated {allocs} times over 1000 cycles"
+        );
+    }
 }
