@@ -33,8 +33,8 @@ struct PanicBomb {
 }
 
 impl Blackbox for PanicBomb {
-    fn eval(&mut self, _inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
-        BTreeMap::new()
+    fn eval_port(&mut self, _port: &str, _inputs: &BTreeMap<String, Bits>, _out: &mut Bits) -> bool {
+        false
     }
 
     fn tick(&mut self, _clock_port: &str, _inputs: &BTreeMap<String, Bits>) {

@@ -10,6 +10,22 @@ use hwdbg_bits::Bits;
 use hwdbg_rtl::{Dir, Edge, EventControl, Expr, Item, LValue, Module, SourceFile, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Why [`Design::width_of`] could not compute an expression's width.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WidthError {
+    /// A name that is neither a signal nor a constant of the design.
+    UnknownName(String),
+    /// A part-select bound or replication count that is not constant.
+    NonConstBound,
+    /// A part-select whose constant bounds are reversed (`lsb > msb`).
+    ReversedRange {
+        /// The value written in the msb position.
+        msb: u64,
+        /// The (larger) value written in the lsb position.
+        lsb: u64,
+    },
+}
+
 /// Role of a signal in the resolved design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SigKind {
@@ -138,34 +154,55 @@ impl Design {
     /// Computes the static width of an expression in this design, following
     /// Verilog's pragmatic rules: binary arithmetic/bitwise take the wider
     /// operand, comparisons and logical operators are 1 bit, shifts keep the
-    /// left width. Returns `None` for unknown names or non-constant bounds.
+    /// left width. Returns `None` for unknown names or non-constant or
+    /// reversed bounds; [`width_of`](Self::width_of) says which.
     pub fn expr_width(&self, e: &Expr) -> Option<u32> {
+        self.width_of(e).ok()
+    }
+
+    /// [`expr_width`](Self::expr_width) with the reason it failed.
+    ///
+    /// # Errors
+    ///
+    /// The first unknown name, non-constant bound or replication count, or
+    /// reversed part-select met in evaluation order.
+    pub fn width_of(&self, e: &Expr) -> Result<u32, WidthError> {
         use hwdbg_rtl::{BinaryOp, UnaryOp};
-        Some(match e {
+        let constant = |b: &Expr| {
+            eval_const(b, &self.consts)
+                .map(|v| v.to_u64())
+                .map_err(|_| WidthError::NonConstBound)
+        };
+        Ok(match e {
             Expr::Literal { value, .. } => value.width(),
             Expr::Ident(n) => {
                 if let Some(sig) = self.signals.get(n) {
                     sig.width
+                } else if let Some(c) = self.consts.get(n) {
+                    c.width()
                 } else {
-                    self.consts.get(n)?.width()
+                    return Err(WidthError::UnknownName(n.clone()));
                 }
             }
             Expr::Unary(op, inner) => match op {
-                UnaryOp::Not | UnaryOp::Neg => self.expr_width(inner)?,
+                UnaryOp::Not | UnaryOp::Neg => self.width_of(inner)?,
                 _ => 1,
             },
             Expr::Binary(op, l, r) => {
                 if op.is_boolean() {
                     1
                 } else if matches!(op, BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr) {
-                    self.expr_width(l)?
+                    self.width_of(l)?
                 } else {
-                    self.expr_width(l)?.max(self.expr_width(r)?)
+                    self.width_of(l)?.max(self.width_of(r)?)
                 }
             }
-            Expr::Ternary(_, t, f) => self.expr_width(t)?.max(self.expr_width(f)?),
+            Expr::Ternary(_, t, f) => self.width_of(t)?.max(self.width_of(f)?),
             Expr::Index(n, _) => {
-                let sig = self.signals.get(n)?;
+                let sig = self
+                    .signals
+                    .get(n)
+                    .ok_or_else(|| WidthError::UnknownName(n.clone()))?;
                 if sig.mem_depth.is_some() {
                     sig.width
                 } else {
@@ -173,26 +210,23 @@ impl Design {
                 }
             }
             Expr::Range(_, msb, lsb) => {
-                let m = eval_const(msb, &self.consts).ok()?.to_u64();
-                let l = eval_const(lsb, &self.consts).ok()?.to_u64();
+                let m = constant(msb)?;
+                let l = constant(lsb)?;
                 if l > m {
-                    return None;
+                    return Err(WidthError::ReversedRange { msb: m, lsb: l });
                 }
                 (m - l + 1) as u32
             }
             Expr::Concat(parts) => {
                 let mut sum = 0;
                 for p in parts {
-                    sum += self.expr_width(p)?;
+                    sum += self.width_of(p)?;
                 }
                 sum
             }
-            Expr::Repeat(n, body) => {
-                let count = eval_const(n, &self.consts).ok()?.to_u64() as u32;
-                count * self.expr_width(body)?
-            }
+            Expr::Repeat(n, body) => constant(n)? as u32 * self.width_of(body)?,
             Expr::WidthCast(w, _) => *w,
-            Expr::SignCast(_, inner) => self.expr_width(inner)?,
+            Expr::SignCast(_, inner) => self.width_of(inner)?,
         })
     }
 

@@ -44,7 +44,9 @@ pub mod scc;
 
 pub use blackbox::{BbDir, BbPort, BlackboxLib, BlackboxSpec, IpRelation, NoBlackboxes, WidthSpec, clog2};
 pub use consteval::{apply_binary, apply_binary_into, eval_const, range_width, shift_amount, ConstEnv};
-pub use design::{elaborate, resolve, BbInst, ClockedProc, CombDriver, Design, SigInfo, SigKind};
+pub use design::{
+    elaborate, resolve, BbInst, ClockedProc, CombDriver, Design, SigInfo, SigKind, WidthError,
+};
 pub use intern::{SigId, SignalTable};
 pub use flatten::{expr_to_lvalue, flatten};
 pub use prop::{cond_leaves, BuildStats, CondLeaf, DepKind, PropGraph, Relation};

@@ -214,6 +214,14 @@ impl BlackboxFactory for StdModels {
     }
 }
 
+/// The value `model` drives on output `port` with no inputs connected.
+#[cfg(test)]
+fn output(model: &mut dyn Blackbox, port: &str) -> hwdbg_bits::Bits {
+    let mut v = hwdbg_bits::Bits::default();
+    assert!(model.eval_port(port, &BTreeMap::new(), &mut v), "no output `{port}`");
+    v
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -39,14 +39,6 @@ impl Altsyncram {
 }
 
 impl Blackbox for Altsyncram {
-    fn eval(&mut self, inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
-        let mut out = BTreeMap::new();
-        let mut v = Bits::default();
-        self.eval_port("q", inputs, &mut v);
-        out.insert("q".into(), v);
-        out
-    }
-
     fn eval_port(&mut self, port: &str, _inputs: &BTreeMap<String, Bits>, out: &mut Bits) -> bool {
         match port {
             "q" => {
@@ -99,6 +91,7 @@ impl Blackbox for Altsyncram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output;
 
     #[test]
     fn write_then_read() {
@@ -114,7 +107,7 @@ mod tests {
         let mut r = BTreeMap::new();
         r.insert("rdaddress".into(), Bits::from_u64(3, 5));
         ram.tick("clock0", &r);
-        assert_eq!(ram.eval(&BTreeMap::new())["q"].to_u64(), 0xCAFE);
+        assert_eq!(output(&mut ram, "q").to_u64(), 0xCAFE);
     }
 
     #[test]
@@ -129,9 +122,9 @@ mod tests {
         rw.insert("rdaddress".into(), Bits::from_u64(2, 1));
         rw.insert("data".into(), Bits::from_u64(8, 0x42));
         ram.tick("clock0", &rw);
-        assert_eq!(ram.eval(&BTreeMap::new())["q"].to_u64(), 0); // old data
+        assert_eq!(output(&mut ram, "q").to_u64(), 0); // old data
         ram.tick("clock0", &rw);
-        assert_eq!(ram.eval(&BTreeMap::new())["q"].to_u64(), 0x42);
+        assert_eq!(output(&mut ram, "q").to_u64(), 0x42);
     }
 
     #[test]

@@ -92,16 +92,6 @@ impl TraceBuffer {
 }
 
 impl Blackbox for TraceBuffer {
-    fn eval(&mut self, inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
-        let mut out = BTreeMap::new();
-        for port in ["full", "count"] {
-            let mut v = Bits::default();
-            self.eval_port(port, inputs, &mut v);
-            out.insert(port.into(), v);
-        }
-        out
-    }
-
     fn eval_port(&mut self, port: &str, _inputs: &BTreeMap<String, Bits>, out: &mut Bits) -> bool {
         match port {
             "full" => out.set_bool(self.entries.len() >= self.depth),

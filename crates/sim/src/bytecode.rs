@@ -1,5 +1,6 @@
-//! Bytecode backend: flat register-machine programs lowered from the
-//! compiled schedule.
+//! Bytecode: flat register-machine programs lowered from the compiled
+//! schedule, the unit-body evaluator of [`Backend::Levelized`]
+//! (`crate::Backend::Levelized`).
 //!
 //! The tree-walker in [`crate::compile`] pays a match dispatch and a `Box`
 //! pointer chase per AST node on every settle. This module lowers each
@@ -29,8 +30,8 @@
 //! width cannot be proven (non-constant part-select bounds, non-constant
 //! replication counts, empty concats, nested concat lvalues) returns
 //! `None` and the whole unit keeps the tree-walker — the differential
-//! suite (`crates/sim/tests/backend_differential.rs`) proves the two
-//! backends byte-identical either way.
+//! suite (`crates/sim/tests/backend_differential.rs`) holds both evaluators
+//! byte-identical to the tree-walker reference either way.
 
 use crate::compile::{CCaseArm, CExec, CExpr, CLValue, CNbWrite, CStmt, EvalScratch, Flow};
 use crate::eval::{apply_binary_signed_into, effective_mem_addr};

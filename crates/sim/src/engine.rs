@@ -7,10 +7,16 @@
 //! [`SettleMode`]): after the initial full evaluation, only drivers whose
 //! read-set intersects the signals written since their last run are
 //! re-executed.
+//!
+//! There is one event-driven scheduler, the levelized node worklist of
+//! [`crate::sched`], and one reference evaluator, the `CExpr` tree-walker.
+//! [`Backend::Tree`] runs the tree-walker on the same node schedule with
+//! every fused region demoted to per-unit execution; [`SettleMode::FullPass`]
+//! is the scheduling oracle. `Tree` + `FullPass` therefore shares neither
+//! the evaluator nor the scheduler with the production path.
 
 use crate::bytecode::{lower_unit, BcProgram, NO_PROMOTION};
 use crate::compile::{eval_into, CExec, CNbWrite, Compiled, EvalScratch, Flow, LogSink};
-use crate::eval::eval_expr;
 use crate::sched::{build_schedule, Schedule};
 use crate::state::{RegInit, SimState};
 use crate::{Blackbox, BlackboxFactory, LogRecord, SimError};
@@ -36,29 +42,25 @@ pub enum SettleMode {
 
 /// Execution backend for compiled unit bodies.
 ///
-/// Both backends run the same compiled schedule and are observably
+/// Both backends run the same levelized node schedule and are observably
 /// identical (the differential suite in
 /// `crates/sim/tests/backend_differential.rs` holds them to byte-identical
 /// verdicts, logs, and waveforms); they differ only in how a unit body
 /// executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Walk the `CStmt`/`CExpr` tree directly. The reference
-    /// implementation — simplest possible execution, kept for
-    /// differential testing and as a fallback.
+    /// Walk the `CStmt`/`CExpr` tree directly. The reference evaluator:
+    /// every fused region stays demoted, so its members run one unit at a
+    /// time, in rank order, exactly as a force-demoted region runs under
+    /// [`Backend::Levelized`].
     Tree,
-    /// Execute flat register-machine bytecode lowered from the tree at
-    /// compile time (see [`crate::bytecode`]). Unit bodies that cannot be
-    /// statically lowered (non-constant part-select bounds and the like)
-    /// transparently keep the tree-walker. Settling runs the per-unit
-    /// worklist.
-    Bytecode,
     /// Bytecode execution under the levelized static schedule (see
     /// [`crate::sched`]): acyclic comb regions run as fused straight-line
     /// programs in topological rank order — no worklist inside a region,
     /// region-internal signals promoted to registers — while cyclic
-    /// regions and un-lowerable units keep the worklist fallback. This is
-    /// the production backend.
+    /// regions and the remaining units pop from the worklist one at a time,
+    /// each on its per-unit program (or the tree-walker, for bodies that
+    /// could not be lowered). This is the production backend.
     #[default]
     Levelized,
 }
@@ -79,7 +81,8 @@ pub struct SimConfig {
     pub log_capacity: usize,
     /// Combinational scheduling strategy.
     pub settle_mode: SettleMode,
-    /// Unit-body execution backend (bytecode by default; see [`Backend`]).
+    /// Unit-body execution backend (levelized bytecode by default; see
+    /// [`Backend`]).
     pub backend: Backend,
     /// When true, out-of-bounds memory and bit writes raise
     /// [`SimError::OutOfBounds`] instead of being silently dropped.
@@ -106,9 +109,10 @@ pub struct SimConfig {
     pub deadline: Option<std::time::Instant>,
 }
 
-/// A settle checks the deadline whenever `runs & DEADLINE_CHECK_MASK == 0`:
-/// every 1024 unit executions, a few microseconds of work even in debug
-/// builds, so deadline precision stays far below any sane budget.
+/// A settle checks the deadline whenever its unit-execution count crosses a
+/// multiple of `DEADLINE_CHECK_MASK + 1`: every 1024 unit executions, a few
+/// microseconds of work even in debug builds, so deadline precision stays
+/// far below any sane budget.
 pub const DEADLINE_CHECK_MASK: u64 = 0x3FF;
 
 impl Default for SimConfig {
@@ -192,16 +196,13 @@ pub struct CompiledDesign {
     comb_progs: Vec<Option<BcProgram>>,
     /// Per clocked process: its lowered bytecode (same fallback rule).
     proc_progs: Vec<Option<BcProgram>>,
-    /// Register-file sizes needed by the largest lowered program, for
-    /// pre-sizing each simulator's [`EvalScratch`] once at build time.
-    bc_narrow: usize,
-    bc_wide: usize,
     /// The levelized static schedule (fused regions + node maps).
     sched: Schedule,
-    /// Register-file maxima including the fused region programs, which
-    /// can exceed any single unit's requirements.
-    lv_narrow: usize,
-    lv_wide: usize,
+    /// Register-file sizes needed by the largest lowered program, per-unit
+    /// or fused region, for pre-sizing each simulator's [`EvalScratch`]
+    /// once at build time.
+    n_narrow: usize,
+    n_wide: usize,
     /// Per-clock stepping plans, one per declared scalar signal.
     plans: BTreeMap<String, Arc<ClockPlan>>,
     /// Plan returned for names that are not declared scalars: no edge
@@ -256,16 +257,12 @@ impl CompiledDesign {
             .iter()
             .map(|p| lower_unit(&p.body, &sig_width, &mem_width))
             .collect();
-        let (mut bc_narrow, mut bc_wide) = (0, 0);
-        for prog in comb_progs.iter().chain(&proc_progs).flatten() {
-            bc_narrow = bc_narrow.max(prog.n_narrow);
-            bc_wide = bc_wide.max(prog.n_wide);
-        }
         let sched = build_schedule(&compiled, &comb_progs, &sig_width, &mem_width);
-        let (mut lv_narrow, mut lv_wide) = (bc_narrow, bc_wide);
-        for region in &sched.regions {
-            lv_narrow = lv_narrow.max(region.prog.n_narrow);
-            lv_wide = lv_wide.max(region.prog.n_wide);
+        let (mut n_narrow, mut n_wide) = (0, 0);
+        let unit_progs = comb_progs.iter().chain(&proc_progs).flatten();
+        for prog in unit_progs.chain(sched.regions.iter().map(|r| &r.prog)) {
+            n_narrow = n_narrow.max(prog.n_narrow);
+            n_wide = n_wide.max(prog.n_wide);
         }
         let mut plans = BTreeMap::new();
         for (name, sig) in &design.signals {
@@ -306,11 +303,9 @@ impl CompiledDesign {
             max_width,
             comb_progs,
             proc_progs,
-            bc_narrow,
-            bc_wide,
             sched,
-            lv_narrow,
-            lv_wide,
+            n_narrow,
+            n_wide,
             plans,
             empty_plan: Arc::new(ClockPlan {
                 clock_id: None,
@@ -326,9 +321,9 @@ impl CompiledDesign {
     }
 
     /// `(lowered, total)` unit-body counts: how many comb units and
-    /// clocked processes execute bytecode under [`Backend::Bytecode`]
-    /// (the rest keep the tree-walker). Diagnostics and tests use this to
-    /// prove lowering actually engages on a design.
+    /// clocked processes have a per-unit bytecode program under
+    /// [`Backend::Levelized`] (the rest keep the tree-walker). Diagnostics
+    /// and tests use this to prove lowering actually engages on a design.
     pub fn lowering_coverage(&self) -> (usize, usize) {
         let all = self.comb_progs.iter().chain(&self.proc_progs);
         let total = self.comb_progs.len() + self.proc_progs.len();
@@ -409,9 +404,10 @@ pub struct Simulator {
     /// path pays one `is_empty` check.
     forces: BTreeMap<SigId, Bits>,
     /// Per fused region: number of active forces pinning one of its
-    /// promoted signals. Non-zero demotes the region to per-unit
+    /// promoted signals, plus one standing demotion under
+    /// [`Backend::Tree`]. Non-zero demotes the region to per-unit
     /// execution (whose stores honor the force map); zero in fault-free
-    /// runs, so the fused path pays one load.
+    /// levelized runs, so the fused path pays one load.
     region_demoted: Vec<u32>,
     /// Hot-path event counters, allocated only when [`SimConfig::metrics`]
     /// is set. `None` keeps the disabled path to one branch per site.
@@ -526,15 +522,8 @@ impl Simulator {
         let state = SimState::new(design, config.init);
         let config_metrics = config.metrics;
         let mut scratch = EvalScratch::with_max_width(shared.max_width);
-        match config.backend {
-            Backend::Tree => {}
-            Backend::Bytecode => {
-                scratch.size_registers(shared.bc_narrow, shared.bc_wide, shared.max_width);
-            }
-            Backend::Levelized => {
-                scratch.size_registers(shared.lv_narrow, shared.lv_wide, shared.max_width);
-            }
-        }
+        scratch.size_registers(shared.n_narrow, shared.n_wide, shared.max_width);
+        let demoted = standing_demotion(config.backend);
         let n_units = shared.compiled.n_units();
         let n_regions = shared.sched.regions.len();
         let n_sigs = design.table.len();
@@ -574,7 +563,7 @@ impl Simulator {
             log_sink: LogSink::default(),
             bb_input_scratch,
             forces: BTreeMap::new(),
-            region_demoted: vec![0; n_regions],
+            region_demoted: vec![demoted; n_regions],
             counters: if config_metrics {
                 Some(Box::default())
             } else {
@@ -934,7 +923,7 @@ impl Simulator {
                 Backend::Tree => None,
                 // Levelized fallback units (and demoted regions, and the
                 // FullPass sweep) execute the per-unit programs.
-                _ => self.shared.comb_progs[u].as_ref(),
+                Backend::Levelized => self.shared.comb_progs[u].as_ref(),
             };
             let mut exec = CExec {
                 state: &mut self.state,
@@ -1023,12 +1012,11 @@ impl Simulator {
     /// [`SimError::CombLoop`] if no fixpoint is reached within the
     /// configured iteration budget.
     pub fn settle(&mut self) -> Result<(), SimError> {
-        match (self.config.settle_mode, self.config.backend) {
+        match self.config.settle_mode {
             // FullPass sweeps per-unit regardless of backend, so its
             // differential semantics are untouched by region fusion.
-            (SettleMode::FullPass, _) => self.settle_full(),
-            (SettleMode::EventDriven, Backend::Levelized) => self.settle_levelized(),
-            (SettleMode::EventDriven, _) => self.settle_event(),
+            SettleMode::FullPass => self.settle_full(),
+            SettleMode::EventDriven => self.settle_levelized(),
         }
     }
 
@@ -1074,99 +1062,16 @@ impl Simulator {
         }
     }
 
-    /// Dependency-driven settling: a work-list keyed by unit index (lowest
-    /// first, matching full-pass sweep order). A unit is (re)queued when a
-    /// signal in its read-set changes; total unit executions are bounded by
-    /// `max_comb_iters × n_units`, so combinational loops are still caught.
-    fn settle_event(&mut self) -> Result<(), SimError> {
-        let n_units = self.shared.compiled.n_units() as u32;
-        // The worklist lives on the simulator, so settling allocates
-        // nothing. The reset guards against stale entries left by an
-        // aborted settle.
-        self.worklist.clear();
-        // Push counts accumulate in a local and flush to the counters once
-        // at the end, so the loop itself carries no metrics branch.
-        let mut pushes = 0u64;
-        let was_full = self.force_full;
-        if self.force_full {
-            for u in 0..n_units {
-                self.worklist.insert(u);
-            }
-            pushes += u64::from(n_units);
-        } else {
-            let dirty = std::mem::take(&mut self.dirty_sigs);
-            for &id in &dirty {
-                let readers = &self.shared.compiled.readers[id.index()];
-                pushes += readers.len() as u64;
-                for &u in readers {
-                    self.worklist.insert(u);
-                }
-            }
-            self.dirty_sigs = dirty;
-            pushes += self.dirty_units.len() as u64;
-            let units = std::mem::take(&mut self.dirty_units);
-            for &u in &units {
-                self.worklist.insert(u);
-            }
-            self.dirty_units = units;
-        }
-        self.dirty_sigs.clear();
-        self.dirty_units.clear();
-        self.force_full = false;
-
-        let budget = (self.config.max_comb_iters as u64)
-            .saturating_mul(u64::from(n_units.max(1)));
-        // Once the run count enters the final full-pass-equivalent window,
-        // start recording which signals are still flipping so the eventual
-        // CombLoop error can name the oscillating set.
-        let tail_start = budget.saturating_sub(u64::from(n_units.max(1)));
-        let mut unstable: BTreeSet<SigId> = BTreeSet::new();
-        let mut runs = 0u64;
-        while let Some(u) = self.worklist.pop() {
-            runs += 1;
-            if runs > budget {
-                return Err(self.comb_loop_error(unstable));
-            }
-            // The disabled path pays the `is_some` load only; enabled, the
-            // clock is consulted once per 1024 unit executions.
-            if self.config.deadline.is_some() && runs & DEADLINE_CHECK_MASK == 0 {
-                self.check_deadline()?;
-            }
-            self.changed_scratch.clear();
-            self.run_unit(u)?;
-            if runs > tail_start {
-                unstable.extend(self.changed_scratch.iter().copied());
-            }
-            let changed = std::mem::take(&mut self.changed_scratch);
-            for &id in &changed {
-                let readers = &self.shared.compiled.readers[id.index()];
-                pushes += readers.len() as u64;
-                for &ru in readers {
-                    self.worklist.insert(ru);
-                }
-            }
-            self.changed_scratch = changed;
-        }
-        if let Some(c) = &mut self.counters {
-            c.settles += 1;
-            c.units_executed += runs;
-            c.worklist_pushes += pushes;
-            if was_full {
-                c.full_settles += 1;
-            }
-        }
-        Ok(())
-    }
-
     /// Two-tier levelized settling (see [`crate::sched`]): the worklist
     /// ranges over *nodes* — fused acyclic regions first, then fallback
-    /// units. A dirty region executes straight-line in topological rank
-    /// order (one pass is its fixpoint, so its own writes never requeue
-    /// it); cyclic SCCs, un-lowerable units, and blackboxes pop exactly
-    /// like [`settle_event`](Self::settle_event). The budget still counts
-    /// *unit* executions (a region pop charges its member count), so
-    /// `CombLoop` detection and the deadline cadence match the worklist
-    /// backends.
+    /// units, popped lowest first. A dirty region executes in topological
+    /// rank order (one pass is its fixpoint, so its own writes never
+    /// requeue it); cyclic SCCs, un-lowerable units, and blackboxes pop
+    /// one unit at a time and are requeued whenever a signal they read
+    /// changes. The budget counts *unit* executions (a region pop charges
+    /// its member count), so `max_comb_iters × n_units` bounds the work
+    /// exactly as it bounds a full pass, and combinational loops are still
+    /// caught.
     fn settle_levelized(&mut self) -> Result<(), SimError> {
         let shared = Arc::clone(&self.shared);
         let sched = &shared.sched;
@@ -1204,6 +1109,9 @@ impl Simulator {
 
         let budget = (self.config.max_comb_iters as u64)
             .saturating_mul(u64::from(n_units.max(1)));
+        // Once the run count enters the final full-pass-equivalent window,
+        // start recording which signals are still flipping so the eventual
+        // CombLoop error can name the oscillating set.
         let tail_start = budget.saturating_sub(u64::from(n_units.max(1)));
         let mut unstable: BTreeSet<SigId> = BTreeSet::new();
         let mut runs = 0u64;
@@ -1219,18 +1127,25 @@ impl Simulator {
             if runs > budget {
                 return Err(self.comb_loop_error(unstable));
             }
-            // Same ~1024-unit deadline cadence as the worklist: a region
-            // pop advances `runs` by its member count, so probe whenever
-            // the count crosses a 1024 boundary.
+            // The disabled path pays the `is_some` load only. A region pop
+            // advances `runs` by its member count, so probe whenever the
+            // count crosses a multiple of `DEADLINE_CHECK_MASK + 1`.
             if self.config.deadline.is_some()
-                && (prev_runs >> 10) != (runs >> 10)
+                && (prev_runs & !DEADLINE_CHECK_MASK) != (runs & !DEADLINE_CHECK_MASK)
             {
                 self.check_deadline()?;
             }
             self.changed_scratch.clear();
             if is_region {
                 region_pops += 1;
-                self.run_region(nd as usize, sched)?;
+                // In the tail window a region runs unit by unit, as a
+                // demoted one does: the fused write-back of a promoted
+                // signal records no change, and the report must name it.
+                if runs > tail_start {
+                    self.run_members(nd as usize, sched)?;
+                } else {
+                    self.run_region(nd as usize, sched)?;
+                }
             } else {
                 self.run_unit(sched.node_unit[(nd - n_regions) as usize])?;
             }
@@ -1266,9 +1181,9 @@ impl Simulator {
     }
 
     /// Executes one fused region: the straight-line program when clean, or
-    /// the members' per-unit programs in rank order when a force pins one
-    /// of its promoted signals (per-unit stores honor the force map; one
-    /// ordered pass still reaches the region's fixpoint).
+    /// [`run_members`](Self::run_members) when the region is demoted (a
+    /// force pins one of its promoted signals, or the backend is
+    /// [`Backend::Tree`]).
     fn run_region(&mut self, r: usize, sched: &Schedule) -> Result<(), SimError> {
         if self.region_demoted[r] == 0 {
             let mut exec = CExec {
@@ -1284,18 +1199,27 @@ impl Simulator {
             };
             // Fused programs contain no `Finish` (excluded at build time).
             crate::bytecode::run(&sched.regions[r].prog, &mut exec)?;
+            Ok(())
         } else {
-            for &u in &sched.regions[r].members {
-                self.run_unit(u)?;
-            }
+            self.run_members(r, sched)
+        }
+    }
+
+    /// Runs a region's members one unit at a time, in rank order. Per-unit
+    /// stores honor the force map and record every change; one ordered
+    /// pass still reaches the region's fixpoint.
+    fn run_members(&mut self, r: usize, sched: &Schedule) -> Result<(), SimError> {
+        for &u in &sched.regions[r].members {
+            self.run_unit(u)?;
         }
         Ok(())
     }
 
-    /// Recomputes `region_demoted` from the force map (after a wholesale
-    /// force replacement, e.g. checkpoint restore or engine reset).
+    /// Recomputes `region_demoted` from the backend's standing demotion and
+    /// the force map (after a wholesale force replacement: checkpoint
+    /// restore or engine reset).
     fn recount_region_demotions(&mut self) {
-        self.region_demoted.fill(0);
+        self.region_demoted.fill(standing_demotion(self.config.backend));
         if self.forces.is_empty() {
             return;
         }
@@ -1356,7 +1280,7 @@ impl Simulator {
             let body = &self.shared.compiled.procs[pi].body;
             let prog = match self.config.backend {
                 Backend::Tree => None,
-                _ => self.shared.proc_progs[pi].as_ref(),
+                Backend::Levelized => self.shared.proc_progs[pi].as_ref(),
             };
             let mut exec = CExec {
                 state: &mut self.state,
@@ -1573,17 +1497,7 @@ impl Simulator {
         }
         self.blackboxes = blackboxes;
         self.state.reset(design, config.init);
-        match config.backend {
-            Backend::Tree => {}
-            Backend::Bytecode => {
-                self.scratch
-                    .size_registers(shared.bc_narrow, shared.bc_wide, shared.max_width);
-            }
-            Backend::Levelized => {
-                self.scratch
-                    .size_registers(shared.lv_narrow, shared.lv_wide, shared.max_width);
-            }
-        }
+        self.scratch.size_registers(shared.n_narrow, shared.n_wide, shared.max_width);
         self.counters = if config.metrics {
             Some(Box::default())
         } else {
@@ -1603,7 +1517,7 @@ impl Simulator {
         self.dirty_units.clear();
         self.changed_scratch.clear();
         self.forces.clear();
-        self.region_demoted.fill(0);
+        self.recount_region_demotions();
         self.force_full = true;
         Ok(())
     }
@@ -1709,6 +1623,12 @@ impl Worklist {
     }
 }
 
+/// Demotions every fused region carries regardless of forces: one under
+/// [`Backend::Tree`], whose members then run on the tree-walker.
+fn standing_demotion(backend: Backend) -> u32 {
+    u32::from(backend == Backend::Tree)
+}
+
 /// `None` when no faults are active, so the hot path stays branch-cheap.
 fn forced_view(forces: &BTreeMap<SigId, Bits>) -> Option<&BTreeMap<SigId, Bits>> {
     if forces.is_empty() {
@@ -1768,10 +1688,3 @@ const _: () = {
     assert_send_sync::<SimConfig>();
     assert_send::<Checkpoint>();
 };
-
-#[allow(dead_code)]
-fn _assert_name_based_eval_stays_public(design: &Design, state: &SimState) {
-    // `eval_expr` remains part of the public API for tools that evaluate
-    // ad-hoc expressions outside the compiled hot path.
-    let _ = eval_expr(&hwdbg_rtl::Expr::number(0), design, state);
-}

@@ -1,84 +1,23 @@
-//! Expression evaluation and static width computation.
+//! Static width and signedness rules, signed binary operators, and the
+//! paper's memory-address truncation, shared by the compiler and bytecode.
 
-use crate::{SimError, SimState};
+use crate::SimError;
 use hwdbg_bits::Bits;
-use hwdbg_dataflow::{apply_binary, clog2, Design};
+use hwdbg_dataflow::{clog2, Design, WidthError};
 use hwdbg_rtl::{BinaryOp, Expr, UnaryOp};
 
-/// Computes the static width of an expression in the context of `design`.
+/// Computes the static width of an expression in the context of `design`:
+/// [`Design::width_of`] with its failure reason mapped to a [`SimError`].
 ///
 /// # Errors
 ///
-/// Fails on references to unknown signals or non-constant range bounds /
-/// replication counts.
+/// Fails on references to unknown signals, non-constant range bounds or
+/// replication counts, and reversed part-select bounds.
 pub fn expr_width(expr: &Expr, design: &Design) -> Result<u32, SimError> {
-    Ok(match expr {
-        Expr::Literal { value, .. } => value.width(),
-        Expr::Ident(n) => {
-            if let Some(sig) = design.signals.get(n) {
-                sig.width
-            } else if let Some(c) = design.consts.get(n) {
-                c.width()
-            } else {
-                return Err(SimError::UnknownSignal(n.clone()));
-            }
-        }
-        Expr::Unary(op, inner) => match op {
-            UnaryOp::Not | UnaryOp::Neg => expr_width(inner, design)?,
-            _ => 1,
-        },
-        Expr::Binary(op, l, r) => {
-            if op.is_boolean() {
-                1
-            } else if matches!(op, BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr) {
-                expr_width(l, design)?
-            } else {
-                expr_width(l, design)?.max(expr_width(r, design)?)
-            }
-        }
-        Expr::Ternary(_, t, f) => expr_width(t, design)?.max(expr_width(f, design)?),
-        Expr::Index(n, _) => {
-            let sig = design
-                .signals
-                .get(n)
-                .ok_or_else(|| SimError::UnknownSignal(n.clone()))?;
-            if sig.mem_depth.is_some() {
-                sig.width
-            } else {
-                1
-            }
-        }
-        Expr::Range(_, msb, lsb) => {
-            let m = hwdbg_dataflow::eval_const(msb, &design.consts)
-                .map_err(|_| SimError::NonConstSelect)?
-                .to_u64();
-            let l = hwdbg_dataflow::eval_const(lsb, &design.consts)
-                .map_err(|_| SimError::NonConstSelect)?
-                .to_u64();
-            if l > m {
-                // The bounds *are* constant — they are reversed. Report
-                // that precisely (matching the spanned reversed-part-select
-                // diagnostic elaboration emits) instead of the misleading
-                // `NonConstSelect`.
-                return Err(SimError::ReversedRange { msb: m, lsb: l });
-            }
-            (m - l + 1) as u32
-        }
-        Expr::Concat(parts) => {
-            let mut sum = 0;
-            for p in parts {
-                sum += expr_width(p, design)?;
-            }
-            sum
-        }
-        Expr::Repeat(n, body) => {
-            let count = hwdbg_dataflow::eval_const(n, &design.consts)
-                .map_err(|_| SimError::NonConstSelect)?
-                .to_u64() as u32;
-            count * expr_width(body, design)?
-        }
-        Expr::WidthCast(w, _) => *w,
-        Expr::SignCast(_, inner) => expr_width(inner, design)?,
+    design.width_of(expr).map_err(|e| match e {
+        WidthError::UnknownName(n) => SimError::UnknownSignal(n),
+        WidthError::NonConstBound => SimError::NonConstSelect,
+        WidthError::ReversedRange { msb, lsb } => SimError::ReversedRange { msb, lsb },
     })
 }
 
@@ -98,119 +37,10 @@ pub fn is_signed(expr: &Expr, design: &Design) -> bool {
     }
 }
 
-/// Evaluates `expr` against simulation state.
-///
-/// # Errors
-///
-/// Fails on unknown signals or non-constant part-select bounds.
-pub fn eval_expr(expr: &Expr, design: &Design, state: &SimState) -> Result<Bits, SimError> {
-    Ok(match expr {
-        Expr::Literal { value, .. } => value.clone(),
-        Expr::Ident(n) => {
-            if let Some(v) = state.get(n) {
-                v.clone()
-            } else if let Some(c) = design.consts.get(n) {
-                c.clone()
-            } else {
-                return Err(SimError::UnknownSignal(n.clone()));
-            }
-        }
-        Expr::Unary(op, inner) => {
-            let v = eval_expr(inner, design, state)?;
-            match op {
-                UnaryOp::Not => !&v,
-                UnaryOp::LogNot => Bits::from_bool(v.is_zero()),
-                UnaryOp::Neg => v.neg(),
-                UnaryOp::RedAnd => Bits::from_bool(v.reduce_and()),
-                UnaryOp::RedOr => Bits::from_bool(v.reduce_or()),
-                UnaryOp::RedXor => Bits::from_bool(v.reduce_xor()),
-                UnaryOp::RedXnor => Bits::from_bool(!v.reduce_xor()),
-            }
-        }
-        Expr::Binary(op, l, r) => {
-            let a = eval_expr(l, design, state)?;
-            let b = eval_expr(r, design, state)?;
-            let signed = is_signed(l, design) && is_signed(r, design);
-            if signed {
-                apply_binary_signed(*op, &a, &b)
-            } else {
-                apply_binary(*op, &a, &b)
-            }
-        }
-        Expr::Ternary(c, t, f) => {
-            let cond = eval_expr(c, design, state)?;
-            let width = expr_width(expr, design)?;
-            let v = if cond.to_bool() {
-                eval_expr(t, design, state)?
-            } else {
-                eval_expr(f, design, state)?
-            };
-            v.resize(width)
-        }
-        Expr::Index(n, idx) => {
-            let i = eval_expr(idx, design, state)?.to_u64();
-            let sig = design
-                .signals
-                .get(n)
-                .ok_or_else(|| SimError::UnknownSignal(n.clone()))?;
-            if sig.mem_depth.is_some() {
-                state.read_mem(n, i)
-            } else {
-                let v = state
-                    .get(n)
-                    .ok_or_else(|| SimError::UnknownSignal(n.clone()))?;
-                Bits::from_bool(i < u64::from(sig.width) && v.bit(i as u32))
-            }
-        }
-        Expr::Range(n, msb, lsb) => {
-            let m = eval_expr(msb, design, state)?.to_u64();
-            let l = eval_expr(lsb, design, state)?.to_u64();
-            if l > m {
-                return Err(SimError::NonConstSelect);
-            }
-            let v = state
-                .get(n)
-                .cloned()
-                .or_else(|| design.consts.get(n).cloned())
-                .ok_or_else(|| SimError::UnknownSignal(n.clone()))?;
-            v.slice(l as u32, (m - l + 1) as u32)
-        }
-        Expr::Concat(parts) => {
-            let mut acc: Option<Bits> = None;
-            for p in parts {
-                let v = eval_expr(p, design, state)?;
-                acc = Some(match acc {
-                    None => v,
-                    Some(hi) => hi.concat(&v),
-                });
-            }
-            acc.ok_or(SimError::NonConstSelect)?
-        }
-        Expr::Repeat(n, body) => {
-            let count = eval_expr(n, design, state)?.to_u64() as u32;
-            if count == 0 {
-                return Err(SimError::NonConstSelect);
-            }
-            eval_expr(body, design, state)?.repeat(count)
-        }
-        Expr::WidthCast(w, inner) => eval_expr(inner, design, state)?.resize(*w),
-        Expr::SignCast(_, inner) => eval_expr(inner, design, state)?,
-    })
-}
-
 /// Signed variant of the binary-operator semantics: comparisons compare in
 /// two's complement, `>>>` shifts arithmetically, operands sign-extend.
-pub(crate) fn apply_binary_signed(op: BinaryOp, a: &Bits, b: &Bits) -> Bits {
-    let mut x = a.clone();
-    let mut y = b.clone();
-    let mut out = Bits::default();
-    apply_binary_signed_into(op, &mut x, &mut y, &mut out);
-    out
-}
-
-/// In-place [`apply_binary_signed`]. Like
-/// [`hwdbg_dataflow::apply_binary_into`], the operands are scratch: they
-/// are sign-extended in place to the common width.
+/// Like [`hwdbg_dataflow::apply_binary_into`], the operands are scratch:
+/// they are sign-extended in place to the common width.
 pub(crate) fn apply_binary_signed_into(op: BinaryOp, a: &mut Bits, b: &mut Bits, out: &mut Bits) {
     use BinaryOp::*;
     let w = a.width().max(b.width());

@@ -7,6 +7,13 @@
 //! as structured [`LogRecord`]s, detects infinite stalls via a watchdog,
 //! and can dump VCD waveforms.
 //!
+//! Unit bodies compile to a `CStmt`/`CExpr` tree and, where possible, to
+//! bytecode; fused acyclic regions run as straight-line programs under one
+//! levelized event-driven scheduler ([`Backend::Levelized`], the default).
+//! The tree-walker is the reference evaluator ([`Backend::Tree`]) and
+//! [`SettleMode::FullPass`] the reference scheduler; the differential
+//! suites hold the production path to both.
+//!
 //! Blackbox IPs (FIFOs, RAMs, the SignalCat trace buffer) plug in through
 //! the [`Blackbox`] / [`BlackboxFactory`] traits; `hwdbg-ip` provides the
 //! standard library of models.
@@ -46,7 +53,7 @@ pub use engine::{
     DEADLINE_CHECK_MASK,
 };
 pub use fault::{run_with_faults, step_with_faults, Fault, FaultKind, FaultPlan};
-pub use eval::{effective_mem_addr, eval_expr, expr_width, is_signed};
+pub use eval::{effective_mem_addr, expr_width, is_signed};
 pub use state::{RegInit, SimState};
 pub use vcd::VcdWriter;
 
@@ -74,27 +81,12 @@ impl fmt::Display for LogRecord {
 
 /// A behavioral model of a blackbox IP instance.
 pub trait Blackbox {
-    /// Combinational outputs as a function of internal state and current
-    /// inputs. Called repeatedly while the design settles, so it must be
-    /// idempotent for a given input map.
-    fn eval(&mut self, inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits>;
-
-    /// Evaluates a single combinational output `port` into `out`, reusing
-    /// its storage; returns false when the model does not drive the port.
-    /// This is the simulator's hot-path entry point — it may be called once
-    /// per connected output port per settle. The default delegates to
-    /// [`eval`](Self::eval) (allocating a full output map each call);
-    /// models override it to keep settling allocation-free.
-    fn eval_port(&mut self, port: &str, inputs: &BTreeMap<String, Bits>, out: &mut Bits) -> bool {
-        let mut m = self.eval(inputs);
-        match m.remove(port) {
-            Some(v) => {
-                out.assign_from(&v);
-                true
-            }
-            None => false,
-        }
-    }
+    /// Evaluates the combinational output `port`, a function of internal
+    /// state and current inputs, into `out`, reusing its storage; returns
+    /// false when the model does not drive the port. Called once per
+    /// connected output port per settle, so it must be idempotent for a
+    /// given input map and should not allocate.
+    fn eval_port(&mut self, port: &str, inputs: &BTreeMap<String, Bits>, out: &mut Bits) -> bool;
 
     /// State update on a rising edge of the clock connected to `clock_port`,
     /// observing the pre-edge `inputs`.

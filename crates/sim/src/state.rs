@@ -171,16 +171,6 @@ impl SimState {
         slot.set_u64(w, value);
     }
 
-    /// Wide counterpart of [`store_id_u64`](SimState::store_id_u64):
-    /// overwrites an interned scalar from `value`, resized to the stored
-    /// width, with no compare and no allocation.
-    #[inline]
-    pub fn store_id(&mut self, id: SigId, value: &Bits) {
-        let slot = &mut self.values[id.index()];
-        let w = slot.width();
-        slot.assign_resized(value, w);
-    }
-
     /// Writes `value` into bits `[lo +: value.width]` of an interned
     /// scalar, in place. Returns true if the stored value changed.
     #[inline]
@@ -247,27 +237,11 @@ impl SimState {
         Some(&self.values[id.index()])
     }
 
-    /// Overwrites a signal's value, resizing to the stored width.
-    /// Returns true if the value changed.
-    pub fn set(&mut self, name: &str, value: Bits) -> bool {
-        match self.table.id(name) {
-            Some(id) if self.mem_slot[id.index()] == NOT_A_MEM => self.set_id(id, &value),
-            _ => false,
-        }
-    }
-
     /// Reads a memory element; out-of-range addresses read as zero.
     pub fn read_mem(&self, name: &str, idx: u64) -> Bits {
         match self.table.id(name).and_then(|id| self.mem_slot_of(id)) {
             Some(slot) => self.read_mem_slot(slot, idx),
             None => Bits::zero(1),
-        }
-    }
-
-    /// Writes a memory element at an already-validated address.
-    pub fn write_mem(&mut self, name: &str, idx: u64, value: Bits) {
-        if let Some(slot) = self.table.id(name).and_then(|id| self.mem_slot_of(id)) {
-            self.write_mem_slot(slot, idx, &value);
         }
     }
 
@@ -331,9 +305,10 @@ mod tests {
             always @(posedge clk) q <= 4'd0;
         endmodule");
         let mut st = SimState::new(&design, RegInit::Zero);
-        assert!(st.set("q", Bits::from_u64(8, 0xFF)));
+        let q = design.sig_id("q").unwrap();
+        assert!(st.set_id(q, &Bits::from_u64(8, 0xFF)));
         assert_eq!(st.get("q").unwrap().to_u64(), 0xF);
-        assert!(!st.set("q", Bits::from_u64(4, 0xF))); // unchanged
+        assert!(!st.set_id(q, &Bits::from_u64(4, 0xF))); // unchanged
     }
 
     #[test]
@@ -361,8 +336,7 @@ mod tests {
         let slot = st.mem_slot_of(mem).unwrap();
         assert!(st.write_mem_slot(slot, 1, &Bits::from_u64(8, 7)));
         assert_eq!(st.read_mem("mem", 1).to_u64(), 7);
-        // A memory name is not a scalar: the scalar shims refuse it.
+        // A memory name is not a scalar: the scalar shim refuses it.
         assert!(st.get("mem").is_none());
-        assert!(!st.set("mem", Bits::from_u64(8, 1)));
     }
 }

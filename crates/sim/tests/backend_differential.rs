@@ -1,25 +1,28 @@
-//! Differential proof that the bytecode and levelized backends are
-//! observably identical to the tree-walking reference backend.
+//! Differential proof that the production simulator is observably
+//! identical to an independent reference.
 //!
-//! All three [`Backend`]s execute the same compiled schedule; the
-//! bytecode path additionally lowers each unit body to a flat
-//! register-machine program at compile time, and the levelized path fuses
-//! acyclic comb regions into straight-line programs with promoted
-//! registers. Any divergence here isolates a lowering or scheduling bug:
-//! a mis-masked narrow operation, a width table that disagrees with the
-//! tree-walker's dynamic widths, a branch that skipped a store, a
-//! wide/narrow boundary case at 63/64/65 bits, or a fused region whose
-//! rank order disagrees with the worklist's fixpoint. Every bug in the
-//! testbed runs its full workload under every backend and must produce
-//! byte-identical `$display` logs, signal/memory state, and VCD
-//! waveforms; a seeded width sweep then drives a mixed-operator design at
-//! widths straddling the inline/spilled `Bits` boundary, and dedicated
-//! designs prove cyclic SCCs route to the worklist fallback and either
-//! converge or report `CombLoop` identically.
+//! The reference leg runs the `CStmt`/`CExpr` tree-walker under the
+//! full-pass scheduler ([`Backend::Tree`] + [`SettleMode::FullPass`]): it
+//! shares neither the evaluator nor the scheduler with production, which
+//! lowers unit bodies to bytecode and settles on the levelized node
+//! worklist with acyclic comb regions fused into straight-line programs
+//! and promoted registers ([`Backend::Levelized`]). A third leg, the
+//! tree-walker on the levelized scheduler with every region unfused,
+//! splits a divergence into an evaluator bug or a scheduling bug. Any
+//! divergence isolates a lowering or scheduling bug: a mis-masked narrow
+//! operation, a width table that disagrees with the tree-walker's dynamic
+//! widths, a branch that skipped a store, a wide/narrow boundary case at
+//! 63/64/65 bits, or a fused region whose rank order disagrees with the
+//! full-pass fixpoint. Every bug in the testbed runs its full workload
+//! under every leg and must produce byte-identical `$display` logs,
+//! signal/memory state, and VCD waveforms; a seeded width sweep then
+//! drives a mixed-operator design at widths straddling the inline/spilled
+//! `Bits` boundary, and dedicated designs prove cyclic SCCs route to the
+//! worklist fallback and either converge or report `CombLoop` identically.
 
 use hwdbg_bits::SplitMix64;
 use hwdbg_ip::StdModels;
-use hwdbg_sim::{Backend, RegInit, SimConfig, Simulator};
+use hwdbg_sim::{Backend, RegInit, SettleMode, SimConfig, Simulator};
 use hwdbg_testbed::{buggy_design, workloads, BugId};
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -39,19 +42,33 @@ impl Write for SharedBuf {
     }
 }
 
-fn config(backend: Backend, init: RegInit) -> SimConfig {
+/// An execution configuration: unit-body backend plus settle scheduler.
+type Leg = (Backend, SettleMode);
+
+/// The independent reference: tree-walker, full-pass scheduler.
+const REFERENCE: Leg = (Backend::Tree, SettleMode::FullPass);
+
+/// The production path, the default configuration.
+const PRODUCTION: Leg = (Backend::Levelized, SettleMode::EventDriven);
+
+/// The legs held to [`REFERENCE`]: production, and the tree-walker on the
+/// production scheduler.
+const CHECKED: [Leg; 2] = [(Backend::Tree, SettleMode::EventDriven), PRODUCTION];
+
+fn config((backend, settle_mode): Leg, init: RegInit) -> SimConfig {
     SimConfig {
         init,
         backend,
+        settle_mode,
         ..SimConfig::default()
     }
 }
 
-/// Runs one bug's workload under a backend, returning the VCD bytes, the
+/// Runs one bug's workload under a leg, returning the VCD bytes, the
 /// simulator for state inspection, and the workload verdict.
-fn run_backend(id: BugId, backend: Backend, init: RegInit) -> (Vec<u8>, Simulator, String) {
+fn run_leg(id: BugId, leg: Leg, init: RegInit) -> (Vec<u8>, Simulator, String) {
     let design = buggy_design(id).unwrap();
-    let mut sim = Simulator::new(design, &StdModels, config(backend, init)).unwrap();
+    let mut sim = Simulator::new(design, &StdModels, config(leg, init)).unwrap();
     let vcd = SharedBuf::default();
     sim.attach_vcd(vcd.clone()).unwrap();
     let outcome = workloads::run(id, &mut sim).unwrap();
@@ -60,25 +77,25 @@ fn run_backend(id: BugId, backend: Backend, init: RegInit) -> (Vec<u8>, Simulato
 }
 
 fn assert_equivalent(id: BugId, init: RegInit) {
-    let (vcd_t, sim_t, out_t) = run_backend(id, Backend::Tree, init);
-    for backend in [Backend::Bytecode, Backend::Levelized] {
-        let (vcd_b, sim_b, out_b) = run_backend(id, backend, init);
+    let (vcd_t, sim_t, out_t) = run_leg(id, REFERENCE, init);
+    for leg in CHECKED {
+        let (vcd_b, sim_b, out_b) = run_leg(id, leg, init);
 
-        assert_eq!(out_b, out_t, "{id}/{backend:?}: workload outcome diverged");
+        assert_eq!(out_b, out_t, "{id}/{leg:?}: workload outcome diverged");
         assert_eq!(
             sim_b.logs(),
             sim_t.logs(),
-            "{id}/{backend:?}: $display logs diverged"
+            "{id}/{leg:?}: $display logs diverged"
         );
         assert_eq!(
             sim_b.dropped_logs(),
             sim_t.dropped_logs(),
-            "{id}/{backend:?}: dropped-log count diverged"
+            "{id}/{leg:?}: dropped-log count diverged"
         );
         assert_eq!(
             sim_b.finished(),
             sim_t.finished(),
-            "{id}/{backend:?}: $finish state diverged"
+            "{id}/{leg:?}: $finish state diverged"
         );
 
         // Every scalar signal, by name, must peek identically…
@@ -86,7 +103,7 @@ fn assert_equivalent(id: BugId, init: RegInit) {
             assert_eq!(
                 Some(value),
                 sim_t.state().get(name),
-                "{id}/{backend:?}: signal `{name}` diverged"
+                "{id}/{leg:?}: signal `{name}` diverged"
             );
         }
         // …and every memory, element for element.
@@ -95,12 +112,12 @@ fn assert_equivalent(id: BugId, init: RegInit) {
                 assert_eq!(
                     sim_b.state().mem(name),
                     sim_t.state().mem(name),
-                    "{id}/{backend:?}: memory `{name}` diverged"
+                    "{id}/{leg:?}: memory `{name}` diverged"
                 );
             }
         }
 
-        assert_eq!(vcd_b, vcd_t, "{id}/{backend:?}: VCD waveforms diverged");
+        assert_eq!(vcd_b, vcd_t, "{id}/{leg:?}: VCD waveforms diverged");
     }
 }
 
@@ -188,7 +205,7 @@ fn sweep_src(w: u32) -> String {
     s
 }
 
-fn run_sweep(w: u32, backend: Backend) -> (Vec<(String, String)>, Vec<String>) {
+fn run_sweep(w: u32, leg: Leg) -> (Vec<(String, String)>, Vec<String>) {
     let design = hwdbg_dataflow::elaborate(
         &hwdbg_rtl::parse(&sweep_src(w)).unwrap(),
         "m",
@@ -198,10 +215,10 @@ fn run_sweep(w: u32, backend: Backend) -> (Vec<(String, String)>, Vec<String>) {
     let mut sim = Simulator::new(
         design,
         &hwdbg_sim::NoModels,
-        config(backend, RegInit::Random(0x5EED ^ u64::from(w))),
+        config(leg, RegInit::Random(0x5EED ^ u64::from(w))),
     )
     .unwrap();
-    if backend == Backend::Bytecode {
+    if leg == PRODUCTION {
         // The sweep exists to exercise the lowered programs: prove the
         // lowering engaged rather than silently falling back everywhere.
         let (lowered, total) = sim.compiled_design().lowering_coverage();
@@ -228,11 +245,11 @@ fn seeded_width_sweep_matches_tree() {
     // 63/64/65 inline-vs-spilled `Bits` crossover (and 31/32/33 for the
     // 2w-bit replication wire), and multi-limb widths.
     for w in [1u32, 2, 3, 7, 8, 31, 32, 33, 63, 64, 65, 96, 127, 128, 160] {
-        let tree = run_sweep(w, Backend::Tree);
-        for backend in [Backend::Bytecode, Backend::Levelized] {
-            let other = run_sweep(w, backend);
-            assert_eq!(other.0, tree.0, "width {w}/{backend:?}: state diverged");
-            assert_eq!(other.1, tree.1, "width {w}/{backend:?}: logs diverged");
+        let reference = run_sweep(w, REFERENCE);
+        for leg in CHECKED {
+            let other = run_sweep(w, leg);
+            assert_eq!(other.0, reference.0, "width {w}/{leg:?}: state diverged");
+            assert_eq!(other.1, reference.1, "width {w}/{leg:?}: logs diverged");
         }
     }
 }
@@ -240,7 +257,7 @@ fn seeded_width_sweep_matches_tree() {
 /// A design mixing a fused acyclic chain with a convergent cyclic SCC (a
 /// latch-shaped cross-coupled pair). The chain must form a region with a
 /// promoted internal signal, the SCC must stay on the worklist fallback,
-/// and all three backends must agree on every observable.
+/// and every leg must agree with the reference on every observable.
 #[test]
 fn mixed_region_and_scc_fallback_match() {
     let src = "module m(input clk, input [7:0] d, input en, output [7:0] q);
@@ -257,14 +274,14 @@ fn mixed_region_and_scc_fallback_match() {
         &hwdbg_dataflow::NoBlackboxes,
     )
     .unwrap();
-    let run = |backend| {
+    let run = |leg| {
         let mut sim = Simulator::new(
             design.clone(),
             &hwdbg_sim::NoModels,
-            config(backend, RegInit::Zero),
+            config(leg, RegInit::Zero),
         )
         .unwrap();
-        if backend == Backend::Levelized {
+        if leg == PRODUCTION {
             // The latch pair (la/lb) must be excluded from fusion; the
             // d→c1→c2 chain and the q tail must be fused with at least
             // c1 promoted to a region register.
@@ -289,22 +306,23 @@ fn mixed_region_and_scc_fallback_match() {
             .collect();
         (trace, state)
     };
-    let tree = run(Backend::Tree);
+    let reference = run(REFERENCE);
     // The latch must actually latch: q holds c2's value after en drops.
-    assert_eq!(tree.0[0].1, (7 + 3) ^ 0x0F);
-    assert_eq!(tree.0[2].1, (7 + 3) ^ 0x0F, "latch failed to hold while en=0");
-    for backend in [Backend::Bytecode, Backend::Levelized] {
-        let other = run(backend);
-        assert_eq!(other.0, tree.0, "{backend:?}: q trace diverged");
-        assert_eq!(other.1, tree.1, "{backend:?}: state diverged");
+    assert_eq!(reference.0[0].1, (7 + 3) ^ 0x0F);
+    assert_eq!(reference.0[2].1, (7 + 3) ^ 0x0F, "latch failed to hold while en=0");
+    for leg in CHECKED {
+        let other = run(leg);
+        assert_eq!(other.0, reference.0, "{leg:?}: q trace diverged");
+        assert_eq!(other.1, reference.1, "{leg:?}: state diverged");
     }
 }
 
 /// An oscillating combinational loop must fail settle with the same
-/// `CombLoop { unstable }` report — same signal names, same order —
-/// under all three backends: the SCC routes to the worklist fallback,
-/// whose budget and tail-collection semantics the levelized dispatcher
-/// shares.
+/// `CombLoop { unstable }` report — same signal names, same order — under
+/// both backends and both schedulers. `x` flips every pass, and so does
+/// `q = x ^ d` (5 ↔ a); `q` is promoted into a fused region, whose
+/// straight-line write-back records no change, so the levelized scheduler
+/// runs regions unit by unit in its final window to name `q` as well.
 #[test]
 fn comb_loop_reports_identically() {
     let src = "module m(input clk, input [3:0] d, output [3:0] q);
@@ -317,30 +335,32 @@ fn comb_loop_reports_identically() {
         &hwdbg_dataflow::NoBlackboxes,
     )
     .unwrap();
-    let run = |backend| {
+    let run = |leg| {
         let mut sim = Simulator::new(
             design.clone(),
             &hwdbg_sim::NoModels,
-            config(backend, RegInit::Zero),
+            config(leg, RegInit::Zero),
         )
         .unwrap();
         sim.poke_u64("d", 5).unwrap();
         sim.settle().unwrap_err()
     };
-    let tree = run(Backend::Tree);
-    assert!(
-        matches!(&tree, hwdbg_sim::SimError::CombLoop { unstable } if !unstable.is_empty()),
-        "expected CombLoop, got {tree:?}"
+    let reference = run(REFERENCE);
+    assert_eq!(
+        reference,
+        hwdbg_sim::SimError::CombLoop {
+            unstable: vec!["q".into(), "x".into()]
+        }
     );
-    for backend in [Backend::Bytecode, Backend::Levelized] {
-        assert_eq!(run(backend), tree, "{backend:?}: CombLoop report diverged");
+    for leg in [(Backend::Levelized, SettleMode::FullPass), CHECKED[0], CHECKED[1]] {
+        assert_eq!(run(leg), reference, "{leg:?}: CombLoop report diverged");
     }
 }
 
-/// Satellite regression: `$display("%d")` of a `reg signed` renders
-/// two's-complement negatives — identically under both backends. An
-/// 8-bit signed counter stepping down from zero used to print `255`
-/// instead of `-1`.
+/// Regression: `$display("%d")` of a `reg signed` renders
+/// two's-complement negatives — identically under production and the
+/// reference. An 8-bit signed counter stepping down from zero used to
+/// print `255` instead of `-1`.
 #[test]
 fn signed_display_renders_negative_under_both_backends() {
     let src = "module m(input clk);
@@ -356,11 +376,11 @@ fn signed_display_renders_negative_under_both_backends() {
         &hwdbg_dataflow::NoBlackboxes,
     )
     .unwrap();
-    let run = |backend| {
+    let run = |leg| {
         let mut sim = Simulator::new(
             design.clone(),
             &hwdbg_sim::NoModels,
-            config(backend, RegInit::Zero),
+            config(leg, RegInit::Zero),
         )
         .unwrap();
         sim.run("clk", 3).unwrap();
@@ -369,16 +389,16 @@ fn signed_display_renders_negative_under_both_backends() {
             .map(|l| l.message.clone())
             .collect::<Vec<_>>()
     };
-    let bytecode = run(Backend::Bytecode);
+    let production = run(PRODUCTION);
     assert_eq!(
-        bytecode,
+        production,
         vec!["c=0 u=00", "c=-1 u=ff", "c=-2 u=fe"],
         "signed %d must render two's complement"
     );
-    assert_eq!(bytecode, run(Backend::Tree), "backends diverged");
+    assert_eq!(production, run(REFERENCE), "backends diverged");
 }
 
-/// Satellite regression: reversed constant part-select bounds are a typed
+/// Regression: reversed constant part-select bounds are a typed
 /// `ReversedRange` error (E0408), not the catch-all `NonConstSelect`.
 #[test]
 fn reversed_range_is_typed_error() {

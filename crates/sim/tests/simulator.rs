@@ -568,7 +568,7 @@ fn display_field_width_is_bounded_at_compile_time() {
         );
         elaborate(&parse(&src).unwrap(), "m", &NoBlackboxes).unwrap()
     };
-    for backend in [Backend::Tree, Backend::Bytecode, Backend::Levelized] {
+    for backend in [Backend::Tree, Backend::Levelized] {
         let config = SimConfig::default().with_backend(backend);
         for (fmt, width) in [
             ("v=%20000000d", "20000000"),

@@ -255,12 +255,13 @@ fn shared_compiled_design_steady_state_allocates_nothing() {
 /// sink is attached, wide-register moves recycle the same heap buffers,
 /// and the levelized dispatcher's node worklist and region programs are
 /// all compile-time artifacts — so per-cycle allocations stay at zero under
-/// any backend. (The other tests in this file run the default backend;
-/// this one pins all of them down even if the default changes.)
+/// either backend, including the tree-walker running every region unit by
+/// unit. (The other tests in this file run the default backend; this one
+/// pins both down even if the default changes.)
 #[test]
 fn all_backends_steady_state_allocate_nothing() {
     use hwdbg_sim::Backend;
-    for backend in [Backend::Tree, Backend::Bytecode, Backend::Levelized] {
+    for backend in [Backend::Tree, Backend::Levelized] {
         let design = buggy_design(BugId::D2).unwrap();
         let config = SimConfig::default().with_backend(backend);
         let mut sim = Simulator::new(design, &hwdbg_ip::StdModels, config).unwrap();
@@ -330,11 +331,12 @@ fn levelized_fused_region_settle_allocates_nothing() {
     );
 }
 
-/// The bytecode spill path: a 192-bit mixed ALU (adds, xors, shifts, a
-/// mux, and a 384-bit replication) re-settled every cycle under the
-/// bytecode backend. Wide registers are pre-spilled at build time and
-/// `std::mem::take`-cycled by the interpreter; `store_small` keeps their
-/// heap capacity, so not even the narrow-in-wide transitions allocate.
+/// The per-unit bytecode spill path: a 192-bit mixed ALU (adds, xors,
+/// shifts, a mux, and a 384-bit replication) re-settled every cycle by the
+/// full-pass scheduler, which runs every unit on its own lowered program.
+/// Wide registers are pre-spilled at build time and `std::mem::take`-cycled
+/// by the interpreter; `store_small` keeps their heap capacity, so not even
+/// the narrow-in-wide transitions allocate.
 #[test]
 fn bytecode_wide_settle_allocates_nothing() {
     let src = "module m(input clk, input [191:0] a, input [191:0] b, output [191:0] q);
@@ -350,7 +352,10 @@ fn bytecode_wide_settle_allocates_nothing() {
         &hwdbg_dataflow::NoBlackboxes,
     )
     .unwrap();
-    let config = SimConfig::default().with_backend(hwdbg_sim::Backend::Bytecode);
+    let config = SimConfig {
+        settle_mode: hwdbg_sim::SettleMode::FullPass,
+        ..SimConfig::default()
+    };
     let mut sim = Simulator::new(design, &hwdbg_sim::NoModels, config).unwrap();
     let (lowered, total) = sim.compiled_design().lowering_coverage();
     assert_eq!(lowered, total, "wide ALU must lower fully");
@@ -373,14 +378,13 @@ fn bytecode_wide_settle_allocates_nothing() {
 }
 
 /// `$display` on every cycle into a small log: narrow and wide, signed and
-/// unsigned arguments through every directive. Production backends render
-/// each record in place into one reusable buffer and copy it into an
-/// exact-length message; once the log has compacted, new records reuse
-/// the evicted records' message buffers, so a full log allocates nothing.
-/// Field widths are fixed so every message has the same length.
+/// unsigned arguments through every directive. The production backend
+/// renders each record in place into one reusable buffer and copies it
+/// into an exact-length message; once the log has compacted, new records
+/// reuse the evicted records' message buffers, so a full log allocates
+/// nothing. Field widths are fixed so every message has the same length.
 #[test]
 fn display_heavy_full_log_allocates_nothing() {
-    use hwdbg_sim::Backend;
     let src = "module m(input clk, input [15:0] d, output reg [15:0] n,
                         output reg [95:0] acc, output reg signed [7:0] s);
                  always @(posedge clk) begin
@@ -391,35 +395,35 @@ fn display_heavy_full_log_allocates_nothing() {
                             n, d, acc, acc, s, d[3:0], 8'd65, n);
                  end
                endmodule";
-    for backend in [Backend::Bytecode, Backend::Levelized] {
-        let design = hwdbg_dataflow::elaborate(
-            &hwdbg_rtl::parse(src).unwrap(),
-            "m",
-            &hwdbg_dataflow::NoBlackboxes,
-        )
-        .unwrap();
-        let mut config = SimConfig::default().with_backend(backend);
-        config.log_capacity = 64;
-        let mut sim = Simulator::new(design, &hwdbg_sim::NoModels, config).unwrap();
-        let (lowered, total) = sim.compiled_design().lowering_coverage();
-        assert_eq!(lowered, total, "the display process must lower");
-        // Warmup: past the first compaction (2 × capacity records), so
-        // the message pool is stocked.
-        for t in 0..200u64 {
-            sim.poke_u64("d", t.wrapping_mul(0x9E37)).unwrap();
-            sim.step("clk").unwrap();
-        }
-        let before = thread_allocs();
-        for t in 200..1200u64 {
-            sim.poke_u64("d", t.wrapping_mul(0x9E37)).unwrap();
-            sim.step("clk").unwrap();
-        }
-        let allocs = thread_allocs() - before;
-        assert_eq!(sim.logs().len(), 64);
-        assert_eq!(sim.dropped_logs(), 1200 - 64);
-        assert_eq!(
-            allocs, 0,
-            "{backend:?} display-heavy steady state allocated {allocs} times over 1000 cycles"
-        );
+    let design = hwdbg_dataflow::elaborate(
+        &hwdbg_rtl::parse(src).unwrap(),
+        "m",
+        &hwdbg_dataflow::NoBlackboxes,
+    )
+    .unwrap();
+    let config = SimConfig {
+        log_capacity: 64,
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(design, &hwdbg_sim::NoModels, config).unwrap();
+    let (lowered, total) = sim.compiled_design().lowering_coverage();
+    assert_eq!(lowered, total, "the display process must lower");
+    // Warmup: past the first compaction (2 × capacity records), so
+    // the message pool is stocked.
+    for t in 0..200u64 {
+        sim.poke_u64("d", t.wrapping_mul(0x9E37)).unwrap();
+        sim.step("clk").unwrap();
     }
+    let before = thread_allocs();
+    for t in 200..1200u64 {
+        sim.poke_u64("d", t.wrapping_mul(0x9E37)).unwrap();
+        sim.step("clk").unwrap();
+    }
+    let allocs = thread_allocs() - before;
+    assert_eq!(sim.logs().len(), 64);
+    assert_eq!(sim.dropped_logs(), 1200 - 64);
+    assert_eq!(
+        allocs, 0,
+        "display-heavy steady state allocated {allocs} times over 1000 cycles"
+    );
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! hwdbg parse <file.v> [--top NAME]                 check + print the flat module
 //! hwdbg sim <file.v> [--top NAME] [--cycles N] [--clock clk] [--vcd out.vcd]
-//!           [--backend tree|bytecode|levelized] [--json]
+//!           [--backend tree|levelized] [--json]
 //!                                                   pick the execution backend
 //! hwdbg fsm <file.v> [--top NAME]                   detect FSMs (§4.2 heuristics)
 //! hwdbg deps <file.v> --var SIGNAL [--cycles K]     dependency chain (§4.3)
@@ -90,7 +90,7 @@ fn print_usage() {
         "hwdbg — software-style bug localization for reconfigurable hardware\n\n\
          usage:\n  \
          hwdbg parse <file.v> [--top NAME]\n  \
-         hwdbg sim <file.v> [--top NAME] [--cycles N] [--clock CLK] [--vcd OUT] [--backend tree|bytecode|levelized] [--json]\n  \
+         hwdbg sim <file.v> [--top NAME] [--cycles N] [--clock CLK] [--vcd OUT] [--backend tree|levelized] [--json]\n  \
          hwdbg fsm <file.v> [--top NAME]\n  \
          hwdbg deps <file.v> --var SIGNAL [--cycles K] [--top NAME]\n  \
          hwdbg signalcat <file.v> [--top NAME] [--depth N]\n  \
@@ -201,11 +201,8 @@ fn cmd_sim(args: &[String]) -> Result<(), Anyhow> {
     let backend_name = opts.get("backend").unwrap_or("levelized").to_owned();
     let backend = match backend_name.as_str() {
         "levelized" => Backend::Levelized,
-        "bytecode" => Backend::Bytecode,
         "tree" => Backend::Tree,
-        other => {
-            return Err(format!("unknown backend `{other}` (tree|bytecode|levelized)").into())
-        }
+        other => return Err(format!("unknown backend `{other}` (tree|levelized)").into()),
     };
     let mut sim = Simulator::new(
         design,
