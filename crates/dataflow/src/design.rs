@@ -5,10 +5,12 @@ use crate::blackbox::{BbDir, BlackboxLib};
 use crate::consteval::{eval_const, range_width, ConstEnv};
 use crate::flatten::{expr_to_lvalue, flatten};
 use crate::intern::{SigId, SignalTable};
+use crate::prop::PropGraph;
 use crate::DataflowError;
 use hwdbg_bits::Bits;
 use hwdbg_rtl::{Dir, Edge, EventControl, Expr, Item, LValue, Module, SourceFile, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, OnceLock};
 
 /// Why [`Design::width_of`] could not compute an expression's width.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -110,6 +112,10 @@ pub struct BbInst {
 }
 
 /// A fully resolved flat design.
+///
+/// [`resolve`] is the only constructor, and nothing mutates a `Design`
+/// after it: the analyses memoized on it (see
+/// [`local_graph`](Design::local_graph)) rely on that.
 #[derive(Debug, Clone)]
 pub struct Design {
     /// Top module name.
@@ -118,8 +124,10 @@ pub struct Design {
     pub flat: Module,
     /// All signals by flat name.
     pub signals: BTreeMap<String, SigInfo>,
-    /// Dense [`SigId`] interner over the same signals (sorted-name order).
-    pub table: SignalTable,
+    /// Dense [`SigId`] interner over the same signals (sorted-name order),
+    /// shared with the propagation graphs and simulator states built from
+    /// this design.
+    pub table: Arc<SignalTable>,
     /// Parameter/localparam constants by name.
     pub consts: ConstEnv,
     /// Combinational drivers in declaration order.
@@ -128,6 +136,8 @@ pub struct Design {
     pub procs: Vec<ClockedProc>,
     /// Blackbox instances.
     pub blackboxes: Vec<BbInst>,
+    /// [`local_graph`](Design::local_graph)'s memo; a clone shares it.
+    local_graph: OnceLock<Arc<PropGraph>>,
 }
 
 impl Design {
@@ -139,6 +149,20 @@ impl Design {
     /// Looks up a signal's dense ID.
     pub fn sig_id(&self, name: &str) -> Option<SigId> {
         self.table.id(name)
+    }
+
+    /// The propagation-relation table of this design's own RTL (no
+    /// blackbox model edges), built by [`PropGraph::build_local`] the first
+    /// time anything asks for it and shared by every later caller: the
+    /// taint lints, [`PropGraph::build`], and clones of this design made
+    /// after the first call.
+    ///
+    /// The memo is never invalidated. That is sound only because a
+    /// `Design` is not mutated after [`resolve`] returns it; code that
+    /// needs a different design re-resolves a module instead.
+    pub fn local_graph(&self) -> &PropGraph {
+        self.local_graph
+            .get_or_init(|| Arc::new(PropGraph::build_local(self)))
     }
 
     /// Static info for an interned signal.
@@ -543,7 +567,7 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
         check_stmt_selects(&p.body, &consts)?;
     }
 
-    let table = SignalTable::new(signals.keys().cloned());
+    let table = Arc::new(SignalTable::new(signals.keys().cloned()));
     Ok(Design {
         name: flat.name.clone(),
         signals,
@@ -553,6 +577,7 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
         procs,
         blackboxes,
         flat,
+        local_graph: OnceLock::new(),
     })
 }
 

@@ -8,11 +8,19 @@
 //! logic, and the lint taint passes interpret it abstractly at compile
 //! time.
 //!
-//! Relations are keyed by interned [`SigId`]s and share their condition
-//! expressions via [`Arc`], so building the table allocates per *guard
-//! case*, not per edge; [`BuildStats`] records the sharing and
-//! construction asserts that no new names were interned (every edge
-//! endpoint must already be in the design's [`SignalTable`]).
+//! A design walks its RTL for the table once: [`Design::local_graph`]
+//! runs [`PropGraph::build_local`] on first use and every later caller
+//! (the taint lints among them) reads that one graph. [`PropGraph::build`]
+//! extends a copy of it with the blackbox model edges instead of walking
+//! the RTL again.
+//!
+//! Relations are keyed by interned [`SigId`]s resolved through the
+//! design's own [`SignalTable`], which the graph shares rather than
+//! copies, so construction cannot widen the namespace. Condition
+//! expressions are shared via [`Arc`]: the builder borrows the guard path
+//! from the AST and materializes each path's conjunction once, for every
+//! assignment under it, so building the table allocates per guard, not
+//! per edge or per assignment. [`BuildStats`] records the sharing.
 
 use crate::blackbox::BlackboxLib;
 use crate::design::Design;
@@ -20,6 +28,7 @@ use crate::intern::{SigId, SignalTable};
 use crate::DataflowError;
 use hwdbg_rtl::{BinaryOp, Expr, LValue, Span, Stmt, UnaryOp};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Whether an edge is a data flow or a control influence.
@@ -40,7 +49,7 @@ pub struct Relation {
     /// The influenced signal.
     pub dst: SigId,
     /// Condition under which the propagation happens (`1'b1` if always).
-    /// Shared between every relation extracted from the same guard case.
+    /// Shared between every relation extracted under the same guard path.
     pub cond: Arc<Expr>,
     /// Data or control dependency.
     pub kind: DepKind,
@@ -56,11 +65,12 @@ pub struct Relation {
 pub struct BuildStats {
     /// Total relations extracted.
     pub relations: usize,
-    /// Distinct condition expressions allocated; every relation beyond
-    /// this count shares an existing `Arc`.
+    /// Condition expressions actually allocated. Every assignment under
+    /// the same guard path shares one; only a ternary right-hand side and
+    /// a blackbox model edge allocate their own, and only when they yield
+    /// a relation, so this never exceeds `relations`.
     pub distinct_conds: usize,
-    /// Signals in the table — identical to the design's, since
-    /// construction interns nothing.
+    /// Signals in the table — the design's own, shared rather than copied.
     pub signals: usize,
 }
 
@@ -100,31 +110,76 @@ fn collect_leaves<'a>(e: &'a Expr, positive: bool, out: &mut Vec<CondLeaf<'a>>) 
     }
 }
 
+/// Relation indices grouped by one endpoint signal, in compressed form:
+/// the bucket of signal `s` is `rels[offsets[s]..offsets[s + 1]]`, in
+/// relation order.
+#[derive(Debug, Clone, Default)]
+struct Adjacency {
+    offsets: Vec<u32>,
+    rels: Vec<u32>,
+}
+
+impl Adjacency {
+    /// Groups `relations` by `key` with one counting pass and one fill
+    /// pass: two allocations, whatever the signal count.
+    fn new(signals: usize, relations: &[Relation], key: fn(&Relation) -> SigId) -> Adjacency {
+        let mut offsets = vec![0u32; signals + 1];
+        for r in relations {
+            offsets[key(r).index() + 1] += 1;
+        }
+        for s in 0..signals {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut rels = vec![0u32; relations.len()];
+        for (i, r) in relations.iter().enumerate() {
+            let next = &mut offsets[key(r).index()];
+            rels[*next as usize] = i as u32;
+            *next += 1;
+        }
+        // The fill advanced each bucket's start to its end, which is the
+        // next bucket's start: shifting right by one restores the starts.
+        offsets.copy_within(0..signals, 1);
+        offsets[0] = 0;
+        Adjacency { offsets, rels }
+    }
+
+    fn get(&self, s: SigId) -> &[u32] {
+        match (self.offsets.get(s.index()), self.offsets.get(s.index() + 1)) {
+            (Some(&lo), Some(&hi)) => &self.rels[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
 /// The full propagation-relation table of a design.
 #[derive(Debug, Clone, Default)]
 pub struct PropGraph {
     /// All relations, in extraction order.
     pub relations: Vec<Relation>,
-    /// Interned signal names, cloned from the design's table.
-    table: SignalTable,
+    /// Interned signal names, shared with the design.
+    table: Arc<SignalTable>,
     /// Relation indices grouped by destination signal.
-    by_dst: Vec<Vec<u32>>,
+    by_dst: Adjacency,
     /// Relation indices grouped by source signal.
-    by_src: Vec<Vec<u32>>,
+    by_src: Adjacency,
     stats: BuildStats,
 }
 
 impl PropGraph {
-    /// Builds the table from a resolved design. Blackbox instances
-    /// contribute relations through their IP models (§5 of the paper).
+    /// Builds the table from a resolved design: the design's
+    /// [`local_graph`](Design::local_graph), in the same order, followed
+    /// by the relations blackbox instances contribute through their IP
+    /// models (§5 of the paper). The RTL is not walked again.
     ///
     /// # Errors
     ///
     /// Fails if a blackbox instance references an IP the library does not
     /// know (cannot happen for designs elaborated with the same library).
     pub fn build(design: &Design, lib: &dyn BlackboxLib) -> Result<PropGraph, DataflowError> {
-        let mut b = Builder::new(design);
-        b.walk_design(design);
+        let local = design.local_graph();
+        let table = &design.table;
+        let mut relations = local.relations.clone();
+        let mut conds = local.stats.distinct_conds;
         for bb in &design.blackboxes {
             let spec = lib
                 .spec(&bb.module)
@@ -136,16 +191,10 @@ impl PropGraph {
                 let Some(dst_lv) = bb.out_conns.get(&rel.dst) else {
                     continue;
                 };
-                let srcs: Vec<SigId> = src_expr
-                    .idents()
-                    .into_iter()
-                    .filter_map(|s| b.table.id(s))
-                    .collect();
-                let dsts: Vec<SigId> = dst_lv
-                    .target_names()
-                    .into_iter()
-                    .filter_map(|d| b.table.id(d))
-                    .collect();
+                let mut srcs = Vec::new();
+                src_expr.visit_idents(&mut |s| srcs.extend(table.id(s)));
+                let mut dsts = Vec::new();
+                visit_targets(dst_lv, &mut |d| dsts.extend(table.id(d)));
                 if srcs.is_empty() || dsts.is_empty() {
                     continue;
                 }
@@ -155,10 +204,11 @@ impl PropGraph {
                     .and_then(|cp| bb.in_conns.get(cp))
                     .cloned()
                     .unwrap_or_else(|| Expr::sized(1, 1));
-                let cond = b.alloc_cond(cond);
+                let cond = Arc::new(cond);
+                conds += 1;
                 for &src in &srcs {
                     for &dst in &dsts {
-                        b.relations.push(Relation {
+                        relations.push(Relation {
                             src,
                             dst,
                             cond: Arc::clone(&cond),
@@ -170,16 +220,45 @@ impl PropGraph {
                 }
             }
         }
-        Ok(b.finish(design))
+        Ok(PropGraph::index(Arc::clone(table), relations, conds))
     }
 
     /// Builds the table from the design's own RTL only, skipping blackbox
-    /// model edges. Infallible — useful for consumers (like lint passes)
-    /// that have no [`BlackboxLib`] in scope and analyze local logic.
+    /// model edges: one walk over every process. Infallible, since it
+    /// needs no [`BlackboxLib`].
+    ///
+    /// Each call walks the RTL from scratch; analyses read
+    /// [`Design::local_graph`] instead, which runs this once per design.
     pub fn build_local(design: &Design) -> PropGraph {
-        let mut b = Builder::new(design);
-        b.walk_design(design);
-        b.finish(design)
+        let mut b = Builder::new(&design.table);
+        for c in &design.combs {
+            b.walk_stmt(&c.body, 0);
+        }
+        for p in &design.procs {
+            b.walk_stmt(&p.body, 1);
+        }
+        PropGraph::index(Arc::clone(&design.table), b.relations, b.conds_allocated)
+    }
+
+    /// Wraps extracted relations with their per-signal indexes.
+    fn index(
+        table: Arc<SignalTable>,
+        relations: Vec<Relation>,
+        distinct_conds: usize,
+    ) -> PropGraph {
+        let stats = BuildStats {
+            relations: relations.len(),
+            distinct_conds,
+            signals: table.len(),
+        };
+        debug_assert!(stats.distinct_conds <= stats.relations.max(1));
+        PropGraph {
+            by_dst: Adjacency::new(table.len(), &relations, |r| r.dst),
+            by_src: Adjacency::new(table.len(), &relations, |r| r.src),
+            relations,
+            table,
+            stats,
+        }
     }
 
     /// The interned signal namespace the relation IDs resolve in.
@@ -207,8 +286,7 @@ impl PropGraph {
     /// Relations whose destination is `dst`, via the per-signal index.
     pub fn incoming_ids(&self, dst: SigId) -> impl Iterator<Item = &Relation> + '_ {
         self.by_dst
-            .get(dst.index())
-            .map_or(&[][..], Vec::as_slice)
+            .get(dst)
             .iter()
             .map(|&i| &self.relations[i as usize])
     }
@@ -216,8 +294,7 @@ impl PropGraph {
     /// Relations whose source is `src`, via the per-signal index.
     pub fn outgoing_ids(&self, src: SigId) -> impl Iterator<Item = &Relation> + '_ {
         self.by_src
-            .get(src.index())
-            .map_or(&[][..], Vec::as_slice)
+            .get(src)
             .iter()
             .map(|&i| &self.relations[i as usize])
     }
@@ -347,80 +424,184 @@ impl PropGraph {
     }
 }
 
-/// Construction state: the cloned table plus allocation counters.
-struct Builder {
-    table: SignalTable,
-    relations: Vec<Relation>,
-    conds_allocated: usize,
+/// One condition on the path to a statement, borrowed from the AST: the
+/// builder clones nothing until a relation needs the path's condition.
+#[derive(Clone, Copy)]
+enum Guard<'d> {
+    /// An `if` condition (`true`) or its `else` branch (`false`); also one
+    /// arm of a ternary right-hand side.
+    If(&'d Expr, bool),
+    /// A `case` arm's match `subject == l0 || subject == l1 || …`
+    /// (`positive`), or its negation on every later arm and `default`.
+    Arm {
+        subject: &'d Expr,
+        labels: &'d [Expr],
+        positive: bool,
+    },
 }
 
-impl Builder {
-    fn new(design: &Design) -> Builder {
+impl<'d> Guard<'d> {
+    /// The guard as the expression a relation condition carries.
+    fn to_expr(self) -> Expr {
+        let (e, positive) = match self {
+            Guard::If(cond, positive) => (cond.clone(), positive),
+            Guard::Arm {
+                subject,
+                labels,
+                positive,
+            } => (
+                Expr::any(labels.iter().map(|l| Expr::eq(subject.clone(), l.clone()))),
+                positive,
+            ),
+        };
+        if positive {
+            e
+        } else {
+            Expr::Unary(UnaryOp::LogNot, Box::new(e))
+        }
+    }
+
+    /// Calls `f` on every name the guard reads.
+    fn visit_idents(self, f: &mut impl FnMut(&'d str)) {
+        match self {
+            Guard::If(cond, _) => cond.visit_idents(f),
+            Guard::Arm {
+                subject, labels, ..
+            } => {
+                subject.visit_idents(f);
+                for l in labels {
+                    l.visit_idents(f);
+                }
+            }
+        }
+    }
+}
+
+/// One depth of the guard path, with the conjunction and the sorted,
+/// unique control signals of the path up to and including it. Both are
+/// built on first use and then shared by every assignment at this depth.
+struct Frame<'d> {
+    /// `None` for the root (the empty path).
+    guard: Option<Guard<'d>>,
+    conj: Option<Arc<Expr>>,
+    ctrl: Option<Rc<[SigId]>>,
+}
+
+/// The guard path of the statement being walked, outermost first.
+struct Path<'d> {
+    /// Never empty: `frames[0]` is the root.
+    frames: Vec<Frame<'d>>,
+}
+
+impl<'d> Path<'d> {
+    fn new() -> Path<'d> {
+        Path {
+            frames: vec![Frame {
+                guard: None,
+                conj: None,
+                ctrl: Some(Rc::from([])),
+            }],
+        }
+    }
+
+    fn push(&mut self, guard: Guard<'d>) {
+        self.frames.push(Frame {
+            guard: Some(guard),
+            conj: None,
+            ctrl: None,
+        });
+    }
+
+    /// Pops the `n` innermost guards.
+    fn pop(&mut self, n: usize) {
+        self.frames.truncate(self.frames.len() - n);
+    }
+
+    /// The path's condition, allocated once per depth (`allocated` counts
+    /// it).
+    fn conj(&mut self, allocated: &mut usize) -> Arc<Expr> {
+        let top = self.frames.len() - 1;
+        if let Some(c) = &self.frames[top].conj {
+            return Arc::clone(c);
+        }
+        *allocated += 1;
+        let c = Arc::new(conj(&self.frames, &[]));
+        self.frames[top].conj = Some(Arc::clone(&c));
+        c
+    }
+
+    /// The signals the path's guards read, sorted and unique: each depth
+    /// extends its parent's set, so a guard is scanned once however many
+    /// assignments sit under it.
+    fn ctrl(&mut self, table: &SignalTable) -> Rc<[SigId]> {
+        let top = self.frames.len() - 1;
+        let known = self.frames.iter().rposition(|f| f.ctrl.is_some());
+        for i in known.map_or(1, |k| k + 1)..=top {
+            let mut ids = self.frames[i - 1]
+                .ctrl
+                .as_deref()
+                .map(<[SigId]>::to_vec)
+                .unwrap_or_default();
+            if let Some(g) = self.frames[i].guard {
+                g.visit_idents(&mut |n| ids.extend(table.id(n)));
+            }
+            ids.sort_unstable();
+            ids.dedup();
+            self.frames[i].ctrl = Some(ids.into());
+        }
+        self.frames[top]
+            .ctrl
+            .clone()
+            .unwrap_or_else(|| Rc::from([]))
+    }
+}
+
+/// Construction state: the relations so far, the guard path, and buffers
+/// reused across assignments.
+struct Builder<'d> {
+    table: &'d SignalTable,
+    relations: Vec<Relation>,
+    conds_allocated: usize,
+    path: Path<'d>,
+    /// Destinations of the current assignment.
+    dsts: Vec<SigId>,
+    /// Signals in the current assignment's LHS indexes.
+    lhs_ctrl: Vec<SigId>,
+    /// Data sources of the current right-hand-side case.
+    data: Vec<SigId>,
+    /// Control sources of the current case, when they extend the path's.
+    case_ctrl: Vec<SigId>,
+}
+
+impl<'d> Builder<'d> {
+    fn new(table: &'d SignalTable) -> Builder<'d> {
         Builder {
-            table: design.table.clone(),
+            table,
             relations: Vec::new(),
             conds_allocated: 0,
+            path: Path::new(),
+            dsts: Vec::new(),
+            lhs_ctrl: Vec::new(),
+            data: Vec::new(),
+            case_ctrl: Vec::new(),
         }
     }
 
-    fn alloc_cond(&mut self, e: Expr) -> Arc<Expr> {
-        self.conds_allocated += 1;
-        Arc::new(e)
-    }
-
-    fn walk_design(&mut self, design: &Design) {
-        for c in &design.combs {
-            self.walk_stmt(&c.body, &mut vec![], 0);
-        }
-        for p in &design.procs {
-            self.walk_stmt(&p.body, &mut vec![], 1);
-        }
-    }
-
-    fn finish(self, design: &Design) -> PropGraph {
-        // Build-time counter assertion: construction resolves through the
-        // design's table and must never widen the namespace.
-        debug_assert_eq!(
-            self.table.len(),
-            design.table.len(),
-            "PropGraph construction interned new signals"
-        );
-        let stats = BuildStats {
-            relations: self.relations.len(),
-            distinct_conds: self.conds_allocated,
-            signals: self.table.len(),
-        };
-        debug_assert!(stats.distinct_conds <= stats.relations.max(1));
-        let mut by_dst = vec![Vec::new(); self.table.len()];
-        let mut by_src = vec![Vec::new(); self.table.len()];
-        for (i, r) in self.relations.iter().enumerate() {
-            by_dst[r.dst.index()].push(i as u32);
-            by_src[r.src.index()].push(i as u32);
-        }
-        PropGraph {
-            relations: self.relations,
-            table: self.table,
-            by_dst,
-            by_src,
-            stats,
-        }
-    }
-
-    fn walk_stmt(&mut self, stmt: &Stmt, conds: &mut Vec<Expr>, latency: u32) {
+    fn walk_stmt(&mut self, stmt: &'d Stmt, latency: u32) {
         match stmt {
             Stmt::Block(stmts) => {
                 for s in stmts {
-                    self.walk_stmt(s, conds, latency);
+                    self.walk_stmt(s, latency);
                 }
             }
             Stmt::If { cond, then, els } => {
-                conds.push(cond.clone());
-                self.walk_stmt(then, conds, latency);
-                conds.pop();
+                self.path.push(Guard::If(cond, true));
+                self.walk_stmt(then, latency);
+                self.path.pop(1);
                 if let Some(els) = els {
-                    conds.push(negate(cond));
-                    self.walk_stmt(els, conds, latency);
-                    conds.pop();
+                    self.path.push(Guard::If(cond, false));
+                    self.walk_stmt(els, latency);
+                    self.path.pop(1);
                 }
             }
             Stmt::Case {
@@ -429,179 +610,159 @@ impl Builder {
                 default,
                 ..
             } => {
-                let mut not_prior: Vec<Expr> = Vec::new();
+                // Each arm holds under the negation of every arm before it.
+                // Those negations stay on the path, so later arms (and the
+                // default) share their cached control sets.
                 for arm in arms {
-                    let mut label_eq = Vec::new();
-                    for l in &arm.labels {
-                        label_eq.push(Expr::eq(expr.clone(), l.clone()));
-                    }
-                    let arm_cond = Expr::any(label_eq);
-                    let mut full = not_prior.clone();
-                    full.push(arm_cond.clone());
-                    let n = full.len();
-                    conds.extend(full);
-                    self.walk_stmt(&arm.body, conds, latency);
-                    conds.truncate(conds.len() - n);
-                    not_prior.push(negate(&arm_cond));
+                    let guard = |positive| Guard::Arm {
+                        subject: expr,
+                        labels: &arm.labels,
+                        positive,
+                    };
+                    self.path.push(guard(true));
+                    self.walk_stmt(&arm.body, latency);
+                    self.path.pop(1);
+                    self.path.push(guard(false));
                 }
                 if let Some(d) = default {
-                    let n = not_prior.len();
-                    conds.extend(not_prior);
-                    self.walk_stmt(d, conds, latency);
-                    conds.truncate(conds.len() - n);
+                    self.walk_stmt(d, latency);
                 }
+                self.path.pop(arms.len());
             }
             Stmt::Assign { lhs, rhs, span, .. } => {
-                self.emit_assign(lhs, rhs, conds, latency, *span);
+                self.emit_assign(lhs, rhs, latency, *span);
             }
             Stmt::For { body, .. } => {
                 // Loop structure itself is compile-time; relations inside
                 // the body hold under the enclosing conditions.
-                self.walk_stmt(body, conds, latency);
+                self.walk_stmt(body, latency);
             }
             Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
         }
     }
 
-    fn emit_assign(
-        &mut self,
-        lhs: &LValue,
-        rhs: &Expr,
-        conds: &[Expr],
-        latency: u32,
-        span: Span,
-    ) {
-        let mut control_ids: BTreeSet<SigId> = BTreeSet::new();
-        for c in conds {
-            for n in c.idents() {
-                if let Some(id) = self.table.id(n) {
-                    control_ids.insert(id);
-                }
-            }
+    fn emit_assign(&mut self, lhs: &'d LValue, rhs: &'d Expr, latency: u32, span: Span) {
+        let table = self.table;
+        self.dsts.clear();
+        visit_targets(lhs, &mut |d| self.dsts.extend(table.id(d)));
+        if self.dsts.is_empty() {
+            return;
         }
         // Index expressions on the LHS are control: they steer where data
         // lands.
-        let mut index_idents = BTreeSet::new();
-        collect_lvalue_index_idents(lhs, &mut index_idents);
-        for n in &index_idents {
-            if let Some(id) = self.table.id(n) {
-                control_ids.insert(id);
-            }
-        }
+        self.lhs_ctrl.clear();
+        visit_index_idents(lhs, &mut |n| self.lhs_ctrl.extend(table.id(n)));
+        self.emit_cases(rhs, &mut Vec::new(), latency, span);
+    }
 
-        let dsts: Vec<SigId> = lhs
-            .target_names()
-            .into_iter()
-            .filter_map(|d| self.table.id(d))
-            .collect();
-        if dsts.is_empty() {
+    /// Splits a right-hand side into cases by decomposing ternaries, per
+    /// the paper's running example where `out <= cond_a ? a : b` yields
+    /// `a ⇝cond_a out` and `b ⇝¬cond_a out`; `arms` holds the ternary
+    /// conditions above `rhs`, outermost first.
+    fn emit_cases(&mut self, rhs: &'d Expr, arms: &mut Vec<Guard<'d>>, latency: u32, span: Span) {
+        if let Expr::Ternary(c, t, f) = rhs {
+            for (branch, taken) in [(t, true), (f, false)] {
+                arms.push(Guard::If(c, taken));
+                self.emit_cases(branch, arms, latency, span);
+                arms.pop();
+            }
             return;
         }
-        for (extra, leaf) in rhs_cases(rhs) {
-            let mut case_ctrl = control_ids.clone();
-            for e in &extra {
-                for n in e.idents() {
-                    if let Some(id) = self.table.id(n) {
-                        case_ctrl.insert(id);
-                    }
-                }
+        let table = self.table;
+        let path_ctrl = self.path.ctrl(table);
+        let ctrl: &[SigId] = if self.lhs_ctrl.is_empty() && arms.is_empty() {
+            &path_ctrl
+        } else {
+            self.case_ctrl.clear();
+            self.case_ctrl.extend_from_slice(&path_ctrl);
+            self.case_ctrl.extend_from_slice(&self.lhs_ctrl);
+            for g in arms.iter() {
+                g.visit_idents(&mut |n| self.case_ctrl.extend(table.id(n)));
             }
-            let data_srcs: Vec<SigId> = leaf
-                .idents()
-                .into_iter()
-                .filter_map(|s| self.table.id(s))
-                .collect();
-            // Only cases that produce edges get a condition allocation, so
-            // `distinct_conds <= relations` holds by construction.
-            if data_srcs.is_empty() && case_ctrl.is_empty() {
-                continue;
+            self.case_ctrl.sort_unstable();
+            self.case_ctrl.dedup();
+            &self.case_ctrl
+        };
+        self.data.clear();
+        rhs.visit_idents(&mut |n| self.data.extend(table.id(n)));
+        // Only cases that produce edges get a condition, so
+        // `distinct_conds <= relations` holds by construction.
+        if self.data.is_empty() && ctrl.is_empty() {
+            return;
+        }
+        let cond = if arms.is_empty() {
+            self.path.conj(&mut self.conds_allocated)
+        } else {
+            self.conds_allocated += 1;
+            Arc::new(conj(&self.path.frames, arms))
+        };
+        for &dst in &self.dsts {
+            for &src in &self.data {
+                self.relations.push(Relation {
+                    src,
+                    dst,
+                    cond: Arc::clone(&cond),
+                    kind: DepKind::Data,
+                    latency,
+                    span,
+                });
             }
-            let mut all = conds.to_vec();
-            all.extend(extra.iter().cloned());
-            // One shared Arc per guard case, not one clone per edge.
-            let cond = self.alloc_cond(conj(&all));
-            for &dst in &dsts {
-                for &src in &data_srcs {
-                    self.relations.push(Relation {
-                        src,
-                        dst,
-                        cond: Arc::clone(&cond),
-                        kind: DepKind::Data,
-                        latency,
-                        span,
-                    });
-                }
-                for &src in &case_ctrl {
-                    self.relations.push(Relation {
-                        src,
-                        dst,
-                        cond: Arc::clone(&cond),
-                        kind: DepKind::Control,
-                        latency,
-                        span,
-                    });
-                }
+            for &src in ctrl {
+                self.relations.push(Relation {
+                    src,
+                    dst,
+                    cond: Arc::clone(&cond),
+                    kind: DepKind::Control,
+                    latency,
+                    span,
+                });
             }
         }
     }
 }
 
-/// Conjunction of a condition stack (`1'b1` when empty).
-fn conj(conds: &[Expr]) -> Expr {
-    let mut it = conds.iter().cloned();
-    match it.next() {
+/// Conjunction of the guard path and then the ternary arms under it,
+/// folded left to right (`1'b1` when both are empty).
+fn conj(path: &[Frame<'_>], arms: &[Guard<'_>]) -> Expr {
+    let mut parts = path
+        .iter()
+        .filter_map(|f| f.guard)
+        .chain(arms.iter().copied())
+        .map(Guard::to_expr);
+    match parts.next() {
         None => Expr::sized(1, 1),
-        Some(first) => it.fold(first, |acc, c| {
-            Expr::Binary(
-                hwdbg_rtl::BinaryOp::LogAnd,
-                Box::new(acc),
-                Box::new(c),
-            )
+        Some(first) => parts.fold(first, |acc, c| {
+            Expr::Binary(BinaryOp::LogAnd, Box::new(acc), Box::new(c))
         }),
     }
 }
 
-fn negate(e: &Expr) -> Expr {
-    Expr::Unary(hwdbg_rtl::UnaryOp::LogNot, Box::new(e.clone()))
-}
-
-/// Splits a right-hand side into `(extra conditions, leaf value)` cases by
-/// decomposing top-level ternaries, per the paper's running example where
-/// `out <= cond_a ? a : b` yields `a ⇝cond_a out` and `b ⇝¬cond_a out`.
-fn rhs_cases(rhs: &Expr) -> Vec<(Vec<Expr>, Expr)> {
-    match rhs {
-        Expr::Ternary(c, t, f) => {
-            let mut out = Vec::new();
-            for (mut extra, leaf) in rhs_cases(t) {
-                extra.insert(0, (**c).clone());
-                out.push((extra, leaf));
+/// Calls `f` on every net an lvalue writes, in
+/// [`LValue::target_names`] order.
+fn visit_targets<'a>(lv: &'a LValue, f: &mut impl FnMut(&'a str)) {
+    match lv {
+        LValue::Id(n) | LValue::Index(n, _) | LValue::Range(n, _, _) => f(n),
+        LValue::Concat(parts) => {
+            for p in parts {
+                visit_targets(p, f);
             }
-            for (mut extra, leaf) in rhs_cases(f) {
-                extra.insert(0, negate(c));
-                out.push((extra, leaf));
-            }
-            out
         }
-        other => vec![(Vec::new(), other.clone())],
     }
 }
 
-fn collect_lvalue_index_idents(lv: &LValue, out: &mut BTreeSet<String>) {
+/// Calls `f` on every name read by an lvalue's index or part-select
+/// bounds.
+fn visit_index_idents<'a>(lv: &'a LValue, f: &mut impl FnMut(&'a str)) {
     match lv {
         LValue::Id(_) => {}
-        LValue::Index(_, i) => {
-            for n in i.idents() {
-                out.insert(n.to_owned());
-            }
-        }
+        LValue::Index(_, i) => i.visit_idents(f),
         LValue::Range(_, a, b) => {
-            for n in a.idents().into_iter().chain(b.idents()) {
-                out.insert(n.to_owned());
-            }
+            a.visit_idents(f);
+            b.visit_idents(f);
         }
         LValue::Concat(parts) => {
             for p in parts {
-                collect_lvalue_index_idents(p, out);
+                visit_index_idents(p, f);
             }
         }
     }
@@ -766,30 +927,100 @@ mod tests {
     }
 
     #[test]
-    fn interning_shares_conds_and_adds_no_signals() {
-        let src = "module m(input clk, input en, input [7:0] a, input [7:0] b,
-                            output reg [7:0] x, output reg [7:0] y);
+    fn guard_paths_share_conds_and_the_table() {
+        let src = "module m(input clk, input en, input s, input [7:0] a, input [7:0] b,
+                            output reg [7:0] x, output reg [7:0] y, output reg [7:0] z);
             always @(posedge clk) if (en) begin
                 x <= a + b;
                 y <= a - b;
+                z <= s ? a : b;
             end
         endmodule";
         let (d, g) = graph(src, "m");
         let stats = g.stats();
-        // `x <= a + b` under `en` is 2 data + 1 control edges on one
-        // shared cond; likewise for `y`. 6 relations, 2 allocations.
-        assert_eq!(stats.relations, 6);
-        assert_eq!(stats.distinct_conds, 2);
+        // `x <= a + b` under `en` is 2 data + 1 control edges, likewise
+        // `y`; each arm of `z`'s ternary is 1 data + 2 control edges.
+        // 12 relations on 3 allocations: one for the `en` path, which `x`
+        // and `y` share, and one per ternary arm.
+        assert_eq!(stats.relations, 12);
+        assert_eq!(stats.distinct_conds, 3);
         assert_eq!(stats.signals, d.table.len());
-        // The shared conds really are the same allocation.
         let first = &g.relations[0];
+        let x = g.id("x").unwrap();
+        let y = g.id("y").unwrap();
         assert!(g
             .relations
             .iter()
-            .filter(|r| r.dst == first.dst)
+            .filter(|r| r.dst == x || r.dst == y)
             .all(|r| Arc::ptr_eq(&r.cond, &first.cond)));
+        // The graph resolves names through the design's own table.
+        assert!(std::ptr::eq(g.table(), &*d.table));
         // Every RTL relation carries a real source span.
         assert!(g.relations.iter().all(|r| r.span != Span::synthetic()));
+    }
+
+    #[test]
+    fn case_arms_hold_under_every_earlier_arm_negated() {
+        let src = "module m(input clk, input [1:0] sel, input [3:0] a, input [3:0] b,
+                            output reg [3:0] y);
+            always @(posedge clk)
+                case (sel)
+                    2'd0: y <= a;
+                    2'd1, 2'd2: y <= b;
+                    default: y <= 4'd0;
+                endcase
+        endmodule";
+        let (_, g) = graph(src, "m");
+        let conds: Vec<_> = g
+            .relations
+            .iter()
+            .filter(|r| r.kind == DepKind::Control)
+            .map(|r| print_expr(&r.cond))
+            .collect();
+        assert_eq!(
+            conds,
+            [
+                "sel == 2'h0",
+                "(!(sel == 2'h0)) && ((sel == 2'h1) | (sel == 2'h2))",
+                "(!(sel == 2'h0)) && (!((sel == 2'h1) | (sel == 2'h2)))",
+            ],
+        );
+    }
+
+    #[test]
+    fn adjacency_keeps_relation_order() {
+        let src = "module m(input clk, input [7:0] a, input [7:0] b, input c,
+                            output reg [7:0] p, output reg [7:0] q);
+            always @(posedge clk) begin
+                p <= a;
+                q <= b;
+                if (c) p <= b;
+                q <= a;
+            end
+        endmodule";
+        let (_, g) = graph(src, "m");
+        for id in (0..g.table().len()).map(SigId::from_index) {
+            let by_scan: Vec<_> = g
+                .relations
+                .iter()
+                .filter(|r| r.dst == id)
+                .map(|r| r as *const Relation)
+                .collect();
+            let by_index: Vec<_> = g.incoming_ids(id).map(|r| r as *const Relation).collect();
+            assert_eq!(by_scan, by_index, "incoming {}", g.name(id));
+            let by_scan: Vec<_> = g
+                .relations
+                .iter()
+                .filter(|r| r.src == id)
+                .map(|r| r as *const Relation)
+                .collect();
+            let by_index: Vec<_> = g.outgoing_ids(id).map(|r| r as *const Relation).collect();
+            assert_eq!(by_scan, by_index, "outgoing {}", g.name(id));
+        }
+        // Out-of-range IDs (another design's) have no relations.
+        assert_eq!(g.incoming_ids(SigId::from_index(1 << 20)).count(), 0);
+        let empty = PropGraph::default();
+        assert_eq!(empty.outgoing_ids(SigId::from_index(0)).count(), 0);
     }
 
     #[test]

@@ -53,7 +53,7 @@ impl LintPass for QualificationPass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let graph = PropGraph::build_local(design);
+        let graph = design.local_graph();
         for pair in stream_pairs(design) {
             for payload in &pair.payloads {
                 let Some(pid) = graph.id(payload) else {
@@ -127,7 +127,7 @@ impl LintPass for BackpressurePass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let graph = PropGraph::build_local(design);
+        let graph = design.local_graph();
         let aliases = comb_aliases(design);
         let inputs = analysis::input_ports(design);
         // Signals a blackbox instance drives: their fan-in is invisible to
@@ -271,7 +271,7 @@ impl LintPass for OccupancyPass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let graph = PropGraph::build_local(design);
+        let graph = design.local_graph();
         let aliases = comb_aliases(design);
         let resets = reset_inputs(design);
         let flag_updates = registered_flag_updates(design, &resets);
@@ -286,13 +286,13 @@ impl LintPass for OccupancyPass {
                     return;
                 }
                 for dst in lhs.target_names() {
-                    let Some((mem, skid)) = entry_point(design, &graph, dst) else {
+                    let Some((mem, skid)) = entry_point(design, graph, dst) else {
                         continue;
                     };
                     let mut worst: Option<Admission> = None;
                     for c in &conjuncts(guards) {
                         let Some(adm) =
-                            classify_admission(design, &graph, &aliases, &flag_updates, c, *span)
+                            classify_admission(design, graph, &aliases, &flag_updates, c, *span)
                         else {
                             continue;
                         };

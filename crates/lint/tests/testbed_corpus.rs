@@ -72,3 +72,41 @@ fn findings_carry_spans_into_the_source() {
         }
     }
 }
+
+/// Every finding of `passes` run in the given order on `design`, as
+/// sorted debug strings.
+fn findings_in_order<'a>(
+    design: &hwdbg_dataflow::Design,
+    passes: impl Iterator<Item = &'a Box<dyn hwdbg_lint::LintPass>>,
+) -> Vec<String> {
+    let config = hwdbg_lint::LintConfig::new();
+    let mut out = Vec::new();
+    for pass in passes {
+        let mut sink = hwdbg_lint::LintSink::new(&config);
+        pass.run(design, &mut sink);
+        out.extend(sink.findings().iter().map(|f| format!("{f:?}")));
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn findings_do_not_depend_on_pass_order() {
+    // The taint passes share the design's memoized propagation graph;
+    // whichever pass builds it first, every pass must see the same graph.
+    let registry = hwdbg_lint::registry();
+    for id in BugId::ALL {
+        for (variant, elaborate) in [
+            ("buggy", buggy_design as fn(BugId) -> _),
+            ("fixed", fixed_design),
+        ] {
+            let forward = elaborate(id).expect("design elaborates");
+            let reverse = elaborate(id).expect("design elaborates");
+            assert_eq!(
+                findings_in_order(&forward, registry.iter()),
+                findings_in_order(&reverse, registry.iter().rev()),
+                "{id} {variant}: findings depend on pass order"
+            );
+        }
+    }
+}

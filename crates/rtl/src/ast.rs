@@ -567,7 +567,11 @@ impl Expr {
         out
     }
 
-    fn visit_idents<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+    /// Calls `f` on every identifier name this expression reads, in the
+    /// same order (and with the same repeats) as [`idents`](Self::idents),
+    /// without collecting them: the allocation-free form for callers that
+    /// resolve or count names as they go.
+    pub fn visit_idents<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
             Expr::Literal { .. } => {}
             Expr::Ident(n) => f(n),

@@ -76,7 +76,7 @@ impl SimState {
             }
         }
         SimState {
-            table: Arc::new(design.table.clone()),
+            table: Arc::clone(&design.table),
             values,
             mems,
             mem_slot,
