@@ -136,8 +136,8 @@ impl JournalWriter {
         })
     }
 
-    /// Appends one retired job record; syncs every [`SYNC_BATCH`]
-    /// appends.
+    /// Appends one retired job record; syncs every 16 appends (the
+    /// private `SYNC_BATCH`).
     ///
     /// # Errors
     ///

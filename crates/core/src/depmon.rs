@@ -6,9 +6,15 @@
 //! hops cost one cycle, and blackbox IPs are traversed through their IP
 //! models). The dynamic half logs every update to each register in the
 //! chain so a developer can trace an incorrect output back to its origin.
+//!
+//! A partially assigned variable is split by bit range
+//! ([`DependencyMonitor::partial_assignments`]). Each range carries the
+//! path condition of its assignment from the shared guard walker
+//! ([`hwdbg_dataflow::guard`]), so it reads exactly as the condition of
+//! the propagation relations the same assignment yields.
 
 use crate::{clock_map, generated_lines, ToolError};
-use hwdbg_dataflow::{Design, DepKind, PropGraph};
+use hwdbg_dataflow::{eval_const, guard, Design, DepKind, PropGraph};
 use hwdbg_rtl::{Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt};
 use hwdbg_sim::{LogRecord, Simulator};
 use std::collections::BTreeMap;
@@ -70,7 +76,11 @@ pub struct PartialAssign {
     pub hi: u32,
     /// Signals whose values feed this range.
     pub srcs: Vec<String>,
-    /// Path condition of the assignment.
+    /// Path condition of the assignment, rendered by [`guard::cond`] as
+    /// for every other tool: the enclosing `if` conditions, and for a
+    /// `case` arm every earlier arm negated followed by its own match (a
+    /// `default` negates every arm). It prints exactly as the condition of
+    /// the [`PropGraph`] relations the same assignment produces.
     pub cond: Expr,
 }
 
@@ -181,11 +191,30 @@ impl DependencyMonitor {
     /// sourced from the *high* byte of the shift register.
     pub fn partial_assignments(design: &Design, signal: &str) -> Vec<PartialAssign> {
         let mut out = Vec::new();
-        for p in &design.procs {
-            scan_partials(&p.body, &mut Vec::new(), signal, design, &mut out);
-        }
-        for c in &design.combs {
-            scan_partials(&c.body, &mut Vec::new(), signal, design, &mut out);
+        let bodies = design.procs.iter().map(|p| &p.body);
+        for body in bodies.chain(design.combs.iter().map(|c| &c.body)) {
+            guard::walk(body, &mut Vec::new(), &mut |path, stmt| {
+                let Stmt::Assign {
+                    lhs: LValue::Range(name, msb, lsb),
+                    rhs,
+                    ..
+                } = stmt
+                else {
+                    return;
+                };
+                if name != signal {
+                    return;
+                }
+                let bound = |e| eval_const(e, &design.consts).map(|b| b.to_u64() as u32);
+                if let (Ok(hi), Ok(lo)) = (bound(msb), bound(lsb)) {
+                    out.push(PartialAssign {
+                        lo,
+                        hi,
+                        srcs: rhs.idents().into_iter().map(str::to_owned).collect(),
+                        cond: guard::cond(path),
+                    });
+                }
+            });
         }
         out.sort_by_key(|pa| pa.lo);
         out
@@ -226,93 +255,11 @@ impl DependencyMonitor {
     }
 }
 
-fn conj(conds: &[Expr]) -> Expr {
-    let mut it = conds.iter().cloned();
-    match it.next() {
-        None => Expr::sized(1, 1),
-        Some(first) => it.fold(first, |acc, c| {
-            Expr::Binary(
-                hwdbg_rtl::BinaryOp::LogAnd,
-                Box::new(acc),
-                Box::new(c),
-            )
-        }),
-    }
-}
-
-fn scan_partials(
-    stmt: &Stmt,
-    conds: &mut Vec<Expr>,
-    signal: &str,
-    design: &Design,
-    out: &mut Vec<PartialAssign>,
-) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_partials(s, conds, signal, design, out);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            conds.push(cond.clone());
-            scan_partials(then, conds, signal, design, out);
-            conds.pop();
-            if let Some(e) = els {
-                conds.push(Expr::Unary(
-                    hwdbg_rtl::UnaryOp::LogNot,
-                    Box::new(cond.clone()),
-                ));
-                scan_partials(e, conds, signal, design, out);
-                conds.pop();
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            for arm in arms {
-                let arm_cond = Expr::any(
-                    arm.labels
-                        .iter()
-                        .map(|l| Expr::eq(expr.clone(), l.clone())),
-                );
-                conds.push(arm_cond);
-                scan_partials(&arm.body, conds, signal, design, out);
-                conds.pop();
-            }
-            if let Some(d) = default {
-                scan_partials(d, conds, signal, design, out);
-            }
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            if let LValue::Range(name, msb, lsb) = lhs {
-                if name == signal {
-                    let m = hwdbg_dataflow::eval_const(msb, &design.consts)
-                        .map(|b| b.to_u64() as u32);
-                    let l = hwdbg_dataflow::eval_const(lsb, &design.consts)
-                        .map(|b| b.to_u64() as u32);
-                    if let (Ok(hi), Ok(lo)) = (m, l) {
-                        out.push(PartialAssign {
-                            lo,
-                            hi,
-                            srcs: rhs.idents().into_iter().map(str::to_owned).collect(),
-                            cond: conj(conds),
-                        });
-                    }
-                }
-            }
-        }
-        Stmt::For { body, .. } => scan_partials(body, conds, signal, design, out),
-        Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hwdbg_dataflow::{elaborate, NoBlackboxes};
+    use hwdbg_rtl::print_expr;
     use hwdbg_sim::{NoModels, SimConfig};
 
     const SRC: &str = "module m(input clk, input [7:0] d, input en, output reg [7:0] out);
@@ -382,6 +329,45 @@ mod tests {
         assert!(updates.iter().any(|u| u.signal == "stage1" && u.value == 9));
         assert!(updates.iter().any(|u| u.signal == "out" && u.value == 10));
         assert!(!updates.iter().any(|u| u.signal == "unrelated"));
+    }
+
+    /// A range assigned in a later `case` arm or the `default` holds under
+    /// every earlier arm negated, exactly as its propagation relations do.
+    #[test]
+    fn partial_conditions_match_the_relation_conditions() {
+        let src = "module m(input clk, input en, input [1:0] s, input [7:0] b, input [7:0] c,
+                            output reg [15:0] r);
+            always @(posedge clk)
+                if (en) case (s)
+                    2'd0: r <= 16'd0;
+                    2'd1: r[7:0] <= b;
+                    default: r[15:8] <= c;
+                endcase
+        endmodule";
+        let d = elaborate(&hwdbg_rtl::parse(src).unwrap(), "m", &NoBlackboxes).unwrap();
+        let g = PropGraph::build(&d, &NoBlackboxes).unwrap();
+        let parts = DependencyMonitor::partial_assignments(&d, "r");
+        let got: Vec<_> = parts
+            .iter()
+            .map(|pa| (pa.lo, pa.hi, print_expr(&pa.cond)))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, 7, "(en && (!(s == 2'h0))) && (s == 2'h1)".to_owned()),
+                (8, 15, "(en && (!(s == 2'h0))) && (!(s == 2'h1))".to_owned()),
+            ]
+        );
+        for pa in &parts {
+            let [src] = &pa.srcs[..] else {
+                panic!("one source per range: {:?}", pa.srcs);
+            };
+            let rel = g
+                .incoming("r")
+                .find(|r| r.kind == DepKind::Data && g.name(r.src) == src)
+                .unwrap();
+            assert_eq!(print_expr(&pa.cond), print_expr(&rel.cond), "{src}");
+        }
     }
 
     #[test]

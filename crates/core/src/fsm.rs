@@ -13,6 +13,7 @@
 
 use crate::{clock_map, generated_lines, ToolError};
 use hwdbg_bits::Bits;
+use hwdbg_dataflow::guard::{self, Guard};
 use hwdbg_dataflow::{Design, SigKind};
 use hwdbg_rtl::{Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt};
 use hwdbg_sim::{LogRecord, Simulator};
@@ -133,11 +134,11 @@ impl FsmMonitor {
     /// false positives.
     pub fn detect_with_config(design: &Design, cfg: &FsmDetectConfig) -> Vec<FsmInfo> {
         let mut facts: BTreeMap<String, SignalFacts> = BTreeMap::new();
-        for p in &design.procs {
-            scan_stmt(&p.body, &mut vec![], design, &mut facts, true);
-        }
-        for c in &design.combs {
-            scan_stmt(&c.body, &mut vec![], design, &mut facts, false);
+        let procs = design.procs.iter().map(|p| (&p.body, true));
+        for (body, clocked) in procs.chain(design.combs.iter().map(|c| (&c.body, false))) {
+            guard::walk(body, &mut Vec::new(), &mut |path, stmt| {
+                note_stmt(path, stmt, design, &mut facts, clocked);
+            });
         }
 
         let consts = ConstIndex::new(design);
@@ -432,48 +433,27 @@ fn note_expr_usage(e: &Expr, facts: &mut BTreeMap<String, SignalFacts>) {
     }
 }
 
-fn scan_stmt(
+/// Records the facts one statement contributes on its own, under `path`;
+/// nested statements are the walker's. An assignment is conditional when
+/// an `if` or `case` guards it (a `for` loop alone does not).
+fn note_stmt(
+    path: &[Guard<'_>],
     stmt: &Stmt,
-    cond_depth: &mut Vec<()>,
     design: &Design,
     facts: &mut BTreeMap<String, SignalFacts>,
     clocked: bool,
 ) {
     match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_stmt(s, cond_depth, design, facts, clocked);
-            }
-        }
-        Stmt::If { cond, then, els } => {
+        Stmt::If { cond, .. } => {
             note_condition_idents(cond, facts);
             note_expr_usage(cond, facts);
-            cond_depth.push(());
-            scan_stmt(then, cond_depth, design, facts, clocked);
-            if let Some(e) = els {
-                scan_stmt(e, cond_depth, design, facts, clocked);
-            }
-            cond_depth.pop();
         }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
+        Stmt::Case { expr, arms, .. } => {
             note_condition_idents(expr, facts);
             note_expr_usage(expr, facts);
-            cond_depth.push(());
-            for arm in arms {
-                for l in &arm.labels {
-                    note_expr_usage(l, facts);
-                }
-                scan_stmt(&arm.body, cond_depth, design, facts, clocked);
+            for l in arms.iter().flat_map(|arm| &arm.labels) {
+                note_expr_usage(l, facts);
             }
-            if let Some(d) = default {
-                scan_stmt(d, cond_depth, design, facts, clocked);
-            }
-            cond_depth.pop();
         }
         Stmt::Assign { lhs, rhs, .. } => {
             note_expr_usage(rhs, facts);
@@ -485,7 +465,7 @@ fn scan_stmt(
                     if clocked {
                         f.clocked_assigns += 1;
                     }
-                    if !cond_depth.is_empty() {
+                    if path.iter().any(|g| !matches!(g, Guard::Loop(_))) {
                         f.conditional_assigns += 1;
                     }
                     if all_const {
@@ -504,8 +484,7 @@ fn scan_stmt(
                 }
             }
         }
-        Stmt::For { body, .. } => scan_stmt(body, cond_depth, design, facts, clocked),
-        Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
+        Stmt::Block(_) | Stmt::For { .. } | Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
     }
 }
 

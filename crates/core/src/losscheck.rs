@@ -20,6 +20,7 @@
 //! D1 false positive and its D11 false negative.
 
 use crate::{clock_map, generated_lines, ToolError};
+use hwdbg_dataflow::guard::{self, Guard};
 use hwdbg_dataflow::{Design, DepKind, PropGraph, SigKind};
 use hwdbg_rtl::{BinaryOp, Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt, UnaryOp};
 use hwdbg_sim::LogRecord;
@@ -454,7 +455,9 @@ fn scan_memory_ports(design: &Design, mem: &str) -> MemPorts {
         reads: Vec::new(),
     };
     for p in &design.procs {
-        scan_stmt_ports(&p.body, &mut vec![], mem, &mut ports);
+        guard::walk(&p.body, &mut Vec::new(), &mut |path, stmt| {
+            scan_stmt_ports(path, stmt, mem, &mut ports);
+        });
     }
     // Combinational reads (e.g. `assign head = mem[rd_ptr];`) observe a
     // slot continuously without consuming it; treating them as propagation
@@ -463,110 +466,59 @@ fn scan_memory_ports(design: &Design, mem: &str) -> MemPorts {
     ports
 }
 
-fn conj(conds: &[Expr]) -> Expr {
-    let mut it = conds.iter().cloned();
-    match it.next() {
-        None => Expr::sized(1, 1),
-        Some(first) => it.fold(first, |acc, c| {
-            Expr::Binary(BinaryOp::LogAnd, Box::new(acc), Box::new(c))
-        }),
-    }
-}
-
-fn scan_stmt_ports(stmt: &Stmt, conds: &mut Vec<Expr>, mem: &str, ports: &mut MemPorts) {
+/// Records the memory reads and writes one statement makes on its own,
+/// under the condition of `path`; nested statements are the walker's.
+fn scan_stmt_ports(path: &[Guard<'_>], stmt: &Stmt, mem: &str, ports: &mut MemPorts) {
     match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_stmt_ports(s, conds, mem, ports);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            scan_expr_reads(cond, conds, mem, ports);
-            conds.push(cond.clone());
-            scan_stmt_ports(then, conds, mem, ports);
-            conds.pop();
-            if let Some(e) = els {
-                conds.push(Expr::Unary(UnaryOp::LogNot, Box::new(cond.clone())));
-                scan_stmt_ports(e, conds, mem, ports);
-                conds.pop();
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            scan_expr_reads(expr, conds, mem, ports);
-            let mut not_prior: Vec<Expr> = Vec::new();
-            for arm in arms {
-                let arm_cond = Expr::any(
-                    arm.labels
-                        .iter()
-                        .map(|l| Expr::eq(expr.clone(), l.clone())),
-                );
-                let n = not_prior.len() + 1;
-                conds.extend(not_prior.iter().cloned());
-                conds.push(arm_cond.clone());
-                scan_stmt_ports(&arm.body, conds, mem, ports);
-                conds.truncate(conds.len() - n);
-                not_prior.push(Expr::Unary(UnaryOp::LogNot, Box::new(arm_cond)));
-            }
-            if let Some(d) = default {
-                let n = not_prior.len();
-                conds.extend(not_prior.iter().cloned());
-                scan_stmt_ports(d, conds, mem, ports);
-                conds.truncate(conds.len() - n);
-            }
-        }
+        Stmt::If { cond, .. } => scan_expr_reads(cond, path, mem, ports),
+        Stmt::Case { expr, .. } => scan_expr_reads(expr, path, mem, ports),
         Stmt::Assign { lhs, rhs, .. } => {
-            scan_expr_reads(rhs, conds, mem, ports);
+            scan_expr_reads(rhs, path, mem, ports);
             if let LValue::Index(name, idx) = lhs {
                 if name == mem {
                     ports.writes.push(MemWrite {
-                        cond: conj(conds),
+                        cond: guard::cond(path),
                         idx: idx.clone(),
                         srcs: rhs.idents().into_iter().map(|s| s.to_owned()).collect(),
                     });
                 }
             }
         }
-        Stmt::For { body, .. } => scan_stmt_ports(body, conds, mem, ports),
         Stmt::Display { args, .. } => {
             for a in args {
-                scan_expr_reads(a, conds, mem, ports);
+                scan_expr_reads(a, path, mem, ports);
             }
         }
-        Stmt::Finish | Stmt::Empty => {}
+        Stmt::Block(_) | Stmt::For { .. } | Stmt::Finish | Stmt::Empty => {}
     }
 }
 
-fn scan_expr_reads(e: &Expr, conds: &[Expr], mem: &str, ports: &mut MemPorts) {
+fn scan_expr_reads(e: &Expr, path: &[Guard<'_>], mem: &str, ports: &mut MemPorts) {
     match e {
         Expr::Index(name, idx) if name == mem => {
-            ports.reads.push((conj(conds), (**idx).clone()));
-            scan_expr_reads(idx, conds, mem, ports);
+            ports.reads.push((guard::cond(path), (**idx).clone()));
+            scan_expr_reads(idx, path, mem, ports);
         }
-        Expr::Index(_, idx) => scan_expr_reads(idx, conds, mem, ports),
+        Expr::Index(_, idx) => scan_expr_reads(idx, path, mem, ports),
         Expr::Unary(_, i) | Expr::WidthCast(_, i) | Expr::SignCast(_, i) => {
-            scan_expr_reads(i, conds, mem, ports)
+            scan_expr_reads(i, path, mem, ports)
         }
         Expr::Binary(_, a, b) | Expr::Repeat(a, b) => {
-            scan_expr_reads(a, conds, mem, ports);
-            scan_expr_reads(b, conds, mem, ports);
+            scan_expr_reads(a, path, mem, ports);
+            scan_expr_reads(b, path, mem, ports);
         }
         Expr::Ternary(c, t, f) => {
-            scan_expr_reads(c, conds, mem, ports);
-            scan_expr_reads(t, conds, mem, ports);
-            scan_expr_reads(f, conds, mem, ports);
+            scan_expr_reads(c, path, mem, ports);
+            scan_expr_reads(t, path, mem, ports);
+            scan_expr_reads(f, path, mem, ports);
         }
         Expr::Range(_, a, b) => {
-            scan_expr_reads(a, conds, mem, ports);
-            scan_expr_reads(b, conds, mem, ports);
+            scan_expr_reads(a, path, mem, ports);
+            scan_expr_reads(b, path, mem, ports);
         }
         Expr::Concat(parts) => {
             for p in parts {
-                scan_expr_reads(p, conds, mem, ports);
+                scan_expr_reads(p, path, mem, ports);
             }
         }
         Expr::Literal { .. } | Expr::Ident(_) => {}

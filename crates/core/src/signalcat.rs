@@ -3,7 +3,7 @@
 //! SignalCat discovers `$display` statements in the clocked logic of a
 //! design, extracts each statement's *path constraint* (the conditions
 //! under which it executes), and replaces the statements with synthesizable
-//! recording logic: one [`TraceBuffer`](hwdbg_ip::TraceBuffer) instance per
+//! recording logic: one [`TraceBuffer`] instance per
 //! clock domain whose `din` carries all statement arguments plus a 1-bit
 //! encoded path constraint per statement, and whose `enable` is the OR of
 //! the constraints. After execution, [`SignalCat::reconstruct`] turns the
@@ -11,11 +11,10 @@
 //! printed — the same output in simulation and deployment.
 
 use crate::{generated_lines, ToolError};
-use hwdbg_dataflow::Design;
+use hwdbg_dataflow::{guard, Design};
 use hwdbg_ip::TraceBuffer;
 use hwdbg_rtl::{
-    BinaryOp, CaseArm, Expr, Instance, Item, LValue, Module, NetDecl, NetKind, Span, Stmt,
-    UnaryOp,
+    CaseArm, Expr, Instance, Item, LValue, Module, NetDecl, NetKind, Span, Stmt, UnaryOp,
 };
 use hwdbg_sim::{LogRecord, Simulator};
 
@@ -100,8 +99,22 @@ impl SignalCat {
             let Some(edge) = p.edges.iter().find(|e| e.posedge) else {
                 continue;
             };
-            let mut conds: Vec<Expr> = Vec::new();
-            collect_displays(&p.body, &mut conds, &edge.signal, design, &mut stmts);
+            guard::walk(&p.body, &mut Vec::new(), &mut |path, stmt| {
+                let Stmt::Display { format, args, .. } = stmt else {
+                    return;
+                };
+                stmts.push(DisplayStmt {
+                    id: stmts.len(),
+                    format: format.clone(),
+                    arg_widths: args
+                        .iter()
+                        .map(|a| design.expr_width(a).unwrap_or(1))
+                        .collect(),
+                    args: args.clone(),
+                    constraint: guard::cond(path),
+                    clock: edge.signal.clone(),
+                });
+            });
         }
         stmts
     }
@@ -372,81 +385,6 @@ fn to_bool(e: Expr, design: &Design) -> Expr {
     match design.expr_width(&e) {
         Some(1) => e,
         _ => Expr::Unary(UnaryOp::RedOr, Box::new(e)),
-    }
-}
-
-/// Walks a statement tree maintaining the path-condition stack and records
-/// every `$display`.
-fn collect_displays(
-    stmt: &Stmt,
-    conds: &mut Vec<Expr>,
-    clock: &str,
-    design: &Design,
-    out: &mut Vec<DisplayStmt>,
-) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                collect_displays(s, conds, clock, design, out);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            conds.push(cond.clone());
-            collect_displays(then, conds, clock, design, out);
-            conds.pop();
-            if let Some(e) = els {
-                conds.push(Expr::Unary(UnaryOp::LogNot, Box::new(cond.clone())));
-                collect_displays(e, conds, clock, design, out);
-                conds.pop();
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            let mut not_prior: Vec<Expr> = Vec::new();
-            for arm in arms {
-                let arm_cond = Expr::any(
-                    arm.labels
-                        .iter()
-                        .map(|l| Expr::eq(expr.clone(), l.clone())),
-                );
-                let n = not_prior.len() + 1;
-                conds.extend(not_prior.iter().cloned());
-                conds.push(arm_cond.clone());
-                collect_displays(&arm.body, conds, clock, design, out);
-                conds.truncate(conds.len() - n);
-                not_prior.push(Expr::Unary(UnaryOp::LogNot, Box::new(arm_cond)));
-            }
-            if let Some(d) = default {
-                let n = not_prior.len();
-                conds.extend(not_prior.iter().cloned());
-                collect_displays(d, conds, clock, design, out);
-                conds.truncate(conds.len() - n);
-            }
-        }
-        Stmt::Display { format, args, .. } => {
-            let constraint = conds
-                .iter()
-                .cloned()
-                .reduce(|a, b| Expr::Binary(BinaryOp::LogAnd, Box::new(a), Box::new(b)))
-                .unwrap_or_else(|| Expr::sized(1, 1));
-            out.push(DisplayStmt {
-                id: out.len(),
-                format: format.clone(),
-                arg_widths: args
-                    .iter()
-                    .map(|a| design.expr_width(a).unwrap_or(1))
-                    .collect(),
-                args: args.clone(),
-                constraint,
-                clock: clock.to_owned(),
-            });
-        }
-        Stmt::For { body, .. } => collect_displays(body, conds, clock, design, out),
-        _ => {}
     }
 }
 

@@ -4,7 +4,7 @@
 //! [`Design`] form that the simulator, the resource estimator, and the
 //! debugging tools all consume:
 //!
-//! 1. [`flatten`] inlines the module hierarchy (the role Verilator's inline
+//! 1. [`flatten()`] inlines the module hierarchy (the role Verilator's inline
 //!    expansion plays in the paper), folding parameters and keeping
 //!    localparams so state names survive for the FSM monitor;
 //! 2. [`resolve`] classifies every signal (input/output/comb/reg/memory),
@@ -37,6 +37,7 @@ pub mod blackbox;
 pub mod consteval;
 pub mod design;
 pub mod flatten;
+pub mod guard;
 pub mod intern;
 pub mod prop;
 pub mod rewrite;
@@ -49,7 +50,8 @@ pub use design::{
 };
 pub use intern::{SigId, SignalTable};
 pub use flatten::{expr_to_lvalue, flatten};
-pub use prop::{cond_leaves, BuildStats, CondLeaf, DepKind, PropGraph, Relation};
+pub use guard::{cond_leaves, CondLeaf};
+pub use prop::{BuildStats, DepKind, PropGraph, Relation};
 pub use rewrite::{rewrite_expr, rewrite_lvalue, rewrite_stmt, Repl};
 pub use scc::tarjan_scc;
 

@@ -16,17 +16,22 @@
 //!
 //! Relations are keyed by interned [`SigId`]s resolved through the
 //! design's own [`SignalTable`], which the graph shares rather than
-//! copies, so construction cannot widen the namespace. Condition
-//! expressions are shared via [`Arc`]: the builder borrows the guard path
-//! from the AST and materializes each path's conjunction once, for every
-//! assignment under it, so building the table allocates per guard, not
-//! per edge or per assignment. [`BuildStats`] records the sharing.
+//! copies, so construction cannot widen the namespace. The builder visits
+//! assignments with the shared [`guard::walk`], and a relation's condition
+//! is [`guard::cond`] of the assignment's path, the same rendering
+//! SignalCat, LossCheck and Dependency Monitor use. Condition expressions
+//! are shared via [`Arc`]: the builder keeps one frame per guard of the
+//! current path, carried over from one assignment to the next while the
+//! paths share a prefix, and materializes each frame's condition once for
+//! every assignment under it, so building the table allocates per guard,
+//! not per edge or per assignment. [`BuildStats`] records the sharing.
 
 use crate::blackbox::BlackboxLib;
 use crate::design::Design;
+use crate::guard::{self, Guard};
 use crate::intern::{SigId, SignalTable};
 use crate::DataflowError;
-use hwdbg_rtl::{BinaryOp, Expr, LValue, Span, Stmt, UnaryOp};
+use hwdbg_rtl::{Expr, LValue, Span, Stmt};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -72,42 +77,6 @@ pub struct BuildStats {
     pub distinct_conds: usize,
     /// Signals in the table — the design's own, shared rather than copied.
     pub signals: usize,
-}
-
-/// One normalized conjunct of a relation condition.
-///
-/// [`cond_leaves`] splits positive conjunctions and strips negations;
-/// disjunctions and comparisons stay opaque, so each leaf is an
-/// atomic fact that must hold (`positive`) or must not (`!positive`)
-/// for the propagation to happen.
-#[derive(Debug, Clone, Copy)]
-pub struct CondLeaf<'a> {
-    /// The atomic expression (negations peeled off).
-    pub expr: &'a Expr,
-    /// Polarity after peeling: `false` means the leaf is negated.
-    pub positive: bool,
-}
-
-/// Normalizes a condition into conjunct leaves: top-level `&&` chains are
-/// split, `!`/`~` flip polarity, everything else (disjunctions,
-/// comparisons, bare signals) is one leaf.
-pub fn cond_leaves(e: &Expr) -> Vec<CondLeaf<'_>> {
-    let mut out = Vec::new();
-    collect_leaves(e, true, &mut out);
-    out
-}
-
-fn collect_leaves<'a>(e: &'a Expr, positive: bool, out: &mut Vec<CondLeaf<'a>>) {
-    match e {
-        Expr::Binary(BinaryOp::LogAnd, a, b) if positive => {
-            collect_leaves(a, true, out);
-            collect_leaves(b, true, out);
-        }
-        Expr::Unary(UnaryOp::LogNot | UnaryOp::Not, inner) => {
-            collect_leaves(inner, !positive, out);
-        }
-        other => out.push(CondLeaf { expr: other, positive }),
-    }
 }
 
 /// Relation indices grouped by one endpoint signal, in compressed form:
@@ -232,10 +201,10 @@ impl PropGraph {
     pub fn build_local(design: &Design) -> PropGraph {
         let mut b = Builder::new(&design.table);
         for c in &design.combs {
-            b.walk_stmt(&c.body, 0);
+            b.process(&c.body, 0);
         }
         for p in &design.procs {
-            b.walk_stmt(&p.body, 1);
+            b.process(&p.body, 1);
         }
         PropGraph::index(Arc::clone(&design.table), b.relations, b.conds_allocated)
     }
@@ -358,7 +327,8 @@ impl PropGraph {
     /// Signals reachable from `src` along relations the `follow` predicate
     /// admits (unbounded, forward direction), including `src`. This is the
     /// guarded-reachability query the taint passes build on: the predicate
-    /// typically inspects `cond` (via [`cond_leaves`]) and `kind`.
+    /// typically inspects `cond` (via [`cond_leaves`](guard::cond_leaves))
+    /// and `kind`.
     pub fn guarded_reachable(
         &self,
         src: SigId,
@@ -424,70 +394,86 @@ impl PropGraph {
     }
 }
 
-/// One condition on the path to a statement, borrowed from the AST: the
-/// builder clones nothing until a relation needs the path's condition.
-#[derive(Clone, Copy)]
-enum Guard<'d> {
-    /// An `if` condition (`true`) or its `else` branch (`false`); also one
-    /// arm of a ternary right-hand side.
-    If(&'d Expr, bool),
-    /// A `case` arm's match `subject == l0 || subject == l1 || …`
-    /// (`positive`), or its negation on every later arm and `default`.
-    Arm {
-        subject: &'d Expr,
-        labels: &'d [Expr],
-        positive: bool,
-    },
-}
-
-impl<'d> Guard<'d> {
-    /// The guard as the expression a relation condition carries.
-    fn to_expr(self) -> Expr {
-        let (e, positive) = match self {
-            Guard::If(cond, positive) => (cond.clone(), positive),
-            Guard::Arm {
-                subject,
-                labels,
-                positive,
-            } => (
-                Expr::any(labels.iter().map(|l| Expr::eq(subject.clone(), l.clone()))),
-                positive,
-            ),
-        };
-        if positive {
-            e
-        } else {
-            Expr::Unary(UnaryOp::LogNot, Box::new(e))
-        }
-    }
-
-    /// Calls `f` on every name the guard reads.
-    fn visit_idents(self, f: &mut impl FnMut(&'d str)) {
-        match self {
-            Guard::If(cond, _) => cond.visit_idents(f),
-            Guard::Arm {
-                subject, labels, ..
-            } => {
-                subject.visit_idents(f);
-                for l in labels {
-                    l.visit_idents(f);
-                }
-            }
-        }
-    }
-}
-
 /// One depth of the guard path, with the conjunction and the sorted,
 /// unique control signals of the path up to and including it. Both are
 /// built on first use and then shared by every assignment at this depth.
 struct Frame<'d> {
     /// `None` for the root (the empty path).
     guard: Option<Guard<'d>>,
-    conj: Option<Arc<Expr>>,
+    /// Signals the guard reads, unsorted: a case arm's are its subject's
+    /// and those of every label up to its own, since it holds under every
+    /// earlier arm negated.
+    reads: Vec<SigId>,
+    cond: Option<Arc<Expr>>,
     ctrl: Option<Rc<[SigId]>>,
 }
 
-/// The guard path of the statement being walked, outermost first.
+impl<'d> Frame<'d> {
+    fn new(guard: Guard<'d>, table: &SignalTable) -> Frame<'d> {
+        let mut reads = Vec::new();
+        let mut read = |e: &Expr| e.visit_idents(&mut |n| reads.extend(table.id(n)));
+        match guard {
+            Guard::If(c, _) | Guard::Loop(c) => read(c),
+            Guard::Arm {
+                subject,
+                arms,
+                index,
+            } => {
+                read(subject);
+                arms[..=index].iter().flat_map(|a| &a.labels).for_each(read);
+            }
+            Guard::Default { subject, arms } => {
+                read(subject);
+                arms.iter().flat_map(|a| &a.labels).for_each(read);
+            }
+        }
+        Frame {
+            guard: Some(guard),
+            reads,
+            cond: None,
+            ctrl: None,
+        }
+    }
+
+    /// Moves a case-arm frame on to a later arm (or the `default`) of the
+    /// same `case`, scanning only the labels it has not read yet, so a
+    /// `case` costs time linear in its labels. False, and unchanged, if
+    /// `next` is not a later guard of the same `case`.
+    fn advance(&mut self, next: Guard<'d>, table: &SignalTable) -> bool {
+        let Some(Guard::Arm { arms, index, .. }) = self.guard else {
+            return false;
+        };
+        let upto = match next {
+            Guard::Arm { arms: n, index: k, .. } if std::ptr::eq(arms, n) && k > index => k + 1,
+            Guard::Default { arms: n, .. } if std::ptr::eq(arms, n) => arms.len(),
+            _ => return false,
+        };
+        for label in arms[index + 1..upto].iter().flat_map(|a| &a.labels) {
+            label.visit_idents(&mut |s| self.reads.extend(table.id(s)));
+        }
+        self.guard = Some(next);
+        self.cond = None;
+        self.ctrl = None;
+        true
+    }
+}
+
+/// The same guard of the same AST node.
+fn same(a: Guard<'_>, b: Guard<'_>) -> bool {
+    match (a, b) {
+        (Guard::If(x, p), Guard::If(y, q)) => std::ptr::eq(x, y) && p == q,
+        (Guard::Arm { arms: x, index: i, .. }, Guard::Arm { arms: y, index: j, .. }) => {
+            std::ptr::eq(x, y) && i == j
+        }
+        (Guard::Default { arms: x, .. }, Guard::Default { arms: y, .. }) => std::ptr::eq(x, y),
+        _ => false,
+    }
+}
+
+/// The guard path of the assignment being visited, outermost first,
+/// holding only the guards that add to its condition: a `for` guard and the
+/// `default` of an arm-less `case` add nothing, so they share the
+/// enclosing depth's caches.
 struct Path<'d> {
     /// Never empty: `frames[0]` is the root.
     frames: Vec<Frame<'d>>,
@@ -498,42 +484,57 @@ impl<'d> Path<'d> {
         Path {
             frames: vec![Frame {
                 guard: None,
-                conj: None,
+                reads: Vec::new(),
+                cond: None,
                 ctrl: Some(Rc::from([])),
             }],
         }
     }
 
-    fn push(&mut self, guard: Guard<'d>) {
-        self.frames.push(Frame {
-            guard: Some(guard),
-            conj: None,
-            ctrl: None,
-        });
+    /// Moves to the walker's `path`, keeping the frames (and their caches)
+    /// of the prefix it shares with the previous assignment's.
+    fn sync(&mut self, path: &[Guard<'d>], table: &SignalTable) {
+        let mut depth = 0;
+        for &g in path.iter().filter(|g| adds_to_cond(g)) {
+            depth += 1;
+            let Some(frame) = self.frames.get_mut(depth) else {
+                self.frames.push(Frame::new(g, table));
+                continue;
+            };
+            if frame.guard.is_some_and(|f| same(f, g)) {
+                continue;
+            }
+            let advanced = frame.advance(g, table);
+            self.frames.truncate(depth + usize::from(advanced));
+            if !advanced {
+                self.frames.push(Frame::new(g, table));
+            }
+        }
+        self.frames.truncate(depth + 1);
     }
 
-    /// Pops the `n` innermost guards.
-    fn pop(&mut self, n: usize) {
-        self.frames.truncate(self.frames.len() - n);
+    /// The path's guards, outermost first.
+    fn guards(&self) -> impl Iterator<Item = Guard<'d>> + '_ {
+        self.frames.iter().filter_map(|f| f.guard)
     }
 
     /// The path's condition, allocated once per depth (`allocated` counts
     /// it).
-    fn conj(&mut self, allocated: &mut usize) -> Arc<Expr> {
+    fn cond(&mut self, allocated: &mut usize) -> Arc<Expr> {
         let top = self.frames.len() - 1;
-        if let Some(c) = &self.frames[top].conj {
+        if let Some(c) = &self.frames[top].cond {
             return Arc::clone(c);
         }
         *allocated += 1;
-        let c = Arc::new(conj(&self.frames, &[]));
-        self.frames[top].conj = Some(Arc::clone(&c));
+        let c = Arc::new(guard::cond(&self.guards().collect::<Vec<_>>()));
+        self.frames[top].cond = Some(Arc::clone(&c));
         c
     }
 
     /// The signals the path's guards read, sorted and unique: each depth
     /// extends its parent's set, so a guard is scanned once however many
     /// assignments sit under it.
-    fn ctrl(&mut self, table: &SignalTable) -> Rc<[SigId]> {
+    fn ctrl(&mut self) -> Rc<[SigId]> {
         let top = self.frames.len() - 1;
         let known = self.frames.iter().rposition(|f| f.ctrl.is_some());
         for i in known.map_or(1, |k| k + 1)..=top {
@@ -542,9 +543,7 @@ impl<'d> Path<'d> {
                 .as_deref()
                 .map(<[SigId]>::to_vec)
                 .unwrap_or_default();
-            if let Some(g) = self.frames[i].guard {
-                g.visit_idents(&mut |n| ids.extend(table.id(n)));
-            }
+            ids.extend_from_slice(&self.frames[i].reads);
             ids.sort_unstable();
             ids.dedup();
             self.frames[i].ctrl = Some(ids.into());
@@ -553,6 +552,15 @@ impl<'d> Path<'d> {
             .ctrl
             .clone()
             .unwrap_or_else(|| Rc::from([]))
+    }
+}
+
+/// Whether a guard adds a conjunct to [`guard::cond`].
+fn adds_to_cond(g: &Guard<'_>) -> bool {
+    match g {
+        Guard::Loop(_) => false,
+        Guard::Default { arms, .. } => !arms.is_empty(),
+        Guard::If(..) | Guard::Arm { .. } => true,
     }
 }
 
@@ -587,58 +595,14 @@ impl<'d> Builder<'d> {
         }
     }
 
-    fn walk_stmt(&mut self, stmt: &'d Stmt, latency: u32) {
-        match stmt {
-            Stmt::Block(stmts) => {
-                for s in stmts {
-                    self.walk_stmt(s, latency);
-                }
-            }
-            Stmt::If { cond, then, els } => {
-                self.path.push(Guard::If(cond, true));
-                self.walk_stmt(then, latency);
-                self.path.pop(1);
-                if let Some(els) = els {
-                    self.path.push(Guard::If(cond, false));
-                    self.walk_stmt(els, latency);
-                    self.path.pop(1);
-                }
-            }
-            Stmt::Case {
-                expr,
-                arms,
-                default,
-                ..
-            } => {
-                // Each arm holds under the negation of every arm before it.
-                // Those negations stay on the path, so later arms (and the
-                // default) share their cached control sets.
-                for arm in arms {
-                    let guard = |positive| Guard::Arm {
-                        subject: expr,
-                        labels: &arm.labels,
-                        positive,
-                    };
-                    self.path.push(guard(true));
-                    self.walk_stmt(&arm.body, latency);
-                    self.path.pop(1);
-                    self.path.push(guard(false));
-                }
-                if let Some(d) = default {
-                    self.walk_stmt(d, latency);
-                }
-                self.path.pop(arms.len());
-            }
-            Stmt::Assign { lhs, rhs, span, .. } => {
+    /// Extracts the relations of every assignment in one process body.
+    fn process(&mut self, body: &'d Stmt, latency: u32) {
+        guard::walk(body, &mut Vec::new(), &mut |path, stmt| {
+            if let Stmt::Assign { lhs, rhs, span, .. } = stmt {
+                self.path.sync(path, self.table);
                 self.emit_assign(lhs, rhs, latency, *span);
             }
-            Stmt::For { body, .. } => {
-                // Loop structure itself is compile-time; relations inside
-                // the body hold under the enclosing conditions.
-                self.walk_stmt(body, latency);
-            }
-            Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
-        }
+        });
     }
 
     fn emit_assign(&mut self, lhs: &'d LValue, rhs: &'d Expr, latency: u32, span: Span) {
@@ -669,7 +633,7 @@ impl<'d> Builder<'d> {
             return;
         }
         let table = self.table;
-        let path_ctrl = self.path.ctrl(table);
+        let path_ctrl = self.path.ctrl();
         let ctrl: &[SigId] = if self.lhs_ctrl.is_empty() && arms.is_empty() {
             &path_ctrl
         } else {
@@ -677,7 +641,9 @@ impl<'d> Builder<'d> {
             self.case_ctrl.extend_from_slice(&path_ctrl);
             self.case_ctrl.extend_from_slice(&self.lhs_ctrl);
             for g in arms.iter() {
-                g.visit_idents(&mut |n| self.case_ctrl.extend(table.id(n)));
+                if let Guard::If(c, _) = g {
+                    c.visit_idents(&mut |n| self.case_ctrl.extend(table.id(n)));
+                }
             }
             self.case_ctrl.sort_unstable();
             self.case_ctrl.dedup();
@@ -691,10 +657,11 @@ impl<'d> Builder<'d> {
             return;
         }
         let cond = if arms.is_empty() {
-            self.path.conj(&mut self.conds_allocated)
+            self.path.cond(&mut self.conds_allocated)
         } else {
             self.conds_allocated += 1;
-            Arc::new(conj(&self.path.frames, arms))
+            let full: Vec<Guard<'d>> = self.path.guards().chain(arms.iter().copied()).collect();
+            Arc::new(guard::cond(&full))
         };
         for &dst in &self.dsts {
             for &src in &self.data {
@@ -718,22 +685,6 @@ impl<'d> Builder<'d> {
                 });
             }
         }
-    }
-}
-
-/// Conjunction of the guard path and then the ternary arms under it,
-/// folded left to right (`1'b1` when both are empty).
-fn conj(path: &[Frame<'_>], arms: &[Guard<'_>]) -> Expr {
-    let mut parts = path
-        .iter()
-        .filter_map(|f| f.guard)
-        .chain(arms.iter().copied())
-        .map(Guard::to_expr);
-    match parts.next() {
-        None => Expr::sized(1, 1),
-        Some(first) => parts.fold(first, |acc, c| {
-            Expr::Binary(BinaryOp::LogAnd, Box::new(acc), Box::new(c))
-        }),
     }
 }
 
@@ -1032,16 +983,5 @@ mod tests {
         let g = PropGraph::build_local(&d);
         assert_eq!(g.relations.len(), 1);
         assert!(g.back_slice("q", 1, &[DepKind::Data]).contains_key("d"));
-    }
-
-    #[test]
-    fn cond_leaves_normalize_polarity() {
-        let e = hwdbg_rtl::parse_expr("a && !b && (c || d)").unwrap();
-        let leaves = cond_leaves(&e);
-        assert_eq!(leaves.len(), 3);
-        assert!(leaves[0].positive);
-        assert!(!leaves[1].positive);
-        assert!(leaves[2].positive);
-        assert!(matches!(leaves[2].expr, Expr::Binary(BinaryOp::LogOr, ..)));
     }
 }

@@ -1,156 +1,34 @@
-//! Shared guard-path machinery for lint passes.
+//! Guard-path helpers for lint passes.
 //!
-//! Every pass over procedural code needs the same primitive: visit each
-//! assignment together with the `if`/`case` guards that dominate it. The
-//! [`walk`] visitor provides that, and the helpers below decompose guard
-//! stacks into *conjunct leaves* — the individual boolean facts that must
-//! hold on a path — so passes can ask questions like "is this write under a
-//! positive reset?" or "does this set-site wait for `ready`?" without
+//! Passes visit procedural code with [`guard::walk`], which hands each
+//! statement the `if`/`case`/`for` guards that dominate it, and decompose
+//! a path into conjunct leaves with [`guard::leaves`] — the individual
+//! boolean facts that must hold on it. The helpers here interpret those
+//! leaves, so passes can ask questions like "is this write under a positive
+//! reset?" or "does this set-site wait for `ready`?" without
 //! re-implementing boolean reasoning.
 
 use hwdbg_bits::Bits;
-use hwdbg_dataflow::{eval_const, CondLeaf, Design, SigKind};
+use hwdbg_dataflow::guard::{self, CondLeaf, Guard};
+use hwdbg_dataflow::{eval_const, Design, SigKind};
 use hwdbg_rtl::{print_expr, BinaryOp, Dir, Expr, LValue, Span, Stmt, UnaryOp};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One guard on the path from a process body to a statement.
-#[derive(Debug, Clone, Copy)]
-pub enum Guard<'a> {
-    /// An `if` condition; `positive` is false inside the `else` branch.
-    Cond {
-        /// The condition expression.
-        cond: &'a Expr,
-        /// True in the `then` branch, false in the `else` branch.
-        positive: bool,
-    },
-    /// A `case` arm: the selector matched one of `labels`.
-    Arm {
-        /// The case selector.
-        selector: &'a Expr,
-        /// The labels of the matched arm.
-        labels: &'a [Expr],
-    },
-    /// The `default` arm: the selector matched no explicit arm.
-    Default {
-        /// The case selector.
-        selector: &'a Expr,
-    },
-}
-
-/// Calls `f` on every [`Stmt::Assign`] and [`Stmt::Display`] in `stmt`,
-/// passing the guard stack active at that point. `for` bodies are visited
-/// with the loop condition as an extra guard.
-pub fn walk<'a>(
-    stmt: &'a Stmt,
-    guards: &mut Vec<Guard<'a>>,
-    f: &mut dyn FnMut(&[Guard<'a>], &'a Stmt),
-) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                walk(s, guards, f);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            guards.push(Guard::Cond {
-                cond,
-                positive: true,
-            });
-            walk(then, guards, f);
-            guards.pop();
-            if let Some(e) = els {
-                guards.push(Guard::Cond {
-                    cond,
-                    positive: false,
-                });
-                walk(e, guards, f);
-                guards.pop();
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            for arm in arms {
-                guards.push(Guard::Arm {
-                    selector: expr,
-                    labels: &arm.labels,
-                });
-                walk(&arm.body, guards, f);
-                guards.pop();
-            }
-            if let Some(d) = default {
-                guards.push(Guard::Default { selector: expr });
-                walk(d, guards, f);
-                guards.pop();
-            }
-        }
-        Stmt::For { cond, body, .. } => {
-            guards.push(Guard::Cond {
-                cond,
-                positive: true,
-            });
-            walk(body, guards, f);
-            guards.pop();
-        }
-        Stmt::Assign { .. } | Stmt::Display { .. } => f(guards, stmt),
-        Stmt::Finish | Stmt::Empty => {}
-    }
-}
-
-/// A flattened boolean leaf of the `if` guards on a path: the fact
-/// `expr` (if `positive`) or `!expr` holds whenever the path executes.
-#[derive(Debug, Clone, Copy)]
-pub struct Conjunct<'a> {
-    /// The leaf expression, with `!`/`~` wrappers stripped into `positive`.
-    pub expr: &'a Expr,
-    /// Polarity of the fact.
-    pub positive: bool,
-}
-
-/// Flattens the `if`-condition guards of a path into conjunct leaves:
-/// `a && !b` contributes `(a, +)` and `(b, -)`. Disjunctions and negated
-/// conjunctions stay opaque single leaves (we only reason about facts that
-/// *must* hold). Case-arm guards contribute nothing — compare paths with
-/// [`path_key`] when arm identity matters.
-pub fn conjuncts<'a>(guards: &[Guard<'a>]) -> Vec<Conjunct<'a>> {
-    let mut out = Vec::new();
-    for g in guards {
-        if let Guard::Cond { cond, positive } = g {
-            flatten(cond, *positive, &mut out);
-        }
-    }
-    out
-}
-
-fn flatten<'a>(e: &'a Expr, positive: bool, out: &mut Vec<Conjunct<'a>>) {
-    match e {
-        Expr::Binary(BinaryOp::LogAnd, a, b) if positive => {
-            flatten(a, true, out);
-            flatten(b, true, out);
-        }
-        Expr::Unary(UnaryOp::LogNot | UnaryOp::Not, inner) => flatten(inner, !positive, out),
-        _ => out.push(Conjunct { expr: e, positive }),
-    }
-}
-
-/// The conjunct's plain identifier name, if it is a bare signal test.
-pub fn ident_leaf<'a>(c: &Conjunct<'a>) -> Option<(&'a str, bool)> {
+/// The leaf's plain identifier name, if it is a bare signal test.
+pub fn ident_leaf<'a>(c: &CondLeaf<'a>) -> Option<(&'a str, bool)> {
     match c.expr {
         Expr::Ident(n) => Some((n, c.positive)),
         _ => None,
     }
 }
 
-/// Decomposes a conjunct that proves an inductive wrap bound for a counter
+/// Decomposes a leaf that proves an inductive wrap bound for a counter
 /// incremented by one: returns `(register, K)` such that whenever the
-/// conjunct holds, `register + 1 <= K`.
+/// leaf holds, `register + 1 <= K`.
 ///
 /// Recognized shapes: the `else` of `if (r == K)` (and `r != K`), and the
 /// `then` of `if (r < K)`, with `K` constant under the design's parameters.
-pub fn wrap_bound<'a>(c: &Conjunct<'a>, design: &Design) -> Option<(&'a str, u64)> {
+pub fn wrap_bound<'a>(c: &CondLeaf<'a>, design: &Design) -> Option<(&'a str, u64)> {
     let Expr::Binary(op, a, b) = c.expr else {
         return None;
     };
@@ -194,30 +72,35 @@ pub fn const_value(e: &Expr, design: &Design) -> Option<Bits> {
 
 /// A stable textual key identifying one guard path, including case-arm
 /// identity — two assignments share a key iff they execute under the same
-/// syntactic guards.
+/// syntactic guards. A `for` guard reads like a taken `if`.
 pub fn path_key(guards: &[Guard<'_>]) -> String {
     let mut parts = Vec::with_capacity(guards.len());
     for g in guards {
-        match g {
-            Guard::Cond { cond, positive } => {
-                let sign = if *positive { '+' } else { '-' };
+        match *g {
+            Guard::If(cond, positive) => {
+                let sign = if positive { '+' } else { '-' };
                 parts.push(format!("{sign}({})", print_expr(cond)));
             }
-            Guard::Arm { selector, labels } => {
-                let labels: Vec<String> = labels.iter().map(print_expr).collect();
-                parts.push(format!("arm({}:{})", print_expr(selector), labels.join(",")));
+            Guard::Loop(cond) => parts.push(format!("+({})", print_expr(cond))),
+            Guard::Arm {
+                subject,
+                arms,
+                index,
+            } => {
+                let labels: Vec<String> = arms[index].labels.iter().map(print_expr).collect();
+                parts.push(format!("arm({}:{})", print_expr(subject), labels.join(",")));
             }
-            Guard::Default { selector } => {
-                parts.push(format!("def({})", print_expr(selector)));
+            Guard::Default { subject, .. } => {
+                parts.push(format!("def({})", print_expr(subject)));
             }
         }
     }
     parts.join("&")
 }
 
-/// A stable key for one conjunct (expression text plus polarity), used for
+/// A stable key for one leaf (expression text plus polarity), used for
 /// subset comparisons between paths.
-pub fn conjunct_key(c: &Conjunct<'_>) -> String {
+pub fn leaf_key(c: &CondLeaf<'_>) -> String {
     let sign = if c.positive { '+' } else { '-' };
     format!("{sign}({})", print_expr(c.expr))
 }
@@ -238,10 +121,10 @@ pub fn reset_inputs(design: &Design) -> BTreeSet<String> {
         .collect()
 }
 
-/// True when the path's conjuncts include a positive bare test of a reset
+/// True when the path's leaves include a positive bare test of a reset
 /// input — i.e. the statement is part of reset initialization.
 pub fn in_reset(guards: &[Guard<'_>], resets: &BTreeSet<String>) -> bool {
-    conjuncts(guards)
+    guard::leaves(guards)
         .iter()
         .filter_map(ident_leaf)
         .any(|(n, positive)| positive && resets.contains(n))
@@ -401,32 +284,6 @@ pub fn significant_bits(v: &Bits) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwdbg_rtl::parse_expr;
-
-    fn leaves(src: &str, positive: bool) -> Vec<(String, bool)> {
-        let e = parse_expr(src).unwrap();
-        let mut out = Vec::new();
-        flatten(&e, positive, &mut out);
-        out.iter()
-            .map(|c| (print_expr(c.expr), c.positive))
-            .collect()
-    }
-
-    #[test]
-    fn conjuncts_flatten_ands_and_negations() {
-        assert_eq!(
-            leaves("a && !b && (c || d)", true),
-            vec![
-                ("a".to_owned(), true),
-                ("b".to_owned(), false),
-                ("c || d".to_owned(), true),
-            ]
-        );
-        // A negated condition stays opaque: `!(a && b)` proves neither !a
-        // nor !b individually.
-        assert_eq!(leaves("a && b", false), vec![("a && b".to_owned(), false)]);
-        assert_eq!(leaves("!!x", true), vec![("x".to_owned(), true)]);
-    }
 
     #[test]
     fn significant_bits_scans_from_msb() {

@@ -21,9 +21,12 @@
 //!   [`StageTimer`]/[`SimCounters`] pair so lint cost shows up in the same
 //!   observability surface as simulation stages.
 //!
-//! Passes share the guard-path machinery in [`analysis`]: a walker that
-//! visits every assignment with the `if`/`case` guard stack active at that
-//! point, plus conjunct flattening and constant-bound extraction.
+//! Passes visit procedural code with [`hwdbg_dataflow::guard::walk`], the
+//! walker the `PropGraph` builder and the debugging tools share: it hands
+//! every statement the `if`/`case`/`for` guards that dominate it, and
+//! [`hwdbg_dataflow::guard::leaves`] splits a path into conjunct leaves.
+//! [`analysis`] interprets those leaves (reset tests, wrap bounds,
+//! handshake qualifiers) and extracts constant bounds.
 
 pub mod analysis;
 mod explain;

@@ -2,8 +2,9 @@
 //! [`FsmMonitor`]: unreachable states, trap states, and transitions to
 //! encodings no one declared.
 
-use crate::analysis::{self, Guard};
+use crate::analysis;
 use crate::{LintPass, LintSink};
+use hwdbg_dataflow::guard::{self, Guard};
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{CaseArm, Expr, Span, Stmt};
@@ -76,7 +77,7 @@ impl LintPass for FsmLintPass {
         }
         let mut writers: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, proc) in design.procs.iter().enumerate() {
-            analysis::walk(&proc.body, &mut Vec::new(), &mut |_, stmt| {
+            guard::walk(&proc.body, &mut Vec::new(), &mut |_, stmt| {
                 if let Stmt::Assign { lhs, .. } = stmt {
                     for target in lhs.target_names() {
                         push_once(writers.entry(target).or_default(), i);
@@ -123,7 +124,7 @@ impl LintPass for FsmLintPass {
             let mut analyzable = true;
             for &i in indexed(&writers, state) {
                 let mut guards = Vec::new();
-                analysis::walk(&design.procs[i].body, &mut guards, &mut |guards, stmt| {
+                guard::walk(&design.procs[i].body, &mut guards, &mut |guards, stmt| {
                     let Stmt::Assign { lhs, rhs, .. } = stmt else {
                         return;
                     };
@@ -279,12 +280,14 @@ fn for_each_case<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr, &'a [CaseArm],
 /// The innermost case-arm context over the state register in a guard stack.
 fn arm_ctx(guards: &[Guard<'_>], state: &str, width: u32, design: &Design) -> ArmCtx {
     for g in guards.iter().rev() {
-        match g {
+        match *g {
             Guard::Arm {
-                selector: Expr::Ident(n),
-                labels,
+                subject: Expr::Ident(n),
+                arms,
+                index,
             } if n == state => {
-                let values = labels
+                let values = arms[index]
+                    .labels
                     .iter()
                     .filter_map(|l| analysis::const_value(l, design))
                     .filter(|v| v.width() <= 64)
@@ -293,7 +296,8 @@ fn arm_ctx(guards: &[Guard<'_>], state: &str, width: u32, design: &Design) -> Ar
                 return ArmCtx::Arm(values);
             }
             Guard::Default {
-                selector: Expr::Ident(n),
+                subject: Expr::Ident(n),
+                ..
             } if n == state => {
                 return ArmCtx::Default;
             }

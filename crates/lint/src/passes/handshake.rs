@@ -2,8 +2,9 @@
 //! deadlocks, both the AXI-specific "VALID waits for READY" rule violation
 //! and the general mutual-wait cycle between ready/valid flags.
 
-use crate::analysis::{self, conjuncts, ident_leaf};
+use crate::analysis::{self, ident_leaf};
 use crate::{LintPass, LintSink};
+use hwdbg_dataflow::guard;
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{LValue, Span, Stmt};
@@ -176,7 +177,7 @@ fn collect_flags(design: &Design) -> BTreeMap<String, Flag> {
     let mut disqualified: BTreeSet<String> = BTreeSet::new();
     for proc in &design.procs {
         let mut guards = Vec::new();
-        analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+        guard::walk(&proc.body, &mut guards, &mut |guards, stmt| {
             let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                 return;
             };
@@ -192,7 +193,7 @@ fn collect_flags(design: &Design) -> BTreeMap<String, Flag> {
                 let cval = analysis::const_value(rhs, design);
                 match (whole, cval) {
                     (true, Some(v)) => {
-                        let positive_deps = conjuncts(guards)
+                        let positive_deps = guard::leaves(guards)
                             .iter()
                             .filter_map(ident_leaf)
                             .filter(|(_, positive)| *positive)

@@ -5,21 +5,23 @@
 //! dropped because a sticky error flag gates the datapath shut, or thrown
 //! away because a re-init branch forgot one register.
 
-use crate::analysis::{self, conjunct_key, conjuncts, ident_leaf, Guard};
+use crate::analysis::{self, ident_leaf, leaf_key};
 use crate::{LintPass, LintSink};
 use hwdbg_bits::Bits;
+use hwdbg_dataflow::guard::{self, Guard};
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{LValue, Span, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Path identity of one statement: flattened `if` conjuncts plus case-arm
-/// markers. `a ⊆ b` means the statement with key `a` executes whenever the
-/// one with key `b` does (conservatively, over syntactic guards).
+/// Path identity of one statement: flattened `if`/`for` leaves plus
+/// case-arm markers. `a ⊆ b` means the statement with key `a` executes
+/// whenever the one with key `b` does (conservatively, over syntactic
+/// guards).
 fn guard_keys(guards: &[Guard<'_>]) -> BTreeSet<String> {
-    let mut keys: BTreeSet<String> = conjuncts(guards).iter().map(conjunct_key).collect();
+    let mut keys: BTreeSet<String> = guard::leaves(guards).iter().map(leaf_key).collect();
     for g in guards {
-        if !matches!(g, Guard::Cond { .. }) {
+        if matches!(g, Guard::Arm { .. } | Guard::Default { .. }) {
             keys.insert(analysis::path_key(std::slice::from_ref(g)));
         }
     }
@@ -45,7 +47,7 @@ impl LintPass for DeadWritePass {
             // (signal, guard keys, span, rhs reads signal) in source order.
             let mut writes: Vec<(&str, BTreeSet<String>, Span, bool)> = Vec::new();
             let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+            guard::walk(&proc.body, &mut guards, &mut |guards, stmt| {
                 let Stmt::Assign {
                     lhs: LValue::Id(name),
                     nonblocking: true,
@@ -265,7 +267,7 @@ impl LintPass for StickyFlagPass {
         let mut gated: BTreeSet<String> = BTreeSet::new();
         for proc in &design.procs {
             let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+            guard::walk(&proc.body, &mut guards, &mut |guards, stmt| {
                 let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                     return;
                 };
@@ -273,7 +275,7 @@ impl LintPass for StickyFlagPass {
                 // Non-constant writes gated by a negated flag mark that
                 // flag as traffic-blocking.
                 if rhs_const.is_none() {
-                    for c in conjuncts(guards) {
+                    for c in guard::leaves(guards) {
                         if let Some((n, false)) = ident_leaf(&c) {
                             gated.insert(n.to_owned());
                         }
@@ -363,7 +365,7 @@ impl LintPass for ReinitPass {
             let mut groups: BTreeMap<String, Group<'_>> = BTreeMap::new();
 
             let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+            guard::walk(&proc.body, &mut guards, &mut |guards, stmt| {
                 let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                     return;
                 };

@@ -2,8 +2,9 @@
 //! class, where an index register can run past the end of a memory (or a
 //! bit-vector) and the out-of-range accesses are silently dropped.
 
-use crate::analysis::{self, conjuncts, wrap_bound};
+use crate::analysis::{self, wrap_bound};
 use crate::{LintPass, LintSink};
+use hwdbg_dataflow::guard::{self, Guard};
 use hwdbg_dataflow::{Design, SigKind};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{BinaryOp, Expr, LValue, Span, Stmt};
@@ -126,7 +127,7 @@ fn index_bounds(design: &Design) -> BTreeMap<&str, IdxBound> {
     let mut bounds: BTreeMap<&str, IdxBound> = BTreeMap::new();
     for proc in &design.procs {
         let mut guards = Vec::new();
-        analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+        guard::walk(&proc.body, &mut guards, &mut |guards, stmt| {
             let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                 return;
             };
@@ -180,7 +181,7 @@ fn contribution(
     name: &str,
     lhs: &LValue,
     rhs: &Expr,
-    guards: &[analysis::Guard<'_>],
+    guards: &[Guard<'_>],
 ) -> Contribution {
     if !matches!(lhs, LValue::Id(_)) {
         // A partial write scrambles the value unpredictably.
@@ -202,7 +203,7 @@ fn contribution(
             || (matches!(&**b, Expr::Ident(n) if n == name)
                 && analysis::const_value(a, design).is_some_and(|v| v.width() <= 64 && v.to_u64() == 1)));
     if is_inc_by_one {
-        for c in conjuncts(guards) {
+        for c in guard::leaves(guards) {
             if let Some((n, k)) = wrap_bound(&c, design) {
                 if n == name {
                     return Contribution::BoundedInc(k);

@@ -1,8 +1,8 @@
 //! Structural lints: combinational cycles and silent width truncation.
 
-use crate::analysis::{self, significant_bits};
+use crate::analysis::significant_bits;
 use crate::{LintPass, LintSink};
-use hwdbg_dataflow::{tarjan_scc, Design};
+use hwdbg_dataflow::{guard, tarjan_scc, Design};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{print_lvalue, BinaryOp, Expr, Stmt, UnaryOp};
 use std::collections::{BTreeMap, BTreeSet};
@@ -100,7 +100,7 @@ impl LintPass for WidthTruncationPass {
             .chain(design.combs.iter().map(|c| &c.body));
         for body in bodies {
             let mut guards = Vec::new();
-            analysis::walk(body, &mut guards, &mut |_, stmt| {
+            guard::walk(body, &mut guards, &mut |_, stmt| {
                 let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                     return;
                 };

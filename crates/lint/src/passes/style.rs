@@ -7,7 +7,7 @@
 
 use crate::analysis;
 use crate::{LintPass, LintSink};
-use hwdbg_dataflow::Design;
+use hwdbg_dataflow::{guard, Design};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{print_expr, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
@@ -159,7 +159,7 @@ impl LintPass for AssignStylePass {
                         .is_some_and(|&(first, second)| first != i || second.is_some())
             };
             let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |_, stmt| {
+            guard::walk(&proc.body, &mut guards, &mut |_, stmt| {
                 let Stmt::Assign {
                     lhs,
                     nonblocking: false,
@@ -189,7 +189,7 @@ impl LintPass for AssignStylePass {
         }
         for comb in &design.combs {
             let mut guards = Vec::new();
-            analysis::walk(&comb.body, &mut guards, &mut |_, stmt| {
+            guard::walk(&comb.body, &mut guards, &mut |_, stmt| {
                 let Stmt::Assign {
                     lhs,
                     nonblocking: true,
@@ -237,7 +237,7 @@ impl LintPass for MultiProcWritePass {
         let mut writers: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
         for (i, proc) in design.procs.iter().enumerate() {
             let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |_, stmt| {
+            guard::walk(&proc.body, &mut guards, &mut |_, stmt| {
                 if let Stmt::Assign { lhs, .. } = stmt {
                     for target in lhs.target_names() {
                         if design.signals.contains_key(target) {

@@ -23,11 +23,12 @@
 //!   meant to keep (subclass D6, bit truncation).
 
 use crate::analysis::{
-    self, cmp_bound, comb_aliases, conjuncts, const_value, in_reset, qualifies_advance,
-    reset_inputs, stream_pairs, Conjunct,
+    self, cmp_bound, comb_aliases, const_value, in_reset, qualifies_advance, reset_inputs,
+    stream_pairs,
 };
 use crate::{LintPass, LintSink};
-use hwdbg_dataflow::{cond_leaves, DepKind, Design, PropGraph, SigKind};
+use hwdbg_dataflow::guard::{self, cond_leaves, CondLeaf};
+use hwdbg_dataflow::{DepKind, Design, PropGraph, SigKind};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{BinaryOp, Dir, Expr, Span, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
@@ -278,7 +279,7 @@ impl LintPass for OccupancyPass {
         let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
         for proc in &design.procs {
             let mut guards = Vec::new();
-            analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+            guard::walk(&proc.body, &mut guards, &mut |guards, stmt| {
                 let Stmt::Assign { lhs, span, .. } = stmt else {
                     return;
                 };
@@ -290,7 +291,7 @@ impl LintPass for OccupancyPass {
                         continue;
                     };
                     let mut worst: Option<Admission> = None;
-                    for c in &conjuncts(guards) {
+                    for c in &guard::leaves(guards) {
                         let Some(adm) =
                             classify_admission(design, graph, &aliases, &flag_updates, c, *span)
                         else {
@@ -469,7 +470,7 @@ fn registered_flag_updates<'a>(
     let mut sites: BTreeMap<&str, Vec<(&Expr, Span, bool)>> = BTreeMap::new();
     for proc in &design.procs {
         let mut guards = Vec::new();
-        analysis::walk(&proc.body, &mut guards, &mut |guards, stmt| {
+        guard::walk(&proc.body, &mut guards, &mut |guards, stmt| {
             let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                 return;
             };
@@ -477,7 +478,7 @@ fn registered_flag_updates<'a>(
                 return;
             }
             // Unconditional outside reset: every conjunct is a reset test.
-            let plain = conjuncts(guards)
+            let plain = guard::leaves(guards)
                 .iter()
                 .all(|c| matches!(c.expr, Expr::Ident(n) if resets.contains(n)));
             for dst in lhs.target_names() {
@@ -510,7 +511,7 @@ fn classify_admission(
     graph: &PropGraph,
     aliases: &BTreeMap<&str, (&Expr, Span)>,
     flags: &BTreeMap<&str, (&Expr, Span)>,
-    c: &Conjunct<'_>,
+    c: &CondLeaf<'_>,
     site_span: Span,
 ) -> Option<Admission> {
     // Direct comparison, or one comb-alias hop: staleness 0. The span
@@ -570,7 +571,7 @@ impl LintPass for PrecisionPass {
             .chain(design.combs.iter().map(|c| &c.body));
         for body in bodies {
             let mut guards = Vec::new();
-            analysis::walk(body, &mut guards, &mut |_, stmt| {
+            guard::walk(body, &mut guards, &mut |_, stmt| {
                 let Stmt::Assign { rhs, span, .. } = stmt else {
                     return;
                 };

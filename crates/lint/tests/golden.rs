@@ -355,6 +355,44 @@ fn l0401_dead_write() {
     assert_golden(&f, &src, "L0401", "y <= d;", "y <= d;");
 }
 
+/// A write in the `default` arm dies when an unconditional write follows.
+#[test]
+fn l0401_dead_write_in_default() {
+    let (f, src) = lint(
+        "module t(input clk, input [1:0] s, input [7:0] a, input [7:0] d,\n\
+         \x20         output reg [7:0] y, output reg [7:0] z);\n\
+         always @(posedge clk) begin\n\
+         \x20 case (s)\n\
+         \x20   2'd0: z <= a;\n\
+         \x20   default: y <= d;\n\
+         \x20 endcase\n\
+         \x20 y <= 8'd0;\n\
+         end\nendmodule\n",
+        "t",
+    );
+    assert_golden(&f, &src, "L0401", "y <= d;", "y <= d;");
+}
+
+/// Writes in different arms of one `case` never overwrite each other.
+#[test]
+fn l0401_writes_in_different_arms_are_live() {
+    let (f, _) = lint(
+        "module t(input clk, input [1:0] s, input [7:0] d, output reg [7:0] y);\n\
+         always @(posedge clk) begin\n\
+         \x20 case (s)\n\
+         \x20   2'd0: y <= d;\n\
+         \x20   2'd1: y <= 8'd0;\n\
+         \x20 endcase\n\
+         end\nendmodule\n",
+        "t",
+    );
+    assert!(
+        f.iter().all(|e| e.code.as_str() != "L0401"),
+        "{:?}",
+        f.iter().map(|e| &e.message).collect::<Vec<_>>()
+    );
+}
+
 #[test]
 fn l0402_never_read() {
     let (f, src) = lint(

@@ -208,7 +208,7 @@ pub(crate) enum Op {
     CkBit { sig: SigId, width: u32, idx: u16 },
     CkMem { sig: SigId, depth: u64, idx: u16 },
     // ---- statements ----
-    /// `for`-loop iteration guard: `++n[ctr] > for_cap` raises `LoopCap`.
+    /// `for`-loop iteration guard: `++n[ctr] > FOR_CAP` raises `LoopCap`.
     IncCheckCap { ctr: u16, var: SigId },
     /// `$display` via `displays[spec]` (no-op when logging is off).
     Display { spec: u16 },
@@ -2035,7 +2035,7 @@ pub(crate) fn run(prog: &BcProgram, exec: &mut CExec<'_>) -> Result<Flow, SimErr
             Op::IncCheckCap { ctr, var } => {
                 let c = nr(exec, ctr) + 1;
                 set_nr(exec, ctr, c);
-                if c > exec.for_cap {
+                if c > crate::compile::FOR_CAP {
                     let name = exec.state.table().name(var).to_owned();
                     return Err(SimError::LoopCap(name));
                 }

@@ -934,6 +934,10 @@ pub(crate) enum Flow {
     Finished,
 }
 
+/// Iterations one procedural `for` loop may run before it raises
+/// [`SimError::LoopCap`].
+pub(crate) const FOR_CAP: u64 = 65_536;
+
 /// One statement-execution context (a settle unit run or one clocked
 /// process). Signals whose stored value actually changed are appended to
 /// `changed`, which drives the dirty-set scheduler.
@@ -946,7 +950,6 @@ pub(crate) struct CExec<'a> {
     pub nb: Option<&'a mut Vec<CNbWrite>>,
     /// `Some` in clocked context: `$display` records stage here.
     pub logs: Option<&'a mut LogSink>,
-    pub for_cap: u64,
     pub changed: &'a mut Vec<SigId>,
     /// Fault-injection pins: writes to these signals are discarded.
     /// `None` (fault-free) keeps the hot path to a single branch.
@@ -1045,7 +1048,7 @@ impl CExec<'_> {
                     v.resize_in_place(*var_width);
                     self.set_sig(*var, &v);
                     iters += 1;
-                    if iters > self.for_cap {
+                    if iters > FOR_CAP {
                         let name = self.state.table().name(*var).to_owned();
                         return Err(SimError::LoopCap(name));
                     }

@@ -55,8 +55,9 @@ pub enum Backend {
     /// [`Backend::Levelized`].
     Tree,
     /// Bytecode execution under the levelized static schedule (see
-    /// [`crate::sched`]): acyclic comb regions run as fused straight-line
-    /// programs in topological rank order — no worklist inside a region,
+    /// DESIGN.md §7, "Static scheduling and region fusion"): acyclic comb
+    /// regions run as fused straight-line programs in topological rank
+    /// order — no worklist inside a region,
     /// region-internal signals promoted to registers — while cyclic
     /// regions and the remaining units pop from the worklist one at a time,
     /// each on its per-unit program (or the tree-walker, for bodies that
@@ -75,8 +76,6 @@ pub struct SimConfig {
     /// `max_comb_iters × number of drivers` unit executions, the same
     /// budget a full pass would spend.
     pub max_comb_iters: usize,
-    /// Maximum iterations of a procedural `for` loop.
-    pub for_cap: u64,
     /// Maximum `$display` records retained (oldest dropped beyond this).
     pub log_capacity: usize,
     /// Combinational scheduling strategy.
@@ -89,10 +88,6 @@ pub struct SimConfig {
     /// Off by default: the drop semantics are the paper's §3.2.1
     /// outcome 2, which several testbed bugs rely on reproducing.
     pub strict_bounds: bool,
-    /// When true, blackbox port connections whose resolved widths differ
-    /// from the port spec are rejected at build time with
-    /// [`SimError::WidthMismatch`] instead of being resized on the fly.
-    pub strict_width: bool,
     /// When true, the simulator maintains a [`SimCounters`] registry of
     /// hot-path event counts, readable via [`Simulator::counters`]. Off by
     /// default: the disabled path pays one branch per settle/step, the
@@ -120,12 +115,10 @@ impl Default for SimConfig {
         SimConfig {
             init: RegInit::Zero,
             max_comb_iters: 100,
-            for_cap: 65_536,
             log_capacity: 1_000_000,
             settle_mode: SettleMode::EventDriven,
             backend: Backend::default(),
             strict_bounds: false,
-            strict_width: false,
             metrics: false,
             deadline: None,
         }
@@ -501,8 +494,7 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Fails if a blackbox instance has no model in `factory`, or if
-    /// `config.strict_width` rejects a blackbox connection width.
+    /// Fails if a blackbox instance has no model in `factory`.
     pub fn from_compiled(
         shared: Arc<CompiledDesign>,
         factory: &dyn BlackboxFactory,
@@ -515,9 +507,6 @@ impl Simulator {
                 .create(bb)
                 .ok_or_else(|| SimError::NoModel(bb.module.clone()))?;
             blackboxes.push(model);
-        }
-        if config.strict_width {
-            check_connection_widths(design)?;
         }
         let state = SimState::new(design, config.init);
         let config_metrics = config.metrics;
@@ -930,7 +919,6 @@ impl Simulator {
                 scratch: &mut self.scratch,
                 nb: None,
                 logs: None,
-                for_cap: self.config.for_cap,
                 changed: &mut self.changed_scratch,
                 forced: forced_view(&self.forces),
                 strict_bounds: self.config.strict_bounds,
@@ -961,7 +949,6 @@ impl Simulator {
                         scratch: &mut self.scratch,
                         nb: None,
                         logs: None,
-                        for_cap: self.config.for_cap,
                         changed: &mut self.changed_scratch,
                         forced: forced_view(&self.forces),
                         strict_bounds: self.config.strict_bounds,
@@ -1191,7 +1178,6 @@ impl Simulator {
                 scratch: &mut self.scratch,
                 nb: None,
                 logs: None,
-                for_cap: self.config.for_cap,
                 changed: &mut self.changed_scratch,
                 forced: forced_view(&self.forces),
                 strict_bounds: self.config.strict_bounds,
@@ -1287,7 +1273,6 @@ impl Simulator {
                 scratch: &mut self.scratch,
                 nb: Some(&mut nb),
                 logs: Some(&mut self.log_sink),
-                for_cap: self.config.for_cap,
                 changed: &mut self.dirty_sigs,
                 forced: forced_view(&self.forces),
                 strict_bounds: self.config.strict_bounds,
@@ -1319,7 +1304,6 @@ impl Simulator {
                 scratch: &mut self.scratch,
                 nb: None,
                 logs: None,
-                for_cap: self.config.for_cap,
                 changed: &mut self.dirty_sigs,
                 forced: forced_view(&self.forces),
                 strict_bounds: self.config.strict_bounds,
@@ -1476,8 +1460,8 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Same failure modes as [`from_compiled`](Self::from_compiled):
-    /// missing blackbox models, strict-width violations.
+    /// Same failure mode as [`from_compiled`](Self::from_compiled): a
+    /// missing blackbox model.
     pub fn reset(
         &mut self,
         factory: &dyn BlackboxFactory,
@@ -1491,9 +1475,6 @@ impl Simulator {
                 .create(bb)
                 .ok_or_else(|| SimError::NoModel(bb.module.clone()))?;
             blackboxes.push(model);
-        }
-        if config.strict_width {
-            check_connection_widths(design)?;
         }
         self.blackboxes = blackboxes;
         self.state.reset(design, config.init);
@@ -1636,43 +1617,6 @@ fn forced_view(forces: &BTreeMap<SigId, Bits>) -> Option<&BTreeMap<SigId, Bits>>
     } else {
         Some(forces)
     }
-}
-
-/// Strict-mode check: every blackbox port connection's resolved RTL width
-/// must equal the port's spec width. The default (lenient) behavior
-/// resizes on the fly, which silently truncates wide connections.
-fn check_connection_widths(design: &Design) -> Result<(), SimError> {
-    for inst in &design.blackboxes {
-        for (port, e) in &inst.in_conns {
-            let Some(&pw) = inst.port_widths.get(port) else {
-                continue;
-            };
-            if let Some(ew) = design.expr_width(e) {
-                if ew != pw {
-                    return Err(SimError::WidthMismatch {
-                        signal: format!("{}.{}", inst.name, port),
-                        expected: pw,
-                        got: ew,
-                    });
-                }
-            }
-        }
-        for (port, lv) in &inst.out_conns {
-            let Some(&pw) = inst.port_widths.get(port) else {
-                continue;
-            };
-            if let Some(lw) = design.lvalue_width(lv) {
-                if lw != pw {
-                    return Err(SimError::WidthMismatch {
-                        signal: format!("{}.{}", inst.name, port),
-                        expected: pw,
-                        got: lw,
-                    });
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 // `Simulator: Send` holds by construction (no `Rc`, no `RefCell`, `Send`

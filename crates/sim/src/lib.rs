@@ -152,7 +152,7 @@ pub enum SimError {
         /// the cycle to break is among these.
         unstable: Vec<String>,
     },
-    /// A procedural `for` loop exceeded the iteration cap.
+    /// A procedural `for` loop ran more than 65,536 iterations.
     LoopCap(String),
     /// `run_until` hit its cycle budget — the design appears stuck.
     Watchdog {

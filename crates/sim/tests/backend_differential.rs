@@ -357,6 +357,58 @@ fn comb_loop_reports_identically() {
     }
 }
 
+/// `strict_bounds` turns an out-of-range memory write and an out-of-range
+/// bit write into the same typed `OutOfBounds` error under every leg; the
+/// default drops both writes, leaving the memory and the vector untouched.
+/// The memory has a non-power-of-two depth, so the truncated address still
+/// misses it (a power-of-two memory wraps instead, §3.2.1 outcome 1).
+#[test]
+fn strict_bounds_reports_identically_and_default_drops() {
+    let src = "module m(input clk, input [2:0] wa, input [3:0] bi, input [7:0] d);
+                 reg [7:0] mem [0:4];
+                 reg [7:0] v;
+                 always @(posedge clk) begin
+                   mem[wa] <= d;
+                   v[bi] <= 1'b1;
+                 end
+               endmodule";
+    let design = hwdbg_dataflow::elaborate(
+        &hwdbg_rtl::parse(src).unwrap(),
+        "m",
+        &hwdbg_dataflow::NoBlackboxes,
+    )
+    .unwrap();
+    let run = |leg, strict_bounds, wa, bi| {
+        let config = SimConfig {
+            strict_bounds,
+            ..config(leg, RegInit::Zero)
+        };
+        let mut sim = Simulator::new(design.clone(), &hwdbg_sim::NoModels, config).unwrap();
+        sim.poke_u64("wa", wa).unwrap();
+        sim.poke_u64("bi", bi).unwrap();
+        sim.poke_u64("d", 0xa5).unwrap();
+        let result = sim.step("clk");
+        (result, sim)
+    };
+    let legs = [REFERENCE, (Backend::Levelized, SettleMode::FullPass), CHECKED[0], CHECKED[1]];
+    let oob = |signal: &str, index, depth| {
+        Err(hwdbg_sim::SimError::OutOfBounds {
+            signal: signal.into(),
+            index,
+            depth,
+        })
+    };
+    for leg in legs {
+        assert_eq!(run(leg, true, 6, 2).0, oob("mem", 6, 5), "{leg:?}: memory write");
+        assert_eq!(run(leg, true, 1, 9).0, oob("v", 9, 8), "{leg:?}: bit write");
+        let (result, sim) = run(leg, false, 6, 9);
+        assert_eq!(result, Ok(()), "{leg:?}");
+        let zero = hwdbg_bits::Bits::zero(8);
+        assert_eq!(sim.state().mem("mem"), Some(&vec![zero.clone(); 5][..]), "{leg:?}");
+        assert_eq!(sim.state().get("v"), Some(&zero), "{leg:?}");
+    }
+}
+
 /// Regression: `$display("%d")` of a `reg signed` renders
 /// two's-complement negatives — identically under production and the
 /// reference. An 8-bit signed counter stepping down from zero used to
