@@ -254,7 +254,9 @@ impl Design {
         })
     }
 
-    /// Width of an lvalue (sum of part widths for concatenations).
+    /// Width of an lvalue (sum of part widths for concatenations); `None`
+    /// for unknown names and for non-constant or reversed part-select
+    /// bounds.
     pub fn lvalue_width(&self, lv: &LValue) -> Option<u32> {
         Some(match lv {
             LValue::Id(n) => self.signals.get(n)?.width,
@@ -269,6 +271,9 @@ impl Design {
             LValue::Range(_, msb, lsb) => {
                 let m = eval_const(msb, &self.consts).ok()?.to_u64();
                 let l = eval_const(lsb, &self.consts).ok()?.to_u64();
+                if l > m {
+                    return None;
+                }
                 (m - l + 1) as u32
             }
             LValue::Concat(parts) => {
@@ -476,84 +481,81 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
         }
     }
 
+    // The namespace is final once every declaration is in: the rest of
+    // resolution looks names up by ID.
+    let table = Arc::new(SignalTable::new(signals.keys().map(String::as_str)));
+
     // Classify drivers and detect conflicts. A signal *whole-written* by
     // one combinational driver and also written by any other comb driver
     // has no well-defined settled value (execution order decides), so it
     // is rejected rather than left to oscillate. Distinct drivers that
     // each write disjoint slices of one signal (SignalCat's generated
-    // concat wires, bit-sliced buses) remain legal.
-    let mut comb_written: BTreeSet<String> = BTreeSet::new();
-    let mut clocked_written: BTreeSet<String> = BTreeSet::new();
-    {
-        // Per comb driver (assign / always@* / blackbox instance): the
-        // signals it writes, and whether any write covers the whole signal.
-        let mut driver_targets: Vec<BTreeMap<String, bool>> = Vec::new();
-        for c in &combs {
-            driver_targets.push(stmt_write_targets(&c.body));
+    // concat wires, bit-sliced buses) remain legal. Names are borrowed
+    // from the drivers; a written name that is not declared keeps its
+    // tally in `undeclared`, so a conflict on it is still reported (it
+    // would fail the unknown-name check below otherwise).
+    let mut writes = vec![Writes::default(); table.len()];
+    let mut undeclared: BTreeMap<&str, Writes> = BTreeMap::new();
+    let mut targets = Vec::new();
+    for c in &combs {
+        collect_write_targets(&c.body, &mut targets);
+        tally_driver(&mut targets, &table, &mut writes, &mut undeclared);
+    }
+    for bb in &blackboxes {
+        for lv in bb.out_conns.values() {
+            add_lvalue_targets(lv, true, &mut targets);
         }
-        for bb in &blackboxes {
-            let mut targets = BTreeMap::new();
-            for lv in bb.out_conns.values() {
-                add_lvalue_targets(lv, true, &mut targets);
-            }
-            driver_targets.push(targets);
-        }
-        let mut n_drivers: BTreeMap<&str, usize> = BTreeMap::new();
-        let mut whole: BTreeMap<&str, bool> = BTreeMap::new();
-        for targets in &driver_targets {
-            for (name, is_whole) in targets {
-                *n_drivers.entry(name).or_insert(0) += 1;
-                *whole.entry(name).or_insert(false) |= is_whole;
-            }
-        }
-        for (name, count) in n_drivers {
-            if count > 1 && whole[name] {
-                return Err(DataflowError::DuplicateDriver(name.to_owned()));
-            }
-            comb_written.insert(name.to_owned());
-        }
+        tally_driver(&mut targets, &table, &mut writes, &mut undeclared);
     }
     for p in &procs {
-        for w in &p.writes {
-            clocked_written.insert(w.clone());
+        for name in &p.writes {
+            writes_of(name, &table, &mut writes, &mut undeclared).clocked = true;
         }
     }
-    if let Some(name) = comb_written.intersection(&clocked_written).next() {
-        return Err(DataflowError::ConflictingDrivers(name.clone()));
+    if let Some(name) = first_written(&table, &writes, &undeclared, |w| w.comb > 1 && w.whole) {
+        return Err(DataflowError::DuplicateDriver(name.to_owned()));
     }
-    for (name, info) in signals.iter_mut() {
-        if clocked_written.contains(name) {
+    if let Some(name) = first_written(&table, &writes, &undeclared, |w| w.comb > 0 && w.clocked) {
+        return Err(DataflowError::ConflictingDrivers(name.to_owned()));
+    }
+    // `signals` iterates in name order, which is ID order.
+    for (info, w) in signals.values_mut().zip(&writes) {
+        if w.clocked {
             info.kind = SigKind::Reg;
-        } else if comb_written.contains(name) && info.kind != SigKind::Output {
+        } else if w.comb > 0 && info.kind != SigKind::Output {
             info.kind = SigKind::Comb;
         }
     }
 
-    // Every referenced identifier must be a signal or a constant.
-    let mut referenced: BTreeSet<String> = BTreeSet::new();
+    // Every referenced identifier must be a signal or a constant; the
+    // first unknown one in name order is reported.
+    let mut unknown: Option<&str> = None;
+    let mut check = |name| {
+        if unknown.is_some_and(|u| u <= name)
+            || table.id(name).is_some()
+            || consts.contains_key(name)
+        {
+            return;
+        }
+        unknown = Some(name);
+    };
     for c in &combs {
-        referenced.extend(c.reads.iter().cloned());
-        referenced.extend(c.writes.iter().cloned());
+        c.reads.iter().chain(&c.writes).for_each(|n| check(n.as_str()));
     }
     for p in &procs {
-        referenced.extend(p.reads.iter().cloned());
-        referenced.extend(p.writes.iter().cloned());
-        for e in &p.edges {
-            referenced.insert(e.signal.clone());
-        }
+        p.reads.iter().chain(&p.writes).for_each(|n| check(n.as_str()));
+        p.edges.iter().for_each(|e| check(e.signal.as_str()));
     }
     for bb in &blackboxes {
         for e in bb.in_conns.values() {
-            referenced.extend(e.idents().into_iter().map(|s| s.to_owned()));
+            e.visit_idents(&mut check);
         }
         for lv in bb.out_conns.values() {
-            referenced.extend(lv.target_names().into_iter().map(|s| s.to_owned()));
+            lv.visit_targets(&mut check);
         }
     }
-    for name in &referenced {
-        if !signals.contains_key(name) && !consts.contains_key(name) {
-            return Err(DataflowError::UnknownSignal(name.clone()));
-        }
+    if let Some(name) = unknown {
+        return Err(DataflowError::UnknownSignal(name.to_owned()));
     }
 
     // Static select/replication validation: reversed (zero-width) part
@@ -566,8 +568,20 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
     for p in &procs {
         check_stmt_selects(&p.body, &consts)?;
     }
+    // Blackbox connections get the same checks, at the instance's span.
+    let instances = flat.items.iter().filter_map(|item| match item {
+        Item::Instance(inst) => Some(inst),
+        _ => None,
+    });
+    for (bb, inst) in blackboxes.iter().zip(instances) {
+        for e in bb.in_conns.values() {
+            check_expr_selects(e, &consts).map_err(|err| err.at(inst.span))?;
+        }
+        for lv in bb.out_conns.values() {
+            check_lvalue_selects(lv, &consts).map_err(|err| err.at(inst.span))?;
+        }
+    }
 
-    let table = Arc::new(SignalTable::new(signals.keys().cloned()));
     Ok(Design {
         name: flat.name.clone(),
         signals,
@@ -684,7 +698,7 @@ pub fn stmt_reads_writes(
             step,
             body,
         } => {
-            writes.insert(var.clone());
+            insert_name(writes, var);
             add_expr_reads(init, reads);
             add_expr_reads(cond, reads);
             add_expr_reads(step, reads);
@@ -700,22 +714,25 @@ pub fn stmt_reads_writes(
 }
 
 fn add_expr_reads(e: &Expr, reads: &mut BTreeSet<String>) {
-    for n in e.idents() {
-        reads.insert(n.to_owned());
+    e.visit_idents(&mut |n| insert_name(reads, n));
+}
+
+/// Inserts `name`, copying it only when it is new.
+fn insert_name(set: &mut BTreeSet<String>, name: &str) {
+    if !set.contains(name) {
+        set.insert(name.to_owned());
     }
 }
 
 fn add_lvalue_writes(lv: &LValue, reads: &mut BTreeSet<String>, writes: &mut BTreeSet<String>) {
     match lv {
-        LValue::Id(n) => {
-            writes.insert(n.clone());
-        }
+        LValue::Id(n) => insert_name(writes, n),
         LValue::Index(n, i) => {
-            writes.insert(n.clone());
+            insert_name(writes, n);
             add_expr_reads(i, reads);
         }
         LValue::Range(n, a, b) => {
-            writes.insert(n.clone());
+            insert_name(writes, n);
             add_expr_reads(a, reads);
             add_expr_reads(b, reads);
         }
@@ -727,9 +744,6 @@ fn add_lvalue_writes(lv: &LValue, reads: &mut BTreeSet<String>, writes: &mut BTr
     }
 }
 
-/// Per-signal write map for one driver: name → true if any write in the
-/// driver covers the whole signal (a plain identifier target, possibly
-/// inside a concatenation).
 /// Walks a statement tree validating every part select and replication
 /// whose bounds are compile-time constants. Reversed selects (`a[3:5]`,
 /// width zero or negative) and zero/oversized replication counts are
@@ -869,13 +883,68 @@ fn check_lvalue_selects(lv: &LValue, consts: &ConstEnv) -> Result<(), DataflowEr
     }
 }
 
-fn stmt_write_targets(stmt: &Stmt) -> BTreeMap<String, bool> {
-    let mut out = BTreeMap::new();
-    collect_write_targets(stmt, &mut out);
-    out
+/// How one signal is written, tallied over every driver of the design.
+#[derive(Debug, Clone, Copy, Default)]
+struct Writes {
+    /// Comb drivers (assign / always@* / blackbox instance) writing it.
+    comb: usize,
+    /// Whether one of those writes covers the whole signal.
+    whole: bool,
+    /// Whether a clocked process writes it.
+    clocked: bool,
 }
 
-fn collect_write_targets(stmt: &Stmt, out: &mut BTreeMap<String, bool>) {
+/// The tally for `name`: by ID for a declared signal, by name otherwise.
+fn writes_of<'w, 'a>(
+    name: &'a str,
+    table: &SignalTable,
+    writes: &'w mut [Writes],
+    undeclared: &'w mut BTreeMap<&'a str, Writes>,
+) -> &'w mut Writes {
+    match table.id(name) {
+        Some(id) => &mut writes[id.index()],
+        None => undeclared.entry(name).or_default(),
+    }
+}
+
+/// Counts one driver's write targets, then empties `targets`. A driver
+/// counts once per name however often it writes it.
+fn tally_driver<'a>(
+    targets: &mut Vec<(&'a str, bool)>,
+    table: &SignalTable,
+    writes: &mut [Writes],
+    undeclared: &mut BTreeMap<&'a str, Writes>,
+) {
+    targets.sort_unstable();
+    for (i, &(name, whole)) in targets.iter().enumerate() {
+        let w = writes_of(name, table, writes, undeclared);
+        if i == 0 || targets[i - 1].0 != name {
+            w.comb += 1;
+        }
+        w.whole |= whole;
+    }
+    targets.clear();
+}
+
+/// The first written name, in name order, whose tally satisfies `pred`.
+fn first_written<'a>(
+    table: &'a SignalTable,
+    writes: &[Writes],
+    undeclared: &BTreeMap<&'a str, Writes>,
+    pred: impl Fn(&Writes) -> bool,
+) -> Option<&'a str> {
+    let declared = writes
+        .iter()
+        .position(&pred)
+        .map(|i| table.name(SigId::from_index(i)));
+    let other = undeclared.iter().find(|(_, w)| pred(w)).map(|(n, _)| *n);
+    declared.into_iter().chain(other).min()
+}
+
+/// Appends `(name, whole)` for every signal `stmt` writes; `whole` marks
+/// a write that covers the entire signal (a plain identifier target,
+/// possibly inside a concatenation). A name may appear more than once.
+fn collect_write_targets<'a>(stmt: &'a Stmt, out: &mut Vec<(&'a str, bool)>) {
     match stmt {
         Stmt::Block(stmts) => {
             for s in stmts {
@@ -900,23 +969,19 @@ fn collect_write_targets(stmt: &Stmt, out: &mut BTreeMap<String, bool>) {
         Stmt::For { var, body, .. } => {
             // Loop variables are procedural temporaries; two loops sharing
             // an index name are not conflicting drivers of it.
-            out.entry(var.clone()).or_insert(false);
+            out.push((var, false));
             collect_write_targets(body, out);
         }
         Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
     }
 }
 
-/// Records the signals `lv` writes into `out`; `whole` marks writes that
+/// Appends the signals `lv` writes to `out`; `whole` marks writes that
 /// cover the entire signal.
-fn add_lvalue_targets(lv: &LValue, whole: bool, out: &mut BTreeMap<String, bool>) {
+fn add_lvalue_targets<'a>(lv: &'a LValue, whole: bool, out: &mut Vec<(&'a str, bool)>) {
     match lv {
-        LValue::Id(n) => {
-            *out.entry(n.clone()).or_insert(false) |= whole;
-        }
-        LValue::Index(n, _) | LValue::Range(n, ..) => {
-            out.entry(n.clone()).or_insert(false);
-        }
+        LValue::Id(n) => out.push((n, whole)),
+        LValue::Index(n, _) | LValue::Range(n, ..) => out.push((n, false)),
         LValue::Concat(parts) => {
             for p in parts {
                 add_lvalue_targets(p, whole, out);

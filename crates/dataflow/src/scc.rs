@@ -4,13 +4,14 @@
 //! need Tarjan SCC over a dense-index adjacency list; this is the single
 //! shared implementation (they previously each kept a copy).
 
-use std::collections::BTreeSet;
-
-/// Iterative Tarjan SCC; returns components with sorted member indices.
+/// Iterative Tarjan SCC over successor lists (`adj[v]` lists the nodes
+/// `v` points to); returns components with sorted member indices.
 ///
 /// Components come out in reverse topological order of the condensation
 /// (callees before callers), which is what a dependency levelizer wants.
-pub fn tarjan_scc(adj: &[BTreeSet<usize>]) -> Vec<Vec<usize>> {
+/// Successors are visited in list order; callers pass sorted,
+/// deduplicated lists, so the component order depends only on the graph.
+pub fn tarjan_scc(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
     const UNSEEN: usize = usize::MAX;
     let n = adj.len();
     let mut order = vec![UNSEEN; n]; // discovery order
@@ -19,30 +20,30 @@ pub fn tarjan_scc(adj: &[BTreeSet<usize>]) -> Vec<Vec<usize>> {
     let mut stack = Vec::new();
     let mut next = 0usize;
     let mut sccs = Vec::new();
-    // Explicit DFS frames: (node, iterator position over its successors).
-    let mut frames: Vec<(usize, Vec<usize>, usize)> = Vec::new();
+    // Explicit DFS frames: (node, position in its successor list).
+    let mut frames: Vec<(usize, usize)> = Vec::new();
     for start in 0..n {
         if order[start] != UNSEEN {
             continue;
         }
-        frames.push((start, adj[start].iter().copied().collect(), 0));
+        frames.push((start, 0));
         order[start] = next;
         low[start] = next;
         next += 1;
         stack.push(start);
         on_stack[start] = true;
         while let Some(last) = frames.len().checked_sub(1) {
-            let (v, pos) = (frames[last].0, frames[last].2);
-            if pos < frames[last].1.len() {
-                let w = frames[last].1[pos];
-                frames[last].2 += 1;
+            let (v, pos) = frames[last];
+            if pos < adj[v].len() {
+                let w = adj[v][pos];
+                frames[last].1 += 1;
                 if order[w] == UNSEEN {
                     order[w] = next;
                     low[w] = next;
                     next += 1;
                     stack.push(w);
                     on_stack[w] = true;
-                    frames.push((w, adj[w].iter().copied().collect(), 0));
+                    frames.push((w, 0));
                 } else if on_stack[w] {
                     low[v] = low[v].min(order[w]);
                 }
@@ -74,10 +75,10 @@ pub fn tarjan_scc(adj: &[BTreeSet<usize>]) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
 
-    fn adj(edges: &[(usize, usize)], n: usize) -> Vec<BTreeSet<usize>> {
-        let mut a = vec![BTreeSet::new(); n];
+    fn adj(edges: &[(usize, usize)], n: usize) -> Vec<Vec<usize>> {
+        let mut a = vec![Vec::new(); n];
         for &(u, v) in edges {
-            a[u].insert(v);
+            a[u].push(v);
         }
         a
     }

@@ -219,3 +219,66 @@ fn undriven_signal_lint_carries_decl_span() {
     assert_eq!(warn.severity, hwdbg_diag::Severity::Warning);
     assert!(warn.span.is_some(), "lint must point at the declaration");
 }
+
+/// A one-IP library: a FIFO with an 8-bit `data` input and `q` output.
+struct FifoLib(hwdbg_dataflow::BlackboxSpec);
+
+impl FifoLib {
+    fn new() -> Self {
+        use hwdbg_dataflow::{BbDir, BbPort, BlackboxSpec, WidthSpec};
+        let port = |name: &str, dir, is_clock| BbPort {
+            name: name.into(),
+            dir,
+            width: WidthSpec::Const(if name == "clock" { 1 } else { 8 }),
+            is_clock,
+        };
+        FifoLib(BlackboxSpec {
+            name: "scfifo".into(),
+            ports: vec![
+                port("clock", BbDir::Input, true),
+                port("data", BbDir::Input, false),
+                port("q", BbDir::Output, false),
+            ],
+            relations: Vec::new(),
+        })
+    }
+}
+
+impl hwdbg_dataflow::BlackboxLib for FifoLib {
+    fn spec(&self, module: &str) -> Option<&hwdbg_dataflow::BlackboxSpec> {
+        (module == self.0.name).then_some(&self.0)
+    }
+}
+
+#[test]
+fn reversed_select_in_blackbox_connection_rejected_with_span() {
+    for (conns, shown) in [
+        (".data(d[0:7]), .q(w)", "part select `d[0:7]`"),
+        (".data(d), .q(w[0:7])", "part select `w[0:7]`"),
+    ] {
+        let src = format!(
+            "module m(input clk, input [7:0] d, output [7:0] w);
+    scfifo f (.clock(clk), {conns});
+endmodule"
+        );
+        let err = elaborate(&parse(&src).unwrap(), "m", &FifoLib::new()).unwrap_err();
+        assert!(
+            matches!(err.root(), DataflowError::BadRange(msg) if msg.contains(shown)),
+            "{conns}: {err:?}"
+        );
+        let inst = src.find("scfifo").unwrap();
+        assert_eq!(err.span().map(|s| s.start), Some(inst), "{conns}");
+        let diag: hwdbg_diag::HwdbgError = err.into();
+        assert_eq!(diag.code, hwdbg_diag::ErrorCode::BadRange);
+    }
+    // In-order bounds stay legal, and the lvalue width of a reversed
+    // select is unknown rather than a wrapped-around number.
+    let ok = "module m(input clk, input [7:0] d, output [7:0] w);
+    scfifo f (.clock(clk), .data(d[7:0]), .q(w[7:0]));
+endmodule";
+    let d = elaborate(&parse(ok).unwrap(), "m", &FifoLib::new()).unwrap();
+    let reversed = hwdbg_rtl::LValue::Range("w".into(), hwdbg_rtl::Expr::number(0), hwdbg_rtl::Expr::number(7));
+    assert_eq!(d.lvalue_width(&reversed), None);
+    let forward = hwdbg_rtl::LValue::Range("w".into(), hwdbg_rtl::Expr::number(7), hwdbg_rtl::Expr::number(0));
+    assert_eq!(d.lvalue_width(&forward), Some(8));
+}

@@ -32,7 +32,7 @@ impl LintPass for CombLoopPass {
         let nodes: Vec<&str> = comb_written.iter().copied().collect();
         let index: BTreeMap<&str, usize> =
             nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
-        let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nodes.len()];
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
         for comb in &design.combs {
             for w in &comb.writes {
                 let Some(&wi) = index.get(w.as_str()) else {
@@ -40,13 +40,17 @@ impl LintPass for CombLoopPass {
                 };
                 for r in &comb.reads {
                     if let Some(&ri) = index.get(r.as_str()) {
-                        adj[wi].insert(ri);
+                        adj[wi].push(ri);
                     }
                 }
             }
         }
+        for next in &mut adj {
+            next.sort_unstable();
+            next.dedup();
+        }
         for scc in tarjan_scc(&adj) {
-            let cyclic = scc.len() > 1 || adj[scc[0]].contains(&scc[0]);
+            let cyclic = scc.len() > 1 || adj[scc[0]].binary_search(&scc[0]).is_ok();
             if !cyclic {
                 continue;
             }

@@ -364,9 +364,21 @@ pub enum LValue {
 impl LValue {
     /// Names of all nets written by this lvalue.
     pub fn target_names(&self) -> Vec<&str> {
+        let mut out = Vec::new();
+        self.visit_targets(&mut |n| out.push(n));
+        out
+    }
+
+    /// Calls `f` on every net this lvalue writes, in the order of
+    /// [`target_names`](Self::target_names), without collecting them.
+    pub fn visit_targets<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
-            LValue::Id(n) | LValue::Index(n, _) | LValue::Range(n, _, _) => vec![n],
-            LValue::Concat(parts) => parts.iter().flat_map(|p| p.target_names()).collect(),
+            LValue::Id(n) | LValue::Index(n, _) | LValue::Range(n, _, _) => f(n),
+            LValue::Concat(parts) => {
+                for p in parts {
+                    p.visit_targets(f);
+                }
+            }
         }
     }
 }

@@ -55,12 +55,30 @@ impl Parser {
         matches!(self.peek(), Tok::Eof)
     }
 
+    /// Consumes the current token and returns it. The token is moved out
+    /// of the stream, not copied: the parser never backtracks, so nothing
+    /// reads a consumed token again. The final `Eof` stays in place, and
+    /// consuming it returns another `Eof`.
     fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos].clone();
+        let span = self.toks[self.pos].span;
         if self.pos + 1 < self.toks.len() {
+            let tok = std::mem::replace(&mut self.toks[self.pos].tok, Tok::Eof);
             self.pos += 1;
+            Token { tok, span }
+        } else {
+            Token { tok: Tok::Eof, span }
         }
-        t
+    }
+
+    /// Consumes the current token and moves out its text: the name of an
+    /// identifier or system task, a number's spelling, a string's
+    /// contents. Callers check the token kind first; any other kind
+    /// yields an empty string.
+    fn bump_text(&mut self) -> String {
+        match self.bump().tok {
+            Tok::Ident(s) | Tok::SysName(s) | Tok::Number(s) | Tok::Str(s) => s,
+            Tok::Keyword(_) | Tok::Punct(_) | Tok::Eof => String::new(),
+        }
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
@@ -107,12 +125,7 @@ impl Parser {
 
     fn ident(&mut self) -> Result<String, ParseError> {
         match self.peek() {
-            Tok::Ident(_) => {
-                let Tok::Ident(name) = self.bump().tok else {
-                    unreachable!()
-                };
-                Ok(name)
-            }
+            Tok::Ident(_) => Ok(self.bump_text()),
             other => self.err(format!("expected identifier, found {}", describe(other))),
         }
     }
@@ -242,7 +255,7 @@ impl Parser {
     // ---- items -------------------------------------------------------
 
     fn item(&mut self) -> Result<Item, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Keyword(K::Wire) | Tok::Keyword(K::Reg) | Tok::Keyword(K::Integer) => {
                 self.net_item()
             }
@@ -274,10 +287,7 @@ impl Parser {
                 Ok(Item::Always { event, body, span })
             }
             Tok::Ident(_) => self.instance(),
-            other => self.err(format!(
-                "expected module item, found {}",
-                describe(&other)
-            )),
+            other => self.err(format!("expected module item, found {}", describe(other))),
         }
     }
 
@@ -494,7 +504,7 @@ impl Parser {
     // ---- statements ----------------------------------------------------
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        match self.peek().clone() {
+        match self.peek() {
             Tok::Keyword(K::Begin) => {
                 self.bump();
                 // optional block label `begin : name`
@@ -586,20 +596,18 @@ impl Parser {
                     body,
                 })
             }
-            Tok::SysName(name) => {
-                let span = self.bump().span;
+            Tok::SysName(_) => {
+                let span = self.span();
+                let name = self.bump_text();
                 match name.as_str() {
                     "$display" | "$write" => {
                         self.expect_punct("(")?;
-                        let format = match self.peek().clone() {
-                            Tok::Str(s) => {
-                                self.bump();
-                                s
-                            }
+                        let format = match self.peek() {
+                            Tok::Str(_) => self.bump_text(),
                             other => {
                                 return self.err(format!(
                                     "expected format string, found {}",
-                                    describe(&other)
+                                    describe(other)
                                 ))
                             }
                         };
@@ -646,7 +654,7 @@ impl Parser {
                     span,
                 })
             }
-            other => self.err(format!("expected statement, found {}", describe(&other))),
+            other => self.err(format!("expected statement, found {}", describe(other))),
         }
     }
 
@@ -749,9 +757,9 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
-            Tok::Number(text) => {
-                self.bump();
+        match self.peek() {
+            Tok::Number(_) => {
+                let text = self.bump_text();
                 // Width cast `W'(expr)` — the lexer leaves `W` bare when `'`
                 // is followed by `(`.
                 if matches!(self.peek(), Tok::Punct("'")) && matches!(self.peek2(), Tok::Punct("("))
@@ -775,8 +783,8 @@ impl Parser {
                     sized: text.contains('\''),
                 })
             }
-            Tok::Ident(name) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let name = self.bump_text();
                 if self.eat_punct("[") {
                     let first = self.expr()?;
                     if self.eat_punct(":") {
@@ -789,8 +797,8 @@ impl Parser {
                 }
                 Ok(Expr::Ident(name))
             }
-            Tok::SysName(sys) => {
-                self.bump();
+            Tok::SysName(_) => {
+                let sys = self.bump_text();
                 match sys.as_str() {
                     "$signed" | "$unsigned" => {
                         self.expect_punct("(")?;
@@ -824,7 +832,7 @@ impl Parser {
                 self.expect_punct("}")?;
                 Ok(Expr::Concat(parts))
             }
-            other => self.err(format!("expected expression, found {}", describe(&other))),
+            other => self.err(format!("expected expression, found {}", describe(other))),
         }
     }
 }

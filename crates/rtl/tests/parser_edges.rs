@@ -186,3 +186,51 @@ fn garbage_expression_is_a_typed_error() {
         assert_eq!(diag.code, hwdbg_diag::ErrorCode::ParseFailed, "src: {src}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Exact diagnostics: the message and byte span of each parser error,
+// across every dispatch site (module item, statement, `$display` format,
+// primary expression, system task and function names).
+// ---------------------------------------------------------------------------
+
+/// `(source, is a whole file, message, span start, span end)`.
+const MALFORMED: &[(&str, bool, &str, usize, usize)] = &[
+    ("module m; 42; endmodule", true, "expected module item, found number `42`", 10, 12),
+    ("module m; \"text\"; endmodule", true, "expected module item, found string literal", 10, 16),
+    ("module m; $display(\"x\"); endmodule", true, "expected module item, found `$display`", 10, 18),
+    ("module m; always @(*) endmodule", true, "expected statement, found keyword `endmodule`", 22, 31),
+    ("module m; always @(*) 5; endmodule", true, "expected statement, found number `5`", 22, 23),
+    ("module m; always @(*) $display(x); endmodule", true, "expected format string, found identifier `x`", 31, 32),
+    ("module m; always @(*) $display(8'd3, x); endmodule", true, "expected format string, found number `8'd3`", 31, 35),
+    ("module m; always @(*) $display; endmodule", true, "expected `(`, found `;`", 30, 31),
+    ("module m; always @(*) $monitor(x); endmodule", true, "unsupported system task `$monitor`", 30, 31),
+    ("module m; always @(*) $fatal; endmodule", true, "unsupported system task `$fatal`", 28, 29),
+    ("module m; always @(*) for (i = 0; i < 4; j = j + 1) x = 1; endmodule", true, "for-loop step must assign the loop variable", 43, 44),
+    ("module m; reg [7:0] mem [0:3], other; endmodule", true, "memory declarations must declare one name each", 29, 30),
+    ("module m(input clk); always @(clk) x = 1; endmodule", true, "expected `posedge`, `negedge`, or `*` in sensitivity list", 30, 33),
+    ("a + )", false, "expected expression, found `)`", 4, 5),
+    ("a + begin", false, "expected expression, found keyword `begin`", 4, 9),
+    ("{a, }", false, "expected expression, found `}`", 4, 5),
+    ("$clog2(8)", false, "unsupported system function `$clog2`", 6, 7),
+    ("$time", false, "unsupported system function `$time`", 5, 5),
+    ("99999999999'(a)", false, "bad cast width", 15, 15),
+    ("0'(a)", false, "cast width must be positive", 5, 5),
+    ("x[3:]", false, "expected expression, found `]`", 4, 5),
+    ("\"str\"", false, "expected expression, found string literal", 0, 5),
+];
+
+#[test]
+fn malformed_inputs_pin_message_and_span() {
+    for &(src, file, message, start, end) in MALFORMED {
+        let err = if file {
+            parse(src).map(|_| ()).unwrap_err()
+        } else {
+            parse_expr(src).map(|_| ()).unwrap_err()
+        };
+        assert_eq!(
+            (err.message.as_str(), err.span.start, err.span.end),
+            (message, start, end),
+            "src: {src}"
+        );
+    }
+}

@@ -19,11 +19,11 @@
 //! interpreter; `crates/sim/tests/compiled_equivalence.rs` holds the
 //! differential proof against full-pass settling.
 
-use crate::eval::{apply_binary_signed_into, effective_mem_addr, expr_width, is_signed};
-use crate::state::SimState;
+use crate::eval::{apply_binary_signed_into, effective_mem_addr, expr_width};
+use crate::state::{SimState, NOT_A_MEM};
 use crate::{LogRecord, SimError};
 use hwdbg_bits::Bits;
-use hwdbg_dataflow::{apply_binary_into, Design, SigId};
+use hwdbg_dataflow::{apply_binary_into, Design, SigId, SigInfo};
 use hwdbg_rtl::{BinaryOp, Expr, LValue, Stmt, UnaryOp};
 
 /// A compiled expression: all names resolved, all static facts inlined.
@@ -216,9 +216,10 @@ impl Compiled {
         id
     }
 
-    /// Compiles `design` against `state`'s memory layout.
-    pub fn build(design: &Design, state: &SimState) -> Result<Compiled, SimError> {
-        let cc = Ctx { design, state };
+    /// Compiles `design` against its memory layout `mem_slot` (see
+    /// [`crate::state::mem_slots`]).
+    pub fn build(design: &Design, mem_slot: &[u32]) -> Result<Compiled, SimError> {
+        let cc = Ctx::new(design, mem_slot);
         let n_sigs = design.table.len();
 
         // Identity-assign aliases, mirroring the interpreter's clock-root
@@ -354,10 +355,36 @@ impl Compiled {
 /// Compilation context.
 struct Ctx<'a> {
     design: &'a Design,
-    state: &'a SimState,
+    /// Per signal ID: its static info (`design.signals` in ID order).
+    infos: Vec<&'a SigInfo>,
+    /// Per signal ID: its memory slot, or [`NOT_A_MEM`].
+    mem_slot: &'a [u32],
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    fn new(design: &'a Design, mem_slot: &'a [u32]) -> Self {
+        Ctx {
+            design,
+            // `design.signals` iterates in name order, which is ID order.
+            infos: design.signals.values().collect(),
+            mem_slot,
+        }
+    }
+
+    /// The memory slot of `id`, if it is a memory.
+    fn mem_slot_of(&self, id: SigId) -> Option<u32> {
+        match self.mem_slot[id.index()] {
+            NOT_A_MEM => None,
+            slot => Some(slot),
+        }
+    }
+
+    /// A declared signal's ID and static info, from one name lookup.
+    fn signal(&self, name: &str) -> Option<(SigId, &'a SigInfo)> {
+        let id = self.design.sig_id(name)?;
+        Some((id, self.infos[id.index()]))
+    }
+
     fn sig(&self, name: &str) -> Result<SigId, SimError> {
         self.design
             .sig_id(name)
@@ -365,44 +392,64 @@ impl Ctx<'_> {
     }
 
     fn expr(&self, e: &Expr) -> Result<CExpr, SimError> {
+        Ok(self.typed(e)?.0)
+    }
+
+    /// Compiles `e` and reports whether it is signed, by the rule of
+    /// [`crate::eval::is_signed`], computed bottom-up in the same pass
+    /// instead of by a second walk of every operand.
+    fn typed(&self, e: &Expr) -> Result<(CExpr, bool), SimError> {
         Ok(match e {
-            Expr::Literal { value, .. } => CExpr::Const(value.clone()),
+            Expr::Literal { value, .. } => (CExpr::Const(value.clone()), false),
             Expr::Ident(n) => {
-                if let Some(sig) = self.design.signals.get(n) {
+                if let Some((id, sig)) = self.signal(n) {
                     if sig.mem_depth.is_some() {
                         // Whole-memory reads were a runtime error in the
                         // interpreter; reject them at compile time.
                         return Err(SimError::UnknownSignal(n.clone()));
                     }
-                    CExpr::Sig(self.sig(n)?)
+                    (CExpr::Sig(id), sig.signed)
                 } else if let Some(c) = self.design.consts.get(n) {
-                    CExpr::Const(c.clone())
+                    (CExpr::Const(c.clone()), false)
                 } else {
                     return Err(SimError::UnknownSignal(n.clone()));
                 }
             }
-            Expr::Unary(op, inner) => CExpr::Unary(*op, Box::new(self.expr(inner)?)),
-            Expr::Binary(op, l, r) => CExpr::Binary {
-                op: *op,
-                signed: is_signed(l, self.design) && is_signed(r, self.design),
-                a: Box::new(self.expr(l)?),
-                b: Box::new(self.expr(r)?),
-            },
-            Expr::Ternary(c, t, f) => CExpr::Ternary {
-                cond: Box::new(self.expr(c)?),
-                t: Box::new(self.expr(t)?),
-                f: Box::new(self.expr(f)?),
-                width: expr_width(e, self.design)?,
-            },
+            Expr::Unary(op, inner) => {
+                let (c, signed) = self.typed(inner)?;
+                let keeps_sign = matches!(op, UnaryOp::Neg | UnaryOp::Not);
+                (CExpr::Unary(*op, Box::new(c)), keeps_sign && signed)
+            }
+            Expr::Binary(op, l, r) => {
+                let (a, sa) = self.typed(l)?;
+                let (b, sb) = self.typed(r)?;
+                let signed = sa && sb;
+                let c = CExpr::Binary {
+                    op: *op,
+                    signed,
+                    a: Box::new(a),
+                    b: Box::new(b),
+                };
+                (c, signed && !op.is_boolean())
+            }
+            Expr::Ternary(c, t, f) => {
+                let cond = Box::new(self.expr(c)?);
+                let (t, st) = self.typed(t)?;
+                let (f, sf) = self.typed(f)?;
+                let c = CExpr::Ternary {
+                    cond,
+                    t: Box::new(t),
+                    f: Box::new(f),
+                    width: expr_width(e, self.design)?,
+                };
+                (c, st && sf)
+            }
             Expr::Index(n, idx) => {
-                let sig = self
-                    .design
-                    .signals
-                    .get(n)
+                let (id, sig) = self
+                    .signal(n)
                     .ok_or_else(|| SimError::UnknownSignal(n.clone()))?;
-                let id = self.sig(n)?;
-                if sig.mem_depth.is_some() {
-                    let slot = self.state.mem_slot_of(id).ok_or_else(|| {
+                let c = if sig.mem_depth.is_some() {
+                    let slot = self.mem_slot_of(id).ok_or_else(|| {
                         SimError::Internal(format!("memory `{n}` has no backing slot"))
                     })?;
                     CExpr::MemIndex {
@@ -415,20 +462,17 @@ impl Ctx<'_> {
                         width: sig.width,
                         idx: Box::new(self.expr(idx)?),
                     }
-                }
+                };
+                (c, false)
             }
             Expr::Range(n, msb, lsb) => {
                 let msb = Box::new(self.expr(msb)?);
                 let lsb = Box::new(self.expr(lsb)?);
-                if let Some(sig) = self.design.signals.get(n) {
+                let c = if let Some((id, sig)) = self.signal(n) {
                     if sig.mem_depth.is_some() {
                         return Err(SimError::UnknownSignal(n.clone()));
                     }
-                    CExpr::RangeSig {
-                        sig: self.sig(n)?,
-                        msb,
-                        lsb,
-                    }
+                    CExpr::RangeSig { sig: id, msb, lsb }
                 } else if let Some(c) = self.design.consts.get(n) {
                     CExpr::RangeConst {
                         value: c.clone(),
@@ -437,32 +481,32 @@ impl Ctx<'_> {
                     }
                 } else {
                     return Err(SimError::UnknownSignal(n.clone()));
-                }
+                };
+                (c, false)
             }
-            Expr::Concat(parts) => CExpr::Concat(
-                parts
-                    .iter()
-                    .map(|p| self.expr(p))
-                    .collect::<Result<_, _>>()?,
-            ),
-            Expr::Repeat(n, body) => CExpr::Repeat {
-                count: Box::new(self.expr(n)?),
-                body: Box::new(self.expr(body)?),
-            },
-            Expr::WidthCast(w, inner) => CExpr::Resize(*w, Box::new(self.expr(inner)?)),
+            Expr::Concat(parts) => {
+                let parts = parts.iter().map(|p| self.expr(p)).collect::<Result<_, _>>()?;
+                (CExpr::Concat(parts), false)
+            }
+            Expr::Repeat(n, body) => {
+                let c = CExpr::Repeat {
+                    count: Box::new(self.expr(n)?),
+                    body: Box::new(self.expr(body)?),
+                };
+                (c, false)
+            }
+            Expr::WidthCast(w, inner) => (CExpr::Resize(*w, Box::new(self.expr(inner)?)), false),
             // Signedness is resolved statically (on Binary), so the cast
             // itself is a no-op at runtime.
-            Expr::SignCast(_, inner) => self.expr(inner)?,
+            Expr::SignCast(signed, inner) => (self.expr(inner)?, *signed),
         })
     }
 
     fn lvalue(&self, lv: &LValue) -> Result<CLValue, SimError> {
         Ok(match lv {
             LValue::Id(n) => {
-                let sig = self
-                    .design
-                    .signals
-                    .get(n)
+                let (id, sig) = self
+                    .signal(n)
                     .ok_or_else(|| SimError::UnknownSignal(n.clone()))?;
                 if sig.mem_depth.is_some() {
                     return Err(SimError::UnknownSignal(format!(
@@ -470,22 +514,19 @@ impl Ctx<'_> {
                     )));
                 }
                 CLValue::Sig {
-                    id: self.sig(n)?,
+                    id,
                     width: sig.width,
                 }
             }
             LValue::Index(n, idx) => {
-                let sig = self
-                    .design
-                    .signals
-                    .get(n)
+                let (id, sig) = self
+                    .signal(n)
                     .ok_or_else(|| SimError::UnknownSignal(n.clone()))?;
-                let id = self.sig(n)?;
                 let idx = Box::new(self.expr(idx)?);
                 if let Some(depth) = sig.mem_depth {
                     CLValue::MemIndex {
                         id,
-                        slot: self.state.mem_slot_of(id).ok_or_else(|| {
+                        slot: self.mem_slot_of(id).ok_or_else(|| {
                             SimError::Internal(format!("memory `{n}` has no backing slot"))
                         })?,
                         depth,
@@ -585,13 +626,11 @@ impl Ctx<'_> {
                 step,
                 body,
             } => {
-                let sig = self
-                    .design
-                    .signals
-                    .get(var)
+                let (id, sig) = self
+                    .signal(var)
                     .ok_or_else(|| SimError::UnknownSignal(var.clone()))?;
                 CStmt::For {
-                    var: self.sig(var)?,
+                    var: id,
                     var_width: sig.width,
                     init: self.expr(init)?,
                     cond: self.expr(cond)?,
@@ -601,16 +640,14 @@ impl Ctx<'_> {
             }
             Stmt::Display { format, args, .. } => {
                 crate::format::check_field_widths(format)?;
+                let (args, signs) = args
+                    .iter()
+                    .map(|a| self.typed(a))
+                    .collect::<Result<_, _>>()?;
                 CStmt::Display {
                     format: format.clone(),
-                    args: args
-                        .iter()
-                        .map(|a| self.expr(a))
-                        .collect::<Result<_, _>>()?,
-                    signs: args
-                        .iter()
-                        .map(|a| crate::eval::is_signed(a, self.design))
-                        .collect(),
+                    args,
+                    signs,
                 }
             }
             Stmt::Finish => CStmt::Finish,

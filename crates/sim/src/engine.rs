@@ -18,7 +18,7 @@
 use crate::bytecode::{lower_unit, BcProgram, NO_PROMOTION};
 use crate::compile::{eval_into, CExec, CNbWrite, Compiled, EvalScratch, Flow, LogSink};
 use crate::sched::{build_schedule, Schedule};
-use crate::state::{RegInit, SimState};
+use crate::state::{mem_slots, RegInit, SimState};
 use crate::{Blackbox, BlackboxFactory, LogRecord, SimError};
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::{Design, SigId};
@@ -156,12 +156,11 @@ impl SimConfig {
     }
 }
 
-/// Pre-resolved per-clock stepping info, built once per scalar signal at
-/// compile time (see [`CompiledDesign`]).
-#[derive(Debug)]
+/// Pre-resolved stepping info for one clock: what a rising edge of any
+/// signal in one alias class runs. Built once per clock root at compile
+/// time (see [`CompiledDesign`]).
+#[derive(Debug, Default)]
 struct ClockPlan {
-    /// The clock's signal ID, if it names a declared scalar.
-    clock_id: Option<SigId>,
     /// Indices of clocked processes triggered by this clock.
     procs: Vec<usize>,
     /// `(blackbox index, clock port)` pairs ticked by this clock.
@@ -196,10 +195,11 @@ pub struct CompiledDesign {
     /// once at build time.
     n_narrow: usize,
     n_wide: usize,
-    /// Per-clock stepping plans, one per declared scalar signal.
-    plans: BTreeMap<String, Arc<ClockPlan>>,
-    /// Plan returned for names that are not declared scalars: no edge
-    /// toggles, no processes — stepping such a "clock" just settles.
+    /// Stepping plans by name, for the scalars whose alias root clocks a
+    /// process or a blackbox: the name's ID and its root's plan, which
+    /// every alias of the root shares.
+    plans: BTreeMap<String, (SigId, Arc<ClockPlan>)>,
+    /// Plan for every other name: no processes, no ticks.
     empty_plan: Arc<ClockPlan>,
 }
 
@@ -221,10 +221,8 @@ impl CompiledDesign {
     /// compile time.
     pub fn new(design: Design) -> Result<Self, SimError> {
         // Layout (signal IDs, memory slots) is a pure function of the
-        // design, so a throwaway zero-initialized state is enough to
-        // compile against; per-job states built later line up exactly.
-        let layout = SimState::new(&design, RegInit::Zero);
-        let compiled = Compiled::build(&design, &layout)?;
+        // design, so per-job states built later line up exactly.
+        let compiled = Compiled::build(&design, &mem_slots(&design))?;
         let max_width = design.signals.values().map(|s| s.width).max().unwrap_or(1);
         // Static width tables for bytecode lowering: one entry per signal
         // ID (memories hold their 1-bit placeholder slot width, matching
@@ -257,39 +255,7 @@ impl CompiledDesign {
             n_narrow = n_narrow.max(prog.n_narrow);
             n_wide = n_wide.max(prog.n_wide);
         }
-        let mut plans = BTreeMap::new();
-        for (name, sig) in &design.signals {
-            if sig.mem_depth.is_some() {
-                continue;
-            }
-            let Some(clock_id) = design.sig_id(name) else {
-                continue;
-            };
-            let root = compiled.alias_root(clock_id);
-            let procs = compiled
-                .procs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.edge_roots.contains(&root))
-                .map(|(i, _)| i)
-                .collect();
-            let mut ticks = Vec::new();
-            for (bi, bb) in compiled.bbs.iter().enumerate() {
-                for (port, roots) in &bb.clock_conns {
-                    if roots.contains(&root) {
-                        ticks.push((bi, port.clone()));
-                    }
-                }
-            }
-            plans.insert(
-                name.clone(),
-                Arc::new(ClockPlan {
-                    clock_id: Some(clock_id),
-                    procs,
-                    ticks,
-                }),
-            );
-        }
+        let plans = clock_plans(&design, &compiled);
         Ok(CompiledDesign {
             design,
             compiled,
@@ -300,11 +266,7 @@ impl CompiledDesign {
             n_narrow,
             n_wide,
             plans,
-            empty_plan: Arc::new(ClockPlan {
-                clock_id: None,
-                procs: Vec::new(),
-                ticks: Vec::new(),
-            }),
+            empty_plan: Arc::default(),
         })
     }
 
@@ -336,14 +298,65 @@ impl CompiledDesign {
         )
     }
 
-    /// The pre-resolved stepping plan for `clock` (the empty plan for
-    /// names that are not declared scalar signals).
-    fn clock_plan(&self, clock: &str) -> Arc<ClockPlan> {
-        self.plans
+    /// The pre-resolved stepping plan for `clock`, with the ID that the
+    /// step toggles: the plan's own for a clock-carrying name, the empty
+    /// plan with the name's ID for any other declared scalar, and the
+    /// empty plan with no ID for memories and undeclared names.
+    fn clock_plan(&self, clock: &str) -> (Option<SigId>, Arc<ClockPlan>) {
+        if let Some((id, plan)) = self.plans.get(clock) {
+            return (Some(*id), Arc::clone(plan));
+        }
+        let id = self
+            .design
+            .signals
             .get(clock)
-            .cloned()
-            .unwrap_or_else(|| Arc::clone(&self.empty_plan))
+            .filter(|s| s.mem_depth.is_none())
+            .and_then(|_| self.design.sig_id(clock));
+        (id, Arc::clone(&self.empty_plan))
     }
+}
+
+/// Builds the stepping plans in time linear in the design: one plan per
+/// alias root, from a single pass over the processes' edge roots and the
+/// blackboxes' clock ports, then a name entry for each scalar whose root
+/// has a plan. A process or clock port joins a root's plan once however
+/// many of its signals share that root; plans list processes and ticks in
+/// index order.
+fn clock_plans(design: &Design, compiled: &Compiled) -> BTreeMap<String, (SigId, Arc<ClockPlan>)> {
+    let mut by_root: BTreeMap<SigId, ClockPlan> = BTreeMap::new();
+    for (pi, p) in compiled.procs.iter().enumerate() {
+        for (k, &root) in p.edge_roots.iter().enumerate() {
+            if !p.edge_roots[..k].contains(&root) {
+                by_root.entry(root).or_default().procs.push(pi);
+            }
+        }
+    }
+    for (bi, bb) in compiled.bbs.iter().enumerate() {
+        for (port, roots) in &bb.clock_conns {
+            for (k, &root) in roots.iter().enumerate() {
+                if !roots[..k].contains(&root) {
+                    by_root.entry(root).or_default().ticks.push((bi, port.clone()));
+                }
+            }
+        }
+    }
+    let by_root: BTreeMap<SigId, Arc<ClockPlan>> =
+        by_root.into_iter().map(|(root, plan)| (root, Arc::new(plan))).collect();
+    let mut plans = BTreeMap::new();
+    if by_root.is_empty() {
+        return plans;
+    }
+    // `design.signals` iterates in name order, which is ID order.
+    for (id, (name, sig)) in design.signals.iter().enumerate() {
+        if sig.mem_depth.is_some() {
+            continue;
+        }
+        let id = SigId::from_index(id);
+        if let Some(plan) = by_root.get(&compiled.alias_root(id)) {
+            plans.insert(name.clone(), (id, Arc::clone(plan)));
+        }
+    }
+    plans
 }
 
 /// A cycle-accurate simulator for an elaborated [`Design`].
@@ -1230,8 +1243,8 @@ impl Simulator {
         if self.config.deadline.is_some() {
             self.check_deadline()?;
         }
-        let plan = self.shared.clock_plan(clock);
-        if let Some(cid) = plan.clock_id {
+        let (clock_id, plan) = self.shared.clock_plan(clock);
+        if let Some(cid) = clock_id {
             self.poke_id_u64(cid, 0);
         }
         self.settle()?;
@@ -1243,7 +1256,7 @@ impl Simulator {
             self.refresh_bb_inputs(bi)?;
         }
 
-        if let Some(cid) = plan.clock_id {
+        if let Some(cid) = clock_id {
             self.poke_id_u64(cid, 1);
         }
         let cycle = match self.cycles.get_mut(clock) {

@@ -24,7 +24,6 @@
 use crate::bytecode::{lower_region, BcProgram, NO_PROMOTION};
 use crate::compile::{CLValue, CStmt, Compiled};
 use hwdbg_dataflow::{tarjan_scc as tarjan, SigId};
-use std::collections::BTreeSet;
 
 /// One fused acyclic region.
 #[derive(Debug)]
@@ -98,10 +97,10 @@ pub(crate) fn build_schedule(
     let n_units = compiled.n_units();
     let n_sigs = compiled.readers.len();
 
-    // Comb-only dependency graph: writer → reader per shared signal.
-    // (`readers`/`writers` entries for comb units may repeat; BTreeSet
-    // dedups edges, and self-edges are tracked separately.)
-    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n_combs];
+    // Comb-only dependency graph: writer → reader per shared signal, as
+    // sorted, deduplicated successor lists (`readers`/`writers` entries
+    // for comb units may repeat). Self-edges are tracked separately.
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n_combs];
     let mut self_loop = vec![false; n_combs];
     for s in 0..n_sigs {
         for &w in &compiled.writers[s] {
@@ -117,10 +116,14 @@ pub(crate) fn build_schedule(
                 if w == r {
                     self_loop[w] = true;
                 } else {
-                    adj[w].insert(r);
+                    adj[w].push(r);
                 }
             }
         }
+    }
+    for next in &mut adj {
+        next.sort_unstable();
+        next.dedup();
     }
 
     // A unit is fusable iff it sits outside every cycle and lowered to a
@@ -138,12 +141,9 @@ pub(crate) fn build_schedule(
     // order; fused rank order can differ from the worklist's unit-index
     // pop order, so every comb writer of such a signal stays on the
     // fallback (which pops in exactly the worklist's order).
-    for s in 0..n_sigs {
-        let mut ws: Vec<u32> = compiled.writers[s].clone();
-        ws.sort_unstable();
-        ws.dedup();
-        if ws.len() > 1 {
-            for &w in &ws {
+    for ws in &compiled.writers {
+        if ws.iter().any(|&w| w != ws[0]) {
+            for &w in ws {
                 if (w as usize) < n_combs {
                     fusable[w as usize] = false;
                 }
@@ -202,15 +202,11 @@ pub(crate) fn build_schedule(
         region_of[start] = rid;
         while let Some(u) = bfs.pop() {
             members.push(u as u32);
-            let next = adj[u]
-                .iter()
-                .copied()
-                .chain(radj[u].iter().copied())
-                .filter(|&v| fusable[v] && region_of[v] == usize::MAX)
-                .collect::<Vec<_>>();
-            for v in next {
-                region_of[v] = rid;
-                bfs.push(v);
+            for &v in adj[u].iter().chain(&radj[u]) {
+                if fusable[v] && region_of[v] == usize::MAX {
+                    region_of[v] = rid;
+                    bfs.push(v);
+                }
             }
         }
         members.sort_unstable_by_key(|&u| (level[u as usize], u));

@@ -26,7 +26,27 @@ pub enum RegInit {
 }
 
 /// Marker for "this signal is not a memory" in the slot map.
-const NOT_A_MEM: u32 = u32::MAX;
+pub(crate) const NOT_A_MEM: u32 = u32::MAX;
+
+/// The memory layout of `design`: per signal ID, the index of its array
+/// among the design's memories, or [`NOT_A_MEM`] for a scalar. Memories
+/// take slots in ID order. [`SimState::new`] lays its arrays out by this
+/// map, and the compiler resolves memory accesses against it without
+/// building a state.
+pub(crate) fn mem_slots(design: &Design) -> Vec<u32> {
+    let mut next = 0;
+    design
+        .signals
+        .values()
+        .map(|sig| match sig.mem_depth {
+            Some(_) => {
+                next += 1;
+                next - 1
+            }
+            None => NOT_A_MEM,
+        })
+        .collect()
+}
 
 /// The mutable value store of a running simulation.
 #[derive(Debug, Clone)]
@@ -48,10 +68,9 @@ impl SimState {
             RegInit::Zero => None,
             RegInit::Random(seed) => Some(SplitMix64::new(seed)),
         };
-        let n = design.table.len();
-        let mut values = Vec::with_capacity(n);
+        let mut values = Vec::with_capacity(design.table.len());
         let mut mems = Vec::new();
-        let mut mem_slot = vec![NOT_A_MEM; n];
+        let mem_slot = mem_slots(design);
         // `design.signals` iterates in name order, which is also ID order.
         for (id, sig) in design.signals.values().enumerate() {
             let mut make = |width: u32| -> Bits {
@@ -68,7 +87,7 @@ impl SimState {
             };
             if let Some(depth) = sig.mem_depth {
                 let elems: Vec<Bits> = (0..depth).map(|_| make(sig.width)).collect();
-                mem_slot[id] = mems.len() as u32;
+                debug_assert_eq!(mem_slot[id] as usize, mems.len());
                 mems.push(elems);
                 values.push(Bits::zero(1));
             } else {

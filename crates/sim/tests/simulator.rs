@@ -817,3 +817,78 @@ fn interned_poke_rejects_width_mismatch_and_mems() {
     assert!(s.stimulus_plan(&["ram"]).is_err());
     assert!(s.stimulus_plan(&["nope"]).is_err());
 }
+
+// ---------------------------------------------------------------------------
+// Clock plans: what `step(name)` does for each kind of name.
+// ---------------------------------------------------------------------------
+
+/// A design with two processes on `clk`, one on its alias `clk2`, one on
+/// both (it must run once per edge), and a FIFO whose clock port is fed by
+/// the alias.
+const CLOCK_PLAN_SRC: &str = "module m(input clk, input d, input [7:0] din,
+        output [7:0] fq, output fempty, output [1:0] fused);
+    wire clk2;
+    assign clk2 = clk;
+    reg [7:0] cnt;
+    reg [7:0] q2;
+    reg [7:0] mem [0:3];
+    always @(posedge clk) cnt <= cnt + 8'd1;
+    always @(posedge clk2) q2 <= din ^ {7'd0, d};
+    always @(posedge clk) mem[cnt[1:0]] <= din;
+    reg [7:0] both;
+    always @(posedge clk or posedge clk2) both <= both + cnt;
+    scfifo #(.WIDTH(8), .DEPTH(4)) f (.clock(clk2), .data(din), .wrreq(1'b1),
+        .rdreq(1'b0), .q(fq), .empty(fempty), .usedw(fused));
+endmodule";
+
+/// Steps `clock` three times on a fresh engine and summarizes the cycle
+/// counters, processes run, FIFO state and every signal.
+fn clock_plan_run(clock: &str) -> String {
+    let design = elaborate(
+        &parse(CLOCK_PLAN_SRC).unwrap(),
+        "m",
+        &hwdbg_ip::StdIpLib::new(),
+    )
+    .unwrap();
+    let config = SimConfig::default().with_metrics(true);
+    let mut sim = Simulator::new(design, &hwdbg_ip::StdModels, config).unwrap();
+    for i in 0..3u64 {
+        sim.poke_u64("din", 0x10 + i).unwrap();
+        sim.step(clock).unwrap();
+    }
+    let c = sim.counters().unwrap();
+    let mut out = format!(
+        "cycle={} clk={} procs={} steps={} pokes={} |",
+        sim.cycle(clock),
+        sim.cycle("clk"),
+        c.proc_runs,
+        c.steps,
+        c.pokes
+    );
+    for (name, v) in sim.state().iter_values() {
+        out.push_str(&format!(" {name}={}", v.to_hex_string()));
+    }
+    let mem: Vec<String> = (0..4)
+        .map(|i| sim.peek_mem("mem", i).unwrap().to_hex_string())
+        .collect();
+    out.push_str(&format!(" mem={}", mem.join(",")));
+    out
+}
+
+#[test]
+fn clock_plans_follow_aliases_and_leave_other_names_inert() {
+    for (clock, want) in CLOCK_PLAN_WANT {
+        assert_eq!(clock_plan_run(clock), *want, "step({clock:?})");
+    }
+}
+
+/// What the per-scalar plan builder produced; the per-root builder must
+/// match it exactly.
+const CLOCK_PLAN_WANT: &[(&str, &str)] = &[
+    ("clk", "cycle=3 clk=3 procs=12 steps=3 pokes=8 | both=03 clk=1 clk2=1 cnt=03 d=0 din=12 fempty=0 fq=10 fused=3 q2=12 mem=10,11,12,00"),
+    ("clk2", "cycle=3 clk=0 procs=12 steps=3 pokes=6 | both=03 clk=0 clk2=0 cnt=03 d=0 din=12 fempty=0 fq=10 fused=3 q2=12 mem=10,11,12,00"),
+    ("d", "cycle=3 clk=0 procs=0 steps=3 pokes=8 | both=00 clk=0 clk2=0 cnt=00 d=1 din=12 fempty=1 fq=00 fused=0 q2=00 mem=00,00,00,00"),
+    ("din", "cycle=3 clk=0 procs=0 steps=3 pokes=9 | both=00 clk=0 clk2=0 cnt=00 d=0 din=01 fempty=1 fq=00 fused=0 q2=00 mem=00,00,00,00"),
+    ("mem", "cycle=3 clk=0 procs=0 steps=3 pokes=3 | both=00 clk=0 clk2=0 cnt=00 d=0 din=12 fempty=1 fq=00 fused=0 q2=00 mem=00,00,00,00"),
+    ("nosuch", "cycle=3 clk=0 procs=0 steps=3 pokes=3 | both=00 clk=0 clk2=0 cnt=00 d=0 din=12 fempty=1 fq=00 fused=0 q2=00 mem=00,00,00,00"),
+];
