@@ -129,16 +129,12 @@ impl DependencyMonitor {
                 chain.k, chain.target
             )));
         }
-        let (clocks, primary) = clock_map(design);
-        let mut module = design.flat.clone();
+        let clocks = clock_map(design);
+        let mut module = design.module();
         let mut new_items = Vec::new();
         let mut monitored = Vec::new();
         for sig in regs {
-            let clock = clocks
-                .get(&sig.name)
-                .cloned()
-                .or_else(|| primary.clone())
-                .ok_or(ToolError::NoClock)?;
+            let clock = clocks.clock_for(&sig.name)?;
             let prev = format!("__depmon_prev_{}", sig.name);
             new_items.push(Item::Net(NetDecl::vector(
                 NetKind::Reg,

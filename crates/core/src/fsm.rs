@@ -133,20 +133,21 @@ impl FsmMonitor {
     /// knob of DESIGN.md §6: relaxing a rule trades false negatives for
     /// false positives.
     pub fn detect_with_config(design: &Design, cfg: &FsmDetectConfig) -> Vec<FsmInfo> {
-        let mut facts: BTreeMap<String, SignalFacts> = BTreeMap::new();
+        let mut facts = Facts {
+            design,
+            by_sig: vec![SignalFacts::default(); design.table.len()],
+        };
         let procs = design.procs.iter().map(|p| (&p.body, true));
         for (body, clocked) in procs.chain(design.combs.iter().map(|c| (&c.body, false))) {
             guard::walk(body, &mut Vec::new(), &mut |path, stmt| {
-                note_stmt(path, stmt, design, &mut facts, clocked);
+                note_stmt(path, stmt, &mut facts, clocked);
             });
         }
 
         let consts = ConstIndex::new(design);
         let mut out = Vec::new();
-        for (name, f) in &facts {
-            let Some(sig) = design.signals.get(name) else {
-                continue;
-            };
+        // `signals` iterates in name order, which is ID order.
+        for ((name, sig), f) in design.signals.iter().zip(&facts.by_sig) {
             let is_fsm = sig.kind == SigKind::Reg
                 && sig.mem_depth.is_none()
                 && sig.width >= cfg.min_width
@@ -202,15 +203,11 @@ impl FsmMonitor {
         if fsms.is_empty() {
             return Err(ToolError::NothingToInstrument("no FSM detected".into()));
         }
-        let (clocks, primary) = clock_map(design);
-        let mut module = design.flat.clone();
+        let clocks = clock_map(design);
+        let mut module = design.module();
         let mut new_items = Vec::new();
         for fsm in &fsms {
-            let clock = clocks
-                .get(&fsm.signal)
-                .cloned()
-                .or_else(|| primary.clone())
-                .ok_or(ToolError::NoClock)?;
+            let clock = clocks.clock_for(&fsm.signal)?;
             let prev = format!("__fsmmon_prev_{}", fsm.signal);
             new_items.push(Item::Net(NetDecl::vector(
                 NetKind::Reg,
@@ -342,7 +339,7 @@ impl FsmMonitor {
 }
 
 /// Facts accumulated about each assigned signal during the scan.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct SignalFacts {
     clocked_assigns: usize,
     conditional_assigns: usize,
@@ -379,13 +376,41 @@ fn rhs_const_values(e: &Expr, lhs: &str, design: &Design, vals: &mut BTreeSet<u6
     }
 }
 
-fn note_condition_idents(e: &Expr, facts: &mut BTreeMap<String, SignalFacts>) {
-    for n in e.idents() {
-        facts.entry(n.to_owned()).or_default().in_conditions = true;
+/// [`SignalFacts`] per signal ID; names that are not signals (constants)
+/// have none.
+struct Facts<'d> {
+    design: &'d Design,
+    by_sig: Vec<SignalFacts>,
+}
+
+impl Facts<'_> {
+    fn of(&mut self, name: &str) -> Option<&mut SignalFacts> {
+        let id = self.design.sig_id(name)?;
+        Some(&mut self.by_sig[id.index()])
+    }
+
+    /// Marks `name` with `note` if it is a signal.
+    fn mark(&mut self, name: &str, note: fn(&mut SignalFacts)) {
+        if let Some(f) = self.of(name) {
+            note(f);
+        }
+    }
+
+    /// Marks every signal `e` reads with `note`.
+    fn mark_idents(&mut self, e: &Expr, note: fn(&mut SignalFacts)) {
+        e.visit_idents(&mut |n| self.mark(n, note));
     }
 }
 
-fn note_expr_usage(e: &Expr, facts: &mut BTreeMap<String, SignalFacts>) {
+fn note_condition_idents(e: &Expr, facts: &mut Facts<'_>) {
+    facts.mark_idents(e, |f| f.in_conditions = true);
+}
+
+fn bit_selected(f: &mut SignalFacts) {
+    f.bit_selected = true;
+}
+
+fn note_expr_usage(e: &Expr, facts: &mut Facts<'_>) {
     match e {
         Expr::Binary(op, l, r) => {
             if matches!(
@@ -396,19 +421,18 @@ fn note_expr_usage(e: &Expr, facts: &mut BTreeMap<String, SignalFacts>) {
                     | hwdbg_rtl::BinaryOp::Div
                     | hwdbg_rtl::BinaryOp::Mod
             ) {
-                for n in l.idents().into_iter().chain(r.idents()) {
-                    facts.entry(n.to_owned()).or_default().arithmetic = true;
-                }
+                facts.mark_idents(l, |f| f.arithmetic = true);
+                facts.mark_idents(r, |f| f.arithmetic = true);
             }
             note_expr_usage(l, facts);
             note_expr_usage(r, facts);
         }
         Expr::Index(n, i) => {
-            facts.entry(n.clone()).or_default().bit_selected = true;
+            facts.mark(n, bit_selected);
             note_expr_usage(i, facts);
         }
         Expr::Range(n, a, b) => {
-            facts.entry(n.clone()).or_default().bit_selected = true;
+            facts.mark(n, bit_selected);
             note_expr_usage(a, facts);
             note_expr_usage(b, facts);
         }
@@ -436,13 +460,7 @@ fn note_expr_usage(e: &Expr, facts: &mut BTreeMap<String, SignalFacts>) {
 /// Records the facts one statement contributes on its own, under `path`;
 /// nested statements are the walker's. An assignment is conditional when
 /// an `if` or `case` guards it (a `for` loop alone does not).
-fn note_stmt(
-    path: &[Guard<'_>],
-    stmt: &Stmt,
-    design: &Design,
-    facts: &mut BTreeMap<String, SignalFacts>,
-    clocked: bool,
-) {
+fn note_stmt(path: &[Guard<'_>], stmt: &Stmt, facts: &mut Facts<'_>, clocked: bool) {
     match stmt {
         Stmt::If { cond, .. } => {
             note_condition_idents(cond, facts);
@@ -459,28 +477,25 @@ fn note_stmt(
             note_expr_usage(rhs, facts);
             match lhs {
                 LValue::Id(name) => {
-                    let mut vals = BTreeSet::new();
-                    let all_const = rhs_const_values(rhs, name, design, &mut vals);
-                    let f = facts.entry(name.clone()).or_default();
+                    let design = facts.design;
+                    let Some(f) = facts.of(name) else {
+                        return;
+                    };
                     if clocked {
                         f.clocked_assigns += 1;
                     }
                     if path.iter().any(|g| !matches!(g, Guard::Loop(_))) {
                         f.conditional_assigns += 1;
                     }
-                    if all_const {
+                    let mut vals = BTreeSet::new();
+                    if rhs_const_values(rhs, name, design, &mut vals) {
                         f.const_values.extend(vals);
                     } else {
                         f.nonconst_assigns += 1;
                     }
                 }
-                LValue::Index(name, _) | LValue::Range(name, _, _) => {
-                    facts.entry(name.clone()).or_default().bit_selected = true;
-                }
-                LValue::Concat(_) => {
-                    for n in lhs.target_names() {
-                        facts.entry(n.to_owned()).or_default().bit_selected = true;
-                    }
+                LValue::Index(..) | LValue::Range(..) | LValue::Concat(_) => {
+                    lhs.visit_targets(&mut |n| facts.mark(n, bit_selected));
                 }
             }
         }

@@ -120,25 +120,66 @@ impl From<ToolError> for hwdbg_diag::HwdbgError {
     }
 }
 
-/// Maps every clocked register to the clock that writes it, and returns
-/// the design's primary clock (the one driving the most registers).
-pub fn clock_map(design: &Design) -> (BTreeMap<String, String>, Option<String>) {
-    let mut map = BTreeMap::new();
-    let mut counts: BTreeMap<String, usize> = BTreeMap::new();
+/// The clock of every clocked register, and the design's primary clock.
+#[derive(Debug, Clone)]
+pub struct ClockMap<'d> {
+    design: &'d Design,
+    /// Per signal ID: the clock of the last posedge process writing it.
+    clocks: Vec<Option<&'d str>>,
+    primary: Option<&'d str>,
+}
+
+impl<'d> ClockMap<'d> {
+    /// The clock of the last posedge process that writes `name`.
+    pub fn clock_of(&self, name: &str) -> Option<&'d str> {
+        self.design.sig_id(name).and_then(|id| self.clocks[id.index()])
+    }
+
+    /// The primary clock: the one whose posedge processes write the most
+    /// registers (the last in name order on a tie).
+    pub fn primary(&self) -> Option<&'d str> {
+        self.primary
+    }
+
+    /// The clock to sample `name` on: its own, or else the primary clock.
+    ///
+    /// # Errors
+    ///
+    /// [`ToolError::NoClock`] when the design has no posedge process.
+    pub fn clock_for(&self, name: &str) -> Result<String, ToolError> {
+        self.clock_of(name)
+            .or(self.primary)
+            .map(str::to_owned)
+            .ok_or(ToolError::NoClock)
+    }
+}
+
+/// Maps every clocked register to the clock that writes it, and finds the
+/// design's primary clock (the one driving the most registers).
+pub fn clock_map(design: &Design) -> ClockMap<'_> {
+    let mut clocks = vec![None; design.table.len()];
+    let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
     for p in &design.procs {
         let Some(edge) = p.edges.iter().find(|e| e.posedge) else {
             continue;
         };
-        for w in &p.writes {
-            map.insert(w.clone(), edge.signal.clone());
-            *counts.entry(edge.signal.clone()).or_insert(0) += 1;
+        if p.writes.is_empty() {
+            continue;
         }
+        for w in p.writes.iter() {
+            clocks[w.index()] = Some(edge.signal.as_str());
+        }
+        *counts.entry(&edge.signal).or_insert(0) += p.writes.len();
     }
     let primary = counts
         .into_iter()
         .max_by_key(|(_, c)| *c)
         .map(|(clk, _)| clk);
-    (map, primary)
+    ClockMap {
+        design,
+        clocks,
+        primary,
+    }
 }
 
 /// Counts the lines of Verilog a set of generated items prints to —
@@ -179,10 +220,11 @@ mod tests {
             &NoBlackboxes,
         )
         .unwrap();
-        let (map, primary) = clock_map(&design);
-        assert_eq!(map.get("a").unwrap(), "clk");
-        assert_eq!(map.get("c").unwrap(), "clk2");
-        assert_eq!(primary.as_deref(), Some("clk"));
+        let clocks = clock_map(&design);
+        assert_eq!(clocks.clock_of("a"), Some("clk"));
+        assert_eq!(clocks.clock_of("c"), Some("clk2"));
+        assert_eq!(clocks.clock_of("clk"), None);
+        assert_eq!(clocks.primary(), Some("clk"));
     }
 
     #[test]

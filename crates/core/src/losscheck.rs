@@ -100,8 +100,8 @@ impl LossCheck {
             )));
         }
 
-        let (clocks, primary) = clock_map(design);
-        let mut module = design.flat.clone();
+        let clocks = clock_map(design);
+        let mut module = design.module();
         let mut new_items: Vec<Item> = Vec::new();
 
         // Combinational validity wires for non-register members of the
@@ -154,7 +154,7 @@ impl LossCheck {
                 })
                 .collect::<Vec<_>>();
             if bb_driven.contains(w) {
-                let clock = primary.clone().ok_or(ToolError::NoClock)?;
+                let clock = clocks.primary().ok_or(ToolError::NoClock)?.to_owned();
                 new_items.push(Item::Net(NetDecl::scalar(NetKind::Reg, h_wire(w))));
                 new_items.push(Item::Always {
                     event: hwdbg_rtl::EventControl::Edges(vec![hwdbg_rtl::Edge {
@@ -185,22 +185,14 @@ impl LossCheck {
             .cloned()
             .partition(|n| design.signals.get(n).is_some_and(|s| s.mem_depth.is_some()));
         for m in &mem_tracked {
-            let clock = clocks
-                .get(m)
-                .cloned()
-                .or_else(|| primary.clone())
-                .ok_or(ToolError::NoClock)?;
+            let clock = clocks.clock_for(m)?;
             instrument_memory(design, m, &clock, &validity_of, &mut new_items);
         }
 
         // Shadow logic per tracked register, mirroring the generated code
         // in §4.5.2 of the paper.
         for r in &reg_tracked {
-            let clock = clocks
-                .get(r)
-                .cloned()
-                .or_else(|| primary.clone())
-                .ok_or(ToolError::NoClock)?;
+            let clock = clocks.clock_for(r)?;
 
             let a_now: Vec<Expr> = graph
                 .incoming(r)

@@ -137,7 +137,7 @@ impl SignalCat {
                 "no $display statements in clocked logic".into(),
             ));
         }
-        let mut module = design.flat.clone();
+        let mut module = design.module();
         strip_displays(&mut module);
 
         let mut new_items: Vec<Item> = Vec::new();

@@ -68,10 +68,9 @@ impl StatisticsMonitor {
         if events.is_empty() {
             return Err(ToolError::NothingToInstrument("no events given".into()));
         }
-        let (_, primary) = clock_map(design);
         let clock = match clock {
             Some(c) => c.to_owned(),
-            None => primary.ok_or(ToolError::NoClock)?,
+            None => clock_map(design).primary().ok_or(ToolError::NoClock)?.to_owned(),
         };
         for ev in events {
             for n in ev.expr.idents() {
@@ -81,7 +80,7 @@ impl StatisticsMonitor {
             }
         }
 
-        let mut module = design.flat.clone();
+        let mut module = design.module();
         let mut new_items = Vec::new();
         for ev in events {
             let cnt = Self::counter_name(&ev.name);

@@ -8,7 +8,9 @@ use crate::intern::{SigId, SignalTable};
 use crate::prop::PropGraph;
 use crate::DataflowError;
 use hwdbg_bits::Bits;
-use hwdbg_rtl::{Dir, Edge, EventControl, Expr, Item, LValue, Module, SourceFile, Stmt};
+use hwdbg_rtl::{
+    Dir, Edge, EventControl, Expr, Item, LValue, Module, NetDecl, Port, SourceFile, Span, Stmt,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
@@ -72,10 +74,10 @@ impl SigInfo {
 pub struct CombDriver {
     /// Statements (a single assignment for `assign` items).
     pub body: Stmt,
-    /// Signals read.
-    pub reads: BTreeSet<String>,
-    /// Signals written.
-    pub writes: BTreeSet<String>,
+    /// Signals read, sorted and without repeats.
+    pub reads: Box<[SigId]>,
+    /// Signals written, sorted and without repeats.
+    pub writes: Box<[SigId]>,
 }
 
 /// A clocked process: one `always @(posedge …)` block.
@@ -85,10 +87,11 @@ pub struct ClockedProc {
     pub edges: Vec<Edge>,
     /// Body statement.
     pub body: Stmt,
-    /// Signals read.
-    pub reads: BTreeSet<String>,
-    /// Signals written.
-    pub writes: BTreeSet<String>,
+    /// Signals read, sorted and without repeats (the edge signals are
+    /// not reads).
+    pub reads: Box<[SigId]>,
+    /// Signals written, sorted and without repeats.
+    pub writes: Box<[SigId]>,
 }
 
 /// A blackbox IP instance in the resolved design.
@@ -111,17 +114,40 @@ pub struct BbInst {
     pub clock_ports: Vec<String>,
 }
 
+/// Where one item of the flat module went: the drivers own their bodies,
+/// and [`Design::module`] puts the items back in this order.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// The next item the design keeps as is (net, parameter, instance).
+    Kept,
+    /// An `assign`: the next combinational driver.
+    Assign,
+    /// An `always @(*)` with this span: the next combinational driver.
+    Comb(Span),
+    /// A clocked `always` with this span: the next clocked process.
+    Proc(Span),
+}
+
 /// A fully resolved flat design.
 ///
 /// [`resolve`] is the only constructor, and nothing mutates a `Design`
 /// after it: the analyses memoized on it (see
 /// [`local_graph`](Design::local_graph)) rely on that.
+///
+/// Each driver body is stored once, in its [`CombDriver`] or
+/// [`ClockedProc`]; [`module`](Design::module) rebuilds the flat module
+/// for the tools that instrument it.
 #[derive(Debug, Clone)]
 pub struct Design {
     /// Top module name.
     pub name: String,
-    /// The flat module AST (tools instrument this and re-elaborate).
-    pub flat: Module,
+    /// The flat module without its `assign` and `always` items.
+    flat: Module,
+    /// Every item of the flat module, in source order.
+    layout: Box<[Slot]>,
+    /// Per signal: the position of its declaration among `flat`'s ports
+    /// followed by its items.
+    decls: Box<[u32]>,
     /// All signals by flat name.
     pub signals: BTreeMap<String, SigInfo>,
     /// Dense [`SigId`] interner over the same signals (sorted-name order),
@@ -168,6 +194,63 @@ impl Design {
     /// Static info for an interned signal.
     pub fn sig_info(&self, id: SigId) -> &SigInfo {
         &self.signals[self.table.name(id)]
+    }
+
+    /// The top module's ports, in declaration order.
+    pub fn ports(&self) -> &[Port] {
+        &self.flat.ports
+    }
+
+    /// The declaration of a signal: its port's net or its net item.
+    pub fn decl(&self, id: SigId) -> &NetDecl {
+        let at = self.decls[id.index()] as usize;
+        match self.flat.ports.get(at) {
+            Some(port) => &port.net,
+            None => match &self.flat.items[at - self.flat.ports.len()] {
+                Item::Net(n) => n,
+                _ => unreachable!("a signal is declared by a port or a net item"),
+            },
+        }
+    }
+
+    /// The flat module this design was resolved from, rebuilt from the
+    /// drivers and the kept items in source order: what the tools
+    /// instrument and re-elaborate, and what `print_module` prints.
+    pub fn module(&self) -> Module {
+        let (mut kept, mut combs, mut procs) =
+            (self.flat.items.iter(), self.combs.iter(), self.procs.iter());
+        let mut items = Vec::with_capacity(self.layout.len());
+        for slot in self.layout.iter() {
+            let item = match *slot {
+                Slot::Kept => kept.next().cloned(),
+                Slot::Assign => combs.next().and_then(|c| match &c.body {
+                    Stmt::Assign { lhs, rhs, span, .. } => Some(Item::Assign {
+                        lhs: lhs.clone(),
+                        rhs: rhs.clone(),
+                        span: *span,
+                    }),
+                    _ => None,
+                }),
+                Slot::Comb(span) => combs.next().map(|c| Item::Always {
+                    event: EventControl::Comb,
+                    body: c.body.clone(),
+                    span,
+                }),
+                Slot::Proc(span) => procs.next().map(|p| Item::Always {
+                    event: EventControl::Edges(p.edges.clone()),
+                    body: p.body.clone(),
+                    span,
+                }),
+            };
+            items.extend(item);
+        }
+        Module {
+            name: self.flat.name.clone(),
+            params: self.flat.params.clone(),
+            ports: self.flat.ports.clone(),
+            items,
+            span: self.flat.span,
+        }
     }
 
     /// Iterates over state-holding signals (registers and clocked memories).
@@ -294,19 +377,20 @@ impl Design {
     pub fn lints(&self) -> Vec<hwdbg_diag::HwdbgError> {
         use hwdbg_diag::{ErrorCode, HwdbgError};
         let mut out = Vec::new();
-        for sig in self.signals.values() {
+        // `signals` iterates in name order, which is ID order.
+        for (i, sig) in self.signals.values().enumerate() {
             if sig.kind != SigKind::Undriven {
                 continue;
             }
-            let mut warn = HwdbgError::warning(
-                ErrorCode::UndrivenSignal,
-                format!("signal `{}` is declared but never driven", sig.name),
-            )
-            .with_signal(&sig.name);
-            if let Some(decl) = self.flat.net(&sig.name) {
-                warn = warn.with_span(decl.span);
-            }
-            out.push(warn);
+            let decl = self.decl(SigId::from_index(i));
+            out.push(
+                HwdbgError::warning(
+                    ErrorCode::UndrivenSignal,
+                    format!("signal `{}` is declared but never driven", sig.name),
+                )
+                .with_signal(&sig.name)
+                .with_span(decl.span),
+            );
         }
         out
     }
@@ -354,10 +438,10 @@ pub const MAX_MEM_DEPTH: u64 = 1 << 24;
 ///
 /// # Errors
 ///
-/// Fails on duplicate/unknown signals, non-constant widths, signals driven
-/// both combinationally and under a clock, signals with more than one
-/// combinational driver, or unknown blackbox ports. Errors carry the
-/// source span of the offending item where one is known.
+/// Fails on duplicate/unknown signals, writes to parameters, non-constant
+/// widths, signals driven both combinationally and under a clock, signals
+/// with more than one combinational driver, or unknown blackbox ports.
+/// Errors carry the source span of the offending item where one is known.
 pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowError> {
     let mut consts = ConstEnv::new();
     for item in &flat.items {
@@ -395,7 +479,10 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
         Ok(())
     };
 
-    for port in &flat.ports {
+    // Each declaration's position among the ports followed by the items
+    // the design keeps (every item but `assign` and `always`).
+    let mut positions: Vec<(&str, u32)> = Vec::new();
+    for (i, port) in flat.ports.iter().enumerate() {
         let width = range_width(&port.net.range, &consts)?;
         let kind = match port.dir {
             Dir::Input => SigKind::Input,
@@ -405,7 +492,9 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
             }
         };
         declare(&port.net.name, width, kind, port.net.signed, None)?;
+        positions.push((&port.net.name, i as u32));
     }
+    let mut kept_len = 0;
     for item in &flat.items {
         if let Item::Net(n) = item {
             let width = range_width(&n.range, &consts).map_err(|e| e.at(n.span))?;
@@ -432,86 +521,118 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
             };
             declare(&n.name, width, SigKind::Undriven, n.signed, mem_depth)
                 .map_err(|e| e.at(n.span))?;
+            positions.push((&n.name, (flat.ports.len() + kept_len) as u32));
         }
-    }
-
-    // Partition items into drivers.
-    let mut combs = Vec::new();
-    let mut procs = Vec::new();
-    let mut blackboxes = Vec::new();
-    for item in &flat.items {
-        match item {
-            Item::Net(_) | Item::Param(_) | Item::Localparam(_) => {}
-            Item::Assign { lhs, rhs, span } => {
-                let body = Stmt::Assign {
-                    lhs: lhs.clone(),
-                    nonblocking: false,
-                    rhs: rhs.clone(),
-                    span: *span,
-                };
-                let mut reads = BTreeSet::new();
-                let mut writes = BTreeSet::new();
-                stmt_reads_writes(&body, &mut reads, &mut writes);
-                reads.retain(|n| !consts.contains_key(n));
-                combs.push(CombDriver { body, reads, writes });
-            }
-            Item::Always { event, body, .. } => {
-                let mut reads = BTreeSet::new();
-                let mut writes = BTreeSet::new();
-                stmt_reads_writes(body, &mut reads, &mut writes);
-                reads.retain(|n| !consts.contains_key(n));
-                match event {
-                    EventControl::Comb => combs.push(CombDriver {
-                        body: body.clone(),
-                        reads,
-                        writes,
-                    }),
-                    EventControl::Edges(edges) => procs.push(ClockedProc {
-                        edges: edges.clone(),
-                        body: body.clone(),
-                        reads,
-                        writes,
-                    }),
-                }
-            }
-            Item::Instance(inst) => {
-                blackboxes
-                    .push(resolve_instance(inst, lib, &consts).map_err(|e| e.at(inst.span))?);
-            }
+        if !matches!(item, Item::Assign { .. } | Item::Always { .. }) {
+            kept_len += 1;
         }
     }
 
     // The namespace is final once every declaration is in: the rest of
     // resolution looks names up by ID.
     let table = Arc::new(SignalTable::new(signals.keys().map(String::as_str)));
+    let mut decls = vec![0; table.len()].into_boxed_slice();
+    for (name, at) in positions {
+        if let Some(id) = table.id(name) {
+            decls[id.index()] = at;
+        }
+    }
+
+    // Partition items into drivers, moving each body into its driver,
+    // and build every driver's read and write sets as its names are
+    // checked.
+    let Module {
+        name,
+        params,
+        ports,
+        items,
+        span,
+    } = flat;
+    let mut kept = Vec::with_capacity(kept_len);
+    let mut layout = Vec::with_capacity(items.len());
+    let mut combs = Vec::new();
+    let mut procs = Vec::new();
+    let mut blackboxes = Vec::new();
+    let mut scan = Scan::new(&table, &consts);
+    for item in items {
+        match item {
+            Item::Net(_) | Item::Param(_) | Item::Localparam(_) => {
+                kept.push(item);
+                layout.push(Slot::Kept);
+            }
+            Item::Assign { lhs, rhs, span } => {
+                let body = Stmt::Assign {
+                    lhs,
+                    nonblocking: false,
+                    rhs,
+                    span,
+                };
+                scan.stmt(&body, span);
+                let (reads, writes) = scan.end_driver(false);
+                combs.push(CombDriver {
+                    body,
+                    reads,
+                    writes,
+                });
+                layout.push(Slot::Assign);
+            }
+            Item::Always { event, body, span } => {
+                scan.stmt(&body, span);
+                match event {
+                    EventControl::Comb => {
+                        let (reads, writes) = scan.end_driver(false);
+                        combs.push(CombDriver {
+                            body,
+                            reads,
+                            writes,
+                        });
+                        layout.push(Slot::Comb(span));
+                    }
+                    EventControl::Edges(edges) => {
+                        for e in &edges {
+                            scan.check_read(&e.signal);
+                        }
+                        let (reads, writes) = scan.end_driver(true);
+                        procs.push(ClockedProc {
+                            edges,
+                            body,
+                            reads,
+                            writes,
+                        });
+                        layout.push(Slot::Proc(span));
+                    }
+                }
+            }
+            Item::Instance(inst) => {
+                let bb = resolve_instance(&inst, lib, &consts).map_err(|e| e.at(inst.span))?;
+                for e in bb.in_conns.values() {
+                    scan.expr(e);
+                }
+                for lv in bb.out_conns.values() {
+                    scan.lvalue(lv, true, inst.span);
+                }
+                scan.end_driver(false);
+                blackboxes.push(bb);
+                kept.push(Item::Instance(inst));
+                layout.push(Slot::Kept);
+            }
+        }
+    }
 
     // Classify drivers and detect conflicts. A signal *whole-written* by
     // one combinational driver and also written by any other comb driver
     // has no well-defined settled value (execution order decides), so it
     // is rejected rather than left to oscillate. Distinct drivers that
     // each write disjoint slices of one signal (SignalCat's generated
-    // concat wires, bit-sliced buses) remain legal. Names are borrowed
-    // from the drivers; a written name that is not declared keeps its
-    // tally in `undeclared`, so a conflict on it is still reported (it
-    // would fail the unknown-name check below otherwise).
-    let mut writes = vec![Writes::default(); table.len()];
-    let mut undeclared: BTreeMap<&str, Writes> = BTreeMap::new();
-    let mut targets = Vec::new();
-    for c in &combs {
-        collect_write_targets(&c.body, &mut targets);
-        tally_driver(&mut targets, &table, &mut writes, &mut undeclared);
-    }
-    for bb in &blackboxes {
-        for lv in bb.out_conns.values() {
-            add_lvalue_targets(lv, true, &mut targets);
-        }
-        tally_driver(&mut targets, &table, &mut writes, &mut undeclared);
-    }
-    for p in &procs {
-        for name in &p.writes {
-            writes_of(name, &table, &mut writes, &mut undeclared).clocked = true;
-        }
-    }
+    // concat wires, bit-sliced buses) remain legal. A written name that
+    // is not a signal keeps its tally too, so a conflict on it is still
+    // reported ahead of the bad name itself.
+    let Scan {
+        writes,
+        undeclared,
+        bad,
+        ..
+    } = scan;
     if let Some(name) = first_written(&table, &writes, &undeclared, |w| w.comb > 1 && w.whole) {
         return Err(DataflowError::DuplicateDriver(name.to_owned()));
     }
@@ -526,36 +647,17 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
             info.kind = SigKind::Comb;
         }
     }
-
-    // Every referenced identifier must be a signal or a constant; the
-    // first unknown one in name order is reported.
-    let mut unknown: Option<&str> = None;
-    let mut check = |name| {
-        if unknown.is_some_and(|u| u <= name)
-            || table.id(name).is_some()
-            || consts.contains_key(name)
-        {
-            return;
-        }
-        unknown = Some(name);
-    };
-    for c in &combs {
-        c.reads.iter().chain(&c.writes).for_each(|n| check(n.as_str()));
-    }
-    for p in &procs {
-        p.reads.iter().chain(&p.writes).for_each(|n| check(n.as_str()));
-        p.edges.iter().for_each(|e| check(e.signal.as_str()));
-    }
-    for bb in &blackboxes {
-        for e in bb.in_conns.values() {
-            e.visit_idents(&mut check);
-        }
-        for lv in bb.out_conns.values() {
-            lv.visit_targets(&mut check);
-        }
-    }
-    if let Some(name) = unknown {
-        return Err(DataflowError::UnknownSignal(name.to_owned()));
+    // A written bad name carries its assignment's or instance's span.
+    if let Some((name, write)) = bad {
+        let err = if write.is_some() && consts.contains_key(&name) {
+            DataflowError::ConstantWrite(name)
+        } else {
+            DataflowError::UnknownSignal(name)
+        };
+        return Err(match write {
+            Some(span) => err.at(span),
+            None => err,
+        });
     }
 
     // Static select/replication validation: reversed (zero-width) part
@@ -569,7 +671,7 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
         check_stmt_selects(&p.body, &consts)?;
     }
     // Blackbox connections get the same checks, at the instance's span.
-    let instances = flat.items.iter().filter_map(|item| match item {
+    let instances = kept.iter().filter_map(|item| match item {
         Item::Instance(inst) => Some(inst),
         _ => None,
     });
@@ -583,14 +685,22 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
     }
 
     Ok(Design {
-        name: flat.name.clone(),
+        name: name.clone(),
+        flat: Module {
+            name,
+            params,
+            ports,
+            items: kept,
+            span,
+        },
+        layout: layout.into_boxed_slice(),
+        decls,
         signals,
         table,
         consts,
         combs,
         procs,
         blackboxes,
-        flat,
         local_graph: OnceLock::new(),
     })
 }
@@ -648,100 +758,6 @@ fn resolve_instance(
         port_widths,
         clock_ports,
     })
-}
-
-/// Collects the signal names read and written by a statement tree.
-/// Constants are not filtered here; the caller removes params.
-pub fn stmt_reads_writes(
-    stmt: &Stmt,
-    reads: &mut BTreeSet<String>,
-    writes: &mut BTreeSet<String>,
-) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                stmt_reads_writes(s, reads, writes);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            add_expr_reads(cond, reads);
-            stmt_reads_writes(then, reads, writes);
-            if let Some(e) = els {
-                stmt_reads_writes(e, reads, writes);
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            add_expr_reads(expr, reads);
-            for arm in arms {
-                for l in &arm.labels {
-                    add_expr_reads(l, reads);
-                }
-                stmt_reads_writes(&arm.body, reads, writes);
-            }
-            if let Some(d) = default {
-                stmt_reads_writes(d, reads, writes);
-            }
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            add_expr_reads(rhs, reads);
-            add_lvalue_writes(lhs, reads, writes);
-        }
-        Stmt::For {
-            var,
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            insert_name(writes, var);
-            add_expr_reads(init, reads);
-            add_expr_reads(cond, reads);
-            add_expr_reads(step, reads);
-            stmt_reads_writes(body, reads, writes);
-        }
-        Stmt::Display { args, .. } => {
-            for a in args {
-                add_expr_reads(a, reads);
-            }
-        }
-        Stmt::Finish | Stmt::Empty => {}
-    }
-}
-
-fn add_expr_reads(e: &Expr, reads: &mut BTreeSet<String>) {
-    e.visit_idents(&mut |n| insert_name(reads, n));
-}
-
-/// Inserts `name`, copying it only when it is new.
-fn insert_name(set: &mut BTreeSet<String>, name: &str) {
-    if !set.contains(name) {
-        set.insert(name.to_owned());
-    }
-}
-
-fn add_lvalue_writes(lv: &LValue, reads: &mut BTreeSet<String>, writes: &mut BTreeSet<String>) {
-    match lv {
-        LValue::Id(n) => insert_name(writes, n),
-        LValue::Index(n, i) => {
-            insert_name(writes, n);
-            add_expr_reads(i, reads);
-        }
-        LValue::Range(n, a, b) => {
-            insert_name(writes, n);
-            add_expr_reads(a, reads);
-            add_expr_reads(b, reads);
-        }
-        LValue::Concat(parts) => {
-            for p in parts {
-                add_lvalue_writes(p, reads, writes);
-            }
-        }
-    }
 }
 
 /// Walks a statement tree validating every part select and replication
@@ -894,100 +910,226 @@ struct Writes {
     clocked: bool,
 }
 
-/// The tally for `name`: by ID for a declared signal, by name otherwise.
-fn writes_of<'w, 'a>(
-    name: &'a str,
-    table: &SignalTable,
-    writes: &'w mut [Writes],
-    undeclared: &'w mut BTreeMap<&'a str, Writes>,
-) -> &'w mut Writes {
-    match table.id(name) {
-        Some(id) => &mut writes[id.index()],
-        None => undeclared.entry(name).or_default(),
+impl Writes {
+    /// Counts one driver's writes of the signal; `whole` marks a driver
+    /// that writes all of it.
+    fn add(&mut self, clocked: bool, whole: bool) {
+        if clocked {
+            self.clocked = true;
+        } else {
+            self.comb += 1;
+            self.whole |= whole;
+        }
     }
 }
 
-/// Counts one driver's write targets, then empties `targets`. A driver
-/// counts once per name however often it writes it.
-fn tally_driver<'a>(
-    targets: &mut Vec<(&'a str, bool)>,
-    table: &SignalTable,
-    writes: &mut [Writes],
-    undeclared: &mut BTreeMap<&'a str, Writes>,
-) {
-    targets.sort_unstable();
-    for (i, &(name, whole)) in targets.iter().enumerate() {
-        let w = writes_of(name, table, writes, undeclared);
-        if i == 0 || targets[i - 1].0 != name {
-            w.comb += 1;
+/// Resolves the names of one driver at a time into its read and write
+/// sets, checks them, and tallies how every signal is written.
+///
+/// A read must name a signal or a constant, a write a signal. The first
+/// bad name in name order is kept for the error.
+struct Scan<'r> {
+    table: &'r SignalTable,
+    consts: &'r ConstEnv,
+    /// Per signal: how the drivers scanned so far write it.
+    writes: Vec<Writes>,
+    /// The same tally for written names that are not signals.
+    undeclared: BTreeMap<String, Writes>,
+    /// The first bad name, with the span of the assignment or instance
+    /// that writes it if it is written.
+    bad: Option<(String, Option<Span>)>,
+    /// The current driver's reads.
+    reads: Vec<SigId>,
+    /// The current driver's writes, each marked if it covers the whole
+    /// signal; a signal may repeat.
+    targets: Vec<(SigId, bool)>,
+    /// The current driver's writes to names that are not signals.
+    other_targets: Vec<(String, bool)>,
+}
+
+impl<'r> Scan<'r> {
+    fn new(table: &'r SignalTable, consts: &'r ConstEnv) -> Self {
+        Scan {
+            table,
+            consts,
+            writes: vec![Writes::default(); table.len()],
+            undeclared: BTreeMap::new(),
+            bad: None,
+            reads: Vec::new(),
+            targets: Vec::new(),
+            other_targets: Vec::new(),
         }
-        w.whole |= whole;
     }
-    targets.clear();
+
+    /// Notes `name` as bad unless a smaller bad name is already known.
+    fn note_bad(&mut self, name: &str, write: Option<Span>) {
+        if self.bad.as_ref().is_some_and(|(b, _)| b.as_str() <= name) {
+            return;
+        }
+        self.bad = Some((name.to_owned(), write));
+    }
+
+    /// The ID of a read name; `None` for a constant or a bad name.
+    fn check_read(&mut self, name: &str) -> Option<SigId> {
+        let id = self.table.id(name);
+        if id.is_none() && !self.consts.contains_key(name) {
+            self.note_bad(name, None);
+        }
+        id
+    }
+
+    fn read(&mut self, name: &str) {
+        if let Some(id) = self.check_read(name) {
+            self.reads.push(id);
+        }
+    }
+
+    fn write(&mut self, name: &str, whole: bool, span: Span) {
+        match self.table.id(name) {
+            Some(id) => self.targets.push((id, whole)),
+            None => {
+                self.other_targets.push((name.to_owned(), whole));
+                self.note_bad(name, Some(span));
+            }
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        e.visit_idents(&mut |n| self.read(n));
+    }
+
+    /// Scans `lv`'s targets and index expressions; `whole` marks a
+    /// target that is a plain identifier (possibly inside a
+    /// concatenation).
+    fn lvalue(&mut self, lv: &LValue, whole: bool, span: Span) {
+        match lv {
+            LValue::Id(n) => self.write(n, whole, span),
+            LValue::Index(n, i) => {
+                self.write(n, false, span);
+                self.expr(i);
+            }
+            LValue::Range(n, msb, lsb) => {
+                self.write(n, false, span);
+                self.expr(msb);
+                self.expr(lsb);
+            }
+            LValue::Concat(parts) => {
+                for p in parts {
+                    self.lvalue(p, whole, span);
+                }
+            }
+        }
+    }
+
+    /// Scans a statement tree; `span` is the enclosing item's, for
+    /// writes outside an assignment (`for` loop variables).
+    fn stmt(&mut self, stmt: &Stmt, span: Span) {
+        match stmt {
+            Stmt::Block(stmts) => {
+                for s in stmts {
+                    self.stmt(s, span);
+                }
+            }
+            Stmt::If { cond, then, els } => {
+                self.expr(cond);
+                self.stmt(then, span);
+                if let Some(e) = els {
+                    self.stmt(e, span);
+                }
+            }
+            Stmt::Case {
+                expr,
+                arms,
+                default,
+                ..
+            } => {
+                self.expr(expr);
+                for arm in arms {
+                    for l in &arm.labels {
+                        self.expr(l);
+                    }
+                    self.stmt(&arm.body, span);
+                }
+                if let Some(d) = default {
+                    self.stmt(d, span);
+                }
+            }
+            Stmt::Assign { lhs, rhs, span, .. } => {
+                self.expr(rhs);
+                self.lvalue(lhs, true, *span);
+            }
+            Stmt::For {
+                var,
+                init,
+                cond,
+                step,
+                body,
+            } => {
+                // Loop variables are procedural temporaries; two loops
+                // sharing an index name are not conflicting drivers of it.
+                self.write(var, false, span);
+                self.expr(init);
+                self.expr(cond);
+                self.expr(step);
+                self.stmt(body, span);
+            }
+            Stmt::Display { args, .. } => {
+                for a in args {
+                    self.expr(a);
+                }
+            }
+            Stmt::Finish | Stmt::Empty => {}
+        }
+    }
+
+    /// Ends the current driver: tallies its writes (once per name however
+    /// often it writes it) and returns its read and write sets.
+    fn end_driver(&mut self, clocked: bool) -> (Box<[SigId]>, Box<[SigId]>) {
+        self.reads.sort_unstable();
+        self.reads.dedup();
+        merge_repeats(&mut self.targets);
+        merge_repeats(&mut self.other_targets);
+        for &(id, whole) in &self.targets {
+            self.writes[id.index()].add(clocked, whole);
+        }
+        for (name, whole) in self.other_targets.drain(..) {
+            self.undeclared.entry(name).or_default().add(clocked, whole);
+        }
+        let reads = Box::from(&self.reads[..]);
+        let writes = self.targets.iter().map(|&(id, _)| id).collect();
+        self.reads.clear();
+        self.targets.clear();
+        (reads, writes)
+    }
+}
+
+/// Sorts a driver's write targets and merges the repeats of each name;
+/// the merged target is whole if any repeat was.
+fn merge_repeats<K: Ord>(targets: &mut Vec<(K, bool)>) {
+    targets.sort_unstable();
+    targets.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        kept.1 |= same && next.1;
+        same
+    });
 }
 
 /// The first written name, in name order, whose tally satisfies `pred`.
 fn first_written<'a>(
     table: &'a SignalTable,
     writes: &[Writes],
-    undeclared: &BTreeMap<&'a str, Writes>,
+    undeclared: &'a BTreeMap<String, Writes>,
     pred: impl Fn(&Writes) -> bool,
 ) -> Option<&'a str> {
     let declared = writes
         .iter()
         .position(&pred)
         .map(|i| table.name(SigId::from_index(i)));
-    let other = undeclared.iter().find(|(_, w)| pred(w)).map(|(n, _)| *n);
+    let other = undeclared
+        .iter()
+        .find(|(_, w)| pred(w))
+        .map(|(n, _)| n.as_str());
     declared.into_iter().chain(other).min()
-}
-
-/// Appends `(name, whole)` for every signal `stmt` writes; `whole` marks
-/// a write that covers the entire signal (a plain identifier target,
-/// possibly inside a concatenation). A name may appear more than once.
-fn collect_write_targets<'a>(stmt: &'a Stmt, out: &mut Vec<(&'a str, bool)>) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                collect_write_targets(s, out);
-            }
-        }
-        Stmt::If { then, els, .. } => {
-            collect_write_targets(then, out);
-            if let Some(e) = els {
-                collect_write_targets(e, out);
-            }
-        }
-        Stmt::Case { arms, default, .. } => {
-            for arm in arms {
-                collect_write_targets(&arm.body, out);
-            }
-            if let Some(d) = default {
-                collect_write_targets(d, out);
-            }
-        }
-        Stmt::Assign { lhs, .. } => add_lvalue_targets(lhs, true, out),
-        Stmt::For { var, body, .. } => {
-            // Loop variables are procedural temporaries; two loops sharing
-            // an index name are not conflicting drivers of it.
-            out.push((var, false));
-            collect_write_targets(body, out);
-        }
-        Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
-    }
-}
-
-/// Appends the signals `lv` writes to `out`; `whole` marks writes that
-/// cover the entire signal.
-fn add_lvalue_targets<'a>(lv: &'a LValue, whole: bool, out: &mut Vec<(&'a str, bool)>) {
-    match lv {
-        LValue::Id(n) => out.push((n, whole)),
-        LValue::Index(n, _) | LValue::Range(n, ..) => out.push((n, false)),
-        LValue::Concat(parts) => {
-            for p in parts {
-                add_lvalue_targets(p, whole, out);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1072,9 +1214,10 @@ mod tests {
             "m",
         );
         let p = &d.procs[0];
-        assert!(p.reads.contains("sel"));
-        assert!(p.reads.contains("a"));
-        assert!(p.writes.contains("y"));
+        let names =
+            |ids: &[SigId]| -> Vec<&str> { ids.iter().map(|&id| d.table.name(id)).collect() };
+        assert_eq!(names(&p.reads), ["a", "sel"]);
+        assert_eq!(names(&p.writes), ["y"]);
     }
 
     #[test]

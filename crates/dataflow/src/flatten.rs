@@ -467,7 +467,7 @@ mod tests {
         assert!(names.contains(&"u0__a".to_string()), "{names:?}");
         assert!(names.contains(&"u0__s".to_string()));
         // The child's W-1 range folded to 7.
-        let a = flat.net("u0__a").unwrap();
+        let a = flat.nets().find(|n| n.name == "u0__a").unwrap();
         let Some((msb, _)) = &a.range else { panic!() };
         assert_eq!(hwdbg_rtl::print_expr(msb), "32'h00000007");
     }

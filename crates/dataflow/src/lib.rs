@@ -75,6 +75,8 @@ pub enum DataflowError {
     DuplicateName(String),
     /// An expression references an undeclared signal.
     UnknownSignal(String),
+    /// An assignment or an instance output writes a parameter.
+    ConstantWrite(String),
     /// An input port was left unconnected.
     UnconnectedInput(String, String),
     /// An output port is connected to a non-lvalue expression.
@@ -133,6 +135,7 @@ impl From<DataflowError> for hwdbg_diag::HwdbgError {
             DataflowError::UnknownParam(_, p) => (ErrorCode::UnknownParam, vec![p.clone()]),
             DataflowError::DuplicateName(n) => (ErrorCode::DuplicateName, vec![n.clone()]),
             DataflowError::UnknownSignal(n) => (ErrorCode::UnknownSignal, vec![n.clone()]),
+            DataflowError::ConstantWrite(n) => (ErrorCode::ConstantWrite, vec![n.clone()]),
             DataflowError::UnconnectedInput(_, p) => {
                 (ErrorCode::UnconnectedInput, vec![p.clone()])
             }
@@ -167,6 +170,7 @@ impl fmt::Display for DataflowError {
             UnknownParam(m, p) => write!(f, "module `{m}` has no parameter `{p}`"),
             DuplicateName(n) => write!(f, "duplicate declaration of `{n}`"),
             UnknownSignal(n) => write!(f, "reference to undeclared signal `{n}`"),
+            ConstantWrite(n) => write!(f, "`{n}` is a parameter and cannot be assigned"),
             UnconnectedInput(i, p) => write!(f, "instance `{i}` leaves input `{p}` unconnected"),
             BadOutputConnection(i, p) => {
                 write!(f, "instance `{i}` output `{p}` is not connected to an lvalue")

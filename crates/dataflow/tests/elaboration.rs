@@ -282,3 +282,90 @@ endmodule";
     let forward = hwdbg_rtl::LValue::Range("w".into(), hwdbg_rtl::Expr::number(7), hwdbg_rtl::Expr::number(0));
     assert_eq!(d.lvalue_width(&forward), Some(8));
 }
+
+/// Elaborates `src` and checks that it fails with E0215 on `P`, at the
+/// span that starts with `at`.
+fn assert_parameter_write_rejected(src: &str, lib: &dyn hwdbg_dataflow::BlackboxLib, at: &str) {
+    let err = elaborate(&parse(src).unwrap(), "m", lib).unwrap_err();
+    assert!(
+        matches!(err.root(), DataflowError::ConstantWrite(n) if n == "P"),
+        "{src}: {err:?}"
+    );
+    assert_eq!(err.span().map(|s| s.start), src.find(at), "{src}");
+    let diag: hwdbg_diag::HwdbgError = err.into();
+    assert_eq!(diag.code, hwdbg_diag::ErrorCode::ConstantWrite);
+    assert_eq!(diag.code.as_str(), "E0215");
+    assert_eq!(diag.signals, vec!["P".to_string()]);
+}
+
+#[test]
+fn parameter_write_in_assign_rejected_with_span() {
+    let src = "module m(input [3:0] d, output [3:0] q);
+    parameter P = 4'd3;
+    assign P = d;
+    assign q = d + P;
+endmodule";
+    assert_parameter_write_rejected(src, &NoBlackboxes, "assign P");
+}
+
+#[test]
+fn parameter_write_in_always_rejected_with_span() {
+    for (kind, body, at) in [
+        (
+            "localparam",
+            "always @(posedge clk) begin q <= d; P <= d; end",
+            "P <= d",
+        ),
+        (
+            "parameter",
+            "always @(*) begin q = d; if (d[0]) P = d; end",
+            "P = d",
+        ),
+    ] {
+        let src = format!(
+            "module m(input clk, input [3:0] d, output reg [3:0] q);
+    {kind} P = 4'd3;
+    {body}
+endmodule"
+        );
+        assert_parameter_write_rejected(&src, &NoBlackboxes, at);
+    }
+}
+
+#[test]
+fn parameter_in_blackbox_output_rejected_with_span() {
+    let src = "module m(input clk, input [7:0] d, output [7:0] w);
+    localparam P = 8'd3;
+    scfifo f (.clock(clk), .data(d), .q(P));
+    assign w = d;
+endmodule";
+    assert_parameter_write_rejected(src, &FifoLib::new(), "scfifo");
+}
+
+#[test]
+fn unknown_names_still_win_by_name_order_and_reads_of_parameters_stay_legal() {
+    // `P` is read, not written: legal. `ghost` (read) sorts before `zz`
+    // (written), so it is the one reported, without a span.
+    let ok = "module m(input [3:0] d, output [3:0] q);
+    localparam P = 4'd3;
+    assign q = d + P;
+endmodule";
+    assert!(elaborate(&parse(ok).unwrap(), "m", &NoBlackboxes).is_ok());
+    let bad = "module m(input [3:0] d, output [3:0] q);
+    assign zz = d;
+    assign q = ghost;
+endmodule";
+    let err = elaborate(&parse(bad).unwrap(), "m", &NoBlackboxes).unwrap_err();
+    assert_eq!(err, DataflowError::UnknownSignal("ghost".into()));
+    // An undeclared written name alone is reported at its assignment.
+    let write = "module m(input [3:0] d, output [3:0] q);
+    assign zz = d;
+    assign q = d;
+endmodule";
+    let err = elaborate(&parse(write).unwrap(), "m", &NoBlackboxes).unwrap_err();
+    assert!(
+        matches!(err.root(), DataflowError::UnknownSignal(n) if n == "zz"),
+        "{err:?}"
+    );
+    assert_eq!(err.span().map(|s| s.start), write.find("assign zz"));
+}

@@ -109,6 +109,8 @@ pub enum ErrorCode {
     RecursionLimit,
     /// Construct outside the supported Verilog subset.
     Unsupported,
+    /// An assignment or an instance output writes a parameter.
+    ConstantWrite,
     // E03xx: simulator compilation.
     /// A blackbox instance has no behavioral model.
     NoModel,
@@ -252,6 +254,7 @@ impl ErrorCode {
             UndrivenSignal => "E0212",
             RecursionLimit => "E0213",
             Unsupported => "E0214",
+            ConstantWrite => "E0215",
             NoModel => "E0301",
             WidthMismatch => "E0302",
             NonConstSelect => "E0401",
@@ -492,7 +495,7 @@ mod tests {
             ParseFailed, NotConstant, BadRange, UnknownModule, UnknownPort,
             UnknownParam, DuplicateName, UnknownSignal, UnconnectedInput,
             BadOutputConnection, ConflictingDrivers, DuplicateDriver,
-            UndrivenSignal, RecursionLimit, Unsupported, NoModel,
+            UndrivenSignal, RecursionLimit, Unsupported, ConstantWrite, NoModel,
             WidthMismatch, NonConstSelect, CombLoop, LoopCap, Watchdog,
             OutOfBounds, EarlyFinish, DeadlineExceeded, ReversedRange, FieldWidth,
             NoClock,

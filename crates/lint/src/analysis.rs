@@ -109,8 +109,7 @@ pub fn leaf_key(c: &CondLeaf<'_>) -> String {
 /// `reset`).
 pub fn reset_inputs(design: &Design) -> BTreeSet<String> {
     design
-        .flat
-        .ports
+        .ports()
         .iter()
         .filter(|p| p.dir == Dir::Input)
         .filter(|p| {
@@ -135,8 +134,7 @@ pub fn in_reset(guards: &[Guard<'_>], resets: &BTreeSet<String>) -> bool {
 /// [`Design::signals`], so port direction must come from the module AST.
 pub fn output_ports(design: &Design) -> BTreeSet<String> {
     design
-        .flat
-        .ports
+        .ports()
         .iter()
         .filter(|p| p.dir == Dir::Output)
         .map(|p| p.net.name.clone())
@@ -146,8 +144,7 @@ pub fn output_ports(design: &Design) -> BTreeSet<String> {
 /// Input-port names of the flat module.
 pub fn input_ports(design: &Design) -> BTreeSet<String> {
     design
-        .flat
-        .ports
+        .ports()
         .iter()
         .filter(|p| p.dir == Dir::Input)
         .map(|p| p.net.name.clone())

@@ -141,8 +141,8 @@ impl LintPass for LivenessPass {
                 format!("`{name}` is never read; every value written to it is lost"),
             )
             .with_signal(name);
-            if let Some(decl) = design.flat.net(name) {
-                err = err.with_span(decl.span);
+            if let Some(id) = design.sig_id(name) {
+                err = err.with_span(design.decl(id).span);
             }
             sink.emit(err);
         }
@@ -157,8 +157,8 @@ impl LintPass for LivenessPass {
                     ),
                 )
                 .with_signal(name);
-                if let Some(decl) = design.flat.net(name) {
-                    err = err.with_span(decl.span);
+                if let Some(id) = design.sig_id(name) {
+                    err = err.with_span(design.decl(id).span);
                 }
                 sink.emit(err);
             }

@@ -82,7 +82,7 @@ impl LintPass for MemIndexPass {
             // too-small declaration.
             if let Some(span) = bound
                 .unbounded_at
-                .or_else(|| design.flat.net(mem).map(|d| d.span))
+                .or_else(|| design.sig_id(mem).map(|id| design.decl(id).span))
             {
                 err = err.with_span(span);
             }
@@ -103,8 +103,8 @@ impl LintPass for MemIndexPass {
                 ),
             )
             .with_signal(mem);
-            if let Some(decl) = design.flat.net(mem) {
-                err = err.with_span(decl.span);
+            if let Some(id) = design.sig_id(mem) {
+                err = err.with_span(design.decl(id).span);
             }
             sink.emit(err);
         }

@@ -2,10 +2,9 @@
 
 use crate::analysis::significant_bits;
 use crate::{LintPass, LintSink};
-use hwdbg_dataflow::{guard, tarjan_scc, Design};
+use hwdbg_dataflow::{guard, tarjan_scc, Design, SigId};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{print_lvalue, BinaryOp, Expr, Stmt, UnaryOp};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// `L0201`: a cycle among combinational drivers. The simulator's settling
 /// loop will hit its iteration cap at runtime; hardware oscillates or
@@ -23,23 +22,31 @@ impl LintPass for CombLoopPass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        // Nodes: comb-written signals. Edge w -> r when w's driver reads r
-        // and r is itself comb-written (registers and inputs break cycles).
-        let mut comb_written: BTreeSet<&str> = BTreeSet::new();
+        // Nodes: comb-written signals, in ID (name) order. Edge w -> r when
+        // w's driver reads r and r is itself comb-written (registers and
+        // inputs break cycles).
+        // Mark the comb-written signals, then number them in ID order.
+        const NONE: usize = usize::MAX;
+        let mut index = vec![NONE; design.table.len()];
         for comb in &design.combs {
-            comb_written.extend(comb.writes.iter().map(String::as_str));
+            for w in comb.writes.iter() {
+                index[w.index()] = 0;
+            }
         }
-        let nodes: Vec<&str> = comb_written.iter().copied().collect();
-        let index: BTreeMap<&str, usize> =
-            nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
+        let mut nodes = Vec::new();
+        for (i, slot) in index.iter_mut().enumerate() {
+            if *slot != NONE {
+                *slot = nodes.len();
+                nodes.push(SigId::from_index(i));
+            }
+        }
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
         for comb in &design.combs {
-            for w in &comb.writes {
-                let Some(&wi) = index.get(w.as_str()) else {
-                    continue;
-                };
-                for r in &comb.reads {
-                    if let Some(&ri) = index.get(r.as_str()) {
+            for w in comb.writes.iter() {
+                let wi = index[w.index()];
+                for r in comb.reads.iter() {
+                    let ri = index[r.index()];
+                    if ri != NONE {
                         adj[wi].push(ri);
                     }
                 }
@@ -54,8 +61,8 @@ impl LintPass for CombLoopPass {
             if !cyclic {
                 continue;
             }
-            let names: Vec<&str> = scc.iter().map(|&i| nodes[i]).collect();
-            let mut err = HwdbgError::warning(
+            let names: Vec<&str> = scc.iter().map(|&i| design.table.name(nodes[i])).collect();
+            let err = HwdbgError::warning(
                 ErrorCode::LintCombLoop,
                 format!(
                     "combinational loop through {}: each driver reads another's \
@@ -67,10 +74,8 @@ impl LintPass for CombLoopPass {
                         .join(", ")
                 ),
             )
-            .with_signals(names.iter().copied());
-            if let Some(decl) = names.first().and_then(|n| design.flat.net(n)) {
-                err = err.with_span(decl.span);
-            }
+            .with_signals(names.iter().copied())
+            .with_span(design.decl(nodes[scc[0]]).span);
             sink.emit(err);
         }
     }

@@ -9,7 +9,7 @@ use crate::analysis;
 use crate::{LintPass, LintSink};
 use hwdbg_dataflow::{guard, Design};
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{print_expr, Stmt};
+use hwdbg_rtl::{print_expr, Dir, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// `L0101`: a combinational `case` with no `default` that does not cover
@@ -124,39 +124,49 @@ impl LintPass for AssignStylePass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        // Readers outside every clocked process: comb drivers, blackbox
-        // inputs and output ports.
-        let outputs = analysis::output_ports(design);
-        let mut non_proc: BTreeSet<&str> = outputs.iter().map(String::as_str).collect();
-        for comb in &design.combs {
-            non_proc.extend(comb.reads.iter().map(String::as_str));
+        // Per signal: read outside every clocked process (by a comb
+        // driver, a blackbox input or as an output port).
+        let mut non_proc = vec![false; design.table.len()];
+        let mut mark = |name: &str| {
+            if let Some(id) = design.sig_id(name) {
+                non_proc[id.index()] = true;
+            }
+        };
+        for port in design.ports().iter().filter(|p| p.dir == Dir::Output) {
+            mark(&port.net.name);
         }
         for bb in &design.blackboxes {
             for conn in bb.in_conns.values() {
-                non_proc.extend(conn.idents());
+                conn.visit_idents(&mut mark);
+            }
+        }
+        for comb in &design.combs {
+            for r in comb.reads.iter() {
+                non_proc[r.index()] = true;
             }
         }
         // Per signal, the first two clocked processes that read it: enough
         // to tell whether some process other than `i` is a reader.
-        let mut proc_readers: BTreeMap<&str, (usize, Option<usize>)> = BTreeMap::new();
+        let mut proc_readers: Vec<Option<(usize, Option<usize>)>> = vec![None; design.table.len()];
         for (i, proc) in design.procs.iter().enumerate() {
-            for r in &proc.reads {
-                proc_readers
-                    .entry(r.as_str())
-                    .and_modify(|(_, second)| {
+            for r in proc.reads.iter() {
+                match &mut proc_readers[r.index()] {
+                    Some((_, second)) => {
                         second.get_or_insert(i);
-                    })
-                    .or_insert((i, None));
+                    }
+                    first => *first = Some((i, None)),
+                }
             }
         }
 
         for (i, proc) in design.procs.iter().enumerate() {
             // Visible outside process `i`.
             let external = |s: &str| {
-                non_proc.contains(s)
-                    || proc_readers
-                        .get(s)
-                        .is_some_and(|&(first, second)| first != i || second.is_some())
+                design.sig_id(s).is_some_and(|id| {
+                    non_proc[id.index()]
+                        || proc_readers[id.index()]
+                            .is_some_and(|(first, second)| first != i || second.is_some())
+                })
             };
             let mut guards = Vec::new();
             guard::walk(&proc.body, &mut guards, &mut |_, stmt| {
@@ -260,8 +270,8 @@ impl LintPass for MultiProcWritePass {
                 ),
             )
             .with_signal(name);
-            if let Some(decl) = design.flat.net(name) {
-                err = err.with_span(decl.span);
+            if let Some(id) = design.sig_id(name) {
+                err = err.with_span(design.decl(id).span);
             }
             sink.emit(err);
         }

@@ -139,7 +139,7 @@ impl LintPass for BackpressurePass {
             .flat_map(|b| b.out_conns.values())
             .flat_map(|lv| lv.target_names().into_iter().map(str::to_owned))
             .collect();
-        for port in &design.flat.ports {
+        for port in design.ports() {
             if port.dir != Dir::Output {
                 continue;
             }

@@ -39,7 +39,7 @@
 
 pub mod alloc_counter;
 
-pub use alloc_counter::{thread_allocs, CountingAlloc};
+pub use alloc_counter::{thread_allocs, thread_live_bytes, CountingAlloc};
 
 use std::time::{Duration, Instant};
 

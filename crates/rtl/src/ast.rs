@@ -54,11 +54,6 @@ impl Module {
             }))
     }
 
-    /// Looks up a net declaration (port or body) by name.
-    pub fn net(&self, name: &str) -> Option<&NetDecl> {
-        self.nets().find(|n| n.name == name)
-    }
-
     /// Looks up a parameter or localparam by name.
     pub fn param(&self, name: &str) -> Option<&Param> {
         self.params.iter().find(|p| p.name == name).or_else(|| {

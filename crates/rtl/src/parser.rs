@@ -904,15 +904,15 @@ mod tests {
         let m = parse(src).unwrap().modules.remove(0);
         let nets: Vec<_> = m.nets().map(|n| n.name.clone()).collect();
         assert_eq!(nets, vec!["a", "b", "c", "x", "y"]);
-        assert!(m.net("b").unwrap().range.is_some());
-        assert!(m.net("y").unwrap().range.is_none());
+        assert!(m.nets().find(|n| n.name == "b").unwrap().range.is_some());
+        assert!(m.nets().find(|n| n.name == "y").unwrap().range.is_none());
     }
 
     #[test]
     fn parse_memory_decl() {
         let src = "module m; reg [7:0] mem [0:255]; endmodule";
         let m = parse(src).unwrap().modules.remove(0);
-        assert!(m.net("mem").unwrap().mem_dim.is_some());
+        assert!(m.nets().find(|n| n.name == "mem").unwrap().mem_dim.is_some());
     }
 
     #[test]

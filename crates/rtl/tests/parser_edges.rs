@@ -110,7 +110,7 @@ fn signed_decls_roundtrip() {
         always @(posedge clk) acc <= acc + a;
     endmodule";
     let f = parse(src).unwrap();
-    assert!(f.modules[0].net("acc").unwrap().signed);
+    assert!(f.modules[0].nets().find(|n| n.name == "acc").unwrap().signed);
     let printed = print(&f);
     assert!(printed.contains("reg signed"));
     assert_eq!(print(&parse(&printed).unwrap()), printed);

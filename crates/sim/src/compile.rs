@@ -313,15 +313,11 @@ impl Compiled {
         let mut readers: Vec<Vec<u32>> = vec![Vec::new(); n_sigs];
         let mut writers: Vec<Vec<u32>> = vec![Vec::new(); n_sigs];
         for (ci, comb) in design.combs.iter().enumerate() {
-            for r in &comb.reads {
-                if let Some(id) = design.sig_id(r) {
-                    readers[id.index()].push(ci as u32);
-                }
+            for r in comb.reads.iter() {
+                readers[r.index()].push(ci as u32);
             }
-            for w in &comb.writes {
-                if let Some(id) = design.sig_id(w) {
-                    writers[id.index()].push(ci as u32);
-                }
+            for w in comb.writes.iter() {
+                writers[w.index()].push(ci as u32);
             }
         }
         let n_combs = design.combs.len();

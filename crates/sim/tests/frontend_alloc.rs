@@ -1,30 +1,41 @@
-//! Allocation gate for the cold path from source to runnable engine.
+//! Allocation and memory gate for the cold path from source to runnable
+//! engine.
 //!
-//! Parsing, resolving and compiling are deterministic, and so is the
-//! number of heap allocations they make. This binary installs the
-//! counting global allocator and totals the allocations of
-//! `hwdbg_rtl::parse`, `hwdbg_dataflow::resolve` and
-//! `CompiledDesign::new` over the 40 testbed designs (buggy and fixed).
+//! Parsing, resolving and compiling are deterministic, and so are the
+//! number of heap allocations they make and the bytes a resolved design
+//! holds. This binary installs the counting global allocator and totals,
+//! over the 40 testbed designs (buggy and fixed):
+//!
+//! - the allocations of `hwdbg_rtl::parse`, `hwdbg_dataflow::resolve` and
+//!   `CompiledDesign::new`;
+//! - the bytes each `Design` holds once `flatten` and `resolve` are done.
+//!
 //! Each total must stay within 10% of the count recorded when the gate
-//! was set, and below the count of the code before the cold-path rewrite
-//! (linear-time clock plans, borrowed-name resolve, one-copy signal
-//! table, move-only parser). A failure means an allocation crept back
-//! into one of these phases; unlike a timing gate, this one has no noise.
+//! was set, and below the count of the code before the phase's last
+//! rewrite: the cold-path rewrite for parse and compile (linear-time
+//! clock plans, one-copy signal table, move-only parser), and the move
+//! to bodies stored once and `SigId` read/write sets for resolve and the
+//! held bytes. A failure means an allocation or a copy crept back into
+//! one of these phases; unlike a timing gate, this one has no noise.
 
-use hwdbg_obs::{thread_allocs, CountingAlloc};
+use hwdbg_obs::{thread_allocs, thread_live_bytes, CountingAlloc};
 use hwdbg_sim::CompiledDesign;
 use hwdbg_testbed::{metadata, BugId};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Per phase: its name, the total before the cold-path rewrite, and the
-/// total when this gate was set.
+/// Per phase: its name, the total before its last rewrite, and the total
+/// when this gate was set.
 const PHASES: [(&str, u64, u64); 3] = [
     ("parse", 13_762, 7_252),
-    ("resolve", 9_666, 5_964),
+    ("resolve", 5_964, 2_395),
     ("compile", 4_886, 3_938),
 ];
+
+/// Bytes the 40 resolved designs hold: the total before bodies were
+/// stored once, and the total when this gate was set.
+const RETAINED: (i64, i64) = (1_152_336, 772_393);
 
 /// Allocations made by `f`, with its result.
 fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
@@ -37,21 +48,26 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 fn front_end_allocations_stay_below_the_gate() {
     let lib = hwdbg_ip::StdIpLib::new();
     let mut totals = [0u64; 3];
+    let mut retained = 0i64;
     for id in BugId::ALL {
         let meta = metadata(id);
         for src in [meta.source.to_owned(), meta.fixed_source()] {
             let (file, n) = counted(|| hwdbg_rtl::parse(&src));
             totals[0] += n;
-            let flat = hwdbg_dataflow::flatten(&file.unwrap(), meta.top, &lib).unwrap();
+            let file = file.unwrap();
+            let live = thread_live_bytes();
+            let flat = hwdbg_dataflow::flatten(&file, meta.top, &lib).unwrap();
             let (design, n) = counted(|| hwdbg_dataflow::resolve(flat, &lib));
             totals[1] += n;
             let design = design.unwrap();
+            retained += thread_live_bytes() - live;
             let (compiled, n) = counted(|| CompiledDesign::new(design));
             totals[2] += n;
             drop(compiled.unwrap());
         }
     }
     println!("allocations: parse {} resolve {} compile {}", totals[0], totals[1], totals[2]);
+    println!("bytes held by the resolved designs: {retained}");
     for ((phase, before, gate), got) in PHASES.iter().zip(totals) {
         let limit = gate + gate / 10;
         assert!(
@@ -64,4 +80,15 @@ fn front_end_allocations_stay_below_the_gate() {
             "{phase}: {got} allocations, not below the {before} made before the rewrite"
         );
     }
+    let (before, gate) = RETAINED;
+    let limit = gate + gate / 10;
+    assert!(
+        retained <= limit,
+        "the 40 resolved designs hold {retained} bytes, above the gate ({gate} + 10% = {limit})"
+    );
+    assert!(
+        retained < before,
+        "the 40 resolved designs hold {retained} bytes, not below the {before} held before \
+         the rewrite"
+    );
 }

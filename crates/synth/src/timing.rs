@@ -8,9 +8,8 @@
 //! register path, and achievable frequency follows a per-level delay
 //! budget.
 
-use hwdbg_dataflow::{Design, SigKind};
+use hwdbg_dataflow::{Design, SigId, SigKind};
 use hwdbg_rtl::{BinaryOp, Expr, Stmt, UnaryOp};
-use std::collections::BTreeMap;
 
 /// Fixed overhead per path (clock-to-out + setup + routing), nanoseconds.
 pub const FIXED_NS: f64 = 0.4;
@@ -35,40 +34,29 @@ impl TimingReport {
 
 /// Estimates the critical combinational depth and Fmax of a design.
 pub fn estimate_timing(design: &Design) -> TimingReport {
-    // Depth of each signal: registers and inputs launch at depth 0.
-    let mut depth: BTreeMap<String, u32> = BTreeMap::new();
-    for sig in design.signals.values() {
-        if matches!(sig.kind, SigKind::Reg | SigKind::Input | SigKind::Undriven) {
-            depth.insert(sig.name.clone(), 0);
-        }
-    }
-    // Blackbox outputs behave like registered outputs (depth 0 at launch).
-    for bb in &design.blackboxes {
-        for lv in bb.out_conns.values() {
-            for t in lv.target_names() {
-                depth.insert(t.to_owned(), 0);
-            }
-        }
-    }
+    // Depth of each signal by ID. Registers, inputs, undriven signals and
+    // blackbox outputs (which behave like registered outputs) launch at
+    // depth 0, and so does every signal no driver has reached yet.
+    let mut depth = vec![0u32; design.table.len()];
+    let max_depth =
+        |depth: &[u32], ids: &[SigId]| ids.iter().map(|id| depth[id.index()]).max().unwrap_or(0);
 
     // Relax combinational drivers until stable (acyclic in a settling
-    // design, so at most |combs| passes).
-    let mut critical: u32 = 0;
+    // design, so at most |combs| passes). A body's own depth does not
+    // change between passes.
+    let body_depths: Vec<u32> = design
+        .combs
+        .iter()
+        .map(|c| stmt_depth(&c.body, design))
+        .collect();
     for _ in 0..=design.combs.len() {
         let mut changed = false;
-        for c in &design.combs {
-            let in_depth = c
-                .reads
-                .iter()
-                .filter_map(|r| depth.get(r).copied())
-                .max()
-                .unwrap_or(0);
-            let body_depth = stmt_depth(&c.body, design);
-            let out_depth = in_depth + body_depth;
-            for wsig in &c.writes {
-                let cur = depth.get(wsig).copied().unwrap_or(0);
-                if out_depth > cur {
-                    depth.insert(wsig.clone(), out_depth);
+        for (c, body_depth) in design.combs.iter().zip(&body_depths) {
+            let out_depth = max_depth(&depth, &c.reads) + body_depth;
+            for w in c.writes.iter() {
+                let cur = &mut depth[w.index()];
+                if out_depth > *cur {
+                    *cur = out_depth;
                     changed = true;
                 }
             }
@@ -79,30 +67,26 @@ pub fn estimate_timing(design: &Design) -> TimingReport {
     }
 
     // Paths end at clocked-process inputs and blackbox inputs.
+    let mut critical: u32 = 0;
     for p in &design.procs {
-        let in_depth = p
-            .reads
-            .iter()
-            .filter_map(|r| depth.get(r).copied())
-            .max()
-            .unwrap_or(0);
-        critical = critical.max(in_depth + stmt_depth(&p.body, design));
+        critical = critical.max(max_depth(&depth, &p.reads) + stmt_depth(&p.body, design));
     }
     for bb in &design.blackboxes {
         for e in bb.in_conns.values() {
-            let in_depth = e
-                .idents()
-                .iter()
-                .filter_map(|r| depth.get(*r).copied())
-                .max()
-                .unwrap_or(0);
+            let mut in_depth = 0;
+            e.visit_idents(&mut |n| {
+                if let Some(id) = design.sig_id(n) {
+                    in_depth = in_depth.max(depth[id.index()]);
+                }
+            });
             critical = critical.max(in_depth + expr_depth(e, design));
         }
     }
-    // Pure comb paths to outputs also count.
-    for sig in design.signals.values() {
+    // Pure comb paths to outputs also count. `signals` iterates in name
+    // order, which is ID order.
+    for (sig, &d) in design.signals.values().zip(&depth) {
         if sig.kind == SigKind::Output || sig.kind == SigKind::Comb {
-            critical = critical.max(depth.get(&sig.name).copied().unwrap_or(0));
+            critical = critical.max(d);
         }
     }
 

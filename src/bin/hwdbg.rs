@@ -176,7 +176,7 @@ fn load(opts: &Opts) -> Result<Design, Anyhow> {
 fn cmd_parse(args: &[String]) -> Result<(), Anyhow> {
     let opts = Opts::parse(args)?;
     let design = load(&opts)?;
-    println!("{}", hwdbg::rtl::print_module(&design.flat));
+    println!("{}", hwdbg::rtl::print_module(&design.module()));
     eprintln!(
         "ok: {} signals, {} comb drivers, {} clocked processes, {} blackboxes",
         design.signals.len(),
@@ -441,7 +441,7 @@ fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
 
     let clock = match opts.get("clock") {
         Some(c) => c.to_owned(),
-        None => clock_map(&design).1.unwrap_or_else(|| "clk".into()),
+        None => clock_map(&design).primary().unwrap_or("clk").to_owned(),
     };
     let cycles: u64 = opts.get("cycles").unwrap_or("200").parse()?;
 

@@ -17,13 +17,14 @@
 //! `CompiledDesign::new` that alters a design, a schedule or a simulated
 //! result shows up here.
 
-use hwdbg::dataflow::{resolve, Design};
+use hwdbg::dataflow::{resolve, Design, SigId};
 use hwdbg::ip::{StdIpLib, StdModels};
 use hwdbg::rtl::{print_expr, print_lvalue, print_module, Module};
 use hwdbg::sim::{CompiledDesign, SimConfig, Simulator};
 use hwdbg::testbed::{buggy_design, fixed_design, workloads, BugId};
 use hwdbg::tools::signalcat::SignalCatConfig;
 use hwdbg::tools::{FsmMonitor, SignalCat};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -59,9 +60,12 @@ fn signals(d: &Design) -> String {
 }
 
 fn drivers(d: &Design) -> String {
+    // The sets print as the name sets they were before they held IDs.
+    let names =
+        |ids: &[SigId]| -> BTreeSet<&str> { ids.iter().map(|&id| d.table.name(id)).collect() };
     let mut out = String::new();
     for c in &d.combs {
-        let _ = writeln!(out, "comb r={:?} w={:?}", c.reads, c.writes);
+        let _ = writeln!(out, "comb r={:?} w={:?}", names(&c.reads), names(&c.writes));
     }
     for p in &d.procs {
         let edges: Vec<String> = p
@@ -69,7 +73,12 @@ fn drivers(d: &Design) -> String {
             .iter()
             .map(|e| format!("{}{}", if e.posedge { "+" } else { "-" }, e.signal))
             .collect();
-        let _ = writeln!(out, "proc {edges:?} r={:?} w={:?}", p.reads, p.writes);
+        let _ = writeln!(
+            out,
+            "proc {edges:?} r={:?} w={:?}",
+            names(&p.reads),
+            names(&p.writes)
+        );
     }
     out
 }
@@ -137,7 +146,7 @@ fn workload(id: BugId, shared: &Arc<CompiledDesign>) -> String {
 fn line(name: &str, id: BugId, d: Design) -> String {
     let mut out = format!(
         "{name} flat={} sigs={}/{} drivers={}/{}+{} bb={}/{}",
-        fnv(&print_module(&d.flat)),
+        fnv(&print_module(&d.module())),
         fnv(&signals(&d)),
         d.signals.len(),
         fnv(&drivers(&d)),
