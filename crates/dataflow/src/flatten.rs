@@ -14,7 +14,8 @@ use hwdbg_bits::Bits;
 use hwdbg_rtl::{
     Dir, Expr, Instance, Item, LValue, Module, NetDecl, Param, SourceFile,
 };
-use std::collections::BTreeSet;
+use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 const MAX_DEPTH: usize = 64;
 
@@ -37,7 +38,7 @@ pub fn flatten(
         file,
         lib,
         out_items: Vec::new(),
-        used_names: BTreeSet::new(),
+        used_names: HashSet::new(),
     };
     // Top parameters keep their default values and are preserved as
     // localparams of the flat module.
@@ -51,8 +52,12 @@ pub fn flatten(
         .iter()
         .map(|port| {
             let net = NetDecl {
+                kind: port.net.kind,
+                signed: port.net.signed,
                 range: fold_range(&port.net.range, &env).map_err(|e| e.at(port.net.span))?,
-                ..port.net.clone()
+                name: port.net.name.clone(),
+                mem_dim: port.net.mem_dim.clone(),
+                span: port.net.span,
             };
             Ok(hwdbg_rtl::Port {
                 dir: port.dir,
@@ -61,7 +66,7 @@ pub fn flatten(
         })
         .collect::<Result<Vec<_>, DataflowError>>()?;
     for port in &ports {
-        ctx.used_names.insert(port.net.name.clone());
+        ctx.used_names.insert(port.net.name.as_str().into());
     }
     for p in &top_mod.params {
         ctx.out_items.push(Item::Localparam(Param {
@@ -70,9 +75,9 @@ pub fn flatten(
             range: None,
             span: p.span,
         }));
-        ctx.used_names.insert(p.name.clone());
+        ctx.used_names.insert(p.name.as_str().into());
     }
-    ctx.inline(top_mod, "", &env, 0)?;
+    ctx.inline(top_mod, Scope::new(top_mod, String::new(), env), 0)?;
     Ok(Module {
         name: top_mod.name.clone(),
         params: Vec::new(),
@@ -102,86 +107,136 @@ fn fold_range(
     }
 }
 
+/// How a name declared in a module reads in the flat module.
+enum Local {
+    /// A net, localparam or body parameter: its prefixed name.
+    Flat(Rc<str>),
+    /// A header parameter: its folded value.
+    Const(Bits),
+}
+
+/// The rename table and constants of one module instance, built once
+/// when the instance is entered.
+struct Scope<'m> {
+    /// `inst__` for each instance on the path from the top.
+    prefix: String,
+    /// Every name the module declares. Each prefixed name is formatted
+    /// once, here, shared with `used_names`, and copied into the
+    /// declaration and every reference.
+    names: HashMap<&'m str, Local>,
+    /// Parameters and the localparams folded so far, by their own names.
+    env: ConstEnv,
+    /// `env` plus each key under its prefixed name: the environment for
+    /// constant expressions after renaming, which may name a localparam
+    /// of this scope by its flat name.
+    merged: ConstEnv,
+}
+
+impl<'m> Scope<'m> {
+    /// The scope of `module` under `prefix`, where `env` binds each of
+    /// the module's header parameters.
+    fn new(module: &'m Module, prefix: String, env: ConstEnv) -> Self {
+        let mut names =
+            HashMap::with_capacity(module.ports.len() + module.items.len() + module.params.len());
+        let locals = module.nets().map(|n| &n.name).chain(module.items.iter().filter_map(
+            |item| match item {
+                Item::Localparam(p) | Item::Param(p) => Some(&p.name),
+                _ => None,
+            },
+        ));
+        let mut flat = prefix.clone();
+        for name in locals {
+            flat.truncate(prefix.len());
+            flat.push_str(name);
+            names.insert(name.as_str(), Local::Flat(Rc::from(flat.as_str())));
+        }
+        // A header parameter reads as its value, even where a local
+        // declaration shares its name.
+        for p in &module.params {
+            names.insert(p.name.as_str(), Local::Const(env[&p.name].clone()));
+        }
+        let mut scope = Scope {
+            prefix,
+            names,
+            env: ConstEnv::new(),
+            merged: ConstEnv::new(),
+        };
+        for (name, v) in env {
+            scope.bind(name, v);
+        }
+        scope
+    }
+
+    /// Binds a parameter or localparam of this scope to its value.
+    fn bind(&mut self, name: String, v: Bits) {
+        self.merged.insert(name.clone(), v.clone());
+        if !self.prefix.is_empty() {
+            self.merged.insert(format!("{}{name}", self.prefix), v.clone());
+        }
+        self.env.insert(name, v);
+    }
+
+    /// The flat name of a declaration in this scope.
+    fn flat(&self, name: &str) -> Rc<str> {
+        match self.names.get(name) {
+            Some(Local::Flat(flat)) => Rc::clone(flat),
+            _ => format!("{}{name}", self.prefix).into(),
+        }
+    }
+
+    /// What a reference to `name` in this scope rewrites to.
+    fn rename(&self, name: &str) -> Repl {
+        match self.names.get(name) {
+            Some(Local::Flat(flat)) => Repl::Name(flat.to_string()),
+            Some(Local::Const(v)) => Repl::Expr(const_expr(v)),
+            // Unknown here (e.g. a tool-introduced global); leave as is.
+            None => Repl::Name(name.to_owned()),
+        }
+    }
+}
+
 struct Flattener<'a> {
     file: &'a SourceFile,
     lib: &'a dyn BlackboxLib,
     out_items: Vec<Item>,
-    used_names: BTreeSet<String>,
+    /// Every flat name declared so far, to refuse duplicates.
+    used_names: HashSet<Rc<str>>,
 }
 
 impl<'a> Flattener<'a> {
-    /// Inlines `module`'s body into the output with signal prefix `prefix`,
-    /// where `env` binds the module's parameters (and, progressively, its
-    /// localparams) to constants.
+    /// Inlines `module`'s body into the output under `scope`, folding its
+    /// localparams into the scope as they are declared.
     fn inline(
         &mut self,
         module: &Module,
-        prefix: &str,
-        env: &ConstEnv,
+        mut scope: Scope<'_>,
         depth: usize,
     ) -> Result<(), DataflowError> {
         if depth > MAX_DEPTH {
             return Err(DataflowError::RecursionLimit(module.name.clone()));
         }
-        let mut env = env.clone();
-        // Names that get the prefix: every net and localparam declared here.
-        let mut local: BTreeSet<String> = BTreeSet::new();
-        for n in module.nets() {
-            local.insert(n.name.clone());
-        }
-        for item in &module.items {
-            if let Item::Localparam(p) | Item::Param(p) = item {
-                local.insert(p.name.clone());
-            }
-        }
-        // Snapshot parameter values so the rename closure does not hold a
-        // borrow of `env` while localparams are being folded into it below.
-        let param_vals: std::collections::BTreeMap<String, Bits> = module
-            .params
-            .iter()
-            .map(|p| (p.name.clone(), env[&p.name].clone()))
-            .collect();
-        let rename = |n: &str| -> Repl {
-            if let Some(v) = param_vals.get(n) {
-                // Parameter: substitute folded constant.
-                Repl::Expr(const_expr(v))
-            } else if local.contains(n) {
-                Repl::Name(format!("{prefix}{n}"))
-            } else {
-                // Unknown here (e.g. a tool-introduced global); leave as is.
-                Repl::Name(n.to_owned())
-            }
-        };
-
         for item in &module.items {
             match item {
                 Item::Param(p) | Item::Localparam(p) => {
                     let v = (|| {
-                        let v = eval_const(&rewrite_expr(&p.value, &|n| rename(n))?, &{
-                            // localparams may reference earlier (renamed)
-                            // localparams of this module: build a view with
-                            // prefixed keys.
-                            let mut view = ConstEnv::new();
-                            for (k, val) in &env {
-                                view.insert(k.clone(), val.clone());
-                                view.insert(format!("{prefix}{k}"), val.clone());
-                            }
-                            view
-                        })?;
+                        let v = eval_const(
+                            &rewrite_expr(&p.value, &|n| scope.rename(n))?,
+                            &scope.merged,
+                        )?;
                         Ok::<Bits, DataflowError>(match &p.range {
                             Some(_) => {
-                                let w = crate::consteval::range_width(&p.range, &env)?;
+                                let w = crate::consteval::range_width(&p.range, &scope.env)?;
                                 v.resize(w)
                             }
                             None => v,
                         })
                     })()
                     .map_err(|e| e.at(p.span))?;
-                    env.insert(p.name.clone(), v.clone());
-                    let flat_name = format!("{prefix}{}", p.name);
-                    if self.used_names.insert(flat_name.clone()) {
+                    scope.bind(p.name.clone(), v.clone());
+                    let flat_name = scope.flat(&p.name);
+                    if self.used_names.insert(Rc::clone(&flat_name)) {
                         self.out_items.push(Item::Localparam(Param {
-                            name: flat_name,
+                            name: flat_name.to_string(),
                             value: const_expr(&v),
                             range: None,
                             span: p.span,
@@ -189,42 +244,32 @@ impl<'a> Flattener<'a> {
                     }
                 }
                 Item::Net(n) => {
+                    let fold_bound = |e: &Expr| -> Result<Expr, DataflowError> {
+                        let v = eval_const(&rewrite_expr(e, &|x| scope.rename(x))?, &scope.merged);
+                        Ok(const_expr(&v.map_err(|e| e.at(n.span))?))
+                    };
+                    let flat_name = scope.flat(&n.name);
                     let flat = NetDecl {
                         kind: n.kind,
                         signed: n.signed,
-                        range: fold_range(&n.range, &merged_env(prefix, &env))
-                            .map_err(|e| e.at(n.span))?,
-                        name: format!("{prefix}{}", n.name),
+                        range: fold_range(&n.range, &scope.merged).map_err(|e| e.at(n.span))?,
+                        name: flat_name.to_string(),
                         mem_dim: match &n.mem_dim {
                             None => None,
-                            Some((lo, hi)) => Some((
-                                const_expr(
-                                    &eval_const(
-                                        &rewrite_expr(lo, &|x| rename(x))?,
-                                        &merged_env(prefix, &env),
-                                    )
-                                    .map_err(|e| e.at(n.span))?,
-                                ),
-                                const_expr(
-                                    &eval_const(
-                                        &rewrite_expr(hi, &|x| rename(x))?,
-                                        &merged_env(prefix, &env),
-                                    )
-                                    .map_err(|e| e.at(n.span))?,
-                                ),
-                            )),
+                            Some((lo, hi)) => Some((fold_bound(lo)?, fold_bound(hi)?)),
                         },
                         span: n.span,
                     };
-                    if !self.used_names.insert(flat.name.clone()) {
+                    if !self.used_names.insert(flat_name) {
                         return Err(DataflowError::DuplicateName(flat.name).at(n.span));
                     }
                     self.out_items.push(Item::Net(flat));
                 }
                 Item::Assign { lhs, rhs, span } => {
+                    let rename = |n: &str| scope.rename(n);
                     self.out_items.push(Item::Assign {
-                        lhs: rewrite_lvalue(lhs, &|n| rename(n)).map_err(|e| e.at(*span))?,
-                        rhs: rewrite_expr(rhs, &|n| rename(n)).map_err(|e| e.at(*span))?,
+                        lhs: rewrite_lvalue(lhs, &rename).map_err(|e| e.at(*span))?,
+                        rhs: rewrite_expr(rhs, &rename).map_err(|e| e.at(*span))?,
                         span: *span,
                     });
                 }
@@ -236,7 +281,7 @@ impl<'a> Flattener<'a> {
                                 .iter()
                                 .map(|e| hwdbg_rtl::Edge {
                                     posedge: e.posedge,
-                                    signal: match rename(&e.signal) {
+                                    signal: match scope.rename(&e.signal) {
                                         Repl::Name(n) => n,
                                         Repl::Expr(_) => e.signal.clone(),
                                     },
@@ -246,12 +291,12 @@ impl<'a> Flattener<'a> {
                     };
                     self.out_items.push(Item::Always {
                         event,
-                        body: rewrite_stmt(body, &|n| rename(n))?,
+                        body: rewrite_stmt(body, &|n| scope.rename(n))?,
                         span: *span,
                     });
                 }
                 Item::Instance(inst) => {
-                    self.inline_instance(inst, prefix, &env, &rename, depth)
+                    self.inline_instance(inst, &scope, depth)
                         .map_err(|e| e.at(inst.span))?;
                 }
             }
@@ -262,16 +307,14 @@ impl<'a> Flattener<'a> {
     fn inline_instance(
         &mut self,
         inst: &Instance,
-        prefix: &str,
-        env: &ConstEnv,
-        rename: &dyn Fn(&str) -> Repl,
+        scope: &Scope<'_>,
         depth: usize,
     ) -> Result<(), DataflowError> {
-        let child_prefix = format!("{prefix}{}__", inst.name);
+        let rename = |n: &str| scope.rename(n);
         // Evaluate parameter overrides in the parent scope.
         let mut overrides = ConstEnv::new();
         for (name, value) in &inst.params {
-            let folded = eval_const(&rewrite_expr(value, rename)?, &merged_env(prefix, env))?;
+            let folded = eval_const(&rewrite_expr(value, &rename)?, &scope.merged)?;
             overrides.insert(name.clone(), folded);
         }
         if let Some(child) = self.file.module(&inst.module) {
@@ -294,19 +337,21 @@ impl<'a> Flattener<'a> {
             if let Some((name, _)) = overrides.into_iter().next() {
                 return Err(DataflowError::UnknownParam(inst.module.clone(), name));
             }
+            let child_scope =
+                Scope::new(child, format!("{}{}__", scope.prefix, inst.name), child_env);
             // Declare nets for the child's ports and wire them up.
             for port in &child.ports {
-                let flat_name = format!("{child_prefix}{}", port.net.name);
+                let flat = child_scope.flat(&port.net.name);
                 let decl = NetDecl {
                     kind: port.net.kind,
                     signed: port.net.signed,
-                    range: fold_range(&port.net.range, &child_env)?,
-                    name: flat_name.clone(),
+                    range: fold_range(&port.net.range, &child_scope.env)?,
+                    name: flat.to_string(),
                     mem_dim: None,
                     span: port.net.span,
                 };
-                if !self.used_names.insert(flat_name.clone()) {
-                    return Err(DataflowError::DuplicateName(flat_name));
+                if !self.used_names.insert(Rc::clone(&flat)) {
+                    return Err(DataflowError::DuplicateName(decl.name));
                 }
                 self.out_items.push(Item::Net(decl));
                 let conn = inst
@@ -317,8 +362,8 @@ impl<'a> Flattener<'a> {
                 match (port.dir, conn) {
                     (Dir::Input, Some(e)) => {
                         self.out_items.push(Item::Assign {
-                            lhs: LValue::Id(flat_name),
-                            rhs: rewrite_expr(e, rename)?,
+                            lhs: LValue::Id(flat.to_string()),
+                            rhs: rewrite_expr(e, &rename)?,
                             span: inst.span,
                         });
                     }
@@ -329,7 +374,7 @@ impl<'a> Flattener<'a> {
                         ));
                     }
                     (Dir::Output, Some(e)) => {
-                        let target = expr_to_lvalue(&rewrite_expr(e, rename)?).ok_or_else(
+                        let target = expr_to_lvalue(&rewrite_expr(e, &rename)?).ok_or_else(
                             || {
                                 DataflowError::BadOutputConnection(
                                     inst.name.clone(),
@@ -339,7 +384,7 @@ impl<'a> Flattener<'a> {
                         )?;
                         self.out_items.push(Item::Assign {
                             lhs: target,
-                            rhs: Expr::Ident(flat_name),
+                            rhs: Expr::Ident(flat.to_string()),
                             span: inst.span,
                         });
                     }
@@ -357,7 +402,7 @@ impl<'a> Flattener<'a> {
                     return Err(DataflowError::UnknownPort(inst.module.clone(), n.clone()));
                 }
             }
-            self.inline(child, &child_prefix, &child_env, depth + 1)
+            self.inline(child, child_scope, depth + 1)
         } else if let Some(spec) = self.lib.spec(&inst.module) {
             // Blackbox: keep the instance, with folded params and rewritten
             // connection expressions.
@@ -366,8 +411,8 @@ impl<'a> Flattener<'a> {
                     return Err(DataflowError::UnknownPort(inst.module.clone(), n.clone()));
                 }
             }
-            let inst_name = format!("{prefix}{}", inst.name);
-            if !self.used_names.insert(format!("{inst_name}!inst")) {
+            let inst_name = format!("{}{}", scope.prefix, inst.name);
+            if !self.used_names.insert(format!("{inst_name}!inst").into()) {
                 return Err(DataflowError::DuplicateName(inst_name));
             }
             self.out_items.push(Item::Instance(Instance {
@@ -390,7 +435,7 @@ impl<'a> Flattener<'a> {
                         Ok((
                             n.clone(),
                             match e {
-                                Some(e) => Some(rewrite_expr(e, rename)?),
+                                Some(e) => Some(rewrite_expr(e, &rename)?),
                                 None => None,
                             },
                         ))
@@ -403,18 +448,6 @@ impl<'a> Flattener<'a> {
             Err(DataflowError::UnknownModule(inst.module.clone()))
         }
     }
-}
-
-/// Builds a const env that also resolves this scope's renamed localparams.
-fn merged_env(prefix: &str, env: &ConstEnv) -> ConstEnv {
-    let mut out = ConstEnv::new();
-    for (k, v) in env {
-        out.insert(k.clone(), v.clone());
-        if !prefix.is_empty() {
-            out.insert(format!("{prefix}{k}"), v.clone());
-        }
-    }
-    out
 }
 
 /// Converts a connection expression into an lvalue, if it has lvalue shape.

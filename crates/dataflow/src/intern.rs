@@ -7,6 +7,8 @@
 //! simulator stores values in a `Vec` indexed by it and pre-resolves every
 //! name in the design to an ID once, at compile time.
 
+use std::hash::{BuildHasher, RandomState};
+
 /// A dense signal identifier, valid only within the [`SignalTable`] (and
 /// hence the [`Design`](crate::Design)) that produced it.
 ///
@@ -30,14 +32,28 @@ impl SigId {
 }
 
 /// Bidirectional name ⇄ [`SigId`] mapping for one design: the names in
-/// sorted order, packed into one buffer, so an ID is a name's position
-/// and a lookup is a binary search. Each name is stored once.
-#[derive(Debug, Clone, Default)]
+/// sorted order, packed into one buffer, so an ID is a name's position,
+/// and a hashed index of the IDs, so a lookup is one hash and (usually)
+/// one string compare. Each name is stored once.
+#[derive(Debug, Clone)]
 pub struct SignalTable {
     /// Every name, concatenated in ID order.
     text: String,
     /// Per ID: the byte offset one past its name in `text`.
     ends: Vec<usize>,
+    /// Open-addressed, linearly probed index: each slot holds an ID + 1,
+    /// or 0 when empty. Its length is a power of two and at least twice
+    /// the number of names, so probe chains stay short.
+    slots: Box<[u32]>,
+    /// Keyed per table, so crafted names cannot force long probe chains.
+    /// Nothing is ever iterated in hash order.
+    hasher: RandomState,
+}
+
+impl Default for SignalTable {
+    fn default() -> Self {
+        SignalTable::new([])
+    }
 }
 
 impl SignalTable {
@@ -45,10 +61,15 @@ impl SignalTable {
     ///
     /// # Panics
     ///
-    /// Panics unless `names` is sorted and free of duplicates (lookups
-    /// binary-search it), or if it holds 2^32 names or more.
+    /// Panics unless `names` is sorted and free of duplicates (IDs follow
+    /// name order), or if it holds 2^32 - 1 names or more.
     pub fn new<'a>(names: impl IntoIterator<Item = &'a str>) -> Self {
-        let mut table = SignalTable::default();
+        let mut table = SignalTable {
+            text: String::new(),
+            ends: Vec::new(),
+            slots: Box::default(),
+            hasher: RandomState::new(),
+        };
         for name in names {
             if let Some(last) = table.ends.len().checked_sub(1) {
                 assert!(
@@ -60,8 +81,19 @@ impl SignalTable {
             table.ends.push(table.text.len());
         }
         // A design with 2^32 signals is beyond anything the elaborator can
-        // produce (MAX_WIDTH/MAX_MEM_DEPTH bound state far earlier).
-        assert!(u32::try_from(table.ends.len()).is_ok(), "too many signals");
+        // produce (MAX_WIDTH/MAX_MEM_DEPTH bound state far earlier); the
+        // index reserves 0 for an empty slot.
+        assert!(u32::try_from(table.ends.len() + 1).is_ok(), "too many signals");
+        let mut slots = vec![0u32; (2 * table.len()).next_power_of_two()];
+        let mask = slots.len() - 1;
+        for (id, name) in table.iter() {
+            let mut slot = table.hash(name) & mask;
+            while slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            slots[slot] = id.0 + 1;
+        }
+        table.slots = slots.into_boxed_slice();
         table
     }
 
@@ -72,19 +104,28 @@ impl SignalTable {
         &self.text[start..self.ends[i]]
     }
 
+    /// The index slot a name's probe starts at, before masking.
+    #[inline]
+    fn hash(&self, name: &str) -> usize {
+        self.hasher.hash_one(name) as usize
+    }
+
     /// Looks up a name's ID.
     #[inline]
     pub fn id(&self, name: &str) -> Option<SigId> {
-        let (mut lo, mut hi) = (0, self.ends.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.name_at(mid).cmp(name) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(SigId(mid as u32)),
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hash(name) & mask;
+        loop {
+            let entry = self.slots[slot];
+            if entry == 0 {
+                return None;
             }
+            let i = (entry - 1) as usize;
+            if self.name_at(i) == name {
+                return Some(SigId(i as u32));
+            }
+            slot = (slot + 1) & mask;
         }
-        None
     }
 
     /// The name behind an ID.
@@ -114,6 +155,7 @@ impl SignalTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hwdbg_bits::SplitMix64;
 
     #[test]
     fn interning_is_stable_and_bijective() {
@@ -133,6 +175,49 @@ mod tests {
         );
         assert_eq!(SignalTable::new([]).id("a"), None);
         assert_eq!(SignalTable::new(["", "a"]).id(""), Some(SigId(0)));
+    }
+
+    /// A name in the flat namespace's shape: `tNNN__` tile prefixes that
+    /// many names share, then a short leaf.
+    fn flat_name(rng: &mut SplitMix64) -> String {
+        const LEAVES: [&str; 6] = ["q", "state", "rd_ptr", "wr_ptr", "count", "data_out"];
+        let mut name = String::new();
+        for _ in 0..rng.below(3) {
+            name.push_str(&format!("t{:03}__", rng.below(40)));
+        }
+        name.push_str(LEAVES[rng.below(LEAVES.len() as u64) as usize]);
+        if rng.next_bool() {
+            name.push_str(&rng.below(8).to_string());
+        }
+        name
+    }
+
+    #[test]
+    fn lookups_agree_with_a_linear_scan() {
+        let mut rng = SplitMix64::new(0x1D5_7AB1E);
+        for round in 0..24 {
+            let size = [0, 1, 2, 7, 64, 500][round % 6];
+            let mut names: Vec<String> = (0..size).map(|_| flat_name(&mut rng)).collect();
+            if round % 4 == 1 {
+                names.push(String::new());
+            }
+            names.sort_unstable();
+            names.dedup();
+            let t = SignalTable::new(names.iter().map(String::as_str));
+            assert_eq!(t.len(), names.len());
+            let scan = |probe: &str| names.iter().position(|n| n == probe).map(SigId::from_index);
+            let mut probes: Vec<String> = names.clone();
+            probes.extend((0..200).map(|_| flat_name(&mut rng)));
+            probes.extend(names.iter().map(|n| format!("{n}_")));
+            probes.extend(names.iter().filter_map(|n| Some(n[..n.len().checked_sub(1)?].to_owned())));
+            probes.push(String::new());
+            for probe in &probes {
+                assert_eq!(t.id(probe), scan(probe), "round {round}: {probe:?}");
+            }
+            for (id, name) in t.iter() {
+                assert_eq!(t.id(name), Some(id));
+            }
+        }
     }
 
     #[test]

@@ -80,6 +80,9 @@ pub enum ErrorCode {
     // E01xx: parse.
     /// Source text failed to lex/parse.
     ParseFailed,
+    /// Source nests expressions or statements deeper than the parser's
+    /// limit (`hwdbg_rtl::parser::MAX_NESTING`).
+    NestingTooDeep,
     // E02xx: elaboration.
     /// A compile-time expression references a runtime value.
     NotConstant,
@@ -240,6 +243,7 @@ impl ErrorCode {
         use ErrorCode::*;
         match self {
             ParseFailed => "E0101",
+            NestingTooDeep => "E0102",
             NotConstant => "E0201",
             BadRange => "E0202",
             UnknownModule => "E0203",
@@ -438,7 +442,12 @@ impl std::error::Error for HwdbgError {}
 
 impl From<ParseError> for HwdbgError {
     fn from(e: ParseError) -> Self {
-        HwdbgError::new(ErrorCode::ParseFailed, e.message).with_span(e.span)
+        let code = if e.too_deep {
+            ErrorCode::NestingTooDeep
+        } else {
+            ErrorCode::ParseFailed
+        };
+        HwdbgError::new(code, e.message).with_span(e.span)
     }
 }
 
@@ -492,7 +501,7 @@ mod tests {
     fn codes_are_stable_and_unique() {
         use ErrorCode::*;
         let all = [
-            ParseFailed, NotConstant, BadRange, UnknownModule, UnknownPort,
+            ParseFailed, NestingTooDeep, NotConstant, BadRange, UnknownModule, UnknownPort,
             UnknownParam, DuplicateName, UnknownSignal, UnconnectedInput,
             BadOutputConnection, ConflictingDrivers, DuplicateDriver,
             UndrivenSignal, RecursionLimit, Unsupported, ConstantWrite, NoModel,

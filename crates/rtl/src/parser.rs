@@ -5,14 +5,30 @@ use crate::span::{ParseError, Span};
 use crate::token::{lex, Keyword as K, Tok, Token};
 use hwdbg_bits::Bits;
 
+/// The deepest nesting the parser accepts. Along any path down from a
+/// module item, each of these is one level: a statement, an expression in
+/// an operand or bracket position (a parenthesized one included), a unary
+/// operator, and a binary operator in a chain (it pushes its left operand
+/// one level down). Deeper source fails with E0102 at the token that
+/// crosses the limit.
+///
+/// Every later stage walks the tree recursively, so this limit also
+/// bounds their stack use. It was chosen by measurement: in an optimized
+/// x86-64 build, the flow from parse through lint, compile, simulation
+/// and all five tools first overflows a 2 MiB thread stack (the default
+/// for a spawned thread) at 784 nested `begin` blocks, 1,314 `else if`
+/// arms, 1,497 parentheses and 2,322 unary operators. 256 leaves at
+/// least 3× of that headroom, and `tests/nesting_limit.rs` runs a design
+/// at the limit in every shape on such a thread.
+pub const MAX_NESTING: usize = 256;
+
 /// Parses a source file containing one or more modules.
 ///
 /// # Errors
 ///
 /// Returns the first lexical or syntactic error with its source span.
 pub fn parse(source: &str) -> Result<SourceFile, ParseError> {
-    let toks = lex(source)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser::new(lex(source)?);
     let mut modules = Vec::new();
     while !p.at_eof() {
         modules.push(p.module()?);
@@ -26,8 +42,7 @@ pub fn parse(source: &str) -> Result<SourceFile, ParseError> {
 ///
 /// Returns an error if the text is not a complete expression.
 pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
-    let toks = lex(source)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser::new(lex(source)?);
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
@@ -36,9 +51,19 @@ pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at the current token (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    fn new(toks: Vec<Token>) -> Self {
+        Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -83,6 +108,33 @@ impl Parser {
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError::new(msg, self.span()))
+    }
+
+    /// Opens one nesting level, or fails with E0102 at the current token
+    /// if that would exceed [`MAX_NESTING`].
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError {
+                too_deep: true,
+                ..ParseError::new(
+                    format!("nesting deeper than {MAX_NESTING} levels"),
+                    self.span(),
+                )
+            });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.descend()?;
+        let r = f(self);
+        self.depth -= 1;
+        r
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
@@ -504,6 +556,10 @@ impl Parser {
     // ---- statements ----------------------------------------------------
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt, ParseError> {
         match self.peek() {
             Tok::Keyword(K::Begin) => {
                 self.bump();
@@ -660,9 +716,9 @@ impl Parser {
 
     fn lvalue(&mut self) -> Result<LValue, ParseError> {
         if self.eat_punct("{") {
-            let mut parts = vec![self.lvalue()?];
+            let mut parts = vec![self.nested(Self::lvalue)?];
             while self.eat_punct(",") {
-                parts.push(self.lvalue()?);
+                parts.push(self.nested(Self::lvalue)?);
             }
             self.expect_punct("}")?;
             return Ok(LValue::Concat(parts));
@@ -684,6 +740,10 @@ impl Parser {
     // ---- expressions ---------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::expr_inner)
+    }
+
+    fn expr_inner(&mut self) -> Result<Expr, ParseError> {
         let cond = self.binary(0)?;
         if self.eat_punct("?") {
             let t = self.expr()?;
@@ -695,15 +755,19 @@ impl Parser {
     }
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let outer = self.depth;
         let mut lhs = self.unary()?;
         while let Some((op, prec)) = self.peek_binop() {
             if prec < min_prec {
                 break;
             }
+            // A chain `a + b + c` nests leftwards: each operator is a level.
+            self.descend()?;
             self.bump();
             let rhs = self.binary(prec + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
@@ -750,7 +814,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let e = self.unary()?;
+            let e = self.nested(Self::unary)?;
             return Ok(Expr::Unary(op, Box::new(e)));
         }
         self.primary()

@@ -56,6 +56,10 @@ pub struct ParseError {
     pub message: String,
     /// Where it went wrong.
     pub span: Span,
+    /// Whether the source nests deeper than
+    /// [`MAX_NESTING`](crate::parser::MAX_NESTING) (E0102) rather than
+    /// breaking the grammar (E0101).
+    pub too_deep: bool,
 }
 
 impl ParseError {
@@ -64,6 +68,7 @@ impl ParseError {
         ParseError {
             message: message.into(),
             span,
+            too_deep: false,
         }
     }
 

@@ -145,12 +145,40 @@ pub struct Token {
     pub span: Span,
 }
 
-/// Multi-character punctuation, longest first so greedy matching works.
-const PUNCTS: &[&str] = &[
-    "<<<", ">>>", "===", "!==", "<=", ">=", "==", "!=", "&&", "||", "<<", ">>", "~^", "^~", "+:",
-    "-:", "(", ")", "[", "]", "{", "}", ";", ",", ".", ":", "?", "+", "-", "*", "/", "%", "&",
-    "|", "^", "~", "!", "<", ">", "=", "#", "@", "'",
-];
+/// The punctuation and operators that start with byte `first`, longest
+/// first so greedy matching works; empty for a byte no token starts with.
+fn puncts(first: u8) -> &'static [&'static str] {
+    match first {
+        b'<' => &["<<<", "<=", "<<", "<"],
+        b'>' => &[">>>", ">=", ">>", ">"],
+        b'=' => &["===", "==", "="],
+        b'!' => &["!==", "!=", "!"],
+        b'&' => &["&&", "&"],
+        b'|' => &["||", "|"],
+        b'~' => &["~^", "~"],
+        b'^' => &["^~", "^"],
+        b'+' => &["+:", "+"],
+        b'-' => &["-:", "-"],
+        b'(' => &["("],
+        b')' => &[")"],
+        b'[' => &["["],
+        b']' => &["]"],
+        b'{' => &["{"],
+        b'}' => &["}"],
+        b';' => &[";"],
+        b',' => &[","],
+        b'.' => &["."],
+        b':' => &[":"],
+        b'?' => &["?"],
+        b'*' => &["*"],
+        b'/' => &["/"],
+        b'%' => &["%"],
+        b'#' => &["#"],
+        b'@' => &["@"],
+        b'\'' => &["'"],
+        _ => &[],
+    }
+}
 
 /// Tokenizes `source`, returning the token stream terminated by [`Tok::Eof`].
 ///
@@ -203,11 +231,13 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ParseError> {
             }
             continue;
         }
-        // String literal
+        // String literal. Its text is copied as UTF-8: only the ASCII `"`
+        // and `\` end a run of plain characters, so every run is whole.
         if c == '"' {
             let start = i;
             i += 1;
             let mut s = String::new();
+            let mut run = i;
             loop {
                 if i >= bytes.len() {
                     return Err(ParseError::new(
@@ -217,22 +247,22 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ParseError> {
                 }
                 match bytes[i] {
                     b'"' => {
+                        s.push_str(&source[run..i]);
                         i += 1;
                         break;
                     }
                     b'\\' if i + 1 < bytes.len() => {
-                        let esc = bytes[i + 1];
+                        s.push_str(&source[run..i]);
+                        let esc = source[i + 1..].chars().next().unwrap_or('\\');
                         s.push(match esc {
-                            b'n' => '\n',
-                            b't' => '\t',
-                            other => other as char,
+                            'n' => '\n',
+                            't' => '\t',
+                            other => other,
                         });
-                        i += 2;
+                        i += 1 + esc.len_utf8();
+                        run = i;
                     }
-                    other => {
-                        s.push(other as char);
-                        i += 1;
-                    }
+                    _ => i += 1,
                 }
             }
             toks.push(Token {
@@ -312,25 +342,22 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ParseError> {
             continue;
         }
         // Punctuation
-        let rest = &source[i..];
-        let mut matched = false;
-        for p in PUNCTS {
-            if rest.starts_with(p) {
-                toks.push(Token {
-                    tok: Tok::Punct(p),
-                    span: Span::new(i, i + p.len()),
-                });
-                i += p.len();
-                matched = true;
-                break;
-            }
-        }
-        if !matched {
+        let rest = &bytes[i..];
+        let Some(p) = puncts(bytes[i]).iter().find(|p| rest.starts_with(p.as_bytes())) else {
+            // Name the whole character: `i` is on a character boundary,
+            // since everything before it lexed as ASCII tokens, comments
+            // or strings.
+            let ch = source.get(i..).and_then(|r| r.chars().next()).unwrap_or(c);
             return Err(ParseError::new(
-                format!("unexpected character `{c}`"),
-                Span::new(i, i + 1),
+                format!("unexpected character `{ch}`"),
+                Span::new(i, i + ch.len_utf8()),
             ));
-        }
+        };
+        toks.push(Token {
+            tok: Tok::Punct(p),
+            span: Span::new(i, i + p.len()),
+        });
+        i += p.len();
     }
     toks.push(Token {
         tok: Tok::Eof,

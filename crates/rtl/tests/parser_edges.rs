@@ -187,6 +187,35 @@ fn garbage_expression_is_a_typed_error() {
     }
 }
 
+#[test]
+fn string_literals_keep_utf8_and_print_parse_is_a_fixpoint() {
+    let src = "module m(input clk, input [3:0] c);
+        always @(posedge clk) $display(\"café %d \\\"€\\\" \\é\", c);
+    endmodule";
+    let f = parse(src).unwrap();
+    let Item::Always { body, .. } = &f.modules[0].items[0] else {
+        panic!()
+    };
+    let Stmt::Display { format, .. } = body else {
+        panic!("{body:?}")
+    };
+    assert_eq!(format, "café %d \"€\" é");
+    let printed = print(&f);
+    assert!(printed.contains("$display(\"café %d \\\"€\\\" é\", c);"), "{printed}");
+    assert_eq!(print(&parse(&printed).unwrap()), printed);
+}
+
+#[test]
+fn non_ascii_outside_a_string_is_named_whole() {
+    for (src, ch) in [("a é b", "é"), ("a + € ", "€"), ("x = 𝔵;", "𝔵")] {
+        let err = parse_expr(src).unwrap_err();
+        let start = src.find(ch).unwrap();
+        assert_eq!(err.message, format!("unexpected character `{ch}`"), "src: {src}");
+        assert_eq!((err.span.start, err.span.end), (start, start + ch.len()), "src: {src}");
+        assert_eq!(&src[err.span.start..err.span.end], ch);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Exact diagnostics: the message and byte span of each parser error,
 // across every dispatch site (module item, statement, `$display` format,

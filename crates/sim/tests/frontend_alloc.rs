@@ -1,22 +1,29 @@
 //! Allocation and memory gate for the cold path from source to runnable
 //! engine.
 //!
-//! Parsing, resolving and compiling are deterministic, and so are the
-//! number of heap allocations they make and the bytes a resolved design
-//! holds. This binary installs the counting global allocator and totals,
-//! over the 40 testbed designs (buggy and fixed):
+//! Parsing, flattening, resolving and compiling are deterministic, and so
+//! are the number of heap allocations they make and the bytes a resolved
+//! design holds. This binary installs the counting global allocator and
+//! totals, over the 40 testbed designs (buggy and fixed):
 //!
-//! - the allocations of `hwdbg_rtl::parse`, `hwdbg_dataflow::resolve` and
-//!   `CompiledDesign::new`;
+//! - the allocations of `hwdbg_rtl::parse`, `hwdbg_dataflow::flatten`,
+//!   `hwdbg_dataflow::resolve` and `CompiledDesign::new`;
 //! - the bytes each `Design` holds once `flatten` and `resolve` are done.
 //!
 //! Each total must stay within 10% of the count recorded when the gate
 //! was set, and below the count of the code before the phase's last
-//! rewrite: the cold-path rewrite for parse and compile (linear-time
-//! clock plans, one-copy signal table, move-only parser), and the move
-//! to bodies stored once and `SigId` read/write sets for resolve and the
-//! held bytes. A failure means an allocation or a copy crept back into
-//! one of these phases; unlike a timing gate, this one has no noise.
+//! rewrite:
+//!
+//! - parse: the first-byte lexer, which copies each string literal in
+//!   one piece;
+//! - flatten: one rename table per instance, built once;
+//! - resolve and the held bytes: bodies stored once and `SigId`
+//!   read/write sets;
+//! - compile: the cold-path rewrite (linear-time clock plans, one-copy
+//!   signal table).
+//!
+//! A failure means an allocation or a copy crept back into one of these
+//! phases; unlike a timing gate, this one has no noise.
 
 use hwdbg_obs::{thread_allocs, thread_live_bytes, CountingAlloc};
 use hwdbg_sim::CompiledDesign;
@@ -27,8 +34,9 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Per phase: its name, the total before its last rewrite, and the total
 /// when this gate was set.
-const PHASES: [(&str, u64, u64); 3] = [
-    ("parse", 13_762, 7_252),
+const PHASES: [(&str, u64, u64); 4] = [
+    ("parse", 7_252, 7_050),
+    ("flatten", 6_232, 5_450),
     ("resolve", 5_964, 2_395),
     ("compile", 4_886, 3_938),
 ];
@@ -47,7 +55,7 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
 #[test]
 fn front_end_allocations_stay_below_the_gate() {
     let lib = hwdbg_ip::StdIpLib::new();
-    let mut totals = [0u64; 3];
+    let mut totals = [0u64; 4];
     let mut retained = 0i64;
     for id in BugId::ALL {
         let meta = metadata(id);
@@ -56,17 +64,21 @@ fn front_end_allocations_stay_below_the_gate() {
             totals[0] += n;
             let file = file.unwrap();
             let live = thread_live_bytes();
-            let flat = hwdbg_dataflow::flatten(&file, meta.top, &lib).unwrap();
-            let (design, n) = counted(|| hwdbg_dataflow::resolve(flat, &lib));
+            let (flat, n) = counted(|| hwdbg_dataflow::flatten(&file, meta.top, &lib));
             totals[1] += n;
+            let (design, n) = counted(|| hwdbg_dataflow::resolve(flat.unwrap(), &lib));
+            totals[2] += n;
             let design = design.unwrap();
             retained += thread_live_bytes() - live;
             let (compiled, n) = counted(|| CompiledDesign::new(design));
-            totals[2] += n;
+            totals[3] += n;
             drop(compiled.unwrap());
         }
     }
-    println!("allocations: parse {} resolve {} compile {}", totals[0], totals[1], totals[2]);
+    println!(
+        "allocations: parse {} flatten {} resolve {} compile {}",
+        totals[0], totals[1], totals[2], totals[3]
+    );
     println!("bytes held by the resolved designs: {retained}");
     for ((phase, before, gate), got) in PHASES.iter().zip(totals) {
         let limit = gate + gate / 10;

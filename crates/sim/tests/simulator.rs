@@ -215,6 +215,22 @@ fn display_capture_and_finish() {
 }
 
 #[test]
+fn display_text_keeps_non_ascii_characters() {
+    let mut s = sim(
+        r#"module m(input clk, output reg [3:0] c);
+            always @(posedge clk) begin
+                c <= c + 4'd1;
+                $display("café %d → \é", c);
+            end
+         endmodule"#,
+        "m",
+    );
+    s.run("clk", 2).unwrap();
+    let msgs: Vec<_> = s.logs().iter().map(|l| l.message.clone()).collect();
+    assert_eq!(msgs, vec!["café  0 → é", "café  1 → é"]);
+}
+
+#[test]
 fn watchdog_detects_stuck() {
     let mut s = sim(
         "module m(input clk, output reg done);
