@@ -16,8 +16,9 @@ pub type ConstEnv = BTreeMap<String, Bits>;
 /// # Errors
 ///
 /// Returns [`DataflowError::NotConstant`] if the expression references a
-/// name outside `env` or uses a construct that has no constant meaning
-/// (indexing, part selects of non-constants, …).
+/// name outside `env` (a select of a signal names the signal), and
+/// [`DataflowError::BadRange`] for a reversed or oversized select of a
+/// parameter.
 pub fn eval_const(expr: &Expr, env: &ConstEnv) -> Result<Bits, DataflowError> {
     match expr {
         Expr::Literal { value, .. } => Ok(value.clone()),
@@ -78,9 +79,20 @@ pub fn eval_const(expr: &Expr, env: &ConstEnv) -> Result<Bits, DataflowError> {
             }
             Ok(body.repeat(count as u32))
         }
-        Expr::Index(..) | Expr::Range(..) => Err(DataflowError::NotConstant(
-            "select on non-constant".into(),
-        )),
+        // A select of a parameter is constant (IEEE 1364-2005 §5.2.1);
+        // one of a signal names it, the part that varies.
+        Expr::Index(n, idx) => {
+            let v = env.get(n).ok_or_else(|| DataflowError::NotConstant(n.clone()))?;
+            Ok(v.slice(shift_amount(&eval_const(idx, env)?), 1))
+        }
+        Expr::Range(n, msb, lsb) => {
+            let v = env.get(n).ok_or_else(|| DataflowError::NotConstant(n.clone()))?;
+            let (m, l) = (eval_const(msb, env)?.to_u64(), eval_const(lsb, env)?.to_u64());
+            if l > m || m - l >= u64::from(MAX_WIDTH) {
+                return Err(DataflowError::BadRange(format!("`{n}[{m}:{l}]`")));
+            }
+            Ok(v.slice(l.min(u64::from(u32::MAX)) as u32, (m - l + 1) as u32))
+        }
     }
 }
 
@@ -208,6 +220,23 @@ mod tests {
             eval_const(&e, &env(&[])),
             Err(DataflowError::NotConstant(_))
         ));
+    }
+
+    #[test]
+    fn selects_of_parameters_fold() {
+        let p = env(&[("P", 0b1011_0110)]);
+        let e = parse_expr("P[5:2]").unwrap();
+        assert_eq!(eval_const(&e, &p).unwrap(), Bits::from_u64(4, 0b1101));
+        let e = parse_expr("P[P[1:0] + 2]").unwrap();
+        assert_eq!(eval_const(&e, &p).unwrap(), Bits::from_u64(1, 1));
+        // Bits past the parameter's width read as zero.
+        let e = parse_expr("P[40:31]").unwrap();
+        assert_eq!(eval_const(&e, &p).unwrap(), Bits::from_u64(10, 0));
+        let e = parse_expr("P[0:3]").unwrap();
+        assert!(matches!(eval_const(&e, &p), Err(DataflowError::BadRange(_))));
+        // A select of a signal names the signal.
+        let e = parse_expr("P[x[1:0]]").unwrap();
+        assert_eq!(eval_const(&e, &p), Err(DataflowError::NotConstant("x".into())));
     }
 
     #[test]

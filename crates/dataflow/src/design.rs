@@ -4,6 +4,7 @@
 use crate::blackbox::{BbDir, BlackboxLib};
 use crate::consteval::{eval_const, range_width, ConstEnv};
 use crate::flatten::{expr_to_lvalue, flatten};
+use crate::guard;
 use crate::intern::{SigId, SignalTable};
 use crate::prop::PropGraph;
 use crate::DataflowError;
@@ -268,6 +269,9 @@ impl Design {
     }
 
     /// [`expr_width`](Self::expr_width) with the reason it failed.
+    /// [`resolve`] refuses non-constant and reversed bounds and counts, so
+    /// on any expression of the design's own drivers this is the one
+    /// static width.
     ///
     /// # Errors
     ///
@@ -305,17 +309,12 @@ impl Design {
                 }
             }
             Expr::Ternary(_, t, f) => self.width_of(t)?.max(self.width_of(f)?),
-            Expr::Index(n, _) => {
-                let sig = self
-                    .signals
-                    .get(n)
-                    .ok_or_else(|| WidthError::UnknownName(n.clone()))?;
-                if sig.mem_depth.is_some() {
-                    sig.width
-                } else {
-                    1
-                }
-            }
+            Expr::Index(n, _) => match self.signals.get(n) {
+                Some(sig) if sig.mem_depth.is_some() => sig.width,
+                Some(_) => 1,
+                None if self.consts.contains_key(n) => 1,
+                None => return Err(WidthError::UnknownName(n.clone())),
+            },
             Expr::Range(_, msb, lsb) => {
                 let m = constant(msb)?;
                 let l = constant(lsb)?;
@@ -439,7 +438,8 @@ pub const MAX_MEM_DEPTH: u64 = 1 << 24;
 /// # Errors
 ///
 /// Fails on duplicate/unknown signals, writes to parameters, non-constant
-/// widths, signals driven both combinationally and under a clock, signals
+/// widths, part-select bounds or replication counts, reversed or oversized
+/// selects, signals driven both combinationally and under a clock, signals
 /// with more than one combinational driver, or unknown blackbox ports.
 /// Errors carry the source span of the offending item where one is known.
 pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowError> {
@@ -554,6 +554,9 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
     let mut procs = Vec::new();
     let mut blackboxes = Vec::new();
     let mut scan = Scan::new(&table, &consts);
+    // The first part select or replication that is not constant, is
+    // reversed or is too wide; reported after the name checks below.
+    let mut bad_select = None;
     for item in items {
         match item {
             Item::Net(_) | Item::Param(_) | Item::Localparam(_) => {
@@ -568,6 +571,7 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
                     span,
                 };
                 scan.stmt(&body, span);
+                bad_select = bad_select.or_else(|| check_selects(&body, span, &consts).err());
                 let (reads, writes) = scan.end_driver(false);
                 combs.push(CombDriver {
                     body,
@@ -578,6 +582,7 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
             }
             Item::Always { event, body, span } => {
                 scan.stmt(&body, span);
+                bad_select = bad_select.or_else(|| check_selects(&body, span, &consts).err());
                 match event {
                     EventControl::Comb => {
                         let (reads, writes) = scan.end_driver(false);
@@ -611,6 +616,13 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
                 for lv in bb.out_conns.values() {
                     scan.lvalue(lv, true, inst.span);
                 }
+                bad_select = bad_select.or_else(|| {
+                    let mut outs = bb.out_conns.values();
+                    check_exprs(bb.in_conns.values(), &consts)
+                        .and_then(|()| outs.try_for_each(|lv| check_lvalue_selects(lv, &consts)))
+                        .err()
+                        .map(|e| e.at(inst.span))
+                });
                 scan.end_driver(false);
                 blackboxes.push(bb);
                 kept.push(Item::Instance(inst));
@@ -660,28 +672,8 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
         });
     }
 
-    // Static select/replication validation: reversed (zero-width) part
-    // selects and zero or absurd replication counts are elaboration
-    // errors with the assignment's span, instead of silently producing
-    // garbage widths downstream.
-    for c in &combs {
-        check_stmt_selects(&c.body, &consts)?;
-    }
-    for p in &procs {
-        check_stmt_selects(&p.body, &consts)?;
-    }
-    // Blackbox connections get the same checks, at the instance's span.
-    let instances = kept.iter().filter_map(|item| match item {
-        Item::Instance(inst) => Some(inst),
-        _ => None,
-    });
-    for (bb, inst) in blackboxes.iter().zip(instances) {
-        for e in bb.in_conns.values() {
-            check_expr_selects(e, &consts).map_err(|err| err.at(inst.span))?;
-        }
-        for lv in bb.out_conns.values() {
-            check_lvalue_selects(lv, &consts).map_err(|err| err.at(inst.span))?;
-        }
+    if let Some(err) = bad_select {
+        return Err(err);
     }
 
     Ok(Design {
@@ -760,62 +752,42 @@ fn resolve_instance(
     })
 }
 
-/// Walks a statement tree validating every part select and replication
-/// whose bounds are compile-time constants. Reversed selects (`a[3:5]`,
-/// width zero or negative) and zero/oversized replication counts are
-/// rejected; bounds that reference `for`-loop variables are left to the
-/// simulator's dynamic-select handling.
-fn check_stmt_selects(stmt: &Stmt, consts: &ConstEnv) -> Result<(), DataflowError> {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                check_stmt_selects(s, consts)?;
+/// Validates every part select and replication in a driver body, through
+/// [`guard::walk`]: bounds and counts must be constant (E0201, IEEE
+/// 1364-2005 §5.2.1 and §5.1.14), so every select and replication has one
+/// static width. Reversed selects (`a[3:5]`) and zero or oversized widths
+/// are rejected too. An error in an assignment or a `$display` carries
+/// that statement's span; one in a condition or a loop header carries
+/// `item_span`, the enclosing `always` block's.
+fn check_selects(body: &Stmt, item_span: Span, consts: &ConstEnv) -> Result<(), DataflowError> {
+    let mut result = Ok(());
+    guard::walk(body, &mut Vec::new(), &mut |_, stmt| {
+        if result.is_err() {
+            return;
+        }
+        result = match stmt {
+            Stmt::Assign { lhs, rhs, span, .. } => check_lvalue_selects(lhs, consts)
+                .and_then(|()| check_expr_selects(rhs, consts))
+                .map_err(|e| e.at(*span)),
+            Stmt::Display { args, span, .. } => check_exprs(args, consts).map_err(|e| e.at(*span)),
+            Stmt::If { cond, .. } => check_expr_selects(cond, consts),
+            Stmt::Case { expr, arms, .. } => {
+                let labels = arms.iter().flat_map(|arm| &arm.labels);
+                check_exprs(std::iter::once(expr).chain(labels), consts)
             }
+            Stmt::For { init, cond, step, .. } => check_exprs([init, cond, step], consts),
+            Stmt::Block(_) | Stmt::Finish | Stmt::Empty => Ok(()),
         }
-        Stmt::If { cond, then, els } => {
-            check_expr_selects(cond, consts)?;
-            check_stmt_selects(then, consts)?;
-            if let Some(e) = els {
-                check_stmt_selects(e, consts)?;
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            check_expr_selects(expr, consts)?;
-            for arm in arms {
-                for l in &arm.labels {
-                    check_expr_selects(l, consts)?;
-                }
-                check_stmt_selects(&arm.body, consts)?;
-            }
-            if let Some(d) = default {
-                check_stmt_selects(d, consts)?;
-            }
-        }
-        Stmt::Assign { lhs, rhs, span, .. } => {
-            check_lvalue_selects(lhs, consts).map_err(|e| e.at(*span))?;
-            check_expr_selects(rhs, consts).map_err(|e| e.at(*span))?;
-        }
-        Stmt::For {
-            init, cond, step, body, ..
-        } => {
-            check_expr_selects(init, consts)?;
-            check_expr_selects(cond, consts)?;
-            check_expr_selects(step, consts)?;
-            check_stmt_selects(body, consts)?;
-        }
-        Stmt::Display { args, span, .. } => {
-            for a in args {
-                check_expr_selects(a, consts).map_err(|e| e.at(*span))?;
-            }
-        }
-        Stmt::Finish | Stmt::Empty => {}
-    }
-    Ok(())
+        .map_err(|e| e.at(item_span));
+    });
+    result
+}
+
+fn check_exprs<'e>(
+    es: impl IntoIterator<Item = &'e Expr>,
+    consts: &ConstEnv,
+) -> Result<(), DataflowError> {
+    es.into_iter().try_for_each(|e| check_expr_selects(e, consts))
 }
 
 fn check_range_bounds(
@@ -824,10 +796,16 @@ fn check_range_bounds(
     lsb: &Expr,
     consts: &ConstEnv,
 ) -> Result<(), DataflowError> {
-    let (Ok(m), Ok(l)) = (eval_const(msb, consts), eval_const(lsb, consts)) else {
-        return Ok(()); // loop-var bounds: checked dynamically at simulation
+    let bound = |e: &Expr| {
+        eval_const(e, consts).map(|v| v.to_u64()).map_err(|e| match e {
+            DataflowError::NotConstant(reads) => DataflowError::NonConstantSelect {
+                select: name.to_owned(),
+                reads,
+            },
+            other => other,
+        })
     };
-    let (m, l) = (m.to_u64(), l.to_u64());
+    let (m, l) = (bound(msb)?, bound(lsb)?);
     if l > m {
         return Err(DataflowError::BadRange(format!(
             "part select `{name}[{m}:{l}]` has its bounds reversed (zero-width slice)"
@@ -865,19 +843,15 @@ fn check_expr_selects(e: &Expr, consts: &ConstEnv) -> Result<(), DataflowError> 
             }
         }
         Expr::Repeat(n, body) => {
-            if let Ok(c) = eval_const(n, consts) {
-                let c = c.to_u64();
-                if c == 0 {
-                    return Err(DataflowError::BadRange(
-                        "replication count of zero".to_owned(),
-                    ));
-                }
-                if c > u64::from(crate::consteval::MAX_WIDTH) {
-                    return Err(DataflowError::BadRange(format!(
-                        "replication count {c} exceeds the {} bit limit",
-                        crate::consteval::MAX_WIDTH
-                    )));
-                }
+            let c = eval_const(n, consts)?.to_u64();
+            if c == 0 {
+                return Err(DataflowError::BadRange("replication count of zero".to_owned()));
+            }
+            if c > u64::from(crate::consteval::MAX_WIDTH) {
+                return Err(DataflowError::BadRange(format!(
+                    "replication count {c} exceeds the {} bit limit",
+                    crate::consteval::MAX_WIDTH
+                )));
             }
             check_expr_selects(body, consts)?;
         }

@@ -63,6 +63,14 @@ use std::fmt;
 pub enum DataflowError {
     /// An expression required at compile time references a runtime signal.
     NotConstant(String),
+    /// A part-select bound of `select` reads the signal `reads` (E0201,
+    /// like [`NotConstant`](Self::NotConstant)).
+    NonConstantSelect {
+        /// The selected signal.
+        select: String,
+        /// The name the bound reads.
+        reads: String,
+    },
     /// A `[msb:lsb]` range with `lsb > msb`, or a memory not based at 0.
     BadRange(String),
     /// Instantiated module is neither RTL source nor a known blackbox.
@@ -128,7 +136,9 @@ impl From<DataflowError> for hwdbg_diag::HwdbgError {
         let span = e.span();
         let message = e.to_string();
         let (code, signals): (ErrorCode, Vec<String>) = match e.root() {
-            DataflowError::NotConstant(n) => (ErrorCode::NotConstant, vec![n.clone()]),
+            DataflowError::NotConstant(n) | DataflowError::NonConstantSelect { reads: n, .. } => {
+                (ErrorCode::NotConstant, vec![n.clone()])
+            }
             DataflowError::BadRange(_) => (ErrorCode::BadRange, vec![]),
             DataflowError::UnknownModule(_) => (ErrorCode::UnknownModule, vec![]),
             DataflowError::UnknownPort(_, p) => (ErrorCode::UnknownPort, vec![p.clone()]),
@@ -164,6 +174,12 @@ impl fmt::Display for DataflowError {
         use DataflowError::*;
         match self {
             NotConstant(n) => write!(f, "expression is not constant: `{n}`"),
+            NonConstantSelect { select, reads } => write!(
+                f,
+                "part select of `{select}` has a bound that reads `{reads}`: the bounds must be \
+                 constant (a variable-position slice is the indexed part-select \
+                 `{select}[base +: width]`, which is not supported yet)"
+            ),
             BadRange(r) => write!(f, "invalid range {r}"),
             UnknownModule(m) => write!(f, "unknown module `{m}`"),
             UnknownPort(m, p) => write!(f, "module `{m}` has no port `{p}`"),

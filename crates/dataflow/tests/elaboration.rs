@@ -4,7 +4,7 @@
 use hwdbg_dataflow::{
     elaborate, eval_const, DataflowError, DepKind, NoBlackboxes, PropGraph, SigKind,
 };
-use hwdbg_rtl::parse;
+use hwdbg_rtl::{parse, LValue, Stmt};
 
 #[test]
 fn parameter_overrides_chain_through_levels() {
@@ -368,4 +368,113 @@ endmodule";
         "{err:?}"
     );
     assert_eq!(err.span().map(|s| s.start), write.find("assign zz"));
+}
+
+/// Elaborates `src` and checks that it fails with E0201 naming `name`, at
+/// an in-bounds span that starts where `at` does.
+fn assert_not_constant(src: &str, name: &str, at: &str) {
+    let err = elaborate(&parse(src).unwrap(), "m", &NoBlackboxes).unwrap_err();
+    assert!(
+        matches!(err.root(), DataflowError::NotConstant(n)
+            | DataflowError::NonConstantSelect { reads: n, .. } if n == name),
+        "{src}: {err:?}"
+    );
+    let span = err.span().unwrap_or_else(|| panic!("{src}: no span on {err:?}"));
+    assert!(span.start < span.end && span.end <= src.len(), "{src}: {span:?}");
+    assert_eq!(Some(span.start), src.find(at), "{src}");
+    let diag: hwdbg_diag::HwdbgError = err.into();
+    assert_eq!(diag.code.as_str(), "E0201");
+}
+
+/// IEEE 1364-2005 requires constant part-select bounds (§5.2.1) and
+/// replication counts (§5.1.14). `resolve` refuses the rest with a spanned
+/// E0201, so every select and replication has one static width.
+#[test]
+fn non_constant_selects_and_counts_rejected_with_span() {
+    assert_not_constant(
+        "module m(input [3:0] a, input [15:0] x, output [7:0] y);
+    assign y = x[a+7:a];
+endmodule",
+        "a",
+        "assign y",
+    );
+    assert_not_constant(
+        "module m(input clk, input [15:0] x, output reg [3:0] y);
+    integer i;
+    always @(posedge clk)
+        for (i = 0; i < 2; i = i + 1) y <= x[i*4+3:i*4];
+endmodule",
+        "i",
+        "y <= x",
+    );
+    assert_not_constant(
+        "module m(input clk, input [3:0] x, output reg [15:0] y);
+    integer i;
+    always @(posedge clk)
+        for (i = 0; i < 4; i = i + 1) y[i*4+3:i*4] <= x;
+endmodule",
+        "i",
+        "y[i*4+3",
+    );
+    // A select whose bounds are themselves selects of a signal names it.
+    assert_not_constant(
+        "module m(input s, input [3:0] a, input [3:0] x, output [3:0] y);
+    assign y = s ? a[x[1:0]+1:x[1:0]] : 4'h0;
+endmodule",
+        "x",
+        "assign y",
+    );
+    assert_not_constant(
+        "module m(input [1:0] n, input x, output [3:0] y);
+    assign y = {n{x}};
+endmodule",
+        "n",
+        "assign y",
+    );
+    assert_not_constant(
+        "module m(input clk, input [1:0] n, input [7:0] x);
+    always @(posedge clk) $display(\"%h\", x[n+1:n]);
+endmodule",
+        "n",
+        "$display",
+    );
+    // A condition has no span of its own: the error points at its block.
+    assert_not_constant(
+        "module m(input clk, input [1:0] n, input [7:0] x, output reg q);
+    always @(posedge clk) if (x[n+1:n] == 2'd1) q <= 1'b1;
+endmodule",
+        "n",
+        "always",
+    );
+    // A select's message names the selected signal and the indexed form.
+    let src = "module m(input [3:0] a, input [15:0] x, output [7:0] y);
+    assign y = x[a+7:a];
+endmodule";
+    let err = elaborate(&parse(src).unwrap(), "m", &NoBlackboxes).unwrap_err();
+    assert!(err.to_string().contains("`x[base +: width]`"), "{err}");
+}
+
+/// Selects of parameters are constant expressions (IEEE 1364-2005
+/// §5.2.1), so they may bound a part select or count a replication.
+#[test]
+fn parameter_selects_are_constant_bounds_and_counts() {
+    let src = "module m(input [15:0] x, output [6:0] y, output [7:0] z, output q);
+    localparam P = 8'h26;
+    assign y = x[P[3:0]:0];
+    assign z = {P[1:0]{x[3:0]}};
+    assign q = x[P[7:4] + 1];
+endmodule";
+    let d = elaborate(&parse(src).unwrap(), "m", &NoBlackboxes).unwrap();
+    let rhs = |target: &str| {
+        d.combs
+            .iter()
+            .find_map(|c| match &c.body {
+                Stmt::Assign { lhs: LValue::Id(n), rhs, .. } if n == target => Some(rhs.clone()),
+                _ => None,
+            })
+            .unwrap()
+    };
+    assert_eq!(d.width_of(&rhs("y")), Ok(7));
+    assert_eq!(d.width_of(&rhs("z")), Ok(8));
+    assert_eq!(d.width_of(&rhs("q")), Ok(1));
 }

@@ -120,7 +120,9 @@ pub enum ErrorCode {
     /// A connection's width disagrees with the port/signal width.
     WidthMismatch,
     // E04xx: simulation runtime.
-    /// Non-constant or inverted select bounds at runtime.
+    /// Non-constant select bounds or replication count: `resolve` refuses
+    /// these (E0201), so only a width query on an expression outside a
+    /// design raises it.
     NonConstSelect,
     /// Combinational logic failed to reach a fixpoint.
     CombLoop,
@@ -139,6 +141,9 @@ pub enum ErrorCode {
     ReversedRange,
     /// A `$display` directive requests an unbounded field width.
     FieldWidth,
+    /// A unit body needs more registers, `$display` statements or wide
+    /// constants than one bytecode program can address.
+    UnitTooLarge,
     // E05xx: tools.
     /// The design has no clocked logic to instrument.
     NoClock,
@@ -270,6 +275,7 @@ impl ErrorCode {
             DeadlineExceeded => "E0407",
             ReversedRange => "E0408",
             FieldWidth => "E0409",
+            UnitTooLarge => "E0410",
             NoClock => "E0501",
             NothingToInstrument => "E0502",
             ToolElaboration => "E0503",
@@ -507,7 +513,7 @@ mod tests {
             UndrivenSignal, RecursionLimit, Unsupported, ConstantWrite, NoModel,
             WidthMismatch, NonConstSelect, CombLoop, LoopCap, Watchdog,
             OutOfBounds, EarlyFinish, DeadlineExceeded, ReversedRange, FieldWidth,
-            NoClock,
+            UnitTooLarge, NoClock,
             NothingToInstrument, ToolElaboration,
             NoPath, DegradedOutput, BadFaultTarget, BadFaultPlan, Io,
             Internal, CampaignSpec, CampaignDesign, CampaignWorker,

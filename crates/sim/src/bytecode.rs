@@ -18,20 +18,30 @@
 //!   path for ≥ 65-bit values, which reuses the exact `*_into` limb ops
 //!   the tree-walker calls — bit-identical by construction.
 //!
-//! Register allocation is a per-statement watermark over the files: each
-//! statement's temporaries are released when it completes, so program
-//! register counts stay proportional to the deepest expression, not the
-//! unit size. Superops fuse the hot shapes: constant-bound slices
-//! ([`Op::SliceSig`]), two-part concats ([`Op::Concat2`]), eager muxes
-//! ([`Op::Mux`]), compare+branch ([`Op::JCmpF`], [`Op::JImmEq`]), and
-//! add/sub with the result mask baked in.
+//! Register allocation is a watermark over the files: each statement's
+//! temporaries are released when it completes; within an expression a
+//! narrow op's destination takes the lowest of its operands' registers
+//! ([`Lower::dst_n`]) and a wide op releases its operands' registers once
+//! it has read them ([`Lower::expr_w`]); a concat lvalue releases each
+//! part's value once stored. Program register counts stay proportional to
+//! the deepest expression, not the unit or the expression size, except
+//! for values that are live together: one register per `$display`
+//! argument and per indexed part of a concat lvalue. Superops fuse
+//! the hot shapes: constant-bound slices ([`Op::SliceSig`]), two-part
+//! concats ([`Op::Concat2`]), eager muxes ([`Op::Mux`]), compare+branch
+//! ([`Op::JCmpF`], [`Op::JImmEq`]), and add/sub with the result mask
+//! baked in.
 //!
-//! Lowering is **total-or-nothing per unit**: any construct whose static
-//! width cannot be proven (non-constant part-select bounds, non-constant
-//! replication counts, empty concats, nested concat lvalues) returns
-//! `None` and the whole unit keeps the tree-walker — the differential
-//! suite (`crates/sim/tests/backend_differential.rs`) holds both evaluators
-//! byte-identical to the tree-walker reference either way.
+//! Lowering is **total**: `resolve` proves every part-select bound and
+//! replication count constant, and compilation gives every select and
+//! replication one static width and flattens nested concat lvalues, so
+//! every unit body lowers. The one failure left is capacity: a unit that
+//! needs more than 65,535 registers, `$display` statements or wide
+//! constants fails [`CompiledDesign::new`](crate::CompiledDesign::new)
+//! with [`SimError::UnitTooLarge`]. The tree-walker ([`CExec::stmt`]) is
+//! only the reference evaluator of `Backend::Tree`; the differential suite
+//! (`crates/sim/tests/backend_differential.rs`) holds this module
+//! byte-identical to it.
 
 use crate::compile::{CCaseArm, CExec, CExpr, CLValue, CNbWrite, CStmt, EvalScratch, Flow};
 use crate::eval::{apply_binary_signed_into, effective_mem_addr};
@@ -295,14 +305,30 @@ fn extract64(limbs: &[u64], lo: u32, mask: u64) -> u64 {
 // Lowering
 // ---------------------------------------------------------------------
 
+/// The result of lowering: the only errors are [`SimError::UnitTooLarge`]
+/// and internal invariants that compilation guarantees.
+type Lowered<T> = Result<T, SimError>;
+
+fn too_large(resource: &'static str) -> SimError {
+    SimError::UnitTooLarge { resource }
+}
+
+fn too_wide() -> SimError {
+    too_large("4294967295 bits in one value")
+}
+
+/// A shape compilation never produces reached the lowering.
+fn unlowerable(what: &str) -> SimError {
+    SimError::Internal(format!("bytecode lowering met {what}"))
+}
+
 /// Lowers one unit body. `sig_width` is indexed by `SigId`, `mem_width`
-/// by memory slot. Returns `None` when any construct cannot be statically
-/// resolved — the unit then keeps the tree-walker.
+/// by memory slot.
 pub(crate) fn lower_unit(
     body: &CStmt,
     sig_width: &[u32],
     mem_width: &[u32],
-) -> Option<BcProgram> {
+) -> Lowered<BcProgram> {
     let mut l = Lower {
         sig_width,
         mem_width,
@@ -316,7 +342,7 @@ pub(crate) fn lower_unit(
         max_w: 0,
     };
     l.stmt(body)?;
-    Some(BcProgram {
+    Ok(BcProgram {
         ops: l.ops,
         displays: l.displays,
         wconsts: l.wconsts,
@@ -334,16 +360,17 @@ pub(crate) const NO_PROMOTION: u32 = u32::MAX;
 /// first `n_promoted` narrow registers are reserved for those pins and
 /// survive across member bodies — each promoted signal is written by an
 /// unconditional plain assignment in an earlier-ranked member than any
-/// reader, so no seeding from state is needed. Returns `None` when any
-/// member fails to lower; the caller then falls back to per-unit
-/// execution for the whole region.
+/// reader, so no seeding from state is needed. Fails when the region as a
+/// whole exceeds a program's capacity; the caller then runs the members'
+/// per-unit programs instead.
 pub(crate) fn lower_region(
     bodies: &[&CStmt],
-    n_promoted: u16,
+    n_promoted: usize,
     promoted: &[u32],
     sig_width: &[u32],
     mem_width: &[u32],
-) -> Option<BcProgram> {
+) -> Lowered<BcProgram> {
+    let n_promoted = u16::try_from(n_promoted).map_err(|_| too_large("65535 registers"))?;
     let mut l = Lower {
         sig_width,
         mem_width,
@@ -359,7 +386,7 @@ pub(crate) fn lower_region(
     for body in bodies {
         l.stmt(body)?;
     }
-    Some(BcProgram {
+    Ok(BcProgram {
         ops: l.ops,
         displays: l.displays,
         wconsts: l.wconsts,
@@ -392,24 +419,40 @@ impl Lower<'_> {
         }
     }
 
-    fn alloc_n(&mut self) -> Option<u16> {
+    fn alloc_n(&mut self) -> Lowered<u16> {
         if self.next_n == u16::MAX {
-            return None;
+            return Err(too_large("65535 registers"));
         }
         let r = self.next_n;
         self.next_n += 1;
         self.max_n = self.max_n.max(self.next_n);
-        Some(r)
+        Ok(r)
     }
 
-    fn alloc_w(&mut self) -> Option<u16> {
+    fn alloc_w(&mut self) -> Lowered<u16> {
         if self.next_w == u16::MAX {
-            return None;
+            return Err(too_large("65535 registers"));
         }
         let r = self.next_w;
         self.next_w += 1;
         self.max_w = self.max_w.max(self.next_w);
-        Some(r)
+        Ok(r)
+    }
+
+    /// Both watermarks, to [`release`](Lower::release) back to once the
+    /// registers allocated after them are dead.
+    fn marks(&self) -> (u16, u16) {
+        (self.next_n, self.next_w)
+    }
+
+    fn release(&mut self, (n, w): (u16, u16)) {
+        self.next_n = n;
+        self.next_w = w;
+    }
+
+    /// The index the next wide constant takes.
+    fn wconst_index(&self) -> Lowered<u16> {
+        u16::try_from(self.wconsts.len()).map_err(|_| too_large("65535 wide constants"))
     }
 
     fn emit(&mut self, op: Op) -> usize {
@@ -440,11 +483,11 @@ impl Lower<'_> {
     }
 
     /// Static result width of `e`, mirroring the tree-walker's *dynamic*
-    /// widths exactly. `None` means "not statically known" → fallback.
-    fn width_of(&self, e: &CExpr) -> Option<u32> {
-        Some(match e {
+    /// widths exactly. Fails only for a width beyond `u32`.
+    fn width_of(&self, e: &CExpr) -> Lowered<u32> {
+        Ok(match e {
             CExpr::Const(v) => v.width(),
-            CExpr::Sig(id) => *self.sig_width.get(id.index())?,
+            CExpr::Sig(id) => self.sig_width[id.index()],
             CExpr::Unary(op, inner) => match op {
                 UnaryOp::Not | UnaryOp::Neg => self.width_of(inner)?,
                 _ => 1,
@@ -465,37 +508,24 @@ impl Lower<'_> {
             }
             CExpr::Ternary { width, .. } => *width,
             CExpr::BitIndex { .. } => 1,
-            CExpr::MemIndex { slot, .. } => *self.mem_width.get(*slot as usize)?,
-            CExpr::RangeSig { msb, lsb, .. } | CExpr::RangeConst { msb, lsb, .. } => {
-                let (m, l) = (const_u64(msb)?, const_u64(lsb)?);
-                if l > m || m - l + 1 > u64::from(u32::MAX) {
-                    return None;
-                }
-                (m - l + 1) as u32
-            }
+            CExpr::MemIndex { slot, .. } => self.mem_width[*slot as usize],
+            CExpr::RangeSig { width, .. } => *width,
             CExpr::Concat(parts) => {
-                if parts.is_empty() {
-                    return None;
-                }
                 let mut sum = 0u32;
                 for p in parts {
-                    sum = sum.checked_add(self.width_of(p)?)?;
+                    sum = sum.checked_add(self.width_of(p)?).ok_or_else(too_wide)?;
                 }
                 sum
             }
             CExpr::Repeat { count, body } => {
-                let n = const_u64(count)? as u32;
-                if n == 0 {
-                    return None;
-                }
-                n.checked_mul(self.width_of(body)?)?
+                count.checked_mul(self.width_of(body)?).ok_or_else(too_wide)?
             }
             CExpr::Resize(w, _) => *w,
         })
     }
 
     /// Lowers `e` into a register of the class its static width demands.
-    fn expr(&mut self, e: &CExpr) -> Option<Src> {
+    fn expr(&mut self, e: &CExpr) -> Lowered<Src> {
         let w = self.width_of(e)?;
         if w <= 64 {
             self.expr_n(e, w).map(Src::N)
@@ -506,12 +536,12 @@ impl Lower<'_> {
 
     /// Lowers `e` into a wide register at its natural width `w` (narrow
     /// values are zero-extended in — `resize_in_place` semantics).
-    fn wide_reg(&mut self, e: &CExpr, w: u32) -> Option<u16> {
+    fn wide_reg(&mut self, e: &CExpr, w: u32) -> Lowered<u16> {
         if w <= 64 {
             let r = self.expr_n(e, w)?;
             let d = self.alloc_w()?;
             self.emit(Op::Widen { dst: d, src: r, w });
-            Some(d)
+            Ok(d)
         } else {
             self.expr_w(e, w)
         }
@@ -519,37 +549,39 @@ impl Lower<'_> {
 
     /// Lowers `e` and leaves its low 64 bits in a narrow register (index /
     /// shift-amount consumption: `Bits::to_u64` semantics).
-    fn u64_reg(&mut self, e: &CExpr) -> Option<u16> {
+    fn u64_reg(&mut self, e: &CExpr) -> Lowered<u16> {
         let w = self.width_of(e)?;
         if w <= 64 {
             self.expr_n(e, w)
         } else {
+            let mark = self.next_n;
             let s = self.expr_w(e, w)?;
-            let d = self.alloc_n()?;
+            let d = self.dst_n(mark)?;
             self.emit(Op::NarrowFromWide { dst: d, src: s, mask: u64::MAX });
-            Some(d)
+            Ok(d)
         }
     }
 
     /// Lowers `e` into a narrow register whose truthiness equals
     /// `Bits::to_bool` of the tree-walker's value.
-    fn truth_reg(&mut self, e: &CExpr) -> Option<u16> {
+    fn truth_reg(&mut self, e: &CExpr) -> Lowered<u16> {
         let w = self.width_of(e)?;
         if w <= 64 {
             self.expr_n(e, w)
         } else {
+            let mark = self.next_n;
             let s = self.expr_w(e, w)?;
-            let d = self.alloc_n()?;
+            let d = self.dst_n(mark)?;
             self.emit(Op::WTest { dst: d, src: s });
-            Some(d)
+            Ok(d)
         }
     }
 
     /// Emits a sign-extension from `from_w` up to `to_w` (both ≤ 64);
     /// identity widths are skipped.
-    fn sext_to(&mut self, r: u16, from_w: u32, to_w: u32) -> Option<u16> {
+    fn sext_to(&mut self, r: u16, from_w: u32, to_w: u32) -> Lowered<u16> {
         if from_w == to_w {
-            return Some(r);
+            return Ok(r);
         }
         let d = self.alloc_n()?;
         self.emit(Op::Sext {
@@ -558,45 +590,68 @@ impl Lower<'_> {
             shift: 64 - from_w,
             mask: mask_of(to_w),
         });
-        Some(d)
+        Ok(d)
     }
 
-    /// Lowers a narrow-width (≤ 64) expression; `w` is `width_of(e)`.
-    fn expr_n(&mut self, e: &CExpr, w: u32) -> Option<u16> {
-        debug_assert_eq!(self.width_of(e), Some(w));
+    /// The destination of an expression's final op. The temporaries the
+    /// expression allocated from `mark` up are dead once that op has read
+    /// them, so the destination takes the lowest of them: register use
+    /// grows with an expression's depth, not its size. A narrow op reads
+    /// every source before it writes, so the destination may alias one.
+    fn dst_n(&mut self, mark: u16) -> Lowered<u16> {
+        self.next_n = mark;
+        self.alloc_n()
+    }
+
+    /// Lowers a narrow-width (≤ 64) expression; `w` is `width_of(e)`. The
+    /// result register stays allocated; every other narrow register the
+    /// expression used is released by the op that consumes the result
+    /// (see [`Lower::dst_n`]).
+    fn expr_n(&mut self, e: &CExpr, w: u32) -> Lowered<u16> {
+        // A wide register a narrow expression uses is read by one of its
+        // own ops, so it is dead once the expression is lowered.
+        let mark_w = self.next_w;
+        let r = self.expr_n_ops(e, w)?;
+        self.next_w = mark_w;
+        Ok(r)
+    }
+
+    fn expr_n_ops(&mut self, e: &CExpr, w: u32) -> Lowered<u16> {
+        debug_assert_eq!(self.width_of(e), Ok(w));
+        let mark = self.next_n;
         match e {
             CExpr::Const(v) => {
                 let d = self.alloc_n()?;
                 self.emit(Op::LdConst { dst: d, imm: v.to_u64() });
-                Some(d)
+                Ok(d)
             }
             CExpr::Sig(id) => {
                 // Promoted signals live in a pinned register; the read is
                 // free (the register always holds the flushed value).
                 if let Some(p) = self.promoted_reg(*id) {
-                    return Some(p);
+                    return Ok(p);
                 }
                 let d = self.alloc_n()?;
                 self.emit(Op::LdSig { dst: d, sig: *id });
-                Some(d)
+                Ok(d)
             }
             CExpr::Unary(op, inner) => match op {
                 UnaryOp::Not | UnaryOp::Neg => {
                     let r = self.expr_n(inner, w)?;
-                    let d = self.alloc_n()?;
+                    let d = self.dst_n(mark)?;
                     let m = mask_of(w);
                     self.emit(if matches!(op, UnaryOp::Not) {
                         Op::Not { dst: d, src: r, mask: m }
                     } else {
                         Op::Neg { dst: d, src: r, mask: m }
                     });
-                    Some(d)
+                    Ok(d)
                 }
                 _ => {
                     let iw = self.width_of(inner)?;
-                    let d = self.alloc_n()?;
                     if iw <= 64 {
                         let r = self.expr_n(inner, iw)?;
+                        let d = self.dst_n(mark)?;
                         self.emit(match op {
                             UnaryOp::LogNot => Op::LogNot { dst: d, src: r },
                             UnaryOp::RedAnd => Op::RedAnd { dst: d, src: r, mask: mask_of(iw) },
@@ -604,11 +659,13 @@ impl Lower<'_> {
                             UnaryOp::RedXor => Op::RedXor { dst: d, src: r },
                             _ => Op::RedXnor { dst: d, src: r },
                         });
+                        Ok(d)
                     } else {
                         let r = self.expr_w(inner, iw)?;
+                        let d = self.dst_n(mark)?;
                         self.emit(Op::WReduce { dst: d, src: r, op: *op });
+                        Ok(d)
                     }
-                    Some(d)
                 }
             },
             CExpr::Binary { op, signed, a, b } => self.binary_n(*op, *signed, a, b, w),
@@ -621,7 +678,7 @@ impl Lower<'_> {
                     // ops are pure and infallible) and fuse into a mux.
                     let rt = self.expr_n(t, tw)?;
                     let rf = self.expr_n(f, fw)?;
-                    let d = self.alloc_n()?;
+                    let d = self.dst_n(mark)?;
                     self.emit(Op::Mux {
                         dst: d,
                         cond: c,
@@ -629,7 +686,7 @@ impl Lower<'_> {
                         f: rf,
                         mask: mask_of(*width),
                     });
-                    Some(d)
+                    Ok(d)
                 } else {
                     // A wide arm: branch, then truncate into the narrow
                     // result register (the taken branch resizes to
@@ -637,84 +694,72 @@ impl Lower<'_> {
                     let d = self.alloc_n()?;
                     let jz = self.emit(Op::Jz { src: c, target: u32::MAX });
                     self.arm_into_n(t, tw, d, *width)?;
+                    self.next_n = d + 1; // only one arm runs
                     let jend = self.emit(Op::Jmp { target: u32::MAX });
                     self.patch(jz);
                     self.arm_into_n(f, fw, d, *width)?;
                     self.patch(jend);
-                    Some(d)
+                    Ok(d)
                 }
             }
             CExpr::BitIndex { sig, width, idx } => {
                 let i = self.u64_reg(idx)?;
-                let d = self.alloc_n()?;
+                let d = self.dst_n(mark)?;
                 self.emit(Op::LdBitIdx { dst: d, sig: *sig, width: *width, idx: i });
-                Some(d)
+                Ok(d)
             }
             CExpr::MemIndex { slot, idx } => {
                 let i = self.u64_reg(idx)?;
-                let d = self.alloc_n()?;
+                let d = self.dst_n(mark)?;
                 self.emit(Op::LdMem { dst: d, slot: *slot, idx: i });
-                Some(d)
+                Ok(d)
             }
-            CExpr::RangeSig { sig, msb, lsb } => {
-                let (m, l) = (const_u64(msb)?, const_u64(lsb)?);
-                debug_assert!(l <= m && m - l + 1 == u64::from(w));
+            CExpr::RangeSig { sig, lo, .. } => {
                 let d = self.alloc_n()?;
                 self.emit(Op::SliceSig {
                     dst: d,
                     sig: *sig,
-                    lo: l as u32,
+                    lo: *lo,
                     mask: mask_of(w),
                 });
-                Some(d)
-            }
-            CExpr::RangeConst { value, msb, lsb } => {
-                // Constant bounds on a constant fold at lowering time.
-                let l = const_u64(lsb)?;
-                let _ = const_u64(msb)?;
-                let mut sl = Bits::zero(w);
-                value.slice_into(l as u32, w, &mut sl);
-                let d = self.alloc_n()?;
-                self.emit(Op::LdConst { dst: d, imm: sl.to_u64() });
-                Some(d)
+                Ok(d)
             }
             CExpr::Concat(parts) => {
                 let mut it = parts.iter();
-                let first = it.next()?;
+                let first = it.next().ok_or_else(|| unlowerable("an empty concat"))?;
                 let fw = self.width_of(first)?;
                 let mut acc = self.expr_n(first, fw)?;
                 for p in it {
                     let pw = self.width_of(p)?;
                     let rp = self.expr_n(p, pw)?;
-                    let d = self.alloc_n()?;
+                    let d = self.dst_n(mark)?;
                     self.emit(Op::Concat2 { dst: d, hi: acc, lo: rp, lo_w: pw });
                     acc = d;
                 }
-                Some(acc)
+                Ok(acc)
             }
             CExpr::Repeat { count, body } => {
-                let n = const_u64(count)? as u32;
                 let bw = self.width_of(body)?;
                 let r = self.expr_n(body, bw)?;
-                let d = self.alloc_n()?;
-                self.emit(Op::RepeatN { dst: d, src: r, src_w: bw, n });
-                Some(d)
+                let d = self.dst_n(mark)?;
+                self.emit(Op::RepeatN { dst: d, src: r, src_w: bw, n: *count });
+                Ok(d)
             }
             CExpr::Resize(_, inner) => {
                 let iw = self.width_of(inner)?;
                 if iw <= 64 {
                     let r = self.expr_n(inner, iw)?;
                     if iw == w {
-                        return Some(r);
+                        return Ok(r);
                     }
-                    let d = self.alloc_n()?;
+                    let d = self.dst_n(mark)?;
                     self.emit(Op::MaskTo { dst: d, src: r, mask: mask_of(w) });
-                    Some(d)
+                    Ok(d)
                 } else {
                     let r = self.expr_w(inner, iw)?;
-                    let d = self.alloc_n()?;
+                    let d = self.dst_n(mark)?;
                     self.emit(Op::NarrowFromWide { dst: d, src: r, mask: mask_of(w) });
-                    Some(d)
+                    Ok(d)
                 }
             }
         }
@@ -722,7 +767,7 @@ impl Lower<'_> {
 
     /// Lowers a ternary arm into an already-allocated narrow destination,
     /// truncating from the arm's natural width to the ternary width.
-    fn arm_into_n(&mut self, arm: &CExpr, aw: u32, dst: u16, w: u32) -> Option<()> {
+    fn arm_into_n(&mut self, arm: &CExpr, aw: u32, dst: u16, w: u32) -> Lowered<()> {
         if aw <= 64 {
             let r = self.expr_n(arm, aw)?;
             self.emit(Op::MaskTo { dst, src: r, mask: mask_of(w) });
@@ -730,7 +775,7 @@ impl Lower<'_> {
             let r = self.expr_w(arm, aw)?;
             self.emit(Op::NarrowFromWide { dst, src: r, mask: mask_of(w) });
         }
-        Some(())
+        Ok(())
     }
 
     /// Narrow binary operators, mirroring `apply_binary_into` /
@@ -742,15 +787,16 @@ impl Lower<'_> {
         a: &CExpr,
         b: &CExpr,
         w: u32,
-    ) -> Option<u16> {
+    ) -> Lowered<u16> {
         use BinaryOp::*;
+        let mark = self.next_n;
         let aw = self.width_of(a)?;
         let bw = self.width_of(b)?;
         if op.is_boolean() {
             if aw > 64 || bw > 64 {
                 let wa = self.wide_reg(a, aw)?;
                 let wb = self.wide_reg(b, bw)?;
-                let d = self.alloc_n()?;
+                let d = self.dst_n(mark)?;
                 // Equal-width unsigned comparisons (including Eq/Ne, whose
                 // zero-extending semantics coincide at equal widths) take
                 // the fixed-limb kernel; LogAnd/LogOr and signed/mixed
@@ -763,11 +809,11 @@ impl Lower<'_> {
                         self.emit(Op::WCmp { dst: d, a: wa, b: wb, op, signed });
                     }
                 }
-                return Some(d);
+                return Ok(d);
             }
             let ra = self.expr_n(a, aw)?;
             let rb = self.expr_n(b, bw)?;
-            let d = self.alloc_n()?;
+            let d = self.dst_n(mark)?;
             match op {
                 LogAnd => {
                     // Truthiness is sign-extension-invariant.
@@ -777,7 +823,7 @@ impl Lower<'_> {
                     self.emit(Op::LogOr { dst: d, a: ra, b: rb });
                 }
                 _ => {
-                    let kind = CmpKind::of(op)?;
+                    let kind = CmpKind::of(op).ok_or_else(|| unlowerable("a boolean operator"))?;
                     if signed {
                         self.emit(Op::Scmp {
                             dst: d,
@@ -792,7 +838,7 @@ impl Lower<'_> {
                     }
                 }
             }
-            return Some(d);
+            return Ok(d);
         }
         // Non-boolean narrow result (w ≤ 64 means both operand widths that
         // feed the result are ≤ 64: unsigned shifts use only `aw`, all
@@ -801,13 +847,13 @@ impl Lower<'_> {
             debug_assert_eq!(w, aw);
             let ra = self.expr_n(a, aw)?;
             let amt = self.u64_reg(b)?;
-            let d = self.alloc_n()?;
+            let d = self.dst_n(mark)?;
             self.emit(match op {
                 Shl => Op::Shl { dst: d, a: ra, amt, w },
                 Shr => Op::Shr { dst: d, a: ra, amt, w },
                 _ => Op::AShr { dst: d, a: ra, amt, w },
             });
-            return Some(d);
+            return Ok(d);
         }
         let ra = self.expr_n(a, aw)?;
         if signed && matches!(op, AShr) {
@@ -815,9 +861,9 @@ impl Lower<'_> {
             // operand; the left operand sign-extends to the common width.
             let amt = self.u64_reg(b)?;
             let xa = self.sext_to(ra, aw, w)?;
-            let d = self.alloc_n()?;
+            let d = self.dst_n(mark)?;
             self.emit(Op::AShr { dst: d, a: xa, amt, w });
-            return Some(d);
+            return Ok(d);
         }
         let rb = self.expr_n(b, bw)?;
         let (xa, xb) = if signed {
@@ -825,7 +871,7 @@ impl Lower<'_> {
         } else {
             (ra, rb)
         };
-        let d = self.alloc_n()?;
+        let d = self.dst_n(mark)?;
         let m = mask_of(w);
         self.emit(match op {
             Add => Op::Add { dst: d, a: xa, b: xb, mask: m },
@@ -843,44 +889,49 @@ impl Lower<'_> {
             // right operand.
             Shl => Op::Shl { dst: d, a: xa, amt: xb, w },
             Shr => Op::Shr { dst: d, a: xa, amt: xb, w },
-            _ => return None,
+            _ => return Err(unlowerable("a narrow operator")),
         });
-        Some(d)
+        Ok(d)
     }
 
-    /// Lowers a wide-width (> 64) expression; `w` is `width_of(e)`.
-    fn expr_w(&mut self, e: &CExpr, w: u32) -> Option<u16> {
-        debug_assert_eq!(self.width_of(e), Some(w));
+    /// Lowers a wide-width (> 64) expression; `w` is `width_of(e)`. The
+    /// destination is allocated before the operands, as a wide op may not
+    /// write a register it reads, and only it stays allocated: the
+    /// operands are dead once the op has run, so wide register use, like
+    /// narrow, grows with depth, not size.
+    fn expr_w(&mut self, e: &CExpr, w: u32) -> Lowered<u16> {
+        debug_assert_eq!(self.width_of(e), Ok(w));
+        let d = self.alloc_w()?;
+        let marks = self.marks();
+        self.wide_into(e, w, d)?;
+        self.release(marks);
+        Ok(d)
+    }
+
+    fn wide_into(&mut self, e: &CExpr, w: u32, d: u16) -> Lowered<()> {
         match e {
             CExpr::Const(v) => {
-                let cidx = u16::try_from(self.wconsts.len()).ok()?;
+                let cidx = self.wconst_index()?;
                 self.wconsts.push(v.clone());
-                let d = self.alloc_w()?;
                 self.emit(Op::WLdConst { dst: d, cidx });
-                Some(d)
             }
             CExpr::Sig(id) => {
-                let d = self.alloc_w()?;
                 self.emit(Op::WLdSig { dst: d, sig: *id });
-                Some(d)
             }
             CExpr::Unary(op, inner) => {
                 // Only Not/Neg can be wide; reductions land narrow.
                 let r = self.expr_w(inner, w)?;
-                let d = self.alloc_w()?;
                 self.emit(if matches!(op, UnaryOp::Not) {
                     Op::WNot { dst: d, src: r }
                 } else {
                     Op::WNeg { dst: d, src: r }
                 });
-                Some(d)
             }
             CExpr::Binary { op, signed, a, b } => {
                 let aw = self.width_of(a)?;
                 let bw = self.width_of(b)?;
                 let wa = self.wide_reg(a, aw)?;
                 let wb = self.wide_reg(b, bw)?;
-                let d = self.alloc_w()?;
                 let fixed = matches!(
                     op,
                     BinaryOp::Add | BinaryOp::Sub | BinaryOp::And | BinaryOp::Or | BinaryOp::Xor
@@ -892,95 +943,64 @@ impl Lower<'_> {
                 } else {
                     self.emit(Op::WBin { dst: d, a: wa, b: wb, op: *op, signed: *signed });
                 }
-                Some(d)
             }
             CExpr::Ternary { cond, t, f, width } => {
                 let tw = self.width_of(t)?;
                 let fw = self.width_of(f)?;
                 let c = self.truth_reg(cond)?;
-                let d = self.alloc_w()?;
                 let jz = self.emit(Op::Jz { src: c, target: u32::MAX });
+                let marks = self.marks();
                 self.arm_into_w(t, tw, d, *width)?;
+                self.release(marks);
                 let jend = self.emit(Op::Jmp { target: u32::MAX });
                 self.patch(jz);
                 self.arm_into_w(f, fw, d, *width)?;
                 self.patch(jend);
-                Some(d)
             }
             CExpr::MemIndex { slot, idx } => {
                 let i = self.u64_reg(idx)?;
-                let d = self.alloc_w()?;
                 self.emit(Op::WLdMem { dst: d, slot: *slot, idx: i });
-                Some(d)
             }
-            CExpr::RangeSig { sig, msb: _, lsb } => {
-                let l = const_u64(lsb)?;
-                let d = self.alloc_w()?;
-                self.emit(Op::WSliceSig { dst: d, sig: *sig, lo: l as u32, w });
-                Some(d)
-            }
-            CExpr::RangeConst { value, msb: _, lsb } => {
-                let l = const_u64(lsb)?;
-                let mut sl = Bits::zero(w);
-                value.slice_into(l as u32, w, &mut sl);
-                let cidx = u16::try_from(self.wconsts.len()).ok()?;
-                self.wconsts.push(sl);
-                let d = self.alloc_w()?;
-                self.emit(Op::WLdConst { dst: d, cidx });
-                Some(d)
+            CExpr::RangeSig { sig, lo, .. } => {
+                self.emit(Op::WSliceSig { dst: d, sig: *sig, lo: *lo, w });
             }
             CExpr::Concat(parts) => {
-                let mut it = parts.iter();
-                let first = it.next()?;
-                let fw = self.width_of(first)?;
-                let d = self.alloc_w()?;
-                if fw <= 64 {
-                    let r = self.expr_n(first, fw)?;
-                    self.emit(Op::Widen { dst: d, src: r, w: fw });
-                } else {
-                    let r = self.expr_w(first, fw)?;
-                    self.emit(Op::WMov { dst: d, src: r });
-                }
-                for p in it {
+                // Compilation refuses an empty concat. Each part's
+                // registers are dead once it is pushed.
+                for (i, p) in parts.iter().enumerate() {
                     let pw = self.width_of(p)?;
-                    if pw <= 64 {
-                        let r = self.expr_n(p, pw)?;
-                        self.emit(Op::WPushN { dst: d, src: r, w: pw });
-                    } else {
-                        let r = self.expr_w(p, pw)?;
-                        self.emit(Op::WPushW { dst: d, src: r });
-                    }
+                    let marks = self.marks();
+                    let src = self.expr(p)?;
+                    self.emit(match (src, i) {
+                        (Src::N(r), 0) => Op::Widen { dst: d, src: r, w: pw },
+                        (Src::W(r), 0) => Op::WMov { dst: d, src: r },
+                        (Src::N(r), _) => Op::WPushN { dst: d, src: r, w: pw },
+                        (Src::W(r), _) => Op::WPushW { dst: d, src: r },
+                    });
+                    self.release(marks);
                 }
-                Some(d)
             }
             CExpr::Repeat { count, body } => {
-                let n = const_u64(count)? as u32;
                 let bw = self.width_of(body)?;
                 let r = self.wide_reg(body, bw)?;
-                let d = self.alloc_w()?;
-                self.emit(Op::WRepeat { dst: d, src: r, n });
-                Some(d)
+                self.emit(Op::WRepeat { dst: d, src: r, n: *count });
             }
             CExpr::Resize(_, inner) => {
-                let iw = self.width_of(inner)?;
-                let d = self.alloc_w()?;
-                if iw <= 64 {
-                    let r = self.expr_n(inner, iw)?;
-                    self.emit(Op::Widen { dst: d, src: r, w });
-                } else {
-                    let r = self.expr_w(inner, iw)?;
-                    self.emit(Op::WResizeFrom { dst: d, src: r, w });
-                }
-                Some(d)
+                let src = self.expr(inner)?;
+                self.emit(match src {
+                    Src::N(r) => Op::Widen { dst: d, src: r, w },
+                    Src::W(r) => Op::WResizeFrom { dst: d, src: r, w },
+                });
             }
             // Width-1 constructs can never be wide.
-            CExpr::BitIndex { .. } => None,
+            CExpr::BitIndex { .. } => return Err(unlowerable("a wide bit select")),
         }
+        Ok(())
     }
 
     /// Lowers a ternary arm into an already-allocated wide destination at
     /// the ternary width `w` (resize semantics of the taken branch).
-    fn arm_into_w(&mut self, arm: &CExpr, aw: u32, dst: u16, w: u32) -> Option<()> {
+    fn arm_into_w(&mut self, arm: &CExpr, aw: u32, dst: u16, w: u32) -> Lowered<()> {
         if aw <= 64 {
             let r = self.expr_n(arm, aw)?;
             // set_u64 at `w` zero-extends, exactly resize_in_place(w) of
@@ -990,26 +1010,25 @@ impl Lower<'_> {
             let r = self.expr_w(arm, aw)?;
             self.emit(Op::WResizeFrom { dst, src: r, w });
         }
-        Some(())
+        Ok(())
     }
 
     /// Lowers one statement; register watermarks reset afterwards so each
     /// statement's temporaries are reused by the next.
-    fn stmt(&mut self, s: &CStmt) -> Option<()> {
-        let (save_n, save_w) = (self.next_n, self.next_w);
+    fn stmt(&mut self, s: &CStmt) -> Lowered<()> {
+        let marks = self.marks();
         self.stmt_inner(s)?;
-        self.next_n = save_n;
-        self.next_w = save_w;
-        Some(())
+        self.release(marks);
+        Ok(())
     }
 
-    fn stmt_inner(&mut self, s: &CStmt) -> Option<()> {
+    fn stmt_inner(&mut self, s: &CStmt) -> Lowered<()> {
         match s {
             CStmt::Block(stmts) => {
                 for st in stmts {
                     self.stmt(st)?;
                 }
-                Some(())
+                Ok(())
             }
             CStmt::If { cond, then, els } => {
                 // Fuse `if (a == b)` / `if (a != b)` over narrow unsigned
@@ -1042,29 +1061,25 @@ impl Lower<'_> {
                 } else {
                     self.patch(jfalse);
                 }
-                Some(())
+                Ok(())
             }
             CStmt::Case { sel, arms, default } => self.case(sel, arms, default.as_deref()),
             CStmt::Assign { lhs, nonblocking, rhs } => self.store(lhs, rhs, *nonblocking),
             CStmt::For { var, var_width, init, cond, step, body } => {
-                if *var_width > 64 {
-                    return None;
-                }
-                self.assign_loop_var(*var, init)?;
+                self.assign_loop_var(*var, *var_width, init)?;
                 let ctr = self.alloc_n()?;
                 self.emit(Op::LdConst { dst: ctr, imm: 0 });
                 let head = self.here();
-                let (sn, sw) = (self.next_n, self.next_w);
+                let marks = self.marks();
                 let c = self.truth_reg(cond)?;
                 let jend = self.emit(Op::Jz { src: c, target: u32::MAX });
-                self.next_n = sn;
-                self.next_w = sw;
+                self.release(marks);
                 self.stmt(body)?;
-                self.assign_loop_var(*var, step)?;
+                self.assign_loop_var(*var, *var_width, step)?;
                 self.emit(Op::IncCheckCap { ctr, var: *var });
                 self.emit(Op::Jmp { target: head });
                 self.patch(jend);
-                Some(())
+                Ok(())
             }
             CStmt::Display { format, args, signs } => {
                 // Argument registers are evaluated unconditionally (pure,
@@ -1077,47 +1092,40 @@ impl Lower<'_> {
                     let signed = signs.get(i).copied().unwrap_or(false);
                     spec_args.push((src, w, signed));
                 }
-                let spec = u16::try_from(self.displays.len()).ok()?;
+                let spec = u16::try_from(self.displays.len())
+                    .map_err(|_| too_large("65535 `$display` statements"))?;
                 self.displays.push(DisplaySpec {
                     format: format.clone(),
                     args: spec_args,
                 });
                 self.emit(Op::Display { spec });
-                Some(())
+                Ok(())
             }
             CStmt::Finish => {
                 self.emit(Op::Finish);
-                Some(())
+                Ok(())
             }
-            CStmt::Empty => Some(()),
+            CStmt::Empty => Ok(()),
         }
     }
 
-    /// `for`-loop variable assignment: evaluate, resize to the variable
-    /// width, store (tree semantics; `update_u64` masks to the slot).
-    fn assign_loop_var(&mut self, var: SigId, e: &CExpr) -> Option<()> {
-        let (sn, sw) = (self.next_n, self.next_w);
-        let src = match self.expr(e)? {
-            Src::N(r) => r,
-            Src::W(r) => {
-                let d = self.alloc_n()?;
-                self.emit(Op::NarrowFromWide { dst: d, src: r, mask: u64::MAX });
-                d
-            }
-        };
-        self.emit(Op::StSigN { sig: var, src });
-        self.next_n = sn;
-        self.next_w = sw;
-        Some(())
+    /// `for`-loop variable assignment: a blocking whole-signal store whose
+    /// temporaries are released at once (a wide variable stores through
+    /// [`Op::StSig`]).
+    fn assign_loop_var(&mut self, var: SigId, width: u32, e: &CExpr) -> Lowered<()> {
+        let marks = self.marks();
+        self.store(&CLValue::Sig { id: var, width }, e, false)?;
+        self.release(marks);
+        Ok(())
     }
 
-    fn case(&mut self, sel: &CExpr, arms: &[CCaseArm], default: Option<&CStmt>) -> Option<()> {
+    fn case(&mut self, sel: &CExpr, arms: &[CCaseArm], default: Option<&CStmt>) -> Lowered<()> {
         let sel_w = self.width_of(sel)?;
         let all_narrow = sel_w <= 64
             && arms.iter().all(|arm| {
                 arm.labels
                     .iter()
-                    .all(|l| matches!(self.width_of(l), Some(w) if w <= 64))
+                    .all(|l| matches!(self.width_of(l), Ok(w) if w <= 64))
             });
         // Dispatch chain: per arm, per label (in order — first match
         // wins, preserving the tree-walker's lazy label evaluation order
@@ -1138,7 +1146,7 @@ impl Lower<'_> {
                             target: u32::MAX,
                         }));
                     } else {
-                        let (sn, sw) = (self.next_n, self.next_w);
+                        let marks = self.marks();
                         let lw = self.width_of(label)?;
                         let lr = self.expr_n(label, lw)?;
                         holes.push(self.emit(Op::JEq {
@@ -1146,8 +1154,7 @@ impl Lower<'_> {
                             b: lr,
                             target: u32::MAX,
                         }));
-                        self.next_n = sn;
-                        self.next_w = sw;
+                        self.release(marks);
                     }
                 }
                 arm_holes.push(holes);
@@ -1157,7 +1164,7 @@ impl Lower<'_> {
             for arm in arms {
                 let mut holes = Vec::with_capacity(arm.labels.len());
                 for label in &arm.labels {
-                    let (sn, sw) = (self.next_n, self.next_w);
+                    let marks = self.marks();
                     let lw = self.width_of(label)?;
                     let wl = self.wide_reg(label, lw)?;
                     let t = self.alloc_n()?;
@@ -1171,8 +1178,7 @@ impl Lower<'_> {
                         signed: false,
                     });
                     holes.push(self.emit(Op::Jnz { src: t, target: u32::MAX }));
-                    self.next_n = sn;
-                    self.next_w = sw;
+                    self.release(marks);
                 }
                 arm_holes.push(holes);
             }
@@ -1194,14 +1200,14 @@ impl Lower<'_> {
         for h in end_holes {
             self.patch(h);
         }
-        Some(())
+        Ok(())
     }
 
     /// Lowers one assignment. The rhs evaluates first (tree order), then
     /// index expressions, then bounds checks, then the commit — identical
     /// observable ordering to resolve-all-then-commit since expression
     /// evaluation is pure.
-    fn store(&mut self, lhs: &CLValue, rhs: &CExpr, nb: bool) -> Option<()> {
+    fn store(&mut self, lhs: &CLValue, rhs: &CExpr, nb: bool) -> Lowered<()> {
         match lhs {
             CLValue::Sig { id, width } => {
                 // Promoted target: land the truncated value in the pinned
@@ -1220,7 +1226,7 @@ impl Lower<'_> {
                             }
                         }
                         self.emit(Op::StFlushN { sig: *id, src: p });
-                        return Some(());
+                        return Ok(());
                     }
                 }
                 let val = self.expr(rhs)?;
@@ -1232,13 +1238,13 @@ impl Lower<'_> {
                         self.emit(Op::StSig { sig: *id, w: *width, src: val, nb });
                     }
                 }
-                Some(())
+                Ok(())
             }
             CLValue::BitIndex { id, width, idx } => {
                 let src = self.rhs_low64(rhs)?;
                 let i = self.u64_reg(idx)?;
                 self.emit(Op::StBit { sig: *id, width: *width, idx: i, src, nb });
-                Some(())
+                Ok(())
             }
             CLValue::MemIndex { id, slot, depth, width, idx } => {
                 let val = self.expr(rhs)?;
@@ -1252,38 +1258,26 @@ impl Lower<'_> {
                     src: val,
                     nb,
                 });
-                Some(())
+                Ok(())
             }
-            CLValue::Range { id, msb, lsb } => {
-                let (m, l) = (const_u64(msb)?, const_u64(lsb)?);
-                if l > m || m - l + 1 > u64::from(u32::MAX) {
-                    return None; // reversed/huge bounds keep tree semantics
-                }
+            CLValue::Range { id, lo, width } => {
                 let val = self.expr(rhs)?;
-                self.emit(Op::StSlice {
-                    sig: *id,
-                    lo: l as u32,
-                    w: (m - l + 1) as u32,
-                    src: val,
-                    nb,
-                });
-                Some(())
+                self.emit(Op::StSlice { sig: *id, lo: *lo, w: *width, src: val, nb });
+                Ok(())
             }
-            CLValue::Concat { parts, widths, total } => {
-                self.store_concat(parts, widths, *total, rhs, nb)
-            }
+            CLValue::Concat { parts, total } => self.store_concat(parts, *total, rhs, nb),
         }
     }
 
     /// The rhs reduced to its low 64 bits (single-bit targets; the store
     /// op masks to one bit).
-    fn rhs_low64(&mut self, rhs: &CExpr) -> Option<u16> {
+    fn rhs_low64(&mut self, rhs: &CExpr) -> Lowered<u16> {
         match self.expr(rhs)? {
-            Src::N(r) => Some(r),
+            Src::N(r) => Ok(r),
             Src::W(r) => {
                 let d = self.alloc_n()?;
                 self.emit(Op::NarrowFromWide { dst: d, src: r, mask: u64::MAX });
-                Some(d)
+                Ok(d)
             }
         }
     }
@@ -1291,12 +1285,11 @@ impl Lower<'_> {
     fn store_concat(
         &mut self,
         parts: &[CLValue],
-        widths: &[u32],
         total: u32,
         rhs: &CExpr,
         nb: bool,
-    ) -> Option<()> {
-        // Pre-plan each part: nested concats keep the tree-walker.
+    ) -> Lowered<()> {
+        // Pre-plan each part (compilation flattened nested concats).
         enum Plan {
             Sig { id: SigId, width: u32 },
             Bit { id: SigId, width: u32, idx: u16 },
@@ -1360,14 +1353,8 @@ impl Lower<'_> {
                         idx: i,
                     }
                 }
-                CLValue::Range { id, msb, lsb } => {
-                    let (m, l) = (const_u64(msb)?, const_u64(lsb)?);
-                    if l > m || m - l + 1 > u64::from(u32::MAX) {
-                        return None;
-                    }
-                    Plan::Slice { id: *id, lo: l as u32, w: (m - l + 1) as u32 }
-                }
-                CLValue::Concat { .. } => return None,
+                CLValue::Range { id, lo, width } => Plan::Slice { id: *id, lo: *lo, w: *width },
+                CLValue::Concat { .. } => return Err(unlowerable("a nested concat lvalue")),
             });
         }
         // Strict-bounds pre-checks in MSB-first part order: resolve
@@ -1387,8 +1374,10 @@ impl Lower<'_> {
         // Slice each part's bits out of the resized rhs and store,
         // MSB-first.
         let mut hi = total;
-        for (plan, &pw) in plans.iter().zip(widths) {
+        for (plan, pw) in plans.iter().zip(parts.iter().map(CLValue::width)) {
             hi -= pw;
+            // A part's value register is dead once the part is stored.
+            let marks = self.marks();
             let part_val: Src = if pw <= 64 {
                 let d = self.alloc_n()?;
                 match rt {
@@ -1409,7 +1398,7 @@ impl Lower<'_> {
                 let d = self.alloc_w()?;
                 match rt {
                     // A > 64-bit part can only come from a wide rhs.
-                    Src::N(_) => return None,
+                    Src::N(_) => return Err(unlowerable("a wide part of a narrow value")),
                     Src::W(r) => {
                         self.emit(Op::WSliceReg { dst: d, src: r, lo: hi, w: pw });
                     }
@@ -1428,7 +1417,7 @@ impl Lower<'_> {
                 Plan::Bit { id, width, idx } => {
                     let src = match part_val {
                         Src::N(r) => r,
-                        Src::W(_) => return None, // width-1 part is narrow
+                        Src::W(_) => return Err(unlowerable("a wide bit part")),
                     };
                     self.emit(Op::StBit { sig: id, width, idx, src, nb });
                 }
@@ -1447,19 +1436,12 @@ impl Lower<'_> {
                     self.emit(Op::StSlice { sig: id, lo, w, src: part_val, nb });
                 }
             }
+            self.release(marks);
         }
-        Some(())
+        Ok(())
     }
 }
 
-/// Constant-folds an expression used as a bound/count, like `eval_u64` on
-/// a `CExpr::Const` (low 64 bits).
-fn const_u64(e: &CExpr) -> Option<u64> {
-    match e {
-        CExpr::Const(v) => Some(v.to_u64()),
-        _ => None,
-    }
-}
 
 // ---------------------------------------------------------------------
 // Interpreter
@@ -1591,8 +1573,7 @@ fn oob(state: &SimState, sig: SigId, index: u64, depth: u64) -> SimError {
 /// Executes one lowered program against the unit-execution context.
 ///
 /// Only two errors are reachable — `LoopCap` and strict-bounds
-/// `OutOfBounds` — matching the tree-walker on lowerable bodies (anything
-/// that could raise `NonConstSelect` at runtime was never lowered).
+/// `OutOfBounds` — the same two the tree-walker raises.
 pub(crate) fn run(prog: &BcProgram, exec: &mut CExec<'_>) -> Result<Flow, SimError> {
     let mut pc = 0usize;
     let ops = &prog.ops[..];

@@ -56,21 +56,13 @@ pub(crate) enum CExpr {
     },
     /// Memory element read (slot pre-resolved).
     MemIndex { slot: u32, idx: Box<CExpr> },
-    /// Part select of a scalar signal; bounds evaluated at runtime to keep
-    /// the interpreter's semantics for (rare) non-constant bounds.
-    RangeSig {
-        sig: SigId,
-        msb: Box<CExpr>,
-        lsb: Box<CExpr>,
-    },
-    /// Part select of a constant (parameter).
-    RangeConst {
-        value: Bits,
-        msb: Box<CExpr>,
-        lsb: Box<CExpr>,
-    },
+    /// Part select `[lo +: width]` of a scalar signal. `resolve` proves
+    /// every bound constant, so the shape is fixed at compile time (a
+    /// select of a parameter folds to a [`CExpr::Const`]).
+    RangeSig { sig: SigId, lo: u32, width: u32 },
     Concat(Vec<CExpr>),
-    Repeat { count: Box<CExpr>, body: Box<CExpr> },
+    /// `{count{body}}`; `resolve` proves the count constant and nonzero.
+    Repeat { count: u32, body: Box<CExpr> },
     /// Width cast (`W'(expr)`).
     Resize(u32, Box<CExpr>),
 }
@@ -94,18 +86,24 @@ pub(crate) enum CLValue {
         width: u32,
         idx: Box<CExpr>,
     },
-    /// Part select with runtime-evaluated bounds.
-    Range {
-        id: SigId,
-        msb: Box<CExpr>,
-        lsb: Box<CExpr>,
-    },
-    /// Concatenation target; split widths precomputed (MSB-first).
-    Concat {
-        parts: Vec<CLValue>,
-        widths: Vec<u32>,
-        total: u32,
-    },
+    /// Part select `[lo +: width]`.
+    Range { id: SigId, lo: u32, width: u32 },
+    /// Concatenation target, MSB-first. Nested concatenations are
+    /// flattened at compile time, so no part is itself a `Concat`.
+    Concat { parts: Vec<CLValue>, total: u32 },
+}
+
+impl CLValue {
+    /// The static width this destination takes.
+    pub(crate) fn width(&self) -> u32 {
+        match self {
+            CLValue::Sig { width, .. }
+            | CLValue::MemIndex { width, .. }
+            | CLValue::Range { width, .. } => *width,
+            CLValue::BitIndex { .. } => 1,
+            CLValue::Concat { total, .. } => *total,
+        }
+    }
 }
 
 /// A compiled statement tree.
@@ -138,8 +136,8 @@ pub(crate) enum CStmt {
     Display {
         format: String,
         args: Vec<CExpr>,
-        /// Per-argument declared signedness (via [`crate::eval::is_signed`]
-        /// at compile time), so `%d` renders two's-complement values.
+        /// Per-argument signedness (by [`Ctx::typed`] at compile time), so
+        /// `%d` renders two's-complement values.
         signs: Vec<bool>,
     },
     Finish,
@@ -391,9 +389,11 @@ impl<'a> Ctx<'a> {
         Ok(self.typed(e)?.0)
     }
 
-    /// Compiles `e` and reports whether it is signed, by the rule of
-    /// [`crate::eval::is_signed`], computed bottom-up in the same pass
-    /// instead of by a second walk of every operand.
+    /// Compiles `e` and reports whether it is signed: a declared-signed
+    /// identifier or `$signed(...)`; `-`/`~` and non-boolean binary
+    /// operators and ternaries keep the sign only when every operand is
+    /// signed, and everything else is unsigned. Computed bottom-up in the
+    /// same pass that compiles `e`.
     fn typed(&self, e: &Expr) -> Result<(CExpr, bool), SimError> {
         Ok(match e {
             Expr::Literal { value, .. } => (CExpr::Const(value.clone()), false),
@@ -441,9 +441,21 @@ impl<'a> Ctx<'a> {
                 (c, st && sf)
             }
             Expr::Index(n, idx) => {
-                let (id, sig) = self
-                    .signal(n)
-                    .ok_or_else(|| SimError::UnknownSignal(n.clone()))?;
+                let Some((id, sig)) = self.signal(n) else {
+                    let c = self
+                        .design
+                        .consts
+                        .get(n)
+                        .ok_or_else(|| SimError::UnknownSignal(n.clone()))?;
+                    // A bit of a parameter: `(P >> idx)` cut to one bit.
+                    let shifted = CExpr::Binary {
+                        op: BinaryOp::Shr,
+                        signed: false,
+                        a: Box::new(CExpr::Const(c.clone())),
+                        b: Box::new(self.expr(idx)?),
+                    };
+                    return Ok((CExpr::Resize(1, Box::new(shifted)), false));
+                };
                 let c = if sig.mem_depth.is_some() {
                     let slot = self.mem_slot_of(id).ok_or_else(|| {
                         SimError::Internal(format!("memory `{n}` has no backing slot"))
@@ -462,31 +474,29 @@ impl<'a> Ctx<'a> {
                 (c, false)
             }
             Expr::Range(n, msb, lsb) => {
-                let msb = Box::new(self.expr(msb)?);
-                let lsb = Box::new(self.expr(lsb)?);
+                let (lo, width) = self.bounds(msb, lsb)?;
                 let c = if let Some((id, sig)) = self.signal(n) {
                     if sig.mem_depth.is_some() {
                         return Err(SimError::UnknownSignal(n.clone()));
                     }
-                    CExpr::RangeSig { sig: id, msb, lsb }
+                    CExpr::RangeSig { sig: id, lo, width }
                 } else if let Some(c) = self.design.consts.get(n) {
-                    CExpr::RangeConst {
-                        value: c.clone(),
-                        msb,
-                        lsb,
-                    }
+                    CExpr::Const(c.slice(lo, width))
                 } else {
                     return Err(SimError::UnknownSignal(n.clone()));
                 };
                 (c, false)
             }
             Expr::Concat(parts) => {
+                if parts.is_empty() {
+                    return Err(SimError::Internal("empty concatenation".into()));
+                }
                 let parts = parts.iter().map(|p| self.expr(p)).collect::<Result<_, _>>()?;
                 (CExpr::Concat(parts), false)
             }
             Expr::Repeat(n, body) => {
                 let c = CExpr::Repeat {
-                    count: Box::new(self.expr(n)?),
+                    count: self.constant(n)? as u32,
                     body: Box::new(self.expr(body)?),
                 };
                 (c, false)
@@ -537,31 +547,45 @@ impl<'a> Ctx<'a> {
                     }
                 }
             }
-            LValue::Range(n, msb, lsb) => CLValue::Range {
-                id: self.sig(n)?,
-                msb: Box::new(self.expr(msb)?),
-                lsb: Box::new(self.expr(lsb)?),
-            },
+            LValue::Range(n, msb, lsb) => {
+                let (lo, width) = self.bounds(msb, lsb)?;
+                CLValue::Range {
+                    id: self.sig(n)?,
+                    lo,
+                    width,
+                }
+            }
             LValue::Concat(parts) => {
-                let mut cparts = Vec::with_capacity(parts.len());
-                let mut widths = Vec::with_capacity(parts.len());
-                let mut total = 0u32;
+                let mut flat = Vec::with_capacity(parts.len());
                 for p in parts {
-                    let w = self
-                        .design
-                        .lvalue_width(p)
-                        .ok_or(SimError::NonConstSelect)?;
-                    widths.push(w);
-                    total += w;
-                    cparts.push(self.lvalue(p)?);
+                    match self.lvalue(p)? {
+                        CLValue::Concat { parts, .. } => flat.extend(parts),
+                        part => flat.push(part),
+                    }
                 }
                 CLValue::Concat {
-                    parts: cparts,
-                    widths,
-                    total,
+                    total: flat.iter().map(CLValue::width).sum(),
+                    parts: flat,
                 }
             }
         })
+    }
+
+    /// A part-select bound or replication count, which `resolve` has
+    /// proven constant.
+    fn constant(&self, e: &Expr) -> Result<u64, SimError> {
+        hwdbg_dataflow::eval_const(e, &self.design.consts)
+            .map(|v| v.to_u64())
+            .map_err(|_| SimError::NonConstSelect)
+    }
+
+    /// A part select's constant `[msb:lsb]` as `(lo, width)`.
+    fn bounds(&self, msb: &Expr, lsb: &Expr) -> Result<(u32, u32), SimError> {
+        let (m, l) = (self.constant(msb)?, self.constant(lsb)?);
+        if l > m {
+            return Err(SimError::ReversedRange { msb: m, lsb: l });
+        }
+        Ok((l as u32, (m - l + 1) as u32))
     }
 
     fn stmt(&self, s: &Stmt) -> Result<CStmt, SimError> {
@@ -733,8 +757,7 @@ pub(crate) fn eval(state: &SimState, e: &CExpr) -> Result<Bits, SimError> {
     Ok(out)
 }
 
-/// Evaluates a sub-expression that is consumed as a `u64` (indices, range
-/// bounds, replication counts).
+/// Evaluates a sub-expression that is consumed as a `u64` (an index).
 #[inline]
 fn eval_u64(state: &SimState, scratch: &mut EvalScratch, e: &CExpr) -> Result<u64, SimError> {
     let mut t = scratch.take();
@@ -833,47 +856,25 @@ pub(crate) fn eval_into(
             let i = eval_u64(state, scratch, idx)?;
             state.read_mem_slot_into(*slot, i, out);
         }
-        CExpr::RangeSig { sig, msb, lsb } => {
-            let m = eval_u64(state, scratch, msb)?;
-            let l = eval_u64(state, scratch, lsb)?;
-            if l > m {
-                return Err(SimError::NonConstSelect);
-            }
-            state.get_id(*sig).slice_into(l as u32, (m - l + 1) as u32, out);
-        }
-        CExpr::RangeConst { value, msb, lsb } => {
-            let m = eval_u64(state, scratch, msb)?;
-            let l = eval_u64(state, scratch, lsb)?;
-            if l > m {
-                return Err(SimError::NonConstSelect);
-            }
-            value.slice_into(l as u32, (m - l + 1) as u32, out);
+        CExpr::RangeSig { sig, lo, width } => {
+            state.get_id(*sig).slice_into(*lo, *width, out);
         }
         CExpr::Concat(parts) => {
             let mut t = scratch.take();
-            let mut first = true;
-            for p in parts {
+            for (i, p) in parts.iter().enumerate() {
                 eval_into(state, scratch, p, &mut t)?;
-                if first {
+                if i == 0 {
                     out.assign_from(&t);
-                    first = false;
                 } else {
                     out.push_low(&t);
                 }
             }
             scratch.put(t);
-            if first {
-                return Err(SimError::NonConstSelect);
-            }
         }
         CExpr::Repeat { count, body } => {
-            let n = eval_u64(state, scratch, count)? as u32;
-            if n == 0 {
-                return Err(SimError::NonConstSelect);
-            }
             let mut t = scratch.take();
             eval_into(state, scratch, body, &mut t)?;
-            t.repeat_into(n, out);
+            t.repeat_into(*count, out);
             scratch.put(t);
         }
         CExpr::Resize(w, inner) => {
@@ -1262,26 +1263,18 @@ impl CExec<'_> {
                     None => self.scratch.put(value),
                 }
             }
-            CLValue::Range { id, msb, lsb } => {
-                let m = eval_u64(self.state, self.scratch, msb)?;
-                let l = eval_u64(self.state, self.scratch, lsb)?;
-                if l > m {
-                    return Err(SimError::NonConstSelect);
-                }
-                value.resize_in_place((m - l + 1) as u32);
-                out.push(CNbWrite::Slice(*id, l as u32, value));
+            CLValue::Range { id, lo, width } => {
+                value.resize_in_place(*width);
+                out.push(CNbWrite::Slice(*id, *lo, value));
             }
-            CLValue::Concat {
-                parts,
-                widths,
-                total,
-            } => {
+            CLValue::Concat { parts, total } => {
                 // First part is most significant.
                 value.resize_in_place(*total);
                 let mut hi = *total;
-                for (p, w) in parts.iter().zip(widths) {
+                for p in parts {
+                    let w = p.width();
                     let mut part_val = self.scratch.take();
-                    value.slice_into(hi - w, *w, &mut part_val);
+                    value.slice_into(hi - w, w, &mut part_val);
                     hi -= w;
                     self.resolve(p, part_val, out)?;
                 }

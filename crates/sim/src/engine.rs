@@ -15,7 +15,7 @@
 //! is the scheduling oracle. `Tree` + `FullPass` therefore shares neither
 //! the evaluator nor the scheduler with the production path.
 
-use crate::bytecode::{lower_unit, BcProgram, NO_PROMOTION};
+use crate::bytecode::{self, lower_unit, BcProgram, NO_PROMOTION};
 use crate::compile::{eval_into, CExec, CNbWrite, Compiled, EvalScratch, Flow, LogSink};
 use crate::sched::{build_schedule, Schedule};
 use crate::state::{mem_slots, RegInit, SimState};
@@ -60,8 +60,8 @@ pub enum Backend {
     /// order — no worklist inside a region,
     /// region-internal signals promoted to registers — while cyclic
     /// regions and the remaining units pop from the worklist one at a time,
-    /// each on its per-unit program (or the tree-walker, for bodies that
-    /// could not be lowered). This is the production backend.
+    /// each on its per-unit program. Every unit body lowers, so the
+    /// tree-walker never runs here. This is the production backend.
     #[default]
     Levelized,
 }
@@ -183,11 +183,11 @@ pub struct CompiledDesign {
     compiled: Compiled,
     /// Widest scalar/memory-element width, for pre-sizing scratch pools.
     max_width: u32,
-    /// Per comb unit: its lowered bytecode, or `None` when the body could
-    /// not be statically lowered (that unit keeps the tree-walker).
-    comb_progs: Vec<Option<BcProgram>>,
-    /// Per clocked process: its lowered bytecode (same fallback rule).
-    proc_progs: Vec<Option<BcProgram>>,
+    /// Per comb unit: its lowered bytecode, which [`Backend::Levelized`]
+    /// runs whenever the unit runs outside a fused region.
+    comb_progs: Vec<BcProgram>,
+    /// Per clocked process: its lowered bytecode.
+    proc_progs: Vec<BcProgram>,
     /// The levelized static schedule (fused regions + node maps).
     sched: Schedule,
     /// Register-file sizes needed by the largest lowered program, per-unit
@@ -218,7 +218,9 @@ impl CompiledDesign {
     /// # Errors
     ///
     /// Fails if the design references signals that cannot be resolved at
-    /// compile time.
+    /// compile time, if a `$display` requests a field width above the
+    /// limit ([`SimError::FieldWidth`]), or if a unit body needs more than
+    /// one bytecode program can address ([`SimError::UnitTooLarge`]).
     pub fn new(design: Design) -> Result<Self, SimError> {
         // Layout (signal IDs, memory slots) is a pure function of the
         // design, so per-job states built later line up exactly.
@@ -238,19 +240,17 @@ impl CompiledDesign {
                 mem_width.push(if depth == 0 { 1 } else { sig.width });
             }
         }
-        let comb_progs: Vec<Option<BcProgram>> = compiled
-            .combs
-            .iter()
-            .map(|c| lower_unit(&c.body, &sig_width, &mem_width))
-            .collect();
-        let proc_progs: Vec<Option<BcProgram>> = compiled
-            .procs
-            .iter()
-            .map(|p| lower_unit(&p.body, &sig_width, &mem_width))
-            .collect();
+        let mut comb_progs = Vec::with_capacity(compiled.combs.len());
+        for comb in &compiled.combs {
+            comb_progs.push(lower_unit(&comb.body, &sig_width, &mem_width)?);
+        }
+        let mut proc_progs = Vec::with_capacity(compiled.procs.len());
+        for proc in &compiled.procs {
+            proc_progs.push(lower_unit(&proc.body, &sig_width, &mem_width)?);
+        }
         let sched = build_schedule(&compiled, &comb_progs, &sig_width, &mem_width);
         let (mut n_narrow, mut n_wide) = (0, 0);
-        let unit_progs = comb_progs.iter().chain(&proc_progs).flatten();
+        let unit_progs = comb_progs.iter().chain(&proc_progs);
         for prog in unit_progs.chain(sched.regions.iter().map(|r| &r.prog)) {
             n_narrow = n_narrow.max(prog.n_narrow);
             n_wide = n_wide.max(prog.n_wide);
@@ -275,14 +275,13 @@ impl CompiledDesign {
         &self.design
     }
 
-    /// `(lowered, total)` unit-body counts: how many comb units and
-    /// clocked processes have a per-unit bytecode program under
-    /// [`Backend::Levelized`] (the rest keep the tree-walker). Diagnostics
-    /// and tests use this to prove lowering actually engages on a design.
+    /// `(lowered, total)` unit-body counts over the comb units and clocked
+    /// processes. Every body lowers to bytecode (a design that cannot fails
+    /// [`CompiledDesign::new`]), so the two are always equal; `hwdbg sim
+    /// --json` and the benchmark report the pair.
     pub fn lowering_coverage(&self) -> (usize, usize) {
-        let all = self.comb_progs.iter().chain(&self.proc_progs);
         let total = self.comb_progs.len() + self.proc_progs.len();
-        (all.filter(|p| p.is_some()).count(), total)
+        (total, total)
     }
 
     /// Levelized-schedule shape: `(regions, max_level, fused_signals)` —
@@ -920,13 +919,6 @@ impl Simulator {
         let n_combs = self.shared.compiled.combs.len();
         let u = unit as usize;
         if u < n_combs {
-            let body = &self.shared.compiled.combs[u].body;
-            let prog = match self.config.backend {
-                Backend::Tree => None,
-                // Levelized fallback units (and demoted regions, and the
-                // FullPass sweep) execute the per-unit programs.
-                Backend::Levelized => self.shared.comb_progs[u].as_ref(),
-            };
             let mut exec = CExec {
                 state: &mut self.state,
                 scratch: &mut self.scratch,
@@ -937,14 +929,12 @@ impl Simulator {
                 strict_bounds: self.config.strict_bounds,
                 counters: self.counters.as_deref_mut(),
             };
-            match prog {
-                Some(p) => {
-                    crate::bytecode::run(p, &mut exec)?;
-                }
-                None => {
-                    exec.stmt(body)?;
-                }
-            }
+            // Worklist units (and demoted regions, and the FullPass sweep)
+            // run their per-unit programs.
+            match self.config.backend {
+                Backend::Tree => exec.stmt(&self.shared.compiled.combs[u].body)?,
+                Backend::Levelized => bytecode::run(&self.shared.comb_progs[u], &mut exec)?,
+            };
         } else {
             let bi = u - n_combs;
             self.refresh_bb_inputs(bi)?;
@@ -1276,11 +1266,6 @@ impl Simulator {
         self.log_sink.cycle = cycle;
         let mut finished = false;
         for &pi in &plan.procs {
-            let body = &self.shared.compiled.procs[pi].body;
-            let prog = match self.config.backend {
-                Backend::Tree => None,
-                Backend::Levelized => self.shared.proc_progs[pi].as_ref(),
-            };
             let mut exec = CExec {
                 state: &mut self.state,
                 scratch: &mut self.scratch,
@@ -1291,9 +1276,9 @@ impl Simulator {
                 strict_bounds: self.config.strict_bounds,
                 counters: self.counters.as_deref_mut(),
             };
-            let flow = match prog {
-                Some(p) => crate::bytecode::run(p, &mut exec)?,
-                None => exec.stmt(body)?,
+            let flow = match self.config.backend {
+                Backend::Tree => exec.stmt(&self.shared.compiled.procs[pi].body)?,
+                Backend::Levelized => bytecode::run(&self.shared.proc_progs[pi], &mut exec)?,
             };
             if flow == Flow::Finished {
                 finished = true;

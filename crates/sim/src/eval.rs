@@ -1,10 +1,10 @@
-//! Static width and signedness rules, signed binary operators, and the
-//! paper's memory-address truncation, shared by the compiler and bytecode.
+//! The static width rule, signed binary operators, and the paper's
+//! memory-address truncation, shared by the compiler and bytecode.
 
 use crate::SimError;
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::{clog2, Design, WidthError};
-use hwdbg_rtl::{BinaryOp, Expr, UnaryOp};
+use hwdbg_rtl::{BinaryOp, Expr};
 
 /// Computes the static width of an expression in the context of `design`:
 /// [`Design::width_of`] with its failure reason mapped to a [`SimError`].
@@ -19,22 +19,6 @@ pub fn expr_width(expr: &Expr, design: &Design) -> Result<u32, SimError> {
         WidthError::NonConstBound => SimError::NonConstSelect,
         WidthError::ReversedRange { msb, lsb } => SimError::ReversedRange { msb, lsb },
     })
-}
-
-/// True if the expression should be treated as signed (declared-signed
-/// identifier or `$signed(...)`). Binary operations are signed only when
-/// both operands are, per Verilog's rules.
-pub fn is_signed(expr: &Expr, design: &Design) -> bool {
-    match expr {
-        Expr::Ident(n) => design.signals.get(n).is_some_and(|s| s.signed),
-        Expr::SignCast(signed, _) => *signed,
-        Expr::Unary(UnaryOp::Neg | UnaryOp::Not, e) => is_signed(e, design),
-        Expr::Binary(op, l, r) if !op.is_boolean() => {
-            is_signed(l, design) && is_signed(r, design)
-        }
-        Expr::Ternary(_, t, f) => is_signed(t, design) && is_signed(f, design),
-        _ => false,
-    }
 }
 
 /// Signed variant of the binary-operator semantics: comparisons compare in

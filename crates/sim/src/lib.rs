@@ -7,9 +7,10 @@
 //! as structured [`LogRecord`]s, detects infinite stalls via a watchdog,
 //! and can dump VCD waveforms.
 //!
-//! Unit bodies compile to a `CStmt`/`CExpr` tree and, where possible, to
-//! bytecode; fused acyclic regions run as straight-line programs under one
-//! levelized event-driven scheduler ([`Backend::Levelized`], the default).
+//! Unit bodies compile to a `CStmt`/`CExpr` tree and then, every one of
+//! them, to bytecode; fused acyclic regions run as straight-line programs
+//! under one levelized event-driven scheduler ([`Backend::Levelized`], the
+//! default).
 //! The tree-walker is the reference evaluator ([`Backend::Tree`]) and
 //! [`SettleMode::FullPass`] the reference scheduler; the differential
 //! suites hold the production path to both.
@@ -53,7 +54,7 @@ pub use engine::{
     DEADLINE_CHECK_MASK,
 };
 pub use fault::{run_with_faults, step_with_faults, Fault, FaultKind, FaultPlan};
-pub use eval::{effective_mem_addr, expr_width, is_signed};
+pub use eval::{effective_mem_addr, expr_width};
 pub use state::{RegInit, SimState};
 pub use vcd::VcdWriter;
 
@@ -204,6 +205,14 @@ pub enum SimError {
         /// The offending width, as written.
         width: String,
     },
+    /// A unit body needs more than one bytecode program can address:
+    /// more than 65,535 registers, `$display` statements or wide
+    /// constants, or a value wider than `u32::MAX` bits. Raised when the
+    /// design compiles, before any cycle runs.
+    UnitTooLarge {
+        /// What the body needs more than, e.g. `"65535 registers"`.
+        resource: &'static str,
+    },
     /// A fault plan names an impossible target (unknown signal, bit out of
     /// range, value wider than the signal).
     BadFault(String),
@@ -261,6 +270,10 @@ impl fmt::Display for SimError {
                 "$display format {format:?} requests field width {width}, above the limit of {}",
                 format::MAX_FIELD_WIDTH
             ),
+            SimError::UnitTooLarge { resource } => write!(
+                f,
+                "a unit body needs more than {resource}, the limit of one bytecode program"
+            ),
             SimError::BadFault(m) => write!(f, "invalid fault: {m}"),
             SimError::Internal(m) => write!(f, "internal simulator error: {m}"),
         }
@@ -290,6 +303,7 @@ impl From<SimError> for hwdbg_diag::HwdbgError {
                 (ErrorCode::OutOfBounds, vec![signal.clone()])
             }
             SimError::FieldWidth { .. } => (ErrorCode::FieldWidth, vec![]),
+            SimError::UnitTooLarge { .. } => (ErrorCode::UnitTooLarge, vec![]),
             SimError::BadFault(_) => (ErrorCode::BadFaultPlan, vec![]),
             SimError::Internal(_) => (ErrorCode::Internal, vec![]),
         };

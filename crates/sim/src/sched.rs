@@ -12,13 +12,13 @@
 //! blind-flush the slot so external observers (VCD, `peek`, partial-bit
 //! reads) stay coherent.
 //!
-//! Cyclic SCCs, self-looping units, units the lowerer rejects, units that
-//! can `$finish`, regions where promotion found no eligible signal (fusion
-//! without promotion trades away change-detection early-outs for nothing),
-//! and all blackboxes stay on the existing worklist
-//! fallback; the engine's settle loop dispatches over **nodes** (regions
-//! first, then fallback units) so both tiers share one budget, one
-//! deadline probe, and one convergence argument. See DESIGN.md §7,
+//! Cyclic SCCs, self-looping units, units that can `$finish`, regions where
+//! promotion found no eligible signal (fusion without promotion trades away
+//! change-detection early-outs for nothing), regions too large for one
+//! program, and all blackboxes stay on the worklist, each unit on its own
+//! per-unit program; the engine's settle loop dispatches over **nodes**
+//! (regions first, then fallback units) so both tiers share one budget,
+//! one deadline probe, and one convergence argument. See DESIGN.md §7,
 //! "Static scheduling and region fusion".
 
 use crate::bytecode::{lower_region, BcProgram, NO_PROMOTION};
@@ -89,7 +89,7 @@ fn plain_assign_target(body: &CStmt) -> Option<SigId> {
 /// `mem_width` are the lowering width tables.
 pub(crate) fn build_schedule(
     compiled: &Compiled,
-    comb_progs: &[Option<BcProgram>],
+    comb_progs: &[BcProgram],
     sig_width: &[u32],
     mem_width: &[u32],
 ) -> Schedule {
@@ -126,16 +126,15 @@ pub(crate) fn build_schedule(
         next.dedup();
     }
 
-    // A unit is fusable iff it sits outside every cycle and lowered to a
-    // finish-free program.
+    // A unit is fusable iff it sits outside every cycle and its program
+    // cannot `$finish`.
     let mut fusable = vec![false; n_combs];
     for comp in tarjan(&adj) {
         if comp.len() > 1 {
             continue;
         }
         let u = comp[0];
-        fusable[u] = !self_loop[u]
-            && comb_progs[u].as_ref().is_some_and(|p| !p.has_finish());
+        fusable[u] = !self_loop[u] && !comb_progs[u].has_finish();
     }
     // A multi-driven signal's final value depends on writer execution
     // order; fused rank order can differ from the worklist's unit-index
@@ -282,12 +281,12 @@ pub(crate) fn build_schedule(
         }
         let bodies: Vec<&CStmt> =
             members.iter().map(|&u| &compiled.combs[u as usize].body).collect();
-        let prog = lower_region(&bodies, promoted.len() as u16, &promo_map, sig_width, mem_width);
+        let prog = lower_region(&bodies, promoted.len(), &promo_map, sig_width, mem_width);
         for sig in promoted {
             promo_map[sig.index()] = NO_PROMOTION;
         }
         match prog {
-            Some(prog) => {
+            Ok(prog) => {
                 kept_rid[rid] = regions.len();
                 regions.push(Region {
                     prog,
@@ -295,7 +294,7 @@ pub(crate) fn build_schedule(
                     promoted: promoted.clone(),
                 });
             }
-            None => {
+            Err(_) => {
                 for &u in members {
                     fusable[u as usize] = false;
                 }

@@ -477,3 +477,155 @@ fn reversed_range_is_typed_error() {
     let diag: hwdbg_diag::HwdbgError = err.into();
     assert_eq!(diag.code.as_str(), "E0408");
 }
+
+/// Every backend × settle-mode pairing: the reference first.
+const ALL_LEGS: [Leg; 4] = [
+    REFERENCE,
+    (Backend::Levelized, SettleMode::FullPass),
+    CHECKED[0],
+    CHECKED[1],
+];
+
+/// Elaborates a single-module test design `m`, asserting that every unit
+/// body lowers to bytecode.
+fn lowered_design(src: &str) -> hwdbg_dataflow::Design {
+    let design = hwdbg_dataflow::elaborate(
+        &hwdbg_rtl::parse(src).unwrap(),
+        "m",
+        &hwdbg_dataflow::NoBlackboxes,
+    )
+    .unwrap();
+    let compiled = hwdbg_sim::CompiledDesign::new(design.clone()).unwrap();
+    let (lowered, total) = compiled.lowering_coverage();
+    assert_eq!(lowered, total, "{lowered}/{total} units lowered");
+    design
+}
+
+/// Every scalar signal's value as a binary string, by name.
+fn state_of(sim: &Simulator) -> Vec<(String, String)> {
+    sim.state()
+        .iter_values()
+        .map(|(n, v)| (n.to_owned(), v.to_bin_string()))
+        .collect()
+}
+
+/// A blocking nested concat lvalue, `{{a, b}, c} = …`, in a comb block
+/// that fuses into a region with its promoted source `t`: compilation
+/// flattens the target MSB-first, and every leg matches the reference.
+#[test]
+fn nested_concat_lvalue_in_a_fused_region_matches() {
+    let design = lowered_design(
+        "module m(input clk, input [7:0] d, output [7:0] q);
+           wire [7:0] t; assign t = d + 8'd3;
+           reg [2:0] a; reg [4:0] b; reg [3:0] c;
+           always @(*) {{a, b}, c} = {t, t[7:4] ^ d[3:0]};
+           assign q = {a, b} ^ {c, c};
+         endmodule",
+    );
+    let run = |leg: Leg| {
+        let config = config(leg, RegInit::Zero);
+        let mut sim = Simulator::new(design.clone(), &hwdbg_sim::NoModels, config).unwrap();
+        if leg == PRODUCTION {
+            let (regions, _, fused) = sim.compiled_design().region_stats();
+            assert!(regions >= 1 && fused >= 1, "the concat unit must fuse with `t`");
+        }
+        let mut rng = SplitMix64::new(0xC0_CA7);
+        let mut trace = Vec::new();
+        for _ in 0..32 {
+            sim.poke_u64("d", rng.next_u64() & 0xff).unwrap();
+            sim.settle().unwrap();
+            trace.push(sim.peek("q").unwrap().to_u64());
+            sim.step("clk").unwrap();
+        }
+        (trace, state_of(&sim))
+    };
+    let reference = run(REFERENCE);
+    for leg in ALL_LEGS {
+        assert_eq!(run(leg), reference, "{leg:?}");
+    }
+}
+
+/// A nonblocking nested concat lvalue with a bit part and a memory part:
+/// under `strict_bounds` the MSB-most out-of-range part names the error
+/// and nothing commits; by default out-of-range parts drop and the rest
+/// commit. Every leg matches the reference.
+#[test]
+fn nested_concat_lvalue_in_a_clocked_process_matches() {
+    let design = lowered_design(
+        "module m(input clk, input [7:0] d, input [3:0] i, input [3:0] j);
+           reg [7:0] v; reg [3:0] w; reg [7:0] mem [0:4];
+           always @(posedge clk) {{v[i], w}, {mem[j], v[1:0]}} <= {d, ~d, d};
+         endmodule",
+    );
+    let run = |leg, strict_bounds, i, j| {
+        let config = SimConfig {
+            strict_bounds,
+            ..config(leg, RegInit::Zero)
+        };
+        let mut sim = Simulator::new(design.clone(), &hwdbg_sim::NoModels, config).unwrap();
+        sim.poke_u64("d", 0xb6).unwrap();
+        sim.poke_u64("i", i).unwrap();
+        sim.poke_u64("j", j).unwrap();
+        let result = sim.step("clk");
+        let mem = sim.state().mem("mem").map(<[_]>::to_vec);
+        (result, state_of(&sim), mem)
+    };
+    let oob = |signal: &str, index, depth| {
+        Err(hwdbg_sim::SimError::OutOfBounds {
+            signal: signal.into(),
+            index,
+            depth,
+        })
+    };
+    let reference: Vec<_> = [(true, 9, 6), (true, 2, 6), (false, 9, 6), (false, 2, 3)]
+        .iter()
+        .map(|&(strict, i, j)| run(REFERENCE, strict, i, j))
+        .collect();
+    assert_eq!(reference[0].0, oob("v", 9, 8), "MSB-first: `v[i]` is checked first");
+    assert_eq!(reference[1].0, oob("mem", 6, 5));
+    assert_eq!(reference[2].0, Ok(()));
+    for leg in ALL_LEGS {
+        for (k, &(strict, i, j)) in
+            [(true, 9, 6), (true, 2, 6), (false, 9, 6), (false, 2, 3)].iter().enumerate()
+        {
+            assert_eq!(run(leg, strict, i, j), reference[k], "{leg:?} strict={strict} i={i} j={j}");
+        }
+    }
+}
+
+/// A `for` loop over a 128-bit variable whose range crosses 2^64 lowers
+/// through the wide store, and every leg matches the reference.
+#[test]
+fn wide_loop_variable_matches() {
+    let design = lowered_design(
+        "module m(input clk, input [127:0] start, output reg [127:0] acc);
+           reg [127:0] i;
+           always @(posedge clk) begin
+             acc = 128'd0;
+             for (i = start; i < start + 128'd5; i = i + 128'd1)
+               acc = acc ^ (i << 3) ^ {64'd0, i[127:64]};
+           end
+         endmodule",
+    );
+    let run = |leg| {
+        let config = config(leg, RegInit::Zero);
+        let mut sim = Simulator::new(design.clone(), &hwdbg_sim::NoModels, config).unwrap();
+        let mut trace = Vec::new();
+        for start in [0u128, (1 << 64) - 3, u128::MAX - 9, 7 << 70] {
+            sim.poke("start", hwdbg_bits::Bits::from_u128(128, start)).unwrap();
+            sim.step("clk").unwrap();
+            trace.push(state_of(&sim));
+        }
+        trace
+    };
+    let reference = run(REFERENCE);
+    let i = |k: usize| reference[k].iter().find(|(n, _)| n == "i").map(|(_, v)| v.clone());
+    assert_eq!(
+        i(1),
+        Some(format!("{:0128b}", (1u128 << 64) + 2)),
+        "the loop must run past 2^64"
+    );
+    for leg in ALL_LEGS {
+        assert_eq!(run(leg), reference, "{leg:?}");
+    }
+}

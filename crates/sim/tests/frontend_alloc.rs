@@ -19,8 +19,8 @@
 //! - flatten: one rename table per instance, built once;
 //! - resolve and the held bytes: bodies stored once and `SigId`
 //!   read/write sets;
-//! - compile: the cold-path rewrite (linear-time clock plans, one-copy
-//!   signal table).
+//! - compile: constant select shapes (each part select holds its `lo`
+//!   and width instead of two boxed bound expressions).
 //!
 //! A failure means an allocation or a copy crept back into one of these
 //! phases; unlike a timing gate, this one has no noise.
@@ -38,7 +38,7 @@ const PHASES: [(&str, u64, u64); 4] = [
     ("parse", 7_252, 7_050),
     ("flatten", 6_232, 5_450),
     ("resolve", 5_964, 2_395),
-    ("compile", 4_886, 3_938),
+    ("compile", 3_938, 3_810),
 ];
 
 /// Bytes the 40 resolved designs hold: the total before bodies were

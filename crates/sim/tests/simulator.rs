@@ -610,6 +610,103 @@ fn display_field_width_is_bounded_at_compile_time() {
     }
 }
 
+/// A `$display` of `n` arguments holds `n` registers at once. One
+/// bytecode program addresses 65,535, so a display of 70,000 arguments is
+/// refused at compile time with a typed error, under every backend, while
+/// one of exactly 65,535 compiles and runs.
+#[test]
+fn display_arguments_beyond_one_programs_registers_are_refused() {
+    use hwdbg_sim::Backend;
+    let design_with = |n: usize| {
+        let src = format!(
+            "module m(input clk, input [3:0] a);
+                always @(posedge clk) $display(\"{}\", {});
+             endmodule",
+            "%h".repeat(n),
+            vec!["a"; n].join(", ")
+        );
+        elaborate(&parse(&src).unwrap(), "m", &NoBlackboxes).unwrap()
+    };
+    let (too_many, most) = (design_with(70_000), design_with(65_535));
+    for backend in [Backend::Tree, Backend::Levelized] {
+        let config = SimConfig::default().with_backend(backend);
+        let err = Simulator::new(too_many.clone(), &NoModels, config.clone()).unwrap_err();
+        assert_eq!(err, SimError::UnitTooLarge { resource: "65535 registers" });
+        let diag = hwdbg_diag::HwdbgError::from(err);
+        assert_eq!(diag.code.as_str(), "E0410");
+        let mut s = Simulator::new(most.clone(), &NoModels, config).unwrap();
+        s.poke_u64("a", 0xc).unwrap();
+        s.step("clk").unwrap();
+        assert_eq!(s.logs()[0].message, "c".repeat(65_535));
+    }
+}
+
+/// Selects of a parameter are constant (IEEE 1364-2005 §5.2.1): they bound
+/// a part select and count a replication, and a bit of a parameter may
+/// take a variable index.
+#[test]
+fn parameter_selects_simulate() {
+    use hwdbg_sim::Backend;
+    let src = "module m(input [15:0] x, output [6:0] y, output [7:0] z, output q, output r);
+        localparam P = 8'h26;
+        assign y = x[P[3:0]:0];
+        assign z = {P[1:0]{x[3:0]}};
+        assign q = x[P[7:4] + 1];
+        assign r = P[x[2:0]];
+     endmodule";
+    let design = elaborate(&parse(src).unwrap(), "m", &NoBlackboxes).unwrap();
+    for backend in [Backend::Tree, Backend::Levelized] {
+        let config = SimConfig::default().with_backend(backend);
+        let mut s = Simulator::new(design.clone(), &NoModels, config).unwrap();
+        let mut read = |x: u64| {
+            s.poke_u64("x", x).unwrap();
+            s.settle().unwrap();
+            ["y", "z", "q", "r"].map(|n| s.peek(n).unwrap().to_u64())
+        };
+        assert_eq!(read(0x26ae), [0x2e, 0xee, 1, 0], "{backend:?}");
+        assert_eq!(read(0x3a05), [0x05, 0x55, 0, 1], "{backend:?}");
+    }
+}
+
+/// A concat's parts are dead once pushed, so an rvalue or lvalue concat of
+/// more one-bit parts than a program has registers still compiles, and
+/// both backends agree on it.
+#[test]
+fn concats_of_more_parts_than_registers_compile() {
+    use hwdbg_sim::Backend;
+    const N: u32 = 70_000;
+    let rvalue: Vec<String> = (0..N).map(|i| format!("x[{i}]")).collect();
+    let lvalue: Vec<String> = (0..N).map(|i| format!("z[{i}:{i}]")).collect();
+    let src = format!(
+        "module m(input [{top}:0] x, output [{top}:0] y, output [{top}:0] z);
+            assign y = {{{}}};
+            assign {{{}}} = x;
+         endmodule",
+        rvalue.join(", "),
+        lvalue.join(", "),
+        top = N - 1
+    );
+    let design = elaborate(&parse(&src).unwrap(), "m", &NoBlackboxes).unwrap();
+    let mut x = Bits::zero(N);
+    for i in (0..N).step_by(7) {
+        x.set_bit(i, true);
+    }
+    let mut reversed = Bits::zero(N);
+    for i in 0..N {
+        reversed.set_bit(N - 1 - i, x.bit(i));
+    }
+    for backend in [Backend::Tree, Backend::Levelized] {
+        let config = SimConfig::default().with_backend(backend);
+        let mut s = Simulator::new(design.clone(), &NoModels, config).unwrap();
+        let (lowered, total) = s.compiled_design().lowering_coverage();
+        assert_eq!(lowered, total);
+        s.poke("x", x.clone()).unwrap();
+        s.settle().unwrap();
+        assert_eq!(s.peek("y").unwrap(), &reversed, "{backend:?}");
+        assert_eq!(s.peek("z").unwrap(), &reversed, "{backend:?}");
+    }
+}
+
 #[test]
 fn poke_and_peek_unknown_signal_error() {
     let mut s = sim(
