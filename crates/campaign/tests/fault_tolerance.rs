@@ -26,18 +26,24 @@ use std::time::Duration;
 // -------------------------------------------------------------------
 
 /// A behavioral model that panics on its `fuse`-th clock tick —
-/// simulating a buggy third-party IP model crashing mid-campaign.
+/// simulating a buggy third-party IP model crashing mid-campaign. It
+/// names the ports of the standard model it replaces.
 struct PanicBomb {
+    ports: &'static [&'static str],
     ticks: u64,
     fuse: u64,
 }
 
 impl Blackbox for PanicBomb {
-    fn eval_port(&mut self, _port: &str, _inputs: &BTreeMap<String, Bits>, _out: &mut Bits) -> bool {
+    fn ports(&self) -> &'static [&'static str] {
+        self.ports
+    }
+
+    fn eval_port(&self, _port: usize, _out: &mut Bits) -> bool {
         false
     }
 
-    fn tick(&mut self, _clock_port: &str, _inputs: &BTreeMap<String, Bits>) {
+    fn tick(&mut self, _clock_port: usize, _inputs: &[Bits]) {
         self.ticks += 1;
         assert!(self.ticks < self.fuse, "injected model crash at tick {}", self.ticks);
     }
@@ -56,6 +62,7 @@ impl BlackboxFactory for BombModels {
     fn create(&self, inst: &BbInst) -> Option<Box<dyn Blackbox + Send>> {
         if inst.module == "scfifo" {
             Some(Box::new(PanicBomb {
+                ports: StdModels.create(inst)?.ports(),
                 ticks: 0,
                 fuse: self.fuse,
             }))

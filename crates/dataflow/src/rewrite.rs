@@ -4,8 +4,8 @@
 //! parameters with their bound constants; the instrumentation passes in
 //! `hwdbg-tools` reuse the same machinery.
 
-use crate::DataflowError;
-use hwdbg_rtl::{CaseArm, Expr, LValue, Stmt};
+use crate::{eval_const, ConstEnv, DataflowError};
+use hwdbg_rtl::{BinaryOp, CaseArm, Expr, LValue, Stmt};
 
 /// What an identifier rewrites to.
 #[derive(Debug, Clone)]
@@ -20,8 +20,8 @@ pub enum Repl {
 ///
 /// # Errors
 ///
-/// Fails if an indexed/part-selected base name is rewritten to a non-name
-/// expression (selecting into a parameter is not supported).
+/// Fails if a select of a parameter has non-constant or reversed part-select
+/// bounds.
 pub fn rewrite_expr(
     expr: &Expr,
     f: &dyn Fn(&str) -> Repl,
@@ -43,12 +43,20 @@ pub fn rewrite_expr(
             Box::new(rewrite_expr(t, f)?),
             Box::new(rewrite_expr(e, f)?),
         ),
-        Expr::Index(n, i) => Expr::Index(base_name(n, f)?, Box::new(rewrite_expr(i, f)?)),
-        Expr::Range(n, a, b) => Expr::Range(
-            base_name(n, f)?,
-            Box::new(rewrite_expr(a, f)?),
-            Box::new(rewrite_expr(b, f)?),
-        ),
+        Expr::Index(n, i) => {
+            let i = Box::new(rewrite_expr(i, f)?);
+            match f(n) {
+                Repl::Name(n) => Expr::Index(n, i),
+                Repl::Expr(e) => fold_select(n, e, Expr::Index(n.to_owned(), i))?,
+            }
+        }
+        Expr::Range(n, a, b) => {
+            let (a, b) = (Box::new(rewrite_expr(a, f)?), Box::new(rewrite_expr(b, f)?));
+            match f(n) {
+                Repl::Name(n) => Expr::Range(n, a, b),
+                Repl::Expr(e) => fold_select(n, e, Expr::Range(n.to_owned(), a, b))?,
+            }
+        }
         Expr::Concat(parts) => Expr::Concat(
             parts
                 .iter()
@@ -62,6 +70,23 @@ pub fn rewrite_expr(
         Expr::WidthCast(w, e) => Expr::WidthCast(*w, Box::new(rewrite_expr(e, f)?)),
         Expr::SignCast(s, e) => Expr::SignCast(*s, Box::new(rewrite_expr(e, f)?)),
     })
+}
+
+/// A select of parameter `n`, whose value is the constant expression
+/// `value`, as a literal: a constant select of a parameter is a constant
+/// (IEEE 1364-2005 §5.2.1), folded as [`eval_const`] folds one of a
+/// `localparam`. A bit-select at a varying index becomes `(value >> idx)`
+/// cut to one bit.
+fn fold_select(n: &str, value: Expr, select: Expr) -> Result<Expr, DataflowError> {
+    let env = ConstEnv::from([(n.to_owned(), eval_const(&value, &ConstEnv::new())?)]);
+    match (eval_const(&select, &env), select) {
+        (Ok(v), _) => Ok(Expr::Literal { value: v, sized: true }),
+        (Err(DataflowError::NotConstant(_)), Expr::Index(_, idx)) => Ok(Expr::WidthCast(
+            1,
+            Box::new(Expr::Binary(BinaryOp::Shr, Box::new(value), idx)),
+        )),
+        (Err(e), _) => Err(e),
+    }
 }
 
 fn base_name(n: &str, f: &dyn Fn(&str) -> Repl) -> Result<String, DataflowError> {
@@ -198,9 +223,17 @@ mod tests {
     }
 
     #[test]
-    fn indexing_a_parameter_fails() {
-        let e = parse_expr("P[2]").unwrap();
-        let r = rewrite_expr(&e, &|_| Repl::Expr(Expr::number(3)));
-        assert!(r.is_err());
+    fn selects_of_a_parameter_fold() {
+        let p = |n: &str| match n {
+            "P" => Repl::Expr(Expr::sized(8, 0x26)),
+            other => Repl::Name(other.to_owned()),
+        };
+        let fold = |src: &str| rewrite_expr(&parse_expr(src).unwrap(), &p).map(|e| print_expr(&e));
+        assert_eq!(fold("P[5:1]").unwrap(), "5'h13");
+        assert_eq!(fold("P[2]").unwrap(), "1'h1");
+        assert_eq!(fold("x[P[3:0]:0]").unwrap(), "x[4'h6:0]");
+        assert!(fold("P[k]").unwrap().contains(">>"), "a varying bit-select shifts");
+        assert!(fold("P[1:5]").is_err(), "reversed bounds");
+        assert!(fold("P[k:0]").is_err(), "varying part-select bounds");
     }
 }

@@ -458,23 +458,33 @@ endmodule";
 /// §5.2.1), so they may bound a part select or count a replication.
 #[test]
 fn parameter_selects_are_constant_bounds_and_counts() {
-    let src = "module m(input [15:0] x, output [6:0] y, output [7:0] z, output q);
-    localparam P = 8'h26;
-    assign y = x[P[3:0]:0];
+    let body = "assign y = x[P[3:0]:0];
     assign z = {P[1:0]{x[3:0]}};
     assign q = x[P[7:4] + 1];
 endmodule";
-    let d = elaborate(&parse(src).unwrap(), "m", &NoBlackboxes).unwrap();
-    let rhs = |target: &str| {
-        d.combs
-            .iter()
-            .find_map(|c| match &c.body {
-                Stmt::Assign { lhs: LValue::Id(n), rhs, .. } if n == target => Some(rhs.clone()),
-                _ => None,
-            })
-            .unwrap()
-    };
-    assert_eq!(d.width_of(&rhs("y")), Ok(7));
-    assert_eq!(d.width_of(&rhs("z")), Ok(8));
-    assert_eq!(d.width_of(&rhs("q")), Ok(1));
+    // A `localparam`, and a header parameter, whose value `flatten`
+    // substitutes for its name, so its selects fold there.
+    for head in [
+        "module m(input [15:0] x, output [6:0] y, output [7:0] z, output q);
+    localparam P = 8'h26;",
+        "module m #(parameter P = 8'h26) (input [15:0] x, output [6:0] y, output [7:0] z,
+    output q);",
+    ] {
+        let src = format!("{head}\n    {body}");
+        let d = elaborate(&parse(&src).unwrap(), "m", &NoBlackboxes).unwrap();
+        let rhs = |target: &str| {
+            d.combs
+                .iter()
+                .find_map(|c| match &c.body {
+                    Stmt::Assign { lhs: LValue::Id(n), rhs, .. } if n == target => {
+                        Some(rhs.clone())
+                    }
+                    _ => None,
+                })
+                .unwrap()
+        };
+        assert_eq!(d.width_of(&rhs("y")), Ok(7), "{head}");
+        assert_eq!(d.width_of(&rhs("z")), Ok(8), "{head}");
+        assert_eq!(d.width_of(&rhs("q")), Ok(1), "{head}");
+    }
 }

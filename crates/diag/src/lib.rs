@@ -120,9 +120,9 @@ pub enum ErrorCode {
     /// A connection's width disagrees with the port/signal width.
     WidthMismatch,
     // E04xx: simulation runtime.
-    /// Non-constant select bounds or replication count: `resolve` refuses
-    /// these (E0201), so only a width query on an expression outside a
-    /// design raises it.
+    /// Reserved: non-constant select bounds or replication count. Nothing
+    /// raises it, because `resolve` refuses these (E0201); the code stays
+    /// assigned so it is never reused.
     NonConstSelect,
     /// Combinational logic failed to reach a fixpoint.
     CombLoop,

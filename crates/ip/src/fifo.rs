@@ -1,18 +1,41 @@
 //! Behavioral models of the Intel-style FIFO IPs: `scfifo` (single clock)
 //! and `dcfifo` (dual clock).
 
+use crate::{bit, word};
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::clog2;
 use hwdbg_sim::Blackbox;
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 
-fn input(inputs: &BTreeMap<String, Bits>, name: &str) -> Bits {
-    inputs.get(name).cloned().unwrap_or_else(|| Bits::zero(1))
+ip_ports! {
+    /// `scfifo`'s ports.
+    ScfifoPort {
+        Clock = "clock" Input Const(1), clock;
+        Data = "data" Input Param("WIDTH".into());
+        Wrreq = "wrreq" Input Const(1);
+        Rdreq = "rdreq" Input Const(1);
+        Sclr = "sclr" Input Const(1);
+        Aclr = "aclr" Input Const(1);
+        Q = "q" Output Param("WIDTH".into());
+        Empty = "empty" Output Const(1);
+        Full = "full" Output Const(1);
+        Usedw = "usedw" Output Clog2Param("DEPTH".into());
+    }
 }
 
-fn input_bool(inputs: &BTreeMap<String, Bits>, name: &str) -> bool {
-    inputs.get(name).is_some_and(Bits::to_bool)
+ip_ports! {
+    /// `dcfifo`'s ports.
+    DcfifoPort {
+        Wrclk = "wrclk" Input Const(1), clock;
+        Rdclk = "rdclk" Input Const(1), clock;
+        Data = "data" Input Param("WIDTH".into());
+        Wrreq = "wrreq" Input Const(1);
+        Rdreq = "rdreq" Input Const(1);
+        Q = "q" Output Param("WIDTH".into());
+        Rdempty = "rdempty" Output Const(1);
+        Wrfull = "wrfull" Output Const(1);
+        Wrusedw = "wrusedw" Output Clog2Param("DEPTH".into());
+    }
 }
 
 /// Single-clock FIFO (`scfifo`).
@@ -57,56 +80,44 @@ impl Scfifo {
 }
 
 impl Blackbox for Scfifo {
-    fn eval_port(&mut self, port: &str, _inputs: &BTreeMap<String, Bits>, out: &mut Bits) -> bool {
-        match port {
-            "empty" => out.set_bool(self.queue.is_empty()),
-            "full" => out.set_bool(self.queue.len() as u64 >= self.depth),
-            "usedw" => out.set_u64(clog2(self.depth) + 1, self.queue.len() as u64),
-            "q" if self.showahead => match self.queue.front() {
+    fn ports(&self) -> &'static [&'static str] {
+        ScfifoPort::NAMES
+    }
+
+    fn eval_port(&self, port: usize, out: &mut Bits) -> bool {
+        match ScfifoPort::at(port) {
+            Some(ScfifoPort::Empty) => out.set_bool(self.queue.is_empty()),
+            Some(ScfifoPort::Full) => out.set_bool(self.queue.len() as u64 >= self.depth),
+            Some(ScfifoPort::Usedw) => {
+                out.set_u64(clog2(self.depth) + 1, self.queue.len() as u64)
+            }
+            Some(ScfifoPort::Q) if self.showahead => match self.queue.front() {
                 Some(head) => out.assign_from(head),
                 None => out.set_zero(self.width),
             },
-            "q" => out.assign_from(&self.q_reg),
+            Some(ScfifoPort::Q) => out.assign_from(&self.q_reg),
             _ => return false,
         }
         true
     }
 
-    fn tick(&mut self, _clock_port: &str, inputs: &BTreeMap<String, Bits>) {
-        if input_bool(inputs, "sclr") || input_bool(inputs, "aclr") {
+    fn tick(&mut self, _clock_port: usize, inputs: &[Bits]) {
+        if bit(inputs, ScfifoPort::Sclr) || bit(inputs, ScfifoPort::Aclr) {
             self.queue.clear();
             self.q_reg = Bits::zero(self.width);
             return;
         }
-        let rd = input_bool(inputs, "rdreq");
-        let wr = input_bool(inputs, "wrreq");
-        if rd {
+        if bit(inputs, ScfifoPort::Rdreq) {
             if let Some(head) = self.queue.pop_front() {
                 self.q_reg = head;
             }
         }
-        if wr && (self.queue.len() as u64) < self.depth {
-            self.queue.push_back(input(inputs, "data").resize(self.width));
+        if bit(inputs, ScfifoPort::Wrreq) && (self.queue.len() as u64) < self.depth {
+            self.queue.push_back(word(inputs, ScfifoPort::Data, self.width));
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn snapshot(&self) -> Option<Box<dyn Any + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore(&mut self, state: &dyn Any) -> bool {
-        match state.downcast_ref::<Self>() {
-            Some(st) => {
-                *self = st.clone();
-                true
-            }
-            None => false,
-        }
-    }
+    clone_state!();
 }
 
 /// Dual-clock FIFO (`dcfifo`): writes on `wrclk`, reads on `rdclk`.
@@ -133,12 +144,18 @@ impl Dcfifo {
 }
 
 impl Blackbox for Dcfifo {
-    fn eval_port(&mut self, port: &str, _inputs: &BTreeMap<String, Bits>, out: &mut Bits) -> bool {
-        match port {
-            "rdempty" => out.set_bool(self.queue.is_empty()),
-            "wrfull" => out.set_bool(self.queue.len() as u64 >= self.depth),
-            "wrusedw" => out.set_u64(clog2(self.depth) + 1, self.queue.len() as u64),
-            "q" => match self.queue.front() {
+    fn ports(&self) -> &'static [&'static str] {
+        DcfifoPort::NAMES
+    }
+
+    fn eval_port(&self, port: usize, out: &mut Bits) -> bool {
+        match DcfifoPort::at(port) {
+            Some(DcfifoPort::Rdempty) => out.set_bool(self.queue.is_empty()),
+            Some(DcfifoPort::Wrfull) => out.set_bool(self.queue.len() as u64 >= self.depth),
+            Some(DcfifoPort::Wrusedw) => {
+                out.set_u64(clog2(self.depth) + 1, self.queue.len() as u64)
+            }
+            Some(DcfifoPort::Q) => match self.queue.front() {
                 Some(head) => out.assign_from(head),
                 None => out.set_zero(self.width),
             },
@@ -147,41 +164,28 @@ impl Blackbox for Dcfifo {
         true
     }
 
-    fn tick(&mut self, clock_port: &str, inputs: &BTreeMap<String, Bits>) {
-        match clock_port {
-            "wrclk" if input_bool(inputs, "wrreq") && (self.queue.len() as u64) < self.depth => {
-                self.queue.push_back(input(inputs, "data").resize(self.width));
+    fn tick(&mut self, clock_port: usize, inputs: &[Bits]) {
+        match DcfifoPort::at(clock_port) {
+            Some(DcfifoPort::Wrclk)
+                if bit(inputs, DcfifoPort::Wrreq) && (self.queue.len() as u64) < self.depth =>
+            {
+                self.queue.push_back(word(inputs, DcfifoPort::Data, self.width));
             }
-            "rdclk" if input_bool(inputs, "rdreq") => {
+            Some(DcfifoPort::Rdclk) if bit(inputs, DcfifoPort::Rdreq) => {
                 self.queue.pop_front();
             }
             _ => {}
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn snapshot(&self) -> Option<Box<dyn Any + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore(&mut self, state: &dyn Any) -> bool {
-        match state.downcast_ref::<Self>() {
-            Some(st) => {
-                *self = st.clone();
-                true
-            }
-            None => false,
-        }
-    }
+    clone_state!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::output;
+    use crate::{inputs, output};
+    use ScfifoPort as S;
 
     fn params(width: u64, depth: u64) -> BTreeMap<String, Bits> {
         let mut p = BTreeMap::new();
@@ -190,54 +194,51 @@ mod tests {
         p
     }
 
-    fn wr(v: u64) -> BTreeMap<String, Bits> {
-        let mut m = BTreeMap::new();
-        m.insert("wrreq".into(), Bits::from_bool(true));
-        m.insert("data".into(), Bits::from_u64(8, v));
-        m
+    fn wr(v: u64) -> Vec<Bits> {
+        inputs(S::NAMES.len(), [(S::Wrreq, 1), (S::Data, v)])
     }
 
-    fn rd() -> BTreeMap<String, Bits> {
-        let mut m = BTreeMap::new();
-        m.insert("rdreq".into(), Bits::from_bool(true));
-        m
+    fn rd() -> Vec<Bits> {
+        inputs(S::NAMES.len(), [(S::Rdreq, 1)])
+    }
+
+    fn tick(f: &mut Scfifo, inputs: &[Bits]) {
+        f.tick(S::Clock.into(), inputs);
     }
 
     #[test]
     fn scfifo_showahead_order() {
         let mut f = Scfifo::new(&params(8, 4));
-        f.tick("clock", &wr(1));
-        f.tick("clock", &wr(2));
-        assert_eq!(output(&mut f, "q").to_u64(), 1);
-        assert!(!output(&mut f, "empty").to_bool());
-        f.tick("clock", &rd());
-        assert_eq!(output(&mut f, "q").to_u64(), 2);
-        f.tick("clock", &rd());
-        assert!(output(&mut f, "empty").to_bool());
+        tick(&mut f, &wr(1));
+        tick(&mut f, &wr(2));
+        assert_eq!(output(&f, S::Q).to_u64(), 1);
+        assert!(!output(&f, S::Empty).to_bool());
+        tick(&mut f, &rd());
+        assert_eq!(output(&f, S::Q).to_u64(), 2);
+        tick(&mut f, &rd());
+        assert!(output(&f, S::Empty).to_bool());
     }
 
     #[test]
     fn scfifo_full_drops_writes() {
         let mut f = Scfifo::new(&params(8, 2));
         for v in 1..=5 {
-            f.tick("clock", &wr(v));
+            tick(&mut f, &wr(v));
         }
         assert_eq!(f.len(), 2);
-        assert!(output(&mut f, "full").to_bool());
-        assert_eq!(output(&mut f, "usedw").to_u64(), 2);
+        assert!(output(&f, S::Full).to_bool());
+        assert_eq!(output(&f, S::Usedw).to_u64(), 2);
     }
 
     #[test]
     fn scfifo_simultaneous_rd_wr_when_full() {
         let mut f = Scfifo::new(&params(8, 2));
-        f.tick("clock", &wr(1));
-        f.tick("clock", &wr(2));
+        tick(&mut f, &wr(1));
+        tick(&mut f, &wr(2));
         // Read frees a slot in the same cycle the write lands.
-        let mut both = wr(3);
-        both.insert("rdreq".into(), Bits::from_bool(true));
-        f.tick("clock", &both);
+        tick(&mut f, &inputs(S::NAMES.len(), [(S::Wrreq, 1), (S::Data, 3), (S::Rdreq, 1)]));
         assert_eq!(f.len(), 2);
-        assert_eq!(output(&mut f, "q").to_u64(), 2);
+        assert_eq!(output(&f, S::Q).to_u64(), 2);
     }
 
     #[test]
@@ -245,34 +246,35 @@ mod tests {
         let mut p = params(8, 4);
         p.insert("SHOWAHEAD".into(), Bits::from_u64(1, 0));
         let mut f = Scfifo::new(&p);
-        f.tick("clock", &wr(7));
-        assert_eq!(output(&mut f, "q").to_u64(), 0); // not popped yet
-        f.tick("clock", &rd());
-        assert_eq!(output(&mut f, "q").to_u64(), 7);
+        tick(&mut f, &wr(7));
+        assert_eq!(output(&f, S::Q).to_u64(), 0); // not popped yet
+        tick(&mut f, &rd());
+        assert_eq!(output(&f, S::Q).to_u64(), 7);
     }
 
     #[test]
     fn scfifo_sclr_clears() {
         let mut f = Scfifo::new(&params(8, 4));
-        f.tick("clock", &wr(1));
-        let mut clr = BTreeMap::new();
-        clr.insert("sclr".into(), Bits::from_bool(true));
-        f.tick("clock", &clr);
+        tick(&mut f, &wr(1));
+        tick(&mut f, &inputs(S::NAMES.len(), [(S::Sclr, 1)]));
         assert!(f.is_empty());
     }
 
     #[test]
     fn dcfifo_two_domains() {
+        use DcfifoPort as D;
         let mut f = Dcfifo::new(&params(16, 4));
-        let mut w = BTreeMap::new();
-        w.insert("wrreq".into(), Bits::from_bool(true));
-        w.insert("data".into(), Bits::from_u64(16, 0xBEEF));
-        f.tick("wrclk", &w);
-        assert!(!output(&mut f, "rdempty").to_bool());
-        assert_eq!(output(&mut f, "q").to_u64(), 0xBEEF);
-        let mut r = BTreeMap::new();
-        r.insert("rdreq".into(), Bits::from_bool(true));
-        f.tick("rdclk", &r);
-        assert!(output(&mut f, "rdempty").to_bool());
+        f.tick(D::Wrclk.into(), &inputs(D::NAMES.len(), [(D::Wrreq, 1), (D::Data, 0xBEEF)]));
+        assert!(!output(&f, D::Rdempty).to_bool());
+        assert_eq!(output(&f, D::Q).to_u64(), 0xBEEF);
+        f.tick(D::Rdclk.into(), &inputs(D::NAMES.len(), [(D::Rdreq, 1)]));
+        assert!(output(&f, D::Rdempty).to_bool());
+    }
+
+    #[test]
+    fn a_short_input_slice_reads_zero() {
+        let mut f = Scfifo::new(&params(8, 4));
+        tick(&mut f, &[]);
+        assert!(f.is_empty());
     }
 }

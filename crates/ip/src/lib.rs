@@ -36,6 +36,69 @@
 
 #![warn(missing_docs)]
 
+/// Declares an IP's ports once, in position order. `$port` gets one
+/// variant per port, whose discriminant is the port's position, the index
+/// the simulator passes to the model; `NAMES` is the model's port list and
+/// `spec_ports` the spec's, so the two cannot disagree.
+macro_rules! ip_ports {
+    ($(#[$doc:meta])* $port:ident {
+        $($var:ident = $name:literal $dir:ident $width:expr $(, $clock:ident)?;)*
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub(crate) enum $port {
+            $($var),*
+        }
+
+        impl $port {
+            /// Port names in position order: the model's port list.
+            pub(crate) const NAMES: &'static [&'static str] = &[$($name),*];
+
+            /// The port at position `i`.
+            pub(crate) fn at(i: usize) -> Option<Self> {
+                [$($port::$var),*].get(i).copied()
+            }
+
+            /// The spec's ports, in position order.
+            pub(crate) fn spec_ports() -> Vec<hwdbg_dataflow::BbPort> {
+                use hwdbg_dataflow::{BbDir::*, WidthSpec::*};
+                vec![$(hwdbg_dataflow::BbPort {
+                    name: $name.into(),
+                    dir: $dir,
+                    width: $width,
+                    is_clock: ip_ports!(@clock $($clock)?),
+                }),*]
+            }
+        }
+
+        impl From<$port> for usize {
+            fn from(p: $port) -> usize {
+                p as usize
+            }
+        }
+    };
+    (@clock clock) => { true };
+    (@clock) => { false };
+}
+
+/// A `Clone` model's [`Blackbox`] downcast and checkpoint methods: the
+/// snapshot is a clone of the whole model.
+macro_rules! clone_state {
+    () => {
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+
+        fn snapshot(&self) -> Option<Box<dyn std::any::Any + Send>> {
+            Some(Box::new(self.clone()))
+        }
+
+        fn restore(&mut self, state: &dyn std::any::Any) -> bool {
+            state.downcast_ref::<Self>().map(|st| *self = st.clone()).is_some()
+        }
+    };
+}
+
 mod fifo;
 mod ram;
 mod trace;
@@ -44,123 +107,42 @@ pub use fifo::{Dcfifo, Scfifo};
 pub use ram::Altsyncram;
 pub use trace::{TraceBuffer, TraceEntry};
 
-use hwdbg_dataflow::{BbDir, BbInst, BbPort, BlackboxLib, BlackboxSpec, IpRelation, WidthSpec};
+use fifo::{DcfifoPort, ScfifoPort};
+use hwdbg_bits::Bits;
+use hwdbg_dataflow::{BbInst, BlackboxLib, BlackboxSpec, IpRelation};
 use hwdbg_sim::{Blackbox, BlackboxFactory};
+use ram::AltsyncramPort;
 use std::collections::BTreeMap;
+use trace::TracePort;
+
+/// Input `port` of a port-indexed input slice, as a condition; false when
+/// the slice has no such position.
+fn bit(inputs: &[Bits], port: impl Into<usize>) -> bool {
+    inputs.get(port.into()).is_some_and(Bits::to_bool)
+}
+
+/// Input `port` of a port-indexed input slice, cut or zero-extended to
+/// `width` bits.
+fn word(inputs: &[Bits], port: impl Into<usize>, width: u32) -> Bits {
+    inputs
+        .get(port.into())
+        .map_or_else(|| Bits::zero(width), |b| b.resize(width))
+}
 
 /// Name of the recording IP module SignalCat instantiates.
 pub const TRACE_BUFFER_MODULE: &str = "trace_buffer";
 
-fn port(name: &str, dir: BbDir, width: WidthSpec, is_clock: bool) -> BbPort {
-    BbPort {
-        name: name.into(),
-        dir,
-        width,
-        is_clock,
-    }
-}
-
-fn rel(src: &str, dst: &str, cond: Option<&str>, latency: u32) -> IpRelation {
-    IpRelation {
-        src: src.into(),
-        dst: dst.into(),
-        cond: cond.map(Into::into),
-        latency,
-    }
-}
-
-fn scfifo_spec() -> BlackboxSpec {
-    use BbDir::*;
-    let w = || WidthSpec::Param("WIDTH".into());
-    BlackboxSpec {
-        name: "scfifo".into(),
-        ports: vec![
-            port("clock", Input, WidthSpec::Const(1), true),
-            port("data", Input, w(), false),
-            port("wrreq", Input, WidthSpec::Const(1), false),
-            port("rdreq", Input, WidthSpec::Const(1), false),
-            port("sclr", Input, WidthSpec::Const(1), false),
-            port("aclr", Input, WidthSpec::Const(1), false),
-            port("q", Output, w(), false),
-            port("empty", Output, WidthSpec::Const(1), false),
-            port("full", Output, WidthSpec::Const(1), false),
-            port("usedw", Output, WidthSpec::Clog2Param("DEPTH".into()), false),
-        ],
-        relations: vec![
-            rel("data", "q", Some("wrreq"), 1),
-            rel("wrreq", "empty", None, 1),
-            rel("wrreq", "full", None, 1),
-            rel("wrreq", "usedw", None, 1),
-            rel("rdreq", "q", None, 1),
-            rel("rdreq", "empty", None, 1),
-            rel("rdreq", "full", None, 1),
-            rel("rdreq", "usedw", None, 1),
-        ],
-    }
-}
-
-fn dcfifo_spec() -> BlackboxSpec {
-    use BbDir::*;
-    let w = || WidthSpec::Param("WIDTH".into());
-    BlackboxSpec {
-        name: "dcfifo".into(),
-        ports: vec![
-            port("wrclk", Input, WidthSpec::Const(1), true),
-            port("rdclk", Input, WidthSpec::Const(1), true),
-            port("data", Input, w(), false),
-            port("wrreq", Input, WidthSpec::Const(1), false),
-            port("rdreq", Input, WidthSpec::Const(1), false),
-            port("q", Output, w(), false),
-            port("rdempty", Output, WidthSpec::Const(1), false),
-            port("wrfull", Output, WidthSpec::Const(1), false),
-            port("wrusedw", Output, WidthSpec::Clog2Param("DEPTH".into()), false),
-        ],
-        relations: vec![
-            rel("data", "q", Some("wrreq"), 1),
-            rel("wrreq", "rdempty", None, 1),
-            rel("wrreq", "wrfull", None, 1),
-            rel("rdreq", "q", None, 1),
-            rel("rdreq", "rdempty", None, 1),
-            rel("rdreq", "wrfull", None, 1),
-        ],
-    }
-}
-
-fn altsyncram_spec() -> BlackboxSpec {
-    use BbDir::*;
-    BlackboxSpec {
-        name: "altsyncram".into(),
-        ports: vec![
-            port("clock0", Input, WidthSpec::Const(1), true),
-            port("data", Input, WidthSpec::Param("WIDTH".into()), false),
-            port("wraddress", Input, WidthSpec::Clog2Param("DEPTH".into()), false),
-            port("wren", Input, WidthSpec::Const(1), false),
-            port("rdaddress", Input, WidthSpec::Clog2Param("DEPTH".into()), false),
-            port("q", Output, WidthSpec::Param("WIDTH".into()), false),
-        ],
-        relations: vec![
-            rel("data", "q", Some("wren"), 1),
-            rel("wraddress", "q", Some("wren"), 1),
-            rel("rdaddress", "q", None, 1),
-        ],
-    }
-}
-
-fn trace_buffer_spec() -> BlackboxSpec {
-    use BbDir::*;
-    BlackboxSpec {
-        name: TRACE_BUFFER_MODULE.into(),
-        ports: vec![
-            port("clock", Input, WidthSpec::Const(1), true),
-            port("enable", Input, WidthSpec::Const(1), false),
-            port("din", Input, WidthSpec::Param("WIDTH".into()), false),
-            port("trigger", Input, WidthSpec::Const(1), false),
-            port("full", Output, WidthSpec::Const(1), false),
-            port("count", Output, WidthSpec::Const(32), false),
-        ],
-        // The trace buffer never feeds back into the design; no relations.
-        relations: vec![],
-    }
+/// Dependency relations of a registered output: `src` reaches each of
+/// `dsts` one cycle later, gated by input `cond` when there is one.
+fn registered(src: &str, dsts: &[&str], cond: Option<&str>) -> Vec<IpRelation> {
+    dsts.iter()
+        .map(|dst| IpRelation {
+            src: src.into(),
+            dst: (*dst).into(),
+            cond: cond.map(Into::into),
+            latency: 1,
+        })
+        .collect()
 }
 
 /// The standard IP library: static specs for `scfifo`, `dcfifo`,
@@ -173,15 +155,31 @@ pub struct StdIpLib {
 impl StdIpLib {
     /// Builds the library.
     pub fn new() -> Self {
-        let mut specs = BTreeMap::new();
-        for s in [
-            scfifo_spec(),
-            dcfifo_spec(),
-            altsyncram_spec(),
-            trace_buffer_spec(),
-        ] {
-            specs.insert(s.name.clone(), s);
-        }
+        // A FIFO: `data` reaches `q` when written; both requests reach
+        // the status outputs, and a read reaches `q` too.
+        let fifo = |status: &[&str]| {
+            let mut rels = registered("data", &["q"], Some("wrreq"));
+            rels.extend(registered("wrreq", status, None));
+            rels.extend(registered("rdreq", &[&["q"], status].concat(), None));
+            rels
+        };
+        let mut ram = registered("data", &["q"], Some("wren"));
+        ram.extend(registered("wraddress", &["q"], Some("wren")));
+        ram.extend(registered("rdaddress", &["q"], None));
+        let specs = [
+            ("scfifo", ScfifoPort::spec_ports(), fifo(&["empty", "full", "usedw"])),
+            ("dcfifo", DcfifoPort::spec_ports(), fifo(&["rdempty", "wrfull"])),
+            ("altsyncram", AltsyncramPort::spec_ports(), ram),
+            // The trace buffer never feeds back into the design.
+            (TRACE_BUFFER_MODULE, TracePort::spec_ports(), Vec::new()),
+        ];
+        let specs = specs
+            .into_iter()
+            .map(|(name, ports, relations)| {
+                let spec = BlackboxSpec { name: name.into(), ports, relations };
+                (spec.name.clone(), spec)
+            })
+            .collect();
         StdIpLib { specs }
     }
 }
@@ -214,11 +212,23 @@ impl BlackboxFactory for StdModels {
     }
 }
 
-/// The value `model` drives on output `port` with no inputs connected.
+/// The value `model` drives on the output at position `port`.
 #[cfg(test)]
-fn output(model: &mut dyn Blackbox, port: &str) -> hwdbg_bits::Bits {
-    let mut v = hwdbg_bits::Bits::default();
-    assert!(model.eval_port(port, &BTreeMap::new(), &mut v), "no output `{port}`");
+fn output(model: &dyn Blackbox, port: impl Into<usize>) -> Bits {
+    let port = port.into();
+    let mut v = Bits::default();
+    assert!(model.eval_port(port, &mut v), "no output at position {port}");
+    v
+}
+
+/// A port-indexed input slice of `n` ports with `set` driven and every
+/// other port zero.
+#[cfg(test)]
+fn inputs<P: Into<usize>>(n: usize, set: impl IntoIterator<Item = (P, u64)>) -> Vec<Bits> {
+    let mut v = vec![Bits::zero(1); n];
+    for (p, x) in set {
+        v[p.into()] = Bits::from_u64(64, x);
+    }
     v
 }
 

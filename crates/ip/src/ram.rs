@@ -1,10 +1,22 @@
 //! Behavioral model of `altsyncram` in simple dual-port mode
 //! (one write port, one registered read port).
 
+use crate::{bit, word};
 use hwdbg_bits::Bits;
 use hwdbg_sim::Blackbox;
-use std::any::Any;
 use std::collections::BTreeMap;
+
+ip_ports! {
+    /// `altsyncram`'s ports.
+    AltsyncramPort {
+        Clock0 = "clock0" Input Const(1), clock;
+        Data = "data" Input Param("WIDTH".into());
+        Wraddress = "wraddress" Input Clog2Param("DEPTH".into());
+        Wren = "wren" Input Const(1);
+        Rdaddress = "rdaddress" Input Clog2Param("DEPTH".into());
+        Q = "q" Output Param("WIDTH".into());
+    }
+}
 
 /// Simple dual-port block RAM: synchronous write, registered synchronous
 /// read (`q` updates one cycle after `rdaddress`, old-data behavior on
@@ -39,9 +51,13 @@ impl Altsyncram {
 }
 
 impl Blackbox for Altsyncram {
-    fn eval_port(&mut self, port: &str, _inputs: &BTreeMap<String, Bits>, out: &mut Bits) -> bool {
-        match port {
-            "q" => {
+    fn ports(&self) -> &'static [&'static str] {
+        AltsyncramPort::NAMES
+    }
+
+    fn eval_port(&self, port: usize, out: &mut Bits) -> bool {
+        match AltsyncramPort::at(port) {
+            Some(AltsyncramPort::Q) => {
                 out.assign_from(&self.q_reg);
                 true
             }
@@ -49,95 +65,67 @@ impl Blackbox for Altsyncram {
         }
     }
 
-    fn tick(&mut self, _clock_port: &str, inputs: &BTreeMap<String, Bits>) {
-        let rdaddr = inputs.get("rdaddress").map_or(0, |b| b.to_u64());
+    fn tick(&mut self, _clock_port: usize, inputs: &[Bits]) {
+        let rdaddr = word(inputs, AltsyncramPort::Rdaddress, 64).to_u64();
         // Old-data read-during-write: capture before the write lands.
         self.q_reg = self
             .mem
             .get(rdaddr as usize)
             .cloned()
             .unwrap_or_else(|| Bits::zero(self.width));
-        if inputs.get("wren").is_some_and(Bits::to_bool) {
-            let wraddr = inputs.get("wraddress").map_or(0, |b| b.to_u64());
+        if bit(inputs, AltsyncramPort::Wren) {
+            let wraddr = word(inputs, AltsyncramPort::Wraddress, 64).to_u64();
             if let Some(slot) = self.mem.get_mut(wraddr as usize) {
-                *slot = inputs
-                    .get("data")
-                    .cloned()
-                    .unwrap_or_else(|| Bits::zero(self.width))
-                    .resize(self.width);
+                *slot = word(inputs, AltsyncramPort::Data, self.width);
             }
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn snapshot(&self) -> Option<Box<dyn Any + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore(&mut self, state: &dyn Any) -> bool {
-        match state.downcast_ref::<Self>() {
-            Some(st) => {
-                *self = st.clone();
-                true
-            }
-            None => false,
-        }
-    }
+    clone_state!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::output;
+    use crate::{inputs, output};
+    use AltsyncramPort as P;
+
+    fn ram(width: u64, depth: u64) -> Altsyncram {
+        let mut p = BTreeMap::new();
+        p.insert("WIDTH".into(), Bits::from_u64(32, width));
+        p.insert("DEPTH".into(), Bits::from_u64(32, depth));
+        Altsyncram::new(&p)
+    }
 
     #[test]
     fn write_then_read() {
-        let mut p = BTreeMap::new();
-        p.insert("WIDTH".into(), Bits::from_u64(32, 16));
-        p.insert("DEPTH".into(), Bits::from_u64(32, 8));
-        let mut ram = Altsyncram::new(&p);
-        let mut w = BTreeMap::new();
-        w.insert("wren".into(), Bits::from_bool(true));
-        w.insert("wraddress".into(), Bits::from_u64(3, 5));
-        w.insert("data".into(), Bits::from_u64(16, 0xCAFE));
-        ram.tick("clock0", &w);
-        let mut r = BTreeMap::new();
-        r.insert("rdaddress".into(), Bits::from_u64(3, 5));
-        ram.tick("clock0", &r);
-        assert_eq!(output(&mut ram, "q").to_u64(), 0xCAFE);
+        let mut ram = ram(16, 8);
+        let w = inputs(P::NAMES.len(), [(P::Wren, 1), (P::Wraddress, 5), (P::Data, 0xCAFE)]);
+        ram.tick(P::Clock0.into(), &w);
+        ram.tick(P::Clock0.into(), &inputs(P::NAMES.len(), [(P::Rdaddress, 5)]));
+        assert_eq!(output(&ram, P::Q).to_u64(), 0xCAFE);
     }
 
     #[test]
     fn read_during_write_returns_old_data() {
-        let mut p = BTreeMap::new();
-        p.insert("WIDTH".into(), Bits::from_u64(32, 8));
-        p.insert("DEPTH".into(), Bits::from_u64(32, 4));
-        let mut ram = Altsyncram::new(&p);
-        let mut rw = BTreeMap::new();
-        rw.insert("wren".into(), Bits::from_bool(true));
-        rw.insert("wraddress".into(), Bits::from_u64(2, 1));
-        rw.insert("rdaddress".into(), Bits::from_u64(2, 1));
-        rw.insert("data".into(), Bits::from_u64(8, 0x42));
-        ram.tick("clock0", &rw);
-        assert_eq!(output(&mut ram, "q").to_u64(), 0); // old data
-        ram.tick("clock0", &rw);
-        assert_eq!(output(&mut ram, "q").to_u64(), 0x42);
+        let mut ram = ram(8, 4);
+        let rw = inputs(P::NAMES.len(), [
+            (P::Wren, 1),
+            (P::Wraddress, 1),
+            (P::Rdaddress, 1),
+            (P::Data, 0x42),
+        ]);
+        ram.tick(P::Clock0.into(), &rw);
+        assert_eq!(output(&ram, P::Q).to_u64(), 0); // old data
+        ram.tick(P::Clock0.into(), &rw);
+        assert_eq!(output(&ram, P::Q).to_u64(), 0x42);
     }
 
     #[test]
     fn out_of_range_write_ignored() {
-        let mut p = BTreeMap::new();
-        p.insert("WIDTH".into(), Bits::from_u64(32, 8));
-        p.insert("DEPTH".into(), Bits::from_u64(32, 4));
-        let mut ram = Altsyncram::new(&p);
-        let mut w = BTreeMap::new();
-        w.insert("wren".into(), Bits::from_bool(true));
-        w.insert("wraddress".into(), Bits::from_u64(8, 200));
-        w.insert("data".into(), Bits::from_u64(8, 0xFF));
-        ram.tick("clock0", &w);
+        let mut ram = ram(8, 4);
+        let w = inputs(P::NAMES.len(), [(P::Wren, 1), (P::Wraddress, 200), (P::Data, 0xFF)]);
+        ram.tick(P::Clock0.into(), &w);
         for a in 0..4 {
             assert!(ram.word(a).unwrap().is_zero());
         }

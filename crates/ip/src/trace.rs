@@ -1,10 +1,22 @@
 //! The recording IP used by SignalCat: a bounded on-chip capture buffer
 //! with trigger control, standing in for Intel SignalTap / Xilinx ILA.
 
+use crate::{bit, word};
 use hwdbg_bits::Bits;
 use hwdbg_sim::Blackbox;
-use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
+
+ip_ports! {
+    /// `trace_buffer`'s ports.
+    TracePort {
+        Clock = "clock" Input Const(1), clock;
+        Enable = "enable" Input Const(1);
+        Din = "din" Input Param("WIDTH".into());
+        Trigger = "trigger" Input Const(1);
+        Full = "full" Output Const(1);
+        Count = "count" Output Const(32);
+    }
+}
 
 /// One captured entry: the cycle it was recorded and the payload word.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,16 +104,20 @@ impl TraceBuffer {
 }
 
 impl Blackbox for TraceBuffer {
-    fn eval_port(&mut self, port: &str, _inputs: &BTreeMap<String, Bits>, out: &mut Bits) -> bool {
-        match port {
-            "full" => out.set_bool(self.entries.len() >= self.depth),
-            "count" => out.set_u64(32, self.entries.len() as u64),
+    fn ports(&self) -> &'static [&'static str] {
+        TracePort::NAMES
+    }
+
+    fn eval_port(&self, port: usize, out: &mut Bits) -> bool {
+        match TracePort::at(port) {
+            Some(TracePort::Full) => out.set_bool(self.entries.len() >= self.depth),
+            Some(TracePort::Count) => out.set_u64(32, self.entries.len() as u64),
             _ => return false,
         }
         true
     }
 
-    fn tick(&mut self, _clock_port: &str, inputs: &BTreeMap<String, Bits>) {
+    fn tick(&mut self, _clock_port: usize, inputs: &[Bits]) {
         self.cycle += 1;
         if self.stopped {
             return;
@@ -112,24 +128,17 @@ impl Blackbox for TraceBuffer {
         if let Some(cd) = &mut self.countdown {
             *cd -= 1;
         }
-        if inputs.get("enable").is_some_and(Bits::to_bool) {
+        if bit(inputs, TracePort::Enable) {
             if self.entries.len() >= self.depth {
                 self.entries.pop_front();
                 self.overwritten += 1;
             }
             self.entries.push_back(TraceEntry {
                 cycle: self.cycle,
-                data: inputs
-                    .get("din")
-                    .cloned()
-                    .unwrap_or_else(|| Bits::zero(self.width))
-                    .resize(self.width),
+                data: word(inputs, TracePort::Din, self.width),
             });
         }
-        if self.post > 0
-            && self.countdown.is_none()
-            && inputs.get("trigger").is_some_and(Bits::to_bool)
-        {
+        if self.post > 0 && self.countdown.is_none() && bit(inputs, TracePort::Trigger) {
             self.countdown = Some(self.post);
         }
         if self.countdown == Some(0) {
@@ -137,28 +146,14 @@ impl Blackbox for TraceBuffer {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn snapshot(&self) -> Option<Box<dyn Any + Send>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore(&mut self, state: &dyn Any) -> bool {
-        match state.downcast_ref::<Self>() {
-            Some(st) => {
-                *self = st.clone();
-                true
-            }
-            None => false,
-        }
-    }
+    clone_state!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inputs;
+    use TracePort as P;
 
     fn params(width: u64, depth: u64, post: u64) -> BTreeMap<String, Bits> {
         let mut p = BTreeMap::new();
@@ -168,20 +163,21 @@ mod tests {
         p
     }
 
-    fn capture(v: u64) -> BTreeMap<String, Bits> {
-        let mut m = BTreeMap::new();
-        m.insert("enable".into(), Bits::from_bool(true));
-        m.insert("din".into(), Bits::from_u64(16, v));
-        m
+    fn capture(v: u64) -> Vec<Bits> {
+        inputs(P::NAMES.len(), [(P::Enable, 1), (P::Din, v)])
+    }
+
+    fn tick(t: &mut TraceBuffer, inputs: &[Bits]) {
+        t.tick(P::Clock.into(), inputs);
     }
 
     #[test]
     fn records_when_enabled() {
         let mut t = TraceBuffer::new(&params(16, 8, 0));
-        t.tick("clock", &BTreeMap::new());
-        t.tick("clock", &capture(0xA));
-        t.tick("clock", &BTreeMap::new());
-        t.tick("clock", &capture(0xB));
+        tick(&mut t, &[]);
+        tick(&mut t, &capture(0xA));
+        tick(&mut t, &[]);
+        tick(&mut t, &capture(0xB));
         let got: Vec<_> = t.entries().map(|e| (e.cycle, e.data.to_u64())).collect();
         assert_eq!(got, vec![(2, 0xA), (4, 0xB)]);
     }
@@ -190,7 +186,7 @@ mod tests {
     fn ring_overwrites_oldest() {
         let mut t = TraceBuffer::new(&params(16, 2, 0));
         for v in 1..=4 {
-            t.tick("clock", &capture(v));
+            tick(&mut t, &capture(v));
         }
         let got: Vec<_> = t.entries().map(|e| e.data.to_u64()).collect();
         assert_eq!(got, vec![3, 4]);
@@ -200,14 +196,12 @@ mod tests {
     #[test]
     fn post_trigger_window() {
         let mut t = TraceBuffer::new(&params(16, 16, 2));
-        t.tick("clock", &capture(1));
-        let mut trig = capture(2);
-        trig.insert("trigger".into(), Bits::from_bool(true));
-        t.tick("clock", &trig);
-        t.tick("clock", &capture(3));
-        t.tick("clock", &capture(4));
+        tick(&mut t, &capture(1));
+        tick(&mut t, &inputs(P::NAMES.len(), [(P::Enable, 1), (P::Din, 2), (P::Trigger, 1)]));
+        tick(&mut t, &capture(3));
+        tick(&mut t, &capture(4));
         assert!(t.stopped());
-        t.tick("clock", &capture(5)); // ignored
+        tick(&mut t, &capture(5)); // ignored
         let got: Vec<_> = t.entries().map(|e| e.data.to_u64()).collect();
         assert_eq!(got, vec![1, 2, 3, 4]);
     }

@@ -40,13 +40,30 @@ impl LintPass for CombLoopPass {
                 nodes.push(SigId::from_index(i));
             }
         }
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+        // A driver's `for` variable that no other comb driver writes is a
+        // procedural temporary: the loop sets it before reading it and
+        // ends on the same value each run, so reading it closes no loop.
+        let mut comb_writers = vec![0u32; design.table.len()];
         for comb in &design.combs {
+            for w in comb.writes.iter() {
+                comb_writers[w.index()] += 1;
+            }
+        }
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+        let mut temporaries = Vec::new();
+        for comb in &design.combs {
+            temporaries.clear();
+            guard::walk(&comb.body, &mut Vec::new(), &mut |_, s| {
+                if let Stmt::For { var, .. } = s {
+                    temporaries.extend(design.sig_id(var));
+                }
+            });
+            temporaries.retain(|t| comb_writers[t.index()] == 1);
             for w in comb.writes.iter() {
                 let wi = index[w.index()];
                 for r in comb.reads.iter() {
                     let ri = index[r.index()];
-                    if ri != NONE {
+                    if ri != NONE && !temporaries.contains(r) {
                         adj[wi].push(ri);
                     }
                 }

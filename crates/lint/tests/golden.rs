@@ -190,6 +190,30 @@ fn l0201_comb_loop() {
     assert!(f[0].signals.contains(&"a".to_owned()) && f[0].signals.contains(&"b".to_owned()));
 }
 
+/// A comb block's `for` variable is a procedural temporary: reading it
+/// closes no loop when that block alone writes it. Two blocks sharing the
+/// variable do loop, in the simulator as here.
+#[test]
+fn l0201_spares_a_comb_loop_variable() {
+    let (f, _) = lint(
+        "module t(input [1:0] d, output reg [1:0] q);\n\
+         integer i;\n\
+         always @(*) for (i = 0; i < 2; i = i + 1) q[i] = d[i];\n\
+         endmodule\n",
+        "t",
+    );
+    assert!(f.iter().all(|f| f.code.as_str() != "L0201"), "{f:?}");
+    let (f, src) = lint(
+        "module t(input [3:0] d, output reg [1:0] q, output reg [3:0] p);\n\
+         integer i;\n\
+         always @(*) for (i = 0; i < 2; i = i + 1) q[i] = d[i];\n\
+         always @(*) for (i = 0; i < 4; i = i + 1) p[i] = d[3 - i];\n\
+         endmodule\n",
+        "t",
+    );
+    assert_golden(&f, &src, "L0201", "i;", "integer i;");
+}
+
 #[test]
 fn l0202_width_truncation() {
     let (f, src) = lint(

@@ -9,7 +9,7 @@
 //! operands are pre-resolved register indices and [`SigId`] state slots,
 //! then executes it with a single dispatch loop.
 //!
-//! Two register files live in the per-simulator [`EvalScratch`]:
+//! Two register files live in the per-simulator [`EvalScratch`](crate::compile::EvalScratch):
 //!
 //! * **narrow** (`u64`): every value whose static width is ≤ 64 bits —
 //!   the dominant path. Values are *canonical* (bits above the static
@@ -43,13 +43,13 @@
 //! (`crates/sim/tests/backend_differential.rs`) holds this module
 //! byte-identical to it.
 
-use crate::compile::{CCaseArm, CExec, CExpr, CLValue, CNbWrite, CStmt, EvalScratch, Flow};
-use crate::eval::{apply_binary_signed_into, effective_mem_addr};
+use crate::compile::{CCaseArm, CExec, CExpr, CLValue, CNbWrite, CStmt, Flow};
+use crate::eval::{binary_into, effective_mem_addr};
 use crate::state::SimState;
 use crate::format::Arg;
 use crate::SimError;
 use hwdbg_bits::{fixed, Bits};
-use hwdbg_dataflow::{apply_binary_into, SigId};
+use hwdbg_dataflow::SigId;
 use hwdbg_rtl::{BinaryOp, UnaryOp};
 
 /// A value source: a narrow (`u64`) or wide ([`Bits`]) register index.
@@ -218,6 +218,12 @@ pub(crate) enum Op {
     CkBit { sig: SigId, width: u32, idx: u16 },
     CkMem { sig: SigId, depth: u64, idx: u16 },
     // ---- statements ----
+    /// `for`-loop entry: `w[old] = state[var]` and `n[mark]` = the change
+    /// record count ([`CExec::loop_begin`]).
+    LoopBegin { var: SigId, old: u16, mark: u16 },
+    /// `for`-loop exit: drops the loop's change records of `var` when it
+    /// ends equal to `w[old]` ([`CExec::loop_end`]).
+    LoopEnd { var: SigId, old: u16, mark: u16 },
     /// `for`-loop iteration guard: `++n[ctr] > FOR_CAP` raises `LoopCap`.
     IncCheckCap { ctr: u16, var: SigId },
     /// `$display` via `displays[spec]` (no-op when logging is off).
@@ -492,15 +498,10 @@ impl Lower<'_> {
                 UnaryOp::Not | UnaryOp::Neg => self.width_of(inner)?,
                 _ => 1,
             },
-            CExpr::Binary { op, signed, a, b } => {
+            CExpr::Binary { op, a, b, .. } => {
                 if op.is_boolean() {
                     1
-                } else if matches!(op, BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr)
-                    && !*signed
-                {
-                    // Unsigned shifts keep the left operand's width; the
-                    // signed path extends both operands to the common
-                    // width first, so the result is `max` there.
+                } else if matches!(op, BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr) {
                     self.width_of(a)?
                 } else {
                     self.width_of(a)?.max(self.width_of(b)?)
@@ -841,9 +842,11 @@ impl Lower<'_> {
             return Ok(d);
         }
         // Non-boolean narrow result (w ≤ 64 means both operand widths that
-        // feed the result are ≤ 64: unsigned shifts use only `aw`, all
-        // other ops have w = max(aw, bw)).
-        if matches!(op, Shl | Shr | AShr) && !signed {
+        // feed the result are ≤ 64: shifts use only `aw`, all other ops
+        // have w = max(aw, bw)). A shift keeps its left operand's width and
+        // reads an unsigned amount; compilation leaves `>>>` only on a signed
+        // left operand.
+        if matches!(op, Shl | Shr | AShr) {
             debug_assert_eq!(w, aw);
             let ra = self.expr_n(a, aw)?;
             let amt = self.u64_reg(b)?;
@@ -856,15 +859,6 @@ impl Lower<'_> {
             return Ok(d);
         }
         let ra = self.expr_n(a, aw)?;
-        if signed && matches!(op, AShr) {
-            // Signed `>>>`: the amount reads the *unextended* right
-            // operand; the left operand sign-extends to the common width.
-            let amt = self.u64_reg(b)?;
-            let xa = self.sext_to(ra, aw, w)?;
-            let d = self.dst_n(mark)?;
-            self.emit(Op::AShr { dst: d, a: xa, amt, w });
-            return Ok(d);
-        }
         let rb = self.expr_n(b, bw)?;
         let (xa, xb) = if signed {
             (self.sext_to(ra, aw, w)?, self.sext_to(rb, bw, w)?)
@@ -883,12 +877,6 @@ impl Lower<'_> {
             Or => Op::Or { dst: d, a: xa, b: xb },
             Xor => Op::Xor { dst: d, a: xa, b: xb },
             Xnor => Op::Xnor { dst: d, a: xa, b: xb, mask: m },
-            // Signed shifts go through the `_` arm of
-            // `apply_binary_signed_into`: both operands sign-extended to
-            // `w`, then a plain shift whose amount reads the *extended*
-            // right operand.
-            Shl => Op::Shl { dst: d, a: xa, amt: xb, w },
-            Shr => Op::Shr { dst: d, a: xa, amt: xb, w },
             _ => return Err(unlowerable("a narrow operator")),
         });
         Ok(d)
@@ -1066,6 +1054,8 @@ impl Lower<'_> {
             CStmt::Case { sel, arms, default } => self.case(sel, arms, default.as_deref()),
             CStmt::Assign { lhs, nonblocking, rhs } => self.store(lhs, rhs, *nonblocking),
             CStmt::For { var, var_width, init, cond, step, body } => {
+                let (old, mark) = (self.alloc_w()?, self.alloc_n()?);
+                self.emit(Op::LoopBegin { var: *var, old, mark });
                 self.assign_loop_var(*var, *var_width, init)?;
                 let ctr = self.alloc_n()?;
                 self.emit(Op::LdConst { dst: ctr, imm: 0 });
@@ -1079,6 +1069,7 @@ impl Lower<'_> {
                 self.emit(Op::IncCheckCap { ctr, var: *var });
                 self.emit(Op::Jmp { target: head });
                 self.patch(jend);
+                self.emit(Op::LoopEnd { var: *var, old, mark });
                 Ok(())
             }
             CStmt::Display { format, args, signs } => {
@@ -1481,40 +1472,6 @@ fn sink_write(exec: &mut CExec<'_>, nb: bool, w: CNbWrite) {
     exec.commit(w);
 }
 
-/// The tree-walker's `CExpr::Binary` evaluation over already-loaded wide
-/// operands, including the pooled-buffer wide-divide path. Operands are
-/// scratch (resized in place), matching `eval_into`.
-fn wide_binary(
-    scratch: &mut EvalScratch,
-    op: BinaryOp,
-    signed: bool,
-    x: &mut Bits,
-    y: &mut Bits,
-    out: &mut Bits,
-) {
-    if matches!(op, BinaryOp::Div | BinaryOp::Mod) && x.width().max(y.width()) > 128 {
-        let w = x.width().max(y.width());
-        if signed {
-            x.resize_signed_in_place(w);
-            y.resize_signed_in_place(w);
-        } else {
-            x.resize_in_place(w);
-            y.resize_in_place(w);
-        }
-        let mut spare = scratch.take();
-        if matches!(op, BinaryOp::Div) {
-            x.divmod_into(y, out, &mut spare);
-        } else {
-            x.divmod_into(y, &mut spare, out);
-        }
-        scratch.put(spare);
-    } else if signed {
-        apply_binary_signed_into(op, x, y, out);
-    } else {
-        apply_binary_into(op, x, y, out);
-    }
-}
-
 /// Dispatch to the fixed-limb unrolled kernels ([`hwdbg_bits::fixed`]).
 /// Lowering guarantees equal unsigned operand widths of exactly `limbs`
 /// (2 or 4) limbs and `op` ∈ {Add, Sub, And, Or, Xor}.
@@ -1776,7 +1733,7 @@ pub(crate) fn run(prog: &BcProgram, exec: &mut CExec<'_>) -> Result<Flow, SimErr
                 let mut x = take_w(exec, a);
                 let mut y = take_w(exec, b);
                 let mut out = take_w(exec, dst);
-                wide_binary(exec.scratch, op, signed, &mut x, &mut y, &mut out);
+                binary_into(exec.scratch, op, signed, &mut x, &mut y, &mut out);
                 put_w(exec, dst, out);
                 put_w(exec, b, y);
                 put_w(exec, a, x);
@@ -1785,7 +1742,7 @@ pub(crate) fn run(prog: &BcProgram, exec: &mut CExec<'_>) -> Result<Flow, SimErr
                 let mut x = take_w(exec, a);
                 let mut y = take_w(exec, b);
                 let mut t = exec.scratch.take();
-                wide_binary(exec.scratch, op, signed, &mut x, &mut y, &mut t);
+                binary_into(exec.scratch, op, signed, &mut x, &mut y, &mut t);
                 let v = t.to_u64();
                 exec.scratch.put(t);
                 put_w(exec, b, y);
@@ -2013,6 +1970,17 @@ pub(crate) fn run(prog: &BcProgram, exec: &mut CExec<'_>) -> Result<Flow, SimErr
                 }
             }
             // ---- statements ----
+            Op::LoopBegin { var, old, mark } => {
+                let mut w = take_w(exec, old);
+                let m = exec.loop_begin(var, &mut w);
+                put_w(exec, old, w);
+                set_nr(exec, mark, m as u64);
+            }
+            Op::LoopEnd { var, old, mark } => {
+                let w = take_w(exec, old);
+                exec.loop_end(var, nr(exec, mark) as usize, &w);
+                put_w(exec, old, w);
+            }
             Op::IncCheckCap { ctr, var } => {
                 let c = nr(exec, ctr) + 1;
                 set_nr(exec, ctr, c);

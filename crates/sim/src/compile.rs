@@ -12,18 +12,19 @@
 //! * ternary result widths, operator signedness, memory slots/depths, and
 //!   concat split widths are precomputed,
 //! * each combinational driver and blackbox instance becomes a schedulable
-//!   *unit* with a static read-set, from which the per-signal `readers` /
-//!   `writers` tables that power dependency-driven settling are built.
+//!   *unit* with a static read-set (empty for a blackbox, whose outputs are
+//!   registered), from which the per-signal `readers` / `writers` tables
+//!   that power dependency-driven settling are built.
 //!
 //! Execution semantics ([`CExec`]) are byte-for-byte those of the seed
 //! interpreter; `crates/sim/tests/compiled_equivalence.rs` holds the
 //! differential proof against full-pass settling.
 
-use crate::eval::{apply_binary_signed_into, effective_mem_addr, expr_width};
+use crate::eval::{binary_into, effective_mem_addr, expr_width};
 use crate::state::{SimState, NOT_A_MEM};
 use crate::{LogRecord, SimError};
 use hwdbg_bits::Bits;
-use hwdbg_dataflow::{apply_binary_into, Design, SigId, SigInfo};
+use hwdbg_dataflow::{Design, SigId, SigInfo};
 use hwdbg_rtl::{BinaryOp, Expr, LValue, Stmt, UnaryOp};
 
 /// A compiled expression: all names resolved, all static facts inlined.
@@ -157,16 +158,19 @@ pub(crate) struct CombUnit {
     pub body: CStmt,
 }
 
-/// One schedulable blackbox instance: pre-resolved port connections.
+/// One schedulable blackbox instance: its compiled connections, in the
+/// port-name order of [`BbInst`](hwdbg_dataflow::BbInst). Each simulator
+/// maps them to its model's port positions when it is built.
 #[derive(Debug, Clone)]
 pub(crate) struct BbUnit {
-    /// Input port name, resolved width, compiled connection expression
-    /// (BTreeMap order of the design, i.e. sorted by port name).
-    pub ins: Vec<(String, u32, CExpr)>,
-    /// Output port name and compiled destination.
-    pub outs: Vec<(String, CLValue)>,
-    /// Per clock port: alias-rooted IDs of the signals feeding it.
-    pub clock_conns: Vec<(String, Vec<SigId>)>,
+    /// Per input connection: the port's resolved width and the compiled
+    /// connection expression, read once per edge of the model's clocks.
+    pub ins: Vec<(u32, CExpr)>,
+    /// Per output connection: the compiled destination.
+    pub outs: Vec<CLValue>,
+    /// Per clock port (`BbInst::clock_ports` order): alias-rooted IDs of
+    /// the signals feeding it.
+    pub clock_roots: Vec<Vec<SigId>>,
 }
 
 /// One compiled clocked process.
@@ -186,7 +190,8 @@ pub(crate) struct Compiled {
     pub combs: Vec<CombUnit>,
     pub bbs: Vec<BbUnit>,
     pub procs: Vec<ProcUnit>,
-    /// Per signal ID: unit indices whose read-set contains it.
+    /// Per signal ID: unit indices whose read-set contains it. Only comb
+    /// units read: a blackbox unit's read-set is empty.
     pub readers: Vec<Vec<u32>>,
     /// Per signal ID: unit indices that (may) write it. Used so poking a
     /// comb-driven signal re-runs its driver, as a full pass would.
@@ -202,16 +207,8 @@ impl Compiled {
     }
 
     /// Resolves a signal through identity-assign aliases to its root.
-    pub fn alias_root(&self, mut id: SigId) -> SigId {
-        let mut hops = 0;
-        while let Some(next) = self.aliases[id.index()] {
-            id = next;
-            hops += 1;
-            if hops > self.aliases.len() {
-                break; // alias cycle: give up, treat as its own root
-            }
-        }
-        id
+    pub fn alias_root(&self, id: SigId) -> SigId {
+        alias_root(&self.aliases, id)
     }
 
     /// Compiles `design` against its memory layout `mem_slot` (see
@@ -236,17 +233,7 @@ impl Compiled {
                 }
             }
         }
-        let root = |mut id: SigId| -> SigId {
-            let mut hops = 0;
-            while let Some(next) = aliases[id.index()] {
-                id = next;
-                hops += 1;
-                if hops > aliases.len() {
-                    break; // alias cycle: give up, treat as its own root
-                }
-            }
-            id
-        };
+        let root = |id| alias_root(&aliases, id);
 
         let mut combs = Vec::with_capacity(design.combs.len());
         for comb in &design.combs {
@@ -256,30 +243,33 @@ impl Compiled {
         }
         let mut bbs = Vec::with_capacity(design.blackboxes.len());
         for inst in &design.blackboxes {
-            let mut ins = Vec::new();
+            let mut ins = Vec::with_capacity(inst.in_conns.len());
             for (port, e) in &inst.in_conns {
                 let w = inst.port_widths.get(port).copied().unwrap_or(1);
-                ins.push((port.clone(), w, cc.expr(e)?));
+                ins.push((w, cc.expr(e)?));
             }
-            let mut outs = Vec::new();
-            for (port, lv) in &inst.out_conns {
-                outs.push((port.clone(), cc.lvalue(lv)?));
-            }
-            let mut clock_conns = Vec::new();
-            for cp in &inst.clock_ports {
-                let roots = inst.in_conns.get(cp).map_or_else(Vec::new, |e| {
-                    e.idents()
-                        .iter()
-                        .filter_map(|n| design.sig_id(n))
-                        .map(root)
-                        .collect()
-                });
-                clock_conns.push((cp.clone(), roots));
-            }
+            let outs = inst
+                .out_conns
+                .values()
+                .map(|lv| cc.lvalue(lv))
+                .collect::<Result<_, _>>()?;
+            let clock_roots = inst
+                .clock_ports
+                .iter()
+                .map(|cp| {
+                    inst.in_conns.get(cp).map_or_else(Vec::new, |e| {
+                        e.idents()
+                            .iter()
+                            .filter_map(|n| design.sig_id(n))
+                            .map(root)
+                            .collect()
+                    })
+                })
+                .collect();
             bbs.push(BbUnit {
                 ins,
                 outs,
-                clock_conns,
+                clock_roots,
             });
         }
 
@@ -318,18 +308,11 @@ impl Compiled {
                 writers[w.index()].push(ci as u32);
             }
         }
+        // A blackbox unit reads nothing: its outputs are registered, so it
+        // runs after its own tick, never on an input change.
         let n_combs = design.combs.len();
         for (bi, inst) in design.blackboxes.iter().enumerate() {
             let unit = (n_combs + bi) as u32;
-            for e in inst.in_conns.values() {
-                for n in e.idents() {
-                    if let Some(id) = design.sig_id(n) {
-                        if !readers[id.index()].contains(&unit) {
-                            readers[id.index()].push(unit);
-                        }
-                    }
-                }
-            }
             for lv in inst.out_conns.values() {
                 for n in lv.target_names() {
                     if let Some(id) = design.sig_id(n) {
@@ -344,6 +327,19 @@ impl Compiled {
         compiled.writers = writers;
         Ok(compiled)
     }
+}
+
+/// Follows `id` through the identity-assign links `aliases` to its root.
+fn alias_root(aliases: &[Option<SigId>], mut id: SigId) -> SigId {
+    let mut hops = 0;
+    while let Some(next) = aliases[id.index()] {
+        id = next;
+        hops += 1;
+        if hops > aliases.len() {
+            break; // alias cycle: give up, treat as its own root
+        }
+    }
+    id
 }
 
 /// Compilation context.
@@ -390,13 +386,17 @@ impl<'a> Ctx<'a> {
     }
 
     /// Compiles `e` and reports whether it is signed: a declared-signed
-    /// identifier or `$signed(...)`; `-`/`~` and non-boolean binary
-    /// operators and ternaries keep the sign only when every operand is
-    /// signed, and everything else is unsigned. Computed bottom-up in the
+    /// identifier, an unsized decimal literal or `$signed(...)`; `-`/`~`
+    /// and non-boolean binary operators and ternaries keep the sign only
+    /// when every operand is signed (a shift only when its left operand
+    /// is), and everything else is unsigned. Computed bottom-up in the
     /// same pass that compiles `e`.
     fn typed(&self, e: &Expr) -> Result<(CExpr, bool), SimError> {
         Ok(match e {
-            Expr::Literal { value, .. } => (CExpr::Const(value.clone()), false),
+            // An unsized literal with no base is a signed decimal (IEEE
+            // 1364-2005 §3.5.1); the parser marks exactly the literals
+            // without a `'` unsized.
+            Expr::Literal { value, sized } => (CExpr::Const(value.clone()), !sized),
             Expr::Ident(n) => {
                 if let Some((id, sig)) = self.signal(n) {
                     if sig.mem_depth.is_some() {
@@ -419,9 +419,17 @@ impl<'a> Ctx<'a> {
             Expr::Binary(op, l, r) => {
                 let (a, sa) = self.typed(l)?;
                 let (b, sb) = self.typed(r)?;
-                let signed = sa && sb;
+                // A shift's amount is unsigned, so its left operand alone
+                // decides, and `>>>` of an unsigned one shifts in zeros like
+                // `>>` (IEEE 1364-2005 §5.1.12).
+                let shift = matches!(op, BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr);
+                let signed = sa && (sb || shift);
+                let op = match op {
+                    BinaryOp::AShr if !signed => BinaryOp::Shr,
+                    op => *op,
+                };
                 let c = CExpr::Binary {
-                    op: *op,
+                    op,
                     signed,
                     a: Box::new(a),
                     b: Box::new(b),
@@ -576,7 +584,7 @@ impl<'a> Ctx<'a> {
     fn constant(&self, e: &Expr) -> Result<u64, SimError> {
         hwdbg_dataflow::eval_const(e, &self.design.consts)
             .map(|v| v.to_u64())
-            .map_err(|_| SimError::NonConstSelect)
+            .map_err(|_| SimError::Internal("non-constant select in a resolved design".into()))
     }
 
     /// A part select's constant `[msb:lsb]` as `(lo, width)`.
@@ -812,30 +820,7 @@ pub(crate) fn eval_into(
             let mut y = scratch.take();
             eval_into(state, scratch, a, &mut x)?;
             eval_into(state, scratch, b, &mut y)?;
-            // Wide `/`/`%` go through `divmod_into` with a pooled buffer
-            // for the half we discard: `div_into`/`rem_into` would allocate
-            // their scratch per evaluation above 128 bits.
-            if matches!(op, BinaryOp::Div | BinaryOp::Mod) && x.width().max(y.width()) > 128 {
-                let w = x.width().max(y.width());
-                if *signed {
-                    x.resize_signed_in_place(w);
-                    y.resize_signed_in_place(w);
-                } else {
-                    x.resize_in_place(w);
-                    y.resize_in_place(w);
-                }
-                let mut spare = scratch.take();
-                if matches!(op, BinaryOp::Div) {
-                    x.divmod_into(&y, out, &mut spare);
-                } else {
-                    x.divmod_into(&y, &mut spare, out);
-                }
-                scratch.put(spare);
-            } else if *signed {
-                apply_binary_signed_into(*op, &mut x, &mut y, out);
-            } else {
-                apply_binary_into(*op, &mut x, &mut y, out);
-            }
+            binary_into(scratch, *op, *signed, &mut x, &mut y, out);
             scratch.put(y);
             scratch.put(x);
         }
@@ -1064,6 +1049,8 @@ impl CExec<'_> {
                 step,
                 body,
             } => {
+                let mut old = self.scratch.take();
+                let mark = self.loop_begin(*var, &mut old);
                 let mut v = self.scratch.take();
                 eval_into(self.state, self.scratch, init, &mut v)?;
                 v.resize_in_place(*var_width);
@@ -1076,6 +1063,7 @@ impl CExec<'_> {
                     }
                     if self.stmt(body)? == Flow::Finished {
                         self.scratch.put(v);
+                        self.scratch.put(old);
                         return Ok(Flow::Finished);
                     }
                     eval_into(self.state, self.scratch, step, &mut v)?;
@@ -1087,7 +1075,9 @@ impl CExec<'_> {
                         return Err(SimError::LoopCap(name));
                     }
                 }
+                self.loop_end(*var, mark, &old);
                 self.scratch.put(v);
+                self.scratch.put(old);
                 Ok(Flow::Continue)
             }
             CStmt::Display {
@@ -1107,6 +1097,32 @@ impl CExec<'_> {
             }
             CStmt::Finish => Ok(Flow::Finished),
             CStmt::Empty => Ok(Flow::Continue),
+        }
+    }
+
+    /// Starts a `for` loop over `var`: saves its value into `old` and
+    /// returns where the loop's change records begin, for
+    /// [`loop_end`](Self::loop_end).
+    pub fn loop_begin(&self, var: SigId, old: &mut Bits) -> usize {
+        old.assign_from(self.state.get_id(var));
+        self.changed.len()
+    }
+
+    /// Ends a `for` loop over `var` begun at change record `mark`. A loop
+    /// variable is a procedural temporary: its intermediate values are not
+    /// changes, only a difference between its values before and after the
+    /// loop is. So when it ends where it began, the loop's records of it
+    /// are dropped, and a comb block's loop does not wake its own block.
+    pub fn loop_end(&mut self, var: SigId, mark: usize, old: &Bits) {
+        if self.state.get_id(var) == old {
+            let mut kept = mark;
+            for k in mark..self.changed.len() {
+                if self.changed[k] != var {
+                    self.changed[kept] = self.changed[k];
+                    kept += 1;
+                }
+            }
+            self.changed.truncate(kept);
         }
     }
 

@@ -21,7 +21,7 @@ use crate::sched::{build_schedule, Schedule};
 use crate::state::{mem_slots, RegInit, SimState};
 use crate::{Blackbox, BlackboxFactory, LogRecord, SimError};
 use hwdbg_bits::Bits;
-use hwdbg_dataflow::{Design, SigId};
+use hwdbg_dataflow::{BbInst, Design, SigId};
 use hwdbg_obs::SimCounters;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -163,8 +163,51 @@ impl SimConfig {
 struct ClockPlan {
     /// Indices of clocked processes triggered by this clock.
     procs: Vec<usize>,
-    /// `(blackbox index, clock port)` pairs ticked by this clock.
-    ticks: Vec<(usize, String)>,
+    /// `(blackbox index, clock index)` pairs ticked by this clock, the
+    /// clock index counting the instance's `clock_ports`.
+    ticks: Vec<(usize, usize)>,
+}
+
+/// A blackbox's model, with its connections mapped to the model's port
+/// positions once, when the simulator is built.
+struct BbModel {
+    model: Box<dyn Blackbox + Send>,
+    /// Per input connection (`BbUnit::ins` order): its port position.
+    ins: Box<[usize]>,
+    /// Per output connection (`BbUnit::outs` order): its port position.
+    outs: Box<[usize]>,
+    /// Per clock port (`BbInst::clock_ports` order): its port position.
+    clocks: Box<[usize]>,
+    /// One value per model port: each connected input as read at the
+    /// last edge of one of the model's clocks, zero for every other port.
+    inputs: Vec<Bits>,
+}
+
+impl BbModel {
+    /// Creates `inst`'s model from `factory` and resolves its connections
+    /// to the model's port positions.
+    fn new(inst: &BbInst, factory: &dyn BlackboxFactory) -> Result<Self, SimError> {
+        let model = factory
+            .create(inst)
+            .ok_or_else(|| SimError::NoModel(inst.module.clone()))?;
+        let names = model.ports();
+        let pos = |port: &String| {
+            names
+                .iter()
+                .position(|n| n == port)
+                .ok_or_else(|| SimError::NoModel(format!("{}.{port}", inst.module)))
+        };
+        let ins = inst.in_conns.keys().map(pos).collect::<Result<_, _>>()?;
+        let outs = inst.out_conns.keys().map(pos).collect::<Result<_, _>>()?;
+        let clocks = inst.clock_ports.iter().map(pos).collect::<Result<_, _>>()?;
+        Ok(BbModel {
+            inputs: vec![Bits::zero(1); names.len()],
+            model,
+            ins,
+            outs,
+            clocks,
+        })
+    }
 }
 
 /// A design compiled once into the immutable schedule the hot path
@@ -331,10 +374,10 @@ fn clock_plans(design: &Design, compiled: &Compiled) -> BTreeMap<String, (SigId,
         }
     }
     for (bi, bb) in compiled.bbs.iter().enumerate() {
-        for (port, roots) in &bb.clock_conns {
+        for (ci, roots) in bb.clock_roots.iter().enumerate() {
             for (k, &root) in roots.iter().enumerate() {
                 if !roots[..k].contains(&root) {
-                    by_root.entry(root).or_default().ticks.push((bi, port.clone()));
+                    by_root.entry(root).or_default().ticks.push((bi, ci));
                 }
             }
         }
@@ -370,7 +413,7 @@ pub struct Simulator {
     shared: Arc<CompiledDesign>,
     state: SimState,
     config: SimConfig,
-    blackboxes: Vec<Box<dyn Blackbox + Send>>,
+    blackboxes: Vec<BbModel>,
     /// Captured `$display` records; the visible log is
     /// `logs[log_start..]`. Evicting the oldest record advances
     /// `log_start`, and the dead prefix is compacted away once it reaches
@@ -386,7 +429,7 @@ pub struct Simulator {
     /// nonblocking commits). Consumed to seed the settle work-list.
     dirty_sigs: Vec<SigId>,
     /// Settle-unit indices made dirty directly (poked driven signals,
-    /// ticked blackboxes whose outputs may change without an input edge).
+    /// ticked blackboxes, which read no signal and change only on a tick).
     dirty_units: Vec<u32>,
     /// Run every unit on the next settle (initial state, after restore).
     force_full: bool,
@@ -401,9 +444,6 @@ pub struct Simulator {
     nb_scratch: Vec<CNbWrite>,
     /// `$display` staging, render buffer, and recycled message buffers.
     log_sink: LogSink,
-    /// Per blackbox: its input port map, keys prebuilt at compile time and
-    /// values refreshed in place before each eval/tick.
-    bb_input_scratch: Vec<BTreeMap<String, Bits>>,
     /// Signals pinned by [`Simulator::force`]: drivers and pokes cannot
     /// change them until released. Empty in fault-free runs, so the hot
     /// path pays one `is_empty` check.
@@ -513,13 +553,11 @@ impl Simulator {
         config: SimConfig,
     ) -> Result<Self, SimError> {
         let design = &shared.design;
-        let mut blackboxes = Vec::with_capacity(design.blackboxes.len());
-        for bb in &design.blackboxes {
-            let model = factory
-                .create(bb)
-                .ok_or_else(|| SimError::NoModel(bb.module.clone()))?;
-            blackboxes.push(model);
-        }
+        let blackboxes = design
+            .blackboxes
+            .iter()
+            .map(|bb| BbModel::new(bb, factory))
+            .collect::<Result<_, _>>()?;
         let state = SimState::new(design, config.init);
         let config_metrics = config.metrics;
         let mut scratch = EvalScratch::with_max_width(shared.max_width);
@@ -528,17 +566,6 @@ impl Simulator {
         let n_units = shared.compiled.n_units();
         let n_regions = shared.sched.regions.len();
         let n_sigs = design.table.len();
-        let bb_input_scratch = shared
-            .compiled
-            .bbs
-            .iter()
-            .map(|bb| {
-                bb.ins
-                    .iter()
-                    .map(|(port, w, _)| (port.clone(), Bits::zero(*w)))
-                    .collect()
-            })
-            .collect();
         Ok(Simulator {
             shared,
             state,
@@ -562,7 +589,6 @@ impl Simulator {
             worklist: Worklist::new(n_units),
             nb_scratch: Vec::with_capacity(16),
             log_sink: LogSink::default(),
-            bb_input_scratch,
             forces: BTreeMap::new(),
             region_demoted: vec![demoted; n_regions],
             counters: if config_metrics {
@@ -592,17 +618,7 @@ impl Simulator {
             .blackboxes
             .iter()
             .position(|b| b.name == name)
-            .map(|i| self.blackboxes[i].as_ref() as &dyn Blackbox)
-    }
-
-    /// Names of all blackbox instances of a given IP module.
-    pub fn blackbox_instances(&self, module: &str) -> Vec<String> {
-        self.shared.design
-            .blackboxes
-            .iter()
-            .filter(|b| b.module == module)
-            .map(|b| b.name.clone())
-            .collect()
+            .map(|i| self.blackboxes[i].model.as_ref() as &dyn Blackbox)
     }
 
     /// Direct access to simulation state (for checkpoint-style tooling).
@@ -662,26 +678,31 @@ impl Simulator {
     ///
     /// Fails for unknown signals and width mismatches.
     pub fn poke(&mut self, name: &str, value: Bits) -> Result<(), SimError> {
-        let sig = self
-            .shared
-            .design
+        let id = self.scalar_id(name)?;
+        self.poke_id(id, &value)
+    }
+
+    /// The ID of the scalar (non-memory) signal `name`.
+    fn scalar_id(&self, name: &str) -> Result<SigId, SimError> {
+        let design = &self.shared.design;
+        design
             .signals
             .get(name)
             .filter(|s| s.mem_depth.is_none())
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
-        if value.width() != sig.width {
+            .and_then(|_| design.sig_id(name))
+            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))
+    }
+
+    /// Refuses `value` for scalar `id` unless it has the signal's width.
+    fn check_width(&self, id: SigId, value: &Bits) -> Result<(), SimError> {
+        let expected = self.state.get_id(id).width();
+        if value.width() != expected {
             return Err(SimError::WidthMismatch {
-                signal: name.to_owned(),
-                expected: sig.width,
+                signal: self.shared.design.table.name(id).to_owned(),
+                expected,
                 got: value.width(),
             });
         }
-        let id = self
-            .shared
-            .design
-            .sig_id(name)
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
-        self.apply_poke(id, &value);
         Ok(())
     }
 
@@ -699,14 +720,7 @@ impl Simulator {
                 self.shared.design.table.name(id).to_owned(),
             ));
         }
-        let expected = self.state.get_id(id).width();
-        if value.width() != expected {
-            return Err(SimError::WidthMismatch {
-                signal: self.shared.design.table.name(id).to_owned(),
-                expected,
-                got: value.width(),
-            });
-        }
+        self.check_width(id, value)?;
         self.apply_poke(id, value);
         Ok(())
     }
@@ -742,14 +756,7 @@ impl Simulator {
     pub fn stimulus_plan(&self, names: &[&str]) -> Result<StimulusPlan, SimError> {
         let ids = names
             .iter()
-            .map(|name| {
-                self.shared.design
-                    .signals
-                    .get(*name)
-                    .filter(|s| s.mem_depth.is_none())
-                    .and_then(|_| self.shared.design.sig_id(name))
-                    .ok_or_else(|| SimError::UnknownSignal((*name).to_owned()))
-            })
+            .map(|name| self.scalar_id(name))
             .collect::<Result<Vec<SigId>, SimError>>()?;
         Ok(StimulusPlan { ids })
     }
@@ -783,25 +790,8 @@ impl Simulator {
     ///
     /// Fails for unknown signals and width mismatches.
     pub fn force(&mut self, name: &str, value: Bits) -> Result<(), SimError> {
-        let sig = self
-            .shared
-            .design
-            .signals
-            .get(name)
-            .filter(|s| s.mem_depth.is_none())
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
-        if value.width() != sig.width {
-            return Err(SimError::WidthMismatch {
-                signal: name.to_owned(),
-                expected: sig.width,
-                got: value.width(),
-            });
-        }
-        let id = self
-            .shared
-            .design
-            .sig_id(name)
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
+        let id = self.scalar_id(name)?;
+        self.check_width(id, &value)?;
         // Apply the pinned value first (while not yet forced), then pin.
         self.apply_poke(id, &value);
         if self.forces.insert(id, value).is_none() {
@@ -859,28 +849,8 @@ impl Simulator {
     ///
     /// Fails for unknown signals.
     pub fn poke_u64(&mut self, name: &str, value: u64) -> Result<(), SimError> {
-        let id = self
-            .shared
-            .design
-            .signals
-            .get(name)
-            .filter(|s| s.mem_depth.is_none())
-            .and_then(|_| self.shared.design.sig_id(name))
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
-        if !self.forces.is_empty() && self.forces.contains_key(&id) {
-            if let Some(c) = &mut self.counters {
-                c.force_hits += 1;
-            }
-            return Ok(());
-        }
-        if self.state.set_id_u64(id, value) {
-            if let Some(c) = &mut self.counters {
-                c.pokes += 1;
-            }
-            self.dirty_sigs.push(id);
-            self.dirty_units
-                .extend_from_slice(&self.shared.compiled.writers[id.index()]);
-        }
+        let id = self.scalar_id(name)?;
+        self.poke_id_u64(id, value);
         Ok(())
     }
 
@@ -918,17 +888,17 @@ impl Simulator {
     fn run_unit(&mut self, unit: u32) -> Result<(), SimError> {
         let n_combs = self.shared.compiled.combs.len();
         let u = unit as usize;
+        let mut exec = CExec {
+            state: &mut self.state,
+            scratch: &mut self.scratch,
+            nb: None,
+            logs: None,
+            changed: &mut self.changed_scratch,
+            forced: forced_view(&self.forces),
+            strict_bounds: self.config.strict_bounds,
+            counters: self.counters.as_deref_mut(),
+        };
         if u < n_combs {
-            let mut exec = CExec {
-                state: &mut self.state,
-                scratch: &mut self.scratch,
-                nb: None,
-                logs: None,
-                changed: &mut self.changed_scratch,
-                forced: forced_view(&self.forces),
-                strict_bounds: self.config.strict_bounds,
-                counters: self.counters.as_deref_mut(),
-            };
             // Worklist units (and demoted regions, and the FullPass sweep)
             // run their per-unit programs.
             match self.config.backend {
@@ -936,46 +906,25 @@ impl Simulator {
                 Backend::Levelized => bytecode::run(&self.shared.comb_progs[u], &mut exec)?,
             };
         } else {
-            let bi = u - n_combs;
-            self.refresh_bb_inputs(bi)?;
-            let bb = &self.shared.compiled.bbs[bi];
-            for (port, lv) in &bb.outs {
-                let mut v = self.scratch.take();
-                let produced = self.blackboxes[bi].eval_port(
-                    port,
-                    &self.bb_input_scratch[bi],
-                    &mut v,
-                );
-                if produced {
-                    let mut exec = CExec {
-                        state: &mut self.state,
-                        scratch: &mut self.scratch,
-                        nb: None,
-                        logs: None,
-                        changed: &mut self.changed_scratch,
-                        forced: forced_view(&self.forces),
-                        strict_bounds: self.config.strict_bounds,
-                        counters: self.counters.as_deref_mut(),
-                    };
+            let bb = &self.blackboxes[u - n_combs];
+            for (lv, &port) in self.shared.compiled.bbs[u - n_combs].outs.iter().zip(&bb.outs) {
+                let mut v = exec.scratch.take();
+                if bb.model.eval_port(port, &mut v) {
                     exec.write(lv, v)?;
                 } else {
-                    self.scratch.put(v);
+                    exec.scratch.put(v);
                 }
             }
         }
         Ok(())
     }
 
-    /// Re-evaluates a blackbox's input connections into its prebuilt port
-    /// map, in place. `ins` and the map iterate in the same (sorted port
-    /// name) order, so the two zip up.
-    fn refresh_bb_inputs(&mut self, bi: usize) -> Result<(), SimError> {
-        let bb = &self.shared.compiled.bbs[bi];
-        let inputs = &mut self.bb_input_scratch[bi];
-        debug_assert_eq!(inputs.len(), bb.ins.len());
-        for ((port, w, ce), (key, slot)) in bb.ins.iter().zip(inputs.iter_mut()) {
-            debug_assert_eq!(port, key);
-            let _ = key;
+    /// Reads blackbox `bi`'s input connections into its port-indexed
+    /// input slice, in place.
+    fn read_bb_inputs(&mut self, bi: usize) -> Result<(), SimError> {
+        let bb = &mut self.blackboxes[bi];
+        for ((w, ce), &port) in self.shared.compiled.bbs[bi].ins.iter().zip(bb.ins.iter()) {
+            let slot = &mut bb.inputs[port];
             eval_into(&self.state, &mut self.scratch, ce, slot)?;
             slot.resize_in_place(*w);
         }
@@ -1239,11 +1188,14 @@ impl Simulator {
         }
         self.settle()?;
 
-        // Snapshot blackbox inputs at the pre-edge instant, refreshing the
-        // prebuilt port maps in place. Nothing between here and the ticks
-        // touches the maps (clocked processes run through `CExec` only).
-        for bi in 0..self.shared.compiled.bbs.len() {
-            self.refresh_bb_inputs(bi)?;
+        // Read the inputs of the blackboxes this edge ticks, at the
+        // pre-edge instant. Nothing between here and the ticks touches
+        // them (clocked processes run through `CExec` only). A model
+        // ticked through two clock ports is listed twice in a row.
+        for (k, &(bi, _)) in plan.ticks.iter().enumerate() {
+            if k == 0 || plan.ticks[k - 1].0 != bi {
+                self.read_bb_inputs(bi)?;
+            }
         }
 
         if let Some(cid) = clock_id {
@@ -1286,12 +1238,13 @@ impl Simulator {
         }
 
         // Tick blackboxes clocked by this signal, with pre-edge inputs.
-        // A ticked model's outputs may change with no input edge, so its
-        // unit is re-scheduled explicitly.
+        // A blackbox unit reads no signal, so the tick, the one event that
+        // changes its outputs, re-schedules it explicitly.
         let n_combs = self.shared.compiled.combs.len() as u32;
-        for (bi, port) in &plan.ticks {
-            self.blackboxes[*bi].tick(port, &self.bb_input_scratch[*bi]);
-            self.dirty_units.push(n_combs + *bi as u32);
+        for &(bi, ci) in &plan.ticks {
+            let bb = &mut self.blackboxes[bi];
+            bb.model.tick(bb.clocks[ci], &bb.inputs);
+            self.dirty_units.push(n_combs + bi as u32);
         }
 
         // Commit nonblocking writes in program order.
@@ -1385,7 +1338,7 @@ impl Simulator {
     pub fn checkpoint(&self) -> Result<Checkpoint, SimError> {
         let mut bb_states = Vec::new();
         for (i, bb) in self.blackboxes.iter().enumerate() {
-            match bb.snapshot() {
+            match bb.model.snapshot() {
                 Some(st) => bb_states.push(st),
                 None => {
                     return Err(SimError::NoModel(
@@ -1417,7 +1370,7 @@ impl Simulator {
             return Err(SimError::NoModel("checkpoint shape mismatch".into()));
         }
         for (i, bb) in self.blackboxes.iter_mut().enumerate() {
-            if !bb.restore(cp.bb_states[i].as_ref()) {
+            if !bb.model.restore(cp.bb_states[i].as_ref()) {
                 return Err(SimError::NoModel(
                     self.shared.design.blackboxes[i].module.clone(),
                 ));
@@ -1467,14 +1420,11 @@ impl Simulator {
     ) -> Result<(), SimError> {
         let shared = Arc::clone(&self.shared);
         let design = &shared.design;
-        let mut blackboxes = Vec::with_capacity(design.blackboxes.len());
-        for bb in &design.blackboxes {
-            let model = factory
-                .create(bb)
-                .ok_or_else(|| SimError::NoModel(bb.module.clone()))?;
-            blackboxes.push(model);
-        }
-        self.blackboxes = blackboxes;
+        self.blackboxes = design
+            .blackboxes
+            .iter()
+            .map(|bb| BbModel::new(bb, factory))
+            .collect::<Result<_, _>>()?;
         self.state.reset(design, config.init);
         self.scratch.size_registers(shared.n_narrow, shared.n_wide, shared.max_width);
         self.counters = if config.metrics {

@@ -1,6 +1,7 @@
 //! The static width rule, signed binary operators, and the paper's
 //! memory-address truncation, shared by the compiler and bytecode.
 
+use crate::compile::EvalScratch;
 use crate::SimError;
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::{clog2, Design, WidthError};
@@ -11,30 +12,32 @@ use hwdbg_rtl::{BinaryOp, Expr};
 ///
 /// # Errors
 ///
-/// Fails on references to unknown signals, non-constant range bounds or
-/// replication counts, and reversed part-select bounds.
+/// Fails on references to unknown signals and reversed part-select bounds.
+/// A non-constant range bound or replication count is an internal error:
+/// `resolve`, which builds every [`Design`], refuses them.
 pub fn expr_width(expr: &Expr, design: &Design) -> Result<u32, SimError> {
     design.width_of(expr).map_err(|e| match e {
         WidthError::UnknownName(n) => SimError::UnknownSignal(n),
-        WidthError::NonConstBound => SimError::NonConstSelect,
+        WidthError::NonConstBound => {
+            SimError::Internal("non-constant select in a resolved design".into())
+        }
         WidthError::ReversedRange { msb, lsb } => SimError::ReversedRange { msb, lsb },
     })
 }
 
 /// Signed variant of the binary-operator semantics: comparisons compare in
-/// two's complement, `>>>` shifts arithmetically, operands sign-extend.
-/// Like [`hwdbg_dataflow::apply_binary_into`], the operands are scratch:
-/// they are sign-extended in place to the common width.
-pub(crate) fn apply_binary_signed_into(op: BinaryOp, a: &mut Bits, b: &mut Bits, out: &mut Bits) {
+/// two's complement, operands sign-extend, and `>>>` shifts arithmetically.
+/// For a shift, "signed" means its left operand is: the result keeps that
+/// operand's width and the right operand is an unsigned amount (IEEE
+/// 1364-2005 §5.1.12, Table 5-22). Like
+/// [`hwdbg_dataflow::apply_binary_into`], the operands are scratch: they
+/// are sign-extended in place to the common width.
+fn apply_binary_signed_into(op: BinaryOp, a: &mut Bits, b: &mut Bits, out: &mut Bits) {
     use BinaryOp::*;
     let w = a.width().max(b.width());
     match op {
-        AShr => {
-            // The shift amount reads the *unextended* right operand.
-            let n = hwdbg_dataflow::shift_amount(b);
-            a.resize_signed_in_place(w);
-            a.shr_arith_into(n, out);
-        }
+        AShr => a.shr_arith_into(hwdbg_dataflow::shift_amount(b), out),
+        Shl | Shr => hwdbg_dataflow::apply_binary_into(op, a, b, out),
         Lt | Le | Gt | Ge => {
             a.resize_signed_in_place(w);
             b.resize_signed_in_place(w);
@@ -53,6 +56,42 @@ pub(crate) fn apply_binary_signed_into(op: BinaryOp, a: &mut Bits, b: &mut Bits,
             b.resize_signed_in_place(w);
             hwdbg_dataflow::apply_binary_into(op, a, b, out);
         }
+    }
+}
+
+/// `CExpr::Binary` over evaluated operands, for the tree-walker and the
+/// bytecode's wide ops alike. Wide `/`/`%` go through `divmod_into` with a
+/// pooled buffer for the half discarded: `div_into`/`rem_into` would
+/// allocate their scratch per evaluation above 128 bits. The operands are
+/// scratch (resized in place).
+pub(crate) fn binary_into(
+    scratch: &mut EvalScratch,
+    op: BinaryOp,
+    signed: bool,
+    x: &mut Bits,
+    y: &mut Bits,
+    out: &mut Bits,
+) {
+    if matches!(op, BinaryOp::Div | BinaryOp::Mod) && x.width().max(y.width()) > 128 {
+        let w = x.width().max(y.width());
+        if signed {
+            x.resize_signed_in_place(w);
+            y.resize_signed_in_place(w);
+        } else {
+            x.resize_in_place(w);
+            y.resize_in_place(w);
+        }
+        let mut spare = scratch.take();
+        if matches!(op, BinaryOp::Div) {
+            x.divmod_into(y, out, &mut spare);
+        } else {
+            x.divmod_into(y, &mut spare, out);
+        }
+        scratch.put(spare);
+    } else if signed {
+        apply_binary_signed_into(op, x, y, out);
+    } else {
+        hwdbg_dataflow::apply_binary_into(op, x, y, out);
     }
 }
 

@@ -60,7 +60,6 @@ pub use vcd::VcdWriter;
 
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::BbInst;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// One captured `$display` record.
@@ -81,17 +80,34 @@ impl fmt::Display for LogRecord {
 }
 
 /// A behavioral model of a blackbox IP instance.
+///
+/// Models have registered outputs: each output is a function of the
+/// model's state alone, and the state changes only in
+/// [`tick`](Self::tick). The simulator therefore reads a model's inputs
+/// once per rising edge of one of its clocks, at the pre-edge instant, and
+/// evaluates its outputs only after a tick, on the first or a full settle,
+/// and when a driven signal is released; a change to an input alone never
+/// re-runs the model. Ports are addressed by their position in
+/// [`ports`](Self::ports), which the simulator resolves once, when it is
+/// built.
 pub trait Blackbox {
-    /// Evaluates the combinational output `port`, a function of internal
-    /// state and current inputs, into `out`, reusing its storage; returns
-    /// false when the model does not drive the port. Called once per
-    /// connected output port per settle, so it must be idempotent for a
-    /// given input map and should not allocate.
-    fn eval_port(&mut self, port: &str, inputs: &BTreeMap<String, Bits>, out: &mut Bits) -> bool;
+    /// The model's port names, inputs, clocks and outputs alike. A port's
+    /// position in this list is the index [`eval_port`](Self::eval_port),
+    /// [`tick`](Self::tick) and the `inputs` slice use. It must name every
+    /// port the instance connects, or building the simulator fails with
+    /// [`SimError::NoModel`].
+    fn ports(&self) -> &'static [&'static str];
 
-    /// State update on a rising edge of the clock connected to `clock_port`,
-    /// observing the pre-edge `inputs`.
-    fn tick(&mut self, clock_port: &str, inputs: &BTreeMap<String, Bits>);
+    /// Writes the registered output at position `port` into `out`, reusing
+    /// its storage; returns false when the model does not drive the port.
+    /// Called after every tick, so it should not allocate.
+    fn eval_port(&self, port: usize, out: &mut Bits) -> bool;
+
+    /// State update on a rising edge of the clock at position
+    /// `clock_port`. `inputs` holds one value per port of
+    /// [`ports`](Self::ports): the pre-edge value of each connected input,
+    /// cut to the port's width, and zero for every other port.
+    fn tick(&mut self, clock_port: usize, inputs: &[Bits]);
 
     /// Downcast hook so post-run tooling (e.g. SignalCat's log
     /// reconstruction) can read captured state out of a model.
@@ -136,11 +152,8 @@ impl BlackboxFactory for NoModels {
 pub enum SimError {
     /// Reference to a signal the design does not declare.
     UnknownSignal(String),
-    /// A part-select or replication whose bounds are not constant.
-    NonConstSelect,
     /// A part-select whose constant bounds are reversed (`[lsb:msb]` with
-    /// `lsb > msb`). Distinct from [`SimError::NonConstSelect`]: the
-    /// bounds *are* constant, they are just in the wrong order.
+    /// `lsb > msb`).
     ReversedRange {
         /// The (smaller) value written in the msb position.
         msb: u64,
@@ -224,7 +237,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::UnknownSignal(n) => write!(f, "unknown signal `{n}`"),
-            SimError::NonConstSelect => write!(f, "non-constant select bounds"),
             SimError::ReversedRange { msb, lsb } => write!(
                 f,
                 "reversed part-select bounds [{msb}:{lsb}] (msb < lsb)"
@@ -288,7 +300,6 @@ impl From<SimError> for hwdbg_diag::HwdbgError {
         let message = e.to_string();
         let (code, signals): (ErrorCode, Vec<String>) = match &e {
             SimError::UnknownSignal(n) => (ErrorCode::UnknownSignal, vec![n.clone()]),
-            SimError::NonConstSelect => (ErrorCode::NonConstSelect, vec![]),
             SimError::ReversedRange { .. } => (ErrorCode::ReversedRange, vec![]),
             SimError::CombLoop { unstable } => (ErrorCode::CombLoop, unstable.clone()),
             SimError::LoopCap(v) => (ErrorCode::LoopCap, vec![v.clone()]),

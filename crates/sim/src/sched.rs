@@ -110,9 +110,6 @@ pub(crate) fn build_schedule(
             }
             for &r in &compiled.readers[s] {
                 let r = r as usize;
-                if r >= n_combs {
-                    continue;
-                }
                 if w == r {
                     self_loop[w] = true;
                 } else {
@@ -245,7 +242,7 @@ pub(crate) fn build_schedule(
         dedup(sig_readers, &mut scratch);
         let internal = scratch
             .iter()
-            .all(|&r| (r as usize) < n_combs && fusable[r as usize] && region_of[r as usize] == rid);
+            .all(|&r| fusable[r as usize] && region_of[r as usize] == rid);
         if !internal {
             continue;
         }

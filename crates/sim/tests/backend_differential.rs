@@ -451,7 +451,7 @@ fn signed_display_renders_negative_under_both_backends() {
 }
 
 /// Regression: reversed constant part-select bounds are a typed
-/// `ReversedRange` error (E0408), not the catch-all `NonConstSelect`.
+/// `ReversedRange` error (E0408).
 #[test]
 fn reversed_range_is_typed_error() {
     let src = "module m(input clk, input [7:0] a, output [7:0] q);
@@ -625,6 +625,90 @@ fn wide_loop_variable_matches() {
         Some(format!("{:0128b}", (1u128 << 64) + 2)),
         "the loop must run past 2^64"
     );
+    for leg in ALL_LEGS {
+        assert_eq!(run(leg), reference, "{leg:?}");
+    }
+}
+
+/// Every standard blackbox model (`tests/fixtures/ip_sim.v`: show-ahead
+/// and normal-mode `scfifo`, `dcfifo` on an aliased read clock,
+/// `altsyncram`, `trace_buffer`) under every leg, at zero and random
+/// init: `$display` logs, signal state and VCD match the reference.
+#[test]
+fn ip_models_match() {
+    let src = include_str!("../../../tests/fixtures/ip_sim.v");
+    let design = hwdbg_dataflow::elaborate(
+        &hwdbg_rtl::parse(src).unwrap(),
+        "ip_sim",
+        &hwdbg_ip::StdIpLib::new(),
+    )
+    .unwrap();
+    assert_eq!(design.blackboxes.len(), 5);
+    for init in [RegInit::Zero, RegInit::Random(0x1B_5EED)] {
+        let run = |leg| {
+            let mut sim = Simulator::new(design.clone(), &StdModels, config(leg, init)).unwrap();
+            let vcd = SharedBuf::default();
+            sim.attach_vcd(vcd.clone()).unwrap();
+            sim.run("clk", 48).unwrap();
+            let logs: Vec<String> = sim.logs().iter().map(|r| r.to_string()).collect();
+            let bytes = vcd.0.lock().unwrap().clone();
+            (logs, state_of(&sim), bytes)
+        };
+        let reference = run(REFERENCE);
+        assert_eq!(reference.0.len(), 96, "{init:?}: two records per cycle");
+        for leg in ALL_LEGS {
+            assert!(run(leg) == reference, "{init:?}/{leg:?}: diverged from the reference");
+        }
+    }
+}
+
+/// Shifts follow IEEE 1364-2005 §5.1.12 and Table 5-22: the result keeps
+/// the left operand's width, the right operand is an unsigned amount, and
+/// only a signed left operand makes `>>>` fill with its sign. Narrow and
+/// wide (above 64 bits) operands, under every leg.
+#[test]
+fn shifts_keep_the_left_operand_width_and_sign() {
+    let design = lowered_design(
+        "module m(input clk, input [7:0] u, input [3:0] k);
+           wire signed [3:0] a; assign a = 4'he;
+           wire signed [7:0] b; assign b = 8'h01;
+           wire signed [7:0] nb; assign nb = 8'hfe;
+           wire signed [99:0] w; assign w = {4'h9, 96'd0};
+           wire [27:0] c; assign c = {24'd0, {a >>> b}};
+           wire [3:0] l; assign l = a << b;
+           wire [3:0] r; assign r = a >> b;
+           wire [7:0] v; assign v = u >>> 2'd2;
+           wire [7:0] s; assign s = $signed(u) >>> k;
+           wire [7:0] t; assign t = $signed(u) >>> nb;
+           wire [99:0] x; assign x = w >>> k;
+           wire [99:0] y; assign y = w >> k;
+         endmodule",
+    );
+    let run = |leg| {
+        let config = config(leg, RegInit::Zero);
+        let mut sim = Simulator::new(design.clone(), &hwdbg_sim::NoModels, config).unwrap();
+        let mut trace = Vec::new();
+        for (u, k) in [(0xf0u64, 2u64), (0x81, 1), (0x7f, 3)] {
+            sim.poke_u64("u", u).unwrap();
+            sim.poke_u64("k", k).unwrap();
+            sim.settle().unwrap();
+            trace.push(state_of(&sim));
+        }
+        trace
+    };
+    let reference = run(REFERENCE);
+    let get = |n: &str| {
+        let (_, v) = reference[0].iter().find(|(name, _)| name == n).unwrap();
+        u128::from_str_radix(v, 2).unwrap()
+    };
+    assert_eq!(get("c"), 0xf, "a >>> b keeps a's 4 bits");
+    assert_eq!(get("l"), 0xc);
+    assert_eq!(get("r"), 0x7);
+    assert_eq!(get("v"), 0x3c, "an unsigned >>> shifts in zeros");
+    assert_eq!(get("s"), 0xfc, "a signed >>> shifts in the sign");
+    assert_eq!(get("t"), 0xff, "a negative amount is a large unsigned one");
+    assert_eq!(get("x"), 0xe4 << 92, "wide signed >>>");
+    assert_eq!(get("y"), 0x24 << 92, "wide >>");
     for leg in ALL_LEGS {
         assert_eq!(run(leg), reference, "{leg:?}");
     }

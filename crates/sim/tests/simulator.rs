@@ -647,24 +647,85 @@ fn display_arguments_beyond_one_programs_registers_are_refused() {
 #[test]
 fn parameter_selects_simulate() {
     use hwdbg_sim::Backend;
-    let src = "module m(input [15:0] x, output [6:0] y, output [7:0] z, output q, output r);
-        localparam P = 8'h26;
-        assign y = x[P[3:0]:0];
+    let body = "assign y = x[P[3:0]:0];
         assign z = {P[1:0]{x[3:0]}};
         assign q = x[P[7:4] + 1];
         assign r = P[x[2:0]];
+     endmodule";
+    // A `localparam`, and a header parameter, which `flatten` folds.
+    for head in [
+        "module m(input [15:0] x, output [6:0] y, output [7:0] z, output q, output r);
+        localparam P = 8'h26;",
+        "module m #(parameter P = 8'h26)
+        (input [15:0] x, output [6:0] y, output [7:0] z, output q, output r);",
+    ] {
+        let src = format!("{head}\n{body}");
+        let design = elaborate(&parse(&src).unwrap(), "m", &NoBlackboxes).unwrap();
+        for backend in [Backend::Tree, Backend::Levelized] {
+            let config = SimConfig::default().with_backend(backend);
+            let mut s = Simulator::new(design.clone(), &NoModels, config).unwrap();
+            let mut read = |x: u64| {
+                s.poke_u64("x", x).unwrap();
+                s.settle().unwrap();
+                ["y", "z", "q", "r"].map(|n| s.peek(n).unwrap().to_u64())
+            };
+            assert_eq!(read(0x26ae), [0x2e, 0xee, 1, 0], "{backend:?}");
+            assert_eq!(read(0x3a05), [0x05, 0x55, 0, 1], "{backend:?}");
+        }
+    }
+}
+
+/// An unsized decimal literal is signed (IEEE 1364-2005 §3.5.1), so a
+/// count-down loop over an `integer` ends at `i >= 0`.
+#[test]
+fn unsized_decimals_are_signed() {
+    use hwdbg_sim::Backend;
+    let src = "module m(input clk, output reg [7:0] n, output reg [7:0] bits);
+        integer i;
+        always @(posedge clk) begin
+            n = 8'd0;
+            bits = 8'd0;
+            for (i = 7; i >= 0; i = i - 1) begin
+                n = n + 8'd1;
+                bits = {bits[6:0], i[0]};
+            end
+        end
      endmodule";
     let design = elaborate(&parse(src).unwrap(), "m", &NoBlackboxes).unwrap();
     for backend in [Backend::Tree, Backend::Levelized] {
         let config = SimConfig::default().with_backend(backend);
         let mut s = Simulator::new(design.clone(), &NoModels, config).unwrap();
-        let mut read = |x: u64| {
-            s.poke_u64("x", x).unwrap();
+        s.step("clk").unwrap();
+        assert_eq!(s.peek("n").unwrap().to_u64(), 8, "{backend:?}");
+        assert_eq!(s.peek("bits").unwrap().to_u64(), 0b1010_1010, "{backend:?}");
+        assert_eq!(s.peek("i").unwrap().to_u64(), 0xffff_ffff, "{backend:?}: i ends at -1");
+    }
+}
+
+/// A comb block's `for` variable is a procedural temporary: its
+/// intermediate values do not wake the block, so the block settles.
+#[test]
+fn a_comb_loop_variable_does_not_wake_its_block() {
+    use hwdbg_sim::Backend;
+    let src = "module m(input [1:0] d, output reg [1:0] q);
+        integer i;
+        always @(*) for (i = 0; i < 2; i = i + 1) q[i] = d[i];
+     endmodule";
+    let design = elaborate(&parse(src).unwrap(), "m", &NoBlackboxes).unwrap();
+    for backend in [Backend::Tree, Backend::Levelized] {
+        let config = SimConfig::default().with_backend(backend).with_metrics(true);
+        let mut s = Simulator::new(design.clone(), &NoModels, config).unwrap();
+        for d in [2, 1, 3, 0] {
+            s.poke_u64("d", d).unwrap();
             s.settle().unwrap();
-            ["y", "z", "q", "r"].map(|n| s.peek(n).unwrap().to_u64())
-        };
-        assert_eq!(read(0x26ae), [0x2e, 0xee, 1, 0], "{backend:?}");
-        assert_eq!(read(0x3a05), [0x05, 0x55, 0, 1], "{backend:?}");
+            assert_eq!(s.peek("q").unwrap().to_u64(), d, "{backend:?}");
+            assert_eq!(s.peek("i").unwrap().to_u64(), 2, "{backend:?}");
+        }
+        s.reset_counters();
+        s.poke_u64("d", 2).unwrap();
+        s.settle().unwrap();
+        let c = *s.counters().unwrap();
+        assert_eq!(c.units_executed, 1, "{backend:?}: one run per input change: {c:?}");
     }
 }
 
@@ -1005,3 +1066,36 @@ const CLOCK_PLAN_WANT: &[(&str, &str)] = &[
     ("mem", "cycle=3 clk=0 procs=0 steps=3 pokes=3 | both=00 clk=0 clk2=0 cnt=00 d=0 din=12 fempty=1 fq=00 fused=0 q2=00 mem=00,00,00,00"),
     ("nosuch", "cycle=3 clk=0 procs=0 steps=3 pokes=3 | both=00 clk=0 clk2=0 cnt=00 d=0 din=12 fempty=1 fq=00 fused=0 q2=00 mem=00,00,00,00"),
 ];
+
+/// A blackbox's outputs are registered: a change to one of its inputs
+/// alone re-runs no unit, and the edge that ticks it re-runs its unit.
+#[test]
+fn a_blackbox_input_change_runs_no_unit() {
+    use hwdbg_ip::{StdIpLib, StdModels};
+    use hwdbg_sim::Backend;
+    let src = "module m(input clk, input [7:0] d, input push, output [7:0] head);
+            scfifo #(.WIDTH(8), .DEPTH(4)) f0 (.clock(clk), .data(d), .wrreq(push), .q(head));
+         endmodule";
+    let design = elaborate(&parse(src).unwrap(), "m", &StdIpLib::new()).unwrap();
+    for backend in [Backend::Tree, Backend::Levelized] {
+        let config = SimConfig {
+            backend,
+            ..SimConfig::default().with_metrics(true)
+        };
+        let mut s = Simulator::new(design.clone(), &StdModels, config).unwrap();
+        s.settle().unwrap();
+        s.reset_counters();
+        for v in 1..=5 {
+            s.poke_u64("d", v).unwrap();
+            s.poke_u64("push", v & 1).unwrap();
+            s.settle().unwrap();
+        }
+        let c = *s.counters().expect("metrics enabled");
+        assert_eq!(c.units_executed, 0, "{backend:?}: input pokes ran a unit: {c:?}");
+        assert_eq!(s.peek("head").unwrap().to_u64(), 0);
+        s.step("clk").unwrap();
+        let c = *s.counters().expect("metrics enabled");
+        assert_eq!(c.units_executed, 1, "{backend:?}: the tick runs the unit once: {c:?}");
+        assert_eq!(s.peek("head").unwrap().to_u64(), 5, "{backend:?}");
+    }
+}
