@@ -402,12 +402,6 @@ impl Bits {
         }
     }
 
-    /// True iff the value is exactly 1.
-    pub fn is_one(&self) -> bool {
-        let l = self.limbs();
-        l[0] == 1 && l[1..].iter().all(|&l| l == 0)
-    }
-
     /// The value truncated to 64 bits.
     #[inline]
     pub fn to_u64(&self) -> u64 {

@@ -350,12 +350,6 @@ struct SignalFacts {
     bit_selected: bool,
 }
 
-/// Whether an expression is constant with respect to the design's
-/// parameters, and its value if so.
-fn const_value(e: &Expr, design: &Design) -> Option<Bits> {
-    hwdbg_dataflow::eval_const(e, &design.consts).ok()
-}
-
 /// `state <= state` (hold) and ternaries over constants also count as
 /// constant-only assignments for the purpose of rule (1).
 fn rhs_const_values(e: &Expr, lhs: &str, design: &Design, vals: &mut BTreeSet<u64>) -> bool {
@@ -367,12 +361,12 @@ fn rhs_const_values(e: &Expr, lhs: &str, design: &Design, vals: &mut BTreeSet<u6
     if let Expr::Ternary(_, t, f) = e {
         return rhs_const_values(t, lhs, design, vals) && rhs_const_values(f, lhs, design, vals);
     }
-    match const_value(e, design) {
-        Some(v) => {
+    match hwdbg_dataflow::eval_const(e, &design.consts) {
+        Ok(v) => {
             vals.insert(v.to_u64());
             true
         }
-        None => false,
+        Err(_) => false,
     }
 }
 
@@ -400,6 +394,20 @@ impl Facts<'_> {
     fn mark_idents(&mut self, e: &Expr, note: fn(&mut SignalFacts)) {
         e.visit_idents(&mut |n| self.mark(n, note));
     }
+
+    /// Marks the operands of arithmetic in `e`, and the signals it
+    /// selects bits of.
+    fn mark_usage(&mut self, e: &Expr) {
+        use hwdbg_rtl::BinaryOp::{Add, Div, Mod, Mul, Sub};
+        e.visit(&mut |sub| match sub {
+            Expr::Binary(Add | Sub | Mul | Div | Mod, l, r) => {
+                self.mark_idents(l, |f| f.arithmetic = true);
+                self.mark_idents(r, |f| f.arithmetic = true);
+            }
+            Expr::Index(n, _) | Expr::Range(n, _, _) => self.mark(n, bit_selected),
+            _ => {}
+        });
+    }
 }
 
 fn note_condition_idents(e: &Expr, facts: &mut Facts<'_>) {
@@ -410,53 +418,6 @@ fn bit_selected(f: &mut SignalFacts) {
     f.bit_selected = true;
 }
 
-fn note_expr_usage(e: &Expr, facts: &mut Facts<'_>) {
-    match e {
-        Expr::Binary(op, l, r) => {
-            if matches!(
-                op,
-                hwdbg_rtl::BinaryOp::Add
-                    | hwdbg_rtl::BinaryOp::Sub
-                    | hwdbg_rtl::BinaryOp::Mul
-                    | hwdbg_rtl::BinaryOp::Div
-                    | hwdbg_rtl::BinaryOp::Mod
-            ) {
-                facts.mark_idents(l, |f| f.arithmetic = true);
-                facts.mark_idents(r, |f| f.arithmetic = true);
-            }
-            note_expr_usage(l, facts);
-            note_expr_usage(r, facts);
-        }
-        Expr::Index(n, i) => {
-            facts.mark(n, bit_selected);
-            note_expr_usage(i, facts);
-        }
-        Expr::Range(n, a, b) => {
-            facts.mark(n, bit_selected);
-            note_expr_usage(a, facts);
-            note_expr_usage(b, facts);
-        }
-        Expr::Unary(_, inner) | Expr::WidthCast(_, inner) | Expr::SignCast(_, inner) => {
-            note_expr_usage(inner, facts)
-        }
-        Expr::Ternary(c, t, f) => {
-            note_expr_usage(c, facts);
-            note_expr_usage(t, facts);
-            note_expr_usage(f, facts);
-        }
-        Expr::Concat(parts) => {
-            for p in parts {
-                note_expr_usage(p, facts);
-            }
-        }
-        Expr::Repeat(a, b) => {
-            note_expr_usage(a, facts);
-            note_expr_usage(b, facts);
-        }
-        Expr::Literal { .. } | Expr::Ident(_) => {}
-    }
-}
-
 /// Records the facts one statement contributes on its own, under `path`;
 /// nested statements are the walker's. An assignment is conditional when
 /// an `if` or `case` guards it (a `for` loop alone does not).
@@ -464,17 +425,17 @@ fn note_stmt(path: &[Guard<'_>], stmt: &Stmt, facts: &mut Facts<'_>, clocked: bo
     match stmt {
         Stmt::If { cond, .. } => {
             note_condition_idents(cond, facts);
-            note_expr_usage(cond, facts);
+            facts.mark_usage(cond);
         }
         Stmt::Case { expr, arms, .. } => {
             note_condition_idents(expr, facts);
-            note_expr_usage(expr, facts);
+            facts.mark_usage(expr);
             for l in arms.iter().flat_map(|arm| &arm.labels) {
-                note_expr_usage(l, facts);
+                facts.mark_usage(l);
             }
         }
         Stmt::Assign { lhs, rhs, .. } => {
-            note_expr_usage(rhs, facts);
+            facts.mark_usage(rhs);
             match lhs {
                 LValue::Id(name) => {
                     let design = facts.design;
@@ -495,7 +456,7 @@ fn note_stmt(path: &[Guard<'_>], stmt: &Stmt, facts: &mut Facts<'_>, clocked: bo
                     }
                 }
                 LValue::Index(..) | LValue::Range(..) | LValue::Concat(_) => {
-                    lhs.visit_targets(&mut |n| facts.mark(n, bit_selected));
+                    lhs.visit_targets(&mut |n, _| facts.mark(n, bit_selected));
                 }
             }
         }

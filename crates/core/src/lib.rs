@@ -182,6 +182,14 @@ pub fn clock_map(design: &Design) -> ClockMap<'_> {
     }
 }
 
+/// Reduces an expression to one bit (Verilog truthiness) if needed.
+pub(crate) fn to_bool(e: hwdbg_rtl::Expr, design: &Design) -> hwdbg_rtl::Expr {
+    match design.expr_width(&e) {
+        Some(1) => e,
+        _ => hwdbg_rtl::Expr::Unary(hwdbg_rtl::UnaryOp::RedOr, Box::new(e)),
+    }
+}
+
 /// Counts the lines of Verilog a set of generated items prints to —
 /// the "lines of analysis code the developer did not have to write"
 /// metric from §6.3 of the paper.

@@ -19,10 +19,10 @@
 //! that also fire there are suppressed, which reproduces both the paper's
 //! D1 false positive and its D11 false negative.
 
-use crate::{clock_map, generated_lines, ToolError};
+use crate::{clock_map, generated_lines, to_bool, ToolError};
 use hwdbg_dataflow::guard::{self, Guard};
 use hwdbg_dataflow::{Design, DepKind, PropGraph, SigKind};
-use hwdbg_rtl::{BinaryOp, Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt, UnaryOp};
+use hwdbg_rtl::{BinaryOp, Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt};
 use hwdbg_sim::LogRecord;
 use std::collections::BTreeSet;
 
@@ -461,11 +461,19 @@ fn scan_memory_ports(design: &Design, mem: &str) -> MemPorts {
 /// Records the memory reads and writes one statement makes on its own,
 /// under the condition of `path`; nested statements are the walker's.
 fn scan_stmt_ports(path: &[Guard<'_>], stmt: &Stmt, mem: &str, ports: &mut MemPorts) {
+    let mut reads = |e: &Expr| {
+        e.visit(&mut |sub| match sub {
+            Expr::Index(name, idx) if name == mem => {
+                ports.reads.push((guard::cond(path), (**idx).clone()));
+            }
+            _ => {}
+        })
+    };
     match stmt {
-        Stmt::If { cond, .. } => scan_expr_reads(cond, path, mem, ports),
-        Stmt::Case { expr, .. } => scan_expr_reads(expr, path, mem, ports),
+        Stmt::If { cond, .. } => reads(cond),
+        Stmt::Case { expr, .. } => reads(expr),
         Stmt::Assign { lhs, rhs, .. } => {
-            scan_expr_reads(rhs, path, mem, ports);
+            reads(rhs);
             if let LValue::Index(name, idx) = lhs {
                 if name == mem {
                     ports.writes.push(MemWrite {
@@ -476,44 +484,8 @@ fn scan_stmt_ports(path: &[Guard<'_>], stmt: &Stmt, mem: &str, ports: &mut MemPo
                 }
             }
         }
-        Stmt::Display { args, .. } => {
-            for a in args {
-                scan_expr_reads(a, path, mem, ports);
-            }
-        }
+        Stmt::Display { args, .. } => args.iter().for_each(reads),
         Stmt::Block(_) | Stmt::For { .. } | Stmt::Finish | Stmt::Empty => {}
-    }
-}
-
-fn scan_expr_reads(e: &Expr, path: &[Guard<'_>], mem: &str, ports: &mut MemPorts) {
-    match e {
-        Expr::Index(name, idx) if name == mem => {
-            ports.reads.push((guard::cond(path), (**idx).clone()));
-            scan_expr_reads(idx, path, mem, ports);
-        }
-        Expr::Index(_, idx) => scan_expr_reads(idx, path, mem, ports),
-        Expr::Unary(_, i) | Expr::WidthCast(_, i) | Expr::SignCast(_, i) => {
-            scan_expr_reads(i, path, mem, ports)
-        }
-        Expr::Binary(_, a, b) | Expr::Repeat(a, b) => {
-            scan_expr_reads(a, path, mem, ports);
-            scan_expr_reads(b, path, mem, ports);
-        }
-        Expr::Ternary(c, t, f) => {
-            scan_expr_reads(c, path, mem, ports);
-            scan_expr_reads(t, path, mem, ports);
-            scan_expr_reads(f, path, mem, ports);
-        }
-        Expr::Range(_, a, b) => {
-            scan_expr_reads(a, path, mem, ports);
-            scan_expr_reads(b, path, mem, ports);
-        }
-        Expr::Concat(parts) => {
-            for p in parts {
-                scan_expr_reads(p, path, mem, ports);
-            }
-        }
-        Expr::Literal { .. } | Expr::Ident(_) => {}
     }
 }
 
@@ -534,13 +506,6 @@ fn h_reg(r: &str) -> String {
 }
 fn h_wire(r: &str) -> String {
     format!("__lc_hw_{r}")
-}
-
-fn to_bool(e: Expr, design: &Design) -> Expr {
-    match design.expr_width(&e) {
-        Some(1) => e,
-        _ => Expr::Unary(UnaryOp::RedOr, Box::new(e)),
-    }
 }
 
 #[cfg(test)]

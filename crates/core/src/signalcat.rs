@@ -10,11 +10,11 @@
 //! captured entries back into the exact log the `$display`s would have
 //! printed — the same output in simulation and deployment.
 
-use crate::{generated_lines, ToolError};
+use crate::{generated_lines, to_bool, ToolError};
 use hwdbg_dataflow::{guard, Design};
 use hwdbg_ip::TraceBuffer;
 use hwdbg_rtl::{
-    CaseArm, Expr, Instance, Item, LValue, Module, NetDecl, NetKind, Span, Stmt, UnaryOp,
+    CaseArm, Expr, Instance, Item, LValue, Module, NetDecl, NetKind, Span, Stmt,
 };
 use hwdbg_sim::{LogRecord, Simulator};
 
@@ -378,14 +378,6 @@ fn cond_wire(id: usize) -> String {
 
 fn arg_wire(id: usize, j: usize) -> String {
     format!("__sc_a{id}_{j}")
-}
-
-/// Reduces an expression to one bit (Verilog truthiness) if needed.
-fn to_bool(e: Expr, design: &Design) -> Expr {
-    match design.expr_width(&e) {
-        Some(1) => e,
-        _ => Expr::Unary(UnaryOp::RedOr, Box::new(e)),
-    }
 }
 
 /// Removes `$display` statements from the clocked logic of a module.

@@ -13,6 +13,14 @@ pub type ConstEnv = BTreeMap<String, Bits>;
 
 /// Evaluates `expr` to a constant.
 ///
+/// Operators take the signedness the simulator gives them (IEEE 1364-2005
+/// §5.5.1), so a constant folds to the value the same expression
+/// simulates to: an unsized decimal literal is signed, a parameter name is
+/// unsigned, `$signed`/`$unsigned` set the sign and `-`/`~` keep it. A
+/// binary operator is signed only when both operands are (a shift only
+/// needs its left operand signed), and `>>>` of an unsigned operand
+/// shifts in zeros.
+///
 /// # Errors
 ///
 /// Returns [`DataflowError::NotConstant`] if the expression references a
@@ -20,15 +28,23 @@ pub type ConstEnv = BTreeMap<String, Bits>;
 /// [`DataflowError::BadRange`] for a reversed or oversized select of a
 /// parameter.
 pub fn eval_const(expr: &Expr, env: &ConstEnv) -> Result<Bits, DataflowError> {
-    match expr {
-        Expr::Literal { value, .. } => Ok(value.clone()),
-        Expr::Ident(name) => env
-            .get(name)
-            .cloned()
-            .ok_or_else(|| DataflowError::NotConstant(name.clone())),
+    eval(expr, env).map(|(v, _)| v)
+}
+
+/// [`eval_const`] with the value's signedness.
+fn eval(expr: &Expr, env: &ConstEnv) -> Result<(Bits, bool), DataflowError> {
+    Ok(match expr {
+        // The parser marks exactly the literals without a `'` unsized.
+        Expr::Literal { value, sized } => (value.clone(), !sized),
+        Expr::Ident(name) => (
+            env.get(name)
+                .cloned()
+                .ok_or_else(|| DataflowError::NotConstant(name.clone()))?,
+            false,
+        ),
         Expr::Unary(op, inner) => {
-            let v = eval_const(inner, env)?;
-            Ok(match op {
+            let (v, signed) = eval(inner, env)?;
+            let v = match op {
                 UnaryOp::Not => !&v,
                 UnaryOp::LogNot => Bits::from_bool(v.is_zero()),
                 UnaryOp::Neg => v.neg(),
@@ -36,24 +52,38 @@ pub fn eval_const(expr: &Expr, env: &ConstEnv) -> Result<Bits, DataflowError> {
                 UnaryOp::RedOr => Bits::from_bool(v.reduce_or()),
                 UnaryOp::RedXor => Bits::from_bool(v.reduce_xor()),
                 UnaryOp::RedXnor => Bits::from_bool(!v.reduce_xor()),
-            })
+            };
+            (v, signed && matches!(op, UnaryOp::Neg | UnaryOp::Not))
         }
         Expr::Binary(op, l, r) => {
-            let a = eval_const(l, env)?;
-            let b = eval_const(r, env)?;
-            Ok(apply_binary(*op, &a, &b))
+            let (mut a, sa) = eval(l, env)?;
+            let (mut b, sb) = eval(r, env)?;
+            let shift = matches!(op, BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr);
+            let signed = sa && (sb || shift);
+            let mut out = Bits::default();
+            if signed {
+                apply_binary_signed_into(*op, &mut a, &mut b, &mut out);
+            } else {
+                let op = match op {
+                    BinaryOp::AShr => BinaryOp::Shr,
+                    op => *op,
+                };
+                apply_binary_into(op, &mut a, &mut b, &mut out);
+            }
+            (out, signed && !op.is_boolean())
         }
         Expr::Ternary(c, t, f) => {
             // Both arms are evaluated so the result carries the unified
             // width max(|t|, |f|), matching the simulator's semantics.
             let cond = eval_const(c, env)?;
-            let tv = eval_const(t, env)?;
-            let fv = eval_const(f, env)?;
+            let (tv, st) = eval(t, env)?;
+            let (fv, sf) = eval(f, env)?;
             let w = tv.width().max(fv.width());
-            Ok(if cond.to_bool() { tv.resize(w) } else { fv.resize(w) })
+            let v = if cond.to_bool() { tv.resize(w) } else { fv.resize(w) };
+            (v, st && sf)
         }
-        Expr::WidthCast(w, inner) => Ok(eval_const(inner, env)?.resize(*w)),
-        Expr::SignCast(_, inner) => eval_const(inner, env),
+        Expr::WidthCast(w, inner) => (eval_const(inner, env)?.resize(*w), false),
+        Expr::SignCast(signed, inner) => (eval_const(inner, env)?, *signed),
         Expr::Concat(parts) => {
             let mut acc: Option<Bits> = None;
             for p in parts {
@@ -63,7 +93,8 @@ pub fn eval_const(expr: &Expr, env: &ConstEnv) -> Result<Bits, DataflowError> {
                     Some(hi) => hi.concat(&v),
                 });
             }
-            acc.ok_or_else(|| DataflowError::NotConstant("empty concat".into()))
+            let v = acc.ok_or_else(|| DataflowError::NotConstant("empty concat".into()))?;
+            (v, false)
         }
         Expr::Repeat(n, body) => {
             let count = eval_const(n, env)?.to_u64();
@@ -77,13 +108,13 @@ pub fn eval_const(expr: &Expr, env: &ConstEnv) -> Result<Bits, DataflowError> {
                     "replication produces {total} bits (limit {MAX_WIDTH})"
                 )));
             }
-            Ok(body.repeat(count as u32))
+            (body.repeat(count as u32), false)
         }
         // A select of a parameter is constant (IEEE 1364-2005 §5.2.1);
         // one of a signal names it, the part that varies.
         Expr::Index(n, idx) => {
             let v = env.get(n).ok_or_else(|| DataflowError::NotConstant(n.clone()))?;
-            Ok(v.slice(shift_amount(&eval_const(idx, env)?), 1))
+            (v.slice(shift_amount(&eval_const(idx, env)?), 1), false)
         }
         Expr::Range(n, msb, lsb) => {
             let v = env.get(n).ok_or_else(|| DataflowError::NotConstant(n.clone()))?;
@@ -91,24 +122,17 @@ pub fn eval_const(expr: &Expr, env: &ConstEnv) -> Result<Bits, DataflowError> {
             if l > m || m - l >= u64::from(MAX_WIDTH) {
                 return Err(DataflowError::BadRange(format!("`{n}[{m}:{l}]`")));
             }
-            Ok(v.slice(l.min(u64::from(u32::MAX)) as u32, (m - l + 1) as u32))
+            let v = v.slice(l.min(u64::from(u32::MAX)) as u32, (m - l + 1) as u32);
+            (v, false)
         }
-    }
+    })
 }
 
-/// Applies a binary operator with Verilog width-extension semantics:
-/// operands are zero-extended to the wider of the two, comparisons and
-/// logical operators produce one bit, shifts keep the left operand's width.
-pub fn apply_binary(op: BinaryOp, a: &Bits, b: &Bits) -> Bits {
-    let mut x = a.clone();
-    let mut y = b.clone();
-    let mut out = Bits::default();
-    apply_binary_into(op, &mut x, &mut y, &mut out);
-    out
-}
-
-/// In-place [`apply_binary`]: writes the result into `out`, reusing its
-/// storage. The operands are *scratch*: they may be width-extended in
+/// Applies a binary operator with Verilog width-extension semantics,
+/// writing the result into `out` and reusing its storage: operands are
+/// zero-extended to the wider of the two, comparisons and logical
+/// operators produce one bit, shifts keep the left operand's width. The
+/// operands are *scratch*: they may be width-extended in
 /// place (which is why they are `&mut`), so callers must not rely on their
 /// widths afterwards. This is the simulator's hot-path entry point — for
 /// `<= 64`-bit operands nothing here allocates.
@@ -147,6 +171,40 @@ pub fn apply_binary_into(op: BinaryOp, a: &mut Bits, b: &mut Bits, out: &mut Bit
             out.not_in_place();
         }
         Shl | Shr | AShr | LogAnd | LogOr | Eq | Ne => unreachable!("handled above"),
+    }
+}
+
+/// Signed variant of [`apply_binary_into`]: comparisons compare in two's
+/// complement, operands sign-extend, and `>>>` shifts arithmetically. For
+/// a shift, "signed" means its left operand is: the result keeps that
+/// operand's width and the right operand is an unsigned amount (IEEE
+/// 1364-2005 §5.1.12, Table 5-22). The operands are scratch, as for
+/// [`apply_binary_into`]: they are sign-extended in place to the common
+/// width.
+pub fn apply_binary_signed_into(op: BinaryOp, a: &mut Bits, b: &mut Bits, out: &mut Bits) {
+    use BinaryOp::*;
+    let w = a.width().max(b.width());
+    match op {
+        AShr => a.shr_arith_into(shift_amount(b), out),
+        Shl | Shr => apply_binary_into(op, a, b, out),
+        Lt | Le | Gt | Ge => {
+            a.resize_signed_in_place(w);
+            b.resize_signed_in_place(w);
+            let ord = a.cmp_signed(b);
+            out.set_bool(match op {
+                Lt => ord.is_lt(),
+                Le => ord.is_le(),
+                Gt => ord.is_gt(),
+                _ => ord.is_ge(),
+            });
+        }
+        // Add/sub/mul/logic are bit-identical for signed and unsigned, but
+        // operands sign-extend to the common width first.
+        _ => {
+            a.resize_signed_in_place(w);
+            b.resize_signed_in_place(w);
+            apply_binary_into(op, a, b, out);
+        }
     }
 }
 
@@ -260,14 +318,33 @@ mod tests {
     }
 
     #[test]
+    fn signedness_follows_the_simulator() {
+        let fold = |src: &str| eval_const(&parse_expr(src).unwrap(), &env(&[("P", 4)])).unwrap();
+        // `>>>` of an unsigned operand shifts in zeros; of a signed one,
+        // copies of the sign bit.
+        assert_eq!(fold("8'hf0 >>> 2"), Bits::from_u64(8, 0x3c));
+        assert_eq!(fold("$signed(8'hf0) >>> 2"), Bits::from_u64(8, 0xfc));
+        // Unsized decimals are signed, so is their negation; a comparison
+        // of two signed operands is signed.
+        assert_eq!(fold("(-4 < 0) ? 8'd1 : 8'd2"), Bits::from_u64(8, 1));
+        assert_eq!(fold("-4 < 8'd0"), Bits::from_u64(1, 0));
+        // A parameter name is unsigned, as in the simulator.
+        assert_eq!(fold("(P - 5) < 0"), Bits::from_u64(1, 0));
+        assert_eq!(fold("$signed(P - 5) < 0"), Bits::from_u64(1, 1));
+        assert_eq!(fold("$unsigned(-4) < 0"), Bits::from_u64(1, 0));
+        // Signed operands sign-extend to the common width.
+        assert_eq!(fold("$signed(4'hf) + $signed(8'd0)"), Bits::from_u64(8, 0xff));
+        assert_eq!(fold("4'hf + 8'd0"), Bits::from_u64(8, 0x0f));
+    }
+
+    #[test]
     fn width_extension_rules() {
+        let fold = |src: &str| eval_const(&parse_expr(src).unwrap(), &env(&[])).unwrap();
         // 4'hF + 8'h01 extends to 8 bits: 0x10, no wrap at 4 bits.
-        let a = Bits::from_u64(4, 0xF);
-        let b = Bits::from_u64(8, 1);
-        assert_eq!(apply_binary(BinaryOp::Add, &a, &b).to_u64(), 0x10);
+        assert_eq!(fold("4'hf + 8'h01"), Bits::from_u64(8, 0x10));
         // Comparison yields one bit.
-        assert_eq!(apply_binary(BinaryOp::Lt, &a, &b).width(), 1);
+        assert_eq!(fold("4'hf < 8'h01").width(), 1);
         // Shift keeps left width.
-        assert_eq!(apply_binary(BinaryOp::Shl, &a, &b).width(), 4);
+        assert_eq!(fold("4'hf << 8'h01").width(), 4);
     }
 }

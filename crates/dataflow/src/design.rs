@@ -192,11 +192,6 @@ impl Design {
             .get_or_init(|| Arc::new(PropGraph::build_local(self)))
     }
 
-    /// Static info for an interned signal.
-    pub fn sig_info(&self, id: SigId) -> &SigInfo {
-        &self.signals[self.table.name(id)]
-    }
-
     /// The top module's ports, in declaration order.
     pub fn ports(&self) -> &[Port] {
         &self.flat.ports
@@ -252,11 +247,6 @@ impl Design {
             items,
             span: self.flat.span,
         }
-    }
-
-    /// Iterates over state-holding signals (registers and clocked memories).
-    pub fn state_signals(&self) -> impl Iterator<Item = &SigInfo> {
-        self.signals.values().filter(|s| s.is_state())
     }
 
     /// Computes the static width of an expression in this design, following
@@ -554,9 +544,6 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
     let mut procs = Vec::new();
     let mut blackboxes = Vec::new();
     let mut scan = Scan::new(&table, &consts);
-    // The first part select or replication that is not constant, is
-    // reversed or is too wide; reported after the name checks below.
-    let mut bad_select = None;
     for item in items {
         match item {
             Item::Net(_) | Item::Param(_) | Item::Localparam(_) => {
@@ -570,8 +557,7 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
                     rhs,
                     span,
                 };
-                scan.stmt(&body, span);
-                bad_select = bad_select.or_else(|| check_selects(&body, span, &consts).err());
+                scan.body(&body, span);
                 let (reads, writes) = scan.end_driver(false);
                 combs.push(CombDriver {
                     body,
@@ -581,8 +567,7 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
                 layout.push(Slot::Assign);
             }
             Item::Always { event, body, span } => {
-                scan.stmt(&body, span);
-                bad_select = bad_select.or_else(|| check_selects(&body, span, &consts).err());
+                scan.body(&body, span);
                 match event {
                     EventControl::Comb => {
                         let (reads, writes) = scan.end_driver(false);
@@ -611,18 +596,11 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
             Item::Instance(inst) => {
                 let bb = resolve_instance(&inst, lib, &consts).map_err(|e| e.at(inst.span))?;
                 for e in bb.in_conns.values() {
-                    scan.expr(e);
+                    scan.expr(e, inst.span);
                 }
                 for lv in bb.out_conns.values() {
-                    scan.lvalue(lv, true, inst.span);
+                    scan.lvalue(lv, inst.span);
                 }
-                bad_select = bad_select.or_else(|| {
-                    let mut outs = bb.out_conns.values();
-                    check_exprs(bb.in_conns.values(), &consts)
-                        .and_then(|()| outs.try_for_each(|lv| check_lvalue_selects(lv, &consts)))
-                        .err()
-                        .map(|e| e.at(inst.span))
-                });
                 scan.end_driver(false);
                 blackboxes.push(bb);
                 kept.push(Item::Instance(inst));
@@ -643,6 +621,7 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
         writes,
         undeclared,
         bad,
+        bad_select,
         ..
     } = scan;
     if let Some(name) = first_written(&table, &writes, &undeclared, |w| w.comb > 1 && w.whole) {
@@ -752,44 +731,9 @@ fn resolve_instance(
     })
 }
 
-/// Validates every part select and replication in a driver body, through
-/// [`guard::walk`]: bounds and counts must be constant (E0201, IEEE
-/// 1364-2005 §5.2.1 and §5.1.14), so every select and replication has one
-/// static width. Reversed selects (`a[3:5]`) and zero or oversized widths
-/// are rejected too. An error in an assignment or a `$display` carries
-/// that statement's span; one in a condition or a loop header carries
-/// `item_span`, the enclosing `always` block's.
-fn check_selects(body: &Stmt, item_span: Span, consts: &ConstEnv) -> Result<(), DataflowError> {
-    let mut result = Ok(());
-    guard::walk(body, &mut Vec::new(), &mut |_, stmt| {
-        if result.is_err() {
-            return;
-        }
-        result = match stmt {
-            Stmt::Assign { lhs, rhs, span, .. } => check_lvalue_selects(lhs, consts)
-                .and_then(|()| check_expr_selects(rhs, consts))
-                .map_err(|e| e.at(*span)),
-            Stmt::Display { args, span, .. } => check_exprs(args, consts).map_err(|e| e.at(*span)),
-            Stmt::If { cond, .. } => check_expr_selects(cond, consts),
-            Stmt::Case { expr, arms, .. } => {
-                let labels = arms.iter().flat_map(|arm| &arm.labels);
-                check_exprs(std::iter::once(expr).chain(labels), consts)
-            }
-            Stmt::For { init, cond, step, .. } => check_exprs([init, cond, step], consts),
-            Stmt::Block(_) | Stmt::Finish | Stmt::Empty => Ok(()),
-        }
-        .map_err(|e| e.at(item_span));
-    });
-    result
-}
-
-fn check_exprs<'e>(
-    es: impl IntoIterator<Item = &'e Expr>,
-    consts: &ConstEnv,
-) -> Result<(), DataflowError> {
-    es.into_iter().try_for_each(|e| check_expr_selects(e, consts))
-}
-
+/// Checks a part select's bounds: they must be constant (E0201, IEEE
+/// 1364-2005 §5.2.1), so the select has one static width, in order and
+/// no wider than [`MAX_WIDTH`](crate::consteval::MAX_WIDTH).
 fn check_range_bounds(
     name: &str,
     msb: &Expr,
@@ -820,57 +764,21 @@ fn check_range_bounds(
     Ok(())
 }
 
-fn check_expr_selects(e: &Expr, consts: &ConstEnv) -> Result<(), DataflowError> {
-    match e {
-        Expr::Literal { .. } | Expr::Ident(_) => {}
-        Expr::Unary(_, inner) | Expr::SignCast(_, inner) | Expr::WidthCast(_, inner) => {
-            check_expr_selects(inner, consts)?;
-        }
-        Expr::Binary(_, l, r) => {
-            check_expr_selects(l, consts)?;
-            check_expr_selects(r, consts)?;
-        }
-        Expr::Ternary(c, t, f) => {
-            check_expr_selects(c, consts)?;
-            check_expr_selects(t, consts)?;
-            check_expr_selects(f, consts)?;
-        }
-        Expr::Index(_, idx) => check_expr_selects(idx, consts)?,
-        Expr::Range(n, msb, lsb) => check_range_bounds(n, msb, lsb, consts)?,
-        Expr::Concat(parts) => {
-            for p in parts {
-                check_expr_selects(p, consts)?;
-            }
-        }
-        Expr::Repeat(n, body) => {
-            let c = eval_const(n, consts)?.to_u64();
-            if c == 0 {
-                return Err(DataflowError::BadRange("replication count of zero".to_owned()));
-            }
-            if c > u64::from(crate::consteval::MAX_WIDTH) {
-                return Err(DataflowError::BadRange(format!(
-                    "replication count {c} exceeds the {} bit limit",
-                    crate::consteval::MAX_WIDTH
-                )));
-            }
-            check_expr_selects(body, consts)?;
-        }
+/// Checks a replication count: it must be constant (E0201, IEEE
+/// 1364-2005 §5.1.14), nonzero and no larger than
+/// [`MAX_WIDTH`](crate::consteval::MAX_WIDTH).
+fn check_repeat(count: &Expr, consts: &ConstEnv) -> Result<(), DataflowError> {
+    let c = eval_const(count, consts)?.to_u64();
+    if c == 0 {
+        return Err(DataflowError::BadRange("replication count of zero".to_owned()));
+    }
+    if c > u64::from(crate::consteval::MAX_WIDTH) {
+        return Err(DataflowError::BadRange(format!(
+            "replication count {c} exceeds the {} bit limit",
+            crate::consteval::MAX_WIDTH
+        )));
     }
     Ok(())
-}
-
-fn check_lvalue_selects(lv: &LValue, consts: &ConstEnv) -> Result<(), DataflowError> {
-    match lv {
-        LValue::Id(_) => Ok(()),
-        LValue::Index(_, idx) => check_expr_selects(idx, consts),
-        LValue::Range(n, msb, lsb) => check_range_bounds(n, msb, lsb, consts),
-        LValue::Concat(parts) => {
-            for p in parts {
-                check_lvalue_selects(p, consts)?;
-            }
-            Ok(())
-        }
-    }
 }
 
 /// How one signal is written, tallied over every driver of the design.
@@ -898,10 +806,13 @@ impl Writes {
 }
 
 /// Resolves the names of one driver at a time into its read and write
-/// sets, checks them, and tallies how every signal is written.
+/// sets, checks them and the driver's selects, and tallies how every
+/// signal is written.
 ///
 /// A read must name a signal or a constant, a write a signal. The first
-/// bad name in name order is kept for the error.
+/// bad name in name order is kept for the error. Every part select and
+/// replication must be constant, in order and not too wide; the first
+/// that is not, in driver order, is kept too.
 struct Scan<'r> {
     table: &'r SignalTable,
     consts: &'r ConstEnv,
@@ -912,6 +823,8 @@ struct Scan<'r> {
     /// The first bad name, with the span of the assignment or instance
     /// that writes it if it is written.
     bad: Option<(String, Option<Span>)>,
+    /// The first bad select or replication, with its statement's span.
+    bad_select: Option<DataflowError>,
     /// The current driver's reads.
     reads: Vec<SigId>,
     /// The current driver's writes, each marked if it covers the whole
@@ -929,6 +842,7 @@ impl<'r> Scan<'r> {
             writes: vec![Writes::default(); table.len()],
             undeclared: BTreeMap::new(),
             bad: None,
+            bad_select: None,
             reads: Vec::new(),
             targets: Vec::new(),
             other_targets: Vec::new(),
@@ -968,92 +882,73 @@ impl<'r> Scan<'r> {
         }
     }
 
-    fn expr(&mut self, e: &Expr) {
-        e.visit_idents(&mut |n| self.read(n));
-    }
-
-    /// Scans `lv`'s targets and index expressions; `whole` marks a
-    /// target that is a plain identifier (possibly inside a
-    /// concatenation).
-    fn lvalue(&mut self, lv: &LValue, whole: bool, span: Span) {
-        match lv {
-            LValue::Id(n) => self.write(n, whole, span),
-            LValue::Index(n, i) => {
-                self.write(n, false, span);
-                self.expr(i);
-            }
-            LValue::Range(n, msb, lsb) => {
-                self.write(n, false, span);
-                self.expr(msb);
-                self.expr(lsb);
-            }
-            LValue::Concat(parts) => {
-                for p in parts {
-                    self.lvalue(p, whole, span);
-                }
-            }
+    /// Runs a select check unless an earlier one failed, and keeps its
+    /// failure at `span`.
+    fn check_select(
+        &mut self,
+        span: Span,
+        check: impl FnOnce(&ConstEnv) -> Result<(), DataflowError>,
+    ) {
+        if self.bad_select.is_none() {
+            self.bad_select = check(self.consts).err().map(|e| e.at(span));
         }
     }
 
-    /// Scans a statement tree; `span` is the enclosing item's, for
-    /// writes outside an assignment (`for` loop variables).
-    fn stmt(&mut self, stmt: &Stmt, span: Span) {
-        match stmt {
-            Stmt::Block(stmts) => {
-                for s in stmts {
-                    self.stmt(s, span);
-                }
+    /// Resolves the names `e` reads and checks its selects and
+    /// replications; a bad one is reported at `span`.
+    fn expr(&mut self, e: &Expr, span: Span) {
+        e.visit(&mut |sub| match sub {
+            Expr::Ident(n) | Expr::Index(n, _) => self.read(n),
+            Expr::Range(n, msb, lsb) => {
+                self.read(n);
+                self.check_select(span, |c| check_range_bounds(n, msb, lsb, c));
             }
-            Stmt::If { cond, then, els } => {
-                self.expr(cond);
-                self.stmt(then, span);
-                if let Some(e) = els {
-                    self.stmt(e, span);
-                }
+            Expr::Repeat(count, _) => self.check_select(span, |c| check_repeat(count, c)),
+            _ => {}
+        });
+    }
+
+    /// Resolves `lv`'s targets and the names its indices read, and checks
+    /// its selects. A target that is a plain identifier (possibly inside
+    /// a concatenation) is written whole.
+    fn lvalue(&mut self, lv: &LValue, span: Span) {
+        lv.visit_targets(&mut |n, part| {
+            self.write(n, matches!(part, LValue::Id(_)), span);
+            if let LValue::Range(n, msb, lsb) = part {
+                self.check_select(span, |c| check_range_bounds(n, msb, lsb, c));
             }
-            Stmt::Case {
-                expr,
-                arms,
-                default,
-                ..
-            } => {
-                self.expr(expr);
-                for arm in arms {
-                    for l in &arm.labels {
-                        self.expr(l);
-                    }
-                    self.stmt(&arm.body, span);
-                }
-                if let Some(d) = default {
-                    self.stmt(d, span);
-                }
-            }
+            part.visit_exprs(&mut |e| self.expr(e, span));
+        });
+    }
+
+    /// Scans one driver body in a single [`guard::walk`]. `item_span` is
+    /// the enclosing item's: it anchors the writes of `for` loop
+    /// variables, and a bad select in a condition or a loop header; one in
+    /// an assignment or a `$display` carries that statement's span.
+    fn body(&mut self, body: &Stmt, item_span: Span) {
+        guard::walk(body, &mut Vec::new(), &mut |_, stmt| match stmt {
             Stmt::Assign { lhs, rhs, span, .. } => {
-                self.expr(rhs);
-                self.lvalue(lhs, true, *span);
+                // Names resolve value first, but a bad select in the
+                // target is reported before one in the value.
+                let earlier = self.bad_select.take();
+                self.expr(rhs, *span);
+                let in_rhs = self.bad_select.take();
+                self.lvalue(lhs, *span);
+                self.bad_select = earlier.or(self.bad_select.take()).or(in_rhs);
             }
-            Stmt::For {
-                var,
-                init,
-                cond,
-                step,
-                body,
-            } => {
+            _ => {
                 // Loop variables are procedural temporaries; two loops
                 // sharing an index name are not conflicting drivers of it.
-                self.write(var, false, span);
-                self.expr(init);
-                self.expr(cond);
-                self.expr(step);
-                self.stmt(body, span);
-            }
-            Stmt::Display { args, .. } => {
-                for a in args {
-                    self.expr(a);
+                if let Stmt::For { var, .. } = stmt {
+                    self.write(var, false, item_span);
                 }
+                let span = match stmt {
+                    Stmt::Display { span, .. } => *span,
+                    _ => item_span,
+                };
+                stmt.visit_exprs(&mut |e| self.expr(e, span));
             }
-            Stmt::Finish | Stmt::Empty => {}
-        }
+        });
     }
 
     /// Ends the current driver: tallies its writes (once per name however

@@ -20,6 +20,15 @@
 //! elaboration unrolls loops, so no relation or recording enable carries
 //! the loop condition, while a lint may still use the fact that it holds
 //! inside the body.
+//!
+//! [`walk`] is the one statement walker: `resolve`, the lint passes, the
+//! `PropGraph` builder and the tools are callbacks of it. A callback
+//! matches the statement kinds it needs and reaches their expressions
+//! through the AST's visitors, never a descent of its own:
+//! [`Stmt::visit_exprs`] for what one statement evaluates,
+//! [`LValue::visit_exprs`](hwdbg_rtl::LValue::visit_exprs) and
+//! [`LValue::visit_targets`](hwdbg_rtl::LValue::visit_targets) for an
+//! assignment's target, and [`Expr::visit`] for every subexpression.
 
 use hwdbg_rtl::{BinaryOp, CaseArm, Expr, Stmt, UnaryOp};
 

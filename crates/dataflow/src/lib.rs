@@ -44,7 +44,9 @@ pub mod rewrite;
 pub mod scc;
 
 pub use blackbox::{BbDir, BbPort, BlackboxLib, BlackboxSpec, IpRelation, NoBlackboxes, WidthSpec, clog2};
-pub use consteval::{apply_binary, apply_binary_into, eval_const, range_width, shift_amount, ConstEnv};
+pub use consteval::{
+    apply_binary_into, apply_binary_signed_into, eval_const, range_width, shift_amount, ConstEnv,
+};
 pub use design::{
     elaborate, resolve, BbInst, ClockedProc, CombDriver, Design, SigInfo, SigKind, WidthError,
 };

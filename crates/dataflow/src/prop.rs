@@ -163,7 +163,7 @@ impl PropGraph {
                 let mut srcs = Vec::new();
                 src_expr.visit_idents(&mut |s| srcs.extend(table.id(s)));
                 let mut dsts = Vec::new();
-                visit_targets(dst_lv, &mut |d| dsts.extend(table.id(d)));
+                dst_lv.visit_targets(&mut |d, _| dsts.extend(table.id(d)));
                 if srcs.is_empty() || dsts.is_empty() {
                     continue;
                 }
@@ -608,14 +608,14 @@ impl<'d> Builder<'d> {
     fn emit_assign(&mut self, lhs: &'d LValue, rhs: &'d Expr, latency: u32, span: Span) {
         let table = self.table;
         self.dsts.clear();
-        visit_targets(lhs, &mut |d| self.dsts.extend(table.id(d)));
+        lhs.visit_targets(&mut |d, _| self.dsts.extend(table.id(d)));
         if self.dsts.is_empty() {
             return;
         }
         // Index expressions on the LHS are control: they steer where data
         // lands.
         self.lhs_ctrl.clear();
-        visit_index_idents(lhs, &mut |n| self.lhs_ctrl.extend(table.id(n)));
+        lhs.visit_exprs(&mut |e| e.visit_idents(&mut |n| self.lhs_ctrl.extend(table.id(n))));
         self.emit_cases(rhs, &mut Vec::new(), latency, span);
     }
 
@@ -683,37 +683,6 @@ impl<'d> Builder<'d> {
                     latency,
                     span,
                 });
-            }
-        }
-    }
-}
-
-/// Calls `f` on every net an lvalue writes, in
-/// [`LValue::target_names`] order.
-fn visit_targets<'a>(lv: &'a LValue, f: &mut impl FnMut(&'a str)) {
-    match lv {
-        LValue::Id(n) | LValue::Index(n, _) | LValue::Range(n, _, _) => f(n),
-        LValue::Concat(parts) => {
-            for p in parts {
-                visit_targets(p, f);
-            }
-        }
-    }
-}
-
-/// Calls `f` on every name read by an lvalue's index or part-select
-/// bounds.
-fn visit_index_idents<'a>(lv: &'a LValue, f: &mut impl FnMut(&'a str)) {
-    match lv {
-        LValue::Id(_) => {}
-        LValue::Index(_, i) => i.visit_idents(f),
-        LValue::Range(_, a, b) => {
-            a.visit_idents(f);
-            b.visit_idents(f);
-        }
-        LValue::Concat(parts) => {
-            for p in parts {
-                visit_index_idents(p, f);
             }
         }
     }

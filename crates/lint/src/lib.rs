@@ -22,10 +22,15 @@
 //!   observability surface as simulation stages.
 //!
 //! Passes visit procedural code with [`hwdbg_dataflow::guard::walk`], the
-//! walker the `PropGraph` builder and the debugging tools share: it hands
-//! every statement the `if`/`case`/`for` guards that dominate it, and
-//! [`hwdbg_dataflow::guard::leaves`] splits a path into conjunct leaves.
-//! [`analysis`] interprets those leaves (reset tests, wrap bounds,
+//! walker `resolve`, the `PropGraph` builder and the debugging tools
+//! share: it hands every statement the `if`/`case`/`for` guards that
+//! dominate it, and [`hwdbg_dataflow::guard::leaves`] splits a path into
+//! conjunct leaves. A pass reaches a statement's expressions through
+//! [`hwdbg_rtl::Stmt::visit_exprs`], an assignment target's through
+//! [`hwdbg_rtl::LValue::visit_exprs`] and
+//! [`hwdbg_rtl::LValue::visit_targets`], and subexpressions through
+//! [`hwdbg_rtl::Expr::visit`]; no pass keeps a recursive walker of its
+//! own. [`analysis`] interprets the leaves (reset tests, wrap bounds,
 //! handshake qualifiers) and extracts constant bounds.
 
 pub mod analysis;

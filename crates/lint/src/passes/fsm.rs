@@ -7,7 +7,7 @@ use crate::{LintPass, LintSink};
 use hwdbg_dataflow::guard::{self, Guard};
 use hwdbg_dataflow::Design;
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{CaseArm, Expr, Span, Stmt};
+use hwdbg_rtl::{Expr, Span, Stmt};
 use hwdbg_tools::FsmMonitor;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -69,8 +69,12 @@ impl LintPass for FsmLintPass {
             .collect();
         let mut case_bodies: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (b, &body) in bodies.iter().enumerate() {
-            for_each_case(body, &mut |selector, _, _, _| {
-                if let Expr::Ident(n) = selector {
+            guard::walk(body, &mut Vec::new(), &mut |_, stmt| {
+                if let Stmt::Case {
+                    expr: Expr::Ident(n),
+                    ..
+                } = stmt
+                {
                     push_once(case_bodies.entry(n).or_default(), b);
                 }
             });
@@ -98,8 +102,18 @@ impl LintPass for FsmLintPass {
             let mut has_default = false;
             let mut case_span: Option<Span> = None;
             for &b in indexed(&case_bodies, state) {
-                for_each_case(bodies[b], &mut |selector, arms, default, span| {
-                    if !matches!(selector, Expr::Ident(n) if n == state) {
+                guard::walk(bodies[b], &mut Vec::new(), &mut |_, stmt| {
+                    let Stmt::Case {
+                        expr: Expr::Ident(n),
+                        arms,
+                        default,
+                        span,
+                        ..
+                    } = stmt
+                    else {
+                        return;
+                    };
+                    if n != state {
                         return;
                     }
                     for label in arms.iter().flat_map(|arm| &arm.labels) {
@@ -109,8 +123,8 @@ impl LintPass for FsmLintPass {
                             }
                         }
                     }
-                    has_default |= default;
-                    case_span.get_or_insert(span);
+                    has_default |= default.is_some();
+                    case_span.get_or_insert(*span);
                 });
             }
             let Some(case_span) = case_span else {
@@ -239,41 +253,6 @@ fn indexed<'m>(index: &'m BTreeMap<&str, Vec<usize>>, name: &str) -> &'m [usize]
 fn push_once(list: &mut Vec<usize>, i: usize) {
     if list.last() != Some(&i) {
         list.push(i);
-    }
-}
-
-/// Calls `f(selector, arms, has_default, span)` on every `case` in `stmt`,
-/// each case before the cases nested in its arms.
-fn for_each_case<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr, &'a [CaseArm], bool, Span)) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                for_each_case(s, f);
-            }
-        }
-        Stmt::If { then, els, .. } => {
-            for_each_case(then, f);
-            if let Some(e) = els {
-                for_each_case(e, f);
-            }
-        }
-        Stmt::For { body, .. } => for_each_case(body, f),
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            span,
-            ..
-        } => {
-            f(expr, arms, default.is_some(), *span);
-            for arm in arms {
-                for_each_case(&arm.body, f);
-            }
-            if let Some(d) = default {
-                for_each_case(d, f);
-            }
-        }
-        _ => {}
     }
 }
 

@@ -113,7 +113,18 @@ impl LintPass for LivenessPass {
             .map(|p| &p.body)
             .chain(design.combs.iter().map(|c| &c.body))
         {
-            scan_reads(body, &mut logic, &mut display);
+            guard::walk(body, &mut Vec::new(), &mut |_, stmt| {
+                let reads = match stmt {
+                    Stmt::Display { .. } => &mut display,
+                    _ => &mut logic,
+                };
+                stmt.visit_exprs(&mut |e| reads.extend(e.idents()));
+                // Index expressions inside an lvalue are reads (the base
+                // is a write).
+                if let Stmt::Assign { lhs, .. } = stmt {
+                    lhs.visit_exprs(&mut |e| logic.extend(e.idents()));
+                }
+            });
         }
         for proc in &design.procs {
             logic.extend(proc.edges.iter().map(|e| e.signal.as_str()));
@@ -124,7 +135,7 @@ impl LintPass for LivenessPass {
             }
             // Index expressions inside out-connection lvalues are reads.
             for lv in bb.out_conns.values() {
-                scan_lvalue_reads(lv, &mut logic);
+                lv.visit_exprs(&mut |e| logic.extend(e.idents()));
             }
         }
 
@@ -161,79 +172,6 @@ impl LintPass for LivenessPass {
                     err = err.with_span(design.decl(id).span);
                 }
                 sink.emit(err);
-            }
-        }
-    }
-}
-
-fn scan_reads<'a>(stmt: &'a Stmt, logic: &mut BTreeSet<&'a str>, display: &mut BTreeSet<&'a str>) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_reads(s, logic, display);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            logic.extend(cond.idents());
-            scan_reads(then, logic, display);
-            if let Some(e) = els {
-                scan_reads(e, logic, display);
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            logic.extend(expr.idents());
-            for arm in arms {
-                for l in &arm.labels {
-                    logic.extend(l.idents());
-                }
-                scan_reads(&arm.body, logic, display);
-            }
-            if let Some(d) = default {
-                scan_reads(d, logic, display);
-            }
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            logic.extend(init.idents());
-            logic.extend(cond.idents());
-            logic.extend(step.idents());
-            scan_reads(body, logic, display);
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            logic.extend(rhs.idents());
-            scan_lvalue_reads(lhs, logic);
-        }
-        Stmt::Display { args, .. } => {
-            for a in args {
-                display.extend(a.idents());
-            }
-        }
-        Stmt::Finish | Stmt::Empty => {}
-    }
-}
-
-/// Index/range expressions inside an lvalue are reads (the base is a write).
-fn scan_lvalue_reads<'a>(lv: &'a LValue, logic: &mut BTreeSet<&'a str>) {
-    match lv {
-        LValue::Id(_) => {}
-        LValue::Index(_, i) => logic.extend(i.idents()),
-        LValue::Range(_, a, b) => {
-            logic.extend(a.idents());
-            logic.extend(b.idents());
-        }
-        LValue::Concat(parts) => {
-            for p in parts {
-                scan_lvalue_reads(p, logic);
             }
         }
     }

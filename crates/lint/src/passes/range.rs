@@ -47,7 +47,27 @@ impl LintPass for MemIndexPass {
             .map(|p| &p.body)
             .chain(design.combs.iter().map(|c| &c.body))
         {
-            scan_accesses(design, body, &mut ident_accesses, &mut const_accesses);
+            guard::walk(body, &mut Vec::new(), &mut |_, stmt| {
+                // `$display` arguments are debug reads, not datapath
+                // accesses.
+                if matches!(stmt, Stmt::Display { .. }) {
+                    return;
+                }
+                stmt.visit_exprs(&mut |e| {
+                    e.visit(&mut |sub| {
+                        if let Expr::Index(base, idx) = sub {
+                            note_index(design, base, idx, &mut ident_accesses, &mut const_accesses);
+                        }
+                    })
+                });
+                if let Stmt::Assign { lhs, .. } = stmt {
+                    lhs.visit_targets(&mut |_, part| {
+                        if let LValue::Index(base, idx) = part {
+                            note_index(design, base, idx, &mut ident_accesses, &mut const_accesses);
+                        }
+                    });
+                }
+            });
         }
 
         for (mem, idx) in ident_accesses {
@@ -214,76 +234,8 @@ fn contribution(
     Contribution::Unbounded
 }
 
-/// Collects `base[index]` accesses from expressions and lvalues, splitting
-/// identifier indices from constant ones. `$display` arguments are skipped
-/// — debug reads are not datapath accesses.
-fn scan_accesses<'a>(
-    design: &Design,
-    stmt: &'a Stmt,
-    idents: &mut BTreeSet<(&'a str, &'a str)>,
-    consts: &mut BTreeSet<(&'a str, u64)>,
-) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_accesses(design, s, idents, consts);
-            }
-        }
-        Stmt::If { cond, then, els } => {
-            scan_expr(design, cond, idents, consts);
-            scan_accesses(design, then, idents, consts);
-            if let Some(e) = els {
-                scan_accesses(design, e, idents, consts);
-            }
-        }
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            ..
-        } => {
-            scan_expr(design, expr, idents, consts);
-            for arm in arms {
-                for l in &arm.labels {
-                    scan_expr(design, l, idents, consts);
-                }
-                scan_accesses(design, &arm.body, idents, consts);
-            }
-            if let Some(d) = default {
-                scan_accesses(design, d, idents, consts);
-            }
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            scan_expr(design, init, idents, consts);
-            scan_expr(design, cond, idents, consts);
-            scan_expr(design, step, idents, consts);
-            scan_accesses(design, body, idents, consts);
-        }
-        Stmt::Assign { lhs, rhs, .. } => {
-            scan_expr(design, rhs, idents, consts);
-            if let LValue::Index(base, idx) = lhs {
-                note_index(design, base, idx, idents, consts);
-            }
-        }
-        Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
-    }
-}
-
-fn scan_expr<'a>(
-    design: &Design,
-    e: &'a Expr,
-    idents: &mut BTreeSet<(&'a str, &'a str)>,
-    consts: &mut BTreeSet<(&'a str, u64)>,
-) {
-    visit_indices(e, &mut |base, idx| note_index(design, base, idx, idents, consts));
-}
-
+/// Records one `base[index]` access, splitting identifier indices from
+/// constant ones.
 fn note_index<'a>(
     design: &Design,
     base: &'a str,
@@ -302,34 +254,5 @@ fn note_index<'a>(
                 }
             }
         }
-    }
-}
-
-fn visit_indices<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str, &'a Expr)) {
-    match e {
-        Expr::Index(base, idx) => {
-            f(base, idx);
-            visit_indices(idx, f);
-        }
-        Expr::Unary(_, a) | Expr::WidthCast(_, a) | Expr::SignCast(_, a) => visit_indices(a, f),
-        Expr::Binary(_, a, b) | Expr::Repeat(a, b) => {
-            visit_indices(a, f);
-            visit_indices(b, f);
-        }
-        Expr::Ternary(c, t, el) => {
-            visit_indices(c, f);
-            visit_indices(t, f);
-            visit_indices(el, f);
-        }
-        Expr::Range(_, a, b) => {
-            visit_indices(a, f);
-            visit_indices(b, f);
-        }
-        Expr::Concat(parts) => {
-            for p in parts {
-                visit_indices(p, f);
-            }
-        }
-        Expr::Literal { .. } | Expr::Ident(_) => {}
     }
 }

@@ -29,49 +29,26 @@ impl LintPass for IncompleteCasePass {
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
         for comb in &design.combs {
-            scan_cases(design, &comb.body, sink);
-        }
-    }
-}
-
-fn scan_cases(design: &Design, stmt: &Stmt, sink: &mut LintSink<'_>) {
-    match stmt {
-        Stmt::Block(stmts) => {
-            for s in stmts {
-                scan_cases(design, s, sink);
-            }
-        }
-        Stmt::If { then, els, .. } => {
-            scan_cases(design, then, sink);
-            if let Some(e) = els {
-                scan_cases(design, e, sink);
-            }
-        }
-        Stmt::For { body, .. } => scan_cases(design, body, sink),
-        Stmt::Case {
-            expr,
-            arms,
-            default,
-            span,
-            ..
-        } => {
-            for arm in arms {
-                scan_cases(design, &arm.body, sink);
-            }
-            if let Some(d) = default {
-                scan_cases(design, d, sink);
-                return;
-            }
-            // No default: prove full coverage or flag.
-            let Some(width) = design.expr_width(expr) else {
-                return;
-            };
-            if width > 16 {
-                return;
-            }
-            let mut covered = BTreeSet::new();
-            for arm in arms {
-                for label in &arm.labels {
+            guard::walk(&comb.body, &mut Vec::new(), &mut |_, stmt| {
+                let Stmt::Case {
+                    expr,
+                    arms,
+                    default: None,
+                    span,
+                    ..
+                } = stmt
+                else {
+                    return;
+                };
+                // No default: prove full coverage or flag.
+                let Some(width) = design.expr_width(expr) else {
+                    return;
+                };
+                if width > 16 {
+                    return;
+                }
+                let mut covered = BTreeSet::new();
+                for label in arms.iter().flat_map(|arm| &arm.labels) {
                     match analysis::const_value(label, design) {
                         Some(v) if v.width() <= 64 => {
                             covered.insert(v.resize(width.max(1)).to_u64());
@@ -81,25 +58,24 @@ fn scan_cases(design: &Design, stmt: &Stmt, sink: &mut LintSink<'_>) {
                         _ => return,
                     }
                 }
-            }
-            let needed = 1u128 << width;
-            if (covered.len() as u128) < needed {
-                sink.emit(
-                    HwdbgError::warning(
-                        ErrorCode::LintIncompleteCase,
-                        format!(
-                            "combinational case over `{}` has no default and covers \
-                             {} of {} selector values; unmatched selectors infer a latch",
-                            print_expr(expr),
-                            covered.len(),
-                            needed
-                        ),
-                    )
-                    .with_span(*span),
-                );
-            }
+                let needed = 1u128 << width;
+                if (covered.len() as u128) < needed {
+                    sink.emit(
+                        HwdbgError::warning(
+                            ErrorCode::LintIncompleteCase,
+                            format!(
+                                "combinational case over `{}` has no default and covers \
+                                 {} of {} selector values; unmatched selectors infer a latch",
+                                print_expr(expr),
+                                covered.len(),
+                                needed
+                            ),
+                        )
+                        .with_span(*span),
+                    );
+                }
+            });
         }
-        _ => {}
     }
 }
 

@@ -582,43 +582,29 @@ impl LintPass for PrecisionPass {
 }
 
 fn check_expr(design: &Design, e: &Expr, span: Span, sink: &mut LintSink<'_>) {
-    if let Expr::Binary(BinaryOp::Shr | BinaryOp::AShr, lhs, amt) = e {
-        if let Expr::WidthCast(w, inner) = &**lhs {
-            let shift = const_value(amt, design).map_or(0, |v| v.to_u64());
-            let inner_w = design.expr_width(inner);
-            if shift > 0 && inner_w.is_some_and(|iw| iw > *w) {
-                let iw = inner_w.unwrap_or(*w);
-                sink.emit(
-                    HwdbgError::warning(
-                        ErrorCode::LintTruncatedShift,
-                        format!(
-                            "`{w}'(…)` truncates a {iw}-bit value before `>> \
-                             {shift}`, discarding bits [{}:{w}] the shift would \
-                             have kept; shift first: `{w}'(x >> {shift})`",
-                            iw - 1
-                        ),
-                    )
-                    .with_span(span),
-                );
-            }
+    e.visit(&mut |e| {
+        let Expr::Binary(BinaryOp::Shr | BinaryOp::AShr, lhs, amt) = e else {
+            return;
+        };
+        let Expr::WidthCast(w, inner) = &**lhs else {
+            return;
+        };
+        let shift = const_value(amt, design).map_or(0, |v| v.to_u64());
+        let inner_w = design.expr_width(inner);
+        if shift > 0 && inner_w.is_some_and(|iw| iw > *w) {
+            let iw = inner_w.unwrap_or(*w);
+            sink.emit(
+                HwdbgError::warning(
+                    ErrorCode::LintTruncatedShift,
+                    format!(
+                        "`{w}'(…)` truncates a {iw}-bit value before `>> \
+                         {shift}`, discarding bits [{}:{w}] the shift would \
+                         have kept; shift first: `{w}'(x >> {shift})`",
+                        iw - 1
+                    ),
+                )
+                .with_span(span),
+            );
         }
-    }
-    for sub in subexprs(e) {
-        check_expr(design, sub, span, sink);
-    }
-}
-
-/// Immediate subexpressions of `e`, for recursive descent.
-fn subexprs(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Literal { .. } | Expr::Ident(_) => vec![],
-        Expr::Unary(_, a) => vec![a],
-        Expr::Binary(_, a, b) => vec![a, b],
-        Expr::Ternary(c, t, f) => vec![c, t, f],
-        Expr::Index(_, i) => vec![i],
-        Expr::Range(_, a, b) => vec![a, b],
-        Expr::Concat(parts) => parts.iter().collect(),
-        Expr::Repeat(n, x) => vec![n, x],
-        Expr::WidthCast(_, a) | Expr::SignCast(_, a) => vec![a],
-    }
+    });
 }

@@ -776,3 +776,120 @@ fn sink_is_reexported_for_custom_passes() {
     Noop.run(&d, &mut sink);
     assert!(sink.findings().is_empty());
 }
+
+/// A write through a concatenation addresses the memory like a plain one:
+/// `{buf0[i], flag} <= …` is checked against `buf0`'s depth too.
+#[test]
+fn l0501_sees_indexed_parts_of_a_concatenation() {
+    let (f, src) = lint(
+        "module t(input clk, input rst, input [7:0] d, input dv, output reg [7:0] y,\n\
+         \x20        output reg flag);\n\
+         reg [7:0] buf0 [0:9];\n\
+         reg [3:0] i;\n\
+         always @(posedge clk) begin\n\
+         \x20 if (rst) i <= 4'd0;\n\
+         \x20 else if (dv) begin\n\
+         \x20   {buf0[i], flag} <= {d, 1'b1};\n\
+         \x20   i <= i + 4'd1;\n\
+         \x20   y <= buf0[0];\n\
+         \x20 end\n\
+         end\nendmodule\n",
+        "t",
+    );
+    assert_golden(&f, &src, "L0501", "i <= i + 4'd1", "i <= i + 4'd1");
+}
+
+/// Every statement kind nested in every other: a `case` in a `for` in an
+/// `else`, a `case` in a `case` arm, and selects and memory reads in loop
+/// headers and `case` labels. Pins every finding of the passes that walk
+/// procedural code (`incomplete-case`, `fsm-structure`,
+/// `mem-index-range`, `liveness` among them) as `code@line:col message`.
+#[test]
+fn nested_statements_are_all_visited() {
+    let src = "module t(input clk, input rst, input go, input [1:0] sel, input [7:0] d,\n\
+        \x20        input dbg, input [1:0] lim, output reg [7:0] y, output reg [7:0] z,\n\
+        \x20        output reg [1:0] s);\n\
+        localparam A = 2'd0;\n\
+        localparam B = 2'd1;\n\
+        localparam C = 2'd2;\n\
+        reg [7:0] mem [0:9];\n\
+        reg [7:0] lut [0:3];\n\
+        reg [3:0] wp;\n\
+        reg [3:0] rp;\n\
+        reg [2:0] k3;\n\
+        reg [7:0] stash;\n\
+        integer i;\n\
+        integer j;\n\
+        always @(posedge clk) begin\n\
+        \x20 if (rst) begin\n\
+        \x20   s <= A;\n\
+        \x20   wp <= 4'd0;\n\
+        \x20   rp <= 4'd0;\n\
+        \x20   k3 <= 3'd0;\n\
+        \x20 end else begin\n\
+        \x20   for (i = 0; i < lim[1:0] + mem[rp]; i = i + 1)\n\
+        \x20     case (s)\n\
+        \x20       A: if (go) s <= B;\n\
+        \x20       B: case (sel)\n\
+        \x20            2'd0: begin\n\
+        \x20              mem[wp] <= d;\n\
+        \x20              wp <= wp + 4'd1;\n\
+        \x20            end\n\
+        \x20            lut[k3]: $display(\"dbg=%b\", dbg);\n\
+        \x20            default: s <= A;\n\
+        \x20          endcase\n\
+        \x20       C: s <= A;\n\
+        \x20     endcase\n\
+        \x20   rp <= rp + 4'd1;\n\
+        \x20   k3 <= k3 + 3'd1;\n\
+        \x20   stash <= d;\n\
+        \x20   y <= mem[4'd12];\n\
+        \x20 end\n\
+        end\n\
+        always @(*) begin\n\
+        \x20 z = 8'd0;\n\
+        \x20 if (go) z = d;\n\
+        \x20 else for (j = 0; j < 2; j = j + 1)\n\
+        \x20   case (sel)\n\
+        \x20     2'd0: z = lut[j];\n\
+        \x20     2'd1: case (d[1:0])\n\
+        \x20             2'd0: z = 8'd1;\n\
+        \x20           endcase\n\
+        \x20   endcase\n\
+        end\n\
+        endmodule\n";
+    let d = design(src, "t");
+    let mut cfg = LintConfig::new();
+    cfg.set("L0302", Level::Warn);
+    let mut timer = StageTimer::new();
+    let mut counters = SimCounters::default();
+    let got: Vec<String> = hwdbg_lint::run_all(&d, &cfg, &mut timer, &mut counters)
+        .iter()
+        .map(|f| {
+            let at = f.span.map_or("-".to_owned(), |s| {
+                let line = src[..s.start].matches('\n').count() + 1;
+                let col = s.start - src[..s.start].rfind('\n').map_or(0, |n| n + 1) + 1;
+                format!("{line}:{col}")
+            });
+            format!("{}@{at} {} [{}]", f.code.as_str(), f.message, f.signals.join(","))
+        })
+        .collect();
+    let want = [
+        "L0403@2:16 input `dbg` only reaches $display statements; no logic consumes it [dbg]",
+        "L0501@7:11 constant index 12 is out of range for `mem` (valid indices 0..=9) [mem]",
+        "L0402@12:11 `stash` is never read; every value written to it is lost [stash]",
+        "L0301@23:7 FSM `s`: state 2 has a case arm but no assignment ever enters it; the arm \
+         is unreachable [s]",
+        "L0501@28:16 index `wp` can reach 15 but `mem` only has 10 entries (valid indices \
+         0..=9); out-of-range accesses are silently dropped [mem,wp]",
+        "L0501@35:5 index `rp` can reach 15 but `mem` only has 10 entries (valid indices \
+         0..=9); out-of-range accesses are silently dropped [mem,rp]",
+        "L0501@36:5 index `k3` can reach 7 but `lut` only has 4 entries (valid indices \
+         0..=3); out-of-range accesses are silently dropped [lut,k3]",
+        "L0101@45:5 combinational case over `sel` has no default and covers 2 of 4 selector \
+         values; unmatched selectors infer a latch []",
+        "L0101@47:13 combinational case over `d[1:0]` has no default and covers 1 of 4 \
+         selector values; unmatched selectors infer a latch []",
+    ];
+    assert_eq!(got, want, "{got:#?}");
+}

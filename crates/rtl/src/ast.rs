@@ -20,11 +20,6 @@ impl SourceFile {
     pub fn module(&self, name: &str) -> Option<&Module> {
         self.modules.iter().find(|m| m.name == name)
     }
-
-    /// Finds a module by name, mutably.
-    pub fn module_mut(&mut self, name: &str) -> Option<&mut Module> {
-        self.modules.iter_mut().find(|m| m.name == name)
-    }
 }
 
 /// A `module ... endmodule` definition.
@@ -332,6 +327,34 @@ impl Stmt {
             els: None,
         }
     }
+
+    /// Calls `f` on each expression this statement evaluates itself, in
+    /// source order: an `if` condition, a `case` subject and then every
+    /// label, a `for` loop's init, condition and step, an assignment's
+    /// right-hand side (its target's indices are
+    /// [`LValue::visit_exprs`]'), and `$display` arguments. Nested
+    /// statements are not entered: pair this with a statement walker
+    /// (`hwdbg_dataflow::guard::walk`), and [`Expr::visit`] for the
+    /// subexpressions.
+    pub fn visit_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match self {
+            Stmt::If { cond, .. } => f(cond),
+            Stmt::Case { expr, arms, .. } => {
+                f(expr);
+                arms.iter().flat_map(|arm| &arm.labels).for_each(f);
+            }
+            Stmt::For {
+                init, cond, step, ..
+            } => {
+                f(init);
+                f(cond);
+                f(step);
+            }
+            Stmt::Assign { rhs, .. } => f(rhs),
+            Stmt::Display { args, .. } => args.iter().for_each(f),
+            Stmt::Block(_) | Stmt::Finish | Stmt::Empty => {}
+        }
+    }
 }
 
 /// One arm of a `case` statement.
@@ -360,21 +383,37 @@ impl LValue {
     /// Names of all nets written by this lvalue.
     pub fn target_names(&self) -> Vec<&str> {
         let mut out = Vec::new();
-        self.visit_targets(&mut |n| out.push(n));
+        self.visit_targets(&mut |n, _| out.push(n));
         out
     }
 
-    /// Calls `f` on every net this lvalue writes, in the order of
-    /// [`target_names`](Self::target_names), without collecting them.
-    pub fn visit_targets<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+    /// Calls `f(name, part)` on every net this lvalue writes, in the order
+    /// of [`target_names`](Self::target_names), without collecting them.
+    /// `part` is the `Id`, `Index` or `Range` that writes `name`: a
+    /// concatenation is flattened, so `part` is never a `Concat`.
+    pub fn visit_targets<'a>(&'a self, f: &mut impl FnMut(&'a str, &'a LValue)) {
         match self {
-            LValue::Id(n) | LValue::Index(n, _) | LValue::Range(n, _, _) => f(n),
+            LValue::Id(n) | LValue::Index(n, _) | LValue::Range(n, _, _) => f(n, self),
             LValue::Concat(parts) => {
                 for p in parts {
                     p.visit_targets(f);
                 }
             }
         }
+    }
+
+    /// Calls `f` on each index and part-select bound of this lvalue, those
+    /// inside a concatenation included, in source order: the expressions
+    /// a write evaluates to find where it lands.
+    pub fn visit_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        self.visit_targets(&mut |_, part| match part {
+            LValue::Index(_, i) => f(i),
+            LValue::Range(_, msb, lsb) => {
+                f(msb);
+                f(lsb);
+            }
+            LValue::Id(_) | LValue::Concat(_) => {}
+        });
     }
 }
 
@@ -577,35 +616,38 @@ impl Expr {
     /// Calls `f` on every identifier name this expression reads, in the
     /// same order (and with the same repeats) as [`idents`](Self::idents),
     /// without collecting them: the allocation-free form for callers that
-    /// resolve or count names as they go.
+    /// resolve or count names as they go. A select's base comes before the
+    /// names in its index or bounds.
     pub fn visit_idents<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+        self.visit(&mut |e| match e {
+            Expr::Ident(n) | Expr::Index(n, _) | Expr::Range(n, _, _) => f(n),
+            _ => {}
+        });
+    }
+
+    /// Calls `f` on this expression and every subexpression in it, in
+    /// pre-order: a node before its operands, operands left to right (a
+    /// replication's count before its body, a select's index or bounds
+    /// after the select).
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
         match self {
-            Expr::Literal { .. } => {}
-            Expr::Ident(n) => f(n),
-            Expr::Unary(_, e) | Expr::WidthCast(_, e) | Expr::SignCast(_, e) => {
-                e.visit_idents(f)
+            Expr::Literal { .. } | Expr::Ident(_) => {}
+            Expr::Unary(_, e) | Expr::WidthCast(_, e) | Expr::SignCast(_, e) | Expr::Index(_, e) => {
+                e.visit(f)
             }
-            Expr::Binary(_, a, b) | Expr::Repeat(a, b) => {
-                a.visit_idents(f);
-                b.visit_idents(f);
+            Expr::Binary(_, a, b) | Expr::Repeat(a, b) | Expr::Range(_, a, b) => {
+                a.visit(f);
+                b.visit(f);
             }
             Expr::Ternary(c, t, e) => {
-                c.visit_idents(f);
-                t.visit_idents(f);
-                e.visit_idents(f);
-            }
-            Expr::Index(n, i) => {
-                f(n);
-                i.visit_idents(f);
-            }
-            Expr::Range(n, a, b) => {
-                f(n);
-                a.visit_idents(f);
-                b.visit_idents(f);
+                c.visit(f);
+                t.visit(f);
+                e.visit(f);
             }
             Expr::Concat(parts) => {
                 for p in parts {
-                    p.visit_idents(f);
+                    p.visit(f);
                 }
             }
         }
@@ -656,5 +698,121 @@ mod tests {
             ])),
         );
         assert_eq!(e.idents(), vec!["c", "m", "i", "x", "y"]);
+    }
+
+    /// Every `Expr` variant once.
+    const ALL_KINDS: &str = "c ? ~a[i] + m[3:j] : {{2{$signed(8'(b))}}, x, 4'd9}";
+
+    /// One label per node, without its operands.
+    fn kind(e: &Expr) -> String {
+        match e {
+            Expr::Literal { value, .. } => format!("lit {}", value.to_u64()),
+            Expr::Ident(n) => n.clone(),
+            Expr::Unary(op, _) => op.as_str().to_owned(),
+            Expr::Binary(op, _, _) => op.as_str().to_owned(),
+            Expr::Ternary(..) => "?:".to_owned(),
+            Expr::Index(n, _) => format!("{n}[]"),
+            Expr::Range(n, _, _) => format!("{n}[:]"),
+            Expr::Concat(parts) => format!("{{{}}}", parts.len()),
+            Expr::Repeat(..) => "{{}}".to_owned(),
+            Expr::WidthCast(w, _) => format!("{w}'()"),
+            Expr::SignCast(signed, _) => format!("signed={signed}"),
+        }
+    }
+
+    #[test]
+    fn visit_is_pre_order_over_every_variant() {
+        let e = crate::parse_expr(ALL_KINDS).unwrap();
+        let mut seen = Vec::new();
+        e.visit(&mut |sub| seen.push(kind(sub)));
+        let want = [
+            "?:", "c", "+", "~", "a[]", "i", "m[:]", "lit 3", "j", "{3}", "{{}}", "lit 2",
+            "signed=true", "8'()", "b", "x", "lit 9",
+        ];
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn visit_idents_puts_a_select_base_before_its_index() {
+        let e = crate::parse_expr(ALL_KINDS).unwrap();
+        assert_eq!(e.idents(), ["c", "a", "i", "m", "j", "b", "x"]);
+        let e = crate::parse_expr("m[m[i]] + m[i:i]").unwrap();
+        assert_eq!(e.idents(), ["m", "m", "i", "m", "i", "i"]);
+    }
+
+    /// The statements of an `always` block holding `body`.
+    fn stmts(body: &str) -> Vec<Stmt> {
+        let src = format!(
+            "module m(input clk, input en, input [1:0] s, input [7:0] a, input [7:0] b,
+                      output reg [7:0] q, output reg [7:0] r, output reg [7:0] t);
+                integer i;
+                always @(posedge clk) begin {body} end
+            endmodule"
+        );
+        let file = crate::parse(&src).unwrap();
+        match file.modules[0].items.last() {
+            Some(Item::Always {
+                body: Stmt::Block(stmts),
+                ..
+            }) => stmts.clone(),
+            other => panic!("no always block: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn stmt_visit_exprs_sees_only_the_node_itself() {
+        let cases: [(&str, &[&str]); 8] = [
+            ("if (en) q <= a + b; else q <= b;", &["en"]),
+            (
+                "case (s) 2'd0, 2'd1: q <= a; 2'd2: case (en) 1'b1: q <= b; endcase \
+                 default: q <= b; endcase",
+                &["s", "2'h0", "2'h1", "2'h2"],
+            ),
+            ("for (i = 0; i < 8; i = i + 1) q[i] <= a[i];", &["0", "i < 8", "i + 1"]),
+            ("q[s] <= a + b;", &["a + b"]),
+            ("$display(\"%d %d\", a, b[s]);", &["a", "b[s]"]),
+            ("begin q <= a; end", &[]),
+            ("$finish;", &[]),
+            (";", &[]),
+        ];
+        for (body, want) in cases {
+            let stmts = stmts(body);
+            let mut seen = Vec::new();
+            stmts[0].visit_exprs(&mut |e| seen.push(crate::print_expr(e)));
+            assert_eq!(seen, want, "{body}");
+        }
+    }
+
+    #[test]
+    fn lvalue_visit_exprs_and_targets_flatten_concatenations() {
+        let cases: [(&str, &[&str], &[&str]); 4] = [
+            ("q <= a;", &[], &["q Id"]),
+            ("q[s] <= a;", &["s"], &["q Index"]),
+            ("q[s + 1:s] <= a;", &["s + 1", "s"], &["q Range"]),
+            (
+                "{q[s], r, t[3:s]} <= {a, b};",
+                &["s", "3", "s"],
+                &["q Index", "r Id", "t Range"],
+            ),
+        ];
+        for (body, exprs, targets) in cases {
+            let Stmt::Assign { lhs, .. } = &stmts(body)[0] else {
+                panic!("{body}: not an assignment");
+            };
+            let mut seen = Vec::new();
+            lhs.visit_exprs(&mut |e| seen.push(crate::print_expr(e)));
+            assert_eq!(seen, exprs, "{body}");
+            let mut seen = Vec::new();
+            lhs.visit_targets(&mut |n, part| {
+                let kind = match part {
+                    LValue::Id(_) => "Id",
+                    LValue::Index(..) => "Index",
+                    LValue::Range(..) => "Range",
+                    LValue::Concat(_) => "Concat",
+                };
+                seen.push(format!("{n} {kind}"));
+            });
+            assert_eq!(seen, targets, "{body}");
+        }
     }
 }

@@ -779,8 +779,8 @@ impl Lower<'_> {
         Ok(())
     }
 
-    /// Narrow binary operators, mirroring `apply_binary_into` /
-    /// `apply_binary_signed_into` over canonical u64 values.
+    /// Narrow binary operators, mirroring [`hwdbg_dataflow::apply_binary_into`] /
+    /// [`hwdbg_dataflow::apply_binary_signed_into`] over canonical u64 values.
     fn binary_n(
         &mut self,
         op: BinaryOp,

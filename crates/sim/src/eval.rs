@@ -1,5 +1,6 @@
-//! The static width rule, signed binary operators, and the paper's
-//! memory-address truncation, shared by the compiler and bytecode.
+//! The static width rule, binary operators over evaluated operands, and
+//! the paper's memory-address truncation, shared by the compiler and
+//! bytecode.
 
 use crate::compile::EvalScratch;
 use crate::SimError;
@@ -23,40 +24,6 @@ pub fn expr_width(expr: &Expr, design: &Design) -> Result<u32, SimError> {
         }
         WidthError::ReversedRange { msb, lsb } => SimError::ReversedRange { msb, lsb },
     })
-}
-
-/// Signed variant of the binary-operator semantics: comparisons compare in
-/// two's complement, operands sign-extend, and `>>>` shifts arithmetically.
-/// For a shift, "signed" means its left operand is: the result keeps that
-/// operand's width and the right operand is an unsigned amount (IEEE
-/// 1364-2005 §5.1.12, Table 5-22). Like
-/// [`hwdbg_dataflow::apply_binary_into`], the operands are scratch: they
-/// are sign-extended in place to the common width.
-fn apply_binary_signed_into(op: BinaryOp, a: &mut Bits, b: &mut Bits, out: &mut Bits) {
-    use BinaryOp::*;
-    let w = a.width().max(b.width());
-    match op {
-        AShr => a.shr_arith_into(hwdbg_dataflow::shift_amount(b), out),
-        Shl | Shr => hwdbg_dataflow::apply_binary_into(op, a, b, out),
-        Lt | Le | Gt | Ge => {
-            a.resize_signed_in_place(w);
-            b.resize_signed_in_place(w);
-            let ord = a.cmp_signed(b);
-            out.set_bool(match op {
-                Lt => ord.is_lt(),
-                Le => ord.is_le(),
-                Gt => ord.is_gt(),
-                _ => ord.is_ge(),
-            });
-        }
-        // Add/sub/mul/logic are bit-identical for signed and unsigned, but
-        // operands sign-extend to the common width first.
-        _ => {
-            a.resize_signed_in_place(w);
-            b.resize_signed_in_place(w);
-            hwdbg_dataflow::apply_binary_into(op, a, b, out);
-        }
-    }
 }
 
 /// `CExpr::Binary` over evaluated operands, for the tree-walker and the
@@ -89,7 +56,7 @@ pub(crate) fn binary_into(
         }
         scratch.put(spare);
     } else if signed {
-        apply_binary_signed_into(op, x, y, out);
+        hwdbg_dataflow::apply_binary_signed_into(op, x, y, out);
     } else {
         hwdbg_dataflow::apply_binary_into(op, x, y, out);
     }

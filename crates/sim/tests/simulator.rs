@@ -1099,3 +1099,46 @@ fn a_blackbox_input_change_runs_no_unit() {
         assert_eq!(s.peek("head").unwrap().to_u64(), 5, "{backend:?}");
     }
 }
+
+/// A `localparam` folds to the value its expression simulates to: each
+/// line prints a constant beside the same expression driven by an
+/// `assign`, and the two must agree, signed operators included.
+#[test]
+fn localparams_fold_like_the_simulator() {
+    let exprs = [
+        (8, "8'hf0 >>> 2"),
+        (8, "$signed(8'hf0) >>> 2"),
+        (32, "-4 >>> 1"),
+        (8, "(-4 < 0) ? 8'd1 : 8'd2"),
+        (1, "(8'd3 - 8'd5) < 0"),
+        (1, "-1 > 4'd0"),
+        (1, "(P - 5) < 0"),
+        (1, "$signed(P - 5) < 0"),
+        (1, "$unsigned(-4) < 0"),
+        (8, "$signed(4'hf) + $signed(8'd0)"),
+        (8, "$signed(4'hf) + 8'd0"),
+        (32, "-(3) * 2"),
+    ];
+    let mut src = String::from("module m(input clk);\n    localparam P = 4;\n");
+    for (i, (w, e)) in exprs.iter().enumerate() {
+        src += &format!(
+            "    localparam L{i} = {e};\n    wire [{}:0] w{i};\n    assign w{i} = {e};\n",
+            w - 1
+        );
+    }
+    src += "    always @(posedge clk) begin\n";
+    for i in 0..exprs.len() {
+        src += &format!("        $display(\"%h %h\", L{i}, w{i});\n");
+    }
+    src += "    end\nendmodule\n";
+    let mut s = sim(&src, "m");
+    s.step("clk").unwrap();
+    let lines: Vec<&str> = s.logs().iter().map(|r| r.message.as_str()).collect();
+    assert_eq!(lines.len(), exprs.len());
+    for (line, (_, e)) in lines.iter().zip(exprs) {
+        let (folded, simulated) = line.split_once(' ').unwrap();
+        assert_eq!(folded, simulated, "`{e}`");
+    }
+    assert_eq!(lines[0], "3c 3c");
+    assert_eq!(lines[3], "01 01");
+}

@@ -480,36 +480,25 @@ fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
         }
     };
 
+    // LossCheck and the statistics monitor free-run the clock instead.
+    let free_run = |s: &mut Simulator| s.run(&clock, cycles).is_ok();
+
     timer.start("analyze");
     timer.time("signalcat", || {
         let Ok(info) = SignalCat::instrument(&design, &SignalCatConfig::default()) else {
             return;
         };
-        let Ok(d2) = resolve(info.module.clone(), &lib) else {
-            return;
-        };
-        let Ok(mut s) = Simulator::new(d2, &StdModels, SimConfig::default()) else {
-            return;
-        };
-        if !drive(&mut s) {
-            return;
+        if let Some(s) = resimulate(&info.module, &lib, drive) {
+            SignalCat::observe(&info, &s, &mut counters);
         }
-        SignalCat::observe(&info, &s, &mut counters);
     });
     timer.time("fsm", || {
         let Ok(info) = FsmMonitor::new().instrument(&design) else {
             return;
         };
-        let Ok(d2) = resolve(info.module.clone(), &lib) else {
-            return;
-        };
-        let Ok(mut s) = Simulator::new(d2, &StdModels, SimConfig::default()) else {
-            return;
-        };
-        if !drive(&mut s) {
-            return;
+        if let Some(s) = resimulate(&info.module, &lib, drive) {
+            FsmMonitor::observe(&info, &s, &mut counters);
         }
-        FsmMonitor::observe(&info, &s, &mut counters);
     });
     timer.time("depmon", || DependencyMonitor::observe(&sim, &mut counters));
     if let Some(loss) = &loss {
@@ -525,16 +514,9 @@ fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
             let Ok(info) = LossCheck::instrument(&design, &graph, &cfg) else {
                 return;
             };
-            let Ok(d2) = resolve(info.module.clone(), &lib) else {
-                return;
-            };
-            let Ok(mut s) = Simulator::new(d2, &StdModels, SimConfig::default()) else {
-                return;
-            };
-            if s.run(&clock, cycles).is_err() {
-                return;
+            if let Some(s) = resimulate(&info.module, &lib, free_run) {
+                LossCheck::observe(s.logs(), &mut counters);
             }
-            LossCheck::observe(s.logs(), &mut counters);
         });
         timer.time("statmon", || {
             let Ok(expr) = hwdbg::rtl::parse_expr(loss.valid) else {
@@ -544,16 +526,9 @@ fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
             let Ok(info) = StatisticsMonitor::instrument(&design, &events, None) else {
                 return;
             };
-            let Ok(d2) = resolve(info.module.clone(), &lib) else {
-                return;
-            };
-            let Ok(mut s) = Simulator::new(d2, &StdModels, SimConfig::default()) else {
-                return;
-            };
-            if s.run(&clock, cycles).is_err() {
-                return;
+            if let Some(s) = resimulate(&info.module, &lib, free_run) {
+                StatisticsMonitor::observe(&info, &s, &mut counters);
             }
-            StatisticsMonitor::observe(&info, &s, &mut counters);
         });
     }
     timer.finish();
@@ -581,6 +556,19 @@ fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
         println!("{}", render_human(&timer, &counters));
     }
     Ok(())
+}
+
+/// Resolves an instrumented module, compiles it and drives it with `run`:
+/// the shared tail of `hwdbg profile`'s analysis stages. `None` when any
+/// step fails, so the stage is skipped.
+fn resimulate(
+    module: &hwdbg::rtl::Module,
+    lib: &StdIpLib,
+    run: impl FnOnce(&mut Simulator) -> bool,
+) -> Option<Simulator> {
+    let design = resolve(module.clone(), lib).ok()?;
+    let mut sim = Simulator::new(design, &StdModels, SimConfig::default()).ok()?;
+    run(&mut sim).then_some(sim)
 }
 
 /// `hwdbg lint`: run the static bug-pattern passes over an elaborated
