@@ -36,7 +36,7 @@ impl DepChain {
     pub fn registers<'d>(&self, design: &'d Design) -> Vec<&'d hwdbg_dataflow::SigInfo> {
         self.deps
             .keys()
-            .filter_map(|n| design.signals.get(n))
+            .filter_map(|n| design.signal(n))
             .filter(|s| s.is_state() && s.mem_depth.is_none())
             .collect()
     }
@@ -103,7 +103,7 @@ impl DependencyMonitor {
         k: u32,
         kinds: &[DepKind],
     ) -> Result<DepChain, ToolError> {
-        if !design.signals.contains_key(target) {
+        if design.sig_id(target).is_none() {
             return Err(ToolError::UnknownSignal(target.to_owned()));
         }
         Ok(DepChain {

@@ -146,8 +146,7 @@ impl FsmMonitor {
 
         let consts = ConstIndex::new(design);
         let mut out = Vec::new();
-        // `signals` iterates in name order, which is ID order.
-        for ((name, sig), f) in design.signals.iter().zip(&facts.by_sig) {
+        for (sig, f) in design.signals.values().zip(&facts.by_sig) {
             let is_fsm = sig.kind == SigKind::Reg
                 && sig.mem_depth.is_none()
                 && sig.width >= cfg.min_width
@@ -160,9 +159,9 @@ impl FsmMonitor {
                 && (f.const_values.len() >= 2 || !cfg.require_constant_assignments);
             if is_fsm {
                 out.push(FsmInfo {
-                    signal: name.clone(),
+                    signal: sig.name.clone(),
                     width: sig.width,
-                    states: consts.state_names(sig.width, &f.const_values, name),
+                    states: consts.state_names(sig.width, &f.const_values, &sig.name),
                 });
             }
         }
@@ -180,7 +179,7 @@ impl FsmMonitor {
             if fsms.iter().any(|f| &f.signal == name) {
                 continue;
             }
-            if let Some(sig) = design.signals.get(name) {
+            if let Some(sig) = design.signal(name) {
                 fsms.push(FsmInfo {
                     signal: name.clone(),
                     width: sig.width,

@@ -73,7 +73,7 @@ impl LossCheck {
         cfg: &LossCheckConfig,
     ) -> Result<LossCheckInstrumented, ToolError> {
         for name in [&cfg.source, &cfg.sink, &cfg.source_valid] {
-            if !design.signals.contains_key(name) {
+            if design.sig_id(name).is_none() {
                 return Err(ToolError::UnknownSignal(name.clone()));
             }
         }
@@ -90,7 +90,7 @@ impl LossCheck {
         let tracked: Vec<String> = seq
             .iter()
             .filter(|n| **n != cfg.source && **n != cfg.sink)
-            .filter(|n| design.signals.get(*n).is_some_and(|s| s.is_state()))
+            .filter(|n| design.signal(n).is_some_and(|s| s.is_state()))
             .cloned()
             .collect();
         if tracked.is_empty() {
@@ -110,8 +110,7 @@ impl LossCheck {
             .iter()
             .filter(|n| {
                 design
-                    .signals
-                    .get(*n)
+                    .signal(n)
                     .is_some_and(|s| matches!(s.kind, SigKind::Comb | SigKind::Output))
                     && **n != cfg.source
                     && !tracked.contains(n)
@@ -183,7 +182,7 @@ impl LossCheck {
         let (mem_tracked, reg_tracked): (Vec<String>, Vec<String>) = tracked
             .iter()
             .cloned()
-            .partition(|n| design.signals.get(n).is_some_and(|s| s.mem_depth.is_some()));
+            .partition(|n| design.signal(n).is_some_and(|s| s.mem_depth.is_some()));
         for m in &mem_tracked {
             let clock = clocks.clock_for(m)?;
             instrument_memory(design, m, &clock, &validity_of, &mut new_items);
@@ -342,7 +341,7 @@ fn instrument_memory(
     validity_of: &dyn Fn(&str) -> Option<Expr>,
     new_items: &mut Vec<Item>,
 ) {
-    let Some(sig) = design.signals.get(mem) else {
+    let Some(sig) = design.signal(mem) else {
         return;
     };
     let Some(depth) = sig.mem_depth else { return };

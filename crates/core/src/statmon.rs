@@ -74,7 +74,7 @@ impl StatisticsMonitor {
         };
         for ev in events {
             for n in ev.expr.idents() {
-                if !design.signals.contains_key(n) && !design.consts.contains_key(n) {
+                if design.sig_id(n).is_none() && !design.consts.contains_key(n) {
                     return Err(ToolError::UnknownSignal(n.to_owned()));
                 }
             }

@@ -175,7 +175,8 @@ pub fn apply_binary_into(op: BinaryOp, a: &mut Bits, b: &mut Bits, out: &mut Bit
 }
 
 /// Signed variant of [`apply_binary_into`]: comparisons compare in two's
-/// complement, operands sign-extend, and `>>>` shifts arithmetically. For
+/// complement, operands sign-extend, `/` and `%` divide two's-complement
+/// values (see [`signed_magnitudes`]), and `>>>` shifts arithmetically. For
 /// a shift, "signed" means its left operand is: the result keeps that
 /// operand's width and the right operand is an unsigned amount (IEEE
 /// 1364-2005 §5.1.12, Table 5-22). The operands are scratch, as for
@@ -198,6 +199,13 @@ pub fn apply_binary_signed_into(op: BinaryOp, a: &mut Bits, b: &mut Bits, out: &
                 _ => ord.is_ge(),
             });
         }
+        Div | Mod => {
+            let negate = signed_magnitudes(op, a, b);
+            apply_binary_into(op, a, b, out);
+            if negate {
+                out.neg_in_place();
+            }
+        }
         // Add/sub/mul/logic are bit-identical for signed and unsigned, but
         // operands sign-extend to the common width first.
         _ => {
@@ -205,6 +213,32 @@ pub fn apply_binary_signed_into(op: BinaryOp, a: &mut Bits, b: &mut Bits, out: &
             b.resize_signed_in_place(w);
             apply_binary_into(op, a, b, out);
         }
+    }
+}
+
+/// Prepares a signed `/` or `%` for an unsigned divider: sign-extends both
+/// operands in place to their common width and replaces each by its
+/// magnitude. Returns whether the divider's result must be negated: the
+/// quotient when exactly one operand is negative (it truncates toward
+/// zero), the remainder when the dividend is (it takes the dividend's
+/// sign), IEEE 1364-2005 §5.1.5. Division by zero still yields zero, as
+/// unsigned division does (the two-state convention of
+/// [`Bits::div`](hwdbg_bits::Bits::div)); the most negative quotient
+/// of `-2^(w-1) / -1` wraps to itself.
+pub fn signed_magnitudes(op: BinaryOp, a: &mut Bits, b: &mut Bits) -> bool {
+    let w = a.width().max(b.width());
+    a.resize_signed_in_place(w);
+    b.resize_signed_in_place(w);
+    let (neg_a, neg_b) = (a.bit(w - 1), b.bit(w - 1));
+    if neg_a {
+        a.neg_in_place();
+    }
+    if neg_b {
+        b.neg_in_place();
+    }
+    match op {
+        BinaryOp::Div => neg_a != neg_b,
+        _ => neg_a,
     }
 }
 

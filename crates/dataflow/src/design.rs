@@ -70,6 +70,47 @@ impl SigInfo {
     }
 }
 
+/// Every signal's [`SigInfo`], indexed by its [`SigId`]: the `i`-th entry
+/// is the signal with ID `SigId::from_index(i)`. Names are looked up
+/// through the design's [`SignalTable`]; see [`Design::signal`].
+#[derive(Debug, Clone, Default)]
+pub struct Signals(Box<[SigInfo]>);
+
+impl Signals {
+    /// Number of signals.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the design has no signals.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Every signal's info, in ID order.
+    pub fn values(&self) -> std::slice::Iter<'_, SigInfo> {
+        self.0.iter()
+    }
+}
+
+impl std::ops::Index<SigId> for Signals {
+    type Output = SigInfo;
+
+    fn index(&self, id: SigId) -> &SigInfo {
+        &self.0[id.index()]
+    }
+}
+
+/// `(name, info)` pairs in ID order, which is name order.
+impl<'a> IntoIterator for &'a Signals {
+    type Item = (&'a str, &'a SigInfo);
+    type IntoIter = std::iter::Map<std::slice::Iter<'a, SigInfo>, fn(&SigInfo) -> (&str, &SigInfo)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(|s| (s.name.as_str(), s))
+    }
+}
+
 /// A combinational driver: one `assign` or one `always @(*)` block.
 #[derive(Debug, Clone)]
 pub struct CombDriver {
@@ -146,14 +187,14 @@ pub struct Design {
     flat: Module,
     /// Every item of the flat module, in source order.
     layout: Box<[Slot]>,
-    /// Per signal: the position of its declaration among `flat`'s ports
-    /// followed by its items.
+    /// Per signal ID: the position of its declaration among `flat`'s
+    /// ports followed by its items.
     decls: Box<[u32]>,
-    /// All signals by flat name.
-    pub signals: BTreeMap<String, SigInfo>,
-    /// Dense [`SigId`] interner over the same signals (sorted-name order),
-    /// shared with the propagation graphs and simulator states built from
-    /// this design.
+    /// Every signal's static info, by ID.
+    pub signals: Signals,
+    /// The design's one name index: flat name ⇄ [`SigId`] (IDs in
+    /// sorted-name order), shared with the propagation graphs and
+    /// simulator states built from this design.
     pub table: Arc<SignalTable>,
     /// Parameter/localparam constants by name.
     pub consts: ConstEnv,
@@ -170,7 +211,7 @@ pub struct Design {
 impl Design {
     /// Looks up a signal.
     pub fn signal(&self, name: &str) -> Option<&SigInfo> {
-        self.signals.get(name)
+        Some(&self.signals[self.table.id(name)?])
     }
 
     /// Looks up a signal's dense ID.
@@ -277,7 +318,7 @@ impl Design {
         Ok(match e {
             Expr::Literal { value, .. } => value.width(),
             Expr::Ident(n) => {
-                if let Some(sig) = self.signals.get(n) {
+                if let Some(sig) = self.signal(n) {
                     sig.width
                 } else if let Some(c) = self.consts.get(n) {
                     c.width()
@@ -299,7 +340,7 @@ impl Design {
                 }
             }
             Expr::Ternary(_, t, f) => self.width_of(t)?.max(self.width_of(f)?),
-            Expr::Index(n, _) => match self.signals.get(n) {
+            Expr::Index(n, _) => match self.signal(n) {
                 Some(sig) if sig.mem_depth.is_some() => sig.width,
                 Some(_) => 1,
                 None if self.consts.contains_key(n) => 1,
@@ -331,9 +372,9 @@ impl Design {
     /// bounds.
     pub fn lvalue_width(&self, lv: &LValue) -> Option<u32> {
         Some(match lv {
-            LValue::Id(n) => self.signals.get(n)?.width,
+            LValue::Id(n) => self.signal(n)?.width,
             LValue::Index(n, _) => {
-                let sig = self.signals.get(n)?;
+                let sig = self.signal(n)?;
                 if sig.mem_depth.is_some() {
                     sig.width
                 } else {
@@ -366,7 +407,6 @@ impl Design {
     pub fn lints(&self) -> Vec<hwdbg_diag::HwdbgError> {
         use hwdbg_diag::{ErrorCode, HwdbgError};
         let mut out = Vec::new();
-        // `signals` iterates in name order, which is ID order.
         for (i, sig) in self.signals.values().enumerate() {
             if sig.kind != SigKind::Undriven {
                 continue;
@@ -444,89 +484,63 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
         }
     }
 
-    let mut signals: BTreeMap<String, SigInfo> = BTreeMap::new();
-    let mut declare = |name: &str,
-                       width: u32,
-                       kind: SigKind,
-                       signed: bool,
-                       mem_depth: Option<u64>|
-     -> Result<(), DataflowError> {
-        if signals
-            .insert(
-                name.to_owned(),
-                SigInfo {
-                    name: name.to_owned(),
-                    width,
-                    kind,
-                    signed,
-                    mem_depth,
-                },
-            )
-            .is_some()
-        {
-            return Err(DataflowError::DuplicateName(name.to_owned()));
-        }
-        Ok(())
-    };
-
-    // Each declaration's position among the ports followed by the items
-    // the design keeps (every item but `assign` and `always`).
-    let mut positions: Vec<(&str, u32)> = Vec::new();
-    for (i, port) in flat.ports.iter().enumerate() {
-        let width = range_width(&port.net.range, &consts)?;
-        let kind = match port.dir {
-            Dir::Input => SigKind::Input,
-            Dir::Output => SigKind::Output,
-            Dir::Inout => {
-                return Err(DataflowError::Unsupported("inout ports".into()));
+    // Every port and net, in declaration order, with its position among
+    // the ports followed by the items the design keeps (every item but
+    // `assign` and `always`). Collecting stops at the first declaration
+    // that fails, which is reported unless an earlier one repeats a name.
+    let kept = flat
+        .items
+        .iter()
+        .filter(|i| !matches!(i, Item::Assign { .. } | Item::Always { .. }));
+    let kept_len = kept.clone().count();
+    let nets = kept.map(|item| match item {
+        Item::Net(n) => Some((n, None)),
+        _ => None,
+    });
+    let decls = flat
+        .ports
+        .iter()
+        .map(|p| Some((&p.net, Some(p.dir))))
+        .chain(nets)
+        .enumerate()
+        .filter_map(|(at, d)| Some((at as u32, d?)));
+    let mut declared = Vec::with_capacity(flat.ports.len() + kept_len);
+    let mut failed = None;
+    for (at, (net, dir)) in decls {
+        match declare(net, dir, &consts) {
+            Ok(sig) => declared.push((sig, at, net)),
+            Err(e) => {
+                failed = Some(e);
+                break;
             }
-        };
-        declare(&port.net.name, width, kind, port.net.signed, None)?;
-        positions.push((&port.net.name, i as u32));
-    }
-    let mut kept_len = 0;
-    for item in &flat.items {
-        if let Item::Net(n) = item {
-            let width = range_width(&n.range, &consts).map_err(|e| e.at(n.span))?;
-            let mem_depth = match &n.mem_dim {
-                None => None,
-                Some((lo, hi)) => {
-                    let lo_v = eval_const(lo, &consts).map_err(|e| e.at(n.span))?.to_u64();
-                    let hi_v = eval_const(hi, &consts).map_err(|e| e.at(n.span))?.to_u64();
-                    if lo_v != 0 || hi_v < lo_v {
-                        return Err(
-                            DataflowError::BadRange(format!("[{lo_v}:{hi_v}]")).at(n.span)
-                        );
-                    }
-                    if hi_v >= MAX_MEM_DEPTH {
-                        return Err(DataflowError::BadRange(format!(
-                            "memory `{}` has {} entries (limit {MAX_MEM_DEPTH})",
-                            n.name,
-                            hi_v + 1
-                        ))
-                        .at(n.span));
-                    }
-                    Some(hi_v + 1)
-                }
-            };
-            declare(&n.name, width, SigKind::Undriven, n.signed, mem_depth)
-                .map_err(|e| e.at(n.span))?;
-            positions.push((&n.name, (flat.ports.len() + kept_len) as u32));
-        }
-        if !matches!(item, Item::Assign { .. } | Item::Always { .. }) {
-            kept_len += 1;
         }
     }
+
+    // IDs follow name order: sort once, and refuse the first declaration,
+    // in declaration order, that repeats an earlier one's name.
+    declared.sort_unstable_by(|a, b| a.0.name.cmp(&b.0.name).then(a.1.cmp(&b.1)));
+    let repeat = declared
+        .windows(2)
+        .filter(|w| w[0].0.name == w[1].0.name)
+        .map(|w| &w[1])
+        .min_by_key(|d| d.1);
+    if let Some((sig, at, net)) = repeat {
+        let err = DataflowError::DuplicateName(sig.name.clone());
+        return Err(if *at as usize >= flat.ports.len() {
+            err.at(net.span)
+        } else {
+            err
+        });
+    }
+    if let Some(err) = failed {
+        return Err(err);
+    }
+    let decls: Box<[u32]> = declared.iter().map(|d| d.1).collect();
+    let mut infos: Vec<SigInfo> = declared.into_iter().map(|d| d.0).collect();
 
     // The namespace is final once every declaration is in: the rest of
     // resolution looks names up by ID.
-    let table = Arc::new(SignalTable::new(signals.keys().map(String::as_str)));
-    let mut decls = vec![0; table.len()].into_boxed_slice();
-    for (name, at) in positions {
-        if let Some(id) = table.id(name) {
-            decls[id.index()] = at;
-        }
-    }
+    let table = Arc::new(SignalTable::new(infos.iter().map(|s| s.name.as_str())));
 
     // Partition items into drivers, moving each body into its driver,
     // and build every driver's read and write sets as its names are
@@ -630,8 +644,7 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
     if let Some(name) = first_written(&table, &writes, &undeclared, |w| w.comb > 0 && w.clocked) {
         return Err(DataflowError::ConflictingDrivers(name.to_owned()));
     }
-    // `signals` iterates in name order, which is ID order.
-    for (info, w) in signals.values_mut().zip(&writes) {
+    for (info, w) in infos.iter_mut().zip(&writes) {
         if w.clocked {
             info.kind = SigKind::Reg;
         } else if w.comb > 0 && info.kind != SigKind::Output {
@@ -666,13 +679,51 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
         },
         layout: layout.into_boxed_slice(),
         decls,
-        signals,
+        signals: Signals(infos.into_boxed_slice()),
         table,
         consts,
         combs,
         procs,
         blackboxes,
         local_graph: OnceLock::new(),
+    })
+}
+
+/// The [`SigInfo`] a port (with its `dir`) or a net declares, before its
+/// drivers classify it; a net's error carries its span.
+fn declare(net: &NetDecl, dir: Option<Dir>, consts: &ConstEnv) -> Result<SigInfo, DataflowError> {
+    let at = |e: DataflowError| if dir.is_some() { e } else { e.at(net.span) };
+    let width = range_width(&net.range, consts).map_err(at)?;
+    let kind = match dir {
+        None => SigKind::Undriven,
+        Some(Dir::Input) => SigKind::Input,
+        Some(Dir::Output) => SigKind::Output,
+        Some(Dir::Inout) => return Err(DataflowError::Unsupported("inout ports".into())),
+    };
+    let mem_depth = match (&net.mem_dim, dir) {
+        (Some((lo, hi)), None) => {
+            let lo_v = eval_const(lo, consts).map_err(at)?.to_u64();
+            let hi_v = eval_const(hi, consts).map_err(at)?.to_u64();
+            if lo_v != 0 || hi_v < lo_v {
+                return Err(at(DataflowError::BadRange(format!("[{lo_v}:{hi_v}]"))));
+            }
+            if hi_v >= MAX_MEM_DEPTH {
+                return Err(at(DataflowError::BadRange(format!(
+                    "memory `{}` has {} entries (limit {MAX_MEM_DEPTH})",
+                    net.name,
+                    hi_v + 1
+                ))));
+            }
+            Some(hi_v + 1)
+        }
+        _ => None,
+    };
+    Ok(SigInfo {
+        name: net.name.clone(),
+        width,
+        kind,
+        signed: net.signed,
+        mem_depth,
     })
 }
 
@@ -850,11 +901,18 @@ impl<'r> Scan<'r> {
     }
 
     /// Notes `name` as bad unless a smaller bad name is already known.
+    /// The bad name keeps the span of its first write, even when a read
+    /// of it was met first.
     fn note_bad(&mut self, name: &str, write: Option<Span>) {
-        if self.bad.as_ref().is_some_and(|(b, _)| b.as_str() <= name) {
-            return;
+        match &mut self.bad {
+            Some((b, span)) if b.as_str() == name => {
+                if span.is_none() {
+                    *span = write;
+                }
+            }
+            Some((b, _)) if b.as_str() < name => {}
+            _ => self.bad = Some((name.to_owned(), write)),
         }
-        self.bad = Some((name.to_owned(), write));
     }
 
     /// The ID of a read name; `None` for a constant or a bad name.

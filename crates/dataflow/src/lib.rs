@@ -45,10 +45,12 @@ pub mod scc;
 
 pub use blackbox::{BbDir, BbPort, BlackboxLib, BlackboxSpec, IpRelation, NoBlackboxes, WidthSpec, clog2};
 pub use consteval::{
-    apply_binary_into, apply_binary_signed_into, eval_const, range_width, shift_amount, ConstEnv,
+    apply_binary_into, apply_binary_signed_into, eval_const, range_width, shift_amount,
+    signed_magnitudes, ConstEnv,
 };
 pub use design::{
-    elaborate, resolve, BbInst, ClockedProc, CombDriver, Design, SigInfo, SigKind, WidthError,
+    elaborate, resolve, BbInst, ClockedProc, CombDriver, Design, SigInfo, SigKind, Signals,
+    WidthError,
 };
 pub use intern::{SigId, SignalTable};
 pub use flatten::{expr_to_lvalue, flatten};

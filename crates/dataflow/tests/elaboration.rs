@@ -370,6 +370,36 @@ endmodule";
     assert_eq!(err.span().map(|s| s.start), write.find("assign zz"));
 }
 
+/// An undeclared name that is read before it is written is still reported
+/// at its first write, so the E0207 diagnostic can excerpt the source.
+#[test]
+fn unknown_name_read_then_written_is_reported_at_the_write() {
+    for (src, at) in [
+        (
+            "module m(input clk);
+    always @(posedge clk) zz <= zz + 1;
+endmodule",
+            "zz <= zz",
+        ),
+        (
+            "module m(input clk, input [1:0] s, output reg q);
+    always @(posedge clk)
+        case (s) 2'd0: zz <= 1; zz: q <= 0; endcase
+endmodule",
+            "zz <= 1",
+        ),
+    ] {
+        let err = elaborate(&parse(src).unwrap(), "m", &NoBlackboxes).unwrap_err();
+        assert!(
+            matches!(err.root(), DataflowError::UnknownSignal(n) if n == "zz"),
+            "{src}: {err:?}"
+        );
+        assert_eq!(err.span().map(|s| s.start), src.find(at), "{src}");
+        let diag: hwdbg_diag::HwdbgError = err.into();
+        assert_eq!(diag.code.as_str(), "E0207");
+    }
+}
+
 /// Elaborates `src` and checks that it fails with E0201 naming `name`, at
 /// an in-bounds span that starts where `at` does.
 fn assert_not_constant(src: &str, name: &str, at: &str) {

@@ -193,13 +193,13 @@ pub fn stream_pairs(design: &Design) -> Vec<StreamPair> {
             candidates.push(bare.to_owned());
         }
         for c in candidates {
-            if design.signals.get(&c).is_some_and(|s| s.kind == SigKind::Reg) {
+            if design.signal(&c).is_some_and(|s| s.kind == SigKind::Reg) {
                 payloads.push(c);
             }
         }
         if !payloads.is_empty() {
             out.push(StreamPair {
-                valid: name.clone(),
+                valid: name.to_owned(),
                 ready,
                 payloads,
             });

@@ -66,7 +66,7 @@ impl LintPass for HandshakePass {
             let Some(ready) = axi_ready_counterpart(name) else {
                 continue;
             };
-            if !design.signals.contains_key(&ready) {
+            if design.sig_id(&ready).is_none() {
                 continue;
             }
             for site in flag.set_sites() {
@@ -183,8 +183,7 @@ fn collect_flags(design: &Design) -> BTreeMap<String, Flag> {
             };
             for name in lhs.target_names() {
                 let eligible = design
-                    .signals
-                    .get(name)
+                    .signal(name)
                     .is_some_and(|s| s.width == 1 && s.mem_depth.is_none() && s.is_state());
                 if !eligible {
                     continue;

@@ -139,23 +139,21 @@ impl LintPass for LivenessPass {
             }
         }
 
-        for name in design.signals.keys() {
-            let name = name.as_str();
+        for (id, name) in design.table.iter() {
             if logic.contains(name) || display.contains(name) {
                 continue;
             }
             if inputs.contains(name) || outputs.contains(name) {
                 continue;
             }
-            let mut err = HwdbgError::warning(
-                ErrorCode::LintNeverRead,
-                format!("`{name}` is never read; every value written to it is lost"),
-            )
-            .with_signal(name);
-            if let Some(id) = design.sig_id(name) {
-                err = err.with_span(design.decl(id).span);
-            }
-            sink.emit(err);
+            sink.emit(
+                HwdbgError::warning(
+                    ErrorCode::LintNeverRead,
+                    format!("`{name}` is never read; every value written to it is lost"),
+                )
+                .with_signal(name)
+                .with_span(design.decl(id).span),
+            );
         }
         for name in &inputs {
             let name = name.as_str();
@@ -220,9 +218,10 @@ impl LintPass for StickyFlagPass {
                     }
                 }
                 for name in lhs.target_names() {
-                    let eligible = design.signals.get(name).is_some_and(|s| {
-                        s.width == 1 && s.mem_depth.is_none() && s.is_state()
-                    }) && !outputs.contains(name);
+                    let eligible = design
+                        .signal(name)
+                        .is_some_and(|s| s.width == 1 && s.mem_depth.is_none() && s.is_state())
+                        && !outputs.contains(name);
                     if !eligible {
                         continue;
                     }
@@ -315,7 +314,7 @@ impl LintPass for ReinitPass {
                 let in_reset = analysis::in_reset(guards, &resets);
                 let cval = analysis::const_value(rhs, design).and_then(|v| {
                     let w = match lhs {
-                        LValue::Id(n) => design.signals.get(n)?.width,
+                        LValue::Id(n) => design.signal(n)?.width,
                         _ => return None,
                     };
                     Some(v.resize(w))

@@ -80,7 +80,7 @@ impl LintPass for MemIndexPass {
             if bound.max <= limit {
                 continue;
             }
-            let what = if design.signals.get(mem).is_some_and(|s| s.mem_depth.is_some()) {
+            let what = if design.signal(mem).is_some_and(|s| s.mem_depth.is_some()) {
                 "entries"
             } else {
                 "bits"
@@ -134,7 +134,7 @@ impl LintPass for MemIndexPass {
 /// Valid-index limit of an addressable signal: `depth - 1` for memories,
 /// `width - 1` for multi-bit vectors.
 fn addr_limit(design: &Design, name: &str) -> Option<u64> {
-    let sig = design.signals.get(name)?;
+    let sig = design.signal(name)?;
     match sig.mem_depth {
         Some(depth) => Some(depth.saturating_sub(1)),
         None if sig.width > 1 => Some(u64::from(sig.width) - 1),
@@ -152,7 +152,7 @@ fn index_bounds(design: &Design) -> BTreeMap<&str, IdxBound> {
                 return;
             };
             for name in lhs.target_names() {
-                let Some(sig) = design.signals.get(name) else {
+                let Some(sig) = design.signal(name) else {
                     continue;
                 };
                 if sig.kind != SigKind::Reg

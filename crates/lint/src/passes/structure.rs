@@ -139,7 +139,7 @@ impl LintPass for WidthTruncationPass {
                     .target_names()
                     .iter()
                     .chain(rhs.idents().iter())
-                    .any(|n| design.signals.get(*n).is_some_and(|s| s.signed))
+                    .any(|n| design.signal(n).is_some_and(|s| s.signed))
                 {
                     return;
                 }
@@ -175,8 +175,7 @@ fn eff_width(design: &Design, e: &Expr) -> Option<u32> {
             significant_bits(value)
         }),
         Expr::Ident(n) => design
-            .signals
-            .get(n)
+            .signal(n)
             .map(|s| s.width)
             .or_else(|| design.consts.get(n).map(significant_bits)),
         Expr::Unary(op, inner) => match op {

@@ -226,7 +226,7 @@ impl LintPass for MultiProcWritePass {
             guard::walk(&proc.body, &mut guards, &mut |_, stmt| {
                 if let Stmt::Assign { lhs, .. } = stmt {
                     for target in lhs.target_names() {
-                        if design.signals.contains_key(target) {
+                        if design.sig_id(target).is_some() {
                             writers.entry(target).or_default().insert(i);
                         }
                     }

@@ -150,7 +150,7 @@ impl LintPass for BackpressurePass {
             else {
                 continue;
             };
-            let info = design.signals.get(name);
+            let info = design.signal(name);
             if info.is_none_or(|s| {
                 s.width != 1 || !matches!(s.kind, SigKind::Comb | SigKind::Output)
             }) {
@@ -168,8 +168,7 @@ impl LintPass for BackpressurePass {
             let consumed = graph.id(&valid).is_some_and(|vid| {
                 graph.outgoing_ids(vid).any(|r| {
                     design
-                        .signals
-                        .get(graph.name(r.dst))
+                        .signal(graph.name(r.dst))
                         .is_some_and(|s| s.kind == SigKind::Reg)
                 })
             });
@@ -184,10 +183,7 @@ impl LintPass for BackpressurePass {
                 let n = graph.name(id);
                 inputs.contains(n)
                     || bb_driven.contains(n)
-                    || design
-                        .signals
-                        .get(n)
-                        .is_some_and(|s| s.kind == SigKind::Reg)
+                    || design.signal(n).is_some_and(|s| s.kind == SigKind::Reg)
             });
             if dynamic {
                 continue;
@@ -356,7 +352,7 @@ impl LintPass for OccupancyPass {
 /// skid occupancy: writing the memory itself is skid 0; writing a staging
 /// register that data-feeds a memory is skid 1.
 fn entry_point(design: &Design, graph: &PropGraph, dst: &str) -> Option<(String, u64)> {
-    let info = design.signals.get(dst)?;
+    let info = design.signal(dst)?;
     if info.mem_depth.is_some() {
         return Some((dst.to_owned(), 0));
     }
@@ -369,11 +365,7 @@ fn entry_point(design: &Design, graph: &PropGraph, dst: &str) -> Option<(String,
             continue;
         }
         let mem = graph.name(rel.dst);
-        if design
-            .signals
-            .get(mem)
-            .is_some_and(|s| s.mem_depth.is_some())
-        {
+        if design.signal(mem).is_some_and(|s| s.mem_depth.is_some()) {
             return Some((mem.to_owned(), 1));
         }
     }
@@ -413,8 +405,8 @@ fn count_compare<'a>(
     let (Expr::Ident(wr), Expr::Ident(rd)) = (&**a, &**b) else {
         return None;
     };
-    let wi = design.signals.get(wr)?;
-    let ri = design.signals.get(rd)?;
+    let wi = design.signal(wr)?;
+    let ri = design.signal(rd)?;
     if wi.kind != SigKind::Reg || ri.kind != SigKind::Reg || wi.width != ri.width {
         return None;
     }
@@ -431,7 +423,7 @@ fn count_compare<'a>(
             continue;
         }
         let mem = graph.name(rel.dst);
-        let Some(depth) = design.signals.get(mem).and_then(|s| s.mem_depth) else {
+        let Some(depth) = design.signal(mem).and_then(|s| s.mem_depth) else {
             continue;
         };
         if depth != depth_from_width {
@@ -490,8 +482,7 @@ fn registered_flag_updates<'a>(
     for (dst, s) in sites {
         if let [(rhs, span, true)] = s.as_slice() {
             if design
-                .signals
-                .get(dst)
+                .signal(dst)
                 .is_some_and(|i| i.kind == SigKind::Reg && i.width == 1)
             {
                 out.insert(dst, (*rhs, *span));

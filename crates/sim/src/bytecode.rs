@@ -109,9 +109,10 @@ pub(crate) enum Op {
     Add { dst: u16, a: u16, b: u16, mask: u64 },
     Sub { dst: u16, a: u16, b: u16, mask: u64 },
     Mul { dst: u16, a: u16, b: u16, mask: u64 },
-    /// Unsigned division; division by zero yields 0 (tree semantics).
-    Div { dst: u16, a: u16, b: u16 },
-    Mod { dst: u16, a: u16, b: u16 },
+    /// Division of canonical `w`-bit values, two's complement if `signed`
+    /// (see [`div_n`]); division by zero yields 0 (tree semantics).
+    Div { dst: u16, a: u16, b: u16, signed: bool, w: u32 },
+    Mod { dst: u16, a: u16, b: u16, signed: bool, w: u32 },
     And { dst: u16, a: u16, b: u16 },
     Or { dst: u16, a: u16, b: u16 },
     Xor { dst: u16, a: u16, b: u16 },
@@ -272,6 +273,25 @@ fn fixed_limbs(signed: bool, aw: u32, bw: u32) -> Option<u8> {
         4 => Some(4),
         _ => None,
     }
+}
+
+/// Narrow `/` (or `%` if `rem`) of canonical `w`-bit values. `signed`
+/// reads them as two's complement, with the rules of
+/// [`signed_magnitudes`](hwdbg_dataflow::signed_magnitudes): the quotient
+/// truncates toward zero and the remainder takes the dividend's sign.
+/// Division by zero yields 0.
+#[inline]
+fn div_n(x: u64, y: u64, signed: bool, w: u32, rem: bool) -> u64 {
+    if y == 0 {
+        return 0;
+    }
+    if !signed {
+        return if rem { x % y } else { x / y };
+    }
+    let shift = 64 - w;
+    let (x, y) = (((x << shift) as i64) >> shift, ((y << shift) as i64) >> shift);
+    let v = if rem { x.wrapping_rem(y) } else { x.wrapping_div(y) };
+    v as u64 & mask_of(w)
 }
 
 #[inline]
@@ -871,8 +891,8 @@ impl Lower<'_> {
             Add => Op::Add { dst: d, a: xa, b: xb, mask: m },
             Sub => Op::Sub { dst: d, a: xa, b: xb, mask: m },
             Mul => Op::Mul { dst: d, a: xa, b: xb, mask: m },
-            Div => Op::Div { dst: d, a: xa, b: xb },
-            Mod => Op::Mod { dst: d, a: xa, b: xb },
+            Div => Op::Div { dst: d, a: xa, b: xb, signed, w },
+            Mod => Op::Mod { dst: d, a: xa, b: xb, signed, w },
             And => Op::And { dst: d, a: xa, b: xb },
             Or => Op::Or { dst: d, a: xa, b: xb },
             Xor => Op::Xor { dst: d, a: xa, b: xb },
@@ -1579,14 +1599,12 @@ pub(crate) fn run(prog: &BcProgram, exec: &mut CExec<'_>) -> Result<Flow, SimErr
                 let v = nr(exec, a).wrapping_mul(nr(exec, b)) & mask;
                 set_nr(exec, dst, v);
             }
-            Op::Div { dst, a, b } => {
-                let d = nr(exec, b);
-                let v = nr(exec, a).checked_div(d).unwrap_or(0);
+            Op::Div { dst, a, b, signed, w } => {
+                let v = div_n(nr(exec, a), nr(exec, b), signed, w, false);
                 set_nr(exec, dst, v);
             }
-            Op::Mod { dst, a, b } => {
-                let d = nr(exec, b);
-                let v = nr(exec, a).checked_rem(d).unwrap_or(0);
+            Op::Mod { dst, a, b, signed, w } => {
+                let v = div_n(nr(exec, a), nr(exec, b), signed, w, true);
                 set_nr(exec, dst, v);
             }
             Op::And { dst, a, b } => {

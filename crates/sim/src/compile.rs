@@ -214,7 +214,7 @@ impl Compiled {
     /// Compiles `design` against its memory layout `mem_slot` (see
     /// [`crate::state::mem_slots`]).
     pub fn build(design: &Design, mem_slot: &[u32]) -> Result<Compiled, SimError> {
-        let cc = Ctx::new(design, mem_slot);
+        let cc = Ctx { design, mem_slot };
         let n_sigs = design.table.len();
 
         // Identity-assign aliases, mirroring the interpreter's clock-root
@@ -345,22 +345,11 @@ fn alias_root(aliases: &[Option<SigId>], mut id: SigId) -> SigId {
 /// Compilation context.
 struct Ctx<'a> {
     design: &'a Design,
-    /// Per signal ID: its static info (`design.signals` in ID order).
-    infos: Vec<&'a SigInfo>,
     /// Per signal ID: its memory slot, or [`NOT_A_MEM`].
     mem_slot: &'a [u32],
 }
 
 impl<'a> Ctx<'a> {
-    fn new(design: &'a Design, mem_slot: &'a [u32]) -> Self {
-        Ctx {
-            design,
-            // `design.signals` iterates in name order, which is ID order.
-            infos: design.signals.values().collect(),
-            mem_slot,
-        }
-    }
-
     /// The memory slot of `id`, if it is a memory.
     fn mem_slot_of(&self, id: SigId) -> Option<u32> {
         match self.mem_slot[id.index()] {
@@ -372,7 +361,7 @@ impl<'a> Ctx<'a> {
     /// A declared signal's ID and static info, from one name lookup.
     fn signal(&self, name: &str) -> Option<(SigId, &'a SigInfo)> {
         let id = self.design.sig_id(name)?;
-        Some((id, self.infos[id.index()]))
+        Some((id, &self.design.signals[id]))
     }
 
     fn sig(&self, name: &str) -> Result<SigId, SimError> {

@@ -156,9 +156,9 @@ impl SimConfig {
     }
 }
 
-/// Pre-resolved stepping info for one clock: what a rising edge of any
-/// signal in one alias class runs. Built once per clock root at compile
-/// time (see [`CompiledDesign`]).
+/// Stepping info for one clock: what a rising edge of any signal in one
+/// alias class runs. Built on the clock's first step (see
+/// [`CompiledDesign::clock_plan`]).
 #[derive(Debug, Default)]
 struct ClockPlan {
     /// Indices of clocked processes triggered by this clock.
@@ -166,6 +166,16 @@ struct ClockPlan {
     /// `(blackbox index, clock index)` pairs ticked by this clock, the
     /// clock index counting the instance's `clock_ports`.
     ticks: Vec<(usize, usize)>,
+}
+
+/// A clock [`Simulator::step`] has run: its completed cycles, and the ID
+/// and stepping plan its name resolved to on its first step, so later
+/// steps make no table lookup.
+#[derive(Debug, Clone)]
+struct ClockRun {
+    cycles: u64,
+    id: Option<SigId>,
+    plan: Arc<ClockPlan>,
 }
 
 /// A blackbox's model, with its connections mapped to the model's port
@@ -211,9 +221,8 @@ impl BbModel {
 }
 
 /// A design compiled once into the immutable schedule the hot path
-/// executes: the elaborated [`Design`], the interned unit schedule with
-/// its per-signal reader/writer tables, and the pre-resolved per-clock
-/// stepping plans.
+/// executes: the elaborated [`Design`] and the interned unit schedule with
+/// its per-signal reader/writer tables and clock alias roots.
 ///
 /// A `CompiledDesign` is `Send + Sync` and carries no mutable state, so a
 /// single `Arc<CompiledDesign>` can back any number of [`Simulator`]s —
@@ -238,12 +247,6 @@ pub struct CompiledDesign {
     /// once at build time.
     n_narrow: usize,
     n_wide: usize,
-    /// Stepping plans by name, for the scalars whose alias root clocks a
-    /// process or a blackbox: the name's ID and its root's plan, which
-    /// every alias of the root shares.
-    plans: BTreeMap<String, (SigId, Arc<ClockPlan>)>,
-    /// Plan for every other name: no processes, no ticks.
-    empty_plan: Arc<ClockPlan>,
 }
 
 impl std::fmt::Debug for CompiledDesign {
@@ -273,8 +276,7 @@ impl CompiledDesign {
         // ID (memories hold their 1-bit placeholder slot width, matching
         // what `get_id` returns for them) and one per memory slot
         // (element width; what `read_mem_slot_into` yields in range).
-        // `design.signals` iterates in name order, which is ID order.
-        let mut sig_width = vec![1u32; design.table.len()];
+        let mut sig_width = vec![1u32; design.signals.len()];
         let mut mem_width = Vec::new();
         for (id, sig) in design.signals.values().enumerate() {
             sig_width[id] = if sig.mem_depth.is_some() { 1 } else { sig.width };
@@ -298,7 +300,6 @@ impl CompiledDesign {
             n_narrow = n_narrow.max(prog.n_narrow);
             n_wide = n_wide.max(prog.n_wide);
         }
-        let plans = clock_plans(&design, &compiled);
         Ok(CompiledDesign {
             design,
             compiled,
@@ -308,8 +309,6 @@ impl CompiledDesign {
             sched,
             n_narrow,
             n_wide,
-            plans,
-            empty_plan: Arc::default(),
         })
     }
 
@@ -340,65 +339,35 @@ impl CompiledDesign {
         )
     }
 
-    /// The pre-resolved stepping plan for `clock`, with the ID that the
-    /// step toggles: the plan's own for a clock-carrying name, the empty
-    /// plan with the name's ID for any other declared scalar, and the
-    /// empty plan with no ID for memories and undeclared names.
+    /// The stepping plan for `clock`, with the ID that the step toggles.
+    /// A declared scalar steps with its ID, and with the processes and
+    /// blackbox clock ports whose edge signals share its alias root, in
+    /// index order, each once. Memories and undeclared names step with no
+    /// ID and an empty plan. One pass over the processes and clock ports.
     fn clock_plan(&self, clock: &str) -> (Option<SigId>, Arc<ClockPlan>) {
-        if let Some((id, plan)) = self.plans.get(clock) {
-            return (Some(*id), Arc::clone(plan));
-        }
-        let id = self
+        let mut plan = ClockPlan::default();
+        let Some(id) = self
             .design
-            .signals
-            .get(clock)
-            .filter(|s| s.mem_depth.is_none())
-            .and_then(|_| self.design.sig_id(clock));
-        (id, Arc::clone(&self.empty_plan))
-    }
-}
-
-/// Builds the stepping plans in time linear in the design: one plan per
-/// alias root, from a single pass over the processes' edge roots and the
-/// blackboxes' clock ports, then a name entry for each scalar whose root
-/// has a plan. A process or clock port joins a root's plan once however
-/// many of its signals share that root; plans list processes and ticks in
-/// index order.
-fn clock_plans(design: &Design, compiled: &Compiled) -> BTreeMap<String, (SigId, Arc<ClockPlan>)> {
-    let mut by_root: BTreeMap<SigId, ClockPlan> = BTreeMap::new();
-    for (pi, p) in compiled.procs.iter().enumerate() {
-        for (k, &root) in p.edge_roots.iter().enumerate() {
-            if !p.edge_roots[..k].contains(&root) {
-                by_root.entry(root).or_default().procs.push(pi);
+            .sig_id(clock)
+            .filter(|&id| self.design.signals[id].mem_depth.is_none())
+        else {
+            return (None, Arc::new(plan));
+        };
+        let root = self.compiled.alias_root(id);
+        for (pi, p) in self.compiled.procs.iter().enumerate() {
+            if p.edge_roots.contains(&root) {
+                plan.procs.push(pi);
             }
         }
-    }
-    for (bi, bb) in compiled.bbs.iter().enumerate() {
-        for (ci, roots) in bb.clock_roots.iter().enumerate() {
-            for (k, &root) in roots.iter().enumerate() {
-                if !roots[..k].contains(&root) {
-                    by_root.entry(root).or_default().ticks.push((bi, ci));
+        for (bi, bb) in self.compiled.bbs.iter().enumerate() {
+            for (ci, roots) in bb.clock_roots.iter().enumerate() {
+                if roots.contains(&root) {
+                    plan.ticks.push((bi, ci));
                 }
             }
         }
+        (Some(id), Arc::new(plan))
     }
-    let by_root: BTreeMap<SigId, Arc<ClockPlan>> =
-        by_root.into_iter().map(|(root, plan)| (root, Arc::new(plan))).collect();
-    let mut plans = BTreeMap::new();
-    if by_root.is_empty() {
-        return plans;
-    }
-    // `design.signals` iterates in name order, which is ID order.
-    for (id, (name, sig)) in design.signals.iter().enumerate() {
-        if sig.mem_depth.is_some() {
-            continue;
-        }
-        let id = SigId::from_index(id);
-        if let Some(plan) = by_root.get(&compiled.alias_root(id)) {
-            plans.insert(name.clone(), (id, Arc::clone(plan)));
-        }
-    }
-    plans
 }
 
 /// A cycle-accurate simulator for an elaborated [`Design`].
@@ -422,7 +391,8 @@ pub struct Simulator {
     log_start: usize,
     dropped_logs: u64,
     time: u64,
-    cycles: BTreeMap<String, u64>,
+    /// Per clock name stepped so far.
+    cycles: BTreeMap<String, ClockRun>,
     finished: bool,
     vcd: Option<crate::vcd::VcdWriter<Box<dyn std::io::Write + Send>>>,
     /// Signals written since the last settle (pokes, clocked-process writes,
@@ -489,7 +459,7 @@ impl StimulusPlan {
 pub struct Checkpoint {
     state: SimState,
     time: u64,
-    cycles: BTreeMap<String, u64>,
+    cycles: BTreeMap<String, ClockRun>,
     finished: bool,
     /// Records emitted up to the checkpoint: dropped plus visible.
     logs_total: u64,
@@ -633,7 +603,7 @@ impl Simulator {
 
     /// Number of completed posedges of `clock`.
     pub fn cycle(&self, clock: &str) -> u64 {
-        self.cycles.get(clock).copied().unwrap_or(0)
+        self.cycles.get(clock).map_or(0, |run| run.cycles)
     }
 
     /// Captured `$display` records.
@@ -686,10 +656,8 @@ impl Simulator {
     fn scalar_id(&self, name: &str) -> Result<SigId, SimError> {
         let design = &self.shared.design;
         design
-            .signals
-            .get(name)
-            .filter(|s| s.mem_depth.is_none())
-            .and_then(|_| design.sig_id(name))
+            .sig_id(name)
+            .filter(|&id| design.signals[id].mem_depth.is_none())
             .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))
     }
 
@@ -874,8 +842,7 @@ impl Simulator {
         let sig = self
             .shared
             .design
-            .signals
-            .get(name)
+            .signal(name)
             .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
         if sig.mem_depth.is_none() {
             return Err(SimError::UnknownSignal(format!("{name} is not a memory")));
@@ -1182,7 +1149,10 @@ impl Simulator {
         if self.config.deadline.is_some() {
             self.check_deadline()?;
         }
-        let (clock_id, plan) = self.shared.clock_plan(clock);
+        let (clock_id, plan) = match self.cycles.get(clock) {
+            Some(run) => (run.id, Arc::clone(&run.plan)),
+            None => self.shared.clock_plan(clock),
+        };
         if let Some(cid) = clock_id {
             self.poke_id_u64(cid, 0);
         }
@@ -1202,12 +1172,18 @@ impl Simulator {
             self.poke_id_u64(cid, 1);
         }
         let cycle = match self.cycles.get_mut(clock) {
-            Some(c) => {
-                *c += 1;
-                *c
+            Some(run) => {
+                run.cycles += 1;
+                run.cycles
             }
             None => {
-                self.cycles.insert(clock.to_owned(), 1);
+                let plan = Arc::clone(&plan);
+                let run = ClockRun {
+                    cycles: 1,
+                    id: clock_id,
+                    plan,
+                };
+                self.cycles.insert(clock.to_owned(), run);
                 1
             }
         };

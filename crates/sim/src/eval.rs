@@ -29,8 +29,9 @@ pub fn expr_width(expr: &Expr, design: &Design) -> Result<u32, SimError> {
 /// `CExpr::Binary` over evaluated operands, for the tree-walker and the
 /// bytecode's wide ops alike. Wide `/`/`%` go through `divmod_into` with a
 /// pooled buffer for the half discarded: `div_into`/`rem_into` would
-/// allocate their scratch per evaluation above 128 bits. The operands are
-/// scratch (resized in place).
+/// allocate their scratch per evaluation above 128 bits; signed ones divide
+/// magnitudes as [`apply_binary_signed_into`](hwdbg_dataflow::apply_binary_signed_into)
+/// does. The operands are scratch (resized in place).
 pub(crate) fn binary_into(
     scratch: &mut EvalScratch,
     op: BinaryOp,
@@ -40,14 +41,10 @@ pub(crate) fn binary_into(
     out: &mut Bits,
 ) {
     if matches!(op, BinaryOp::Div | BinaryOp::Mod) && x.width().max(y.width()) > 128 {
+        let negate = signed && hwdbg_dataflow::signed_magnitudes(op, x, y);
         let w = x.width().max(y.width());
-        if signed {
-            x.resize_signed_in_place(w);
-            y.resize_signed_in_place(w);
-        } else {
-            x.resize_in_place(w);
-            y.resize_in_place(w);
-        }
+        x.resize_in_place(w);
+        y.resize_in_place(w);
         let mut spare = scratch.take();
         if matches!(op, BinaryOp::Div) {
             x.divmod_into(y, out, &mut spare);
@@ -55,6 +52,9 @@ pub(crate) fn binary_into(
             x.divmod_into(y, &mut spare, out);
         }
         scratch.put(spare);
+        if negate {
+            out.neg_in_place();
+        }
     } else if signed {
         hwdbg_dataflow::apply_binary_signed_into(op, x, y, out);
     } else {

@@ -64,73 +64,50 @@ pub struct SimState {
 impl SimState {
     /// Creates state for `design` with the given init policy.
     pub fn new(design: &Design, init: RegInit) -> Self {
-        let mut rng = match init {
-            RegInit::Zero => None,
-            RegInit::Random(seed) => Some(SplitMix64::new(seed)),
-        };
-        let mut values = Vec::with_capacity(design.table.len());
-        let mut mems = Vec::new();
         let mem_slot = mem_slots(design);
-        // `design.signals` iterates in name order, which is also ID order.
-        for (id, sig) in design.signals.values().enumerate() {
-            let mut make = |width: u32| -> Bits {
-                match (&mut rng, sig.is_state()) {
-                    (Some(rng), true) => {
-                        let mut b = Bits::zero(width);
-                        for i in 0..width {
-                            b.set_bit(i, rng.next_bool());
-                        }
-                        b
-                    }
-                    _ => Bits::zero(width),
+        let mut values = Vec::with_capacity(design.signals.len());
+        let mut mems = Vec::new();
+        for sig in design.signals.values() {
+            match sig.mem_depth {
+                Some(depth) => {
+                    mems.push(vec![Bits::zero(sig.width); depth as usize]);
+                    values.push(Bits::zero(1));
                 }
-            };
-            if let Some(depth) = sig.mem_depth {
-                let elems: Vec<Bits> = (0..depth).map(|_| make(sig.width)).collect();
-                debug_assert_eq!(mem_slot[id] as usize, mems.len());
-                mems.push(elems);
-                values.push(Bits::zero(1));
-            } else {
-                values.push(make(sig.width));
+                None => values.push(Bits::zero(sig.width)),
             }
         }
-        SimState {
+        let mut state = SimState {
             table: Arc::clone(&design.table),
             values,
             mems,
             mem_slot,
-        }
+        };
+        state.reset(design, init);
+        state
     }
 
-    /// Resets every signal and memory to the exact image
-    /// [`SimState::new`]`(design, init)` would produce, reusing existing
-    /// storage. The RNG is consumed in precisely the same order as `new`,
-    /// so a reset state is byte-identical to a freshly built one — that is
-    /// what lets campaign workers recycle one simulator across jobs.
+    /// Sets every signal and memory to its initial value under `init`,
+    /// reusing the storage. Registers and memory elements take random
+    /// bits in ID order, element by element, so a reset state is
+    /// byte-identical to a freshly built one: campaign workers recycle one
+    /// simulator across jobs.
     pub fn reset(&mut self, design: &Design, init: RegInit) {
         let mut rng = match init {
             RegInit::Zero => None,
             RegInit::Random(seed) => Some(SplitMix64::new(seed)),
         };
         for (id, sig) in design.signals.values().enumerate() {
-            let mut fill = |slot: &mut Bits, width: u32| match (&mut rng, sig.is_state()) {
-                (Some(rng), true) => {
-                    slot.set_zero(width);
-                    for i in 0..width {
+            let mut fill = |slot: &mut Bits| {
+                slot.set_zero(sig.width);
+                if let (Some(rng), true) = (&mut rng, sig.is_state()) {
+                    for i in 0..sig.width {
                         slot.set_bit(i, rng.next_bool());
                     }
                 }
-                _ => slot.set_zero(width),
             };
-            if sig.mem_depth.is_some() {
-                let slot = self.mem_slot[id] as usize;
-                let width = sig.width;
-                for el in &mut self.mems[slot] {
-                    fill(el, width);
-                }
-                self.values[id].set_zero(1);
-            } else {
-                fill(&mut self.values[id], sig.width);
+            match self.mem_slot[id] {
+                NOT_A_MEM => fill(&mut self.values[id]),
+                slot => self.mems[slot as usize].iter_mut().for_each(fill),
             }
         }
     }
@@ -270,8 +247,8 @@ impl SimState {
         Some(&self.mems[slot as usize])
     }
 
-    /// Names and values of all scalar signals, in name order (for VCD
-    /// dumping).
+    /// Names and values of all scalar signals, in ID order (which is name
+    /// order).
     pub fn iter_values(&self) -> impl Iterator<Item = (&str, &Bits)> {
         self.table
             .iter()

@@ -713,3 +713,88 @@ fn shifts_keep_the_left_operand_width_and_sign() {
         assert_eq!(run(leg), reference, "{leg:?}");
     }
 }
+
+/// Signed `/` and `%` follow IEEE 1364-2005 §5.1.5: the quotient truncates
+/// toward zero and the remainder takes the dividend's sign; division by
+/// zero yields zero. Narrow (8, 64), wide (65, 128) and divider-path (129)
+/// widths, folded as `localparam`s and simulated as `assign`s under every
+/// leg.
+#[test]
+fn signed_division_truncates_toward_zero() {
+    const WIDTHS: [u32; 5] = [8, 64, 65, 128, 129];
+    const CASES: [(i64, i64); 8] = [
+        (-7, 2),
+        (7, -2),
+        (-7, -2),
+        (7, 2),
+        (-1, 2),
+        (-9, 4),
+        (9, -4),
+        (-7, 0),
+    ];
+    // `v` at width `w`, two's complement.
+    let bits = |w: u32, v: i64| {
+        let m = hwdbg_bits::Bits::from_u64(w, v.unsigned_abs());
+        if v < 0 {
+            m.neg()
+        } else {
+            m
+        }
+    };
+    let cases = |w: u32| {
+        let mut cases = CASES.to_vec();
+        if w <= 64 {
+            // The most negative value over -1 wraps to itself.
+            cases.push((i64::MIN >> (64 - w), -1));
+        }
+        cases
+    };
+    let mut src = String::from("module m(input clk");
+    for w in WIDTHS {
+        src += &format!(", input [{0}:0] x{w}, input [{0}:0] y{w}", w - 1);
+    }
+    src += ");\n";
+    for w in WIDTHS {
+        src += &format!(
+            "  wire [{0}:0] q{w}; assign q{w} = $signed(x{w}) / $signed(y{w});\n  \
+             wire [{0}:0] r{w}; assign r{w} = $signed(x{w}) % $signed(y{w});\n",
+            w - 1
+        );
+        for (k, (x, y)) in cases(w).into_iter().enumerate() {
+            let (x, y) = (bits(w, x).to_bin_string(), bits(w, y).to_bin_string());
+            src += &format!(
+                "  localparam [{0}:0] Q{w}_{k} = $signed({w}'b{x}) / $signed({w}'b{y});\n  \
+                 localparam [{0}:0] R{w}_{k} = $signed({w}'b{x}) % $signed({w}'b{y});\n",
+                w - 1
+            );
+        }
+    }
+    src += "endmodule\n";
+    let design = lowered_design(&src);
+    let expected = |w: u32, (x, y): (i64, i64)| match y {
+        0 => (bits(w, 0), bits(w, 0)),
+        _ => (bits(w, x.wrapping_div(y)), bits(w, x.wrapping_rem(y))),
+    };
+    for w in WIDTHS {
+        for (k, case) in cases(w).into_iter().enumerate() {
+            let (q, r) = expected(w, case);
+            assert_eq!(design.consts[&format!("Q{w}_{k}")], q, "{w}: {case:?} /");
+            assert_eq!(design.consts[&format!("R{w}_{k}")], r, "{w}: {case:?} %");
+        }
+    }
+    for leg in ALL_LEGS {
+        let config = config(leg, RegInit::Zero);
+        let mut sim = Simulator::new(design.clone(), &hwdbg_sim::NoModels, config).unwrap();
+        for w in WIDTHS {
+            for case in cases(w) {
+                sim.poke(&format!("x{w}"), bits(w, case.0)).unwrap();
+                sim.poke(&format!("y{w}"), bits(w, case.1)).unwrap();
+                sim.settle().unwrap();
+                let (q, r) = expected(w, case);
+                let got = |name: &str| sim.peek(&format!("{name}{w}")).unwrap().clone();
+                assert_eq!(got("q"), q, "{leg:?} {w}: {case:?} /");
+                assert_eq!(got("r"), r, "{leg:?} {w}: {case:?} %");
+            }
+        }
+    }
+}

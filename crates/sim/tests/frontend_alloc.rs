@@ -17,10 +17,10 @@
 //! - parse: the first-byte lexer, which copies each string literal in
 //!   one piece;
 //! - flatten: one rename table per instance, built once;
-//! - resolve and the held bytes: bodies stored once and `SigId`
-//!   read/write sets;
-//! - compile: constant select shapes (each part select holds its `lo`
-//!   and width instead of two boxed bound expressions).
+//! - resolve and the held bytes: signal info in a `SigId`-indexed table,
+//!   sorted once, with no name-keyed map beside the `SignalTable`;
+//! - compile: no per-compile copy of the signal info, and clock plans
+//!   keyed by alias root instead of by every alias's name.
 //!
 //! A failure means an allocation or a copy crept back into one of these
 //! phases; unlike a timing gate, this one has no noise.
@@ -37,13 +37,13 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const PHASES: [(&str, u64, u64); 4] = [
     ("parse", 7_252, 7_050),
     ("flatten", 6_232, 5_450),
-    ("resolve", 5_964, 2_395),
-    ("compile", 3_938, 3_810),
+    ("resolve", 2_477, 1_837),
+    ("compile", 3_810, 3_690),
 ];
 
-/// Bytes the 40 resolved designs hold: the total before bodies were
-/// stored once, and the total when this gate was set.
-const RETAINED: (i64, i64) = (1_152_336, 772_393);
+/// Bytes the 40 resolved designs hold: the total before signal info was
+/// indexed by `SigId`, and the total when this gate was set.
+const RETAINED: (i64, i64) = (779_817, 723_725);
 
 /// Allocations made by `f`, with its result.
 fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {

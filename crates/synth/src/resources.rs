@@ -212,16 +212,13 @@ pub fn expr_cost(expr: &Expr, design: &Design) -> u64 {
                 + expr_cost(f, design)
         }
         Expr::Index(n, idx) => {
-            let is_mem = design
-                .signals
-                .get(n)
-                .is_some_and(|s| s.mem_depth.is_some());
+            let is_mem = design.signal(n).is_some_and(|s| s.mem_depth.is_some());
             let own = if matches!(**idx, Expr::Literal { .. }) {
                 0
             } else if is_mem {
                 u64::from(design.expr_width(idx).unwrap_or(1)) // address decode
             } else {
-                u64::from(design.signals.get(n).map_or(1, |s| s.width)).div_ceil(4)
+                u64::from(design.signal(n).map_or(1, |s| s.width)).div_ceil(4)
             };
             own + expr_cost(idx, design)
         }

@@ -82,8 +82,7 @@ pub fn estimate_timing(design: &Design) -> TimingReport {
             critical = critical.max(in_depth + expr_depth(e, design));
         }
     }
-    // Pure comb paths to outputs also count. `signals` iterates in name
-    // order, which is ID order.
+    // Pure comb paths to outputs also count.
     for (sig, &d) in design.signals.values().zip(&depth) {
         if sig.kind == SigKind::Output || sig.kind == SigKind::Comb {
             critical = critical.max(d);

@@ -73,7 +73,7 @@ fn fail(symptom: Symptom, detail: impl Into<String>) -> Outcome {
 }
 
 fn reset(sim: &mut Simulator) -> Result<(), SimError> {
-    if sim.design().signals.contains_key("rst") {
+    if sim.design().sig_id("rst").is_some() {
         sim.poke_u64("rst", 1)?;
         sim.step("clk")?;
         sim.step("clk")?;
