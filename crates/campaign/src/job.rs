@@ -458,6 +458,7 @@ fn free_run(
     }
     let names: Vec<&str> = stim.iter().map(|s| s.name.as_str()).collect();
     let splan = sim.stimulus_plan(&names)?;
+    let bound = plan.map(|p| p.bind(sim.design()));
     let mut ran = 0;
     for cycle in 0..cycles {
         if sim.finished() {
@@ -470,8 +471,8 @@ fn free_run(
             };
             sim.poke_id_u64(splan.id(i), v);
         }
-        match plan {
-            Some(p) => hwdbg_sim::step_with_faults(sim, clock, p)?,
+        match &bound {
+            Some(b) => b.step(sim, clock)?,
             None => sim.step(clock)?,
         }
         ran += 1;

@@ -187,8 +187,7 @@ impl DependencyMonitor {
     /// sourced from the *high* byte of the shift register.
     pub fn partial_assignments(design: &Design, signal: &str) -> Vec<PartialAssign> {
         let mut out = Vec::new();
-        let bodies = design.procs.iter().map(|p| &p.body);
-        for body in bodies.chain(design.combs.iter().map(|c| &c.body)) {
+        for body in design.bodies() {
             guard::walk(body, &mut Vec::new(), &mut |path, stmt| {
                 let Stmt::Assign {
                     lhs: LValue::Range(name, msb, lsb),

@@ -5,6 +5,7 @@ use crate::blackbox::{BbDir, BlackboxLib};
 use crate::consteval::{eval_const, range_width, ConstEnv};
 use crate::flatten::{expr_to_lvalue, flatten};
 use crate::guard;
+use crate::index::DesignIndex;
 use crate::intern::{SigId, SignalTable};
 use crate::prop::PropGraph;
 use crate::DataflowError;
@@ -174,7 +175,8 @@ enum Slot {
 ///
 /// [`resolve`] is the only constructor, and nothing mutates a `Design`
 /// after it: the analyses memoized on it (see
-/// [`local_graph`](Design::local_graph)) rely on that.
+/// [`local_graph`](Design::local_graph) and [`index`](Design::index))
+/// rely on that.
 ///
 /// Each driver body is stored once, in its [`CombDriver`] or
 /// [`ClockedProc`]; [`module`](Design::module) rebuilds the flat module
@@ -206,6 +208,8 @@ pub struct Design {
     pub blackboxes: Vec<BbInst>,
     /// [`local_graph`](Design::local_graph)'s memo; a clone shares it.
     local_graph: OnceLock<Arc<PropGraph>>,
+    /// [`index`](Design::index)'s memo; a clone shares it.
+    index: OnceLock<Arc<DesignIndex>>,
 }
 
 impl Design {
@@ -231,6 +235,22 @@ impl Design {
     pub fn local_graph(&self) -> &PropGraph {
         self.local_graph
             .get_or_init(|| Arc::new(PropGraph::build_local(self)))
+    }
+
+    /// Who drives and reads each signal, by ID: port directions, clocked
+    /// writers and readers, comb writers, `case` subjects and blackbox
+    /// connections. Built on first use and memoized like
+    /// [`local_graph`](Self::local_graph), under the same no-mutation rule.
+    pub fn index(&self) -> &DesignIndex {
+        self.index
+            .get_or_init(|| Arc::new(DesignIndex::build(self)))
+    }
+
+    /// Every driver body: the clocked processes', then the comb drivers',
+    /// each in declaration order.
+    pub fn bodies(&self) -> impl Iterator<Item = &Stmt> {
+        let procs = self.procs.iter().map(|p| &p.body);
+        procs.chain(self.combs.iter().map(|c| &c.body))
     }
 
     /// The top module's ports, in declaration order.
@@ -686,6 +706,7 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
         procs,
         blackboxes,
         local_graph: OnceLock::new(),
+        index: OnceLock::new(),
     })
 }
 

@@ -38,6 +38,7 @@ pub mod consteval;
 pub mod design;
 pub mod flatten;
 pub mod guard;
+pub mod index;
 pub mod intern;
 pub mod prop;
 pub mod rewrite;
@@ -52,6 +53,7 @@ pub use design::{
     elaborate, resolve, BbInst, ClockedProc, CombDriver, Design, SigInfo, SigKind, Signals,
     WidthError,
 };
+pub use index::DesignIndex;
 pub use intern::{SigId, SignalTable};
 pub use flatten::{expr_to_lvalue, flatten};
 pub use guard::{cond_leaves, CondLeaf};

@@ -10,8 +10,8 @@
 
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::guard::{self, CondLeaf, Guard};
-use hwdbg_dataflow::{eval_const, Design, SigKind};
-use hwdbg_rtl::{print_expr, BinaryOp, Dir, Expr, LValue, Span, Stmt, UnaryOp};
+use hwdbg_dataflow::{eval_const, Design, SigId, SigKind};
+use hwdbg_rtl::{print_expr, BinaryOp, Expr, LValue, Span, Stmt, UnaryOp};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The leaf's plain identifier name, if it is a bare signal test.
@@ -56,13 +56,11 @@ pub fn wrap_bound<'a>(c: &CondLeaf<'a>, design: &Design) -> Option<(&'a str, u64
     }
 }
 
-fn const_u64(e: &Expr, design: &Design) -> Option<u64> {
-    let v = eval_const(e, &design.consts).ok()?;
-    if v.width() <= 64 {
-        Some(v.to_u64())
-    } else {
-        None
-    }
+/// Evaluates an expression to a constant of at most 64 bits.
+pub fn const_u64(e: &Expr, design: &Design) -> Option<u64> {
+    const_value(e, design)
+        .filter(|v| v.width() <= 64)
+        .map(|v| v.to_u64())
 }
 
 /// Evaluates an expression to a constant under the design's parameters.
@@ -105,50 +103,91 @@ pub fn leaf_key(c: &CondLeaf<'_>) -> String {
     format!("{sign}({})", print_expr(c.expr))
 }
 
-/// Names of reset-style top-level inputs (lowercase name contains `rst` or
-/// `reset`).
-pub fn reset_inputs(design: &Design) -> BTreeSet<String> {
-    design
-        .ports()
-        .iter()
-        .filter(|p| p.dir == Dir::Input)
-        .filter(|p| {
-            let n = p.net.name.to_lowercase();
-            n.contains("rst") || n.contains("reset")
-        })
-        .map(|p| p.net.name.clone())
-        .collect()
+/// The reset-style top-level inputs of a design: inputs whose lowercase
+/// name contains `rst` or `reset`.
+pub struct Resets<'d> {
+    design: &'d Design,
+    ids: Vec<SigId>,
 }
 
-/// True when the path's leaves include a positive bare test of a reset
-/// input — i.e. the statement is part of reset initialization.
-pub fn in_reset(guards: &[Guard<'_>], resets: &BTreeSet<String>) -> bool {
-    guard::leaves(guards)
-        .iter()
-        .filter_map(ident_leaf)
-        .any(|(n, positive)| positive && resets.contains(n))
+impl<'d> Resets<'d> {
+    /// Finds the reset inputs among the design's input ports.
+    pub fn of(design: &'d Design) -> Resets<'d> {
+        let index = design.index();
+        let ids = design
+            .table
+            .iter()
+            .filter(|&(id, name)| {
+                let n = name.to_lowercase();
+                index.facts(id).input && (n.contains("rst") || n.contains("reset"))
+            })
+            .map(|(id, _)| id)
+            .collect();
+        Resets { design, ids }
+    }
+
+    /// True when `name` is a reset input.
+    pub fn contains(&self, name: &str) -> bool {
+        self.design
+            .sig_id(name)
+            .is_some_and(|id| self.ids.contains(&id))
+    }
+
+    /// True when the path's leaves include a positive bare test of a reset
+    /// input — i.e. the statement is part of reset initialization.
+    pub fn in_reset(&self, guards: &[Guard<'_>]) -> bool {
+        guard::leaves(guards)
+            .iter()
+            .filter_map(ident_leaf)
+            .any(|(n, positive)| positive && self.contains(n))
+    }
 }
 
-/// Output-port names of the flat module. Clock-written outputs are
-/// classified [`SigKind::Reg`](hwdbg_dataflow::SigKind) in
-/// [`Design::signals`], so port direction must come from the module AST.
-pub fn output_ports(design: &Design) -> BTreeSet<String> {
-    design
-        .ports()
-        .iter()
-        .filter(|p| p.dir == Dir::Output)
-        .map(|p| p.net.name.clone())
-        .collect()
+/// One write of a flag: a one-bit, non-memory state register.
+pub struct FlagWrite {
+    /// The bit written, when the write is whole and constant.
+    pub value: Option<bool>,
+    /// True under a positive reset test ([`Resets::in_reset`]).
+    pub in_reset: bool,
+    /// The assignment.
+    pub span: Span,
+    /// The signals the path tests positively, as bare identifiers.
+    pub positive_deps: BTreeSet<SigId>,
 }
 
-/// Input-port names of the flat module.
-pub fn input_ports(design: &Design) -> BTreeSet<String> {
-    design
-        .ports()
-        .iter()
-        .filter(|p| p.dir == Dir::Input)
-        .map(|p| p.net.name.clone())
-        .collect()
+/// Every write of every flag, by flag, in design order: the shape of a
+/// hand-rolled control, handshake or error flag.
+pub fn flag_writes(design: &Design, resets: &Resets<'_>) -> BTreeMap<SigId, Vec<FlagWrite>> {
+    let mut out: BTreeMap<SigId, Vec<FlagWrite>> = BTreeMap::new();
+    for proc in &design.procs {
+        guard::walk(&proc.body, &mut Vec::new(), &mut |guards, stmt| {
+            let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
+                return;
+            };
+            for name in lhs.target_names() {
+                let Some(id) = design.sig_id(name).filter(|&id| {
+                    let s = &design.signals[id];
+                    s.width == 1 && s.mem_depth.is_none() && s.is_state()
+                }) else {
+                    continue;
+                };
+                let whole = matches!(lhs, LValue::Id(_));
+                out.entry(id).or_default().push(FlagWrite {
+                    value: const_value(rhs, design)
+                        .filter(|_| whole)
+                        .map(|v| !v.is_zero()),
+                    in_reset: resets.in_reset(guards),
+                    span: *span,
+                    positive_deps: guard::leaves(guards)
+                        .iter()
+                        .filter_map(ident_leaf)
+                        .filter_map(|(n, positive)| positive.then(|| design.sig_id(n)).flatten())
+                        .collect(),
+                });
+            }
+        });
+    }
+    out
 }
 
 /// A registered valid/ready stream endpoint this design *produces*: the
@@ -156,11 +195,11 @@ pub fn input_ports(design: &Design) -> BTreeSet<String> {
 #[derive(Debug, Clone)]
 pub struct StreamPair {
     /// The locally-registered valid flag (e.g. `tvalid`, `m_valid`).
-    pub valid: String,
+    pub valid: SigId,
     /// The matching ready input (e.g. `tready`, `m_ready`).
-    pub ready: String,
+    pub ready: SigId,
     /// Registered payload signals of the stream (`tdata`, `m_last`, …).
-    pub payloads: Vec<String>,
+    pub payloads: Vec<SigId>,
 }
 
 /// Payload-name suffixes of an AXI-Stream-style channel.
@@ -172,34 +211,37 @@ const PAYLOAD_SUFFIXES: [&str; 6] = ["data", "last", "keep", "strb", "user", "id
 /// occupancy flags) are not producers in the stability sense and are
 /// excluded.
 pub fn stream_pairs(design: &Design) -> Vec<StreamPair> {
-    let inputs = input_ports(design);
+    let index = design.index();
+    let reg = |name: &str| {
+        design
+            .sig_id(name)
+            .filter(|&id| design.signals[id].kind == SigKind::Reg)
+    };
     let mut out = Vec::new();
-    for (name, info) in &design.signals {
-        if info.kind != SigKind::Reg || !name.ends_with("valid") {
+    for (valid, name) in design.table.iter() {
+        let Some(stem) = name.strip_suffix("valid") else {
+            continue;
+        };
+        if design.signals[valid].kind != SigKind::Reg {
             continue;
         }
-        let stem = &name[..name.len() - "valid".len()];
-        let ready = format!("{stem}ready");
-        if !inputs.contains(&ready) {
+        let Some(ready) = design
+            .sig_id(&format!("{stem}ready"))
+            .filter(|&id| index.facts(id).input)
+        else {
             continue;
-        }
-        let mut payloads = Vec::new();
-        let mut candidates: Vec<String> = PAYLOAD_SUFFIXES
+        };
+        let mut payloads: Vec<SigId> = PAYLOAD_SUFFIXES
             .iter()
-            .map(|s| format!("{stem}{s}"))
+            .filter_map(|s| reg(&format!("{stem}{s}")))
             .collect();
         let bare = stem.trim_end_matches('_');
         if !bare.is_empty() {
-            candidates.push(bare.to_owned());
-        }
-        for c in candidates {
-            if design.signal(&c).is_some_and(|s| s.kind == SigKind::Reg) {
-                payloads.push(c);
-            }
+            payloads.extend(reg(bare));
         }
         if !payloads.is_empty() {
             out.push(StreamPair {
-                valid: name.to_owned(),
+                valid,
                 ready,
                 payloads,
             });
@@ -249,23 +291,21 @@ pub fn cmp_bound(op: BinaryOp, k: u64, positive: bool) -> Option<u64> {
     }
 }
 
-/// Single-target continuous-assign drivers: `name -> (rhs, span)`. Used to
-/// expand one level of combinational aliasing (`full`, `count`, …) when
-/// interpreting guards.
-pub fn comb_aliases(design: &Design) -> BTreeMap<&str, (&Expr, Span)> {
-    let mut out = BTreeMap::new();
-    for c in &design.combs {
-        if let Stmt::Assign {
-            lhs: LValue::Id(n),
+/// The right-hand side and span of the continuous assignment `assign
+/// name = rhs;` (the last, if several): one level of combinational
+/// aliasing (`full`, `count`, …) to expand when interpreting guards.
+pub fn comb_alias<'d>(design: &'d Design, name: &str) -> Option<(&'d Expr, Span)> {
+    let writers = &design.index().comb_writers;
+    let mut drivers = writers.get(design.sig_id(name)?).iter().rev();
+    drivers.find_map(|&c| match &design.combs[c as usize].body {
+        Stmt::Assign {
+            lhs: LValue::Id(w),
             rhs,
             span,
             ..
-        } = &c.body
-        {
-            out.insert(n.as_str(), (rhs, *span));
-        }
-    }
-    out
+        } if w == name => Some((rhs, *span)),
+        _ => None,
+    })
 }
 
 /// Number of bits needed to represent `v` (at least 1).

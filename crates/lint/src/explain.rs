@@ -60,9 +60,9 @@ delta-cycle races and mismatches between RTL and gate-level simulation.",
     },
     LintExplanation {
         code: "L0104",
-        summary: "The same register is written from more than one `always` \
-process. The processes race: simulation picks an evaluation order, hardware \
-shorts two drivers together, and the observed value depends on neither.",
+        summary: "Two `always` processes write overlapping bits of one register. \
+The processes race: simulation picks an evaluation order, hardware shorts two \
+drivers together, and the observed value depends on neither.",
         subclass: "Signal Asynchrony",
         example: "always @(posedge clk) r <= a;\nalways @(posedge clk) r <= b; // second driver",
     },

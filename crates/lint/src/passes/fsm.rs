@@ -55,54 +55,26 @@ impl LintPass for FsmLintPass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let resets = analysis::reset_inputs(design);
-
-        // Index the design once. Per identifier: the bodies (clocked
-        // processes, then comb drivers) holding a `case` over it, and the
-        // clocked processes assigning it, each in design order. A per-FSM
-        // scan then visits only those bodies.
-        let bodies: Vec<&Stmt> = design
-            .procs
-            .iter()
-            .map(|p| &p.body)
-            .chain(design.combs.iter().map(|c| &c.body))
-            .collect();
-        let mut case_bodies: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (b, &body) in bodies.iter().enumerate() {
-            guard::walk(body, &mut Vec::new(), &mut |_, stmt| {
-                if let Stmt::Case {
-                    expr: Expr::Ident(n),
-                    ..
-                } = stmt
-                {
-                    push_once(case_bodies.entry(n).or_default(), b);
-                }
-            });
-        }
-        let mut writers: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (i, proc) in design.procs.iter().enumerate() {
-            guard::walk(&proc.body, &mut Vec::new(), &mut |_, stmt| {
-                if let Stmt::Assign { lhs, .. } = stmt {
-                    for target in lhs.target_names() {
-                        push_once(writers.entry(target).or_default(), i);
-                    }
-                }
-            });
-        }
+        let resets = analysis::Resets::of(design);
+        let index = design.index();
+        let bodies: Vec<&Stmt> = design.bodies().collect();
 
         for fsm in FsmMonitor::detect(design) {
             if fsm.width > 64 {
                 continue;
             }
             let state = fsm.signal.as_str();
+            let Some(id) = design.sig_id(state) else {
+                continue;
+            };
 
             // Every `case (state)` in the design: union of arm label
             // values, whether any has a default, and an anchoring span.
             let mut arm_union: BTreeSet<u64> = BTreeSet::new();
             let mut has_default = false;
             let mut case_span: Option<Span> = None;
-            for &b in indexed(&case_bodies, state) {
-                guard::walk(bodies[b], &mut Vec::new(), &mut |_, stmt| {
+            for &b in index.case_bodies.get(id) {
+                guard::walk(bodies[b as usize], &mut Vec::new(), &mut |_, stmt| {
                     let Stmt::Case {
                         expr: Expr::Ident(n),
                         arms,
@@ -136,9 +108,9 @@ impl LintPass for FsmLintPass {
             // Every whole assignment to the state register.
             let mut sites: Vec<Site> = Vec::new();
             let mut analyzable = true;
-            for &i in indexed(&writers, state) {
-                let mut guards = Vec::new();
-                guard::walk(&design.procs[i].body, &mut guards, &mut |guards, stmt| {
+            for &p in index.clocked_writers.get(id) {
+                let (body, mut guards) = (&design.procs[p as usize].body, Vec::new());
+                guard::walk(body, &mut guards, &mut |guards, stmt| {
                     let Stmt::Assign { lhs, rhs, .. } = stmt else {
                         return;
                     };
@@ -156,7 +128,7 @@ impl LintPass for FsmLintPass {
                     match analysis::const_value(rhs, design) {
                         Some(v) if v.width() <= 64 => sites.push(Site {
                             value: v.resize(fsm.width).to_u64(),
-                            in_reset: analysis::in_reset(guards, &resets),
+                            in_reset: resets.in_reset(guards),
                             arm: arm_ctx(guards, state, fsm.width, design),
                         }),
                         // A computed next-state (two-process style): too
@@ -240,19 +212,6 @@ fn state_name(states: &BTreeMap<u64, String>, v: u64) -> String {
     match states.get(&v) {
         Some(n) => format!("`{n}` ({v})"),
         None => format!("{v}"),
-    }
-}
-
-/// The design-order positions indexed under `name`.
-fn indexed<'m>(index: &'m BTreeMap<&str, Vec<usize>>, name: &str) -> &'m [usize] {
-    index.get(name).map_or(&[], Vec::as_slice)
-}
-
-/// Appends `i` unless it is already the last entry (indices arrive in
-/// order, so this keeps each list free of duplicates).
-fn push_once(list: &mut Vec<usize>, i: usize) {
-    if list.last() != Some(&i) {
-        list.push(i);
     }
 }
 

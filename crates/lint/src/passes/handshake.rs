@@ -2,37 +2,17 @@
 //! deadlocks, both the AXI-specific "VALID waits for READY" rule violation
 //! and the general mutual-wait cycle between ready/valid flags.
 
-use crate::analysis::{self, ident_leaf};
+use crate::analysis::{flag_writes, FlagWrite, Resets};
 use crate::{LintPass, LintSink};
-use hwdbg_dataflow::guard;
-use hwdbg_dataflow::Design;
+use hwdbg_dataflow::{Design, SigId};
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{LValue, Span, Stmt};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// One constant assignment site of a one-bit control flag.
-struct ConstSite {
-    value_is_one: bool,
-    in_reset: bool,
-    span: Span,
-    /// Positive bare-identifier conjuncts guarding the site.
-    positive_deps: BTreeSet<String>,
-}
-
-/// A one-bit register whose every whole write is a constant — the shape of
-/// a hand-rolled control/handshake flag.
-struct Flag {
-    sites: Vec<ConstSite>,
-}
-
-impl Flag {
-    fn set_sites(&self) -> impl Iterator<Item = &ConstSite> {
-        self.sites.iter().filter(|s| s.value_is_one && !s.in_reset)
-    }
-
-    fn reset_sets_one(&self) -> bool {
-        self.sites.iter().any(|s| s.value_is_one && s.in_reset)
-    }
+/// The writes that set a flag outside reset.
+fn set_sites(writes: &[FlagWrite]) -> impl Iterator<Item = &FlagWrite> {
+    writes
+        .iter()
+        .filter(|s| s.value == Some(true) && !s.in_reset)
 }
 
 /// `L0601`/`L0602`: handshake deadlocks.
@@ -59,18 +39,19 @@ impl LintPass for HandshakePass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let flags = collect_flags(design);
+        // Flags whose every write is whole and constant.
+        let mut flags = flag_writes(design, &Resets::of(design));
+        flags.retain(|_, writes| writes.iter().all(|w| w.value.is_some()));
 
         // --- L0601: AXI VALID waiting for READY -------------------------
-        for (name, flag) in &flags {
-            let Some(ready) = axi_ready_counterpart(name) else {
+        for (&id, flag) in &flags {
+            let name = design.table.name(id);
+            let Some(ready_id) = axi_ready_counterpart(design, name) else {
                 continue;
             };
-            if design.sig_id(&ready).is_none() {
-                continue;
-            }
-            for site in flag.set_sites() {
-                if site.positive_deps.contains(&ready) {
+            let ready = design.table.name(ready_id);
+            for site in set_sites(flag) {
+                if site.positive_deps.contains(&ready_id) {
                     sink.emit(
                         HwdbgError::warning(
                             ErrorCode::LintValidWaitsReady,
@@ -82,7 +63,7 @@ impl LintPass for HandshakePass {
                         )
                         .with_span(site.span)
                         .with_signal(name)
-                        .with_signal(&ready),
+                        .with_signal(ready),
                     );
                 }
             }
@@ -92,22 +73,22 @@ impl LintPass for HandshakePass {
         // A flag escapes (can eventually become 1) if reset seeds it, or
         // some set-site's flag dependencies are all escaping (sites with
         // no flag dependency escape via inputs/data). Iterate to fixpoint.
-        let mut escaped: BTreeSet<&str> = BTreeSet::new();
+        let mut escaped: BTreeSet<SigId> = BTreeSet::new();
         loop {
             let mut changed = false;
-            for (name, flag) in &flags {
-                if escaped.contains(name.as_str()) {
+            for (&id, flag) in &flags {
+                if escaped.contains(&id) {
                     continue;
                 }
-                let escapes = flag.reset_sets_one()
-                    || flag.set_sites().any(|site| {
+                let escapes = flag.iter().any(|s| s.value == Some(true) && s.in_reset)
+                    || set_sites(flag).any(|site| {
                         site.positive_deps
                             .iter()
                             .filter(|d| flags.contains_key(*d))
-                            .all(|d| escaped.contains(d.as_str()))
+                            .all(|d| escaped.contains(d))
                     });
                 if escapes {
-                    escaped.insert(name);
+                    escaped.insert(id);
                     changed = true;
                 }
             }
@@ -115,53 +96,45 @@ impl LintPass for HandshakePass {
                 break;
             }
         }
-        let stuck: Vec<&str> = flags
+        let stuck: Vec<SigId> = flags
             .iter()
-            .filter(|(n, f)| !escaped.contains(n.as_str()) && f.set_sites().next().is_some())
-            .map(|(n, _)| n.as_str())
+            .filter(|(id, f)| !escaped.contains(*id) && set_sites(f).next().is_some())
+            .map(|(&id, _)| id)
             .collect();
         // Report each mutual-wait group once: the cycle members are the
         // stuck flags that appear in another stuck flag's dependencies.
-        let mut reported: BTreeSet<&str> = BTreeSet::new();
-        for &name in &stuck {
-            if reported.contains(name) {
+        let mut reported: BTreeSet<SigId> = BTreeSet::new();
+        for &id in &stuck {
+            if reported.contains(&id) {
                 continue;
             }
-            // Collect the dependency closure of `name` within the stuck set.
-            let mut group: BTreeSet<&str> = BTreeSet::new();
-            let mut work = vec![name];
+            // Collect the dependency closure of `id` within the stuck set.
+            let mut group: BTreeSet<SigId> = BTreeSet::new();
+            let mut work = vec![id];
             while let Some(n) = work.pop() {
                 if !group.insert(n) {
                     continue;
                 }
-                if let Some(flag) = flags.get(n) {
-                    for site in flag.set_sites() {
-                        for d in &site.positive_deps {
-                            if stuck.contains(&d.as_str()) {
-                                if let Some((k, _)) = flags.get_key_value(d.as_str()) {
-                                    work.push(k);
-                                }
-                            }
-                        }
-                    }
+                for site in set_sites(&flags[&n]) {
+                    work.extend(site.positive_deps.iter().filter(|d| stuck.contains(d)));
                 }
             }
             reported.extend(group.iter().copied());
-            let names: Vec<String> = group.iter().map(|n| format!("`{n}`")).collect();
-            let first = group.iter().next().copied().unwrap_or(name);
-            let span = flags
-                .get(first)
-                .and_then(|f| f.set_sites().next())
+            let names: Vec<&str> = group.iter().map(|&g| design.table.name(g)).collect();
+            let quoted: Vec<String> = names.iter().map(|n| format!("`{n}`")).collect();
+            let span = group
+                .first()
+                .and_then(|g| set_sites(&flags[g]).next())
                 .map(|s| s.span);
             let mut err = HwdbgError::warning(
                 ErrorCode::LintHandshakeDeadlock,
                 format!(
                     "handshake deadlock: {} wait for each other to be set, all \
                      reset to 0, and no other path sets them; none can ever assert",
-                    names.join(" and ")
+                    quoted.join(" and ")
                 ),
             )
-            .with_signals(group.iter().copied());
+            .with_signals(names);
             if let Some(span) = span {
                 err = err.with_span(span);
             }
@@ -170,61 +143,11 @@ impl LintPass for HandshakePass {
     }
 }
 
-/// Collects every one-bit register whose whole writes are all constants.
-fn collect_flags(design: &Design) -> BTreeMap<String, Flag> {
-    let resets = analysis::reset_inputs(design);
-    let mut flags: BTreeMap<String, Flag> = BTreeMap::new();
-    let mut disqualified: BTreeSet<String> = BTreeSet::new();
-    for proc in &design.procs {
-        let mut guards = Vec::new();
-        guard::walk(&proc.body, &mut guards, &mut |guards, stmt| {
-            let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
-                return;
-            };
-            for name in lhs.target_names() {
-                let eligible = design
-                    .signal(name)
-                    .is_some_and(|s| s.width == 1 && s.mem_depth.is_none() && s.is_state());
-                if !eligible {
-                    continue;
-                }
-                let whole = matches!(lhs, LValue::Id(_));
-                let cval = analysis::const_value(rhs, design);
-                match (whole, cval) {
-                    (true, Some(v)) => {
-                        let positive_deps = guard::leaves(guards)
-                            .iter()
-                            .filter_map(ident_leaf)
-                            .filter(|(_, positive)| *positive)
-                            .map(|(n, _)| n.to_owned())
-                            .collect();
-                        flags.entry(name.to_owned()).or_insert(Flag { sites: Vec::new() }).sites.push(
-                            ConstSite {
-                                value_is_one: !v.is_zero(),
-                                in_reset: analysis::in_reset(guards, &resets),
-                                span: *span,
-                                positive_deps,
-                            },
-                        );
-                    }
-                    _ => {
-                        disqualified.insert(name.to_owned());
-                    }
-                }
-            }
-        });
-    }
-    for name in disqualified {
-        flags.remove(&name);
-    }
-    flags
-}
-
-/// For an AXI response VALID name, the READY it must not wait for.
-fn axi_ready_counterpart(valid: &str) -> Option<String> {
+/// For an AXI response VALID name, the READY signal it must not wait for.
+fn axi_ready_counterpart(design: &Design, valid: &str) -> Option<SigId> {
     for (suffix, ready_suffix) in [("bvalid", "bready"), ("rvalid", "rready")] {
         if let Some(prefix) = valid.strip_suffix(suffix) {
-            return Some(format!("{prefix}{ready_suffix}"));
+            return design.sig_id(&format!("{prefix}{ready_suffix}"));
         }
     }
     None

@@ -5,11 +5,11 @@
 //! dropped because a sticky error flag gates the datapath shut, or thrown
 //! away because a re-init branch forgot one register.
 
-use crate::analysis::{self, ident_leaf, leaf_key};
+use crate::analysis::{self, ident_leaf, leaf_key, FlagWrite};
 use crate::{LintPass, LintSink};
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::guard::{self, Guard};
-use hwdbg_dataflow::Design;
+use hwdbg_dataflow::{Design, SigId};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{LValue, Span, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
@@ -103,47 +103,46 @@ impl LintPass for LivenessPass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let inputs = analysis::input_ports(design);
-        let outputs = analysis::output_ports(design);
-        let mut logic: BTreeSet<&str> = BTreeSet::new();
-        let mut display: BTreeSet<&str> = BTreeSet::new();
-        for body in design
-            .procs
-            .iter()
-            .map(|p| &p.body)
-            .chain(design.combs.iter().map(|c| &c.body))
-        {
+        let index = design.index();
+        // Per signal: read by logic, read by a `$display`.
+        let n = design.table.len();
+        let (mut logic, mut display) = (vec![false; n], vec![false; n]);
+        let mark = |set: &mut [bool], name: &str| {
+            if let Some(id) = design.sig_id(name) {
+                set[id.index()] = true;
+            }
+        };
+        for body in design.bodies() {
             guard::walk(body, &mut Vec::new(), &mut |_, stmt| {
                 let reads = match stmt {
                     Stmt::Display { .. } => &mut display,
                     _ => &mut logic,
                 };
-                stmt.visit_exprs(&mut |e| reads.extend(e.idents()));
+                stmt.visit_exprs(&mut |e| e.visit_idents(&mut |r| mark(reads, r)));
                 // Index expressions inside an lvalue are reads (the base
                 // is a write).
                 if let Stmt::Assign { lhs, .. } = stmt {
-                    lhs.visit_exprs(&mut |e| logic.extend(e.idents()));
+                    lhs.visit_exprs(&mut |e| e.visit_idents(&mut |r| mark(&mut logic, r)));
                 }
             });
         }
         for proc in &design.procs {
-            logic.extend(proc.edges.iter().map(|e| e.signal.as_str()));
+            proc.edges.iter().for_each(|e| mark(&mut logic, &e.signal));
         }
         for bb in &design.blackboxes {
-            for conn in bb.in_conns.values() {
-                logic.extend(conn.idents());
-            }
             // Index expressions inside out-connection lvalues are reads.
             for lv in bb.out_conns.values() {
-                lv.visit_exprs(&mut |e| logic.extend(e.idents()));
+                lv.visit_exprs(&mut |e| e.visit_idents(&mut |r| mark(&mut logic, r)));
             }
         }
 
+        let logic = |id: SigId| logic[id.index()] || index.facts(id).bb_read;
         for (id, name) in design.table.iter() {
-            if logic.contains(name) || display.contains(name) {
+            if logic(id) || display[id.index()] {
                 continue;
             }
-            if inputs.contains(name) || outputs.contains(name) {
+            let f = index.facts(id);
+            if f.input || f.output {
                 continue;
             }
             sink.emit(
@@ -155,21 +154,19 @@ impl LintPass for LivenessPass {
                 .with_span(design.decl(id).span),
             );
         }
-        for name in &inputs {
-            let name = name.as_str();
-            if display.contains(name) && !logic.contains(name) {
-                let mut err = HwdbgError::warning(
-                    ErrorCode::LintInputIgnored,
-                    format!(
-                        "input `{name}` only reaches $display statements; no logic \
-                         consumes it"
-                    ),
-                )
-                .with_signal(name);
-                if let Some(id) = design.sig_id(name) {
-                    err = err.with_span(design.decl(id).span);
-                }
-                sink.emit(err);
+        for (id, name) in design.table.iter() {
+            if index.facts(id).input && display[id.index()] && !logic(id) {
+                sink.emit(
+                    HwdbgError::warning(
+                        ErrorCode::LintInputIgnored,
+                        format!(
+                            "input `{name}` only reaches $display statements; no logic \
+                             consumes it"
+                        ),
+                    )
+                    .with_signal(name)
+                    .with_span(design.decl(id).span),
+                );
             }
         }
     }
@@ -192,69 +189,44 @@ impl LintPass for StickyFlagPass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let outputs = analysis::output_ports(design);
-        let resets = analysis::reset_inputs(design);
-        struct FlagInfo {
-            first_set: Option<Span>,
-            reset_clears: bool,
-            disqualified: bool,
-        }
-        let mut flags: BTreeMap<&str, FlagInfo> = BTreeMap::new();
-        let mut gated: BTreeSet<String> = BTreeSet::new();
+        let index = design.index();
+        // Non-constant writes gated by a negated flag mark that flag as
+        // traffic-blocking.
+        let mut gated = vec![false; design.table.len()];
         for proc in &design.procs {
-            let mut guards = Vec::new();
-            guard::walk(&proc.body, &mut guards, &mut |guards, stmt| {
-                let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
+            guard::walk(&proc.body, &mut Vec::new(), &mut |guards, stmt| {
+                let Stmt::Assign { rhs, .. } = stmt else {
                     return;
                 };
-                let rhs_const = analysis::const_value(rhs, design);
-                // Non-constant writes gated by a negated flag mark that
-                // flag as traffic-blocking.
-                if rhs_const.is_none() {
-                    for c in guard::leaves(guards) {
-                        if let Some((n, false)) = ident_leaf(&c) {
-                            gated.insert(n.to_owned());
-                        }
-                    }
+                if analysis::const_value(rhs, design).is_some() {
+                    return;
                 }
-                for name in lhs.target_names() {
-                    let eligible = design
-                        .signal(name)
-                        .is_some_and(|s| s.width == 1 && s.mem_depth.is_none() && s.is_state())
-                        && !outputs.contains(name);
-                    if !eligible {
-                        continue;
-                    }
-                    let info = flags.entry(name).or_insert(FlagInfo {
-                        first_set: None,
-                        reset_clears: false,
-                        disqualified: false,
-                    });
-                    if !matches!(lhs, LValue::Id(_)) {
-                        info.disqualified = true;
-                        continue;
-                    }
-                    let in_reset = analysis::in_reset(guards, &resets);
-                    match rhs_const.as_ref().map(|v| !v.is_zero()) {
-                        Some(true) if !in_reset => {
-                            info.first_set.get_or_insert(*span);
-                        }
-                        Some(false) if in_reset => info.reset_clears = true,
-                        // Cleared or recomputed outside reset, or set
-                        // from reset: not sticky.
-                        _ => info.disqualified = true,
+                for c in guard::leaves(guards) {
+                    if let Some(id) = ident_leaf(&c)
+                        .filter(|&(_, positive)| !positive)
+                        .and_then(|(n, _)| design.sig_id(n))
+                    {
+                        gated[id.index()] = true;
                     }
                 }
             });
         }
-        for (name, info) in flags {
-            let (Some(span), true, false) = (info.first_set, info.reset_clears, info.disqualified)
-            else {
-                continue;
-            };
-            if !gated.contains(name) {
+        // Sticky: set outside reset, cleared by reset, and written no
+        // other way (cleared or recomputed outside reset, or set from
+        // reset, is not sticky).
+        let set = |w: &FlagWrite| w.value == Some(true) && !w.in_reset;
+        let clear = |w: &FlagWrite| w.value == Some(false) && w.in_reset;
+        for (id, writes) in analysis::flag_writes(design, &analysis::Resets::of(design)) {
+            if index.facts(id).output || !gated[id.index()] {
                 continue;
             }
+            let Some(span) = writes.iter().find(|w| set(w)).map(|w| w.span) else {
+                continue;
+            };
+            if !writes.iter().any(clear) || !writes.iter().all(|w| set(w) || clear(w)) {
+                continue;
+            }
+            let name = design.table.name(id);
             sink.emit(
                 HwdbgError::warning(
                     ErrorCode::LintStickyFlag,
@@ -288,7 +260,7 @@ impl LintPass for ReinitPass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let resets = analysis::reset_inputs(design);
+        let resets = analysis::Resets::of(design);
         for proc in &design.procs {
             // Registers the reset branch initializes, with their values.
             let mut reset_map: BTreeMap<&str, Bits> = BTreeMap::new();
@@ -311,7 +283,7 @@ impl LintPass for ReinitPass {
                         self_ref.insert(name);
                     }
                 }
-                let in_reset = analysis::in_reset(guards, &resets);
+                let in_reset = resets.in_reset(guards);
                 let cval = analysis::const_value(rhs, design).and_then(|v| {
                     let w = match lhs {
                         LValue::Id(n) => design.signal(n)?.width,

@@ -41,12 +41,7 @@ impl LintPass for MemIndexPass {
         // indices for a cheap exact check.
         let mut ident_accesses: BTreeSet<(&str, &str)> = BTreeSet::new();
         let mut const_accesses: BTreeSet<(&str, u64)> = BTreeSet::new();
-        for body in design
-            .procs
-            .iter()
-            .map(|p| &p.body)
-            .chain(design.combs.iter().map(|c| &c.body))
-        {
+        for body in design.bodies() {
             guard::walk(body, &mut Vec::new(), &mut |_, stmt| {
                 // `$display` arguments are debug reads, not datapath
                 // accesses.
@@ -210,18 +205,14 @@ fn contribution(
     if matches!(rhs, Expr::Ident(n) if n == name) {
         return Contribution::Hold;
     }
-    if let Some(v) = analysis::const_value(rhs, design) {
-        if v.width() <= 64 {
-            return Contribution::Const(v.to_u64());
-        }
-        return Contribution::Unbounded;
+    if let Some(v) = analysis::const_u64(rhs, design) {
+        return Contribution::Const(v);
     }
     // `r <= r + 1` (either operand order).
+    let one = |e| analysis::const_u64(e, design) == Some(1);
     let is_inc_by_one = matches!(rhs, Expr::Binary(BinaryOp::Add, a, b)
-        if (matches!(&**a, Expr::Ident(n) if n == name)
-                && analysis::const_value(b, design).is_some_and(|v| v.width() <= 64 && v.to_u64() == 1))
-            || (matches!(&**b, Expr::Ident(n) if n == name)
-                && analysis::const_value(a, design).is_some_and(|v| v.width() <= 64 && v.to_u64() == 1)));
+        if (matches!(&**a, Expr::Ident(n) if n == name) && one(b))
+            || (matches!(&**b, Expr::Ident(n) if n == name) && one(a)));
     if is_inc_by_one {
         for c in guard::leaves(guards) {
             if let Some((n, k)) = wrap_bound(&c, design) {
@@ -248,10 +239,8 @@ fn note_index<'a>(
             idents.insert((base, n));
         }
         _ => {
-            if let Some(v) = analysis::const_value(idx, design) {
-                if v.width() <= 64 {
-                    consts.insert((base, v.to_u64()));
-                }
+            if let Some(v) = analysis::const_u64(idx, design) {
+                consts.insert((base, v));
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::analysis::significant_bits;
 use crate::{LintPass, LintSink};
-use hwdbg_dataflow::{guard, tarjan_scc, Design, SigId};
+use hwdbg_dataflow::{guard, tarjan_scc, Design};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{print_lvalue, BinaryOp, Expr, Stmt, UnaryOp};
 
@@ -25,30 +25,19 @@ impl LintPass for CombLoopPass {
         // Nodes: comb-written signals, in ID (name) order. Edge w -> r when
         // w's driver reads r and r is itself comb-written (registers and
         // inputs break cycles).
-        // Mark the comb-written signals, then number them in ID order.
+        let index = design.index();
         const NONE: usize = usize::MAX;
-        let mut index = vec![NONE; design.table.len()];
-        for comb in &design.combs {
-            for w in comb.writes.iter() {
-                index[w.index()] = 0;
-            }
-        }
+        let mut node = vec![NONE; design.table.len()];
         let mut nodes = Vec::new();
-        for (i, slot) in index.iter_mut().enumerate() {
-            if *slot != NONE {
-                *slot = nodes.len();
-                nodes.push(SigId::from_index(i));
+        for (id, _) in design.table.iter() {
+            if !index.comb_writers.get(id).is_empty() {
+                node[id.index()] = nodes.len();
+                nodes.push(id);
             }
         }
         // A driver's `for` variable that no other comb driver writes is a
         // procedural temporary: the loop sets it before reading it and
         // ends on the same value each run, so reading it closes no loop.
-        let mut comb_writers = vec![0u32; design.table.len()];
-        for comb in &design.combs {
-            for w in comb.writes.iter() {
-                comb_writers[w.index()] += 1;
-            }
-        }
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
         let mut temporaries = Vec::new();
         for comb in &design.combs {
@@ -58,11 +47,11 @@ impl LintPass for CombLoopPass {
                     temporaries.extend(design.sig_id(var));
                 }
             });
-            temporaries.retain(|t| comb_writers[t.index()] == 1);
+            temporaries.retain(|&t| index.comb_writers.get(t).len() == 1);
             for w in comb.writes.iter() {
-                let wi = index[w.index()];
+                let wi = node[w.index()];
                 for r in comb.reads.iter() {
-                    let ri = index[r.index()];
+                    let ri = node[r.index()];
                     if ri != NONE && !temporaries.contains(r) {
                         adj[wi].push(ri);
                     }
@@ -119,12 +108,7 @@ impl LintPass for WidthTruncationPass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let bodies = design
-            .procs
-            .iter()
-            .map(|p| &p.body)
-            .chain(design.combs.iter().map(|c| &c.body));
-        for body in bodies {
+        for body in design.bodies() {
             let mut guards = Vec::new();
             guard::walk(body, &mut guards, &mut |_, stmt| {
                 let Stmt::Assign { lhs, rhs, span, .. } = stmt else {

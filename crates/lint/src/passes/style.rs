@@ -9,8 +9,8 @@ use crate::analysis;
 use crate::{LintPass, LintSink};
 use hwdbg_dataflow::{guard, Design};
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{print_expr, Dir, Stmt};
-use std::collections::{BTreeMap, BTreeSet};
+use hwdbg_rtl::{print_expr, LValue, Stmt};
+use std::collections::BTreeSet;
 
 /// `L0101`: a combinational `case` with no `default` that does not cover
 /// every selector value. The unmatched selectors keep the previous value —
@@ -100,48 +100,15 @@ impl LintPass for AssignStylePass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        // Per signal: read outside every clocked process (by a comb
-        // driver, a blackbox input or as an output port).
-        let mut non_proc = vec![false; design.table.len()];
-        let mut mark = |name: &str| {
-            if let Some(id) = design.sig_id(name) {
-                non_proc[id.index()] = true;
-            }
-        };
-        for port in design.ports().iter().filter(|p| p.dir == Dir::Output) {
-            mark(&port.net.name);
-        }
-        for bb in &design.blackboxes {
-            for conn in bb.in_conns.values() {
-                conn.visit_idents(&mut mark);
-            }
-        }
-        for comb in &design.combs {
-            for r in comb.reads.iter() {
-                non_proc[r.index()] = true;
-            }
-        }
-        // Per signal, the first two clocked processes that read it: enough
-        // to tell whether some process other than `i` is a reader.
-        let mut proc_readers: Vec<Option<(usize, Option<usize>)>> = vec![None; design.table.len()];
+        let index = design.index();
         for (i, proc) in design.procs.iter().enumerate() {
-            for r in proc.reads.iter() {
-                match &mut proc_readers[r.index()] {
-                    Some((_, second)) => {
-                        second.get_or_insert(i);
-                    }
-                    first => *first = Some((i, None)),
-                }
-            }
-        }
-
-        for (i, proc) in design.procs.iter().enumerate() {
-            // Visible outside process `i`.
+            // Visible outside process `i`: read by a comb driver, a
+            // blackbox input or another clocked process, or an output port.
             let external = |s: &str| {
                 design.sig_id(s).is_some_and(|id| {
-                    non_proc[id.index()]
-                        || proc_readers[id.index()]
-                            .is_some_and(|(first, second)| first != i || second.is_some())
+                    let f = index.facts(id);
+                    let readers = index.clocked_readers.get(id);
+                    f.comb_read || f.bb_read || f.output || readers.iter().any(|&p| p as usize != i)
                 })
             };
             let mut guards = Vec::new();
@@ -202,9 +169,12 @@ impl LintPass for AssignStylePass {
     }
 }
 
-/// `L0104`: one signal whole-written by two or more clocked processes.
-/// Simulation picks an evaluation order; synthesis tools either reject the
-/// design or silently keep one driver.
+/// `L0104`: one signal written by two or more clocked processes where
+/// the writes can overlap: a whole write, a variable index, or constant
+/// selects that share a bit (or memory word). Simulation picks an
+/// evaluation order; synthesis tools either reject the design or silently
+/// keep one driver. Processes writing disjoint constant selects of one
+/// vector are separate drivers of separate bits and stay silent.
 pub struct MultiProcWritePass;
 
 impl LintPass for MultiProcWritePass {
@@ -217,39 +187,65 @@ impl LintPass for MultiProcWritePass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        // Signal -> set of clocked-process indices that assign it. Walk the
-        // bodies (rather than using `proc.writes`) so `for` loop variables,
-        // which are process-local, never collide across processes.
-        let mut writers: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
-        for (i, proc) in design.procs.iter().enumerate() {
-            let mut guards = Vec::new();
-            guard::walk(&proc.body, &mut guards, &mut |_, stmt| {
-                if let Stmt::Assign { lhs, .. } = stmt {
-                    for target in lhs.target_names() {
-                        if design.sig_id(target).is_some() {
-                            writers.entry(target).or_default().insert(i);
-                        }
-                    }
-                }
-            });
-        }
-        for (name, procs) in writers {
+        let index = design.index();
+        for (id, name) in design.table.iter() {
+            let procs = index.clocked_writers.get(id);
             if procs.len() < 2 {
                 continue;
             }
-            let mut err = HwdbgError::warning(
-                ErrorCode::LintMultiProcWrite,
-                format!(
-                    "`{name}` is written by {} separate always blocks; the last \
-                     writer wins and the winner depends on scheduling order",
-                    procs.len()
-                ),
-            )
-            .with_signal(name);
-            if let Some(id) = design.sig_id(name) {
-                err = err.with_span(design.decl(id).span);
+            // Per writer process, the elements (bits, or memory words) each
+            // of its writes to `name` covers, as `lo..=hi`: all of them for
+            // a whole write or a variable index.
+            let extents: Vec<Vec<(u64, u64)>> = procs
+                .iter()
+                .map(|&p| {
+                    let mut out = Vec::new();
+                    let body = &design.procs[p as usize].body;
+                    guard::walk(body, &mut Vec::new(), &mut |_, stmt| {
+                        if let Stmt::Assign { lhs, .. } = stmt {
+                            lhs.visit_targets(&mut |n, part| {
+                                if n == name {
+                                    out.push(extent(part, design));
+                                }
+                            });
+                        }
+                    });
+                    out
+                })
+                .collect();
+            let overlaps = |a: &[(u64, u64)], b: &[(u64, u64)]| {
+                a.iter().any(|x| b.iter().any(|y| x.0 <= y.1 && y.0 <= x.1))
+            };
+            let racing = (0..procs.len())
+                .filter(|&a| (0..procs.len()).any(|b| a != b && overlaps(&extents[a], &extents[b])))
+                .count();
+            if racing < 2 {
+                continue;
             }
-            sink.emit(err);
+            sink.emit(
+                HwdbgError::warning(
+                    ErrorCode::LintMultiProcWrite,
+                    format!(
+                        "`{name}` is written by {racing} separate always blocks; \
+                         the last writer wins and the winner depends on scheduling order"
+                    ),
+                )
+                .with_signal(name)
+                .with_span(design.decl(id).span),
+            );
         }
+    }
+}
+
+fn extent(part: &LValue, design: &Design) -> (u64, u64) {
+    let at = |e| analysis::const_u64(e, design);
+    let (msb, lsb) = match part {
+        LValue::Index(_, i) => (at(i), at(i)),
+        LValue::Range(_, msb, lsb) => (at(msb), at(lsb)),
+        LValue::Id(_) | LValue::Concat(_) => (None, None),
+    };
+    match (msb, lsb) {
+        (Some(m), Some(l)) => (m.min(l), m.max(l)),
+        _ => (0, u64::MAX),
     }
 }

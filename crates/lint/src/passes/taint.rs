@@ -23,12 +23,11 @@
 //!   meant to keep (subclass D6, bit truncation).
 
 use crate::analysis::{
-    self, cmp_bound, comb_aliases, const_value, in_reset, qualifies_advance, reset_inputs,
-    stream_pairs,
+    cmp_bound, comb_alias, const_value, qualifies_advance, stream_pairs, Resets,
 };
 use crate::{LintPass, LintSink};
 use hwdbg_dataflow::guard::{self, cond_leaves, CondLeaf};
-use hwdbg_dataflow::{DepKind, Design, PropGraph, SigKind};
+use hwdbg_dataflow::{DepKind, Design, PropGraph, SigId, SigKind};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{BinaryOp, Dir, Expr, Span, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,10 +55,9 @@ impl LintPass for QualificationPass {
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
         let graph = design.local_graph();
         for pair in stream_pairs(design) {
-            for payload in &pair.payloads {
-                let Some(pid) = graph.id(payload) else {
-                    continue;
-                };
+            let (valid, ready) = (design.table.name(pair.valid), design.table.name(pair.ready));
+            for &pid in &pair.payloads {
+                let payload = design.table.name(pid);
                 let mut flagged = false;
                 for rel in graph.incoming_ids(pid) {
                     if flagged
@@ -71,7 +69,7 @@ impl LintPass for QualificationPass {
                     }
                     let qualified = cond_leaves(&rel.cond)
                         .iter()
-                        .any(|l| qualifies_advance(l, &pair.valid, &pair.ready));
+                        .any(|l| qualifies_advance(l, valid, ready));
                     if qualified {
                         continue;
                     }
@@ -83,17 +81,11 @@ impl LintPass for QualificationPass {
                                 "stream payload `{payload}` advances without its \
                                  handshake: the assignment is not conditioned on \
                                  `{ready}` (or `!{valid}`), so a stalled word is \
-                                 overwritten while `{valid}` is high",
-                                ready = pair.ready,
-                                valid = pair.valid,
+                                 overwritten while `{valid}` is high"
                             ),
                         )
                         .with_span(rel.span)
-                        .with_signals([
-                            payload.as_str(),
-                            pair.valid.as_str(),
-                            pair.ready.as_str(),
-                        ]),
+                        .with_signals([payload, valid, ready]),
                     );
                 }
             }
@@ -129,16 +121,7 @@ impl LintPass for BackpressurePass {
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
         let graph = design.local_graph();
-        let aliases = comb_aliases(design);
-        let inputs = analysis::input_ports(design);
-        // Signals a blackbox instance drives: their fan-in is invisible to
-        // the local graph, so anything they reach must be skipped.
-        let bb_driven: BTreeSet<String> = design
-            .blackboxes
-            .iter()
-            .flat_map(|b| b.out_conns.values())
-            .flat_map(|lv| lv.target_names().into_iter().map(str::to_owned))
-            .collect();
+        let index = design.index();
         for port in design.ports() {
             if port.dir != Dir::Output {
                 continue;
@@ -150,46 +133,41 @@ impl LintPass for BackpressurePass {
             else {
                 continue;
             };
-            let info = design.signal(name);
-            if info.is_none_or(|s| {
-                s.width != 1 || !matches!(s.kind, SigKind::Comb | SigKind::Output)
-            }) {
+            let Some(out_id) = design.sig_id(name) else {
+                continue;
+            };
+            let info = &design.signals[out_id];
+            if info.width != 1 || !matches!(info.kind, SigKind::Comb | SigKind::Output) {
                 continue;
             }
             // The stream being admitted: a sibling valid *input* that
             // feeds local state (the design really consumes the stream).
             let stem = &name[..name.len() - suf.len()];
-            let valid = [format!("{stem}valid"), format!("{stem}_valid")]
-                .into_iter()
-                .find(|v| inputs.contains(v));
-            let Some(valid) = valid else {
+            let Some(valid) = [format!("{stem}valid"), format!("{stem}_valid")]
+                .iter()
+                .find_map(|v| design.sig_id(v).filter(|&id| index.facts(id).input))
+            else {
                 continue;
             };
-            let consumed = graph.id(&valid).is_some_and(|vid| {
-                graph.outgoing_ids(vid).any(|r| {
-                    design
-                        .signal(graph.name(r.dst))
-                        .is_some_and(|s| s.kind == SigKind::Reg)
-                })
-            });
+            let consumed = graph
+                .outgoing_ids(valid)
+                .any(|r| design.signals[r.dst].kind == SigKind::Reg);
             if !consumed {
                 continue;
             }
-            let Some(out_id) = graph.id(name) else {
-                continue;
-            };
+            let valid = design.table.name(valid);
             let closure = graph.backward_closure(out_id, &[DepKind::Data, DepKind::Control]);
+            // A blackbox-driven signal's fan-in is invisible to the local
+            // graph, so it counts as dynamic.
             let dynamic = closure.iter().any(|&id| {
-                let n = graph.name(id);
-                inputs.contains(n)
-                    || bb_driven.contains(n)
-                    || design.signal(n).is_some_and(|s| s.kind == SigKind::Reg)
+                let f = index.facts(id);
+                f.input || f.bb_driven || design.signals[id].kind == SigKind::Reg
             });
             if dynamic {
                 continue;
             }
             // Constant-tied: confirm the polarity from the driver itself.
-            let Some(&(rhs, span)) = aliases.get(name) else {
+            let Some((rhs, span)) = comb_alias(design, name) else {
                 continue;
             };
             let Some(v) = const_value(rhs, design) else {
@@ -209,7 +187,7 @@ impl LintPass for BackpressurePass {
                     ),
                 )
                 .with_span(span)
-                .with_signals([name, valid.as_str()]),
+                .with_signals([name, valid]),
             );
         }
     }
@@ -218,7 +196,7 @@ impl LintPass for BackpressurePass {
 /// One detected FIFO counting scheme: `wr - rd` occupancy (wrap-free,
 /// pointers one bit wider than the index) against a declared memory.
 struct Fifo {
-    mem: String,
+    mem: SigId,
     depth: u64,
 }
 
@@ -269,8 +247,7 @@ impl LintPass for OccupancyPass {
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
         let graph = design.local_graph();
-        let aliases = comb_aliases(design);
-        let resets = reset_inputs(design);
+        let resets = Resets::of(design);
         let flag_updates = registered_flag_updates(design, &resets);
         let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
         for proc in &design.procs {
@@ -279,21 +256,20 @@ impl LintPass for OccupancyPass {
                 let Stmt::Assign { lhs, span, .. } = stmt else {
                     return;
                 };
-                if in_reset(guards, &resets) {
+                if resets.in_reset(guards) {
                     return;
                 }
                 for dst in lhs.target_names() {
-                    let Some((mem, skid)) = entry_point(design, graph, dst) else {
+                    let Some((mem_id, skid)) = entry_point(design, graph, dst) else {
                         continue;
                     };
                     let mut worst: Option<Admission> = None;
                     for c in &guard::leaves(guards) {
-                        let Some(adm) =
-                            classify_admission(design, graph, &aliases, &flag_updates, c, *span)
+                        let Some(adm) = classify_admission(design, graph, &flag_updates, c, *span)
                         else {
                             continue;
                         };
-                        if adm.fifo.mem != mem {
+                        if adm.fifo.mem != mem_id {
                             continue;
                         }
                         let better = worst
@@ -321,6 +297,7 @@ impl LintPass for OccupancyPass {
                     if !seen.insert((adm.span.start, adm.span.end)) {
                         continue;
                     }
+                    let mem = design.table.name(mem_id);
                     let msg = if code == ErrorCode::LintOccupancyOverflow {
                         format!(
                             "writes into `{mem}` (depth {}) are admitted while \
@@ -340,7 +317,7 @@ impl LintPass for OccupancyPass {
                     sink.emit(
                         HwdbgError::warning(code, msg)
                             .with_span(adm.span)
-                            .with_signal(mem.as_str()),
+                            .with_signal(mem),
                     );
                 }
             });
@@ -348,28 +325,26 @@ impl LintPass for OccupancyPass {
     }
 }
 
-/// If `dst` is where words enter a FIFO, the memory name and the extra
-/// skid occupancy: writing the memory itself is skid 0; writing a staging
+/// If `dst` is where words enter a FIFO, the memory and the extra skid
+/// occupancy: writing the memory itself is skid 0; writing a staging
 /// register that data-feeds a memory is skid 1.
-fn entry_point(design: &Design, graph: &PropGraph, dst: &str) -> Option<(String, u64)> {
-    let info = design.signal(dst)?;
+fn entry_point(design: &Design, graph: &PropGraph, dst: &str) -> Option<(SigId, u64)> {
+    let id = design.sig_id(dst)?;
+    let info = &design.signals[id];
     if info.mem_depth.is_some() {
-        return Some((dst.to_owned(), 0));
+        return Some((id, 0));
     }
     if info.kind != SigKind::Reg {
         return None;
     }
-    let id = graph.id(dst)?;
-    for rel in graph.outgoing_ids(id) {
-        if rel.kind != DepKind::Data || rel.latency != 1 {
-            continue;
-        }
-        let mem = graph.name(rel.dst);
-        if design.signal(mem).is_some_and(|s| s.mem_depth.is_some()) {
-            return Some((mem.to_owned(), 1));
-        }
-    }
-    None
+    graph
+        .outgoing_ids(id)
+        .find(|rel| {
+            rel.kind == DepKind::Data
+                && rel.latency == 1
+                && design.signals[rel.dst].mem_depth.is_some()
+        })
+        .map(|rel| (rel.dst, 1))
 }
 
 /// Decomposes `expr` (after one level of comb aliasing) as a pointer-count
@@ -377,14 +352,13 @@ fn entry_point(design: &Design, graph: &PropGraph, dst: &str) -> Option<(String,
 /// equal-width pointer registers one bit wider than the index of a memory
 /// `wr` steers and `rd` reads.
 fn count_compare<'a>(
-    design: &Design,
+    design: &'a Design,
     graph: &PropGraph,
-    aliases: &BTreeMap<&str, (&'a Expr, Span)>,
     expr: &'a Expr,
 ) -> Option<(Fifo, BinaryOp, u64)> {
     let expand = |e: &'a Expr| -> &'a Expr {
         match e {
-            Expr::Ident(n) => aliases.get(n.as_str()).map_or(e, |&(rhs, _)| rhs),
+            Expr::Ident(n) => comb_alias(design, n).map_or(e, |(rhs, _)| rhs),
             other => other,
         }
     };
@@ -405,8 +379,8 @@ fn count_compare<'a>(
     let (Expr::Ident(wr), Expr::Ident(rd)) = (&**a, &**b) else {
         return None;
     };
-    let wi = design.signal(wr)?;
-    let ri = design.signal(rd)?;
+    let (wr_id, rd_id) = (design.sig_id(wr)?, design.sig_id(rd)?);
+    let (wi, ri) = (&design.signals[wr_id], &design.signals[rd_id]);
     if wi.kind != SigKind::Reg || ri.kind != SigKind::Reg || wi.width != ri.width {
         return None;
     }
@@ -416,17 +390,12 @@ fn count_compare<'a>(
     let depth_from_width = 1u64 << (wi.width - 1);
     // Find the memory the pointers manage: `wr` steers a write into it
     // (control edge) and `rd` co-sources its read.
-    let wr_id = graph.id(wr)?;
-    let rd_id = graph.id(rd)?;
     for rel in graph.outgoing_ids(wr_id) {
         if rel.kind != DepKind::Control {
             continue;
         }
-        let mem = graph.name(rel.dst);
-        let Some(depth) = design.signal(mem).and_then(|s| s.mem_depth) else {
-            continue;
-        };
-        if depth != depth_from_width {
+        let mem = rel.dst;
+        if design.signals[mem].mem_depth != Some(depth_from_width) {
             continue;
         }
         let reads = graph
@@ -435,13 +404,13 @@ fn count_compare<'a>(
             .any(|r| {
                 graph
                     .incoming_ids(r.dst)
-                    .any(|m| m.kind == DepKind::Data && graph.name(m.src) == mem)
+                    .any(|m| m.kind == DepKind::Data && m.src == mem)
             });
         if reads {
             return Some((
                 Fifo {
-                    mem: mem.to_owned(),
-                    depth,
+                    mem,
+                    depth: depth_from_width,
                 },
                 *op,
                 k,
@@ -457,7 +426,7 @@ fn count_compare<'a>(
 /// one cycle of staleness.
 fn registered_flag_updates<'a>(
     design: &'a Design,
-    resets: &BTreeSet<String>,
+    resets: &Resets<'_>,
 ) -> BTreeMap<&'a str, (&'a Expr, Span)> {
     let mut sites: BTreeMap<&str, Vec<(&Expr, Span, bool)>> = BTreeMap::new();
     for proc in &design.procs {
@@ -466,7 +435,7 @@ fn registered_flag_updates<'a>(
             let Stmt::Assign { lhs, rhs, span, .. } = stmt else {
                 return;
             };
-            if in_reset(guards, resets) {
+            if resets.in_reset(guards) {
                 return;
             }
             // Unconditional outside reset: every conjunct is a reset test.
@@ -500,16 +469,15 @@ fn registered_flag_updates<'a>(
 fn classify_admission(
     design: &Design,
     graph: &PropGraph,
-    aliases: &BTreeMap<&str, (&Expr, Span)>,
     flags: &BTreeMap<&str, (&Expr, Span)>,
     c: &CondLeaf<'_>,
     site_span: Span,
 ) -> Option<Admission> {
     // Direct comparison, or one comb-alias hop: staleness 0. The span
     // points at the alias definition when there is one.
-    if let Some((fifo, op, k)) = count_compare(design, graph, aliases, c.expr) {
+    if let Some((fifo, op, k)) = count_compare(design, graph, c.expr) {
         let span = match c.expr {
-            Expr::Ident(n) => aliases.get(n.as_str()).map_or(site_span, |&(_, s)| s),
+            Expr::Ident(n) => comb_alias(design, n).map_or(site_span, |(_, s)| s),
             _ => site_span,
         };
         let bound = cmp_bound(op, k, c.positive)?;
@@ -523,7 +491,7 @@ fn classify_admission(
     // A registered flag: one cycle stale.
     if let Expr::Ident(n) = c.expr {
         if let Some(&(rhs, span)) = flags.get(n.as_str()) {
-            let (fifo, op, k) = count_compare(design, graph, aliases, rhs)?;
+            let (fifo, op, k) = count_compare(design, graph, rhs)?;
             let bound = cmp_bound(op, k, c.positive)?;
             return Some(Admission {
                 fifo,
@@ -555,12 +523,7 @@ impl LintPass for PrecisionPass {
     }
 
     fn run(&self, design: &Design, sink: &mut LintSink<'_>) {
-        let bodies = design
-            .procs
-            .iter()
-            .map(|p| &p.body)
-            .chain(design.combs.iter().map(|c| &c.body));
-        for body in bodies {
+        for body in design.bodies() {
             let mut guards = Vec::new();
             guard::walk(body, &mut guards, &mut |_, stmt| {
                 let Stmt::Assign { rhs, span, .. } = stmt else {

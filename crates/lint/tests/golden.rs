@@ -174,6 +174,44 @@ fn l0104_multi_proc_write() {
     assert_golden(&f, &src, "L0104", "r;", "reg [7:0] r;");
 }
 
+/// The L0104 findings on a two-process design whose second process
+/// writes `second`, with messages.
+fn multi_proc_writes(second: &str) -> Vec<String> {
+    let src = format!(
+        "module t(input clk, input a, input b, input [1:0] i, output [3:0] y);\n\
+         reg [3:0] q;\n\
+         assign y = q;\n\
+         always @(posedge clk) q[0] <= a;\n\
+         always @(posedge clk) {second}\n\
+         endmodule\n"
+    );
+    let (f, _) = lint(&src, "t");
+    f.iter()
+        .filter(|f| f.code.as_str() == "L0104")
+        .map(|f| f.message.clone())
+        .collect()
+}
+
+#[test]
+fn l0104_needs_writes_that_can_overlap() {
+    // Disjoint constant bits and ranges are separate drivers.
+    assert!(multi_proc_writes("q[1] <= b;").is_empty());
+    assert!(multi_proc_writes("q[3:1] <= {a, b, a};").is_empty());
+    assert!(multi_proc_writes("{q[2], q[1]} <= {a, b};").is_empty());
+    // A shared bit, an overlapping range, a whole write or a variable
+    // index can each hit the bit the first process writes.
+    for overlapping in [
+        "q[0] <= b;",
+        "q[1:0] <= {a, b};",
+        "q <= 4'd0;",
+        "q[i] <= b;",
+    ] {
+        let found = multi_proc_writes(overlapping);
+        assert_eq!(found.len(), 1, "`{overlapping}`: {found:?}");
+        assert!(found[0].contains("written by 2 separate"), "{found:?}");
+    }
+}
+
 #[test]
 fn l0201_comb_loop() {
     let (f, src) = lint(

@@ -661,8 +661,14 @@ impl Simulator {
             .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))
     }
 
-    /// Refuses `value` for scalar `id` unless it has the signal's width.
-    fn check_width(&self, id: SigId, value: &Bits) -> Result<(), SimError> {
+    /// Refuses `value` for `id` unless the signal is a scalar (a memory has
+    /// no scalar slot) of the value's width.
+    fn check_scalar(&self, id: SigId, value: &Bits) -> Result<(), SimError> {
+        if self.state.mem_slot_of(id).is_some() {
+            return Err(SimError::UnknownSignal(
+                self.shared.design.table.name(id).to_owned(),
+            ));
+        }
         let expected = self.state.get_id(id).width();
         if value.width() != expected {
             return Err(SimError::WidthMismatch {
@@ -683,12 +689,7 @@ impl Simulator {
     /// Fails on width mismatches and on memory signals (a memory has no
     /// scalar slot to poke).
     pub fn poke_id(&mut self, id: SigId, value: &Bits) -> Result<(), SimError> {
-        if self.state.mem_slot_of(id).is_some() {
-            return Err(SimError::UnknownSignal(
-                self.shared.design.table.name(id).to_owned(),
-            ));
-        }
-        self.check_width(id, value)?;
+        self.check_scalar(id, value)?;
         self.apply_poke(id, value);
         Ok(())
     }
@@ -759,7 +760,16 @@ impl Simulator {
     /// Fails for unknown signals and width mismatches.
     pub fn force(&mut self, name: &str, value: Bits) -> Result<(), SimError> {
         let id = self.scalar_id(name)?;
-        self.check_width(id, &value)?;
+        self.force_id(id, value)
+    }
+
+    /// Interned [`force`](Self::force): same semantics, no name lookup.
+    ///
+    /// # Errors
+    ///
+    /// Fails on width mismatches and on memory signals.
+    pub fn force_id(&mut self, id: SigId, value: Bits) -> Result<(), SimError> {
+        self.check_scalar(id, &value)?;
         // Apply the pinned value first (while not yet forced), then pin.
         self.apply_poke(id, &value);
         if self.forces.insert(id, value).is_none() {
@@ -786,6 +796,12 @@ impl Simulator {
             .design
             .sig_id(name)
             .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
+        self.release_id(id);
+        Ok(())
+    }
+
+    /// Interned [`release`](Self::release): same semantics, no name lookup.
+    pub fn release_id(&mut self, id: SigId) {
         if self.forces.remove(&id).is_some() {
             let rid = self.shared.sched.promoted_region[id.index()];
             if rid != NO_PROMOTION {
@@ -797,7 +813,6 @@ impl Simulator {
             self.dirty_units
                 .extend_from_slice(&self.shared.compiled.writers[id.index()]);
         }
-        Ok(())
     }
 
     /// Names of currently forced signals.
@@ -828,9 +843,7 @@ impl Simulator {
     ///
     /// Fails for unknown signals.
     pub fn peek(&self, name: &str) -> Result<&Bits, SimError> {
-        self.state
-            .get(name)
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))
+        Ok(self.state.get_id(self.scalar_id(name)?))
     }
 
     /// Reads a memory element.

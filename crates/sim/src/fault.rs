@@ -17,13 +17,15 @@
 //!   flop that missed reset).
 //!
 //! A [`FaultPlan`] is a list of [`Fault`]s with activation windows in
-//! cycles. [`step_with_faults`] applies due transitions before each clock
-//! edge; [`run_with_faults`] drives a whole run. Plans can be written in a
+//! cycles. [`FaultPlan::bind`] resolves the targets to IDs once, and
+//! [`BoundFaults::step`] applies due transitions before each clock edge;
+//! [`run_with_faults`] drives a whole run. Plans can be written in a
 //! small text grammar (see [`FaultPlan::parse`]) so the CLI can load them
 //! from a file.
 
 use crate::{SimError, Simulator};
 use hwdbg_bits::Bits;
+use hwdbg_dataflow::{Design, SigId};
 
 /// What a fault does to its target signal.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,7 +238,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// [`SimError::BadFault`] describing the first impossible fault.
-    pub fn validate(&self, design: &hwdbg_dataflow::Design) -> Result<(), SimError> {
+    pub fn validate(&self, design: &Design) -> Result<(), SimError> {
         for f in &self.faults {
             let Some(sig) = design.signal(&f.signal) else {
                 return Err(SimError::BadFault(format!(
@@ -301,96 +303,138 @@ fn scramble(seed: u64, cycle: u64) -> u64 {
     x
 }
 
+impl FaultPlan {
+    /// Resolves each fault's target against `design` once: its ID and
+    /// width, for [`BoundFaults::step`] to apply without a name lookup.
+    pub fn bind(&self, design: &Design) -> BoundFaults<'_> {
+        let targets = self
+            .faults
+            .iter()
+            .map(|f| {
+                let id = design.sig_id(&f.signal)?;
+                let sig = &design.signals[id];
+                sig.mem_depth.is_none().then_some((id, sig.width))
+            })
+            .collect();
+        BoundFaults {
+            plan: self,
+            targets,
+        }
+    }
+}
+
+/// A [`FaultPlan`] bound to one design by [`FaultPlan::bind`]: per fault,
+/// the target's ID and width, or `None` when it is not a scalar signal.
+#[derive(Debug, Clone)]
+pub struct BoundFaults<'p> {
+    plan: &'p FaultPlan,
+    targets: Vec<Option<(SigId, u32)>>,
+}
+
+impl BoundFaults<'_> {
+    /// Applies the plan's transitions due at the simulator's current cycle
+    /// of `clock`, then advances one cycle. The simulator must run the
+    /// design the plan was bound to.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadFault`] for impossible targets (surface them early
+    /// with [`FaultPlan::validate`]); otherwise propagates
+    /// [`Simulator::step`] errors.
+    pub fn step(&self, sim: &mut Simulator, clock: &str) -> Result<(), SimError> {
+        let now = sim.cycle(clock);
+        for (f, target) in self.plan.faults.iter().zip(&self.targets) {
+            let &Some((id, width)) = target else {
+                return Err(SimError::BadFault(format!(
+                    "target `{}` is not a scalar signal",
+                    f.signal
+                )));
+            };
+            match &f.kind {
+                FaultKind::StuckAt(v) => {
+                    if now == f.from {
+                        sim.force_id(id, v.resize(width))?;
+                        sim.count_fault_event();
+                    }
+                    if f.until == Some(now) {
+                        sim.release_id(id);
+                        sim.count_fault_event();
+                    }
+                }
+                FaultKind::BitFlip { bit } => {
+                    if now == f.from && *bit < width {
+                        let mut v = sim.state().get_id(id).clone();
+                        let old = v.bit(*bit);
+                        v.splice(*bit, &Bits::from_bool(!old));
+                        sim.poke_id(id, &v)?;
+                        sim.count_fault_event();
+                    }
+                }
+                FaultKind::HandshakeDrop => {
+                    if now == f.from {
+                        sim.force_id(id, Bits::from_u64(width, 0))?;
+                        sim.count_fault_event();
+                    }
+                    if f.until == Some(now) {
+                        sim.release_id(id);
+                        sim.count_fault_event();
+                    }
+                }
+                FaultKind::ForceRandom { seed } => {
+                    let active = now >= f.from && f.until.is_none_or(|u| now < u);
+                    if active {
+                        let v = Bits::from_u64(width.min(64), scramble(*seed, now)).resize(width);
+                        // Re-force each cycle: the value must change while
+                        // pinned, so release the old pin first.
+                        sim.release_id(id);
+                        sim.force_id(id, v)?;
+                        sim.count_fault_event();
+                    } else if f.until == Some(now) {
+                        sim.release_id(id);
+                        sim.count_fault_event();
+                    }
+                }
+            }
+        }
+        sim.step(clock)
+    }
+}
+
 /// Applies the plan's transitions due at the simulator's current cycle of
-/// `clock`, then advances one cycle.
+/// `clock`, then advances one cycle: [`FaultPlan::bind`] followed by
+/// [`BoundFaults::step`]. A loop should bind once instead.
 ///
 /// # Errors
 ///
-/// [`SimError::BadFault`] for impossible targets (surface them early with
-/// [`FaultPlan::validate`]); otherwise propagates [`Simulator::step`]
-/// errors.
+/// As [`BoundFaults::step`].
 pub fn step_with_faults(
     sim: &mut Simulator,
     clock: &str,
     plan: &FaultPlan,
 ) -> Result<(), SimError> {
-    let now = sim.cycle(clock);
-    for f in &plan.faults {
-        let width = sim
-            .design()
-            .signal(&f.signal)
-            .filter(|s| s.mem_depth.is_none())
-            .map(|s| s.width)
-            .ok_or_else(|| {
-                SimError::BadFault(format!("target `{}` is not a scalar signal", f.signal))
-            })?;
-        match &f.kind {
-            FaultKind::StuckAt(v) => {
-                if now == f.from {
-                    sim.force(&f.signal, v.resize(width))?;
-                    sim.count_fault_event();
-                }
-                if f.until == Some(now) {
-                    sim.release(&f.signal)?;
-                    sim.count_fault_event();
-                }
-            }
-            FaultKind::BitFlip { bit } => {
-                if now == f.from && *bit < width {
-                    let mut v = sim.peek(&f.signal)?.clone();
-                    let old = v.bit(*bit);
-                    v.splice(*bit, &Bits::from_bool(!old));
-                    sim.poke(&f.signal, v)?;
-                    sim.count_fault_event();
-                }
-            }
-            FaultKind::HandshakeDrop => {
-                if now == f.from {
-                    sim.force(&f.signal, Bits::from_u64(width, 0))?;
-                    sim.count_fault_event();
-                }
-                if f.until == Some(now) {
-                    sim.release(&f.signal)?;
-                    sim.count_fault_event();
-                }
-            }
-            FaultKind::ForceRandom { seed } => {
-                let active = now >= f.from && f.until.is_none_or(|u| now < u);
-                if active {
-                    let v = Bits::from_u64(width.min(64), scramble(*seed, now)).resize(width);
-                    // Re-force each cycle: the value must change while
-                    // pinned, so release the old pin first.
-                    sim.release(&f.signal)?;
-                    sim.force(&f.signal, v)?;
-                    sim.count_fault_event();
-                } else if f.until == Some(now) {
-                    sim.release(&f.signal)?;
-                    sim.count_fault_event();
-                }
-            }
-        }
-    }
-    sim.step(clock)
+    plan.bind(sim.design()).step(sim, clock)
 }
 
-/// Runs `n` cycles of `clock`, injecting `plan`. Stops early at `$finish`.
-/// Returns the number of cycles actually stepped.
+/// Runs `n` cycles of `clock`, injecting `plan`, whose targets it binds
+/// once. Stops early at `$finish`. Returns the number of cycles actually
+/// stepped.
 ///
 /// # Errors
 ///
-/// Propagates [`step_with_faults`] errors.
+/// Propagates [`BoundFaults::step`] errors.
 pub fn run_with_faults(
     sim: &mut Simulator,
     clock: &str,
     n: u64,
     plan: &FaultPlan,
 ) -> Result<u64, SimError> {
+    let bound = plan.bind(sim.design());
     let mut stepped = 0;
     for _ in 0..n {
         if sim.finished() {
             break;
         }
-        step_with_faults(sim, clock, plan)?;
+        bound.step(sim, clock)?;
         stepped += 1;
     }
     Ok(stepped)

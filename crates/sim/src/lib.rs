@@ -53,7 +53,7 @@ pub use engine::{
     Backend, CompiledDesign, Checkpoint, SettleMode, SimConfig, Simulator, StimulusPlan,
     DEADLINE_CHECK_MASK,
 };
-pub use fault::{run_with_faults, step_with_faults, Fault, FaultKind, FaultPlan};
+pub use fault::{run_with_faults, step_with_faults, BoundFaults, Fault, FaultKind, FaultPlan};
 pub use eval::{effective_mem_addr, expr_width};
 pub use state::{RegInit, SimState};
 pub use vcd::VcdWriter;

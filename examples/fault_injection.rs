@@ -9,7 +9,7 @@
 
 use hwdbg::dataflow::resolve;
 use hwdbg::ip::{StdIpLib, StdModels};
-use hwdbg::sim::{step_with_faults, FaultPlan, SimConfig, SimError, Simulator};
+use hwdbg::sim::{FaultPlan, SimConfig, SimError, Simulator};
 use hwdbg::testbed::faults::all_plans;
 use hwdbg::testbed::{buggy_design, BugId};
 use hwdbg::tools::signalcat::SignalCatConfig;
@@ -18,19 +18,20 @@ use hwdbg::tools::{FsmMonitor, SignalCat};
 /// Drives the D2 grayscale pixel stream (the same stimulus as its testbed
 /// workload) while injecting the plan's faults cycle by cycle.
 fn drive_pixels(sim: &mut Simulator, plan: &FaultPlan) -> Result<(), SimError> {
+    let faults = plan.bind(sim.design());
     sim.poke_u64("rst", 1)?;
-    step_with_faults(sim, "clk", plan)?;
+    faults.step(sim, "clk")?;
     sim.poke_u64("rst", 0)?;
     sim.poke_u64("start", 1)?;
-    step_with_faults(sim, "clk", plan)?;
+    faults.step(sim, "clk")?;
     sim.poke_u64("start", 0)?;
     for i in 0..24u64 {
         sim.poke_u64("pix_in", (i << 16) | ((i * 3) << 8) | ((i * 7) % 256))?;
         sim.poke_u64("pix_in_valid", 1)?;
-        step_with_faults(sim, "clk", plan)?;
+        faults.step(sim, "clk")?;
         sim.poke_u64("pix_in_valid", 0)?;
         sim.poke_u64("host_rd", 1)?;
-        step_with_faults(sim, "clk", plan)?;
+        faults.step(sim, "clk")?;
         sim.poke_u64("host_rd", 0)?;
     }
     Ok(())

@@ -43,7 +43,31 @@ use hwdbg::tools::statmon::Event;
 use hwdbg::tools::{
     clock_map, DependencyMonitor, FsmMonitor, LossCheck, SignalCat, StatisticsMonitor,
 };
+use std::io::{ErrorKind, Write as _};
 use std::process::ExitCode;
+
+/// Writes to stdout through [`stdout`], failing the enclosing command on
+/// a write error.
+macro_rules! out {
+    ($($arg:tt)*) => { stdout(format_args!($($arg)*))? };
+}
+
+/// [`out!`] plus a newline.
+macro_rules! outln {
+    () => { out!("\n") };
+    ($($arg:tt)*) => {{ out!($($arg)*); out!("\n") }};
+}
+
+/// The one writer of the CLI's stdout. When the reader closes the pipe
+/// (`hwdbg … | head`), the rest of the output is dropped quietly and the
+/// command runs on, so its exit status still reports its own result;
+/// any other write error fails the command.
+fn stdout(args: std::fmt::Arguments<'_>) -> std::io::Result<()> {
+    match std::io::stdout().lock().write_fmt(args) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(()),
+        result => result,
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,8 +84,7 @@ type Anyhow = Box<dyn std::error::Error>;
 
 fn run(args: &[String]) -> Result<(), Anyhow> {
     let Some(cmd) = args.first() else {
-        print_usage();
-        return Ok(());
+        return print_usage();
     };
     let rest = &args[1..];
     match cmd.as_str() {
@@ -77,16 +100,13 @@ fn run(args: &[String]) -> Result<(), Anyhow> {
         "profile" => cmd_profile(rest),
         "lint" => cmd_lint(rest),
         "campaign" => cmd_campaign(rest),
-        "--help" | "-h" | "help" => {
-            print_usage();
-            Ok(())
-        }
+        "--help" | "-h" | "help" => print_usage(),
         other => Err(format!("unknown command `{other}` (try `hwdbg help`)").into()),
     }
 }
 
-fn print_usage() {
-    println!(
+fn print_usage() -> Result<(), Anyhow> {
+    outln!(
         "hwdbg — software-style bug localization for reconfigurable hardware\n\n\
          usage:\n  \
          hwdbg parse <file.v> [--top NAME]\n  \
@@ -103,6 +123,7 @@ fn print_usage() {
          hwdbg campaign <spec|fault-matrix|seed-sweep> [--jobs N] [--json] [--out FILE] [--seeds N]\n           \
          [--job-timeout SECS] [--retries N] [--journal FILE] [--resume FILE] [--baseline FILE]"
     );
+    Ok(())
 }
 
 /// Minimal flag parser: positional file plus `--key value` options.
@@ -176,7 +197,7 @@ fn load(opts: &Opts) -> Result<Design, Anyhow> {
 fn cmd_parse(args: &[String]) -> Result<(), Anyhow> {
     let opts = Opts::parse(args)?;
     let design = load(&opts)?;
-    println!("{}", hwdbg::rtl::print_module(&design.module()));
+    outln!("{}", hwdbg::rtl::print_module(&design.module()));
     eprintln!(
         "ok: {} signals, {} comb drivers, {} clocked processes, {} blackboxes",
         design.signals.len(),
@@ -221,7 +242,7 @@ fn cmd_sim(args: &[String]) -> Result<(), Anyhow> {
             .iter()
             .map(|r| format!("\"{}\"", json_escape(&r.to_string())))
             .collect();
-        println!(
+        outln!(
             "{{\"clock\": \"{}\", \"cycles\": {}, \"finished\": {}, \
              \"backend\": \"{}\", \"lowered_units\": {lowered}, \"total_units\": {total}, \
              \"regions\": {regions}, \"max_level\": {max_level}, \
@@ -235,7 +256,7 @@ fn cmd_sim(args: &[String]) -> Result<(), Anyhow> {
         return Ok(());
     }
     for rec in sim.logs() {
-        println!("{rec}");
+        outln!("{rec}");
     }
     eprintln!(
         "ran {} cycles of `{clock}`; {} log records{}",
@@ -255,7 +276,7 @@ fn cmd_fsm(args: &[String]) -> Result<(), Anyhow> {
     let design = load(&opts)?;
     let fsms = FsmMonitor::detect(&design);
     if fsms.is_empty() {
-        println!("no FSMs detected");
+        outln!("no FSMs detected");
         return Ok(());
     }
     for f in fsms {
@@ -264,7 +285,7 @@ fn cmd_fsm(args: &[String]) -> Result<(), Anyhow> {
             .iter()
             .map(|(v, n)| format!("{n}={v}"))
             .collect();
-        println!("{} ({} bits): {}", f.signal, f.width, states.join(", "));
+        outln!("{} ({} bits): {}", f.signal, f.width, states.join(", "));
     }
     Ok(())
 }
@@ -282,10 +303,10 @@ fn cmd_deps(args: &[String]) -> Result<(), Anyhow> {
         k,
         &[DepKind::Data, DepKind::Control],
     )?;
-    println!("dependencies of `{var}` within {k} cycles:");
+    outln!("dependencies of `{var}` within {k} cycles:");
     for (sig, dist) in &chain.deps {
         if sig != var {
-            println!("  {dist} cycle(s): {sig}");
+            outln!("  {dist} cycle(s): {sig}");
         }
     }
     Ok(())
@@ -299,7 +320,7 @@ fn cmd_signalcat(args: &[String]) -> Result<(), Anyhow> {
         ..Default::default()
     };
     let info = SignalCat::instrument(&design, &cfg)?;
-    println!("{}", hwdbg::rtl::print_module(&info.module));
+    outln!("{}", hwdbg::rtl::print_module(&info.module));
     eprintln!(
         "instrumented {} $display statement(s); generated {} lines",
         info.statements.len(),
@@ -318,7 +339,7 @@ fn cmd_losscheck(args: &[String]) -> Result<(), Anyhow> {
     };
     let graph = PropGraph::build(&design, &StdIpLib::new())?;
     let info = LossCheck::instrument(&design, &graph, &cfg)?;
-    println!("{}", hwdbg::rtl::print_module(&info.module));
+    outln!("{}", hwdbg::rtl::print_module(&info.module));
     eprintln!(
         "tracking {:?} on the {} -> {} path; generated {} lines",
         info.tracked, cfg.source, cfg.sink, info.generated_lines
@@ -337,13 +358,14 @@ fn cmd_resources(args: &[String]) -> Result<(), Anyhow> {
     let r = estimate(&design);
     let t = estimate_timing(&design);
     let (regs, logic, bram) = r.normalized(platform);
-    println!("platform: {platform}");
-    println!("registers : {:>10}  ({regs:.4}%)", r.registers);
-    println!("logic     : {:>10}  ({logic:.4}%)", r.logic_cells);
-    println!("bram bits : {:>10}  ({bram:.4}%)", r.bram_bits);
-    println!(
+    outln!("platform: {platform}");
+    outln!("registers : {:>10}  ({regs:.4}%)", r.registers);
+    outln!("logic     : {:>10}  ({logic:.4}%)", r.logic_cells);
+    outln!("bram bits : {:>10}  ({bram:.4}%)", r.bram_bits);
+    outln!(
         "timing    : {} logic levels, Fmax ≈ {:.0} MHz",
-        t.critical_levels, t.fmax_mhz
+        t.critical_levels,
+        t.fmax_mhz
     );
     Ok(())
 }
@@ -363,7 +385,7 @@ fn cmd_testbed(args: &[String]) -> Result<(), Anyhow> {
         let r = reproduce(id)?;
         let ok = r.symptom_observed && r.fixed_passes;
         failures += (!ok) as usize;
-        println!(
+        outln!(
             "{id:<4} {} symptom={} | {}",
             if ok { "ok  " } else { "FAIL" },
             r.symptom.map_or("-".into(), |s| s.to_string()),
@@ -536,7 +558,7 @@ fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
     let (lowered, total) = sim.compiled_design().lowering_coverage();
     let (regions, max_level, fused_signals) = sim.compiled_design().region_stats();
     if json {
-        println!(
+        outln!(
             "{{\"design\": \"{}\", \"clock\": \"{}\", \"cycles\": {cycles}, \
              \"outcome\": \"{}\", \"lowered_units\": {lowered}, \"total_units\": {total}, \
              \"regions\": {regions}, \"max_level\": {max_level}, \
@@ -548,12 +570,12 @@ fn cmd_profile(args: &[String]) -> Result<(), Anyhow> {
             counters_json(&counters),
         );
     } else {
-        println!("profile of {label} — clock `{clock}`, outcome: {outcome}");
-        println!(
+        outln!("profile of {label} — clock `{clock}`, outcome: {outcome}");
+        outln!(
             "schedule: {lowered}/{total} units lowered; {regions} fused regions \
              (max level {max_level}, {fused_signals} promoted signals)"
         );
-        println!("{}", render_human(&timer, &counters));
+        outln!("{}", render_human(&timer, &counters));
     }
     Ok(())
 }
@@ -674,7 +696,7 @@ fn cmd_lint(args: &[String]) -> Result<(), Anyhow> {
                 )
             })
             .collect();
-        println!(
+        outln!(
             "{{\"design\": \"{}\", \"top\": \"{}\", \"errors\": {errors}, \
              \"findings\": [{}], \"stages\": {}, \"counters\": {}}}",
             json_escape(&label),
@@ -685,7 +707,7 @@ fn cmd_lint(args: &[String]) -> Result<(), Anyhow> {
         );
     } else {
         for f in &findings {
-            println!("{}", f.clone().with_path(&label).render(Some(&src)));
+            outln!("{}", f.clone().with_path(&label).render(Some(&src)));
         }
         eprintln!(
             "{label}: {} finding(s) ({errors} error(s)) from {} pass(es)",
@@ -710,7 +732,7 @@ fn explain_code(code: &str, json: bool) -> Result<(), Anyhow> {
         .into());
     };
     if json {
-        println!(
+        outln!(
             "{{\"code\": \"{}\", \"subclass\": \"{}\", \"summary\": \"{}\", \
              \"example\": \"{}\"}}",
             e.code,
@@ -719,13 +741,13 @@ fn explain_code(code: &str, json: bool) -> Result<(), Anyhow> {
             json_escape(e.example),
         );
     } else {
-        println!("{} — Table 1 subclass: {}", e.code, e.subclass);
-        println!();
-        println!("{}", e.summary);
-        println!();
-        println!("example:");
+        outln!("{} — Table 1 subclass: {}", e.code, e.subclass);
+        outln!();
+        outln!("{}", e.summary);
+        outln!();
+        outln!("example:");
         for line in e.example.lines() {
-            println!("    {line}");
+            outln!("    {line}");
         }
     }
     Ok(())
@@ -751,7 +773,7 @@ fn cmd_faults(args: &[String]) -> Result<(), Anyhow> {
     match run_with_faults(&mut sim, &clock, cycles, &plan) {
         Ok(ran) => {
             for rec in sim.logs() {
-                println!("{rec}");
+                outln!("{rec}");
             }
             let forced = sim.forced_signals();
             eprintln!(
@@ -914,9 +936,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), Anyhow> {
     }
 
     if json {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
-        print!("{}", report.render_human());
+        out!("{}", report.render_human());
     }
 
     // `--baseline`: typed verdict drift is a failure the exit code must

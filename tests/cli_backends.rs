@@ -75,3 +75,26 @@ fn unknown_backend_is_refused() {
     );
     assert!(out.stdout.is_empty(), "no cycle may run");
 }
+
+#[test]
+fn a_closed_stdout_pipe_ends_output_quietly() {
+    // The reader goes away before `hwdbg` writes anything, as `head` does
+    // once it has read enough: the command must finish without a panic,
+    // with the exit status of its own result.
+    use std::process::Stdio;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hwdbg"))
+        .args(["profile", "d2", "--json"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("hwdbg runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("hwdbg exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(
+        out.status.success(),
+        "exit {:?}, stderr: {stderr}",
+        out.status
+    );
+}
