@@ -5,6 +5,8 @@
 //! * plain decimal: `42` — 32 bits wide, per the Verilog default
 //! * based, unsized: `'hFF`, `'b1010`, `'d9`, `'o17` — 32 bits wide
 //! * based, sized: `8'hFF`, `12'o777`, `1'b1`, `64'd18446744073709551615`
+//! * either based form signed: `8'sd3`, `'sh7f` (the sign is the parser's
+//!   to record; the bits are the same)
 
 use crate::Bits;
 use std::fmt;
@@ -57,6 +59,9 @@ impl Bits {
         if width == 0 {
             return Err(err(text, "zero width"));
         }
+        // A signed literal (`8'sd3`) has the same bits as an unsigned one;
+        // the parser records the sign.
+        let rest = rest.strip_prefix(['s', 'S']).unwrap_or(rest);
         let mut chars = rest.chars();
         let base_ch = chars
             .next()
@@ -141,6 +146,13 @@ mod tests {
         let b = Bits::parse_literal("8'hFF").unwrap();
         assert_eq!(b.width(), 8);
         assert_eq!(b.to_u64(), 0xFF);
+    }
+
+    #[test]
+    fn signed_base_keeps_the_bits() {
+        assert_eq!(Bits::parse_literal("8'shF9").unwrap(), Bits::from_u64(8, 0xf9));
+        assert_eq!(Bits::parse_literal("'Sd3").unwrap(), Bits::from_u64(32, 3));
+        assert!(Bits::parse_literal("8's").is_err());
     }
 
     #[test]

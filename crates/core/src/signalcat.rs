@@ -11,7 +11,7 @@
 //! printed — the same output in simulation and deployment.
 
 use crate::{generated_lines, to_bool, ToolError};
-use hwdbg_dataflow::{guard, Design};
+use hwdbg_dataflow::{guard, ty, Design, Ty};
 use hwdbg_ip::TraceBuffer;
 use hwdbg_rtl::{
     CaseArm, Expr, Instance, Item, LValue, Module, NetDecl, NetKind, Span, Stmt,
@@ -51,8 +51,9 @@ pub struct DisplayStmt {
     pub format: String,
     /// Argument expressions.
     pub args: Vec<Expr>,
-    /// Resolved argument widths.
-    pub arg_widths: Vec<u32>,
+    /// Each argument's type: the width it is recorded at, and the sign
+    /// `%d` renders it with.
+    pub arg_tys: Vec<Ty>,
     /// Path constraint: true in exactly the cycles the statement executes.
     pub constraint: Expr,
     /// Clock of the process containing the statement.
@@ -106,10 +107,7 @@ impl SignalCat {
                 stmts.push(DisplayStmt {
                     id: stmts.len(),
                     format: format.clone(),
-                    arg_widths: args
-                        .iter()
-                        .map(|a| design.expr_width(a).unwrap_or(1))
-                        .collect(),
+                    arg_tys: args.iter().map(|a| ty(a, design).unwrap_or(Ty::BIT)).collect(),
                     args: args.clone(),
                     constraint: guard::cond(path),
                     clock: edge.signal.clone(),
@@ -152,11 +150,11 @@ impl SignalCat {
                 rhs: to_bool(s.constraint.clone(), design),
                 span: Span::synthetic(),
             });
-            for (j, (arg, w)) in s.args.iter().zip(&s.arg_widths).enumerate() {
+            for (j, (arg, t)) in s.args.iter().zip(&s.arg_tys).enumerate() {
                 new_items.push(Item::Net(NetDecl::vector(
                     NetKind::Wire,
                     arg_wire(s.id, j),
-                    *w,
+                    t.width,
                 )));
                 new_items.push(Item::Assign {
                     lhs: LValue::Id(arg_wire(s.id, j)),
@@ -180,7 +178,7 @@ impl SignalCat {
             let n_conds = stmt_ids.len() as u32;
             let mut payload_width = n_conds;
             for &id in &stmt_ids {
-                payload_width += statements[id].arg_widths.iter().sum::<u32>();
+                payload_width += statements[id].arg_tys.iter().map(|t| t.width).sum::<u32>();
             }
             let din = format!("__sc_din_{k}");
             let en = format!("__sc_en_{k}");
@@ -207,8 +205,8 @@ impl SignalCat {
             }
             let mut lo = n_conds;
             for &id in &stmt_ids {
-                for (j, w) in statements[id].arg_widths.iter().enumerate() {
-                    if *w == 0 {
+                for (j, w) in statements[id].arg_tys.iter().map(|t| t.width).enumerate() {
+                    if w == 0 {
                         continue;
                     }
                     new_items.push(Item::Assign {
@@ -280,18 +278,19 @@ impl SignalCat {
                 let mut lo = n_conds;
                 for (bit, &id) in buf.stmt_ids.iter().enumerate() {
                     let s = &info.statements[id];
-                    let arg_total: u32 = s.arg_widths.iter().sum();
+                    let arg_total: u32 = s.arg_tys.iter().map(|t| t.width).sum();
                     if entry.data.bit(bit as u32) {
-                        let mut vals = Vec::new();
+                        let (mut vals, mut signs) = (Vec::new(), Vec::new());
                         let mut alo = lo;
-                        for w in &s.arg_widths {
-                            vals.push(entry.data.slice(alo, *w));
-                            alo += w;
+                        for t in &s.arg_tys {
+                            vals.push(entry.data.slice(alo, t.width));
+                            signs.push(t.signed);
+                            alo += t.width;
                         }
                         out.push(LogRecord {
                             time: entry.cycle,
                             cycle: entry.cycle,
-                            message: hwdbg_sim::format::render(&s.format, &vals),
+                            message: hwdbg_sim::format::render_signed(&s.format, &vals, &signs),
                         });
                     }
                     lo += arg_total;
@@ -446,7 +445,7 @@ mod tests {
         assert_eq!(stmts.len(), 2);
         assert_eq!(hwdbg_rtl::print_expr(&stmts[0].constraint), "v");
         assert_eq!(hwdbg_rtl::print_expr(&stmts[1].constraint), "!v");
-        assert_eq!(stmts[0].arg_widths, vec![8, 8]);
+        assert_eq!(stmts[0].arg_tys, vec![Ty::unsigned(8); 2]);
         assert_eq!(stmts[0].clock, "clk");
     }
 

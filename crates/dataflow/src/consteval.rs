@@ -3,6 +3,7 @@
 //! Used to resolve parameter values, net widths, memory depths, replication
 //! counts, and case labels at elaboration time.
 
+use crate::ty::Ty;
 use crate::DataflowError;
 use hwdbg_bits::Bits;
 use hwdbg_rtl::{BinaryOp, Expr, UnaryOp};
@@ -13,13 +14,9 @@ pub type ConstEnv = BTreeMap<String, Bits>;
 
 /// Evaluates `expr` to a constant.
 ///
-/// Operators take the signedness the simulator gives them (IEEE 1364-2005
-/// §5.5.1), so a constant folds to the value the same expression
-/// simulates to: an unsized decimal literal is signed, a parameter name is
-/// unsigned, `$signed`/`$unsigned` set the sign and `-`/`~` keep it. A
-/// binary operator is signed only when both operands are (a shift only
-/// needs its left operand signed), and `>>>` of an unsigned operand
-/// shifts in zeros.
+/// Operators take the types [`crate::ty()`] gives them, as in the
+/// simulator, so a constant folds to the value the same expression
+/// simulates to.
 ///
 /// # Errors
 ///
@@ -28,22 +25,25 @@ pub type ConstEnv = BTreeMap<String, Bits>;
 /// [`DataflowError::BadRange`] for a reversed or oversized select of a
 /// parameter.
 pub fn eval_const(expr: &Expr, env: &ConstEnv) -> Result<Bits, DataflowError> {
-    eval(expr, env).map(|(v, _)| v)
+    eval_typed(expr, env).map(|(v, _)| v)
 }
 
-/// [`eval_const`] with the value's signedness.
-fn eval(expr: &Expr, env: &ConstEnv) -> Result<(Bits, bool), DataflowError> {
+/// [`eval_const`] with the value's type, whose width is the value's.
+///
+/// # Errors
+///
+/// As [`eval_const`].
+pub fn eval_typed(expr: &Expr, env: &ConstEnv) -> Result<(Bits, Ty), DataflowError> {
     Ok(match expr {
-        // The parser marks exactly the literals without a `'` unsized.
-        Expr::Literal { value, sized } => (value.clone(), !sized),
-        Expr::Ident(name) => (
-            env.get(name)
-                .cloned()
-                .ok_or_else(|| DataflowError::NotConstant(name.clone()))?,
-            false,
-        ),
+        Expr::Literal { value, signed } => (value.clone(), Ty::literal(value, *signed)),
+        Expr::Ident(name) => {
+            let v = env
+                .get(name)
+                .ok_or_else(|| DataflowError::NotConstant(name.clone()))?;
+            (v.clone(), Ty::param(v))
+        }
         Expr::Unary(op, inner) => {
-            let (v, signed) = eval(inner, env)?;
+            let (v, t) = eval_typed(inner, env)?;
             let v = match op {
                 UnaryOp::Not => !&v,
                 UnaryOp::LogNot => Bits::from_bool(v.is_zero()),
@@ -53,15 +53,13 @@ fn eval(expr: &Expr, env: &ConstEnv) -> Result<(Bits, bool), DataflowError> {
                 UnaryOp::RedXor => Bits::from_bool(v.reduce_xor()),
                 UnaryOp::RedXnor => Bits::from_bool(!v.reduce_xor()),
             };
-            (v, signed && matches!(op, UnaryOp::Neg | UnaryOp::Not))
+            (v, Ty::unary(*op, t))
         }
         Expr::Binary(op, l, r) => {
-            let (mut a, sa) = eval(l, env)?;
-            let (mut b, sb) = eval(r, env)?;
-            let shift = matches!(op, BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr);
-            let signed = sa && (sb || shift);
+            let (mut a, ta) = eval_typed(l, env)?;
+            let (mut b, tb) = eval_typed(r, env)?;
             let mut out = Bits::default();
-            if signed {
+            if Ty::signed_op(*op, ta, tb) {
                 apply_binary_signed_into(*op, &mut a, &mut b, &mut out);
             } else {
                 let op = match op {
@@ -70,61 +68,87 @@ fn eval(expr: &Expr, env: &ConstEnv) -> Result<(Bits, bool), DataflowError> {
                 };
                 apply_binary_into(op, &mut a, &mut b, &mut out);
             }
-            (out, signed && !op.is_boolean())
+            (out, Ty::binary(*op, ta, tb))
         }
         Expr::Ternary(c, t, f) => {
-            // Both arms are evaluated so the result carries the unified
-            // width max(|t|, |f|), matching the simulator's semantics.
+            // Both arms are evaluated so the result carries the ternary's
+            // width, as in the simulator.
             let cond = eval_const(c, env)?;
-            let (tv, st) = eval(t, env)?;
-            let (fv, sf) = eval(f, env)?;
-            let w = tv.width().max(fv.width());
-            let v = if cond.to_bool() { tv.resize(w) } else { fv.resize(w) };
-            (v, st && sf)
+            let (tv, tt) = eval_typed(t, env)?;
+            let (fv, tf) = eval_typed(f, env)?;
+            let ty = Ty::ternary(tt, tf);
+            let v = if cond.to_bool() { tv } else { fv };
+            (v.resize(ty.width), ty)
         }
-        Expr::WidthCast(w, inner) => (eval_const(inner, env)?.resize(*w), false),
-        Expr::SignCast(signed, inner) => (eval_const(inner, env)?, *signed),
+        Expr::WidthCast(w, inner) => (eval_const(inner, env)?.resize(*w), Ty::unsigned(*w)),
+        Expr::SignCast(signed, inner) => {
+            let (v, t) = eval_typed(inner, env)?;
+            (v, Ty::sign_cast(*signed, t))
+        }
         Expr::Concat(parts) => {
-            let mut acc: Option<Bits> = None;
+            let (mut acc, mut ty) = (None::<Bits>, Ty::unsigned(0));
             for p in parts {
-                let v = eval_const(p, env)?;
+                let (v, t) = eval_typed(p, env)?;
+                ty = ty.concat(t).map_err(|_| {
+                    DataflowError::BadRange(format!("a concatenation over {} bits", u32::MAX))
+                })?;
                 acc = Some(match acc {
                     None => v,
                     Some(hi) => hi.concat(&v),
                 });
             }
             let v = acc.ok_or_else(|| DataflowError::NotConstant("empty concat".into()))?;
-            (v, false)
+            (v, ty)
         }
         Expr::Repeat(n, body) => {
             let count = eval_const(n, env)?.to_u64();
             if count == 0 {
                 return Err(DataflowError::NotConstant("zero replication".into()));
             }
-            let body = eval_const(body, env)?;
-            let total = count.saturating_mul(u64::from(body.width()));
-            if total > u64::from(MAX_WIDTH) {
-                return Err(DataflowError::BadRange(format!(
+            let (body, t) = eval_typed(body, env)?;
+            let ty = Ty::repeat(count, t).ok().filter(|t| t.width <= MAX_WIDTH).ok_or_else(|| {
+                let total = count.saturating_mul(u64::from(t.width));
+                DataflowError::BadRange(format!(
                     "replication produces {total} bits (limit {MAX_WIDTH})"
-                )));
-            }
-            (body.repeat(count as u32), false)
+                ))
+            })?;
+            (body.repeat(count as u32), ty)
         }
         // A select of a parameter is constant (IEEE 1364-2005 §5.2.1);
         // one of a signal names it, the part that varies.
         Expr::Index(n, idx) => {
             let v = env.get(n).ok_or_else(|| DataflowError::NotConstant(n.clone()))?;
-            (v.slice(shift_amount(&eval_const(idx, env)?), 1), false)
+            (v.slice(shift_amount(&eval_const(idx, env)?), 1), Ty::BIT)
         }
         Expr::Range(n, msb, lsb) => {
             let v = env.get(n).ok_or_else(|| DataflowError::NotConstant(n.clone()))?;
             let (m, l) = (eval_const(msb, env)?.to_u64(), eval_const(lsb, env)?.to_u64());
-            if l > m || m - l >= u64::from(MAX_WIDTH) {
-                return Err(DataflowError::BadRange(format!("`{n}[{m}:{l}]`")));
-            }
-            let v = v.slice(l.min(u64::from(u32::MAX)) as u32, (m - l + 1) as u32);
-            (v, false)
+            let ty = Ty::range(m, l)
+                .ok()
+                .filter(|t| t.width <= MAX_WIDTH)
+                .ok_or_else(|| DataflowError::BadRange(format!("`{n}[{m}:{l}]`")))?;
+            let v = v.slice(l.min(u64::from(u32::MAX)) as u32, ty.width);
+            (v, ty)
         }
+    })
+}
+
+/// Fits a parameter's folded value `v`, of type `ty`, to its declared
+/// `range` (folded in `env`) by the assignment rule of [`Ty::fit`]: a
+/// signed value sign-extends. Without a range the value is kept.
+///
+/// # Errors
+///
+/// As [`range_width`].
+pub fn sized_param(
+    v: Bits,
+    ty: Ty,
+    range: &Option<(Expr, Expr)>,
+    env: &ConstEnv,
+) -> Result<Bits, DataflowError> {
+    Ok(match range {
+        None => v,
+        Some(_) => ty.fit(&v, range_width(range, env)?),
     })
 }
 

@@ -2,12 +2,13 @@
 //! by the simulator, the resource estimator, and the debugging tools.
 
 use crate::blackbox::{BbDir, BlackboxLib};
-use crate::consteval::{eval_const, range_width, ConstEnv};
+use crate::consteval::{eval_const, eval_typed, range_width, sized_param, ConstEnv};
 use crate::flatten::{expr_to_lvalue, flatten};
 use crate::guard;
 use crate::index::DesignIndex;
 use crate::intern::{SigId, SignalTable};
 use crate::prop::PropGraph;
+use crate::ty::{lvalue_width, ty, Scope, Ty, WidthError};
 use crate::DataflowError;
 use hwdbg_bits::Bits;
 use hwdbg_rtl::{
@@ -15,22 +16,6 @@ use hwdbg_rtl::{
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
-
-/// Why [`Design::width_of`] could not compute an expression's width.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WidthError {
-    /// A name that is neither a signal nor a constant of the design.
-    UnknownName(String),
-    /// A part-select bound or replication count that is not constant.
-    NonConstBound,
-    /// A part-select whose constant bounds are reversed (`lsb > msb`).
-    ReversedRange {
-        /// The value written in the msb position.
-        msb: u64,
-        /// The (larger) value written in the lsb position.
-        lsb: u64,
-    },
-}
 
 /// Role of a signal in the resolved design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,113 +295,18 @@ impl Design {
         }
     }
 
-    /// Computes the static width of an expression in this design, following
-    /// Verilog's pragmatic rules: binary arithmetic/bitwise take the wider
-    /// operand, comparisons and logical operators are 1 bit, shifts keep the
-    /// left width. Returns `None` for unknown names or non-constant or
-    /// reversed bounds; [`width_of`](Self::width_of) says which.
+    /// The width of an expression in this design, by [`ty()`](crate::ty());
+    /// `None` for unknown names and for non-constant or reversed bounds.
+    /// [`resolve`] refuses those, so on any expression of the design's own
+    /// drivers this is the one static width.
     pub fn expr_width(&self, e: &Expr) -> Option<u32> {
-        self.width_of(e).ok()
+        ty(e, self).ok().map(|t| t.width)
     }
 
-    /// [`expr_width`](Self::expr_width) with the reason it failed.
-    /// [`resolve`] refuses non-constant and reversed bounds and counts, so
-    /// on any expression of the design's own drivers this is the one
-    /// static width.
-    ///
-    /// # Errors
-    ///
-    /// The first unknown name, non-constant bound or replication count, or
-    /// reversed part-select met in evaluation order.
-    pub fn width_of(&self, e: &Expr) -> Result<u32, WidthError> {
-        use hwdbg_rtl::{BinaryOp, UnaryOp};
-        let constant = |b: &Expr| {
-            eval_const(b, &self.consts)
-                .map(|v| v.to_u64())
-                .map_err(|_| WidthError::NonConstBound)
-        };
-        Ok(match e {
-            Expr::Literal { value, .. } => value.width(),
-            Expr::Ident(n) => {
-                if let Some(sig) = self.signal(n) {
-                    sig.width
-                } else if let Some(c) = self.consts.get(n) {
-                    c.width()
-                } else {
-                    return Err(WidthError::UnknownName(n.clone()));
-                }
-            }
-            Expr::Unary(op, inner) => match op {
-                UnaryOp::Not | UnaryOp::Neg => self.width_of(inner)?,
-                _ => 1,
-            },
-            Expr::Binary(op, l, r) => {
-                if op.is_boolean() {
-                    1
-                } else if matches!(op, BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr) {
-                    self.width_of(l)?
-                } else {
-                    self.width_of(l)?.max(self.width_of(r)?)
-                }
-            }
-            Expr::Ternary(_, t, f) => self.width_of(t)?.max(self.width_of(f)?),
-            Expr::Index(n, _) => match self.signal(n) {
-                Some(sig) if sig.mem_depth.is_some() => sig.width,
-                Some(_) => 1,
-                None if self.consts.contains_key(n) => 1,
-                None => return Err(WidthError::UnknownName(n.clone())),
-            },
-            Expr::Range(_, msb, lsb) => {
-                let m = constant(msb)?;
-                let l = constant(lsb)?;
-                if l > m {
-                    return Err(WidthError::ReversedRange { msb: m, lsb: l });
-                }
-                (m - l + 1) as u32
-            }
-            Expr::Concat(parts) => {
-                let mut sum = 0;
-                for p in parts {
-                    sum += self.width_of(p)?;
-                }
-                sum
-            }
-            Expr::Repeat(n, body) => constant(n)? as u32 * self.width_of(body)?,
-            Expr::WidthCast(w, _) => *w,
-            Expr::SignCast(_, inner) => self.width_of(inner)?,
-        })
-    }
-
-    /// Width of an lvalue (sum of part widths for concatenations); `None`
-    /// for unknown names and for non-constant or reversed part-select
-    /// bounds.
+    /// Width of an lvalue ([`lvalue_width`]); `None` for unknown names and
+    /// for non-constant or reversed part-select bounds.
     pub fn lvalue_width(&self, lv: &LValue) -> Option<u32> {
-        Some(match lv {
-            LValue::Id(n) => self.signal(n)?.width,
-            LValue::Index(n, _) => {
-                let sig = self.signal(n)?;
-                if sig.mem_depth.is_some() {
-                    sig.width
-                } else {
-                    1
-                }
-            }
-            LValue::Range(_, msb, lsb) => {
-                let m = eval_const(msb, &self.consts).ok()?.to_u64();
-                let l = eval_const(lsb, &self.consts).ok()?.to_u64();
-                if l > m {
-                    return None;
-                }
-                (m - l + 1) as u32
-            }
-            LValue::Concat(parts) => {
-                let mut sum = 0;
-                for p in parts {
-                    sum += self.lvalue_width(p)?;
-                }
-                sum
-            }
-        })
+        lvalue_width(lv, self).ok()
     }
 
     /// Non-fatal diagnostics about the resolved design: currently, a
@@ -464,6 +354,25 @@ impl Design {
     }
 }
 
+/// A design's names are its signals, then its constants.
+impl Scope for Design {
+    fn name(&self, name: &str) -> Result<Ty, WidthError> {
+        self.signal(name).map_or_else(|| self.consts.name(name), |sig| Ok(sig.ty()))
+    }
+
+    fn element(&self, name: &str) -> Result<Ty, WidthError> {
+        self.signal(name).map_or_else(|| self.consts.element(name), |sig| Ok(sig.element_ty()))
+    }
+
+    fn constant(&self, e: &Expr) -> Result<u64, WidthError> {
+        self.consts.constant(e)
+    }
+
+    fn exact(&self) -> &dyn Scope {
+        self
+    }
+}
+
 /// Flattens and resolves `top` in one step.
 ///
 /// # Errors
@@ -496,10 +405,8 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
     let mut consts = ConstEnv::new();
     for item in &flat.items {
         if let Item::Param(p) | Item::Localparam(p) = item {
-            let mut v = eval_const(&p.value, &consts)?;
-            if p.range.is_some() {
-                v = v.resize(range_width(&p.range, &consts)?);
-            }
+            let (v, t) = eval_typed(&p.value, &consts)?;
+            let v = sized_param(v, t, &p.range, &consts)?;
             consts.insert(p.name.clone(), v);
         }
     }

@@ -7,14 +7,14 @@
 //! IP instances are preserved as instances.
 
 use crate::blackbox::BlackboxLib;
-use crate::consteval::{eval_const, ConstEnv};
+use crate::consteval::{eval_const, eval_typed, sized_param, ConstEnv};
 use crate::rewrite::{rewrite_expr, rewrite_lvalue, rewrite_stmt, Repl};
 use crate::DataflowError;
 use hwdbg_bits::Bits;
 use hwdbg_rtl::{
     Dir, Expr, Instance, Item, LValue, Module, NetDecl, Param, SourceFile,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
 const MAX_DEPTH: usize = 64;
@@ -87,10 +87,12 @@ pub fn flatten(
     })
 }
 
+/// A folded parameter value as a literal: unsigned, as a parameter name
+/// reads ([`Ty::param`](crate::Ty::param)).
 fn const_expr(v: &Bits) -> Expr {
     Expr::Literal {
         value: v.clone(),
-        sized: true,
+        signed: false,
     }
 }
 
@@ -219,17 +221,9 @@ impl<'a> Flattener<'a> {
             match item {
                 Item::Param(p) | Item::Localparam(p) => {
                     let v = (|| {
-                        let v = eval_const(
-                            &rewrite_expr(&p.value, &|n| scope.rename(n))?,
-                            &scope.merged,
-                        )?;
-                        Ok::<Bits, DataflowError>(match &p.range {
-                            Some(_) => {
-                                let w = crate::consteval::range_width(&p.range, &scope.env)?;
-                                v.resize(w)
-                            }
-                            None => v,
-                        })
+                        let value = rewrite_expr(&p.value, &|n| scope.rename(n))?;
+                        let (v, t) = eval_typed(&value, &scope.merged)?;
+                        sized_param(v, t, &p.range, &scope.env)
                     })()
                     .map_err(|e| e.at(p.span))?;
                     scope.bind(p.name.clone(), v.clone());
@@ -312,26 +306,20 @@ impl<'a> Flattener<'a> {
     ) -> Result<(), DataflowError> {
         let rename = |n: &str| scope.rename(n);
         // Evaluate parameter overrides in the parent scope.
-        let mut overrides = ConstEnv::new();
+        let mut overrides = BTreeMap::new();
         for (name, value) in &inst.params {
-            let folded = eval_const(&rewrite_expr(value, &rename)?, &scope.merged)?;
+            let folded = eval_typed(&rewrite_expr(value, &rename)?, &scope.merged)?;
             overrides.insert(name.clone(), folded);
         }
         if let Some(child) = self.file.module(&inst.module) {
             // RTL child: bind parameters (override or default), then recurse.
             let mut child_env = ConstEnv::new();
             for p in &child.params {
-                let v = match overrides.remove(&p.name) {
-                    Some(v) => v,
-                    None => eval_const(&p.value, &child_env)?,
+                let (v, t) = match overrides.remove(&p.name) {
+                    Some(folded) => folded,
+                    None => eval_typed(&p.value, &child_env)?,
                 };
-                let v = match &p.range {
-                    Some(_) => {
-                        let w = crate::consteval::range_width(&p.range, &child_env)?;
-                        v.resize(w)
-                    }
-                    None => v,
-                };
+                let v = sized_param(v, t, &p.range, &child_env)?;
                 child_env.insert(p.name.clone(), v);
             }
             if let Some((name, _)) = overrides.into_iter().next() {
@@ -422,7 +410,7 @@ impl<'a> Flattener<'a> {
                     .params
                     .iter()
                     .map(|(n, _)| {
-                        let v = overrides.get(n).ok_or_else(|| {
+                        let (v, _) = overrides.get(n).ok_or_else(|| {
                             DataflowError::UnknownParam(inst.module.clone(), n.clone())
                         })?;
                         Ok((n.clone(), const_expr(v)))

@@ -43,15 +43,15 @@ pub mod intern;
 pub mod prop;
 pub mod rewrite;
 pub mod scc;
+pub mod ty;
 
 pub use blackbox::{BbDir, BbPort, BlackboxLib, BlackboxSpec, IpRelation, NoBlackboxes, WidthSpec, clog2};
 pub use consteval::{
-    apply_binary_into, apply_binary_signed_into, eval_const, range_width, shift_amount,
-    signed_magnitudes, ConstEnv,
+    apply_binary_into, apply_binary_signed_into, eval_const, eval_typed, range_width,
+    shift_amount, signed_magnitudes, sized_param, ConstEnv,
 };
 pub use design::{
     elaborate, resolve, BbInst, ClockedProc, CombDriver, Design, SigInfo, SigKind, Signals,
-    WidthError,
 };
 pub use index::DesignIndex;
 pub use intern::{SigId, SignalTable};
@@ -60,6 +60,7 @@ pub use guard::{cond_leaves, CondLeaf};
 pub use prop::{BuildStats, DepKind, PropGraph, Relation};
 pub use rewrite::{rewrite_expr, rewrite_lvalue, rewrite_stmt, Repl};
 pub use scc::tarjan_scc;
+pub use ty::{lvalue_width, ty, Scope, Ty, WidthError};
 
 use std::fmt;
 

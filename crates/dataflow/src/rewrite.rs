@@ -80,7 +80,7 @@ pub fn rewrite_expr(
 fn fold_select(n: &str, value: Expr, select: Expr) -> Result<Expr, DataflowError> {
     let env = ConstEnv::from([(n.to_owned(), eval_const(&value, &ConstEnv::new())?)]);
     match (eval_const(&select, &env), select) {
-        (Ok(v), _) => Ok(Expr::Literal { value: v, sized: true }),
+        (Ok(v), _) => Ok(Expr::Literal { value: v, signed: false }),
         (Err(DataflowError::NotConstant(_)), Expr::Index(_, idx)) => Ok(Expr::WidthCast(
             1,
             Box::new(Expr::Binary(BinaryOp::Shr, Box::new(value), idx)),

@@ -513,8 +513,8 @@ endmodule";
                 })
                 .unwrap()
         };
-        assert_eq!(d.width_of(&rhs("y")), Ok(7), "{head}");
-        assert_eq!(d.width_of(&rhs("z")), Ok(8), "{head}");
-        assert_eq!(d.width_of(&rhs("q")), Ok(1), "{head}");
+        assert_eq!(d.expr_width(&rhs("y")), Some(7), "{head}");
+        assert_eq!(d.expr_width(&rhs("z")), Some(8), "{head}");
+        assert_eq!(d.expr_width(&rhs("q")), Some(1), "{head}");
     }
 }

@@ -5,7 +5,7 @@
 use crate::analysis;
 use crate::{LintPass, LintSink};
 use hwdbg_dataflow::guard::{self, Guard};
-use hwdbg_dataflow::Design;
+use hwdbg_dataflow::{eval_typed, Design};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{Expr, Span, Stmt};
 use hwdbg_tools::FsmMonitor;
@@ -125,9 +125,9 @@ impl LintPass for FsmLintPass {
                     if matches!(rhs, Expr::Ident(n) if n == state) {
                         return;
                     }
-                    match analysis::const_value(rhs, design) {
-                        Some(v) if v.width() <= 64 => sites.push(Site {
-                            value: v.resize(fsm.width).to_u64(),
+                    match eval_typed(rhs, &design.consts).ok() {
+                        Some((v, ty)) if v.width() <= 64 => sites.push(Site {
+                            value: ty.fit(&v, fsm.width).to_u64(),
                             in_reset: resets.in_reset(guards),
                             arm: arm_ctx(guards, state, fsm.width, design),
                         }),

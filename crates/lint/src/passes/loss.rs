@@ -9,7 +9,7 @@ use crate::analysis::{self, ident_leaf, leaf_key, FlagWrite};
 use crate::{LintPass, LintSink};
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::guard::{self, Guard};
-use hwdbg_dataflow::{Design, SigId};
+use hwdbg_dataflow::{eval_typed, Design, SigId};
 use hwdbg_diag::{ErrorCode, HwdbgError};
 use hwdbg_rtl::{LValue, Span, Stmt};
 use std::collections::{BTreeMap, BTreeSet};
@@ -284,12 +284,12 @@ impl LintPass for ReinitPass {
                     }
                 }
                 let in_reset = resets.in_reset(guards);
-                let cval = analysis::const_value(rhs, design).and_then(|v| {
+                let cval = eval_typed(rhs, &design.consts).ok().and_then(|(v, ty)| {
                     let w = match lhs {
                         LValue::Id(n) => design.signal(n)?.width,
                         _ => return None,
                     };
-                    Some(v.resize(w))
+                    Some(ty.fit(&v, w))
                 });
                 if in_reset {
                     // Only direct `if (rst)` members define the reset

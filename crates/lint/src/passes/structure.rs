@@ -2,9 +2,10 @@
 
 use crate::analysis::significant_bits;
 use crate::{LintPass, LintSink};
-use hwdbg_dataflow::{guard, tarjan_scc, Design};
+use hwdbg_bits::Bits;
+use hwdbg_dataflow::{guard, tarjan_scc, ty, Design, Scope, Ty, WidthError};
 use hwdbg_diag::{ErrorCode, HwdbgError};
-use hwdbg_rtl::{print_lvalue, BinaryOp, Expr, Stmt, UnaryOp};
+use hwdbg_rtl::{print_lvalue, Expr, Stmt};
 
 /// `L0201`: a cycle among combinational drivers. The simulator's settling
 /// loop will hit its iteration cap at runtime; hardware oscillates or
@@ -150,36 +151,43 @@ impl LintPass for WidthTruncationPass {
 }
 
 /// Effective (value-carrying) width of an expression, or `None` when it
-/// cannot be determined.
+/// cannot be determined: its type's width, with unsized decimals and
+/// parameters counting only their significant bits.
 fn eff_width(design: &Design, e: &Expr) -> Option<u32> {
-    match e {
-        Expr::Literal { value, sized } => Some(if *sized {
-            value.width()
-        } else {
-            significant_bits(value)
-        }),
-        Expr::Ident(n) => design
-            .signal(n)
-            .map(|s| s.width)
-            .or_else(|| design.consts.get(n).map(significant_bits)),
-        Expr::Unary(op, inner) => match op {
-            UnaryOp::Not | UnaryOp::Neg => eff_width(design, inner),
-            _ => Some(1),
-        },
-        Expr::Binary(op, a, b) => {
-            if op.is_boolean() {
-                Some(1)
-            } else {
-                match op {
-                    BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr => eff_width(design, a),
-                    _ => Some(eff_width(design, a)?.max(eff_width(design, b)?)),
-                }
-            }
+    ty(e, &Significant(design)).ok().map(|t| t.width)
+}
+
+/// A design's names, with signed literals (the unsized decimals) and
+/// parameters measured by their significant bits. Concatenation parts
+/// keep their exact widths.
+struct Significant<'a>(&'a Design);
+
+impl Scope for Significant<'_> {
+    fn literal(&self, value: &Bits, signed: bool) -> Ty {
+        let exact = Ty::literal(value, signed);
+        match signed {
+            true => Ty { width: significant_bits(value), ..exact },
+            false => exact,
         }
-        Expr::Ternary(_, t, f) => Some(eff_width(design, t)?.max(eff_width(design, f)?)),
-        Expr::SignCast(_, inner) => eff_width(design, inner),
-        // Concats, repeats, selects, and casts are exact-width constructs;
-        // the design's width rules are already the effective width.
-        _ => design.expr_width(e),
+    }
+
+    fn name(&self, name: &str) -> Result<Ty, WidthError> {
+        if let Some(sig) = self.0.signal(name) {
+            return Ok(sig.ty());
+        }
+        let c = self.0.consts.get(name).ok_or_else(|| WidthError::UnknownName(name.to_owned()))?;
+        Ok(Ty { width: significant_bits(c), ..Ty::param(c) })
+    }
+
+    fn element(&self, name: &str) -> Result<Ty, WidthError> {
+        self.0.element(name)
+    }
+
+    fn constant(&self, e: &Expr) -> Result<u64, WidthError> {
+        self.0.constant(e)
+    }
+
+    fn exact(&self) -> &dyn Scope {
+        self.0
     }
 }

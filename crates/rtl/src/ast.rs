@@ -517,13 +517,14 @@ impl BinaryOp {
 /// An expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
-    /// A numeric literal. `sized` records whether an explicit width was
-    /// written (`8'hFF`) or the Verilog 32-bit default applied (`42`).
+    /// A numeric literal: an unsized decimal (`42`, 32 bits) or a based
+    /// literal (`8'hFF`, `'b1010`, `8'sd3`).
     Literal {
         /// The constant value (its `width()` is authoritative).
         value: Bits,
-        /// Whether the source spelled an explicit width.
-        sized: bool,
+        /// Signed: an unsized decimal, or a based literal written with
+        /// `s` (IEEE 1364-2005 §3.5.1).
+        signed: bool,
     },
     /// A net, parameter, or genvar reference.
     Ident(String),
@@ -553,15 +554,15 @@ impl Expr {
     pub fn number(v: u64) -> Expr {
         Expr::Literal {
             value: Bits::from_u64(32, v),
-            sized: false,
+            signed: true,
         }
     }
 
-    /// A sized literal of explicit width.
+    /// An unsigned literal of explicit width.
     pub fn sized(width: u32, v: u64) -> Expr {
         Expr::Literal {
             value: Bits::from_u64(width, v),
-            sized: true,
+            signed: false,
         }
     }
 

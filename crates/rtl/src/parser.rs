@@ -842,10 +842,13 @@ impl Parser {
                 }
                 let value = Bits::parse_literal(&text)
                     .map_err(|e| ParseError::new(e.to_string(), self.span()))?;
-                Ok(Expr::Literal {
-                    value,
-                    sized: text.contains('\''),
-                })
+                // Unsized decimals are signed; a based literal only with
+                // an `s` (IEEE 1364-2005 §3.5.1).
+                let signed = match text.split_once('\'') {
+                    None => true,
+                    Some((_, base)) => base.starts_with(['s', 'S']),
+                };
+                Ok(Expr::Literal { value, signed })
             }
             Tok::Ident(_) => {
                 let name = self.bump_text();

@@ -269,11 +269,12 @@ pub fn print_lvalue(lv: &LValue) -> String {
 /// so precedence never changes on re-parse.
 pub fn print_expr(e: &Expr) -> String {
     match e {
-        Expr::Literal { value, sized } => {
-            if *sized || value.width() != 32 {
-                format!("{}'h{}", value.width(), value.to_hex_string())
-            } else {
+        Expr::Literal { value, signed } => {
+            if *signed && value.width() == 32 {
                 value.to_dec_string()
+            } else {
+                let s = if *signed { "s" } else { "" };
+                format!("{}'{s}h{}", value.width(), value.to_hex_string())
             }
         }
         Expr::Ident(n) => n.clone(),
@@ -378,6 +379,13 @@ mod tests {
         assert_eq!(print_expr(&Expr::number(42)), "42");
         let e = parse_expr("64'hdead_beef_cafe_f00d").unwrap();
         assert_eq!(print_expr(&e), "64'hdeadbeefcafef00d");
+        // A signed based literal keeps its `s`; a signed 32-bit one prints
+        // as the decimal that parses back to it.
+        for (src, printed) in [("8'sd3", "8'sh03"), ("'sh7f", "127"), ("'hff", "32'h000000ff")] {
+            let e = parse_expr(src).unwrap();
+            assert_eq!(print_expr(&e), printed, "{src}");
+            assert_eq!(parse_expr(printed).unwrap(), e, "{src}");
+        }
     }
 
     #[test]

@@ -271,13 +271,16 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ParseError> {
             });
             continue;
         }
-        // Number (possibly based: `8'hFF`, `'b1010`). A `'` NOT followed by
-        // a base character is left as punctuation so width casts like
-        // `42'(expr)` lex as Number("42"), Punct("'"), Punct("(").
+        // Number (possibly based: `8'hFF`, `'b1010`, signed `8'sd3`). A `'`
+        // NOT followed by a base character (after an optional `s`) is left
+        // as punctuation so width casts like `42'(expr)` lex as
+        // Number("42"), Punct("'"), Punct("(").
+        let is_base = |j: usize| {
+            matches!(bytes.get(j).map(u8::to_ascii_lowercase), Some(b'b' | b'o' | b'd' | b'h'))
+        };
+        let signed_at = |j: usize| usize::from(matches!(bytes.get(j), Some(b's' | b'S')));
         let is_based_tick = |j: usize| -> bool {
-            j + 1 < bytes.len()
-                && bytes[j] == b'\''
-                && matches!(bytes[j + 1].to_ascii_lowercase(), b'b' | b'o' | b'd' | b'h')
+            bytes.get(j) == Some(&b'\'') && is_base(j + 1 + signed_at(j + 1))
         };
         if c.is_ascii_digit() || is_based_tick(i) {
             let start = i;
@@ -292,10 +295,12 @@ pub fn lex(source: &str) -> Result<Vec<Token>, ParseError> {
                 j += 1;
             }
             if is_based_tick(j) {
-                i = j;
+                i = j + 1;
                 text.push('\'');
-                text.push(bytes[i + 1] as char);
-                i += 2;
+                for _ in 0..=signed_at(i) {
+                    text.push(bytes[i] as char);
+                    i += 1;
+                }
                 let mut any_digit = false;
                 while i < bytes.len()
                     && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
@@ -389,6 +394,10 @@ mod tests {
         assert_eq!(kinds("'b1010")[0], Tok::Number("'b1010".into()));
         assert_eq!(kinds("4 'd9")[0], Tok::Number("4'd9".into()));
         assert_eq!(kinds("12_3")[0], Tok::Number("12_3".into()));
+        assert_eq!(kinds("8'sd3")[0], Tok::Number("8'sd3".into()));
+        assert_eq!(kinds("4 'Sb1010")[0], Tok::Number("4'Sb1010".into()));
+        // `s` alone is no base: `'` stays punctuation.
+        assert_eq!(kinds("8's")[1], Tok::Punct("'"));
     }
 
     #[test]

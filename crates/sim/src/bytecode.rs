@@ -157,6 +157,8 @@ pub(crate) enum Op {
     Widen { dst: u16, src: u16, w: u32 },
     /// `w[dst] = w[src]` resized to `w` (zero-extend / truncate).
     WResizeFrom { dst: u16, src: u16, w: u32 },
+    /// `w[dst] = w[src]` sign-extended to `w`.
+    WSext { dst: u16, src: u16, w: u32 },
     /// Full binary dispatch at the operands' natural widths — exactly the
     /// tree-walker's `CExpr::Binary` arm, including the pooled-buffer
     /// `divmod_into` path for > 128-bit `/` and `%`.
@@ -339,25 +341,14 @@ fn too_large(resource: &'static str) -> SimError {
     SimError::UnitTooLarge { resource }
 }
 
-fn too_wide() -> SimError {
-    too_large("4294967295 bits in one value")
-}
-
 /// A shape compilation never produces reached the lowering.
 fn unlowerable(what: &str) -> SimError {
     SimError::Internal(format!("bytecode lowering met {what}"))
 }
 
-/// Lowers one unit body. `sig_width` is indexed by `SigId`, `mem_width`
-/// by memory slot.
-pub(crate) fn lower_unit(
-    body: &CStmt,
-    sig_width: &[u32],
-    mem_width: &[u32],
-) -> Lowered<BcProgram> {
+/// Lowers one unit body.
+pub(crate) fn lower_unit(body: &CStmt) -> Lowered<BcProgram> {
     let mut l = Lower {
-        sig_width,
-        mem_width,
         promoted: &[],
         ops: Vec::new(),
         displays: Vec::new(),
@@ -393,13 +384,9 @@ pub(crate) fn lower_region(
     bodies: &[&CStmt],
     n_promoted: usize,
     promoted: &[u32],
-    sig_width: &[u32],
-    mem_width: &[u32],
 ) -> Lowered<BcProgram> {
     let n_promoted = u16::try_from(n_promoted).map_err(|_| too_large("65535 registers"))?;
     let mut l = Lower {
-        sig_width,
-        mem_width,
         promoted,
         ops: Vec::new(),
         displays: Vec::new(),
@@ -422,8 +409,6 @@ pub(crate) fn lower_region(
 }
 
 struct Lower<'a> {
-    sig_width: &'a [u32],
-    mem_width: &'a [u32],
     /// Signal index → pinned narrow register, [`NO_PROMOTION`] otherwise.
     /// Empty for per-unit lowering.
     promoted: &'a [u32],
@@ -508,75 +493,39 @@ impl Lower<'_> {
         }
     }
 
-    /// Static result width of `e`, mirroring the tree-walker's *dynamic*
-    /// widths exactly. Fails only for a width beyond `u32`.
-    fn width_of(&self, e: &CExpr) -> Lowered<u32> {
-        Ok(match e {
-            CExpr::Const(v) => v.width(),
-            CExpr::Sig(id) => self.sig_width[id.index()],
-            CExpr::Unary(op, inner) => match op {
-                UnaryOp::Not | UnaryOp::Neg => self.width_of(inner)?,
-                _ => 1,
-            },
-            CExpr::Binary { op, a, b, .. } => {
-                if op.is_boolean() {
-                    1
-                } else if matches!(op, BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr) {
-                    self.width_of(a)?
-                } else {
-                    self.width_of(a)?.max(self.width_of(b)?)
-                }
-            }
-            CExpr::Ternary { width, .. } => *width,
-            CExpr::BitIndex { .. } => 1,
-            CExpr::MemIndex { slot, .. } => self.mem_width[*slot as usize],
-            CExpr::RangeSig { width, .. } => *width,
-            CExpr::Concat(parts) => {
-                let mut sum = 0u32;
-                for p in parts {
-                    sum = sum.checked_add(self.width_of(p)?).ok_or_else(too_wide)?;
-                }
-                sum
-            }
-            CExpr::Repeat { count, body } => {
-                count.checked_mul(self.width_of(body)?).ok_or_else(too_wide)?
-            }
-            CExpr::Resize(w, _) => *w,
-        })
-    }
-
     /// Lowers `e` into a register of the class its static width demands.
     fn expr(&mut self, e: &CExpr) -> Lowered<Src> {
-        let w = self.width_of(e)?;
+        let w = e.width();
         if w <= 64 {
-            self.expr_n(e, w).map(Src::N)
+            self.expr_n(e).map(Src::N)
         } else {
-            self.expr_w(e, w).map(Src::W)
+            self.expr_w(e).map(Src::W)
         }
     }
 
     /// Lowers `e` into a wide register at its natural width `w` (narrow
     /// values are zero-extended in — `resize_in_place` semantics).
-    fn wide_reg(&mut self, e: &CExpr, w: u32) -> Lowered<u16> {
+    fn wide_reg(&mut self, e: &CExpr) -> Lowered<u16> {
+        let w = e.width();
         if w <= 64 {
-            let r = self.expr_n(e, w)?;
+            let r = self.expr_n(e)?;
             let d = self.alloc_w()?;
             self.emit(Op::Widen { dst: d, src: r, w });
             Ok(d)
         } else {
-            self.expr_w(e, w)
+            self.expr_w(e)
         }
     }
 
     /// Lowers `e` and leaves its low 64 bits in a narrow register (index /
     /// shift-amount consumption: `Bits::to_u64` semantics).
     fn u64_reg(&mut self, e: &CExpr) -> Lowered<u16> {
-        let w = self.width_of(e)?;
+        let w = e.width();
         if w <= 64 {
-            self.expr_n(e, w)
+            self.expr_n(e)
         } else {
             let mark = self.next_n;
-            let s = self.expr_w(e, w)?;
+            let s = self.expr_w(e)?;
             let d = self.dst_n(mark)?;
             self.emit(Op::NarrowFromWide { dst: d, src: s, mask: u64::MAX });
             Ok(d)
@@ -586,12 +535,12 @@ impl Lower<'_> {
     /// Lowers `e` into a narrow register whose truthiness equals
     /// `Bits::to_bool` of the tree-walker's value.
     fn truth_reg(&mut self, e: &CExpr) -> Lowered<u16> {
-        let w = self.width_of(e)?;
+        let w = e.width();
         if w <= 64 {
-            self.expr_n(e, w)
+            self.expr_n(e)
         } else {
             let mark = self.next_n;
-            let s = self.expr_w(e, w)?;
+            let s = self.expr_w(e)?;
             let d = self.dst_n(mark)?;
             self.emit(Op::WTest { dst: d, src: s });
             Ok(d)
@@ -624,21 +573,20 @@ impl Lower<'_> {
         self.alloc_n()
     }
 
-    /// Lowers a narrow-width (≤ 64) expression; `w` is `width_of(e)`. The
-    /// result register stays allocated; every other narrow register the
-    /// expression used is released by the op that consumes the result
-    /// (see [`Lower::dst_n`]).
-    fn expr_n(&mut self, e: &CExpr, w: u32) -> Lowered<u16> {
+    /// Lowers a narrow-width (≤ 64) expression. The result register stays
+    /// allocated; every other narrow register the expression used is
+    /// released by the op that consumes the result (see [`Lower::dst_n`]).
+    fn expr_n(&mut self, e: &CExpr) -> Lowered<u16> {
         // A wide register a narrow expression uses is read by one of its
         // own ops, so it is dead once the expression is lowered.
         let mark_w = self.next_w;
-        let r = self.expr_n_ops(e, w)?;
+        let r = self.expr_n_ops(e)?;
         self.next_w = mark_w;
         Ok(r)
     }
 
-    fn expr_n_ops(&mut self, e: &CExpr, w: u32) -> Lowered<u16> {
-        debug_assert_eq!(self.width_of(e), Ok(w));
+    fn expr_n_ops(&mut self, e: &CExpr) -> Lowered<u16> {
+        let w = e.width();
         let mark = self.next_n;
         match e {
             CExpr::Const(v) => {
@@ -646,7 +594,7 @@ impl Lower<'_> {
                 self.emit(Op::LdConst { dst: d, imm: v.to_u64() });
                 Ok(d)
             }
-            CExpr::Sig(id) => {
+            CExpr::Sig { id, .. } => {
                 // Promoted signals live in a pinned register; the read is
                 // free (the register always holds the flushed value).
                 if let Some(p) = self.promoted_reg(*id) {
@@ -656,9 +604,9 @@ impl Lower<'_> {
                 self.emit(Op::LdSig { dst: d, sig: *id });
                 Ok(d)
             }
-            CExpr::Unary(op, inner) => match op {
+            CExpr::Unary { op, inner, .. } => match op {
                 UnaryOp::Not | UnaryOp::Neg => {
-                    let r = self.expr_n(inner, w)?;
+                    let r = self.expr_n(inner)?;
                     let d = self.dst_n(mark)?;
                     let m = mask_of(w);
                     self.emit(if matches!(op, UnaryOp::Not) {
@@ -669,9 +617,9 @@ impl Lower<'_> {
                     Ok(d)
                 }
                 _ => {
-                    let iw = self.width_of(inner)?;
+                    let iw = inner.width();
                     if iw <= 64 {
-                        let r = self.expr_n(inner, iw)?;
+                        let r = self.expr_n(inner)?;
                         let d = self.dst_n(mark)?;
                         self.emit(match op {
                             UnaryOp::LogNot => Op::LogNot { dst: d, src: r },
@@ -682,23 +630,23 @@ impl Lower<'_> {
                         });
                         Ok(d)
                     } else {
-                        let r = self.expr_w(inner, iw)?;
+                        let r = self.expr_w(inner)?;
                         let d = self.dst_n(mark)?;
                         self.emit(Op::WReduce { dst: d, src: r, op: *op });
                         Ok(d)
                     }
                 }
             },
-            CExpr::Binary { op, signed, a, b } => self.binary_n(*op, *signed, a, b, w),
+            CExpr::Binary { op, signed, a, b, .. } => self.binary_n(*op, *signed, a, b, w),
             CExpr::Ternary { cond, t, f, width } => {
-                let tw = self.width_of(t)?;
-                let fw = self.width_of(f)?;
+                let tw = t.width();
+                let fw = f.width();
                 let c = self.truth_reg(cond)?;
                 if tw <= 64 && fw <= 64 {
                     // All-narrow: evaluate both arms eagerly (expression
                     // ops are pure and infallible) and fuse into a mux.
-                    let rt = self.expr_n(t, tw)?;
-                    let rf = self.expr_n(f, fw)?;
+                    let rt = self.expr_n(t)?;
+                    let rf = self.expr_n(f)?;
                     let d = self.dst_n(mark)?;
                     self.emit(Op::Mux {
                         dst: d,
@@ -714,22 +662,22 @@ impl Lower<'_> {
                     // `width`, tree semantics).
                     let d = self.alloc_n()?;
                     let jz = self.emit(Op::Jz { src: c, target: u32::MAX });
-                    self.arm_into_n(t, tw, d, *width)?;
+                    self.arm_into_n(t, d, *width)?;
                     self.next_n = d + 1; // only one arm runs
                     let jend = self.emit(Op::Jmp { target: u32::MAX });
                     self.patch(jz);
-                    self.arm_into_n(f, fw, d, *width)?;
+                    self.arm_into_n(f, d, *width)?;
                     self.patch(jend);
                     Ok(d)
                 }
             }
-            CExpr::BitIndex { sig, width, idx } => {
+            CExpr::BitIndex { sig, sig_width, idx } => {
                 let i = self.u64_reg(idx)?;
                 let d = self.dst_n(mark)?;
-                self.emit(Op::LdBitIdx { dst: d, sig: *sig, width: *width, idx: i });
+                self.emit(Op::LdBitIdx { dst: d, sig: *sig, width: *sig_width, idx: i });
                 Ok(d)
             }
-            CExpr::MemIndex { slot, idx } => {
+            CExpr::MemIndex { slot, idx, .. } => {
                 let i = self.u64_reg(idx)?;
                 let d = self.dst_n(mark)?;
                 self.emit(Op::LdMem { dst: d, slot: *slot, idx: i });
@@ -745,39 +693,42 @@ impl Lower<'_> {
                 });
                 Ok(d)
             }
-            CExpr::Concat(parts) => {
+            CExpr::Concat { parts, .. } => {
                 let mut it = parts.iter();
                 let first = it.next().ok_or_else(|| unlowerable("an empty concat"))?;
-                let fw = self.width_of(first)?;
-                let mut acc = self.expr_n(first, fw)?;
+                let mut acc = self.expr_n(first)?;
                 for p in it {
-                    let pw = self.width_of(p)?;
-                    let rp = self.expr_n(p, pw)?;
+                    let pw = p.width();
+                    let rp = self.expr_n(p)?;
                     let d = self.dst_n(mark)?;
                     self.emit(Op::Concat2 { dst: d, hi: acc, lo: rp, lo_w: pw });
                     acc = d;
                 }
                 Ok(acc)
             }
-            CExpr::Repeat { count, body } => {
-                let bw = self.width_of(body)?;
-                let r = self.expr_n(body, bw)?;
+            CExpr::Repeat { count, body, .. } => {
+                let bw = body.width();
+                let r = self.expr_n(body)?;
                 let d = self.dst_n(mark)?;
                 self.emit(Op::RepeatN { dst: d, src: r, src_w: bw, n: *count });
                 Ok(d)
             }
-            CExpr::Resize(_, inner) => {
-                let iw = self.width_of(inner)?;
+            CExpr::Resize { signed, inner, .. } => {
+                let iw = inner.width();
                 if iw <= 64 {
-                    let r = self.expr_n(inner, iw)?;
+                    let r = self.expr_n(inner)?;
                     if iw == w {
                         return Ok(r);
                     }
                     let d = self.dst_n(mark)?;
-                    self.emit(Op::MaskTo { dst: d, src: r, mask: mask_of(w) });
+                    self.emit(if *signed {
+                        Op::Sext { dst: d, src: r, shift: 64 - iw, mask: mask_of(w) }
+                    } else {
+                        Op::MaskTo { dst: d, src: r, mask: mask_of(w) }
+                    });
                     Ok(d)
                 } else {
-                    let r = self.expr_w(inner, iw)?;
+                    let r = self.expr_w(inner)?;
                     let d = self.dst_n(mark)?;
                     self.emit(Op::NarrowFromWide { dst: d, src: r, mask: mask_of(w) });
                     Ok(d)
@@ -788,12 +739,12 @@ impl Lower<'_> {
 
     /// Lowers a ternary arm into an already-allocated narrow destination,
     /// truncating from the arm's natural width to the ternary width.
-    fn arm_into_n(&mut self, arm: &CExpr, aw: u32, dst: u16, w: u32) -> Lowered<()> {
-        if aw <= 64 {
-            let r = self.expr_n(arm, aw)?;
+    fn arm_into_n(&mut self, arm: &CExpr, dst: u16, w: u32) -> Lowered<()> {
+        if arm.width() <= 64 {
+            let r = self.expr_n(arm)?;
             self.emit(Op::MaskTo { dst, src: r, mask: mask_of(w) });
         } else {
-            let r = self.expr_w(arm, aw)?;
+            let r = self.expr_w(arm)?;
             self.emit(Op::NarrowFromWide { dst, src: r, mask: mask_of(w) });
         }
         Ok(())
@@ -811,12 +762,12 @@ impl Lower<'_> {
     ) -> Lowered<u16> {
         use BinaryOp::*;
         let mark = self.next_n;
-        let aw = self.width_of(a)?;
-        let bw = self.width_of(b)?;
+        let aw = a.width();
+        let bw = b.width();
         if op.is_boolean() {
             if aw > 64 || bw > 64 {
-                let wa = self.wide_reg(a, aw)?;
-                let wb = self.wide_reg(b, bw)?;
+                let wa = self.wide_reg(a)?;
+                let wb = self.wide_reg(b)?;
                 let d = self.dst_n(mark)?;
                 // Equal-width unsigned comparisons (including Eq/Ne, whose
                 // zero-extending semantics coincide at equal widths) take
@@ -832,8 +783,8 @@ impl Lower<'_> {
                 }
                 return Ok(d);
             }
-            let ra = self.expr_n(a, aw)?;
-            let rb = self.expr_n(b, bw)?;
+            let ra = self.expr_n(a)?;
+            let rb = self.expr_n(b)?;
             let d = self.dst_n(mark)?;
             match op {
                 LogAnd => {
@@ -868,7 +819,7 @@ impl Lower<'_> {
         // left operand.
         if matches!(op, Shl | Shr | AShr) {
             debug_assert_eq!(w, aw);
-            let ra = self.expr_n(a, aw)?;
+            let ra = self.expr_n(a)?;
             let amt = self.u64_reg(b)?;
             let d = self.dst_n(mark)?;
             self.emit(match op {
@@ -878,8 +829,8 @@ impl Lower<'_> {
             });
             return Ok(d);
         }
-        let ra = self.expr_n(a, aw)?;
-        let rb = self.expr_n(b, bw)?;
+        let ra = self.expr_n(a)?;
+        let rb = self.expr_n(b)?;
         let (xa, xb) = if signed {
             (self.sext_to(ra, aw, w)?, self.sext_to(rb, bw, w)?)
         } else {
@@ -902,44 +853,43 @@ impl Lower<'_> {
         Ok(d)
     }
 
-    /// Lowers a wide-width (> 64) expression; `w` is `width_of(e)`. The
-    /// destination is allocated before the operands, as a wide op may not
-    /// write a register it reads, and only it stays allocated: the
-    /// operands are dead once the op has run, so wide register use, like
-    /// narrow, grows with depth, not size.
-    fn expr_w(&mut self, e: &CExpr, w: u32) -> Lowered<u16> {
-        debug_assert_eq!(self.width_of(e), Ok(w));
+    /// Lowers a wide-width (> 64) expression. The destination is allocated
+    /// before the operands, as a wide op may not write a register it reads,
+    /// and only it stays allocated: the operands are dead once the op has
+    /// run, so wide register use, like narrow, grows with depth, not size.
+    fn expr_w(&mut self, e: &CExpr) -> Lowered<u16> {
         let d = self.alloc_w()?;
         let marks = self.marks();
-        self.wide_into(e, w, d)?;
+        self.wide_into(e, d)?;
         self.release(marks);
         Ok(d)
     }
 
-    fn wide_into(&mut self, e: &CExpr, w: u32, d: u16) -> Lowered<()> {
+    fn wide_into(&mut self, e: &CExpr, d: u16) -> Lowered<()> {
+        let w = e.width();
         match e {
             CExpr::Const(v) => {
                 let cidx = self.wconst_index()?;
                 self.wconsts.push(v.clone());
                 self.emit(Op::WLdConst { dst: d, cidx });
             }
-            CExpr::Sig(id) => {
+            CExpr::Sig { id, .. } => {
                 self.emit(Op::WLdSig { dst: d, sig: *id });
             }
-            CExpr::Unary(op, inner) => {
+            CExpr::Unary { op, inner, .. } => {
                 // Only Not/Neg can be wide; reductions land narrow.
-                let r = self.expr_w(inner, w)?;
+                let r = self.expr_w(inner)?;
                 self.emit(if matches!(op, UnaryOp::Not) {
                     Op::WNot { dst: d, src: r }
                 } else {
                     Op::WNeg { dst: d, src: r }
                 });
             }
-            CExpr::Binary { op, signed, a, b } => {
-                let aw = self.width_of(a)?;
-                let bw = self.width_of(b)?;
-                let wa = self.wide_reg(a, aw)?;
-                let wb = self.wide_reg(b, bw)?;
+            CExpr::Binary { op, signed, a, b, .. } => {
+                let aw = a.width();
+                let bw = b.width();
+                let wa = self.wide_reg(a)?;
+                let wb = self.wide_reg(b)?;
                 let fixed = matches!(
                     op,
                     BinaryOp::Add | BinaryOp::Sub | BinaryOp::And | BinaryOp::Or | BinaryOp::Xor
@@ -953,30 +903,28 @@ impl Lower<'_> {
                 }
             }
             CExpr::Ternary { cond, t, f, width } => {
-                let tw = self.width_of(t)?;
-                let fw = self.width_of(f)?;
                 let c = self.truth_reg(cond)?;
                 let jz = self.emit(Op::Jz { src: c, target: u32::MAX });
                 let marks = self.marks();
-                self.arm_into_w(t, tw, d, *width)?;
+                self.arm_into_w(t, d, *width)?;
                 self.release(marks);
                 let jend = self.emit(Op::Jmp { target: u32::MAX });
                 self.patch(jz);
-                self.arm_into_w(f, fw, d, *width)?;
+                self.arm_into_w(f, d, *width)?;
                 self.patch(jend);
             }
-            CExpr::MemIndex { slot, idx } => {
+            CExpr::MemIndex { slot, idx, .. } => {
                 let i = self.u64_reg(idx)?;
                 self.emit(Op::WLdMem { dst: d, slot: *slot, idx: i });
             }
             CExpr::RangeSig { sig, lo, .. } => {
                 self.emit(Op::WSliceSig { dst: d, sig: *sig, lo: *lo, w });
             }
-            CExpr::Concat(parts) => {
+            CExpr::Concat { parts, .. } => {
                 // Compilation refuses an empty concat. Each part's
                 // registers are dead once it is pushed.
                 for (i, p) in parts.iter().enumerate() {
-                    let pw = self.width_of(p)?;
+                    let pw = p.width();
                     let marks = self.marks();
                     let src = self.expr(p)?;
                     self.emit(match (src, i) {
@@ -988,12 +936,15 @@ impl Lower<'_> {
                     self.release(marks);
                 }
             }
-            CExpr::Repeat { count, body } => {
-                let bw = self.width_of(body)?;
-                let r = self.wide_reg(body, bw)?;
+            CExpr::Repeat { count, body, .. } => {
+                let r = self.wide_reg(body)?;
                 self.emit(Op::WRepeat { dst: d, src: r, n: *count });
             }
-            CExpr::Resize(_, inner) => {
+            CExpr::Resize { signed: true, inner, .. } => {
+                let r = self.wide_reg(inner)?;
+                self.emit(Op::WSext { dst: d, src: r, w });
+            }
+            CExpr::Resize { inner, .. } => {
                 let src = self.expr(inner)?;
                 self.emit(match src {
                     Src::N(r) => Op::Widen { dst: d, src: r, w },
@@ -1008,14 +959,14 @@ impl Lower<'_> {
 
     /// Lowers a ternary arm into an already-allocated wide destination at
     /// the ternary width `w` (resize semantics of the taken branch).
-    fn arm_into_w(&mut self, arm: &CExpr, aw: u32, dst: u16, w: u32) -> Lowered<()> {
-        if aw <= 64 {
-            let r = self.expr_n(arm, aw)?;
+    fn arm_into_w(&mut self, arm: &CExpr, dst: u16, w: u32) -> Lowered<()> {
+        if arm.width() <= 64 {
+            let r = self.expr_n(arm)?;
             // set_u64 at `w` zero-extends, exactly resize_in_place(w) of
             // a ≤64-bit value.
             self.emit(Op::Widen { dst, src: r, w });
         } else {
-            let r = self.expr_w(arm, aw)?;
+            let r = self.expr_w(arm)?;
             self.emit(Op::WResizeFrom { dst, src: r, w });
         }
         Ok(())
@@ -1041,11 +992,11 @@ impl Lower<'_> {
             CStmt::If { cond, then, els } => {
                 // Fuse `if (a == b)` / `if (a != b)` over narrow unsigned
                 // operands into a single compare-and-branch.
-                let jfalse = if let CExpr::Binary { op, signed: false, a, b } = cond {
-                    let (aw, bw) = (self.width_of(a)?, self.width_of(b)?);
+                let jfalse = if let CExpr::Binary { op, signed: false, a, b, .. } = cond {
+                    let (aw, bw) = (a.width(), b.width());
                     if matches!(op, BinaryOp::Eq | BinaryOp::Ne) && aw <= 64 && bw <= 64 {
-                        let ra = self.expr_n(a, aw)?;
-                        let rb = self.expr_n(b, bw)?;
+                        let ra = self.expr_n(a)?;
+                        let rb = self.expr_n(b)?;
                         self.emit(Op::JCmpF {
                             a: ra,
                             b: rb,
@@ -1098,7 +1049,7 @@ impl Lower<'_> {
                 // unit runs without a log sink.
                 let mut spec_args = Vec::with_capacity(args.len());
                 for (i, a) in args.iter().enumerate() {
-                    let w = self.width_of(a)?;
+                    let w = a.width();
                     let src = self.expr(a)?;
                     let signed = signs.get(i).copied().unwrap_or(false);
                     spec_args.push((src, w, signed));
@@ -1131,20 +1082,16 @@ impl Lower<'_> {
     }
 
     fn case(&mut self, sel: &CExpr, arms: &[CCaseArm], default: Option<&CStmt>) -> Lowered<()> {
-        let sel_w = self.width_of(sel)?;
-        let all_narrow = sel_w <= 64
-            && arms.iter().all(|arm| {
-                arm.labels
-                    .iter()
-                    .all(|l| matches!(self.width_of(l), Ok(w) if w <= 64))
-            });
+        let sel_w = sel.width();
+        let all_narrow =
+            sel_w <= 64 && arms.iter().all(|arm| arm.labels.iter().all(|l| l.width() <= 64));
         // Dispatch chain: per arm, per label (in order — first match
         // wins, preserving the tree-walker's lazy label evaluation order
         // for the side-effect-free label expressions), a jump to the arm
         // body; fall-through goes to the default (or the end).
         let mut arm_holes: Vec<Vec<usize>> = Vec::with_capacity(arms.len());
         if all_narrow {
-            let sreg = self.expr_n(sel, sel_w)?;
+            let sreg = self.expr_n(sel)?;
             for arm in arms {
                 let mut holes = Vec::with_capacity(arm.labels.len());
                 for label in &arm.labels {
@@ -1158,8 +1105,7 @@ impl Lower<'_> {
                         }));
                     } else {
                         let marks = self.marks();
-                        let lw = self.width_of(label)?;
-                        let lr = self.expr_n(label, lw)?;
+                        let lr = self.expr_n(label)?;
                         holes.push(self.emit(Op::JEq {
                             a: sreg,
                             b: lr,
@@ -1171,13 +1117,12 @@ impl Lower<'_> {
                 arm_holes.push(holes);
             }
         } else {
-            let ws = self.wide_reg(sel, sel_w)?;
+            let ws = self.wide_reg(sel)?;
             for arm in arms {
                 let mut holes = Vec::with_capacity(arm.labels.len());
                 for label in &arm.labels {
                     let marks = self.marks();
-                    let lw = self.width_of(label)?;
-                    let wl = self.wide_reg(label, lw)?;
+                    let wl = self.wide_reg(label)?;
                     let t = self.alloc_n()?;
                     // Eq is non-mutating (eq_zero_ext), so the sel
                     // register survives across labels.
@@ -1308,7 +1253,7 @@ impl Lower<'_> {
             Slice { id: SigId, lo: u32, w: u32 },
         }
         // Rhs first (tree order), resized to the concat total.
-        let rw = self.width_of(rhs)?;
+        let rw = rhs.width();
         let rt = if total <= 64 {
             match self.expr(rhs)? {
                 Src::N(r) => {
@@ -1744,6 +1689,14 @@ pub(crate) fn run(prog: &BcProgram, exec: &mut CExec<'_>) -> Result<Flow, SimErr
                 let s = take_w(exec, src);
                 let mut d = take_w(exec, dst);
                 d.assign_resized(&s, w);
+                put_w(exec, dst, d);
+                put_w(exec, src, s);
+            }
+            Op::WSext { dst, src, w } => {
+                let s = take_w(exec, src);
+                let mut d = take_w(exec, dst);
+                d.assign_from(&s);
+                d.resize_signed_in_place(w);
                 put_w(exec, dst, d);
                 put_w(exec, src, s);
             }

@@ -20,52 +20,65 @@
 //! interpreter; `crates/sim/tests/compiled_equivalence.rs` holds the
 //! differential proof against full-pass settling.
 
-use crate::eval::{binary_into, effective_mem_addr, expr_width};
+use crate::eval::{binary_into, effective_mem_addr};
 use crate::state::{SimState, NOT_A_MEM};
 use crate::{LogRecord, SimError};
 use hwdbg_bits::Bits;
-use hwdbg_dataflow::{Design, SigId, SigInfo};
+use hwdbg_dataflow::{Design, Scope, SigId, SigInfo, Ty};
 use hwdbg_rtl::{BinaryOp, Expr, LValue, Stmt, UnaryOp};
 
 /// A compiled expression: all names resolved, all static facts inlined.
+/// Every node records the width its type gives it ([`CExpr::width`]), so
+/// the bytecode lowering reads widths instead of re-deriving them.
 #[derive(Debug, Clone)]
 pub(crate) enum CExpr {
     /// A literal or folded parameter value.
     Const(Bits),
     /// An interned scalar signal read.
-    Sig(SigId),
-    Unary(UnaryOp, Box<CExpr>),
+    Sig { id: SigId, width: u32 },
+    Unary { op: UnaryOp, width: u32, inner: Box<CExpr> },
     Binary {
         op: BinaryOp,
-        /// Precomputed: both operands are signed in the source design.
+        /// The operator evaluates signed ([`Ty::signed_op`]).
         signed: bool,
+        width: u32,
         a: Box<CExpr>,
         b: Box<CExpr>,
     },
-    Ternary {
-        cond: Box<CExpr>,
-        t: Box<CExpr>,
-        f: Box<CExpr>,
-        /// Precomputed static width of the whole ternary.
-        width: u32,
-    },
-    /// Single-bit select of a scalar signal.
-    BitIndex {
-        sig: SigId,
-        width: u32,
-        idx: Box<CExpr>,
-    },
+    Ternary { cond: Box<CExpr>, t: Box<CExpr>, f: Box<CExpr>, width: u32 },
+    /// Single-bit select of a scalar signal `sig_width` bits wide.
+    BitIndex { sig: SigId, sig_width: u32, idx: Box<CExpr> },
     /// Memory element read (slot pre-resolved).
-    MemIndex { slot: u32, idx: Box<CExpr> },
+    MemIndex { slot: u32, width: u32, idx: Box<CExpr> },
     /// Part select `[lo +: width]` of a scalar signal. `resolve` proves
     /// every bound constant, so the shape is fixed at compile time (a
     /// select of a parameter folds to a [`CExpr::Const`]).
     RangeSig { sig: SigId, lo: u32, width: u32 },
-    Concat(Vec<CExpr>),
+    Concat { width: u32, parts: Vec<CExpr> },
     /// `{count{body}}`; `resolve` proves the count constant and nonzero.
-    Repeat { count: u32, body: Box<CExpr> },
-    /// Width cast (`W'(expr)`).
-    Resize(u32, Box<CExpr>),
+    Repeat { count: u32, width: u32, body: Box<CExpr> },
+    /// A width cast (`W'(expr)`), or a signed right-hand side extended to
+    /// its assignment's width (`signed`).
+    Resize { width: u32, signed: bool, inner: Box<CExpr> },
+}
+
+impl CExpr {
+    /// The static width of this node's value.
+    pub(crate) fn width(&self) -> u32 {
+        match self {
+            CExpr::Const(v) => v.width(),
+            CExpr::BitIndex { .. } => 1,
+            CExpr::Sig { width, .. }
+            | CExpr::Unary { width, .. }
+            | CExpr::Binary { width, .. }
+            | CExpr::Ternary { width, .. }
+            | CExpr::MemIndex { width, .. }
+            | CExpr::RangeSig { width, .. }
+            | CExpr::Concat { width, .. }
+            | CExpr::Repeat { width, .. }
+            | CExpr::Resize { width, .. } => *width,
+        }
+    }
 }
 
 /// A compiled assignment destination.
@@ -137,8 +150,8 @@ pub(crate) enum CStmt {
     Display {
         format: String,
         args: Vec<CExpr>,
-        /// Per-argument signedness (by [`Ctx::typed`] at compile time), so
-        /// `%d` renders two's-complement values.
+        /// Per-argument signedness (from each argument's type), so `%d`
+        /// renders two's-complement values.
         signs: Vec<bool>,
     },
     Finish,
@@ -374,18 +387,13 @@ impl<'a> Ctx<'a> {
         Ok(self.typed(e)?.0)
     }
 
-    /// Compiles `e` and reports whether it is signed: a declared-signed
-    /// identifier, an unsized decimal literal or `$signed(...)`; `-`/`~`
-    /// and non-boolean binary operators and ternaries keep the sign only
-    /// when every operand is signed (a shift only when its left operand
-    /// is), and everything else is unsigned. Computed bottom-up in the
-    /// same pass that compiles `e`.
-    fn typed(&self, e: &Expr) -> Result<(CExpr, bool), SimError> {
+    /// Compiles `e` with its type, taken from the combinators of
+    /// [`hwdbg_dataflow::ty()`] bottom-up in the same pass.
+    fn typed(&self, e: &Expr) -> Result<(CExpr, Ty), SimError> {
         Ok(match e {
-            // An unsized literal with no base is a signed decimal (IEEE
-            // 1364-2005 §3.5.1); the parser marks exactly the literals
-            // without a `'` unsized.
-            Expr::Literal { value, sized } => (CExpr::Const(value.clone()), !sized),
+            Expr::Literal { value, signed } => {
+                (CExpr::Const(value.clone()), Ty::literal(value, *signed))
+            }
             Expr::Ident(n) => {
                 if let Some((id, sig)) = self.signal(n) {
                     if sig.mem_depth.is_some() {
@@ -393,51 +401,39 @@ impl<'a> Ctx<'a> {
                         // interpreter; reject them at compile time.
                         return Err(SimError::UnknownSignal(n.clone()));
                     }
-                    (CExpr::Sig(id), sig.signed)
+                    (CExpr::Sig { id, width: sig.width }, sig.ty())
                 } else if let Some(c) = self.design.consts.get(n) {
-                    (CExpr::Const(c.clone()), false)
+                    (CExpr::Const(c.clone()), Ty::param(c))
                 } else {
                     return Err(SimError::UnknownSignal(n.clone()));
                 }
             }
             Expr::Unary(op, inner) => {
-                let (c, signed) = self.typed(inner)?;
-                let keeps_sign = matches!(op, UnaryOp::Neg | UnaryOp::Not);
-                (CExpr::Unary(*op, Box::new(c)), keeps_sign && signed)
+                let (inner, t) = self.typed(inner)?;
+                let ty = Ty::unary(*op, t);
+                (CExpr::Unary { op: *op, width: ty.width, inner: Box::new(inner) }, ty)
             }
             Expr::Binary(op, l, r) => {
-                let (a, sa) = self.typed(l)?;
-                let (b, sb) = self.typed(r)?;
-                // A shift's amount is unsigned, so its left operand alone
-                // decides, and `>>>` of an unsigned one shifts in zeros like
-                // `>>` (IEEE 1364-2005 §5.1.12).
-                let shift = matches!(op, BinaryOp::Shl | BinaryOp::Shr | BinaryOp::AShr);
-                let signed = sa && (sb || shift);
+                let ((a, ta), (b, tb)) = (self.typed(l)?, self.typed(r)?);
+                let (signed, ty) = (Ty::signed_op(*op, ta, tb), Ty::binary(*op, ta, tb));
+                // `>>>` of an unsigned operand shifts in zeros like `>>`.
                 let op = match op {
                     BinaryOp::AShr if !signed => BinaryOp::Shr,
                     op => *op,
                 };
-                let c = CExpr::Binary {
-                    op,
-                    signed,
-                    a: Box::new(a),
-                    b: Box::new(b),
-                };
-                (c, signed && !op.is_boolean())
+                let (a, b) = (Box::new(a), Box::new(b));
+                (CExpr::Binary { op, signed, width: ty.width, a, b }, ty)
             }
             Expr::Ternary(c, t, f) => {
                 let cond = Box::new(self.expr(c)?);
-                let (t, st) = self.typed(t)?;
-                let (f, sf) = self.typed(f)?;
-                let c = CExpr::Ternary {
-                    cond,
-                    t: Box::new(t),
-                    f: Box::new(f),
-                    width: expr_width(e, self.design)?,
-                };
-                (c, st && sf)
+                let ((t, tt), (f, tf)) = (self.typed(t)?, self.typed(f)?);
+                let ty = Ty::ternary(tt, tf);
+                let (t, f) = (Box::new(t), Box::new(f));
+                (CExpr::Ternary { cond, t, f, width: ty.width }, ty)
             }
             Expr::Index(n, idx) => {
+                let (idx, ti) = self.typed(idx)?;
+                let idx = Box::new(idx);
                 let Some((id, sig)) = self.signal(n) else {
                     let c = self
                         .design
@@ -445,63 +441,79 @@ impl<'a> Ctx<'a> {
                         .get(n)
                         .ok_or_else(|| SimError::UnknownSignal(n.clone()))?;
                     // A bit of a parameter: `(P >> idx)` cut to one bit.
-                    let shifted = CExpr::Binary {
-                        op: BinaryOp::Shr,
-                        signed: false,
-                        a: Box::new(CExpr::Const(c.clone())),
-                        b: Box::new(self.expr(idx)?),
-                    };
-                    return Ok((CExpr::Resize(1, Box::new(shifted)), false));
+                    let (a, t) = (Box::new(CExpr::Const(c.clone())), Ty::param(c));
+                    let width = Ty::binary(BinaryOp::Shr, t, ti).width;
+                    let shr = CExpr::Binary { op: BinaryOp::Shr, signed: false, width, a, b: idx };
+                    let cut = CExpr::Resize { width: 1, signed: false, inner: Box::new(shr) };
+                    return Ok((cut, Ty::BIT));
                 };
-                let c = if sig.mem_depth.is_some() {
-                    let slot = self.mem_slot_of(id).ok_or_else(|| {
-                        SimError::Internal(format!("memory `{n}` has no backing slot"))
-                    })?;
-                    CExpr::MemIndex {
-                        slot,
-                        idx: Box::new(self.expr(idx)?),
+                let ty = sig.element_ty();
+                let c = match sig.mem_depth {
+                    Some(_) => {
+                        let slot = self.mem_slot_of(id).ok_or_else(|| {
+                            SimError::Internal(format!("memory `{n}` has no backing slot"))
+                        })?;
+                        CExpr::MemIndex { slot, width: ty.width, idx }
                     }
-                } else {
-                    CExpr::BitIndex {
-                        sig: id,
-                        width: sig.width,
-                        idx: Box::new(self.expr(idx)?),
-                    }
+                    None => CExpr::BitIndex { sig: id, sig_width: sig.width, idx },
                 };
-                (c, false)
+                (c, ty)
             }
             Expr::Range(n, msb, lsb) => {
-                let (lo, width) = self.bounds(msb, lsb)?;
+                let (lo, ty) = self.bounds(msb, lsb)?;
                 let c = if let Some((id, sig)) = self.signal(n) {
                     if sig.mem_depth.is_some() {
                         return Err(SimError::UnknownSignal(n.clone()));
                     }
-                    CExpr::RangeSig { sig: id, lo, width }
+                    CExpr::RangeSig { sig: id, lo, width: ty.width }
                 } else if let Some(c) = self.design.consts.get(n) {
-                    CExpr::Const(c.slice(lo, width))
+                    CExpr::Const(c.slice(lo, ty.width))
                 } else {
                     return Err(SimError::UnknownSignal(n.clone()));
                 };
-                (c, false)
+                (c, ty)
             }
             Expr::Concat(parts) => {
                 if parts.is_empty() {
                     return Err(SimError::Internal("empty concatenation".into()));
                 }
-                let parts = parts.iter().map(|p| self.expr(p)).collect::<Result<_, _>>()?;
-                (CExpr::Concat(parts), false)
+                let (mut cparts, mut ty) = (Vec::with_capacity(parts.len()), Ty::unsigned(0));
+                for p in parts {
+                    let (c, t) = self.typed(p)?;
+                    ty = ty.concat(t)?;
+                    cparts.push(c);
+                }
+                (CExpr::Concat { width: ty.width, parts: cparts }, ty)
             }
             Expr::Repeat(n, body) => {
-                let c = CExpr::Repeat {
-                    count: self.constant(n)? as u32,
-                    body: Box::new(self.expr(body)?),
-                };
-                (c, false)
+                let count = self.design.constant(n)?;
+                let (body, t) = self.typed(body)?;
+                let ty = Ty::repeat(count, t)?;
+                let body = Box::new(body);
+                (CExpr::Repeat { count: count as u32, width: ty.width, body }, ty)
             }
-            Expr::WidthCast(w, inner) => (CExpr::Resize(*w, Box::new(self.expr(inner)?)), false),
+            Expr::WidthCast(w, inner) => {
+                let inner = Box::new(self.expr(inner)?);
+                (CExpr::Resize { width: *w, signed: false, inner }, Ty::unsigned(*w))
+            }
             // Signedness is resolved statically (on Binary), so the cast
             // itself is a no-op at runtime.
-            Expr::SignCast(signed, inner) => (self.expr(inner)?, *signed),
+            Expr::SignCast(signed, inner) => {
+                let (c, t) = self.typed(inner)?;
+                (c, Ty::sign_cast(*signed, t))
+            }
+        })
+    }
+
+    /// Compiles `e` as the right-hand side of an assignment to `width`
+    /// bits: a signed value narrower than the target sign-extends to it
+    /// ([`Ty::sign_extends_to`]); the store zero-extends or truncates the
+    /// rest.
+    fn assigned(&self, e: &Expr, width: u32) -> Result<CExpr, SimError> {
+        let (c, ty) = self.typed(e)?;
+        Ok(match ty.sign_extends_to(width) {
+            true => CExpr::Resize { width, signed: true, inner: Box::new(c) },
+            false => c,
         })
     }
 
@@ -533,7 +545,7 @@ impl<'a> Ctx<'a> {
                             SimError::Internal(format!("memory `{n}` has no backing slot"))
                         })?,
                         depth,
-                        width: sig.width,
+                        width: sig.element_ty().width,
                         idx,
                     }
                 } else {
@@ -545,44 +557,37 @@ impl<'a> Ctx<'a> {
                 }
             }
             LValue::Range(n, msb, lsb) => {
-                let (lo, width) = self.bounds(msb, lsb)?;
+                let (lo, ty) = self.bounds(msb, lsb)?;
                 CLValue::Range {
                     id: self.sig(n)?,
                     lo,
-                    width,
+                    width: ty.width,
                 }
             }
             LValue::Concat(parts) => {
                 let mut flat = Vec::with_capacity(parts.len());
+                let mut total = Ty::unsigned(0);
                 for p in parts {
-                    match self.lvalue(p)? {
+                    let part = self.lvalue(p)?;
+                    total = total.concat(Ty::unsigned(part.width()))?;
+                    match part {
                         CLValue::Concat { parts, .. } => flat.extend(parts),
                         part => flat.push(part),
                     }
                 }
                 CLValue::Concat {
-                    total: flat.iter().map(CLValue::width).sum(),
+                    total: total.width,
                     parts: flat,
                 }
             }
         })
     }
 
-    /// A part-select bound or replication count, which `resolve` has
-    /// proven constant.
-    fn constant(&self, e: &Expr) -> Result<u64, SimError> {
-        hwdbg_dataflow::eval_const(e, &self.design.consts)
-            .map(|v| v.to_u64())
-            .map_err(|_| SimError::Internal("non-constant select in a resolved design".into()))
-    }
-
-    /// A part select's constant `[msb:lsb]` as `(lo, width)`.
-    fn bounds(&self, msb: &Expr, lsb: &Expr) -> Result<(u32, u32), SimError> {
-        let (m, l) = (self.constant(msb)?, self.constant(lsb)?);
-        if l > m {
-            return Err(SimError::ReversedRange { msb: m, lsb: l });
-        }
-        Ok((l as u32, (m - l + 1) as u32))
+    /// A part select's `[msb:lsb]`, which `resolve` has proven constant:
+    /// its `lo` and its type.
+    fn bounds(&self, msb: &Expr, lsb: &Expr) -> Result<(u32, Ty), SimError> {
+        let (m, l) = (self.design.constant(msb)?, self.design.constant(lsb)?);
+        Ok((l as u32, Ty::range(m, l)?))
     }
 
     fn stmt(&self, s: &Stmt) -> Result<CStmt, SimError> {
@@ -631,11 +636,14 @@ impl<'a> Ctx<'a> {
                 nonblocking,
                 rhs,
                 ..
-            } => CStmt::Assign {
-                lhs: self.lvalue(lhs)?,
-                nonblocking: *nonblocking,
-                rhs: self.expr(rhs)?,
-            },
+            } => {
+                let lhs = self.lvalue(lhs)?;
+                CStmt::Assign {
+                    rhs: self.assigned(rhs, lhs.width())?,
+                    lhs,
+                    nonblocking: *nonblocking,
+                }
+            }
             Stmt::For {
                 var,
                 init,
@@ -649,9 +657,9 @@ impl<'a> Ctx<'a> {
                 CStmt::For {
                     var: id,
                     var_width: sig.width,
-                    init: self.expr(init)?,
+                    init: self.assigned(init, sig.width)?,
                     cond: self.expr(cond)?,
-                    step: self.expr(step)?,
+                    step: self.assigned(step, sig.width)?,
                     body: Box::new(self.stmt(body)?),
                 }
             }
@@ -659,7 +667,7 @@ impl<'a> Ctx<'a> {
                 crate::format::check_field_widths(format)?;
                 let (args, signs) = args
                     .iter()
-                    .map(|a| self.typed(a))
+                    .map(|a| self.typed(a).map(|(c, ty)| (c, ty.signed)))
                     .collect::<Result<_, _>>()?;
                 CStmt::Display {
                     format: format.clone(),
@@ -777,8 +785,8 @@ pub(crate) fn eval_into(
 ) -> Result<(), SimError> {
     match e {
         CExpr::Const(v) => out.assign_from(v),
-        CExpr::Sig(id) => out.assign_from(state.get_id(*id)),
-        CExpr::Unary(op, inner) => match op {
+        CExpr::Sig { id, .. } => out.assign_from(state.get_id(*id)),
+        CExpr::Unary { op, inner, .. } => match op {
             UnaryOp::Not => {
                 eval_into(state, scratch, inner, out)?;
                 out.not_in_place();
@@ -804,7 +812,7 @@ pub(crate) fn eval_into(
                 scratch.put(t);
             }
         },
-        CExpr::Binary { op, signed, a, b } => {
+        CExpr::Binary { op, signed, a, b, .. } => {
             let mut x = scratch.take();
             let mut y = scratch.take();
             eval_into(state, scratch, a, &mut x)?;
@@ -821,19 +829,19 @@ pub(crate) fn eval_into(
             eval_into(state, scratch, if take_then { t } else { f }, out)?;
             out.resize_in_place(*width);
         }
-        CExpr::BitIndex { sig, width, idx } => {
+        CExpr::BitIndex { sig, sig_width, idx } => {
             let i = eval_u64(state, scratch, idx)?;
             let v = state.get_id(*sig);
-            out.set_bool(i < u64::from(*width) && v.bit(i as u32));
+            out.set_bool(i < u64::from(*sig_width) && v.bit(i as u32));
         }
-        CExpr::MemIndex { slot, idx } => {
+        CExpr::MemIndex { slot, idx, .. } => {
             let i = eval_u64(state, scratch, idx)?;
             state.read_mem_slot_into(*slot, i, out);
         }
         CExpr::RangeSig { sig, lo, width } => {
             state.get_id(*sig).slice_into(*lo, *width, out);
         }
-        CExpr::Concat(parts) => {
+        CExpr::Concat { parts, .. } => {
             let mut t = scratch.take();
             for (i, p) in parts.iter().enumerate() {
                 eval_into(state, scratch, p, &mut t)?;
@@ -845,15 +853,19 @@ pub(crate) fn eval_into(
             }
             scratch.put(t);
         }
-        CExpr::Repeat { count, body } => {
+        CExpr::Repeat { count, body, .. } => {
             let mut t = scratch.take();
             eval_into(state, scratch, body, &mut t)?;
             t.repeat_into(*count, out);
             scratch.put(t);
         }
-        CExpr::Resize(w, inner) => {
+        CExpr::Resize { width, signed, inner } => {
             eval_into(state, scratch, inner, out)?;
-            out.resize_in_place(*w);
+            if *signed {
+                out.resize_signed_in_place(*width);
+            } else {
+                out.resize_in_place(*width);
+            }
         }
     }
     Ok(())

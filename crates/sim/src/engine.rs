@@ -272,28 +272,15 @@ impl CompiledDesign {
         // design, so per-job states built later line up exactly.
         let compiled = Compiled::build(&design, &mem_slots(&design))?;
         let max_width = design.signals.values().map(|s| s.width).max().unwrap_or(1);
-        // Static width tables for bytecode lowering: one entry per signal
-        // ID (memories hold their 1-bit placeholder slot width, matching
-        // what `get_id` returns for them) and one per memory slot
-        // (element width; what `read_mem_slot_into` yields in range).
-        let mut sig_width = vec![1u32; design.signals.len()];
-        let mut mem_width = Vec::new();
-        for (id, sig) in design.signals.values().enumerate() {
-            sig_width[id] = if sig.mem_depth.is_some() { 1 } else { sig.width };
-            if let Some(depth) = sig.mem_depth {
-                // A zero-depth memory reads back 1-bit zeros.
-                mem_width.push(if depth == 0 { 1 } else { sig.width });
-            }
-        }
         let mut comb_progs = Vec::with_capacity(compiled.combs.len());
         for comb in &compiled.combs {
-            comb_progs.push(lower_unit(&comb.body, &sig_width, &mem_width)?);
+            comb_progs.push(lower_unit(&comb.body)?);
         }
         let mut proc_progs = Vec::with_capacity(compiled.procs.len());
         for proc in &compiled.procs {
-            proc_progs.push(lower_unit(&proc.body, &sig_width, &mem_width)?);
+            proc_progs.push(lower_unit(&proc.body)?);
         }
-        let sched = build_schedule(&compiled, &comb_progs, &sig_width, &mem_width);
+        let sched = build_schedule(&design, &compiled, &comb_progs);
         let (mut n_narrow, mut n_wide) = (0, 0);
         let unit_progs = comb_progs.iter().chain(&proc_progs);
         for prog in unit_progs.chain(sched.regions.iter().map(|r| &r.prog)) {

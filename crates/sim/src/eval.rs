@@ -1,30 +1,10 @@
-//! The static width rule, binary operators over evaluated operands, and
-//! the paper's memory-address truncation, shared by the compiler and
-//! bytecode.
+//! Binary operators over evaluated operands and the paper's
+//! memory-address truncation, shared by the compiler and bytecode.
 
 use crate::compile::EvalScratch;
-use crate::SimError;
 use hwdbg_bits::Bits;
-use hwdbg_dataflow::{clog2, Design, WidthError};
-use hwdbg_rtl::{BinaryOp, Expr};
-
-/// Computes the static width of an expression in the context of `design`:
-/// [`Design::width_of`] with its failure reason mapped to a [`SimError`].
-///
-/// # Errors
-///
-/// Fails on references to unknown signals and reversed part-select bounds.
-/// A non-constant range bound or replication count is an internal error:
-/// `resolve`, which builds every [`Design`], refuses them.
-pub fn expr_width(expr: &Expr, design: &Design) -> Result<u32, SimError> {
-    design.width_of(expr).map_err(|e| match e {
-        WidthError::UnknownName(n) => SimError::UnknownSignal(n),
-        WidthError::NonConstBound => {
-            SimError::Internal("non-constant select in a resolved design".into())
-        }
-        WidthError::ReversedRange { msb, lsb } => SimError::ReversedRange { msb, lsb },
-    })
-}
+use hwdbg_dataflow::clog2;
+use hwdbg_rtl::BinaryOp;
 
 /// `CExpr::Binary` over evaluated operands, for the tree-walker and the
 /// bytecode's wide ops alike. Wide `/`/`%` go through `divmod_into` with a

@@ -349,18 +349,12 @@ fn push_fill(out: &mut String, fill: char, n: usize) {
     }
 }
 
-/// Renders `fmt` with `args` substituted for format directives, treating
-/// every argument as unsigned.
-pub fn render(fmt: &str, args: &[Bits]) -> String {
-    render_signed(fmt, args, &[])
-}
-
 /// Renders `fmt` with `args` substituted for format directives.
 ///
 /// `signs[i]` marks argument `i` as declared-signed: `%d` then prints the
 /// two's-complement value (a leading `-` and the magnitude) when the sign
-/// bit is set. Missing entries default to unsigned, so `&[]` reproduces
-/// [`render`]. Base directives (`%h`, `%b`) always print the raw bit
+/// bit is set. Missing entries default to unsigned, so `&[]` renders
+/// every argument unsigned. Base directives (`%h`, `%b`) always print the raw bit
 /// pattern, like real simulators.
 pub fn render_signed(fmt: &str, args: &[Bits], signs: &[bool]) -> String {
     let mut out = String::new();
@@ -478,34 +472,34 @@ mod tests {
 
     #[test]
     fn decimal_default_padding() {
-        assert_eq!(render("%d", &[b(8, 5)]), "  5");
-        assert_eq!(render("%0d", &[b(8, 5)]), "5");
-        assert_eq!(render("%5d", &[b(8, 5)]), "    5");
+        assert_eq!(render_signed("%d", &[b(8, 5)], &[]), "  5");
+        assert_eq!(render_signed("%0d", &[b(8, 5)], &[]), "5");
+        assert_eq!(render_signed("%5d", &[b(8, 5)], &[]), "    5");
     }
 
     #[test]
     fn hex_and_binary() {
-        assert_eq!(render("%h", &[b(16, 0xAB)]), "00ab");
-        assert_eq!(render("%b", &[b(4, 0b101)]), "0101");
-        assert_eq!(render("x=%x!", &[b(8, 0xF)]), "x=0f!");
+        assert_eq!(render_signed("%h", &[b(16, 0xAB)], &[]), "00ab");
+        assert_eq!(render_signed("%b", &[b(4, 0b101)], &[]), "0101");
+        assert_eq!(render_signed("x=%x!", &[b(8, 0xF)], &[]), "x=0f!");
     }
 
     #[test]
     fn multiple_args_and_escape() {
         assert_eq!(
-            render("a=%0d b=%h 100%%", &[b(8, 3), b(8, 0x7F)]),
+            render_signed("a=%0d b=%h 100%%", &[b(8, 3), b(8, 0x7F)], &[]),
             "a=3 b=7f 100%"
         );
     }
 
     #[test]
     fn missing_args_left_literal() {
-        assert_eq!(render("v=%d", &[]), "v=%d");
+        assert_eq!(render_signed("v=%d", &[], &[]), "v=%d");
     }
 
     #[test]
     fn unknown_directive_literal() {
-        assert_eq!(render("%q", &[b(4, 1)]), "%q");
+        assert_eq!(render_signed("%q", &[b(4, 1)], &[]), "%q");
     }
 
     #[test]
@@ -591,9 +585,9 @@ mod tests {
 
     #[test]
     fn time_directive_honours_width_flags() {
-        assert_eq!(render("%5t", &[b(32, 42)]), "   42");
-        assert_eq!(render("%05t", &[b(32, 42)]), "00042");
-        assert_eq!(render("%t", &[b(32, 42)]), "42");
-        assert_eq!(render("%0t", &[b(32, 42)]), "42");
+        assert_eq!(render_signed("%5t", &[b(32, 42)], &[]), "   42");
+        assert_eq!(render_signed("%05t", &[b(32, 42)], &[]), "00042");
+        assert_eq!(render_signed("%t", &[b(32, 42)], &[]), "42");
+        assert_eq!(render_signed("%0t", &[b(32, 42)], &[]), "42");
     }
 }

@@ -54,12 +54,12 @@ pub use engine::{
     DEADLINE_CHECK_MASK,
 };
 pub use fault::{run_with_faults, step_with_faults, BoundFaults, Fault, FaultKind, FaultPlan};
-pub use eval::{effective_mem_addr, expr_width};
+pub use eval::effective_mem_addr;
 pub use state::{RegInit, SimState};
 pub use vcd::VcdWriter;
 
 use hwdbg_bits::Bits;
-use hwdbg_dataflow::BbInst;
+use hwdbg_dataflow::{BbInst, WidthError};
 use std::fmt;
 
 /// One captured `$display` record.
@@ -293,6 +293,23 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// A typing failure ([`hwdbg_dataflow::ty()`]) as the simulator reports it.
+/// `resolve` refuses non-constant bounds and counts, so one is internal.
+impl From<WidthError> for SimError {
+    fn from(e: WidthError) -> Self {
+        match e {
+            WidthError::UnknownName(n) => SimError::UnknownSignal(n),
+            WidthError::NonConstBound => {
+                SimError::Internal("non-constant select in a resolved design".into())
+            }
+            WidthError::ReversedRange { msb, lsb } => SimError::ReversedRange { msb, lsb },
+            WidthError::TooWide => SimError::UnitTooLarge {
+                resource: "4294967295 bits in one value",
+            },
+        }
+    }
+}
 
 impl From<SimError> for hwdbg_diag::HwdbgError {
     fn from(e: SimError) -> Self {

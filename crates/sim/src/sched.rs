@@ -23,7 +23,7 @@
 
 use crate::bytecode::{lower_region, BcProgram, NO_PROMOTION};
 use crate::compile::{CLValue, CStmt, Compiled};
-use hwdbg_dataflow::{tarjan_scc as tarjan, SigId};
+use hwdbg_dataflow::{tarjan_scc as tarjan, Design, SigId};
 
 /// One fused acyclic region.
 #[derive(Debug)]
@@ -84,14 +84,13 @@ fn plain_assign_target(body: &CStmt) -> Option<SigId> {
     }
 }
 
-/// Builds the static schedule for a compiled design. `comb_progs` holds
-/// the per-unit lowered programs (index = comb unit); `sig_width` /
-/// `mem_width` are the lowering width tables.
+/// Builds the static schedule for `compiled`, the compiled form of
+/// `design`. `comb_progs` holds the per-unit lowered programs (index =
+/// comb unit).
 pub(crate) fn build_schedule(
+    design: &Design,
     compiled: &Compiled,
     comb_progs: &[BcProgram],
-    sig_width: &[u32],
-    mem_width: &[u32],
 ) -> Schedule {
     let n_combs = compiled.combs.len();
     let n_units = compiled.n_units();
@@ -225,8 +224,7 @@ pub(crate) fn build_schedule(
         scratch.dedup();
     };
     for (s, sig_readers) in compiled.readers.iter().enumerate() {
-        let w = sig_width.get(s).copied().unwrap_or(0);
-        if w == 0 || w > 64 {
+        if design.signals[SigId::from_index(s)].width > 64 {
             continue;
         }
         dedup(&compiled.writers[s], &mut scratch);
@@ -278,7 +276,7 @@ pub(crate) fn build_schedule(
         }
         let bodies: Vec<&CStmt> =
             members.iter().map(|&u| &compiled.combs[u as usize].body).collect();
-        let prog = lower_region(&bodies, promoted.len(), &promo_map, sig_width, mem_width);
+        let prog = lower_region(&bodies, promoted.len(), &promo_map);
         for sig in promoted {
             promo_map[sig.index()] = NO_PROMOTION;
         }

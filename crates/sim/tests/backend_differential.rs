@@ -468,7 +468,7 @@ fn reversed_range_is_typed_error() {
         Box::new(hwdbg_rtl::Expr::number(0)),
         Box::new(hwdbg_rtl::Expr::number(7)),
     );
-    let err = hwdbg_sim::expr_width(&expr, &design).unwrap_err();
+    let err = hwdbg_sim::SimError::from(hwdbg_dataflow::ty(&expr, &design).unwrap_err());
     assert_eq!(
         err,
         hwdbg_sim::SimError::ReversedRange { msb: 0, lsb: 7 },

@@ -38,7 +38,7 @@ const PHASES: [(&str, u64, u64); 4] = [
     ("parse", 7_252, 7_050),
     ("flatten", 6_232, 5_450),
     ("resolve", 2_477, 1_837),
-    ("compile", 3_810, 3_690),
+    ("compile", 3_450, 3_394),
 ];
 
 /// Bytes the 40 resolved designs hold: the total before signal info was

@@ -702,6 +702,56 @@ fn unsized_decimals_are_signed() {
     }
 }
 
+/// A signed right-hand side narrower than its target sign-extends to it
+/// (IEEE 1364-2005 §5.5): an `assign`, a nonblocking and a blocking
+/// assignment, an input port connection and a sized `localparam`. An
+/// unsigned one zero-extends.
+#[test]
+fn signed_right_hand_sides_sign_extend_into_wider_targets() {
+    use hwdbg_sim::Backend;
+    let src = "module sub(input [15:0] a, output [15:0] y); assign y = a; endmodule
+     module m(input clk, output [15:0] r, output reg [15:0] n, output reg [15:0] b,
+              output [15:0] p, output [15:0] c, output [15:0] z);
+        localparam [15:0] P = $signed(8'hf9);
+        assign r = $signed(8'hf9);
+        assign z = 8'hf9;
+        assign c = P;
+        sub port(.a($signed(4'hc)), .y(p));
+        always @(posedge clk) begin
+            n <= $signed(4'hc);
+            b = -$signed(4'h2);
+        end
+     endmodule";
+    let design = elaborate(&parse(src).unwrap(), "m", &NoBlackboxes).unwrap();
+    for backend in [Backend::Tree, Backend::Levelized] {
+        let config = SimConfig::default().with_backend(backend);
+        let mut s = Simulator::new(design.clone(), &NoModels, config).unwrap();
+        s.step("clk").unwrap();
+        let got = ["r", "n", "b", "p", "c", "z"].map(|n| s.peek(n).unwrap().to_u64());
+        assert_eq!(got, [0xfff9, 0xfffc, 0xfffe, 0xfffc, 0xfff9, 0x00f9], "{backend:?}");
+    }
+}
+
+/// A based literal written with `s` is signed (IEEE 1364-2005 §3.5.1):
+/// `>>>` shifts in its sign bit and `<` compares it as two's complement.
+#[test]
+fn signed_based_literals_parse_and_simulate() {
+    use hwdbg_sim::Backend;
+    let src = "module m(output [7:0] q, output [7:0] h, output lt);
+        assign q = 8'sd3 >>> 1;
+        assign h = 8'Sh90 >>> 4;
+        assign lt = 8'sb1111_1111 < 8'sd0;
+     endmodule";
+    let design = elaborate(&parse(src).unwrap(), "m", &NoBlackboxes).unwrap();
+    for backend in [Backend::Tree, Backend::Levelized] {
+        let config = SimConfig::default().with_backend(backend);
+        let mut s = Simulator::new(design.clone(), &NoModels, config).unwrap();
+        s.settle().unwrap();
+        let got = ["q", "h", "lt"].map(|n| s.peek(n).unwrap().to_u64());
+        assert_eq!(got, [1, 0xf9, 1], "{backend:?}");
+    }
+}
+
 /// A comb block's `for` variable is a procedural temporary: its
 /// intermediate values do not wake the block, so the block settles.
 #[test]

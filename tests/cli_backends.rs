@@ -7,8 +7,12 @@ use std::path::Path;
 use std::process::{Command, Output};
 
 /// The golden fixtures and the cycles each runs for.
-const FIXTURES: [(&str, &str); 3] =
-    [("display_directives", "24"), ("lowering_shapes", "16"), ("ip_sim", "48")];
+const FIXTURES: [(&str, &str); 4] = [
+    ("display_directives", "24"),
+    ("lowering_shapes", "16"),
+    ("ip_sim", "48"),
+    ("signed_typing", "16"),
+];
 
 fn sim(fixture: &str, cycles: &str, extra: &[&str]) -> Output {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));

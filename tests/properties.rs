@@ -1,6 +1,7 @@
 //! Randomized property tests on the core substrates: `Bits` arithmetic
 //! against a `u128` reference model, parser/printer round-tripping over
-//! generated expressions and modules, and const-eval/simulator agreement.
+//! generated expressions and modules, const-eval/simulator agreement, and
+//! the typing rule against an independent oracle.
 //!
 //! Cases are driven by the in-tree [`SplitMix64`] generator with fixed
 //! seeds, so every run checks the same (large) sample deterministically —
@@ -8,6 +9,7 @@
 //! reproducibility here: a failure prints the seed/iteration inputs.
 
 use hwdbg::bits::{Bits, SplitMix64};
+use hwdbg::rtl::Expr;
 
 const CASES: u64 = 512;
 
@@ -143,23 +145,29 @@ fn literal_roundtrip() {
 // ---- Random expression generator -----------------------------------------
 
 /// Produces a random well-formed expression over a small identifier
-/// alphabet, with bounded recursion depth.
+/// alphabet, with bounded recursion depth: every operator, unsized
+/// decimals and signed based literals, and sign casts, so the typing rule
+/// meets every node kind.
 fn arb_expr(rng: &mut SplitMix64, depth: u32) -> String {
     const IDENTS: [&str; 4] = ["a", "b", "c", "sel"];
-    const BINOPS: [&str; 13] = [
-        "+", "-", "&", "|", "^", "==", "!=", "<", ">", "&&", "||", "<<", ">>",
+    const BINOPS: [&str; 18] = [
+        "+", "-", "*", "/", "%", "&", "|", "^", "==", "!=", "<", ">", ">=", "&&", "||", "<<",
+        ">>", ">>>",
     ];
     if depth == 0 || rng.below(4) == 0 {
-        // Leaf: identifier or sized literal.
-        return if rng.next_bool() {
-            IDENTS[rng.below(IDENTS.len() as u64) as usize].to_owned()
-        } else {
-            let w = rng.range(1, 16);
-            let v = rng.below(200) & ((1 << w) - 1);
-            format!("{w}'h{v:x}")
+        // Leaf: identifier, sized (possibly signed) or unsized literal.
+        if rng.next_bool() {
+            return IDENTS[rng.below(IDENTS.len() as u64) as usize].to_owned();
+        }
+        let w = rng.range(1, 16);
+        let v = rng.below(200) & ((1 << w) - 1);
+        return match rng.below(3) {
+            0 => format!("{w}'h{v:x}"),
+            1 => format!("{w}'sh{v:x}"),
+            _ => format!("{v}"),
         };
     }
-    match rng.below(6) {
+    match rng.below(9) {
         0 => {
             let l = arb_expr(rng, depth - 1);
             let r = arb_expr(rng, depth - 1);
@@ -179,10 +187,206 @@ fn arb_expr(rng: &mut SplitMix64, depth: u32) -> String {
             let r = arb_expr(rng, depth - 1);
             format!("{{({l}), ({r})}}")
         }
-        _ => {
+        5 => {
             let n = rng.range(1, 5);
             format!("{{{n}{{({})}}}}", arb_expr(rng, depth - 1))
         }
+        6 => format!("-({})", arb_expr(rng, depth - 1)),
+        7 => format!("$signed({})", arb_expr(rng, depth - 1)),
+        _ => format!("$unsigned({})", arb_expr(rng, depth - 1)),
+    }
+}
+
+// ---- Independent typing oracle --------------------------------------------
+
+/// A name as the typing oracle sees it.
+#[derive(Debug, Clone, Copy)]
+struct Decl {
+    width: u32,
+    signed: bool,
+    memory: bool,
+}
+
+/// A parameter: unsigned at its value's width.
+fn param(width: u32) -> Decl {
+    Decl { width, signed: false, memory: false }
+}
+
+/// The `(width, signed)` README's "Supported Verilog subset" gives `e`,
+/// written from that paragraph alone: it reads the AST and calls nothing
+/// in `hwdbg-dataflow` or `hwdbg-sim`, so it is a second implementation of
+/// `hwdbg_dataflow::ty` rather than a copy. `decl` gives a name's
+/// declaration and `fold` a constant bound or count; `None` when either
+/// does not know.
+fn oracle_ty(
+    e: &Expr,
+    decl: &dyn Fn(&str) -> Option<Decl>,
+    fold: &dyn Fn(&Expr) -> Option<u64>,
+) -> Option<(u32, bool)> {
+    use hwdbg::rtl::{BinaryOp as B, UnaryOp as U};
+    let t = |x: &Expr| oracle_ty(x, decl, fold);
+    Some(match e {
+        // Unsized decimals and `s` literals are signed, at their written
+        // width (32 when unsized).
+        Expr::Literal { value, signed } => (value.width(), *signed),
+        Expr::Ident(n) => decl(n).map(|d| (d.width, d.signed))?,
+        Expr::Unary(U::Not | U::Neg, a) => t(a)?,
+        Expr::Unary(..) => (1, false),
+        Expr::Binary(op, a, b) => {
+            let ((aw, sa), (bw, sb)) = (t(a)?, t(b)?);
+            match op {
+                B::Lt | B::Le | B::Gt | B::Ge | B::Eq | B::Ne | B::LogAnd | B::LogOr => (1, false),
+                B::Shl | B::Shr | B::AShr => (aw, sa),
+                _ => (aw.max(bw), sa && sb),
+            }
+        }
+        Expr::Ternary(_, x, y) => {
+            let ((xw, sx), (yw, sy)) = (t(x)?, t(y)?);
+            (xw.max(yw), sx && sy)
+        }
+        Expr::Index(n, _) => {
+            let d = decl(n)?;
+            (if d.memory { d.width } else { 1 }, false)
+        }
+        Expr::Range(_, m, l) => (u32::try_from(fold(m)?.checked_sub(fold(l)?)? + 1).ok()?, false),
+        Expr::Concat(parts) => (parts.iter().map(|p| Some(t(p)?.0)).sum::<Option<u32>>()?, false),
+        Expr::Repeat(n, body) => (u32::try_from(fold(n)?).ok()?.checked_mul(t(body)?.0)?, false),
+        Expr::WidthCast(w, _) => (*w, false),
+        Expr::SignCast(signed, a) => (t(a)?.0, *signed),
+    })
+}
+
+/// Folds a bound or count the way the testbed writes them: literals and
+/// parameters under `+ - * /`.
+fn fold_bound(e: &Expr, params: &dyn Fn(&str) -> Option<u64>) -> Option<u64> {
+    use hwdbg::rtl::BinaryOp as B;
+    match e {
+        Expr::Literal { value, .. } => Some(value.to_u64()),
+        Expr::Ident(n) => params(n),
+        Expr::Binary(op, a, b) => {
+            let (a, b) = (fold_bound(a, params)?, fold_bound(b, params)?);
+            match op {
+                B::Add => a.checked_add(b),
+                B::Sub => a.checked_sub(b),
+                B::Mul => a.checked_mul(b),
+                B::Div => a.checked_div(b),
+                _ => None,
+            }
+        }
+        _ => None,
+    }
+}
+
+/// The generated expressions' names, as parameters: `(name, width, value)`.
+const NAMES: [(&str, u32, u64); 4] = [("a", 8, 0x5A), ("b", 8, 0x33), ("c", 8, 0x0F), ("sel", 1, 1)];
+
+fn names_decl(n: &str) -> Option<Decl> {
+    NAMES.iter().find(|p| p.0 == n).map(|p| param(p.1))
+}
+
+fn literal_fold(e: &Expr) -> Option<u64> {
+    fold_bound(e, &|_| None)
+}
+
+/// The oracle agrees with `ty` on generated expressions, over parameters
+/// and over a design that declares one of the names signed.
+#[test]
+fn typing_oracle_matches_ty() {
+    let env: hwdbg::dataflow::ConstEnv = NAMES
+        .iter()
+        .map(|&(n, w, v)| (n.to_string(), Bits::from_u64(w, v)))
+        .collect();
+    let src = "module m(input [7:0] a, input signed [7:0] b, input [7:0] c, input sel);
+               endmodule";
+    let design = hwdbg::dataflow::elaborate(
+        &hwdbg::rtl::parse(src).unwrap(),
+        "m",
+        &hwdbg::dataflow::NoBlackboxes,
+    )
+    .unwrap();
+    let design_decl = |n: &str| {
+        let d = names_decl(n)?;
+        Some(Decl { signed: n == "b", ..d })
+    };
+    let mut rng = SplitMix64::new(0xE10A_0004);
+    for _ in 0..2048 {
+        let e = arb_expr(&mut rng, 4);
+        let expr = hwdbg::rtl::parse_expr(&e).unwrap();
+        let want = oracle_ty(&expr, &names_decl, &literal_fold).unwrap();
+        let got = hwdbg::dataflow::ty(&expr, &env).unwrap();
+        assert_eq!((got.width, got.signed), want, "over parameters: {e}");
+        let want = oracle_ty(&expr, &design_decl, &literal_fold).unwrap();
+        let got = hwdbg::dataflow::ty(&expr, &design).unwrap();
+        assert_eq!((got.width, got.signed), want, "over the design: {e}");
+    }
+}
+
+/// The oracle agrees with `ty` on every assignment's right-hand side
+/// (`assign`, `=` and `<=`) in the 40 testbed variants and the
+/// `fixtures/*.v` designs (top module: the file's last).
+#[test]
+fn typing_oracle_matches_ty_on_the_corpus() {
+    use hwdbg::testbed::{buggy_design, fixed_design, BugId};
+    let mut designs = Vec::new();
+    for id in BugId::ALL {
+        designs.push((format!("{id}-buggy"), buggy_design(id).unwrap()));
+        designs.push((format!("{id}-fixed"), fixed_design(id).unwrap()));
+    }
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|x| x == "v") {
+            let file = hwdbg::rtl::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            let top = file.modules.last().unwrap().name.clone();
+            let lib = hwdbg::ip::StdIpLib::new();
+            let design = hwdbg::dataflow::elaborate(&file, &top, &lib).unwrap();
+            designs.push((path.display().to_string(), design));
+        }
+    }
+    let mut checked = 0;
+    for (name, design) in &designs {
+        let params = |n: &str| design.consts.get(n).map(Bits::to_u64);
+        let decl = |n: &str| match (design.signal(n), design.consts.get(n)) {
+            (Some(s), _) => Some(Decl {
+                width: s.width,
+                signed: s.signed,
+                memory: s.mem_depth.is_some(),
+            }),
+            (None, Some(c)) => Some(param(c.width())),
+            (None, None) => None,
+        };
+        let mut rhss = Vec::new();
+        for body in design.bodies() {
+            assigned(body, &mut rhss);
+        }
+        for rhs in rhss {
+            let src = hwdbg::rtl::print_expr(rhs);
+            let want = oracle_ty(rhs, &decl, &|e| fold_bound(e, &params));
+            let want = want.unwrap_or_else(|| panic!("{name}: the oracle cannot type {src}"));
+            let got = hwdbg::dataflow::ty(rhs, design).unwrap();
+            assert_eq!((got.width, got.signed), want, "{name}: {src}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 600, "only {checked} right-hand sides");
+}
+
+/// Every assignment's right-hand side in `s`: `assign`, `=` and `<=`.
+fn assigned<'a>(s: &'a hwdbg::rtl::Stmt, out: &mut Vec<&'a Expr>) {
+    use hwdbg::rtl::Stmt;
+    match s {
+        Stmt::Assign { rhs, .. } => out.push(rhs),
+        Stmt::Block(stmts) => stmts.iter().for_each(|s| assigned(s, out)),
+        Stmt::If { then, els, .. } => {
+            assigned(then, out);
+            els.iter().for_each(|e| assigned(e, out));
+        }
+        Stmt::Case { arms, default, .. } => {
+            arms.iter().for_each(|arm| assigned(&arm.body, out));
+            default.iter().for_each(|d| assigned(d, out));
+        }
+        Stmt::For { body, .. } => assigned(body, out),
+        Stmt::Display { .. } | Stmt::Finish | Stmt::Empty => {}
     }
 }
 
@@ -233,20 +437,20 @@ fn const_eval_matches_simulation() {
     let mut rng = SplitMix64::new(0xE10A_0003);
     for _ in 0..128 {
         let e = arb_expr(&mut rng, 4);
-        // Bind the free identifiers to fixed constants.
-        let env: hwdbg::dataflow::ConstEnv = [
-            ("a", 8u32, 0x5Au64),
-            ("b", 8, 0x33),
-            ("c", 8, 0x0F),
-            ("sel", 1, 1), // widths must match the module's port widths
-        ]
-        .into_iter()
-        .map(|(n, w, v)| (n.to_string(), Bits::from_u64(w, v)))
-        .collect();
+        // Bind the free identifiers to fixed constants, at the module's
+        // port widths.
+        let env: hwdbg::dataflow::ConstEnv = NAMES
+            .iter()
+            .map(|&(n, w, v)| (n.to_string(), Bits::from_u64(w, v)))
+            .collect();
         let expr = hwdbg::rtl::parse_expr(&e).unwrap();
         let Ok(folded) = hwdbg::dataflow::eval_const(&expr, &env) else {
             continue; // e.g. zero replication count
         };
+        // The assignment into 64 bits extends by the oracle's sign.
+        let (width, signed) = oracle_ty(&expr, &names_decl, &literal_fold).unwrap();
+        assert_eq!(folded.width(), width, "expr: {e}");
+        let want = if signed { folded.resize_signed(64) } else { folded.resize(64) };
 
         let src = format!(
             "module m(input [7:0] a, input [7:0] b, input [7:0] c, input sel,
@@ -272,6 +476,6 @@ fn const_eval_matches_simulation() {
         sim.poke_u64("sel", 1).unwrap();
         sim.settle().unwrap();
         let got = sim.peek("q").unwrap().to_u64();
-        assert_eq!(got, folded.resize(64).to_u64(), "expr: {e}");
+        assert_eq!(got, want.to_u64(), "expr: {e}");
     }
 }

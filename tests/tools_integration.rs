@@ -37,6 +37,39 @@ fn signalcat_unifies_simulation_and_deployment_on_grayscale() {
     assert_eq!(rec, native_msgs);
 }
 
+/// SignalCat keeps each `$display` argument's sign: `%d` of a signed
+/// argument prints two's complement in the reconstructed log as it does in
+/// simulation (§4.1), on a probe design and on the typing fixture.
+#[test]
+fn signalcat_reconstructs_signed_arguments() {
+    let probe = "module top(input clk, output reg signed [7:0] s);
+                   always @(posedge clk) begin
+                     s <= 8'hfd;
+                     $display(\"s=%0d neg=%0d\", s, $signed(8'hf9));
+                   end
+                 endmodule";
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/signed_typing.v");
+    let fixture = std::fs::read_to_string(fixture).unwrap();
+    let lib = StdIpLib::new();
+    for (src, top, cycles) in [(probe, "top", 4), (fixture.as_str(), "signed_typing", 16)] {
+        let file = hwdbg::rtl::parse(src).unwrap();
+        let design = hwdbg::dataflow::elaborate(&file, top, &lib).unwrap();
+        let mut native = sim_of(design.clone());
+        native.run("clk", cycles).unwrap();
+        let native_msgs: Vec<_> = native.logs().iter().map(|l| l.message.clone()).collect();
+        assert!(native_msgs.iter().any(|m| m.contains("=-")), "{top}: no negative %d");
+
+        let info = SignalCat::instrument(&design, &SignalCatConfig::default()).unwrap();
+        let mut deployed = sim_of(resolve(info.module.clone(), &lib).unwrap());
+        deployed.run("clk", cycles).unwrap();
+        let rec: Vec<_> = SignalCat::reconstruct(&info, &deployed)
+            .into_iter()
+            .map(|l| l.message)
+            .collect();
+        assert_eq!(rec, native_msgs, "{top}");
+    }
+}
+
 /// FSM Monitor on the case study: the hang leaves the read FSM in
 /// RD_FINISH and the write FSM in WR_DATA (§6.3).
 #[test]
