@@ -155,6 +155,17 @@ impl Bits {
         b
     }
 
+    /// Creates a vector of `width` bits from little-endian `limbs`: missing
+    /// limbs read as zero, and bits at or above `width` are dropped.
+    pub fn from_limbs(width: u32, limbs: &[u64]) -> Self {
+        let mut b = Bits::zero(width);
+        let dst = b.limbs_mut();
+        let n = dst.len().min(limbs.len());
+        dst[..n].copy_from_slice(&limbs[..n]);
+        b.mask_top();
+        b
+    }
+
     /// Creates a 1-bit vector from a boolean.
     pub fn from_bool(v: bool) -> Self {
         Bits::small(1, v as u64)

@@ -16,8 +16,12 @@
 use crate::{clock_map, generated_lines, ToolError};
 use hwdbg_dataflow::{eval_const, guard, Design, DepKind, PropGraph};
 use hwdbg_rtl::{Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt};
-use hwdbg_sim::{LogRecord, Simulator};
+use hwdbg_sim::{Log, Simulator};
 use std::collections::BTreeMap;
+
+/// The tag on the `$display`s Dependency Monitor adds; a record's subject
+/// is the register it reports on.
+const TOOL: &str = "dependency-monitor";
 
 /// The dependency chain of a variable.
 #[derive(Debug, Clone)]
@@ -149,11 +153,12 @@ impl DependencyMonitor {
                         Box::new(Expr::ident(prev.clone())),
                         Box::new(Expr::ident(sig.name.clone())),
                     ),
-                    Stmt::Display {
-                        format: format!("DEPMON {} %0d", sig.name),
-                        args: vec![Expr::ident(sig.name.clone())],
-                        span: Span::synthetic(),
-                    },
+                    Stmt::tool_display(
+                        TOOL,
+                        &sig.name,
+                        format!("DEPMON {} %0d", sig.name),
+                        vec![Expr::ident(sig.name.clone())],
+                    ),
                 ),
             ]);
             new_items.push(Item::Always {
@@ -215,24 +220,21 @@ impl DependencyMonitor {
         out
     }
 
-    /// Parses the update trace out of captured logs.
-    pub fn reconstruct(logs: &[LogRecord]) -> Vec<DepUpdate> {
+    /// The update trace in captured logs: one update per record of the
+    /// monitor's own `$display`s, valued by its argument.
+    pub fn reconstruct(logs: &Log) -> Vec<DepUpdate> {
         let mut out = Vec::new();
         for rec in logs {
-            let Some(rest) = rec.message.strip_prefix("DEPMON ") else {
+            let Some(tag) = rec.tag().filter(|t| t.tool == TOOL) else {
                 continue;
             };
-            let mut parts = rest.split_whitespace();
-            let (Some(sig), Some(val)) = (parts.next(), parts.next()) else {
-                continue;
-            };
-            let Ok(value) = val.parse::<u64>() else {
+            let Some(value) = rec.args().next() else {
                 continue;
             };
             out.push(DepUpdate {
-                signal: sig.to_owned(),
+                signal: tag.subject.clone(),
                 cycle: rec.cycle,
-                value,
+                value: value.to_u64(),
             });
         }
         out

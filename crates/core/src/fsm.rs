@@ -16,8 +16,12 @@ use hwdbg_bits::Bits;
 use hwdbg_dataflow::guard::{self, Guard};
 use hwdbg_dataflow::{Design, SigKind};
 use hwdbg_rtl::{Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt};
-use hwdbg_sim::{LogRecord, Simulator};
+use hwdbg_sim::{Log, Simulator};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// The tag on the `$display`s FSM Monitor adds; a record's subject is the
+/// state register it reports on.
+const TOOL: &str = "fsm-monitor";
 
 /// A detected finite state machine.
 #[derive(Debug, Clone, PartialEq)]
@@ -226,11 +230,12 @@ impl FsmMonitor {
                         Box::new(Expr::ident(prev.clone())),
                         Box::new(Expr::ident(fsm.signal.clone())),
                     ),
-                    Stmt::Display {
-                        format: format!("FSMMON {} %0d %0d", fsm.signal),
-                        args: vec![Expr::ident(prev.clone()), Expr::ident(fsm.signal.clone())],
-                        span: Span::synthetic(),
-                    },
+                    Stmt::tool_display(
+                        TOOL,
+                        &fsm.signal,
+                        format!("FSMMON {} %0d %0d", fsm.signal),
+                        vec![Expr::ident(prev.clone()), Expr::ident(fsm.signal.clone())],
+                    ),
                 ),
             ]);
             new_items.push(Item::Always {
@@ -252,26 +257,25 @@ impl FsmMonitor {
     }
 
     /// Reconstructs the state-transition trace from a simulation of the
-    /// instrumented design (or from SignalCat-reconstructed records).
-    pub fn reconstruct(info: &FsmInstrumented, logs: &[LogRecord]) -> Vec<FsmTransition> {
+    /// instrumented design (or from SignalCat-reconstructed records): one
+    /// transition per record of the monitor's own `$display`s, read from
+    /// its two arguments.
+    pub fn reconstruct(info: &FsmInstrumented, logs: &Log) -> Vec<FsmTransition> {
         let mut out = Vec::new();
         for rec in logs {
-            let Some(rest) = rec.message.strip_prefix("FSMMON ") else {
+            let Some(tag) = rec.tag().filter(|t| t.tool == TOOL) else {
                 continue;
             };
-            let mut parts = rest.split_whitespace();
-            let (Some(sig), Some(from), Some(to)) = (parts.next(), parts.next(), parts.next())
-            else {
+            let Some(fsm) = info.fsms.iter().find(|f| f.signal == tag.subject) else {
                 continue;
             };
-            let (Ok(from), Ok(to)) = (from.parse::<u64>(), to.parse::<u64>()) else {
+            let mut args = rec.args();
+            let (Some(from), Some(to)) = (args.next(), args.next()) else {
                 continue;
             };
-            let Some(fsm) = info.fsms.iter().find(|f| f.signal == sig) else {
-                continue;
-            };
+            let (from, to) = (from.to_u64(), to.to_u64());
             out.push(FsmTransition {
-                signal: sig.to_owned(),
+                signal: fsm.signal.clone(),
                 cycle: rec.cycle,
                 from,
                 to,

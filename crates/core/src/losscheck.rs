@@ -23,8 +23,12 @@ use crate::{clock_map, generated_lines, to_bool, ToolError};
 use hwdbg_dataflow::guard::{self, Guard};
 use hwdbg_dataflow::{Design, DepKind, PropGraph, SigKind};
 use hwdbg_rtl::{BinaryOp, Expr, Item, LValue, Module, NetDecl, NetKind, Span, Stmt};
-use hwdbg_sim::LogRecord;
+use hwdbg_sim::Log;
 use std::collections::BTreeSet;
+
+/// The tag on the `$display`s LossCheck adds; a record's subject is the
+/// register (or `mem`, `mem!oob`) it reports.
+const TOOL: &str = "losscheck";
 
 /// LossCheck configuration: where data enters, where it must come out,
 /// and which signal qualifies the source data as valid.
@@ -265,11 +269,7 @@ impl LossCheck {
                         Expr::ident(aw(r)),
                         Expr::and(Expr::not(Expr::ident(pw(r))), Expr::ident(nr(r))),
                     ),
-                    Stmt::Display {
-                        format: format!("LOSSCHECK {r}"),
-                        args: vec![],
-                        span: Span::synthetic(),
-                    },
+                    Stmt::tool_display(TOOL, r, format!("LOSSCHECK {r}"), vec![]),
                 ),
             ]);
             new_items.push(Item::Always {
@@ -293,22 +293,22 @@ impl LossCheck {
         })
     }
 
-    /// Registers flagged as potential loss sites in a run's logs.
-    pub fn reports(logs: &[LogRecord]) -> BTreeSet<String> {
-        logs.iter()
-            .filter_map(|l| l.message.strip_prefix("LOSSCHECK "))
-            .map(|s| s.trim().to_owned())
-            .collect()
+    /// Registers flagged as potential loss sites in a run's logs: the
+    /// subjects of the records of LossCheck's own `$display`s.
+    pub fn reports(logs: &Log) -> BTreeSet<String> {
+        Self::subjects(logs).map(str::to_owned).collect()
     }
 
     /// Accumulates the number of shadow-state loss reports fired during a
     /// run into the observability registry. Unlike [`LossCheck::reports`]
     /// this counts every firing, not the deduplicated register set.
-    pub fn observe(logs: &[LogRecord], counters: &mut hwdbg_obs::SimCounters) {
-        counters.shadow_updates += logs
-            .iter()
-            .filter(|l| l.message.starts_with("LOSSCHECK "))
-            .count() as u64;
+    pub fn observe(logs: &Log, counters: &mut hwdbg_obs::SimCounters) {
+        counters.shadow_updates += Self::subjects(logs).count() as u64;
+    }
+
+    /// The subject of each record LossCheck's instrumentation made.
+    fn subjects(logs: &Log) -> impl Iterator<Item = &str> {
+        logs.iter().filter_map(|r| r.tag().filter(|t| t.tool == TOOL)).map(|t| t.subject.as_str())
     }
 
     /// Ground-truth filtering (§4.5.3): suppress registers that also fire
@@ -384,24 +384,21 @@ fn instrument_memory(
                     Box::new(w.idx.clone()),
                     Box::new(Expr::number(depth)),
                 ),
-                then: Box::new(Stmt::Display {
-                    // Out-of-range writes are tagged so ground-truth
-                    // filtering can distinguish a genuine overflow from a
-                    // legitimate slot update at the same memory.
-                    format: format!("LOSSCHECK {mem}!oob"),
-                    args: vec![],
-                    span: Span::synthetic(),
-                }),
+                // Out-of-range writes are tagged so ground-truth filtering
+                // can distinguish a genuine overflow from a legitimate slot
+                // update at the same memory.
+                then: Box::new(Stmt::tool_display(
+                    TOOL,
+                    &format!("{mem}!oob"),
+                    format!("LOSSCHECK {mem}!oob"),
+                    vec![],
+                )),
                 els: Some(Box::new(Stmt::if_then(
                     Expr::and(
                         Expr::Index(nvec.clone(), Box::new(masked(&w.idx))),
                         wvalid.clone(),
                     ),
-                    Stmt::Display {
-                        format: format!("LOSSCHECK {mem}"),
-                        args: vec![],
-                        span: Span::synthetic(),
-                    },
+                    Stmt::tool_display(TOOL, mem, format!("LOSSCHECK {mem}"), vec![]),
                 ))),
             },
             Stmt::nonblocking(LValue::Index(nvec.clone(), masked(&w.idx)), wvalid.clone()),

@@ -7,16 +7,20 @@
 //! clock domain whose `din` carries all statement arguments plus a 1-bit
 //! encoded path constraint per statement, and whose `enable` is the OR of
 //! the constraints. After execution, [`SignalCat::reconstruct`] turns the
-//! captured entries back into the exact log the `$display`s would have
-//! printed — the same output in simulation and deployment.
+//! captured entries back into the records the `$display`s would have made:
+//! the same [`Log`] of sites and argument values in simulation and
+//! deployment.
 
 use crate::{generated_lines, to_bool, ToolError};
-use hwdbg_dataflow::{guard, ty, Design, Ty};
+use hwdbg_bits::Bits;
+use hwdbg_dataflow::{guard, Design, Site, Ty};
 use hwdbg_ip::TraceBuffer;
 use hwdbg_rtl::{
     CaseArm, Expr, Instance, Item, LValue, Module, NetDecl, NetKind, Span, Stmt,
 };
-use hwdbg_sim::{LogRecord, Simulator};
+use hwdbg_sim::{Log, Simulator};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// SignalCat configuration.
 #[derive(Debug, Clone)]
@@ -47,6 +51,8 @@ impl Default for SignalCatConfig {
 pub struct DisplayStmt {
     /// Index within the instrumentation (bit position of its constraint).
     pub id: usize,
+    /// The statement's site number in the design ([`Design::sites`]).
+    pub site: u32,
     /// Format string.
     pub format: String,
     /// Argument expressions.
@@ -58,6 +64,11 @@ pub struct DisplayStmt {
     pub constraint: Expr,
     /// Clock of the process containing the statement.
     pub clock: String,
+    /// A variable that an argument or the constraint reads and that a
+    /// blocking assignment earlier in the same process writes. Its wire
+    /// carries the value from before the process ran, so the record is
+    /// rebuilt with that value: one cycle late.
+    pub late_read: Option<String>,
 }
 
 /// One recording buffer (per clock domain).
@@ -85,6 +96,8 @@ pub struct SignalCatInstrumented {
     pub buffers: Vec<BufferInfo>,
     /// Lines of Verilog the tool generated (§6.3 metric).
     pub generated_lines: usize,
+    /// The original design's `$display` sites, which rebuilt records name.
+    pub sites: Arc<[Site]>,
 }
 
 /// The SignalCat tool (stateless; methods are associated functions).
@@ -92,26 +105,50 @@ pub struct SignalCatInstrumented {
 pub struct SignalCat;
 
 impl SignalCat {
-    /// Discovers the `$display` statements of a design without
-    /// instrumenting: statement metadata including path constraints.
+    /// Discovers the `$display` statements of a design's rising-edge
+    /// processes without instrumenting: statement metadata including path
+    /// constraints. Walking the processes in order counts the sites the
+    /// way [`Design::sites`] numbers them.
     pub fn discover(design: &Design) -> Vec<DisplayStmt> {
         let mut stmts = Vec::new();
+        let mut next_site = 0u32;
         for p in &design.procs {
-            let Some(edge) = p.edges.iter().find(|e| e.posedge) else {
-                continue;
-            };
-            guard::walk(&p.body, &mut Vec::new(), &mut |path, stmt| {
-                let Stmt::Display { format, args, .. } = stmt else {
-                    return;
-                };
-                stmts.push(DisplayStmt {
-                    id: stmts.len(),
-                    format: format.clone(),
-                    arg_tys: args.iter().map(|a| ty(a, design).unwrap_or(Ty::BIT)).collect(),
-                    args: args.clone(),
-                    constraint: guard::cond(path),
-                    clock: edge.signal.clone(),
-                });
+            let edge = p.edges.iter().find(|e| e.posedge);
+            let mut blocking = BTreeSet::new();
+            guard::walk(&p.body, &mut Vec::new(), &mut |path, stmt| match stmt {
+                Stmt::Assign { lhs, nonblocking: false, .. } => {
+                    lhs.visit_targets(&mut |n, _| {
+                        blocking.insert(n);
+                    });
+                }
+                Stmt::For { var, .. } => {
+                    blocking.insert(var.as_str());
+                }
+                Stmt::Display { format, args, .. } => {
+                    let site = next_site;
+                    next_site += 1;
+                    let Some(edge) = edge else {
+                        return;
+                    };
+                    let constraint = guard::cond(path);
+                    let late_read = args
+                        .iter()
+                        .chain([&constraint])
+                        .flat_map(Expr::idents)
+                        .find(|n| blocking.contains(n))
+                        .map(str::to_owned);
+                    stmts.push(DisplayStmt {
+                        id: stmts.len(),
+                        site,
+                        format: format.clone(),
+                        arg_tys: design.sites()[site as usize].tys.to_vec(),
+                        args: args.clone(),
+                        constraint,
+                        clock: edge.signal.clone(),
+                        late_read,
+                    });
+                }
+                _ => {}
             });
         }
         stmts
@@ -256,14 +293,17 @@ impl SignalCat {
             statements,
             buffers,
             generated_lines: lines,
+            sites: Arc::clone(design.sites()),
         })
     }
 
     /// Reconstructs the log from the recording buffers of a finished
-    /// simulation of the instrumented design. The output equals what the
-    /// original `$display` statements would have printed.
-    pub fn reconstruct(info: &SignalCatInstrumented, sim: &Simulator) -> Vec<LogRecord> {
-        let mut out = Vec::new();
+    /// simulation of the instrumented design: one record per captured
+    /// statement, named by its site in the original design and stamped
+    /// with its cycle, oldest first. Its records equal, as `(site, cycle,
+    /// arguments)`, the ones the original `$display` statements make.
+    pub fn reconstruct(info: &SignalCatInstrumented, sim: &Simulator) -> Log {
+        let mut found: Vec<(u64, u32, Vec<Bits>)> = Vec::new();
         for buf in &info.buffers {
             let Some(bb) = sim.blackbox(&buf.inst) else {
                 continue;
@@ -274,45 +314,62 @@ impl SignalCat {
             for entry in tb.entries() {
                 // Arguments are packed above the constraint bits in
                 // stmt_ids order; walk the layout in lockstep.
-                let n_conds = buf.stmt_ids.len() as u32;
-                let mut lo = n_conds;
+                let mut lo = buf.stmt_ids.len() as u32;
                 for (bit, &id) in buf.stmt_ids.iter().enumerate() {
                     let s = &info.statements[id];
-                    let arg_total: u32 = s.arg_tys.iter().map(|t| t.width).sum();
-                    if entry.data.bit(bit as u32) {
-                        let (mut vals, mut signs) = (Vec::new(), Vec::new());
-                        let mut alo = lo;
-                        for t in &s.arg_tys {
-                            vals.push(entry.data.slice(alo, t.width));
-                            signs.push(t.signed);
-                            alo += t.width;
-                        }
-                        out.push(LogRecord {
-                            time: entry.cycle,
-                            cycle: entry.cycle,
-                            message: hwdbg_sim::format::render_signed(&s.format, &vals, &signs),
-                        });
+                    let start = lo;
+                    lo += s.arg_tys.iter().map(|t| t.width).sum::<u32>();
+                    if !entry.data.bit(bit as u32) {
+                        continue;
                     }
-                    lo += arg_total;
+                    let mut alo = start;
+                    let args = s.arg_tys.iter().map(|t| {
+                        alo += t.width;
+                        entry.data.slice(alo - t.width, t.width)
+                    });
+                    found.push((entry.cycle, s.site, args.collect()));
                 }
             }
         }
-        out.sort_by_key(|r| r.cycle);
-        out
+        found.sort_by_key(|r| r.0);
+        let mut log = Log::new(Arc::clone(&info.sites), usize::MAX);
+        for (cycle, site, args) in &found {
+            log.push(*site, *cycle, *cycle, args.iter().map(Bits::limbs));
+        }
+        log
     }
 
     /// Like [`SignalCat::reconstruct`], but marks the result *degraded*
-    /// when the reconstructed log is a provably incomplete view of the
-    /// run: a ring buffer wrapped (oldest records overwritten) or a
-    /// buffer instance is missing from the simulation entirely. The log
-    /// itself is still returned — degraded output beats no output when
-    /// debugging deployed hardware (§2).
+    /// when the reconstructed log is a provably incomplete or shifted view
+    /// of the run: a ring buffer wrapped (oldest records overwritten), a
+    /// buffer instance is missing from the simulation entirely, or a
+    /// statement reads a variable written by a blocking assignment earlier
+    /// in its process ([`DisplayStmt::late_read`]). The log itself is
+    /// still returned — degraded output beats no output when debugging
+    /// deployed hardware (§2).
     pub fn reconstruct_checked(
         info: &SignalCatInstrumented,
         sim: &Simulator,
-    ) -> hwdbg_diag::Checked<Vec<LogRecord>> {
+    ) -> hwdbg_diag::Checked<Log> {
         use hwdbg_diag::{Checked, ErrorCode, HwdbgError};
         let mut checked = Checked::clean(Self::reconstruct(info, sim));
+        for s in &info.statements {
+            let Some(var) = &s.late_read else {
+                continue;
+            };
+            checked = checked.degraded(
+                HwdbgError::warning(
+                    ErrorCode::DegradedOutput,
+                    format!(
+                        "`$display(\"{}\")` (site {}) reads `{var}`, which a blocking \
+                         assignment earlier in its process writes; its records carry \
+                         the value from before the process ran, one cycle late",
+                        s.format, s.site
+                    ),
+                )
+                .with_signal(var),
+            );
+        }
         for buf in &info.buffers {
             let tb = sim
                 .blackbox(&buf.inst)
@@ -456,8 +513,7 @@ mod tests {
         let d1 = design();
         let mut native = Simulator::new(d1, &StdModels, SimConfig::default()).unwrap();
         drive(&mut native);
-        let native_msgs: Vec<_> = native.logs().iter().map(|l| l.message.clone()).collect();
-        assert!(!native_msgs.is_empty());
+        assert!(!native.logs().is_empty());
 
         // Instrumented run: displays stripped, trace buffer records.
         let info = SignalCat::instrument(&design(), &SignalCatConfig::default()).unwrap();
@@ -467,8 +523,38 @@ mod tests {
         drive(&mut instr);
         assert!(instr.logs().is_empty(), "displays must be stripped");
         let rec = SignalCat::reconstruct(&info, &instr);
-        let rec_msgs: Vec<_> = rec.iter().map(|l| l.message.clone()).collect();
-        assert_eq!(rec_msgs, native_msgs);
+        assert_eq!(values(&rec), values(native.logs()));
+        let text = |log: &Log| log.iter().map(|r| r.message()).collect::<Vec<_>>();
+        assert_eq!(text(&rec), text(native.logs()));
+    }
+
+    /// Each record as `(site, cycle, arguments)`.
+    fn values(log: &Log) -> Vec<(u32, u64, Vec<Bits>)> {
+        log.iter().map(|r| (r.site, r.cycle, r.args().collect())).collect()
+    }
+
+    /// A `$display` that reads what a blocking assignment earlier in its
+    /// process wrote is recorded a cycle late; the log says so.
+    #[test]
+    fn a_late_read_marks_the_log_degraded() {
+        let src = "module m(input clk, input [3:0] n, output reg [7:0] bl);
+            always @(posedge clk) begin
+                bl = $signed(4'hc) + n;
+                $display(\"%h\", bl);
+            end
+        endmodule";
+        let lib = StdIpLib::new();
+        let d = elaborate(&hwdbg_rtl::parse(src).unwrap(), "m", &lib).unwrap();
+        let info = SignalCat::instrument(&d, &SignalCatConfig::default()).unwrap();
+        let d2 = hwdbg_dataflow::resolve(info.module.clone(), &lib).unwrap();
+        let mut sim = Simulator::new(d2, &StdModels, SimConfig::default()).unwrap();
+        sim.poke_u64("n", 1).unwrap();
+        sim.run("clk", 3).unwrap();
+        let checked = SignalCat::reconstruct_checked(&info, &sim);
+        assert!(!checked.is_clean());
+        let w = &checked.diags[0];
+        assert!(w.message.contains("reads `bl`"), "{}", w.message);
+        assert!(w.message.contains("site 0"), "{}", w.message);
     }
 
     fn drive(sim: &mut Simulator) {
@@ -496,7 +582,7 @@ mod tests {
         }
         let rec = SignalCat::reconstruct(&info, &sim);
         assert_eq!(rec.len(), 2, "ring keeps only the last DEPTH entries");
-        assert!(rec[1].message.contains("d=4"));
+        assert!(rec.get(1).unwrap().message().contains("d=4"));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use hwdbg_sim::{SimConfig, Simulator};
 use hwdbg_tools::losscheck::LossCheckConfig;
 use hwdbg_tools::signalcat::SignalCatConfig;
 use hwdbg_tools::statmon::Event;
-use hwdbg_tools::{LossCheck, SignalCat, StatisticsMonitor, ToolError};
+use hwdbg_tools::{DependencyMonitor, FsmMonitor, LossCheck, SignalCat, StatisticsMonitor, ToolError};
 
 fn design(src: &str, top: &str) -> hwdbg_dataflow::Design {
     elaborate(&hwdbg_rtl::parse(src).unwrap(), top, &StdIpLib::new()).unwrap()
@@ -48,9 +48,9 @@ fn signalcat_post_trigger_window_limits_capture() {
     let rec = SignalCat::reconstruct(&info, &sim);
     // Recording stopped two cycles after the alarm; the counter kept going
     // but nothing past the window was captured.
-    let last = rec.last().unwrap();
+    let last = rec.iter().last().unwrap();
     assert!(last.cycle <= 10, "{rec:?}");
-    assert!(rec.iter().any(|r| r.message == "alarm fired"));
+    assert!(rec.iter().any(|r| r.message() == "alarm fired"));
     assert!(rec.len() < 20, "window must bound the capture: {}", rec.len());
 }
 
@@ -169,8 +169,8 @@ fn signalcat_two_clock_domains_get_two_buffers() {
     sim.step("clka").unwrap();
     sim.step("clkb").unwrap();
     let rec = SignalCat::reconstruct(&info, &sim);
-    let a = rec.iter().filter(|r| r.message.starts_with("A ")).count();
-    let b = rec.iter().filter(|r| r.message.starts_with("B ")).count();
+    let a = rec.iter().filter(|r| r.message().starts_with("A ")).count();
+    let b = rec.iter().filter(|r| r.message().starts_with("B ")).count();
     assert_eq!((a, b), (2, 1), "{rec:?}");
 }
 
@@ -324,4 +324,41 @@ fn fsm_trace_marks_forced_unlabeled_state_degraded() {
     assert_eq!(w.code, hwdbg_diag::ErrorCode::DegradedOutput);
     assert!(w.message.contains("unlabeled state 3"), "{}", w.message);
     assert_eq!(w.signals, vec!["state".to_string()]);
+}
+
+/// A design's own `$display`s are not tool records, whatever their text:
+/// LossCheck, FSM Monitor and Dependency Monitor read only the records of
+/// the `$display`s they added themselves.
+#[test]
+fn monitors_ignore_a_designs_own_displays() {
+    let src = r#"module m(input clk, input go, output reg [1:0] state, output reg [7:0] x);
+        localparam IDLE = 2'd0;
+        localparam RUN = 2'd1;
+        localparam DONE = 2'd2;
+        always @(posedge clk) begin
+            case (state)
+                IDLE: if (go) state <= RUN;
+                RUN: state <= DONE;
+                DONE: state <= IDLE;
+            endcase
+            x <= x + 8'd1;
+            $display("LOSSCHECK r");
+            $display("FSMMON state %0d %0d", x, x + 8'd1);
+            $display("DEPMON x %0d", x);
+        end
+    endmodule"#;
+    let d = design(src, "m");
+    let mut sim = sim_of(d.clone());
+    sim.run("clk", 6).unwrap();
+    assert_eq!(sim.logs().len(), 18, "the design's displays run");
+    assert!(LossCheck::reports(sim.logs()).is_empty());
+    assert!(DependencyMonitor::trace(&sim).is_empty());
+
+    // With `go` low the state never changes, so FSM Monitor has nothing to
+    // report either.
+    let info = FsmMonitor::new().instrument(&d).unwrap();
+    assert!(info.fsms.iter().any(|f| f.signal == "state"));
+    let mut sim = sim_of(resolve(info.module.clone(), &StdIpLib::new()).unwrap());
+    sim.run("clk", 6).unwrap();
+    assert!(FsmMonitor::trace(&info, &sim).is_empty());
 }

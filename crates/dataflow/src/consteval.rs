@@ -78,7 +78,9 @@ pub fn eval_typed(expr: &Expr, env: &ConstEnv) -> Result<(Bits, Ty), DataflowErr
             let (fv, tf) = eval_typed(f, env)?;
             let ty = Ty::ternary(tt, tf);
             let v = if cond.to_bool() { tv } else { fv };
-            (v.resize(ty.width), ty)
+            // Two signed arms sign-extend the narrower one (§5.5).
+            let v = if ty.signed { v.resize_signed(ty.width) } else { v.resize(ty.width) };
+            (v, ty)
         }
         Expr::WidthCast(w, inner) => (eval_const(inner, env)?.resize(*w), Ty::unsigned(*w)),
         Expr::SignCast(signed, inner) => {

@@ -12,7 +12,8 @@ use crate::ty::{lvalue_width, ty, Scope, Ty, WidthError};
 use crate::DataflowError;
 use hwdbg_bits::Bits;
 use hwdbg_rtl::{
-    Dir, Edge, EventControl, Expr, Item, LValue, Module, NetDecl, Port, SourceFile, Span, Stmt,
+    Dir, DisplayTag, Edge, EventControl, Expr, Item, LValue, Module, NetDecl, Port, SourceFile,
+    Span, Stmt,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
@@ -122,6 +123,23 @@ pub struct ClockedProc {
     pub writes: Box<[SigId]>,
 }
 
+/// One `$display` of a clocked process: what a log record of it needs to
+/// be read. The sites of a design are numbered in process order, and in
+/// [`guard::walk`] order within a body; [`Design::sites`] holds them, and
+/// the simulator and SignalCat both name a record's statement by that
+/// number. A `$display` in combinational logic never prints, so it is no
+/// site.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Site {
+    /// The format string.
+    pub format: String,
+    /// Each argument's type: the width it is recorded at, and the sign
+    /// `%d` renders it with.
+    pub tys: Box<[Ty]>,
+    /// The generating tool's tag, for a `$display` a tool added.
+    pub tag: Option<DisplayTag>,
+}
+
 /// A blackbox IP instance in the resolved design.
 #[derive(Debug, Clone)]
 pub struct BbInst {
@@ -191,6 +209,8 @@ pub struct Design {
     pub procs: Vec<ClockedProc>,
     /// Blackbox instances.
     pub blackboxes: Vec<BbInst>,
+    /// [`sites`](Design::sites)' memo; a clone shares it.
+    sites: OnceLock<Arc<[Site]>>,
     /// [`local_graph`](Design::local_graph)'s memo; a clone shares it.
     local_graph: OnceLock<Arc<PropGraph>>,
     /// [`index`](Design::index)'s memo; a clone shares it.
@@ -220,6 +240,29 @@ impl Design {
     pub fn local_graph(&self) -> &PropGraph {
         self.local_graph
             .get_or_init(|| Arc::new(PropGraph::build_local(self)))
+    }
+
+    /// The `$display` sites of the clocked processes, by site number.
+    /// Built on first use and memoized like
+    /// [`local_graph`](Self::local_graph), under the same no-mutation rule.
+    pub fn sites(&self) -> &Arc<[Site]> {
+        self.sites.get_or_init(|| {
+            let mut sites = Vec::new();
+            let mut path = Vec::new();
+            for p in &self.procs {
+                guard::walk(&p.body, &mut path, &mut |_, stmt| {
+                    let Stmt::Display { format, args, tag, .. } = stmt else {
+                        return;
+                    };
+                    // A resolved design types every argument; a failure
+                    // fails compilation, so its placeholder is never read.
+                    let tys = args.iter().map(|a| ty(a, self).unwrap_or(Ty::BIT));
+                    let tag = tag.as_deref().cloned();
+                    sites.push(Site { format: format.clone(), tys: tys.collect(), tag });
+                });
+            }
+            sites.into()
+        })
     }
 
     /// Who drives and reads each signal, by ID: port directions, clocked
@@ -612,6 +655,7 @@ pub fn resolve(flat: Module, lib: &dyn BlackboxLib) -> Result<Design, DataflowEr
         combs,
         procs,
         blackboxes,
+        sites: OnceLock::new(),
         local_graph: OnceLock::new(),
         index: OnceLock::new(),
     })

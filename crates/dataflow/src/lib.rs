@@ -51,7 +51,7 @@ pub use consteval::{
     shift_amount, signed_magnitudes, sized_param, ConstEnv,
 };
 pub use design::{
-    elaborate, resolve, BbInst, ClockedProc, CombDriver, Design, SigInfo, SigKind, Signals,
+    elaborate, resolve, BbInst, ClockedProc, CombDriver, Design, SigInfo, SigKind, Signals, Site,
 };
 pub use index::DesignIndex;
 pub use intern::{SigId, SignalTable};

@@ -193,13 +193,14 @@ pub fn rewrite_stmt(stmt: &Stmt, f: &dyn Fn(&str) -> Repl) -> Result<Stmt, Dataf
             step: rewrite_expr(step, f)?,
             body: Box::new(rewrite_stmt(body, f)?),
         },
-        Stmt::Display { format, args, span } => Stmt::Display {
+        Stmt::Display { format, args, span, tag } => Stmt::Display {
             format: format.clone(),
             args: args
                 .iter()
                 .map(|a| rewrite_expr(a, f))
                 .collect::<Result<_, _>>()?,
             span: *span,
+            tag: tag.clone(),
         },
         Stmt::Finish => Stmt::Finish,
         Stmt::Empty => Stmt::Empty,

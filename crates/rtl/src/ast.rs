@@ -291,6 +291,10 @@ pub enum Stmt {
         args: Vec<Expr>,
         /// Source location.
         span: Span,
+        /// Set on a `$display` an instrumentation tool generated, so that
+        /// the tool can tell its own records from the design's. The parser
+        /// never sets one, and the printer does not print it.
+        tag: Option<Box<DisplayTag>>,
     },
     /// `$finish;` — stops simulation.
     Finish,
@@ -298,7 +302,27 @@ pub enum Stmt {
     Empty,
 }
 
+/// Which tool generated a `$display`, and what its records are about.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct DisplayTag {
+    /// The generating tool's name.
+    pub tool: &'static str,
+    /// The signal (or site) the records report on.
+    pub subject: String,
+}
+
 impl Stmt {
+    /// Builds a `$display` that `tool` generated about `subject`.
+    pub fn tool_display(tool: &'static str, subject: &str, format: String, args: Vec<Expr>) -> Stmt {
+        let subject = subject.to_owned();
+        Stmt::Display {
+            format,
+            args,
+            span: Span::synthetic(),
+            tag: Some(Box::new(DisplayTag { tool, subject })),
+        }
+    }
+
     /// Builds a nonblocking assignment `lhs <= rhs;`.
     pub fn nonblocking(lhs: LValue, rhs: Expr) -> Stmt {
         Stmt::Assign {

@@ -34,7 +34,7 @@ pub mod span;
 pub mod token;
 
 pub use ast::{
-    BinaryOp, CaseArm, CaseKind, Dir, Edge, EventControl, Expr, Instance, Item, LValue, Module,
+    BinaryOp, CaseArm, CaseKind, Dir, DisplayTag, Edge, EventControl, Expr, Instance, Item, LValue, Module,
     NetDecl, NetKind, Param, Port, SourceFile, Stmt, UnaryOp,
 };
 pub use parser::{parse, parse_expr};

@@ -673,7 +673,7 @@ impl Parser {
                         }
                         self.expect_punct(")")?;
                         self.expect_punct(";")?;
-                        Ok(Stmt::Display { format, args, span })
+                        Ok(Stmt::Display { format, args, span, tag: None })
                     }
                     "$finish" | "$stop" => {
                         if self.eat_punct("(") {

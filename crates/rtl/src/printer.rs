@@ -394,6 +394,7 @@ mod tests {
             format: "a\"b\nc".into(),
             args: vec![],
             span: crate::span::Span::synthetic(),
+            tag: None,
         };
         let mut out = String::new();
         print_stmt(&s, &mut out, 0, false);

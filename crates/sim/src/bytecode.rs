@@ -46,7 +46,6 @@
 use crate::compile::{CCaseArm, CExec, CExpr, CLValue, CNbWrite, CStmt, Flow};
 use crate::eval::{binary_into, effective_mem_addr};
 use crate::state::SimState;
-use crate::format::Arg;
 use crate::SimError;
 use hwdbg_bits::{fixed, Bits};
 use hwdbg_dataflow::SigId;
@@ -234,12 +233,11 @@ pub(crate) enum Op {
     Finish,
 }
 
-/// A lowered `$display`: the format string plus each argument's register,
-/// natural width, and declared signedness.
+/// A lowered `$display`: its site number and each argument's register.
 #[derive(Debug, Clone)]
 pub(crate) struct DisplaySpec {
-    pub format: String,
-    pub args: Vec<(Src, u32, bool)>,
+    pub site: u32,
+    pub args: Vec<Src>,
 }
 
 /// One unit's lowered program plus its register-file requirements.
@@ -1043,23 +1041,14 @@ impl Lower<'_> {
                 self.emit(Op::LoopEnd { var: *var, old, mark });
                 Ok(())
             }
-            CStmt::Display { format, args, signs } => {
+            CStmt::Display { site, args } => {
                 // Argument registers are evaluated unconditionally (pure,
                 // infallible); the Display op itself is a no-op when the
                 // unit runs without a log sink.
-                let mut spec_args = Vec::with_capacity(args.len());
-                for (i, a) in args.iter().enumerate() {
-                    let w = a.width();
-                    let src = self.expr(a)?;
-                    let signed = signs.get(i).copied().unwrap_or(false);
-                    spec_args.push((src, w, signed));
-                }
+                let args = args.iter().map(|a| self.expr(a)).collect::<Result<_, _>>()?;
                 let spec = u16::try_from(self.displays.len())
                     .map_err(|_| too_large("65535 `$display` statements"))?;
-                self.displays.push(DisplaySpec {
-                    format: format.clone(),
-                    args: spec_args,
-                });
+                self.displays.push(DisplaySpec { site: *site, args });
                 self.emit(Op::Display { spec });
                 Ok(())
             }
@@ -1961,19 +1950,14 @@ pub(crate) fn run(prog: &BcProgram, exec: &mut CExec<'_>) -> Result<Flow, SimErr
                 }
             }
             Op::Display { spec } => {
-                if let Some(sink) = exec.logs.as_deref_mut() {
+                if let Some(sink) = &mut exec.logs {
                     let spec = &prog.displays[spec as usize];
                     let (nregs, wregs) = (&exec.scratch.nregs, &exec.scratch.wregs);
-                    sink.stage_rendered(
-                        &spec.format,
-                        spec.args.iter().map(|&(src, w, signed)| {
-                            let arg = match src {
-                                Src::N(r) => Arg::Narrow(nregs[r as usize], w),
-                                Src::W(r) => Arg::Wide(&wregs[r as usize]),
-                            };
-                            (arg, signed)
-                        }),
-                    );
+                    let args = spec.args.iter().map(|&src| match src {
+                        Src::N(r) => std::slice::from_ref(&nregs[r as usize]),
+                        Src::W(r) => wregs[r as usize].limbs(),
+                    });
+                    sink.log.push(spec.site, sink.time, sink.cycle, args);
                 }
             }
             Op::Finish => return Ok(Flow::Finished),

@@ -22,10 +22,11 @@
 
 use crate::eval::{binary_into, effective_mem_addr};
 use crate::state::{SimState, NOT_A_MEM};
-use crate::{LogRecord, SimError};
+use crate::{Log, SimError};
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::{Design, Scope, SigId, SigInfo, Ty};
 use hwdbg_rtl::{BinaryOp, Expr, LValue, Stmt, UnaryOp};
+use std::cell::Cell;
 
 /// A compiled expression: all names resolved, all static facts inlined.
 /// Every node records the width its type gives it ([`CExpr::width`]), so
@@ -147,13 +148,8 @@ pub(crate) enum CStmt {
         step: CExpr,
         body: Box<CStmt>,
     },
-    Display {
-        format: String,
-        args: Vec<CExpr>,
-        /// Per-argument signedness (from each argument's type), so `%d`
-        /// renders two's-complement values.
-        signs: Vec<bool>,
-    },
+    /// A clocked `$display`: its site number and its arguments.
+    Display { site: u32, args: Vec<CExpr> },
     Finish,
     Empty,
 }
@@ -227,7 +223,7 @@ impl Compiled {
     /// Compiles `design` against its memory layout `mem_slot` (see
     /// [`crate::state::mem_slots`]).
     pub fn build(design: &Design, mem_slot: &[u32]) -> Result<Compiled, SimError> {
-        let cc = Ctx { design, mem_slot };
+        let cc = Ctx { design, mem_slot, next_site: Cell::new(None) };
         let n_sigs = design.table.len();
 
         // Identity-assign aliases, mirroring the interpreter's clock-root
@@ -286,6 +282,8 @@ impl Compiled {
             });
         }
 
+        // Sites number the processes' `$display`s in the order compiled.
+        cc.next_site.set(Some(0));
         let mut procs = Vec::with_capacity(design.procs.len());
         for proc in &design.procs {
             let edge_roots = proc
@@ -298,6 +296,9 @@ impl Compiled {
                 body: cc.stmt(&proc.body)?,
                 edge_roots,
             });
+        }
+        if cc.next_site.get() != Some(design.sites().len() as u32) {
+            return Err(SimError::Internal("`$display` sites out of step with the design".into()));
         }
         let mut compiled = Compiled {
             combs,
@@ -360,6 +361,9 @@ struct Ctx<'a> {
     design: &'a Design,
     /// Per signal ID: its memory slot, or [`NOT_A_MEM`].
     mem_slot: &'a [u32],
+    /// The site of the next `$display` compiled in a clocked process;
+    /// `None` in combinational logic, where a `$display` never prints.
+    next_site: Cell<Option<u32>>,
 }
 
 impl<'a> Ctx<'a> {
@@ -428,7 +432,12 @@ impl<'a> Ctx<'a> {
                 let cond = Box::new(self.expr(c)?);
                 let ((t, tt), (f, tf)) = (self.typed(t)?, self.typed(f)?);
                 let ty = Ty::ternary(tt, tf);
-                let (t, f) = (Box::new(t), Box::new(f));
+                // Two signed arms sign-extend the narrower one (§5.5).
+                let arm = |c, t: Ty| match ty.signed && t.sign_extends_to(ty.width) {
+                    true => Box::new(CExpr::Resize { width: ty.width, signed: true, inner: Box::new(c) }),
+                    false => Box::new(c),
+                };
+                let (t, f) = (arm(t, tt), arm(f, tf));
                 (CExpr::Ternary { cond, t, f, width: ty.width }, ty)
             }
             Expr::Index(n, idx) => {
@@ -665,15 +674,13 @@ impl<'a> Ctx<'a> {
             }
             Stmt::Display { format, args, .. } => {
                 crate::format::check_field_widths(format)?;
-                let (args, signs) = args
-                    .iter()
-                    .map(|a| self.typed(a).map(|(c, ty)| (c, ty.signed)))
-                    .collect::<Result<_, _>>()?;
-                CStmt::Display {
-                    format: format.clone(),
-                    args,
-                    signs,
-                }
+                let Some(site) = self.next_site.get() else {
+                    return Ok(CStmt::Empty);
+                };
+                self.next_site.set(Some(site + 1));
+                debug_assert_eq!(self.design.sites()[site as usize].format, *format);
+                let args = args.iter().map(|a| self.expr(a)).collect::<Result<_, _>>()?;
+                CStmt::Display { site, args }
             }
             Stmt::Finish => CStmt::Finish,
             Stmt::Empty => CStmt::Empty,
@@ -871,60 +878,12 @@ pub(crate) fn eval_into(
     Ok(())
 }
 
-/// Per-engine `$display` staging. Records emitted by one clocked step
-/// collect in `staged` until the step commits. Production backends render
-/// into one reusable buffer and copy the text into an exact-length
-/// message, taking its storage from `pool`: the engine returns evicted
-/// records' buffers there, so a full log allocates nothing per record.
-#[derive(Debug, Default)]
-pub(crate) struct LogSink {
-    /// Global step counter stamped on new records.
+/// Where a clocked step's `$display` records go, with the step and cycle
+/// they are stamped with.
+pub(crate) struct LogSink<'a> {
+    pub log: &'a mut Log,
     pub time: u64,
-    /// Cycle of the stepping clock stamped on new records.
     pub cycle: u64,
-    /// Records emitted by the current step, oldest first.
-    pub staged: Vec<LogRecord>,
-    /// Message buffers recycled from evicted records.
-    pool: Vec<String>,
-    renderer: crate::format::Renderer,
-}
-
-impl LogSink {
-    /// Stages an already-rendered message (the tree-walker's path).
-    pub fn stage(&mut self, message: String) {
-        self.staged.push(LogRecord {
-            time: self.time,
-            cycle: self.cycle,
-            message,
-        });
-    }
-
-    /// Renders `fmt` in place and stages the text as a new record.
-    pub fn stage_rendered<'a>(
-        &mut self,
-        fmt: &str,
-        args: impl IntoIterator<Item = (crate::format::Arg<'a>, bool)>,
-    ) {
-        let text = self.renderer.render(fmt, args);
-        let message = match self.pool.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.reserve_exact(text.len());
-                buf.push_str(text);
-                buf
-            }
-            None => text.to_owned(),
-        };
-        self.stage(message);
-    }
-
-    /// Returns an evicted record's buffer to the pool, keeping at most
-    /// `cap` buffers.
-    pub fn recycle(&mut self, message: String, cap: usize) {
-        if self.pool.len() < cap {
-            self.pool.push(message);
-        }
-    }
 }
 
 /// A deferred (nonblocking) write, resolved to a concrete target at the
@@ -968,8 +927,8 @@ pub(crate) struct CExec<'a> {
     pub scratch: &'a mut EvalScratch,
     /// `Some` in clocked context: nonblocking writes defer here.
     pub nb: Option<&'a mut Vec<CNbWrite>>,
-    /// `Some` in clocked context: `$display` records stage here.
-    pub logs: Option<&'a mut LogSink>,
+    /// `Some` in clocked context: `$display` records go here.
+    pub logs: Option<LogSink<'a>>,
     pub changed: &'a mut Vec<SigId>,
     /// Fault-injection pins: writes to these signals are discarded.
     /// `None` (fault-free) keeps the hot path to a single branch.
@@ -1081,18 +1040,13 @@ impl CExec<'_> {
                 self.scratch.put(old);
                 Ok(Flow::Continue)
             }
-            CStmt::Display {
-                format,
-                args,
-                signs,
-            } => {
+            CStmt::Display { site, args } => {
                 if let Some(sink) = &mut self.logs {
                     let mut vals = Vec::new();
                     for a in args {
                         vals.push(eval(self.state, a)?);
                     }
-                    let message = crate::format::render_signed(format, &vals, signs);
-                    sink.stage(message);
+                    sink.log.push(*site, sink.time, sink.cycle, vals.iter().map(Bits::limbs));
                 }
                 Ok(Flow::Continue)
             }

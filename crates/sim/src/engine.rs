@@ -19,7 +19,7 @@ use crate::bytecode::{self, lower_unit, BcProgram, NO_PROMOTION};
 use crate::compile::{eval_into, CExec, CNbWrite, Compiled, EvalScratch, Flow, LogSink};
 use crate::sched::{build_schedule, Schedule};
 use crate::state::{mem_slots, RegInit, SimState};
-use crate::{Blackbox, BlackboxFactory, LogRecord, SimError};
+use crate::{Blackbox, BlackboxFactory, Log, SimError};
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::{BbInst, Design, SigId};
 use hwdbg_obs::SimCounters;
@@ -370,13 +370,8 @@ pub struct Simulator {
     state: SimState,
     config: SimConfig,
     blackboxes: Vec<BbModel>,
-    /// Captured `$display` records; the visible log is
-    /// `logs[log_start..]`. Evicting the oldest record advances
-    /// `log_start`, and the dead prefix is compacted away once it reaches
-    /// `log_capacity`, so eviction costs O(1) amortized.
-    logs: Vec<LogRecord>,
-    log_start: usize,
-    dropped_logs: u64,
+    /// Captured `$display` records, at most `log_capacity` of them.
+    log: Log,
     time: u64,
     /// Per clock name stepped so far.
     cycles: BTreeMap<String, ClockRun>,
@@ -399,8 +394,6 @@ pub struct Simulator {
     worklist: Worklist,
     /// Nonblocking-write queue reused across steps.
     nb_scratch: Vec<CNbWrite>,
-    /// `$display` staging, render buffer, and recycled message buffers.
-    log_sink: LogSink,
     /// Signals pinned by [`Simulator::force`]: drivers and pokes cannot
     /// change them until released. Empty in fault-free runs, so the hot
     /// path pays one `is_empty` check.
@@ -523,14 +516,13 @@ impl Simulator {
         let n_units = shared.compiled.n_units();
         let n_regions = shared.sched.regions.len();
         let n_sigs = design.table.len();
+        let log = Log::new(Arc::clone(design.sites()), config.log_capacity);
         Ok(Simulator {
             shared,
             state,
             config,
             blackboxes,
-            logs: Vec::new(),
-            log_start: 0,
-            dropped_logs: 0,
+            log,
             time: 0,
             cycles: BTreeMap::new(),
             finished: false,
@@ -545,7 +537,6 @@ impl Simulator {
             scratch,
             worklist: Worklist::new(n_units),
             nb_scratch: Vec::with_capacity(16),
-            log_sink: LogSink::default(),
             forces: BTreeMap::new(),
             region_demoted: vec![demoted; n_regions],
             counters: if config_metrics {
@@ -594,13 +585,13 @@ impl Simulator {
     }
 
     /// Captured `$display` records.
-    pub fn logs(&self) -> &[LogRecord] {
-        &self.logs[self.log_start..]
+    pub fn logs(&self) -> &Log {
+        &self.log
     }
 
     /// How many log records were dropped due to `log_capacity`.
     pub fn dropped_logs(&self) -> u64 {
-        self.dropped_logs
+        self.log.dropped()
     }
 
     /// Hot-path event counters; `None` unless [`SimConfig::metrics`] was
@@ -1189,16 +1180,14 @@ impl Simulator {
         };
 
         let mut nb = std::mem::take(&mut self.nb_scratch);
-        debug_assert!(nb.is_empty() && self.log_sink.staged.is_empty());
-        self.log_sink.time = self.time;
-        self.log_sink.cycle = cycle;
+        debug_assert!(nb.is_empty());
         let mut finished = false;
         for &pi in &plan.procs {
             let mut exec = CExec {
                 state: &mut self.state,
                 scratch: &mut self.scratch,
                 nb: Some(&mut nb),
-                logs: Some(&mut self.log_sink),
+                logs: Some(LogSink { log: &mut self.log, time: self.time, cycle }),
                 changed: &mut self.dirty_sigs,
                 forced: forced_view(&self.forces),
                 strict_bounds: self.config.strict_bounds,
@@ -1242,11 +1231,6 @@ impl Simulator {
         }
         self.nb_scratch = nb;
 
-        let mut staged = std::mem::take(&mut self.log_sink.staged);
-        for rec in staged.drain(..) {
-            self.push_log(rec);
-        }
-        self.log_sink.staged = staged;
         if finished {
             self.finished = true;
         }
@@ -1264,27 +1248,6 @@ impl Simulator {
             }
         }
         Ok(())
-    }
-
-    /// Appends one `$display` record, evicting the oldest visible record
-    /// once `log_capacity` are retained. Compaction hands the evicted
-    /// records' message buffers back to the log sink for reuse.
-    fn push_log(&mut self, rec: LogRecord) {
-        let cap = self.config.log_capacity;
-        if self.logs.len() - self.log_start >= cap {
-            self.dropped_logs += 1;
-            if cap == 0 {
-                return;
-            }
-            self.log_start += 1;
-            if self.log_start >= cap {
-                for old in self.logs.drain(..self.log_start) {
-                    self.log_sink.recycle(old.message, cap);
-                }
-                self.log_start = 0;
-            }
-        }
-        self.logs.push(rec);
     }
 
     /// Runs `n` cycles of `clock` (stops early at `$finish`).
@@ -1328,7 +1291,7 @@ impl Simulator {
             time: self.time,
             cycles: self.cycles.clone(),
             finished: self.finished,
-            logs_total: self.dropped_logs + self.logs().len() as u64,
+            logs_total: self.log.dropped() + self.log.len() as u64,
             bb_states,
             forces: self.forces.clone(),
         })
@@ -1358,10 +1321,7 @@ impl Simulator {
         self.finished = cp.finished;
         // Keep the records that existed at the checkpoint and are still
         // retained; any evicted since then stay counted as dropped.
-        let kept = cp.logs_total.saturating_sub(self.dropped_logs) as usize;
-        let visible = kept.min(self.logs().len());
-        self.logs.truncate(self.log_start + visible);
-        self.dropped_logs = self.dropped_logs.min(cp.logs_total);
+        self.log.rewind(cp.logs_total);
         // Force pins are simulation state too: a stuck-at applied after the
         // checkpoint would otherwise keep pinning the signal after rewind.
         self.forces = cp.forces.clone();
@@ -1408,12 +1368,9 @@ impl Simulator {
         } else {
             None
         };
+        self.log.clear(config.log_capacity);
         self.config = config;
-        self.logs.clear();
-        self.log_start = 0;
-        self.log_sink.staged.clear();
         self.nb_scratch.clear();
-        self.dropped_logs = 0;
         self.time = 0;
         self.cycles.clear();
         self.finished = false;

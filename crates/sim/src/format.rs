@@ -5,14 +5,11 @@
 //! directives are emitted literally. `%d` honours declared signedness when
 //! the caller supplies per-argument sign flags ([`render_signed`]).
 //!
-//! Two renderers share these semantics. [`render_signed`] is the reference:
-//! it takes owned [`Bits`] and builds the text from per-directive strings.
-//! The crate-internal `Renderer` is the production path: it reads borrowed
-//! arguments (a narrow value is a `u64` plus its width) and writes every
-//! digit straight into one reusable buffer, so a steady-state `$display`
-//! allocates nothing. A design whose field widths exceed
-//! [`MAX_FIELD_WIDTH`] is refused when it compiles, which bounds what
-//! either renderer can pad to.
+//! [`render_signed`] is the one renderer: the simulator records a
+//! `$display` as its argument values and renders it only when the record
+//! is read ([`LogRecord::message`](crate::LogRecord::message)). A design
+//! whose field widths exceed [`MAX_FIELD_WIDTH`] is refused when it
+//! compiles, which bounds what a record can pad to.
 
 use crate::SimError;
 use hwdbg_bits::Bits;
@@ -43,8 +40,8 @@ pub(crate) fn check_field_widths(fmt: &str) -> Result<(), SimError> {
     Ok(())
 }
 
-/// One lexical piece of a format string, split exactly the way
-/// [`render_signed`] reads it.
+/// One lexical piece of a format string: what [`render_signed`] renders
+/// and `check_field_widths` bounds.
 enum Piece<'f> {
     /// Text copied through unchanged.
     Literal(&'f str),
@@ -107,248 +104,6 @@ impl<'f> Iterator for Pieces<'f> {
     }
 }
 
-/// A borrowed `$display` argument for [`Renderer::render`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Arg<'a> {
-    /// A value of 1..=64 bits: its bits (zero above the width) and width.
-    Narrow(u64, u32),
-    /// A value of any width.
-    Wide(&'a Bits),
-}
-
-impl Arg<'_> {
-    fn width(self) -> u32 {
-        match self {
-            Arg::Narrow(_, w) => w,
-            Arg::Wide(b) => b.width(),
-        }
-    }
-
-    fn low_u64(self) -> u64 {
-        match self {
-            Arg::Narrow(v, _) => v,
-            Arg::Wide(b) => b.to_u64(),
-        }
-    }
-
-    fn bit(self, i: u32) -> bool {
-        match self {
-            Arg::Narrow(v, _) => i < 64 && (v >> i) & 1 == 1,
-            Arg::Wide(b) => b.bit(i),
-        }
-    }
-}
-
-/// `10^19`, the largest power of ten that fits a `u64`: wide decimals
-/// are converted one 19-digit chunk at a time.
-const CHUNK: u64 = 10_000_000_000_000_000_000;
-const CHUNK_DIGITS: usize = 19;
-
-/// The in-place `$display` renderer: a text buffer plus limb scratch for
-/// wide decimal conversion, all reused across calls. Output is
-/// byte-identical to [`render_signed`].
-#[derive(Debug, Default)]
-pub(crate) struct Renderer {
-    text: String,
-    /// A wide decimal operand, divided down in place.
-    limbs: Vec<u64>,
-    /// Base-`10^19` digits of a wide decimal, least significant first.
-    chunks: Vec<u64>,
-}
-
-impl Renderer {
-    /// Renders `fmt` with `args` (each with its declared signedness, as
-    /// in [`render_signed`]) and returns the text, valid until the next
-    /// call. Allocates only while the buffers grow to their steady size.
-    pub(crate) fn render<'a>(
-        &mut self,
-        fmt: &str,
-        args: impl IntoIterator<Item = (Arg<'a>, bool)>,
-    ) -> &str {
-        self.text.clear();
-        let mut args = args.into_iter();
-        for piece in Pieces(fmt) {
-            let (zero_pad, width, kind) = match piece {
-                Piece::Literal(s) => {
-                    self.text.push_str(s);
-                    continue;
-                }
-                Piece::Percent => {
-                    self.text.push('%');
-                    continue;
-                }
-                Piece::Directive {
-                    zero_pad,
-                    width,
-                    kind,
-                } => (zero_pad, width, kind),
-            };
-            let Some(kind) = kind else {
-                self.text.push('%');
-                break;
-            };
-            let lower = kind.to_ascii_lowercase();
-            let arg = match lower {
-                'd' | 'h' | 'x' | 'b' | 'c' | 't' => args.next(),
-                _ => None,
-            };
-            let Some((arg, signed)) = arg else {
-                self.text.push('%');
-                self.text.push(kind);
-                continue;
-            };
-            let width: usize = width.parse().unwrap_or(0);
-            let fill = if zero_pad { '0' } else { ' ' };
-            match lower {
-                'd' => {
-                    let w = default_dec_width(arg.width(), width, zero_pad);
-                    let negative = signed && arg.bit(arg.width() - 1);
-                    self.push_dec(arg, negative, w, fill);
-                }
-                't' => self.push_dec(arg, false, width, fill),
-                'h' | 'x' => {
-                    let digits = arg.width().div_ceil(4) as usize;
-                    push_fill(&mut self.text, fill, width.saturating_sub(digits));
-                    for d in (0..digits).rev() {
-                        // Nibbles are 4-aligned, so none straddles a limb.
-                        let bit = d as u32 * 4;
-                        let nib = match arg {
-                            Arg::Narrow(v, _) => v.checked_shr(bit).unwrap_or(0),
-                            Arg::Wide(b) => {
-                                let limb = b.limbs().get((bit / 64) as usize);
-                                limb.copied().unwrap_or(0) >> (bit % 64)
-                            }
-                        };
-                        self.text
-                            .push(char::from(b"0123456789abcdef"[(nib & 0xF) as usize]));
-                    }
-                }
-                'b' => {
-                    let digits = arg.width();
-                    push_fill(&mut self.text, fill, width.saturating_sub(digits as usize));
-                    for i in (0..digits).rev() {
-                        self.text.push(if arg.bit(i) { '1' } else { '0' });
-                    }
-                }
-                _ => {
-                    // `%c`: the low byte(s) as a character; width ignored.
-                    self.text
-                        .push(char::from_u32(arg.low_u64() as u32).unwrap_or('?'));
-                }
-            }
-        }
-        &self.text
-    }
-
-    /// Appends the decimal rendering of `arg` (its two's-complement
-    /// negation behind a `-` when `negative`), left-padded with `fill` to
-    /// `width` characters.
-    fn push_dec(&mut self, arg: Arg<'_>, negative: bool, width: usize, fill: char) {
-        let sign = usize::from(negative);
-        let b = match arg {
-            Arg::Wide(b) if b.width() > 64 => b,
-            _ => {
-                let (v, w) = (arg.low_u64(), arg.width());
-                let mag = if negative { v.wrapping_neg() & mask(w) } else { v };
-                push_fill(&mut self.text, fill, width.saturating_sub(sign + dec_len(mag)));
-                if negative {
-                    self.text.push('-');
-                }
-                push_u64(&mut self.text, mag, 0);
-                return;
-            }
-        };
-        let w = b.width();
-        let n = (w as usize).div_ceil(64);
-        self.limbs.clear();
-        self.limbs.extend_from_slice(&b.limbs()[..n.min(b.limbs().len())]);
-        self.limbs.resize(n, 0);
-        if negative {
-            // Two's complement at `w` bits: invert, add one, mask the top.
-            let mut carry = true;
-            for l in &mut self.limbs {
-                let (sum, c) = (!*l).overflowing_add(u64::from(carry));
-                *l = sum;
-                carry = c;
-            }
-            if let Some(top) = self.limbs.last_mut() {
-                *top &= mask(w - 64 * (n as u32 - 1));
-            }
-        }
-        // Repeated division by 10^19 yields base-10^19 digits.
-        self.chunks.clear();
-        let mut len = n;
-        while len > 0 && self.limbs[len - 1] == 0 {
-            len -= 1;
-        }
-        while len > 0 {
-            let mut rem = 0u128;
-            for l in self.limbs[..len].iter_mut().rev() {
-                let cur = (rem << 64) | u128::from(*l);
-                *l = (cur / u128::from(CHUNK)) as u64;
-                rem = cur % u128::from(CHUNK);
-            }
-            self.chunks.push(rem as u64);
-            while len > 0 && self.limbs[len - 1] == 0 {
-                len -= 1;
-            }
-        }
-        let top = self.chunks.last().copied().unwrap_or(0);
-        let digits = dec_len(top) + CHUNK_DIGITS * self.chunks.len().saturating_sub(1);
-        push_fill(&mut self.text, fill, width.saturating_sub(sign + digits));
-        if negative {
-            self.text.push('-');
-        }
-        push_u64(&mut self.text, top, 0);
-        for &c in self.chunks.iter().rev().skip(1) {
-            push_u64(&mut self.text, c, CHUNK_DIGITS);
-        }
-    }
-}
-
-/// Bit mask covering a width of 1..=64 bits.
-fn mask(w: u32) -> u64 {
-    if w >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << w) - 1
-    }
-}
-
-/// Decimal digit count of `v` (1 for zero).
-fn dec_len(mut v: u64) -> usize {
-    let mut n = 1;
-    while v >= 10 {
-        v /= 10;
-        n += 1;
-    }
-    n
-}
-
-/// Appends `v` in decimal, zero-extended to at least `min_digits`.
-fn push_u64(out: &mut String, mut v: u64, min_digits: usize) {
-    let mut buf = [b'0'; 20];
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    i = i.min(buf.len() - min_digits.min(buf.len()));
-    for &d in &buf[i..] {
-        out.push(char::from(d));
-    }
-}
-
-fn push_fill(out: &mut String, fill: char, n: usize) {
-    for _ in 0..n {
-        out.push(fill);
-    }
-}
-
 /// Renders `fmt` with `args` substituted for format directives.
 ///
 /// `signs[i]` marks argument `i` as declared-signed: `%d` then prints the
@@ -358,70 +113,52 @@ fn push_fill(out: &mut String, fill: char, n: usize) {
 /// pattern, like real simulators.
 pub fn render_signed(fmt: &str, args: &[Bits], signs: &[bool]) -> String {
     let mut out = String::new();
-    let mut chars = fmt.chars().peekable();
     let mut next_arg = 0usize;
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        if chars.peek() == Some(&'%') {
-            chars.next();
-            out.push('%');
-            continue;
-        }
-        // Optional zero flag and width digits.
-        let mut zero_pad = false;
-        let mut width = String::new();
-        while let Some(&d) = chars.peek() {
-            if d == '0' && width.is_empty() {
-                zero_pad = true;
-                chars.next();
-            } else if d.is_ascii_digit() {
-                width.push(d);
-                chars.next();
-            } else {
-                break;
+    for piece in Pieces(fmt) {
+        let (zero_pad, width, kind) = match piece {
+            Piece::Literal(s) => {
+                out.push_str(s);
+                continue;
             }
-        }
-        let width: usize = width.parse().unwrap_or(0);
-        let Some(kind) = chars.next() else {
+            Piece::Percent => {
+                out.push('%');
+                continue;
+            }
+            Piece::Directive {
+                zero_pad,
+                width,
+                kind,
+            } => (zero_pad, width, kind),
+        };
+        let Some(kind) = kind else {
             out.push('%');
             break;
         };
-        let arg = args.get(next_arg);
-        let rendered = match (kind.to_ascii_lowercase(), arg) {
-            ('d', Some(v)) => {
-                let signed = signs.get(next_arg).copied().unwrap_or(false);
-                next_arg += 1;
+        let lower = kind.to_ascii_lowercase();
+        let arg = match lower {
+            'd' | 'h' | 'x' | 'b' | 'c' | 't' => args.get(next_arg),
+            _ => None,
+        };
+        let Some(v) = arg else {
+            out.push('%');
+            out.push(kind);
+            continue;
+        };
+        let signed = signs.get(next_arg).copied().unwrap_or(false);
+        next_arg += 1;
+        let width: usize = width.parse().unwrap_or(0);
+        let text = match lower {
+            'd' => {
                 let s = dec_string(v, signed);
                 pad(&s, default_dec_width(v.width(), width, zero_pad), zero_pad)
             }
-            ('h' | 'x', Some(v)) => {
-                next_arg += 1;
-                pad(&v.to_hex_string(), width, zero_pad)
-            }
-            ('b', Some(v)) => {
-                next_arg += 1;
-                pad(&v.to_bin_string(), width, zero_pad)
-            }
-            ('c', Some(v)) => {
-                next_arg += 1;
-                char::from_u32(v.to_u64() as u32)
-                    .unwrap_or('?')
-                    .to_string()
-            }
-            ('t', Some(v)) => {
-                next_arg += 1;
-                pad(&v.to_dec_string(), width, zero_pad)
-            }
-            (_, _) => {
-                out.push('%');
-                out.push(kind);
-                continue;
-            }
+            'h' | 'x' => pad(&v.to_hex_string(), width, zero_pad),
+            'b' => pad(&v.to_bin_string(), width, zero_pad),
+            // `%c`: the low byte(s) as a character; width ignored.
+            'c' => char::from_u32(v.to_u64() as u32).unwrap_or('?').to_string(),
+            _ => pad(&v.to_dec_string(), width, zero_pad),
         };
-        out.push_str(&rendered);
+        out.push_str(&text);
     }
     out
 }
@@ -538,48 +275,40 @@ mod tests {
         }
     }
 
-    /// Every directive, every flag shape, signed and unsigned, against the
-    /// reference renderer — narrow values through both argument forms.
+    /// Every directive and flag shape, with an 8-bit and a 70-bit
+    /// argument read signed and unsigned, and with arguments missing.
     #[test]
-    fn renderer_matches_reference() {
-        let mut rng = hwdbg_bits::SplitMix64::new(0x5eed);
-        let widths: Vec<u32> = (1..=64).chain([65, 127, 128, 200]).collect();
-        let formats = [
-            "%d", "%0d", "%5d", "%05d", "%h", "%x", "%b", "%c", "%t", "%5t", "%%",
-            "%D|%H|%X|%B|%T", "a=%d b=%0h c=%b!", "%3h %08b %25d", "%q%d", "%5q",
-            "%d %d %d", "tail %", "tail %05", "é%dé",
+    fn directives_render_every_flag_shape() {
+        let narrow = Bits::from_u64(8, 0xf9);
+        let wide = Bits::from_u64(70, 0x1234_5678_9abc_def0).neg();
+        let cases = [
+            ("%d", [" -7", "249", "  -1311768467463790320"]),
+            ("%0d", ["-7", "249", "-1311768467463790320"]),
+            ("%5d", ["   -7", "  249", "-1311768467463790320"]),
+            ("%05d", ["000-7", "00249", "-1311768467463790320"]),
+            ("%h", ["f9", "f9", "3fedcba98765432110"]),
+            ("%x", ["f9", "f9", "3fedcba98765432110"]),
+            ("%b", ["11111001", "11111001", "1111111110110111001011101010011000011101100101010000110010000100010000"]),
+            ("%c", ["ù", "ù", "?"]),
+            ("%t", ["249", "249", "1179279852249947513104"]),
+            ("%5t", ["  249", "  249", "1179279852249947513104"]),
+            ("%%", ["%", "%", "%"]),
+            ("%D|%H|%X|%B|%T", [" -7|3fedcba98765432110|%X|%B|%T", "249|3fedcba98765432110|%X|%B|%T", "  -1311768467463790320|%H|%X|%B|%T"]),
+            ("a=%d b=%0h c=%b!", ["a= -7 b=3fedcba98765432110 c=%b!", "a=249 b=3fedcba98765432110 c=%b!", "a=  -1311768467463790320 b=%h c=%b!"]),
+            ("%3h %08b %25d", [" f9 1111111110110111001011101010011000011101100101010000110010000100010000 %d", " f9 1111111110110111001011101010011000011101100101010000110010000100010000 %d", "3fedcba98765432110 %b %d"]),
+            ("%q%d", ["%q -7", "%q249", "%q  -1311768467463790320"]),
+            ("%5q", ["%q", "%q", "%q"]),
+            ("%d %d %d", [" -7   -1311768467463790320 %d", "249 1179279852249947513104 %d", "  -1311768467463790320 %d %d"]),
+            ("tail %", ["tail %", "tail %", "tail %"]),
+            ("tail %05", ["tail %", "tail %", "tail %"]),
+            ("é%dé", ["é -7é", "é249é", "é  -1311768467463790320é"]),
         ];
-        let mut r = Renderer::default();
-        for &w in &widths {
-            let mut sign = Bits::zero(w);
-            sign.set_bit(w - 1, true);
-            let mut values = vec![Bits::zero(w), Bits::ones(w), sign];
-            for _ in 0..8 {
-                let mut v = Bits::zero(w);
-                for i in 0..w {
-                    v.set_bit(i, rng.next_bool());
-                }
-                values.push(v);
-            }
-            for v in &values {
-                for signed in [false, true] {
-                    for fmt in formats {
-                        // Missing arguments: one value for a multi-argument
-                        // format, and none at all.
-                        for n in [0, 1, 2] {
-                            let args: Vec<Bits> = std::iter::repeat_n(v.clone(), n).collect();
-                            let signs = vec![signed; n];
-                            let want = render_signed(fmt, &args, &signs);
-                            let got = r.render(fmt, args.iter().map(|b| (Arg::Wide(b), signed)));
-                            assert_eq!(got, want, "fmt {fmt:?} w {w} v {v:?} signed {signed}");
-                            if w <= 64 {
-                                let narrow = args.iter().map(|b| (Arg::Narrow(b.to_u64(), w), signed));
-                                assert_eq!(r.render(fmt, narrow), want, "narrow {fmt:?} w {w}");
-                            }
-                        }
-                    }
-                }
-            }
+        for (fmt, [signed, unsigned, wide_only]) in cases {
+            let both = [narrow.clone(), wide.clone()];
+            assert_eq!(render_signed(fmt, &both, &[true, true]), signed, "{fmt:?} signed");
+            assert_eq!(render_signed(fmt, &both, &[false, false]), unsigned, "{fmt:?}");
+            let one = [wide.clone()];
+            assert_eq!(render_signed(fmt, &one, &[true]), wide_only, "{fmt:?} one arg");
         }
     }
 

@@ -3,8 +3,9 @@
 //! This crate plays Verilator's role in the paper: it executes the flat
 //! [`Design`](hwdbg_dataflow::Design) produced by `hwdbg-dataflow` with
 //! two-phase synchronous semantics (combinational settle, clocked processes
-//! reading pre-edge state, nonblocking commit), captures `$display` output
-//! as structured [`LogRecord`]s, detects infinite stalls via a watchdog,
+//! reading pre-edge state, nonblocking commit), records each `$display` as
+//! its site and argument values in a [`Log`] (rendered to text only when
+//! read), detects infinite stalls via a watchdog,
 //! and can dump VCD waveforms.
 //!
 //! Unit bodies compile to a `CStmt`/`CExpr` tree and then, every one of
@@ -45,6 +46,7 @@ mod engine;
 mod eval;
 pub mod fault;
 pub mod format;
+mod log;
 mod sched;
 mod state;
 pub mod vcd;
@@ -55,29 +57,13 @@ pub use engine::{
 };
 pub use fault::{run_with_faults, step_with_faults, BoundFaults, Fault, FaultKind, FaultPlan};
 pub use eval::effective_mem_addr;
+pub use log::{Iter, Log, LogRecord};
 pub use state::{RegInit, SimState};
 pub use vcd::VcdWriter;
 
 use hwdbg_bits::Bits;
 use hwdbg_dataflow::{BbInst, WidthError};
 use std::fmt;
-
-/// One captured `$display` record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogRecord {
-    /// Global step counter when the record was produced.
-    pub time: u64,
-    /// Cycle number of the clock whose edge produced it.
-    pub cycle: u64,
-    /// The rendered message.
-    pub message: String,
-}
-
-impl fmt::Display for LogRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:>6}] {}", self.cycle, self.message)
-    }
-}
 
 /// A behavioral model of a blackbox IP instance.
 ///

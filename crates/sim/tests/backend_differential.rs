@@ -438,7 +438,7 @@ fn signed_display_renders_negative_under_both_backends() {
         sim.run("clk", 3).unwrap();
         sim.logs()
             .iter()
-            .map(|l| l.message.clone())
+            .map(|l| l.message())
             .collect::<Vec<_>>()
     };
     let production = run(PRODUCTION);

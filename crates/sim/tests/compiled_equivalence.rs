@@ -132,7 +132,7 @@ fn checkpoint_restore_stays_equivalent() {
             .iter_values()
             .map(|(n, v)| (n.to_owned(), v.to_bin_string()))
             .collect();
-        (state, sim.logs().to_vec())
+        (state, sim.logs().clone())
     };
     assert_eq!(run(SettleMode::EventDriven), run(SettleMode::FullPass));
 }

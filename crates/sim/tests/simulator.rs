@@ -209,7 +209,7 @@ fn display_capture_and_finish() {
     );
     s.run("clk", 100).unwrap();
     assert!(s.finished());
-    let msgs: Vec<_> = s.logs().iter().map(|l| l.message.clone()).collect();
+    let msgs: Vec<_> = s.logs().iter().map(|l| l.message()).collect();
     assert_eq!(msgs, vec!["n=0", "n=1", "n=2"]);
     assert_eq!(s.cycle("clk"), 3);
 }
@@ -226,7 +226,7 @@ fn display_text_keeps_non_ascii_characters() {
         "m",
     );
     s.run("clk", 2).unwrap();
-    let msgs: Vec<_> = s.logs().iter().map(|l| l.message.clone()).collect();
+    let msgs: Vec<_> = s.logs().iter().map(|l| l.message()).collect();
     assert_eq!(msgs, vec!["café  0 → é", "café  1 → é"]);
 }
 
@@ -513,7 +513,7 @@ fn log_capacity_drops_oldest() {
     s.run("clk", 10).unwrap();
     assert_eq!(s.logs().len(), 3);
     assert_eq!(s.dropped_logs(), 7);
-    assert_eq!(s.logs()[0].message, "n=7");
+    assert_eq!(s.logs().get(0).unwrap().message(), "n=7");
 
     // A long run keeps only the newest `log_capacity` records, in order.
     let design = elaborate(
@@ -537,7 +537,7 @@ fn log_capacity_drops_oldest() {
     };
     let mut s = Simulator::new(design, &NoModels, config.clone()).unwrap();
     let messages =
-        |s: &Simulator| -> Vec<String> { s.logs().iter().map(|r| r.message.clone()).collect() };
+        |s: &Simulator| -> Vec<String> { s.logs().iter().map(|r| r.message()).collect() };
     let expect =
         |from: u32, to: u32| -> Vec<String> { (from..to).map(|n| format!("n={n}")).collect() };
     s.run("clk", 100_000).unwrap();
@@ -606,7 +606,7 @@ fn display_field_width_is_bounded_at_compile_time() {
         let mut s = Simulator::new(design_with("[%0d|%5d|%05t]"), &NoModels, config).unwrap();
         s.poke_u64("a", 42).unwrap();
         s.step("clk").unwrap();
-        assert_eq!(s.logs()[0].message, "[42|   42|00042]");
+        assert_eq!(s.logs().get(0).unwrap().message(), "[42|   42|00042]");
     }
 }
 
@@ -637,7 +637,7 @@ fn display_arguments_beyond_one_programs_registers_are_refused() {
         let mut s = Simulator::new(most.clone(), &NoModels, config).unwrap();
         s.poke_u64("a", 0xc).unwrap();
         s.step("clk").unwrap();
-        assert_eq!(s.logs()[0].message, "c".repeat(65_535));
+        assert_eq!(s.logs().get(0).unwrap().message(), "c".repeat(65_535));
     }
 }
 
@@ -705,14 +705,19 @@ fn unsized_decimals_are_signed() {
 /// A signed right-hand side narrower than its target sign-extends to it
 /// (IEEE 1364-2005 §5.5): an `assign`, a nonblocking and a blocking
 /// assignment, an input port connection and a sized `localparam`. An
-/// unsigned one zero-extends.
+/// unsigned one zero-extends. A ternary whose arms are both signed
+/// sign-extends its narrower arm, in an `assign` and in a `localparam`.
 #[test]
 fn signed_right_hand_sides_sign_extend_into_wider_targets() {
     use hwdbg_sim::Backend;
     let src = "module sub(input [15:0] a, output [15:0] y); assign y = a; endmodule
      module m(input clk, output [15:0] r, output reg [15:0] n, output reg [15:0] b,
-              output [15:0] p, output [15:0] c, output [15:0] z);
+              output [15:0] p, output [15:0] c, output [15:0] z,
+              output [15:0] t, output [15:0] tp);
         localparam [15:0] P = $signed(8'hf9);
+        localparam [15:0] T = 1'b1 ? $signed(4'hc) : 8'sd1;
+        assign t = 1'b1 ? $signed(4'hc) : 8'sd1;
+        assign tp = T;
         assign r = $signed(8'hf9);
         assign z = 8'hf9;
         assign c = P;
@@ -727,8 +732,9 @@ fn signed_right_hand_sides_sign_extend_into_wider_targets() {
         let config = SimConfig::default().with_backend(backend);
         let mut s = Simulator::new(design.clone(), &NoModels, config).unwrap();
         s.step("clk").unwrap();
-        let got = ["r", "n", "b", "p", "c", "z"].map(|n| s.peek(n).unwrap().to_u64());
-        assert_eq!(got, [0xfff9, 0xfffc, 0xfffe, 0xfffc, 0xfff9, 0x00f9], "{backend:?}");
+        let got = ["r", "n", "b", "p", "c", "z", "t", "tp"].map(|n| s.peek(n).unwrap().to_u64());
+        let want = [0xfff9, 0xfffc, 0xfffe, 0xfffc, 0xfff9, 0x00f9, 0xfffc, 0xfffc];
+        assert_eq!(got, want, "{backend:?}");
     }
 }
 
@@ -1183,7 +1189,7 @@ fn localparams_fold_like_the_simulator() {
     src += "    end\nendmodule\n";
     let mut s = sim(&src, "m");
     s.step("clk").unwrap();
-    let lines: Vec<&str> = s.logs().iter().map(|r| r.message.as_str()).collect();
+    let lines: Vec<String> = s.logs().iter().map(|r| r.message()).collect();
     assert_eq!(lines.len(), exprs.len());
     for (line, (_, e)) in lines.iter().zip(exprs) {
         let (folded, simulated) = line.split_once(' ').unwrap();

@@ -72,9 +72,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {rec}");
     }
 
-    let native: Vec<_> = sim.logs().iter().map(|r| r.message.clone()).collect();
-    let recon: Vec<_> = reconstructed.iter().map(|r| r.message.clone()).collect();
-    assert_eq!(native, recon, "unified logging: same output either way");
+    // Each record is its `$display`'s site, cycle and argument values.
+    let values = |log: &hwdbg::sim::Log| -> Vec<_> {
+        log.iter().map(|r| (r.site, r.cycle, r.args().collect::<Vec<_>>())).collect()
+    };
+    assert_eq!(values(sim.logs()), values(&reconstructed), "unified logging: same records");
     println!("\nnative and reconstructed logs are identical.");
     Ok(())
 }

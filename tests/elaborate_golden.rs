@@ -112,7 +112,7 @@ fn workload(id: BugId, shared: &Arc<CompiledDesign>) -> String {
     let outcome = format!("{:?}", workloads::run(id, &mut sim));
     let mut log = String::new();
     for rec in sim.logs() {
-        let _ = writeln!(log, "{} {} {}", rec.time, rec.cycle, rec.message);
+        let _ = writeln!(log, "{} {} {}", rec.time, rec.cycle, rec.message());
     }
     let d = sim.design();
     let mut state = String::new();

@@ -4,14 +4,25 @@
 use hwdbg::dataflow::{resolve, DepKind, PropGraph};
 use hwdbg::ip::{StdIpLib, StdModels};
 use hwdbg::rtl::parse_expr;
-use hwdbg::sim::{SimConfig, Simulator};
-use hwdbg::testbed::{buggy_design, workloads, BugId};
+use hwdbg::bits::Bits;
+use hwdbg::sim::{Log, RegInit, SimConfig, Simulator};
+use hwdbg::testbed::{buggy_design, fixed_design, workloads, BugId};
 use hwdbg::tools::signalcat::SignalCatConfig;
 use hwdbg::tools::statmon::Event;
 use hwdbg::tools::{DependencyMonitor, FsmMonitor, SignalCat, StatisticsMonitor};
 
 fn sim_of(design: hwdbg::dataflow::Design) -> Simulator {
     Simulator::new(design, &StdModels, SimConfig::default()).unwrap()
+}
+
+/// Each record of `log` as `(site, cycle, arguments)`.
+fn values(log: &Log) -> Vec<(u32, u64, Vec<Bits>)> {
+    log.iter().map(|r| (r.site, r.cycle, r.args().collect())).collect()
+}
+
+/// Each record's rendered text.
+fn messages(log: &Log) -> Vec<String> {
+    log.iter().map(|r| r.message()).collect()
 }
 
 /// SignalCat's unified-logging contract on a real design: the
@@ -23,18 +34,49 @@ fn signalcat_unifies_simulation_and_deployment_on_grayscale() {
 
     let mut native = sim_of(design.clone());
     let _ = workloads::run(BugId::D2, &mut native).unwrap();
-    let native_msgs: Vec<_> = native.logs().iter().map(|l| l.message.clone()).collect();
-    assert!(!native_msgs.is_empty());
+    assert!(!native.logs().is_empty());
 
     let info = SignalCat::instrument(&design, &SignalCatConfig::default()).unwrap();
     let mut deployed = sim_of(resolve(info.module.clone(), &lib).unwrap());
     let _ = workloads::run(BugId::D2, &mut deployed).unwrap();
     assert!(deployed.logs().is_empty(), "displays must be stripped");
-    let rec: Vec<_> = SignalCat::reconstruct(&info, &deployed)
-        .into_iter()
-        .map(|l| l.message)
-        .collect();
-    assert_eq!(rec, native_msgs);
+    let rec = SignalCat::reconstruct(&info, &deployed);
+    assert_eq!(values(&rec), values(native.logs()));
+    assert_eq!(messages(&rec), messages(native.logs()));
+}
+
+/// The same contract on every testbed variant with a clocked `$display`,
+/// at zero and at random init: driven by the same workload, the deployed
+/// design rebuilds the native records as `(site, cycle, arguments)`,
+/// unless SignalCat marks the log degraded.
+#[test]
+fn signalcat_unifies_simulation_and_deployment_on_every_variant() {
+    let lib = StdIpLib::new();
+    let mut compared = 0;
+    for id in BugId::ALL {
+        for (variant, design) in [("buggy", buggy_design(id)), ("fixed", fixed_design(id))] {
+            let design = design.unwrap();
+            let Ok(info) = SignalCat::instrument(&design, &SignalCatConfig::default()) else {
+                continue;
+            };
+            let deployed_design = resolve(info.module.clone(), &lib).unwrap();
+            for init in [RegInit::Zero, RegInit::Random(0x5CA7)] {
+                let config = SimConfig { init, ..SimConfig::default() };
+                let mut native = Simulator::new(design.clone(), &StdModels, config.clone()).unwrap();
+                let _ = workloads::run(id, &mut native);
+                let mut deployed =
+                    Simulator::new(deployed_design.clone(), &StdModels, config).unwrap();
+                let _ = workloads::run(id, &mut deployed);
+                let rebuilt = SignalCat::reconstruct_checked(&info, &deployed);
+                if rebuilt.is_clean() {
+                    let at = format!("{id} {variant} {init:?}");
+                    assert_eq!(values(&rebuilt.value), values(native.logs()), "{at}");
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared > 0, "no variant was compared");
 }
 
 /// SignalCat keeps each `$display` argument's sign: `%d` of a signed
@@ -56,17 +98,15 @@ fn signalcat_reconstructs_signed_arguments() {
         let design = hwdbg::dataflow::elaborate(&file, top, &lib).unwrap();
         let mut native = sim_of(design.clone());
         native.run("clk", cycles).unwrap();
-        let native_msgs: Vec<_> = native.logs().iter().map(|l| l.message.clone()).collect();
+        let native_msgs = messages(native.logs());
         assert!(native_msgs.iter().any(|m| m.contains("=-")), "{top}: no negative %d");
 
         let info = SignalCat::instrument(&design, &SignalCatConfig::default()).unwrap();
         let mut deployed = sim_of(resolve(info.module.clone(), &lib).unwrap());
         deployed.run("clk", cycles).unwrap();
-        let rec: Vec<_> = SignalCat::reconstruct(&info, &deployed)
-            .into_iter()
-            .map(|l| l.message)
-            .collect();
-        assert_eq!(rec, native_msgs, "{top}");
+        let rec = SignalCat::reconstruct(&info, &deployed);
+        assert_eq!(values(&rec), values(native.logs()), "{top}");
+        assert_eq!(messages(&rec), native_msgs, "{top}");
     }
 }
 
